@@ -199,8 +199,10 @@ fn spec_reads(p: &PipelinePlan, partition_count: usize) -> Vec<ResourceId> {
     let mut r = Vec::new();
     match &p.source {
         SourceSpec::Table(_) => {}
-        SourceSpec::Scan { prune, .. } => {
-            r.extend(prune.bloom.iter().map(|&(f, _, _)| ResourceId::Filter(f)));
+        // The fused scan reads the Bloom filters whose key ranges prune it;
+        // its own predicate and projection read nothing shared.
+        SourceSpec::Scan { bloom, .. } => {
+            r.extend(bloom.iter().map(|&(f, _, _)| ResourceId::Filter(f)));
         }
         SourceSpec::Buffer(b) => r.push(ResourceId::Buffer(*b)),
     }

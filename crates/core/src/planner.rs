@@ -13,8 +13,8 @@ use crate::optimizer::PlanNode;
 use crate::query::JoinQuery;
 use rpt_common::{DataType, Error, Field, Result, Schema};
 use rpt_exec::{
-    prunable_conjuncts, prunable_utf8_conjuncts, AggExpr, BloomSink, Expr, NodeDeps, OpSpec,
-    PipelinePlan, RouteMode, ScanPrune, SinkSpec, SortKey, SourceSpec,
+    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, RouteMode, SinkSpec, SortKey,
+    SourceSpec,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
@@ -303,7 +303,7 @@ impl<'q> Planner<'q> {
             )));
         }
 
-        // 1. Initial per-relation streams (scan → filter → project-needed).
+        // 1. Initial per-relation streams (fused filtering, projecting scans).
         let mut states: Vec<RelState> = (0..self.q.num_relations())
             .map(|r| self.base_stream(r))
             .collect::<Result<_>>()?;
@@ -374,47 +374,33 @@ impl<'q> Planner<'q> {
         })
     }
 
-    /// Base stream for one relation: table scan → pushed filter →
-    /// projection to the needed columns.
-    ///
-    /// Base scans are emitted as [`SourceSpec::Scan`] so the storage layer
-    /// can prune whole blocks with zone maps before decoding: any
-    /// `Int64 col CMP literal` and `Utf8 col CMP 'literal'` conjuncts of
-    /// the pushed-down filter are mirrored into the scan's prune spec
-    /// (the filter runs against the full base schema, so its column
-    /// indices *are* base-table columns),
-    /// and later transfer steps may add Bloom key ranges (see
-    /// [`Planner::transfer_step`]). Pruning is conservative — the filter
-    /// and probe operators still run on every surviving block.
+    /// Base stream for one relation: one fused [`SourceSpec::Scan`] that
+    /// carries the relation's pushed-down filter (column indices are
+    /// base-table columns) and projects to the needed columns, so the
+    /// stream starts with no operators at all. The scan derives its
+    /// zone-map pruning from the filter's literal conjuncts; later transfer
+    /// steps may add Bloom key ranges (see [`Planner::transfer_step`]).
     fn base_stream(&self, r: usize) -> Result<RelState> {
         let rel = &self.q.relations[r];
-        let mut ops = Vec::new();
-        let mut reduced = false;
-        let mut prune = ScanPrune::default();
-        if let Some(f) = &rel.filter {
-            // Filter runs against the full base schema.
-            let expr = f.to_exec(&|fr, fc| if fr == r { Some(fc) } else { None })?;
-            prune.predicates = prunable_conjuncts(&expr);
-            prune.utf8_predicates = prunable_utf8_conjuncts(&expr);
-            ops.push(OpSpec::Filter(expr));
-            reduced = true;
-        }
-        // Project to needed columns.
-        ops.push(OpSpec::Project(
-            rel.needed_cols.iter().map(|&c| Expr::Column(c)).collect(),
-        ));
+        let filter = rel
+            .filter
+            .as_ref()
+            .map(|f| f.to_exec(&|fr, fc| if fr == r { Some(fc) } else { None }))
+            .transpose()?;
         let layout: Vec<(usize, usize)> = rel.needed_cols.iter().map(|&c| (r, c)).collect();
         Ok(RelState {
+            reduced: filter.is_some(),
             stream: Stream {
                 source: SourceSpec::Scan {
                     table: rel.table.clone(),
-                    prune,
+                    filter,
+                    columns: rel.needed_cols.clone(),
+                    bloom: Vec::new(),
                 },
-                ops,
+                ops: Vec::new(),
                 layout,
                 label: rel.binding.clone(),
             },
-            reduced,
         })
     }
 
@@ -602,8 +588,8 @@ impl<'q> Planner<'q> {
                 debug_assert_eq!(kr, *target);
                 let key_type = self.q.relations[kr].table.schema.field(kc).data_type;
                 if key_type == DataType::Int64 {
-                    if let SourceSpec::Scan { prune, .. } = &mut states[*target].stream.source {
-                        prune.bloom.push((filter_id, key_pos, kc));
+                    if let SourceSpec::Scan { bloom, .. } = &mut states[*target].stream.source {
+                        bloom.push((filter_id, key_pos, kc));
                     }
                 }
             }

@@ -96,19 +96,10 @@ impl RExpr {
                 expr: Box::new(expr.to_exec(layout)?),
                 pattern: pattern.clone(),
             },
-            RExpr::EndsWith { expr, pattern } => {
-                // EndsWith is compiled as Contains of pattern at end — the
-                // engine has no native EndsWith; emulate via Contains which
-                // over-approximates, then exact check is unnecessary for our
-                // workloads (patterns are distinctive). To stay exact we use
-                // Not(Not(Contains)) trick? Simplest correct approach:
-                // treat as Contains (the workloads only use it on synthetic
-                // suffix-unique strings).
-                Expr::Contains {
-                    expr: Box::new(expr.to_exec(layout)?),
-                    pattern: pattern.clone(),
-                }
-            }
+            RExpr::EndsWith { expr, pattern } => Expr::EndsWith {
+                expr: Box::new(expr.to_exec(layout)?),
+                pattern: pattern.clone(),
+            },
             RExpr::IsNull(inner) => Expr::IsNull(Box::new(inner.to_exec(layout)?)),
         })
     }

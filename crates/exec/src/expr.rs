@@ -1,6 +1,24 @@
 //! Vectorized expressions: filters, projections, aggregates.
+//!
+//! Two evaluators share one semantics (SQL three-valued logic: a
+//! comparison, `IN`, or `LIKE` over a NULL is UNKNOWN, `NOT` keeps UNKNOWN
+//! UNKNOWN, and a filter keeps only TRUE rows):
+//!
+//! * [`Expr::eval`] materializes a value vector per node — projections,
+//!   aggregate inputs, and the reference the kernels are tested against;
+//! * [`Predicate`] refines a *selection vector* instead: `AND` narrows the
+//!   surviving rows conjunct by conjunct and stops at nothing left, `OR`
+//!   unions what each disjunct adds, and `column ⋈ constant` leaves run on
+//!   the typed payload — per dictionary entry for dictionary-backed
+//!   strings — without building bool or literal vectors. Shapes without a
+//!   kernel (arithmetic, column-vs-column) fall back to `eval` over the
+//!   surviving rows only.
 
-use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, ScalarValue, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, ScalarValue, Utf8Dict, Vector};
+use std::cmp::Ordering;
+use std::collections::BTreeSet;
+use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
+use std::sync::{Arc, Mutex};
 
 /// Comparison operators.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -23,6 +41,20 @@ impl CmpOp {
             CmpOp::LtEq => CmpOp::GtEq,
             CmpOp::Gt => CmpOp::Lt,
             CmpOp::GtEq => CmpOp::LtEq,
+        }
+    }
+
+    /// Does an operand ordering satisfy this operator? `None` (NaN, or
+    /// incomparable types) satisfies nothing, `<>` included.
+    #[inline]
+    fn holds(self, ord: Option<Ordering>) -> bool {
+        match self {
+            CmpOp::Eq => ord == Some(Ordering::Equal),
+            CmpOp::NotEq => matches!(ord, Some(Ordering::Less | Ordering::Greater)),
+            CmpOp::Lt => ord == Some(Ordering::Less),
+            CmpOp::LtEq => matches!(ord, Some(Ordering::Less | Ordering::Equal)),
+            CmpOp::Gt => ord == Some(Ordering::Greater),
+            CmpOp::GtEq => matches!(ord, Some(Ordering::Greater | Ordering::Equal)),
         }
     }
 }
@@ -70,7 +102,60 @@ pub enum Expr {
         expr: Box<Expr>,
         pattern: String,
     },
+    /// Suffix match — stand-in for `LIKE '%pat'`.
+    EndsWith {
+        expr: Box<Expr>,
+        pattern: String,
+    },
     IsNull(Box<Expr>),
+}
+
+/// The logical rows of a chunk an evaluation covers: all `n` of them, or
+/// an ascending subset.
+#[derive(Clone, Copy)]
+enum Rows<'a> {
+    All(usize),
+    Some(&'a [u32]),
+}
+
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        match self {
+            Rows::All(n) => *n,
+            Rows::Some(r) => r.len(),
+        }
+    }
+
+    fn to_vec(self) -> Vec<u32> {
+        match self {
+            Rows::All(n) => (0..n as u32).collect(),
+            Rows::Some(r) => r.to_vec(),
+        }
+    }
+}
+
+/// The payload of a boolean-typed vector, or an execution error.
+fn bools(v: &Vector) -> Result<&[bool]> {
+    match (&v.data, v.is_dict()) {
+        (ColumnData::Bool(b), false) => Ok(b),
+        _ => Err(Error::Exec(format!(
+            "expected a boolean operand, got {:?}",
+            v.data_type()
+        ))),
+    }
+}
+
+/// A boolean vector from per-row `(value, known)` pairs: unknown rows
+/// become NULLs with a `false` placeholder payload.
+fn tri_vector(mut val: Vec<bool>, known: Vec<bool>) -> Vector {
+    for (v, &k) in val.iter_mut().zip(&known) {
+        *v &= k;
+    }
+    let mut out = Vector::from_bool(val);
+    if known.iter().any(|&k| !k) {
+        out.validity = Some(known);
+    }
+    out
 }
 
 impl Expr {
@@ -95,9 +180,9 @@ impl Expr {
     }
 
     pub fn and(exprs: Vec<Expr>) -> Expr {
-        match exprs.len() {
-            1 => exprs.into_iter().next().expect("len checked"),
-            _ => Expr::And(exprs),
+        match <[Expr; 1]>::try_from(exprs) {
+            Ok([only]) => only,
+            Err(exprs) => Expr::And(exprs),
         }
     }
 
@@ -115,6 +200,7 @@ impl Expr {
             | Expr::InList { .. }
             | Expr::Contains { .. }
             | Expr::StartsWith { .. }
+            | Expr::EndsWith { .. }
             | Expr::IsNull(_) => DataType::Bool,
             Expr::Arith { op: _, left, right } => {
                 let lt = left.data_type(input)?;
@@ -128,19 +214,90 @@ impl Expr {
         })
     }
 
+    /// Every column index this expression reads.
+    pub fn columns(&self, out: &mut BTreeSet<usize>) {
+        match self {
+            Expr::Column(c) => {
+                out.insert(*c);
+            }
+            Expr::Literal(_) => {}
+            Expr::Cmp { left, right, .. } | Expr::Arith { left, right, .. } => {
+                left.columns(out);
+                right.columns(out);
+            }
+            Expr::And(parts) | Expr::Or(parts) => parts.iter().for_each(|p| p.columns(out)),
+            Expr::Not(e)
+            | Expr::IsNull(e)
+            | Expr::InList { expr: e, .. }
+            | Expr::Contains { expr: e, .. }
+            | Expr::StartsWith { expr: e, .. }
+            | Expr::EndsWith { expr: e, .. } => e.columns(out),
+        }
+    }
+
+    /// The same expression with every column index rewritten through `f`.
+    pub fn map_columns(&self, f: &dyn Fn(usize) -> usize) -> Expr {
+        let sub = |e: &Expr| Box::new(e.map_columns(f));
+        match self {
+            Expr::Column(c) => Expr::Column(f(*c)),
+            Expr::Literal(v) => Expr::Literal(v.clone()),
+            Expr::Cmp { op, left, right } => Expr::Cmp {
+                op: *op,
+                left: sub(left),
+                right: sub(right),
+            },
+            Expr::Arith { op, left, right } => Expr::Arith {
+                op: *op,
+                left: sub(left),
+                right: sub(right),
+            },
+            Expr::And(parts) => Expr::And(parts.iter().map(|p| p.map_columns(f)).collect()),
+            Expr::Or(parts) => Expr::Or(parts.iter().map(|p| p.map_columns(f)).collect()),
+            Expr::Not(e) => Expr::Not(sub(e)),
+            Expr::IsNull(e) => Expr::IsNull(sub(e)),
+            Expr::InList { expr, list } => Expr::InList {
+                expr: sub(expr),
+                list: list.clone(),
+            },
+            Expr::Contains { expr, pattern } => Expr::Contains {
+                expr: sub(expr),
+                pattern: pattern.clone(),
+            },
+            Expr::StartsWith { expr, pattern } => Expr::StartsWith {
+                expr: sub(expr),
+                pattern: pattern.clone(),
+            },
+            Expr::EndsWith { expr, pattern } => Expr::EndsWith {
+                expr: sub(expr),
+                pattern: pattern.clone(),
+            },
+        }
+    }
+
     /// Evaluate over the logical rows of `chunk`, producing a flat vector of
     /// length `chunk.num_rows()`.
     pub fn eval(&self, chunk: &DataChunk) -> Result<Vector> {
-        let n = chunk.num_rows();
+        self.eval_rows(chunk, Rows::All(chunk.num_rows()))
+    }
+
+    /// [`Expr::eval`] restricted to `rows`: one output row per listed
+    /// logical row.
+    fn eval_rows(&self, chunk: &DataChunk, rows: Rows<'_>) -> Result<Vector> {
+        let n = rows.len();
         match self {
             Expr::Column(i) => {
                 let col = chunk
                     .columns
                     .get(*i)
                     .ok_or_else(|| Error::Exec(format!("column {i} out of bounds")))?;
-                Ok(match &chunk.selection {
-                    Some(sel) => col.take(sel),
-                    None => col.clone(),
+                Ok(match (rows, &chunk.selection) {
+                    (Rows::All(_), None) => col.clone(),
+                    (Rows::All(_), Some(sel)) => col.take(sel),
+                    (Rows::Some(r), None) => col.take(r),
+                    (Rows::Some(r), Some(sel)) => {
+                        let phys: Vec<u32> = r.iter().map(|&i| sel[i as usize]).collect();
+                        col.take(&phys)
+                    }
                 })
             }
             Expr::Literal(v) => {
@@ -151,105 +308,446 @@ impl Expr {
                 Ok(out)
             }
             Expr::Cmp { op, left, right } => {
-                let l = left.eval(chunk)?;
-                let r = right.eval(chunk)?;
+                let l = left.eval_rows(chunk, rows)?;
+                let r = right.eval_rows(chunk, rows)?;
                 eval_cmp(*op, &l, &r)
             }
             Expr::Arith { op, left, right } => {
-                let l = left.eval(chunk)?;
-                let r = right.eval(chunk)?;
+                let l = left.eval_rows(chunk, rows)?;
+                let r = right.eval_rows(chunk, rows)?;
                 eval_arith(*op, &l, &r)
             }
-            Expr::And(parts) => {
-                let mut acc = vec![true; n];
+            // Kleene AND / OR: a deciding operand (FALSE for AND, TRUE for
+            // OR) wins over UNKNOWN; otherwise UNKNOWN is contagious.
+            Expr::And(parts) | Expr::Or(parts) => {
+                let decides = matches!(self, Expr::Or(_));
+                let mut decided = vec![false; n];
+                let mut unknown = vec![false; n];
                 for p in parts {
-                    let v = p.eval(chunk)?;
-                    let b = v.bool_slice();
+                    let v = p.eval_rows(chunk, rows)?;
+                    let b = bools(&v)?;
                     for i in 0..n {
-                        acc[i] = acc[i] && b[i] && v.is_valid(i);
+                        if !v.is_valid(i) {
+                            unknown[i] = true;
+                        } else if b[i] == decides {
+                            decided[i] = true;
+                        }
                     }
                 }
-                Ok(Vector::from_bool(acc))
-            }
-            Expr::Or(parts) => {
-                let mut acc = vec![false; n];
-                for p in parts {
-                    let v = p.eval(chunk)?;
-                    let b = v.bool_slice();
-                    for i in 0..n {
-                        acc[i] = acc[i] || (b[i] && v.is_valid(i));
-                    }
-                }
-                Ok(Vector::from_bool(acc))
+                let val = decided.iter().map(|&d| d == decides).collect();
+                let known = (0..n).map(|i| decided[i] || !unknown[i]).collect();
+                Ok(tri_vector(val, known))
             }
             Expr::Not(inner) => {
-                let v = inner.eval(chunk)?;
-                let b = v.bool_slice();
-                Ok(Vector::from_bool(
-                    (0..n).map(|i| v.is_valid(i) && !b[i]).collect(),
-                ))
+                let v = inner.eval_rows(chunk, rows)?;
+                let b = bools(&v)?;
+                let mut out = Vector::from_bool((0..n).map(|i| v.is_valid(i) && !b[i]).collect());
+                out.validity = v.validity;
+                Ok(out)
             }
             Expr::InList { expr, list } => {
-                let v = expr.eval(chunk)?;
-                let mut out = Vec::with_capacity(n);
+                let v = expr.eval_rows(chunk, rows)?;
+                // A miss against a list holding a NULL is UNKNOWN.
+                let null_in_list = list.iter().any(ScalarValue::is_null);
+                let (mut val, mut known) = (Vec::with_capacity(n), Vec::with_capacity(n));
                 for i in 0..n {
-                    let val = v.get(i);
-                    out.push(!val.is_null() && list.iter().any(|x| x == &val));
+                    let x = v.get(i);
+                    let found = !x.is_null() && list.iter().any(|y| y == &x);
+                    val.push(found);
+                    known.push(found || !(x.is_null() || null_in_list));
                 }
-                Ok(Vector::from_bool(out))
+                Ok(tri_vector(val, known))
             }
             Expr::Contains { expr, pattern } => {
-                let mut v = expr.eval(chunk)?;
-                v.decode_dict_in_place();
-                let s = v.utf8_slice();
-                Ok(Vector::from_bool(
-                    (0..n)
-                        .map(|i| v.is_valid(i) && s[i].contains(pattern.as_str()))
-                        .collect(),
-                ))
+                eval_like(expr, chunk, rows, |s| s.contains(pattern))
             }
             Expr::StartsWith { expr, pattern } => {
-                let mut v = expr.eval(chunk)?;
-                v.decode_dict_in_place();
-                let s = v.utf8_slice();
-                Ok(Vector::from_bool(
-                    (0..n)
-                        .map(|i| v.is_valid(i) && s[i].starts_with(pattern.as_str()))
-                        .collect(),
-                ))
+                eval_like(expr, chunk, rows, |s| s.starts_with(pattern))
+            }
+            Expr::EndsWith { expr, pattern } => {
+                eval_like(expr, chunk, rows, |s| s.ends_with(pattern))
             }
             Expr::IsNull(inner) => {
-                let v = inner.eval(chunk)?;
+                let v = inner.eval_rows(chunk, rows)?;
                 Ok(Vector::from_bool((0..n).map(|i| !v.is_valid(i)).collect()))
             }
         }
     }
 
     /// Evaluate as a predicate: logical row indices (into the chunk's
-    /// logical order) that pass.
+    /// logical order) for which it is TRUE. Compiles a throw-away
+    /// [`Predicate`]; operators that filter many chunks keep one.
     pub fn eval_selection(&self, chunk: &DataChunk) -> Result<Vec<u32>> {
-        // `col CMP literal` on an Int64 column emits the selection straight
-        // from the typed payload — no intermediate bool Vector.
-        if let Expr::Cmp { op, left, right } = self {
-            let fast = match (&**left, &**right) {
-                (Expr::Column(c), Expr::Literal(ScalarValue::Int64(x))) => Some((*c, *op, *x)),
-                (Expr::Literal(ScalarValue::Int64(x)), Expr::Column(c)) => {
-                    Some((*c, op.flip(), *x))
-                }
-                _ => None,
-            };
-            if let Some((col, op, lit)) = fast {
-                if let Some(sel) = cmp_i64_literal_selection(chunk, col, op, lit)? {
-                    return Ok(sel);
-                }
-            }
-        }
-        let v = self.eval(chunk)?;
-        let b = v.bool_slice();
-        Ok((0..chunk.num_rows() as u32)
-            .filter(|&i| b[i as usize] && v.is_valid(i as usize))
-            .collect())
+        Predicate::new(self).select(chunk)
     }
+}
+
+/// One of the `LIKE` stand-ins over the rows of a string operand: NULL in,
+/// NULL out.
+fn eval_like(
+    operand: &Expr,
+    chunk: &DataChunk,
+    rows: Rows<'_>,
+    test: impl Fn(&str) -> bool,
+) -> Result<Vector> {
+    let v = operand.eval_rows(chunk, rows)?;
+    if v.data_type() != DataType::Utf8 {
+        return Err(Error::Exec(format!(
+            "string predicate over a {:?} operand",
+            v.data_type()
+        )));
+    }
+    let hits = (0..v.len())
+        .map(|i| v.is_valid(i) && test(v.utf8_at(i)))
+        .collect();
+    let mut out = Vector::from_bool(hits);
+    out.validity = v.validity;
+    Ok(out)
+}
+
+/// What a [`Predicate`] leaf tests its column against.
+enum Test {
+    /// `col CMP literal`, literal non-NULL.
+    Cmp(CmpOp, ScalarValue),
+    In(Vec<ScalarValue>),
+    Contains(String),
+    StartsWith(String),
+    EndsWith(String),
+}
+
+/// The string view of a [`Test`], for `Utf8` columns.
+enum StrTest<'a> {
+    Cmp(CmpOp, &'a str),
+    In(Vec<&'a str>),
+    Contains(&'a str),
+    StartsWith(&'a str),
+    EndsWith(&'a str),
+}
+
+impl<'a> StrTest<'a> {
+    /// `None` when the test compares a string column to a non-string
+    /// constant (left to the generic evaluation).
+    fn of(test: &'a Test) -> Option<StrTest<'a>> {
+        Some(match test {
+            Test::Cmp(op, ScalarValue::Utf8(s)) => StrTest::Cmp(*op, s),
+            Test::Cmp(..) => return None,
+            Test::In(list) => StrTest::In(
+                list.iter()
+                    .filter_map(|v| match v {
+                        ScalarValue::Utf8(s) => Some(s.as_str()),
+                        _ => None,
+                    })
+                    .collect(),
+            ),
+            Test::Contains(p) => StrTest::Contains(p),
+            Test::StartsWith(p) => StrTest::StartsWith(p),
+            Test::EndsWith(p) => StrTest::EndsWith(p),
+        })
+    }
+
+    fn hit(&self, s: &str) -> bool {
+        match self {
+            StrTest::Cmp(op, lit) => op.holds(Some(s.cmp(lit))),
+            StrTest::In(list) => list.contains(&s),
+            StrTest::Contains(p) => s.contains(p),
+            StrTest::StartsWith(p) => s.starts_with(p),
+            StrTest::EndsWith(p) => s.ends_with(p),
+        }
+    }
+}
+
+/// One leaf's verdict per entry of one dictionary, decided the first time
+/// a code is met and shared by every chunk (and worker) the predicate
+/// sees afterwards.
+struct DictVerdicts {
+    dict: Arc<Utf8Dict>,
+    /// 0 = undecided, 1 = miss, 2 = hit. `Relaxed` suffices: a verdict
+    /// publishes nothing but itself and racing writers store equal values.
+    verdicts: Vec<AtomicU8>,
+}
+
+impl DictVerdicts {
+    #[inline]
+    fn hit(&self, code: usize, test: &StrTest<'_>) -> bool {
+        match self.verdicts[code].load(Relaxed) {
+            0 => {
+                let hit = test.hit(self.dict.value(code));
+                self.verdicts[code].store(1 + hit as u8, Relaxed);
+                hit
+            }
+            v => v == 2,
+        }
+    }
+}
+
+/// The [`DictVerdicts`] of the dictionary a leaf last met (a scan column
+/// has exactly one).
+#[derive(Default)]
+struct DictMemo(Mutex<Option<Arc<DictVerdicts>>>);
+
+impl DictMemo {
+    fn verdicts(&self, dict: &Arc<Utf8Dict>) -> Result<Arc<DictVerdicts>> {
+        let mut slot = self
+            .0
+            .lock()
+            .map_err(|_| Error::Exec("dictionary memo lock poisoned".into()))?;
+        if let Some(v) = slot.as_ref().filter(|v| Arc::ptr_eq(&v.dict, dict)) {
+            return Ok(v.clone());
+        }
+        let fresh = Arc::new(DictVerdicts {
+            dict: dict.clone(),
+            verdicts: (0..dict.len()).map(|_| AtomicU8::new(0)).collect(),
+        });
+        *slot = Some(fresh.clone());
+        Ok(fresh)
+    }
+}
+
+enum Node {
+    And(Vec<Node>),
+    Or(Vec<Node>),
+    Not(Box<Node>),
+    /// `col IS NULL`.
+    IsNull(usize),
+    /// `col ⋈ constant`; `fallback` is the same test as an [`Expr`], for
+    /// column types without a kernel.
+    Leaf {
+        col: usize,
+        test: Test,
+        memo: DictMemo,
+        fallback: Expr,
+    },
+    /// Any other shape, evaluated through [`Expr::eval`].
+    Generic(Expr),
+}
+
+/// A predicate compiled for selection-vector evaluation (see the module
+/// docs). Shareable across workers; dictionary verdicts accumulate inside.
+pub struct Predicate {
+    root: Node,
+}
+
+impl Predicate {
+    pub fn new(expr: &Expr) -> Predicate {
+        Predicate {
+            root: Node::compile(expr),
+        }
+    }
+
+    /// Logical row indices of `chunk` (ascending) for which the predicate
+    /// is TRUE.
+    pub fn select(&self, chunk: &DataChunk) -> Result<Vec<u32>> {
+        self.root.select(chunk, Rows::All(chunk.num_rows()), true)
+    }
+}
+
+impl Node {
+    fn compile(expr: &Expr) -> Node {
+        let leaf = |col: &Expr, test: Test| match col {
+            Expr::Column(c) => Node::Leaf {
+                col: *c,
+                test,
+                memo: DictMemo::default(),
+                fallback: expr.clone(),
+            },
+            _ => Node::Generic(expr.clone()),
+        };
+        match expr {
+            Expr::And(parts) => Node::And(parts.iter().map(Node::compile).collect()),
+            Expr::Or(parts) => Node::Or(parts.iter().map(Node::compile).collect()),
+            Expr::Not(inner) => Node::Not(Box::new(Node::compile(inner))),
+            Expr::IsNull(inner) => match &**inner {
+                Expr::Column(c) => Node::IsNull(*c),
+                _ => Node::Generic(expr.clone()),
+            },
+            Expr::Cmp { op, left, right } => match (&**left, &**right) {
+                (col, Expr::Literal(v)) if !v.is_null() => leaf(col, Test::Cmp(*op, v.clone())),
+                (Expr::Literal(v), col) if !v.is_null() => {
+                    leaf(col, Test::Cmp(op.flip(), v.clone()))
+                }
+                _ => Node::Generic(expr.clone()),
+            },
+            Expr::InList { expr: e, list } => leaf(e, Test::In(list.clone())),
+            Expr::Contains { expr: e, pattern } => leaf(e, Test::Contains(pattern.clone())),
+            Expr::StartsWith { expr: e, pattern } => leaf(e, Test::StartsWith(pattern.clone())),
+            Expr::EndsWith { expr: e, pattern } => leaf(e, Test::EndsWith(pattern.clone())),
+            Expr::Column(_) | Expr::Literal(_) | Expr::Arith { .. } => Node::Generic(expr.clone()),
+        }
+    }
+
+    /// The rows of `rows` on which this node evaluates to `want` (never
+    /// the UNKNOWN ones), ascending.
+    fn select(&self, chunk: &DataChunk, rows: Rows<'_>, want: bool) -> Result<Vec<u32>> {
+        match self {
+            Node::Not(inner) => inner.select(chunk, rows, !want),
+            // AND is TRUE (OR is FALSE) only where every part is: narrow
+            // the surviving rows part by part, stopping at nothing left.
+            Node::And(parts) | Node::Or(parts) if matches!(self, Node::And(_)) == want => {
+                let mut cur: Option<Vec<u32>> = None;
+                for p in parts {
+                    let next = p.select(chunk, cur.as_deref().map_or(rows, Rows::Some), want)?;
+                    let done = next.is_empty();
+                    cur = Some(next);
+                    if done {
+                        break;
+                    }
+                }
+                Ok(cur.unwrap_or_else(|| rows.to_vec()))
+            }
+            // OR is TRUE (AND is FALSE) wherever any part is: union what
+            // each part decides among the rows still undecided.
+            Node::And(parts) | Node::Or(parts) => {
+                let mut out: Vec<u32> = Vec::new();
+                let mut rest = rows.to_vec();
+                for p in parts {
+                    if rest.is_empty() {
+                        break;
+                    }
+                    let hit = p.select(chunk, Rows::Some(&rest), want)?;
+                    if !hit.is_empty() {
+                        rest.retain(|r| hit.binary_search(r).is_err());
+                        out.extend(hit);
+                    }
+                }
+                out.sort_unstable();
+                Ok(out)
+            }
+            Node::IsNull(col) => {
+                let c = column(chunk, *col)?;
+                Ok(match c.validity.as_deref() {
+                    Some(m) => scan_rows(chunk, rows, |p| m[p] != want),
+                    None if want => Vec::new(),
+                    None => rows.to_vec(),
+                })
+            }
+            Node::Leaf {
+                col,
+                test,
+                memo,
+                fallback,
+            } => select_leaf(column(chunk, *col)?, test, memo, chunk, rows, want)?
+                .map_or_else(|| select_generic(fallback, chunk, rows, want), Ok),
+            Node::Generic(expr) => select_generic(expr, chunk, rows, want),
+        }
+    }
+}
+
+fn column(chunk: &DataChunk, col: usize) -> Result<&Vector> {
+    chunk
+        .columns
+        .get(col)
+        .ok_or_else(|| Error::Exec(format!("column {col} out of bounds")))
+}
+
+/// The rows of `rows` whose *physical* row passes `pass`.
+fn scan_rows(chunk: &DataChunk, rows: Rows<'_>, pass: impl Fn(usize) -> bool) -> Vec<u32> {
+    let mut out = Vec::with_capacity(rows.len());
+    match (rows, chunk.selection.as_deref()) {
+        (Rows::All(n), None) => out.extend((0..n as u32).filter(|&i| pass(i as usize))),
+        (Rows::All(n), Some(sel)) => {
+            out.extend((0..n as u32).filter(|&i| pass(sel[i as usize] as usize)))
+        }
+        (Rows::Some(r), None) => out.extend(r.iter().copied().filter(|&i| pass(i as usize))),
+        (Rows::Some(r), Some(sel)) => out.extend(
+            r.iter()
+                .copied()
+                .filter(|&i| pass(sel[i as usize] as usize)),
+        ),
+    }
+    out
+}
+
+/// [`scan_rows`] over the non-NULL rows of one column.
+#[derive(Clone, Copy)]
+struct ValidRows<'a> {
+    chunk: &'a DataChunk,
+    rows: Rows<'a>,
+    valid: Option<&'a [bool]>,
+}
+
+impl ValidRows<'_> {
+    fn keep(self, pass: impl Fn(usize) -> bool) -> Vec<u32> {
+        match self.valid {
+            None => scan_rows(self.chunk, self.rows, pass),
+            Some(m) => scan_rows(self.chunk, self.rows, |p| m[p] && pass(p)),
+        }
+    }
+}
+
+/// Run a leaf's typed kernel over column `c`; `Ok(None)` when the column's
+/// type has none for this test.
+fn select_leaf(
+    c: &Vector,
+    test: &Test,
+    memo: &DictMemo,
+    chunk: &DataChunk,
+    rows: Rows<'_>,
+    want: bool,
+) -> Result<Option<Vec<u32>>> {
+    if let Test::In(list) = test {
+        // A miss against a list holding a NULL is UNKNOWN, so with one no
+        // row is FALSE.
+        if !want && list.iter().any(ScalarValue::is_null) {
+            return Ok(Some(Vec::new()));
+        }
+    }
+    let valid = c.validity.as_deref();
+    let scan = ValidRows { chunk, rows, valid };
+    Ok(Some(match (&c.data, &c.dict, test) {
+        // Dictionary-backed strings: test the code's memoized verdict.
+        (ColumnData::Int64(codes), Some(dict), _) => {
+            let Some(st) = StrTest::of(test) else {
+                return Ok(None);
+            };
+            let verdicts = memo.verdicts(dict)?;
+            scan.keep(|p| verdicts.hit(codes[p] as usize, &st) == want)
+        }
+        (ColumnData::Utf8(vals), None, _) => {
+            let Some(st) = StrTest::of(test) else {
+                return Ok(None);
+            };
+            scan.keep(|p| st.hit(&vals[p]) == want)
+        }
+        (ColumnData::Int64(vals), None, Test::Cmp(op, ScalarValue::Int64(x))) => {
+            scan.keep(|p| op.holds(vals[p].partial_cmp(x)) == want)
+        }
+        (ColumnData::Int64(vals), None, Test::Cmp(op, ScalarValue::Float64(x))) => {
+            scan.keep(|p| op.holds((vals[p] as f64).partial_cmp(x)) == want)
+        }
+        (ColumnData::Float64(vals), None, Test::Cmp(op, ScalarValue::Float64(x))) => {
+            scan.keep(|p| op.holds(vals[p].partial_cmp(x)) == want)
+        }
+        (ColumnData::Float64(vals), None, Test::Cmp(op, ScalarValue::Int64(x))) => {
+            let x = *x as f64;
+            scan.keep(|p| op.holds(vals[p].partial_cmp(&x)) == want)
+        }
+        (ColumnData::Bool(vals), None, Test::Cmp(op, ScalarValue::Bool(x))) => {
+            scan.keep(|p| op.holds(vals[p].partial_cmp(x)) == want)
+        }
+        (ColumnData::Int64(vals), None, Test::In(list)) => {
+            let ints: Vec<i64> = list
+                .iter()
+                .filter_map(|v| match v {
+                    ScalarValue::Int64(x) => Some(*x),
+                    _ => None,
+                })
+                .collect();
+            scan.keep(|p| ints.contains(&vals[p]) == want)
+        }
+        _ => return Ok(None),
+    }))
+}
+
+/// Evaluate `expr` over `rows` through [`Expr::eval`] and keep the rows
+/// where it is `want`.
+fn select_generic(expr: &Expr, chunk: &DataChunk, rows: Rows<'_>, want: bool) -> Result<Vec<u32>> {
+    let v = expr.eval_rows(chunk, rows)?;
+    let b = bools(&v)?;
+    let keep = |k: &usize| v.is_valid(*k) && b[*k] == want;
+    Ok(match rows {
+        Rows::All(n) => (0..n).filter(keep).map(|k| k as u32).collect(),
+        Rows::Some(r) => (0..r.len()).filter(keep).map(|k| r[k]).collect(),
+    })
 }
 
 /// The `Int64 column CMP i64-literal` conjuncts of a predicate, normalized
@@ -258,7 +756,7 @@ impl Expr {
 /// `[min, max]` proves the conjunct false for every row can be skipped
 /// without changing the filter's output (NULL rows never pass a comparison
 /// either way). Walks `And` trees; `Or`/`Not` subtrees contribute nothing.
-pub fn prunable_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, i64)> {
+pub(crate) fn prunable_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, i64)> {
     fn walk(e: &Expr, out: &mut Vec<(usize, CmpOp, i64)>) {
         match e {
             Expr::And(parts) => parts.iter().for_each(|p| walk(p, out)),
@@ -285,7 +783,7 @@ pub fn prunable_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, i64)> {
 /// comparing the literal against the zone's string bounds is exactly the
 /// dict-code comparison). Walks `And` trees; `Or`/`Not` subtrees
 /// contribute nothing.
-pub fn prunable_utf8_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, String)> {
+pub(crate) fn prunable_utf8_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, String)> {
     fn walk(e: &Expr, out: &mut Vec<(usize, CmpOp, String)>) {
         match e {
             Expr::And(parts) => parts.iter().for_each(|p| walk(p, out)),
@@ -306,94 +804,34 @@ pub fn prunable_utf8_conjuncts(expr: &Expr) -> Vec<(usize, CmpOp, String)> {
     out
 }
 
-/// Selection fast path for `Int64 column CMP i64 literal`: compare the
-/// typed payload directly and push passing logical row indices. Returns
-/// `Ok(None)` when the column is not `Int64` (the caller falls back to the
-/// generic bool-vector evaluation). NULL rows never pass, matching SQL
-/// three-valued comparison.
-fn cmp_i64_literal_selection(
-    chunk: &DataChunk,
-    col: usize,
-    op: CmpOp,
-    lit: i64,
-) -> Result<Option<Vec<u32>>> {
-    let c = chunk
-        .columns
-        .get(col)
-        .ok_or_else(|| Error::Exec(format!("column {col} out of bounds")))?;
-    if c.is_dict() {
-        // Dictionary-backed Utf8: the Int64 payload holds codes, not
-        // values — fall back to the generic evaluation.
-        return Ok(None);
-    }
-    let ColumnData::Int64(vals) = &c.data else {
-        return Ok(None);
-    };
-    let test = |v: i64| -> bool {
-        match op {
-            CmpOp::Eq => v == lit,
-            CmpOp::NotEq => v != lit,
-            CmpOp::Lt => v < lit,
-            CmpOp::LtEq => v <= lit,
-            CmpOp::Gt => v > lit,
-            CmpOp::GtEq => v >= lit,
-        }
-    };
-    let n = chunk.num_rows();
-    let mut out = Vec::new();
-    match (&chunk.selection, &c.validity) {
-        // The hot case: flat chunk, no NULLs — one branch per row.
-        (None, None) => {
-            for (i, &v) in vals[..n].iter().enumerate() {
-                if test(v) {
-                    out.push(i as u32);
-                }
-            }
-        }
-        _ => {
-            for i in 0..n {
-                let p = chunk.physical_index(i);
-                if c.is_valid(p) && test(vals[p]) {
-                    out.push(i as u32);
-                }
-            }
-        }
-    }
-    Ok(Some(out))
-}
-
+/// `l CMP r` row by row; NULL on either side gives NULL.
 fn eval_cmp(op: CmpOp, l: &Vector, r: &Vector) -> Result<Vector> {
-    use std::cmp::Ordering;
     let n = l.len();
     if r.len() != n {
         return Err(Error::Exec("comparison arity mismatch".into()));
     }
-    let test = |ord: Ordering| -> bool {
-        match op {
-            CmpOp::Eq => ord == Ordering::Equal,
-            CmpOp::NotEq => ord != Ordering::Equal,
-            CmpOp::Lt => ord == Ordering::Less,
-            CmpOp::LtEq => ord != Ordering::Greater,
-            CmpOp::Gt => ord == Ordering::Greater,
-            CmpOp::GtEq => ord != Ordering::Less,
-        }
-    };
+    let both = |i: usize| l.is_valid(i) && r.is_valid(i);
     // Typed fast paths for the hot combinations.
-    let out: Vec<bool> = match (&l.data, &r.data) {
+    let hits: Vec<bool> = match (&l.data, &r.data) {
+        _ if l.is_dict() || r.is_dict() => (0..n)
+            .map(|i| op.holds(l.get(i).partial_cmp_sql(&r.get(i))))
+            .collect(),
         (ColumnData::Int64(a), ColumnData::Int64(b)) => (0..n)
-            .map(|i| l.is_valid(i) && r.is_valid(i) && test(a[i].cmp(&b[i])))
+            .map(|i| both(i) && op.holds(Some(a[i].cmp(&b[i]))))
             .collect(),
         (ColumnData::Float64(a), ColumnData::Float64(b)) => (0..n)
-            .map(|i| l.is_valid(i) && r.is_valid(i) && a[i].partial_cmp(&b[i]).is_some_and(test))
+            .map(|i| both(i) && op.holds(a[i].partial_cmp(&b[i])))
             .collect(),
         (ColumnData::Utf8(a), ColumnData::Utf8(b)) => (0..n)
-            .map(|i| l.is_valid(i) && r.is_valid(i) && test(a[i].cmp(&b[i])))
+            .map(|i| both(i) && op.holds(Some(a[i].cmp(&b[i]))))
             .collect(),
         _ => (0..n)
-            .map(|i| l.get(i).partial_cmp_sql(&r.get(i)).is_some_and(test))
+            .map(|i| op.holds(l.get(i).partial_cmp_sql(&r.get(i))))
             .collect(),
     };
-    Ok(Vector::from_bool(out))
+    let mut out = Vector::from_bool(hits);
+    out.validity = merge_validity(l, r, n);
+    Ok(out)
 }
 
 fn eval_arith(op: ArithOp, l: &Vector, r: &Vector) -> Result<Vector> {
@@ -602,11 +1040,20 @@ mod tests {
         );
     }
 
-    /// The `col CMP Int64-literal` selection fast path agrees with the
-    /// generic bool-vector evaluation in every orientation, under chunk
-    /// selections, and with NULLs.
+    /// Rows where [`Expr::eval`] yields TRUE — the reference for every
+    /// selection kernel.
+    fn oracle(e: &Expr, c: &DataChunk) -> Vec<u32> {
+        let v = e.eval(c).unwrap();
+        (0..c.num_rows() as u32)
+            .filter(|&i| v.is_valid(i as usize) && v.bool_slice()[i as usize])
+            .collect()
+    }
+
+    /// The `col CMP Int64-literal` kernel agrees with the bool-vector
+    /// evaluation in every orientation, under chunk selections, under
+    /// `NOT`, and with NULLs.
     #[test]
-    fn constant_comparison_fast_path_matches_generic() {
+    fn constant_comparison_kernel_matches_eval() {
         let mut v = Vector::new_empty(DataType::Int64);
         for x in [
             ScalarValue::Int64(5),
@@ -632,26 +1079,104 @@ mod tests {
             }
             for op in ops {
                 for lit in [-3i64, 2, 6] {
-                    // Generic reference: wrap the comparison so the fast
-                    // path cannot trigger (Not(Not(cmp)) evaluates the
-                    // bool-vector way).
                     let direct = Expr::cmp(op, Expr::col(0), Expr::lit(ScalarValue::Int64(lit)));
-                    let generic = Expr::Not(Box::new(Expr::Not(Box::new(direct.clone()))));
-                    assert_eq!(
-                        direct.eval_selection(&c).unwrap(),
-                        generic.eval_selection(&c).unwrap(),
-                        "op {op:?} lit {lit} sel {with_sel}"
-                    );
                     // Literal-on-the-left flips the operator.
                     let flipped = Expr::cmp(op, Expr::lit(ScalarValue::Int64(lit)), Expr::col(0));
-                    let flipped_generic = Expr::Not(Box::new(Expr::Not(Box::new(flipped.clone()))));
-                    assert_eq!(
-                        flipped.eval_selection(&c).unwrap(),
-                        flipped_generic.eval_selection(&c).unwrap(),
-                        "flipped op {op:?} lit {lit} sel {with_sel}"
-                    );
+                    let negated = Expr::Not(Box::new(direct.clone()));
+                    for e in [direct, flipped, negated] {
+                        assert_eq!(
+                            e.eval_selection(&c).unwrap(),
+                            oracle(&e, &c),
+                            "{e:?} sel {with_sel}"
+                        );
+                    }
                 }
             }
+        }
+    }
+
+    fn nullable_strings(dict: bool) -> Vector {
+        let vals = ["ringer", "ring", "", "sing", "ring"];
+        let validity = Some(vec![true, true, false, true, true]);
+        if dict {
+            let d = Utf8Dict::from_values(vals);
+            let codes = vals.iter().map(|s| d.code_of(s).unwrap() as i64).collect();
+            Vector::from_dict_codes(codes, validity, d)
+        } else {
+            let mut v = Vector::from_utf8(vals.iter().map(|s| s.to_string()).collect());
+            v.validity = validity;
+            v
+        }
+    }
+
+    /// UNKNOWN stays UNKNOWN under `NOT`: a NULL operand fails `NOT IN`,
+    /// `NOT LIKE` and `NOT (x = 5)` alike, in the kernels and in `eval`.
+    #[test]
+    fn not_keeps_unknown_unknown() {
+        let mut ints = Vector::new_empty(DataType::Int64);
+        for x in [
+            ScalarValue::Int64(5),
+            ScalarValue::Null,
+            ScalarValue::Int64(7),
+        ] {
+            ints.push(&x).unwrap();
+        }
+        let not = |e: Expr| Expr::Not(Box::new(e));
+        let c = DataChunk::new(vec![ints]);
+        let not_eq = not(Expr::eq(Expr::col(0), Expr::lit(ScalarValue::Int64(5))));
+        let not_in = not(Expr::InList {
+            expr: Box::new(Expr::col(0)),
+            list: vec![ScalarValue::Int64(5)],
+        });
+        for e in [not_eq, not_in] {
+            assert_eq!(e.eval_selection(&c).unwrap(), vec![2], "{e:?}");
+            assert_eq!(oracle(&e, &c), vec![2], "{e:?}");
+        }
+        // A miss against a list holding a NULL is UNKNOWN too.
+        let not_in_null = not(Expr::InList {
+            expr: Box::new(Expr::col(0)),
+            list: vec![ScalarValue::Int64(5), ScalarValue::Null],
+        });
+        assert_eq!(not_in_null.eval_selection(&c).unwrap(), Vec::<u32>::new());
+        assert_eq!(oracle(&not_in_null, &c), Vec::<u32>::new());
+
+        for dict in [false, true] {
+            let c = DataChunk::new(vec![nullable_strings(dict)]);
+            let not_like = not(Expr::Contains {
+                expr: Box::new(Expr::col(0)),
+                pattern: "ring".into(),
+            });
+            assert_eq!(not_like.eval_selection(&c).unwrap(), vec![3], "dict {dict}");
+            assert_eq!(oracle(&not_like, &c), vec![3], "dict {dict}");
+            // NOT over AND/OR: FALSE AND UNKNOWN is FALSE, TRUE OR UNKNOWN
+            // is TRUE, everything else with an UNKNOWN stays UNKNOWN.
+            let is_sing = Expr::eq(Expr::col(0), Expr::lit(ScalarValue::Utf8("sing".into())));
+            let has_r = Expr::Contains {
+                expr: Box::new(Expr::col(0)),
+                pattern: "r".into(),
+            };
+            for e in [
+                not(Expr::And(vec![is_sing.clone(), has_r.clone()])),
+                not(Expr::Or(vec![is_sing, has_r])),
+            ] {
+                assert_eq!(e.eval_selection(&c).unwrap(), oracle(&e, &c), "{e:?}");
+                assert!(!oracle(&e, &c).contains(&2), "NULL row kept by {e:?}");
+            }
+        }
+    }
+
+    /// `LIKE '%ing'` is a suffix match, not a substring match, on flat and
+    /// dictionary-backed strings.
+    #[test]
+    fn ends_with_rejects_inner_matches() {
+        let e = Expr::EndsWith {
+            expr: Box::new(Expr::col(0)),
+            pattern: "ing".into(),
+        };
+        for dict in [false, true] {
+            let c = DataChunk::new(vec![nullable_strings(dict)]);
+            assert_eq!(e.eval_selection(&c).unwrap(), vec![1, 3, 4], "dict {dict}");
+            assert_eq!(oracle(&e, &c), vec![1, 3, 4], "dict {dict}");
         }
     }
 

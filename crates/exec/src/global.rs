@@ -29,7 +29,7 @@
 //! determinism is guaranteed, as in the scoped scheduler.
 
 use crate::context::{ExecContext, SchedulerKind};
-use crate::operators::{PartitionMerger, ResourceId, Resources, Sink};
+use crate::operators::{Morsels, PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
     combine_finalize, push_through, record_pipeline_rows, PhysicalPipeline, PipelinePlan, RouteMode,
 };
@@ -82,10 +82,10 @@ pub struct GlobalStats {
 /// One schedulable unit on the global queue.
 #[derive(Debug, Clone, Copy)]
 enum Task {
-    /// Resolve one source partition group's chunk list, then fan out its
-    /// morsel tasks.
+    /// Open one source partition group's morsel stream (cheap: nothing is
+    /// decoded or copied), then fan out its morsel tasks.
     Open { pipe: usize, group: usize },
-    /// Claim chunks of one group morsel-style into a thread-local sink.
+    /// Claim and produce morsels of one group into a thread-local sink.
     Morsel { pipe: usize, group: usize },
     /// Collect worker states; build the partition merger or run the serial
     /// Combine + Finalize.
@@ -147,16 +147,16 @@ struct PipeState {
 }
 
 /// Lock-free-ish runtime data tasks touch outside the scheduler mutex.
-struct PipeRuntime {
-    groups: Vec<OnceLock<GroupRun>>,
+struct PipeRuntime<'a> {
+    groups: Vec<OnceLock<GroupRun<'a>>>,
     /// Reusable thread-local sink states; doubles as the collection point
     /// for `MergeSetup`.
     idle_states: Mutex<Vec<Box<dyn Sink>>>,
     merger: OnceLock<Arc<Box<dyn PartitionMerger>>>,
 }
 
-struct GroupRun {
-    chunks: Arc<crate::operators::ChunkList>,
+struct GroupRun<'a> {
+    morsels: Box<dyn Morsels + 'a>,
     next: AtomicUsize,
 }
 
@@ -240,7 +240,7 @@ struct Sched {
 /// Result of executing one task outside the lock.
 enum Done {
     Opened {
-        chunks: usize,
+        morsels: usize,
     },
     Sunk,
     SetupPartitioned {
@@ -260,7 +260,7 @@ enum Done {
 struct Engine<'a> {
     phys: &'a [PhysicalPipeline],
     info: Vec<PipeInfo>,
-    runtimes: Vec<PipeRuntime>,
+    runtimes: Vec<PipeRuntime<'a>>,
     grains: HashMap<ResourceId, usize>,
     waiters: Vec<Vec<Waiter>>,
     partitions: usize,
@@ -274,7 +274,7 @@ struct Engine<'a> {
     cvar: Condvar,
 }
 
-impl Engine<'_> {
+impl<'a> Engine<'a> {
     fn trace(&self, s: &mut Sched, what: &str, task: &Task) {
         if !self.ctx.sched_trace {
             return;
@@ -475,19 +475,19 @@ impl Engine<'_> {
     fn exec(&self, task: Task) -> Result<Done> {
         match task {
             Task::Open { pipe, group } => {
-                let p = &self.phys[pipe];
-                let chunks = match p.source.partitioned_input() {
-                    Some(_) => p.source.partition_chunks(self.ctx, self.res, group)?,
-                    None => p.source.chunks(self.ctx, self.res)?,
+                let p: &'a PhysicalPipeline = &self.phys[pipe];
+                let morsels = match p.source.partitioned_input() {
+                    Some(_) => p.source.open_partition(self.ctx, self.res, group)?,
+                    None => p.source.open(self.ctx, self.res)?,
                 };
-                let n = chunks.len();
+                let n = morsels.count();
                 self.runtimes[pipe].groups[group]
                     .set(GroupRun {
-                        chunks,
+                        morsels,
                         next: AtomicUsize::new(0),
                     })
                     .map_err(|_| Error::Exec("pipeline group opened twice".into()))?;
-                Ok(Done::Opened { chunks: n })
+                Ok(Done::Opened { morsels: n })
             }
             Task::Morsel { pipe, group } => {
                 let p = &self.phys[pipe];
@@ -516,13 +516,13 @@ impl Engine<'_> {
                 }
                 loop {
                     let i = run.next.fetch_add(1, Ordering::Relaxed);
-                    if i >= run.chunks.len() {
+                    if i >= run.morsels.count() {
                         break;
                     }
-                    self.ctx.charge(run.chunks[i].num_rows() as u64)?;
-                    if let Some(out) =
-                        push_through(&p.ops, run.chunks[i].as_ref().clone(), self.ctx, self.res)?
-                    {
+                    let Some(chunk) = run.morsels.morsel(i, self.ctx)? else {
+                        continue;
+                    };
+                    if let Some(out) = push_through(&p.ops, chunk, self.ctx, self.res)? {
                         if preserve {
                             state.sink_part(out, group, self.ctx)?;
                         } else {
@@ -604,11 +604,11 @@ impl Engine<'_> {
     fn apply(&self, s: &mut Sched, task: Task, done: Done) {
         self.trace(s, "finish", &task);
         match (task, done) {
-            (Task::Open { pipe, group }, Done::Opened { chunks }) => {
+            (Task::Open { pipe, group }, Done::Opened { morsels }) => {
                 let fan = if self.ordered {
                     1
                 } else {
-                    self.fan.min(chunks).max(1)
+                    self.fan.min(morsels).max(1)
                 };
                 // The open task accounted for one in-flight unit; morsel
                 // tasks replace it.

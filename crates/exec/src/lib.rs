@@ -40,14 +40,12 @@ pub use context::{
     storage_encoding_from_env, utilization_pct, ExecContext, Metrics, MetricsSummary,
     SchedulerKind, VerifyMode,
 };
-pub use expr::{
-    prunable_conjuncts, prunable_utf8_conjuncts, AggExpr, AggFunc, ArithOp, CmpOp, Expr,
-};
+pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
 pub use global::{run_physical_global, GlobalStats};
 pub use hash_table::{BuildRef, JoinHashTable, PartitionedHashTable};
 pub use operators::{
-    cmp_scalar_rows, expand_partition_grains, AccessLog, ChunkList, Operator, PartitionMerger,
-    ResourceId, Resources, ScanPrune, Sink, SinkFactory, SortKey, SortSink, SortSinkFactory,
+    cmp_scalar_rows, expand_partition_grains, AccessLog, ChunkList, Morsels, Operator,
+    PartitionMerger, ResourceId, Resources, Sink, SinkFactory, SortKey, SortSink, SortSinkFactory,
     Source,
 };
 pub use pipeline::{

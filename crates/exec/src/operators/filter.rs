@@ -2,16 +2,18 @@
 
 use super::{Operator, Resources};
 use crate::context::ExecContext;
-use crate::expr::Expr;
+use crate::expr::{Expr, Predicate};
 use rpt_common::{DataChunk, Result};
 
 pub struct Filter {
-    pred: Expr,
+    pred: Predicate,
 }
 
 impl Filter {
-    pub fn new(pred: Expr) -> Filter {
-        Filter { pred }
+    pub fn new(pred: &Expr) -> Filter {
+        Filter {
+            pred: Predicate::new(pred),
+        }
     }
 }
 
@@ -22,7 +24,7 @@ impl Operator for Filter {
         _ctx: &ExecContext,
         _res: &Resources,
     ) -> Result<Option<DataChunk>> {
-        let sel = self.pred.eval_selection(&chunk)?;
+        let sel = self.pred.select(&chunk)?;
         // When the predicate keeps every logical row, skip the refinement
         // entirely instead of installing a full identity selection vector
         // (one `Vec<u32>` per chunk on selective-free predicates, plus the
@@ -43,7 +45,7 @@ mod tests {
     fn run(chunk: DataChunk, pred: Expr) -> DataChunk {
         let ctx = ExecContext::new();
         let res = Resources::new(0, 0, 0);
-        Filter::new(pred)
+        Filter::new(&pred)
             .execute(chunk, &ctx, &res)
             .unwrap()
             .unwrap()

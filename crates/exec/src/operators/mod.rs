@@ -36,7 +36,7 @@ pub use hash_build::HashBuildSink;
 pub use join_probe::JoinProbe;
 pub use probe_bloom::ProbeBloom;
 pub use project::Project;
-pub use scan::{BufferScan, ScanPrune, TableScan};
+pub use scan::{BufferScan, TableScan};
 pub use semi_probe::SemiProbe;
 pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 
@@ -357,11 +357,15 @@ impl Resources {
 }
 
 /// Where a pipeline's morsels come from (`GetData`).
+///
+/// Opening is cheap — it resolves what the stream will cover (which blocks
+/// survive zone-map pruning, which sealed buffer partition) and decodes or
+/// copies nothing. The work happens per morsel, on whichever worker claims
+/// it, so no whole-input chunk list is ever resident.
 pub trait Source: Send + Sync {
-    /// The materialized chunks workers will claim morsel-style. `ctx`
-    /// carries read-path configuration (e.g. `storage_encoding`) and the
-    /// metrics sink for scan-side counters.
-    fn chunks(&self, ctx: &ExecContext, res: &Resources) -> Result<Arc<ChunkList>>;
+    /// Open the whole input. `ctx` carries read-path configuration (e.g.
+    /// `storage_encoding`) and the metrics sink for scan-side counters.
+    fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>>;
 
     /// Resources this source depends on.
     fn reads(&self) -> Vec<ResourceId> {
@@ -371,23 +375,35 @@ pub trait Source: Send + Sync {
     /// The buffer this source can read partition-by-partition, if any.
     /// Sources reporting `Some(buf)` let the global scheduler start the
     /// pipeline's morsels for partition `p` as soon as the producer seals
-    /// `p` (a partition-scoped morsel stream via [`Source::partition_chunks`]),
-    /// instead of waiting for the whole buffer.
+    /// `p` (a partition-scoped morsel stream via
+    /// [`Source::open_partition`]), instead of waiting for the whole buffer.
     fn partitioned_input(&self) -> Option<usize> {
         None
     }
 
-    /// Morsels of one input partition; only called for sources reporting
+    /// Open one input partition; only called for sources reporting
     /// [`Source::partitioned_input`], with `part` already sealed.
-    fn partition_chunks(
-        &self,
+    fn open_partition<'a>(
+        &'a self,
         ctx: &ExecContext,
         res: &Resources,
         part: usize,
-    ) -> Result<Arc<ChunkList>> {
+    ) -> Result<Box<dyn Morsels + 'a>> {
         let _ = part;
-        self.chunks(ctx, res)
+        self.open(ctx, res)
     }
+}
+
+/// An opened [`Source`]: a fixed number of morsels, each produced on
+/// demand by the worker that claims it.
+pub trait Morsels: Send + Sync {
+    /// Number of morsels in the stream.
+    fn count(&self) -> usize;
+
+    /// Produce morsel `i` as an owned chunk, charging the work budget the
+    /// morsel's input row count. `None` = nothing of it survives the
+    /// source's own predicate.
+    fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>>;
 }
 
 /// A streaming (non-breaking) operator (`Execute`).

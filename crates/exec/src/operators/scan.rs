@@ -1,98 +1,108 @@
-//! Scan sources: in-memory table scans (with zone-map block pruning) and
+//! Scan sources: the fused late-materializing table scan (zone-map block
+//! pruning, filter first, decode the rest for the surviving rows only) and
 //! buffer re-scans.
 
-use super::{ChunkList, ResourceId, Resources, Source};
+use super::{ChunkList, Morsels, ResourceId, Resources, Source};
 use crate::context::ExecContext;
-use crate::expr::CmpOp;
-use rpt_common::Result;
+use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
+use rpt_common::chunk::VECTOR_SIZE;
+use rpt_common::{DataChunk, Result, Vector};
 use rpt_storage::{BlockTable, Table, ZoneMap};
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
-/// Planner-recorded pruning opportunities for one table scan.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct ScanPrune {
-    /// `Int64 col CMP literal` conjuncts of the scan's pushed-down filter
-    /// (base-table column indices). Any block whose zone map proves the
-    /// conjunct can never hold is skipped — the full filter still runs on
-    /// surviving blocks, so pruning only removes rows the filter would
-    /// drop anyway.
-    pub predicates: Vec<(usize, CmpOp, i64)>,
-    /// `Utf8 col CMP string-literal` conjuncts of the pushed-down filter.
-    /// Only consulted for columns the block encoding gave a sorted shared
-    /// dictionary: dict codes are assigned in lexicographic order, so the
-    /// zone's string bounds order exactly like the stored codes, and an
-    /// `=` literal absent from the dictionary can never match any row of
-    /// the column.
-    pub utf8_predicates: Vec<(usize, CmpOp, String)>,
+/// The pushed-down predicate of a scan, compiled against the compact chunk
+/// of just the columns it reads.
+struct ScanFilter {
+    /// Base-table columns the predicate reads, ascending; `pred` addresses
+    /// them by position in this list.
+    cols: Vec<usize>,
+    pred: Predicate,
+    /// `Int64 col CMP literal` conjuncts (base-table column indices). Any
+    /// block whose zone map proves a conjunct can never hold is skipped —
+    /// the predicate still runs on surviving blocks, so pruning only
+    /// removes rows it would drop anyway.
+    int_conjuncts: Vec<(usize, CmpOp, i64)>,
+    /// `Utf8 col CMP string-literal` conjuncts. Only consulted for columns
+    /// the block encoding gave a sorted shared dictionary: dict codes are
+    /// assigned in lexicographic order, so the zone's string bounds order
+    /// exactly like the stored codes, and an `=` literal absent from the
+    /// dictionary can never match any row of the column.
+    utf8_conjuncts: Vec<(usize, CmpOp, String)>,
+}
+
+/// Scan an in-memory columnar table in `VECTOR_SIZE`-row morsels, with the
+/// relation's predicate and projection fused in.
+///
+/// Opening resolves transferred Bloom key ranges and prunes blocks by zone
+/// map; nothing is decoded. Each morsel then decodes only the predicate's
+/// columns, evaluates the predicate to a selection, gives up on the block
+/// when nothing survives, and only then decodes the output columns — for
+/// the selected rows — into a flat chunk in `output` order.
+///
+/// With `ctx.storage_encoding` on, columns come from the table's
+/// block-encoded form (dictionary-coded `Utf8` columns as dictionary-backed
+/// vectors); with it off the raw flat layout is sliced and gathered in the
+/// same filter-first order, unpruned.
+pub struct TableScan {
+    table: Arc<Table>,
+    filter: Option<ScanFilter>,
+    /// Base-table columns emitted, in output order.
+    output: Vec<usize>,
     /// `(filter_id, key_pos, col)` triples: transferred Bloom filters
     /// probed on base column `col` (the `key_pos`-th probe key) downstream
     /// of this scan. When the published filter tracked a raw key range at
     /// that position, blocks of all-valid rows disjoint from it cannot
     /// contain a true semi-join match and are skipped — multi-column join
     /// keys contribute one independent range per position.
-    pub bloom: Vec<(usize, usize, usize)>,
-}
-
-impl ScanPrune {
-    pub fn is_empty(&self) -> bool {
-        self.predicates.is_empty() && self.utf8_predicates.is_empty() && self.bloom.is_empty()
-    }
-}
-
-/// Scan an in-memory columnar table, chunked into default-size morsels.
-///
-/// With `ctx.storage_encoding` on, chunks are decoded from the table's
-/// block-encoded form — one block per chunk — skipping (never decoding)
-/// blocks the [`ScanPrune`] spec rules out via zone maps, and serving
-/// dictionary-coded `Utf8` columns as dictionary-backed vectors. With it
-/// off, the raw flat layout is sliced as before (parity path).
-pub struct TableScan {
-    table: Arc<Table>,
-    prune: ScanPrune,
+    bloom: Vec<(usize, usize, usize)>,
 }
 
 impl TableScan {
+    /// Every column of every row.
     pub fn new(table: Arc<Table>) -> TableScan {
-        TableScan {
-            table,
-            prune: ScanPrune::default(),
-        }
+        let output = (0..table.num_columns()).collect();
+        TableScan::fused(table, None, output, Vec::new())
     }
 
-    pub fn with_prune(table: Arc<Table>, prune: ScanPrune) -> TableScan {
-        TableScan { table, prune }
+    /// The rows passing `filter` (over base-table column indices),
+    /// projected to `output`, minus blocks the `bloom` key ranges rule out.
+    pub fn fused(
+        table: Arc<Table>,
+        filter: Option<&Expr>,
+        output: Vec<usize>,
+        bloom: Vec<(usize, usize, usize)>,
+    ) -> TableScan {
+        let filter = filter.map(|f| {
+            let mut cols = BTreeSet::new();
+            f.columns(&mut cols);
+            let cols: Vec<usize> = cols.into_iter().collect();
+            let compact = f.map_columns(&|c| cols.partition_point(|&x| x < c));
+            ScanFilter {
+                pred: Predicate::new(&compact),
+                cols,
+                int_conjuncts: prunable_conjuncts(f),
+                utf8_conjuncts: prunable_utf8_conjuncts(f),
+            }
+        });
+        TableScan {
+            table,
+            filter,
+            output,
+            bloom,
+        }
     }
 
     /// Can any row of a block with zone map `zone` satisfy `col CMP lit`?
     /// NULL rows never satisfy a SQL comparison, so all-NULL blocks prune
-    /// under any literal conjunct.
-    fn literal_may_match(zone: &ZoneMap, op: CmpOp, lit: i64) -> bool {
+    /// under any literal conjunct. `bounds` is `None` for a zone of another
+    /// type, which never prunes.
+    fn may_match<T: PartialOrd>(zone: &ZoneMap, bounds: Option<(T, T)>, op: CmpOp, lit: T) -> bool {
         if zone.all_null() {
             return false;
         }
-        let Some((mn, mx)) = zone.i64_bounds() else {
-            return true; // non-Int64 zone: never prune
-        };
-        match op {
-            CmpOp::Eq => lit >= mn && lit <= mx,
-            CmpOp::NotEq => !(mn == mx && mn == lit),
-            CmpOp::Lt => mn < lit,
-            CmpOp::LtEq => mn <= lit,
-            CmpOp::Gt => mx > lit,
-            CmpOp::GtEq => mx >= lit,
-        }
-    }
-
-    /// Can any row of a block with zone map `zone` satisfy
-    /// `col CMP 'lit'`? The string analog of [`Self::literal_may_match`];
-    /// only called for dictionary-encoded columns, whose code order is the
-    /// lexicographic order these bound comparisons use.
-    fn utf8_literal_may_match(zone: &ZoneMap, op: CmpOp, lit: &str) -> bool {
-        if zone.all_null() {
-            return false;
-        }
-        let Some((mn, mx)) = zone.utf8_bounds() else {
-            return true; // non-Utf8 zone: never prune
+        let Some((mn, mx)) = bounds else {
+            return true;
         };
         match op {
             CmpOp::Eq => lit >= mn && lit <= mx,
@@ -105,24 +115,29 @@ impl TableScan {
     }
 
     fn block_pruned(&self, enc: &BlockTable, b: usize, bloom_ranges: &[(usize, i64, i64)]) -> bool {
-        for &(col, op, lit) in &self.prune.predicates {
-            if !Self::literal_may_match(enc.zone(col, b), op, lit) {
-                return true;
+        if let Some(f) = &self.filter {
+            for &(col, op, lit) in &f.int_conjuncts {
+                let zone = enc.zone(col, b);
+                if !Self::may_match(zone, zone.i64_bounds(), op, lit) {
+                    return true;
+                }
             }
-        }
-        for (col, op, lit) in &self.prune.utf8_predicates {
-            // Dictionary gate: without the sorted shared dict the column's
-            // stored form carries no code order to prune against.
-            let Some(dict) = &enc.columns[*col].dict else {
-                continue;
-            };
-            // `col = 'lit'` with a literal outside the dictionary can
-            // never hold for any row of the column, whatever the block.
-            if *op == CmpOp::Eq && dict.code_of(lit).is_none() {
-                return true;
-            }
-            if !Self::utf8_literal_may_match(enc.zone(*col, b), *op, lit) {
-                return true;
+            for (col, op, lit) in &f.utf8_conjuncts {
+                // Dictionary gate: without the sorted shared dict the
+                // column's stored form carries no code order to prune
+                // against.
+                let Some(dict) = &enc.columns[*col].dict else {
+                    continue;
+                };
+                // `col = 'lit'` with a literal outside the dictionary can
+                // never hold for any row of the column, whatever the block.
+                if *op == CmpOp::Eq && dict.code_of(lit).is_none() {
+                    return true;
+                }
+                let zone = enc.zone(*col, b);
+                if !Self::may_match(zone, zone.utf8_bounds(), *op, lit.as_str()) {
+                    return true;
+                }
             }
         }
         for &(col, lo, hi) in bloom_ranges {
@@ -143,53 +158,41 @@ impl TableScan {
 }
 
 impl Source for TableScan {
-    fn chunks(&self, ctx: &ExecContext, res: &Resources) -> Result<Arc<ChunkList>> {
+    fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
         if !ctx.storage_encoding {
-            let out: ChunkList = self
-                .table
-                .default_chunks()
-                .into_iter()
-                .map(Arc::new)
-                .collect();
-            let rows: u64 = out.iter().map(|c| c.num_rows() as u64).sum();
-            ctx.metrics.add(&ctx.metrics.scan_rows, rows);
-            return Ok(Arc::new(out));
+            return Ok(Box::new(ScanMorsels {
+                scan: self,
+                layout: Layout::Flat,
+            }));
         }
         let enc = self.table.encoded();
         // Resolve transferred key ranges once per scan; filters named here
         // are in `reads()`, so they are published before the scan opens.
-        let mut bloom_ranges = Vec::with_capacity(self.prune.bloom.len());
-        for &(filter_id, key_pos, col) in &self.prune.bloom {
+        let mut bloom_ranges = Vec::with_capacity(self.bloom.len());
+        for &(filter_id, key_pos, col) in &self.bloom {
             if let Some((lo, hi)) = res.filter(filter_id)?.key_range_at(key_pos) {
                 bloom_ranges.push((col, lo, hi));
             }
         }
-        let mut out: ChunkList = Vec::new();
-        let mut pruned = 0u64;
-        for b in 0..enc.num_blocks() {
-            if self.block_pruned(&enc, b, &bloom_ranges) {
-                pruned = pruned.saturating_add(1);
-            } else {
-                out.push(Arc::new(enc.decode_block(b)));
-            }
-        }
-        let m = &ctx.metrics;
-        m.add(&m.blocks_pruned, pruned);
-        m.add(&m.blocks_scanned, out.len() as u64);
-        let rows: u64 = out.iter().map(|c| c.num_rows() as u64).sum();
-        m.add(&m.scan_rows, rows);
+        let blocks: Vec<usize> = (0..enc.num_blocks())
+            .filter(|&b| !self.block_pruned(&enc, b, &bloom_ranges))
+            .collect();
+        let pruned = (enc.num_blocks() - blocks.len()) as u64;
+        ctx.metrics.add(&ctx.metrics.blocks_pruned, pruned);
         if pruned > 0 {
-            m.trace_entry(
+            ctx.metrics.trace_entry(
                 format!("[storage] scan {} blocks-pruned", self.table.name),
                 pruned,
             );
         }
-        Ok(Arc::new(out))
+        Ok(Box::new(ScanMorsels {
+            scan: self,
+            layout: Layout::Blocks { enc, blocks },
+        }))
     }
 
     fn reads(&self) -> Vec<ResourceId> {
         let mut ids: Vec<ResourceId> = self
-            .prune
             .bloom
             .iter()
             .map(|&(filter_id, _, _)| ResourceId::Filter(filter_id))
@@ -197,6 +200,107 @@ impl Source for TableScan {
         ids.sort();
         ids.dedup();
         ids
+    }
+}
+
+/// Where an opened scan reads its columns from.
+enum Layout {
+    /// The block-encoded form; morsel `i` is block `blocks[i]` (the blocks
+    /// zone-map pruning left).
+    Blocks {
+        enc: Arc<BlockTable>,
+        blocks: Vec<usize>,
+    },
+    /// The raw flat columns; morsel `i` is the `i`-th `VECTOR_SIZE` range.
+    Flat,
+}
+
+struct ScanMorsels<'a> {
+    scan: &'a TableScan,
+    layout: Layout,
+}
+
+impl ScanMorsels<'_> {
+    /// `(first table row, row count)` of morsel `i`.
+    fn range(&self, i: usize) -> (usize, usize) {
+        let (block, block_rows) = match &self.layout {
+            Layout::Blocks { enc, blocks } => (blocks[i], enc.block_rows),
+            Layout::Flat => (i, VECTOR_SIZE),
+        };
+        let start = block * block_rows;
+        (start, block_rows.min(self.scan.table.num_rows() - start))
+    }
+
+    /// Column `col` of morsel `i`: every row, or the block-local rows `sel`.
+    fn column(&self, col: usize, i: usize, sel: Option<&[u32]>) -> Vector {
+        match (&self.layout, sel) {
+            (Layout::Blocks { enc, blocks }, None) => enc.columns[col].decode_block(blocks[i]),
+            (Layout::Blocks { enc, blocks }, Some(sel)) => {
+                enc.columns[col].decode_block_sel(blocks[i], sel)
+            }
+            (Layout::Flat, None) => {
+                let (start, len) = self.range(i);
+                self.scan.table.column(col).slice(start, len)
+            }
+            (Layout::Flat, Some(sel)) => {
+                self.scan.table.column(col).take_from(self.range(i).0, sel)
+            }
+        }
+    }
+}
+
+impl Morsels for ScanMorsels<'_> {
+    fn count(&self) -> usize {
+        match &self.layout {
+            Layout::Blocks { blocks, .. } => blocks.len(),
+            Layout::Flat => self.scan.table.num_rows().div_ceil(VECTOR_SIZE),
+        }
+    }
+
+    fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>> {
+        let rows = self.range(i).1;
+        ctx.charge(rows as u64)?;
+        let m = &ctx.metrics;
+        m.add(&m.scan_rows, rows as u64);
+        if matches!(self.layout, Layout::Blocks { .. }) {
+            m.add(&m.blocks_scanned, 1);
+        }
+
+        // Filter first: decode the predicate's columns, keep its selection.
+        let mut sel: Option<Vec<u32>> = None;
+        let mut decoded: Vec<Option<Vector>> = Vec::new();
+        if let Some(f) = &self.scan.filter {
+            let chunk = DataChunk::new(f.cols.iter().map(|&c| self.column(c, i, None)).collect());
+            let keep = f.pred.select(&chunk)?;
+            if keep.is_empty() {
+                return Ok(None);
+            }
+            if keep.len() < rows {
+                sel = Some(keep);
+            }
+            decoded = chunk.columns.into_iter().map(Some).collect();
+        }
+
+        // Then materialize the output columns for the surviving rows,
+        // reusing what the predicate already decoded.
+        let sel = sel.as_deref();
+        let columns = self
+            .scan
+            .output
+            .iter()
+            .map(|&c| {
+                let reused = self.scan.filter.as_ref().and_then(|f| {
+                    let k = f.cols.binary_search(&c).ok()?;
+                    decoded[k].take()
+                });
+                match (reused, sel) {
+                    (Some(v), None) => v,
+                    (Some(v), Some(sel)) => v.take(sel),
+                    (None, _) => self.column(c, i, sel),
+                }
+            })
+            .collect();
+        Ok(Some(DataChunk::new(columns)))
     }
 }
 
@@ -212,9 +316,25 @@ impl BufferScan {
     }
 }
 
+/// A sealed buffer (partition): one morsel per stored chunk. A morsel is a
+/// deep copy — `Vector` payloads are not shared — so the stored chunk stays
+/// intact for the buffer's other readers.
+struct BufferMorsels(Arc<ChunkList>);
+
+impl Morsels for BufferMorsels {
+    fn count(&self) -> usize {
+        self.0.len()
+    }
+
+    fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>> {
+        ctx.charge(self.0[i].num_rows() as u64)?;
+        Ok(Some(self.0[i].as_ref().clone()))
+    }
+}
+
 impl Source for BufferScan {
-    fn chunks(&self, _ctx: &ExecContext, res: &Resources) -> Result<Arc<ChunkList>> {
-        res.buffer(self.buf_id)
+    fn open<'a>(&'a self, _ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
+        Ok(Box::new(BufferMorsels(res.buffer(self.buf_id)?)))
     }
 
     fn reads(&self) -> Vec<ResourceId> {
@@ -228,12 +348,14 @@ impl Source for BufferScan {
         Some(self.buf_id)
     }
 
-    fn partition_chunks(
-        &self,
+    fn open_partition<'a>(
+        &'a self,
         _ctx: &ExecContext,
         res: &Resources,
         part: usize,
-    ) -> Result<Arc<ChunkList>> {
-        res.buffer_partition(self.buf_id, part)
+    ) -> Result<Box<dyn Morsels + 'a>> {
+        Ok(Box::new(BufferMorsels(
+            res.buffer_partition(self.buf_id, part)?,
+        )))
     }
 }

@@ -21,7 +21,7 @@ use crate::expr::{AggExpr, Expr};
 use crate::hash_table::PartitionedHashTable;
 use crate::operators::{
     aggregate::AggregateFactory, buffer::BufferSinkFactory, hash_build::HashBuildFactory,
-    BufferScan, Filter, JoinProbe, Operator, ProbeBloom, Project, ResourceId, Resources, ScanPrune,
+    BufferScan, Filter, JoinProbe, Morsels, Operator, ProbeBloom, Project, ResourceId, Resources,
     SemiProbe, SinkFactory, Source, TableScan,
 };
 use rpt_bloom::BloomFilter;
@@ -35,13 +35,21 @@ pub use crate::operators::create_bf::BloomSink;
 /// Where a pipeline reads its chunks from.
 #[derive(Clone)]
 pub enum SourceSpec {
-    /// Scan an in-memory table.
+    /// Scan every column of every row of an in-memory table.
     Table(Arc<Table>),
-    /// Scan an in-memory table with planner-recorded block-pruning
-    /// opportunities: zone-map-checkable literal conjuncts of the pushed
-    /// filter plus transferred Bloom filters whose key range can rule out
-    /// whole blocks ([`ScanPrune`]).
-    Scan { table: Arc<Table>, prune: ScanPrune },
+    /// The fused base-relation scan: the relation's pushed-down predicate
+    /// and projection run inside the scan morsel, filter first (see
+    /// [`TableScan`]).
+    Scan {
+        table: Arc<Table>,
+        /// Pushed-down predicate over base-table column indices.
+        filter: Option<Expr>,
+        /// Base-table columns emitted, in output order.
+        columns: Vec<usize>,
+        /// `(filter_id, key_pos, col)`: transferred Bloom filters whose
+        /// key range on base column `col` can rule out whole blocks.
+        bloom: Vec<(usize, usize, usize)>,
+    },
     /// Read the materialized output of an earlier pipeline (e.g. a
     /// `CreateBF` buffer acting as a source).
     Buffer(usize),
@@ -52,9 +60,17 @@ impl SourceSpec {
     pub fn lower(&self) -> Box<dyn Source> {
         match self {
             SourceSpec::Table(t) => Box::new(TableScan::new(t.clone())),
-            SourceSpec::Scan { table, prune } => {
-                Box::new(TableScan::with_prune(table.clone(), prune.clone()))
-            }
+            SourceSpec::Scan {
+                table,
+                filter,
+                columns,
+                bloom,
+            } => Box::new(TableScan::fused(
+                table.clone(),
+                filter.as_ref(),
+                columns.clone(),
+                bloom.clone(),
+            )),
             SourceSpec::Buffer(id) => Box::new(BufferScan::new(*id)),
         }
     }
@@ -87,7 +103,7 @@ impl OpSpec {
     /// Lower onto the operator trait layer.
     pub fn lower(&self) -> Box<dyn Operator> {
         match self {
-            OpSpec::Filter(e) => Box::new(Filter::new(e.clone())),
+            OpSpec::Filter(e) => Box::new(Filter::new(e)),
             OpSpec::Project(exprs) => Box::new(Project::new(exprs.clone())),
             OpSpec::ProbeBloom {
                 filter_id,
@@ -385,51 +401,54 @@ impl PipelineShared {
 pub fn run_physical(p: &PhysicalPipeline, ctx: &ExecContext, res: &Resources) -> Result<()> {
     // `Preserve` route (repartition elision): read the source partition by
     // partition so whole partition-`p` chunks can be fed straight into the
-    // sink's partition-`p` state. `chunk_parts[i]` is chunk `i`'s hash
-    // partition; partitions concatenate in order, so the flat list equals
-    // `source.chunks()` row-for-row and the serial path stays
-    // bit-deterministic.
+    // sink's partition-`p` state. Partitions concatenate in order, so the
+    // morsel list equals the whole source row-for-row and the serial path
+    // stays bit-deterministic.
     let preserve = p.route == RouteMode::Preserve;
     if preserve && p.source.partitioned_input().is_none() {
         return Err(Error::Exec(
             "Preserve route requires a partitioned source".into(),
         ));
     }
-    let (chunks, chunk_parts): (Arc<crate::operators::ChunkList>, Option<Vec<usize>>) = if preserve
-    {
-        let mut flat = Vec::new();
-        let mut parts = Vec::new();
-        for part in 0..ctx.partition_count.max(1) {
-            for c in p.source.partition_chunks(ctx, res, part)?.iter() {
-                flat.push(c.clone());
-                parts.push(part);
-            }
-        }
-        (Arc::new(flat), Some(parts))
+    let streams: Vec<Box<dyn Morsels + '_>> = if preserve {
+        (0..ctx.partition_count.max(1))
+            .map(|part| p.source.open_partition(ctx, res, part))
+            .collect::<Result<_>>()?
     } else {
-        (p.source.chunks(ctx, res)?, None)
+        vec![p.source.open(ctx, res)?]
+    };
+    // `(stream, morsel)` claims; under `Preserve` the stream index is the
+    // hash partition.
+    let morsels: Vec<(usize, usize)> = streams
+        .iter()
+        .enumerate()
+        .flat_map(|(s, m)| (0..m.count()).map(move |i| (s, i)))
+        .collect();
+    let run_morsel = |state: &mut Box<dyn crate::operators::Sink>, (s, i): (usize, usize)| {
+        let Some(chunk) = streams[s].morsel(i, ctx)? else {
+            return Ok(());
+        };
+        match push_through(&p.ops, chunk, ctx, res)? {
+            Some(out) if preserve => state.sink_part(out, s, ctx),
+            Some(out) => state.sink(out, ctx),
+            None => Ok(()),
+        }
     };
     // The same workers later claim the per-partition merge tasks, so a
     // partitioned sink sizes the scope for whichever phase is wider — a
     // one-chunk source must not serialize an 8-partition merge.
     let threads = if p.sink.partitioned_merge(ctx) {
         ctx.threads
-            .min(chunks.len().max(ctx.partition_count))
+            .min(morsels.len().max(ctx.partition_count))
             .max(1)
     } else {
-        ctx.threads.min(chunks.len()).max(1)
+        ctx.threads.min(morsels.len()).max(1)
     };
 
     if threads == 1 {
         let mut state = p.sink.make(ctx)?;
-        for (i, c) in chunks.iter().enumerate() {
-            ctx.charge(c.num_rows() as u64)?;
-            if let Some(out) = push_through(&p.ops, c.as_ref().clone(), ctx, res)? {
-                match &chunk_parts {
-                    Some(parts) => state.sink_part(out, parts[i], ctx)?,
-                    None => state.sink(out, ctx)?,
-                }
-            }
+        for &m in &morsels {
+            run_morsel(&mut state, m)?;
         }
         let states = vec![state];
         record_pipeline_rows(p, &states, ctx);
@@ -462,18 +481,10 @@ pub fn run_physical(p: &PhysicalPipeline, ctx: &ExecContext, res: &Resources) ->
                         let mut state = p.sink.make(ctx)?;
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= chunks.len() || shared.failed.load(Ordering::Acquire) {
+                            if i >= morsels.len() || shared.failed.load(Ordering::Acquire) {
                                 break;
                             }
-                            ctx.charge(chunks[i].num_rows() as u64)?;
-                            if let Some(out) =
-                                push_through(&p.ops, chunks[i].as_ref().clone(), ctx, res)?
-                            {
-                                match &chunk_parts {
-                                    Some(parts) => state.sink_part(out, parts[i], ctx)?,
-                                    None => state.sink(out, ctx)?,
-                                }
-                            }
+                            run_morsel(&mut state, morsels[i])?;
                         }
                         shared
                             .states

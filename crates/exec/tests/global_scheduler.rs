@@ -11,12 +11,12 @@
 
 use rpt_common::{DataChunk, DataType, Error, Field, Result, ScalarValue, Schema, Vector};
 use rpt_exec::operators::buffer::BufferSinkFactory;
-use rpt_exec::operators::{AggregateFactory, BufferScan};
+use rpt_exec::operators::{AggregateFactory, BufferScan, TableScan};
 use rpt_exec::pipeline::run_physical;
 use rpt_exec::{
-    run_physical_global, ExecContext, Executor, NodeDeps, OpSpec, Operator, PartitionMerger,
-    PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode, SchedulerKind, Sink,
-    SinkFactory, SinkSpec, SourceSpec,
+    run_physical_global, CmpOp, ExecContext, Executor, Expr, Morsels, NodeDeps, OpSpec, Operator,
+    PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode,
+    SchedulerKind, Sink, SinkFactory, SinkSpec, Source, SourceSpec,
 };
 use rpt_storage::Table;
 use std::any::Any;
@@ -626,5 +626,114 @@ fn scoped_driver_merges_on_morsel_workers() {
         assert_eq!(rows, 1000, "threads={threads}");
         let s = ctx.metrics.summary();
         assert_eq!(s.merge_tasks, 4, "threads={threads}");
+    }
+}
+
+// ------------------------------------------- scan-morsel rendezvous
+
+/// A fused table scan instrumented at the `Source` contract's two seams:
+/// `open` fails if anything was decoded by the time it returns, and the
+/// first two morsel productions wait for each other before decoding (with
+/// a timeout, so a driver that produces scan morsels on one worker — or
+/// inside `Open` — fails loudly instead of hanging).
+struct RendezvousScan {
+    scan: TableScan,
+    inside: (Mutex<usize>, Condvar),
+}
+
+struct RendezvousMorsels<'a> {
+    morsels: Box<dyn Morsels + 'a>,
+    inside: &'a (Mutex<usize>, Condvar),
+}
+
+impl Source for RendezvousScan {
+    fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
+        let morsels = self.scan.open(ctx, res)?;
+        let m = ctx.metrics.summary();
+        if m.blocks_scanned != 0 || m.scan_rows != 0 {
+            return Err(Error::Exec(format!(
+                "open decoded {} blocks / {} rows",
+                m.blocks_scanned, m.scan_rows
+            )));
+        }
+        Ok(Box::new(RendezvousMorsels {
+            morsels,
+            inside: &self.inside,
+        }))
+    }
+}
+
+impl Morsels for RendezvousMorsels<'_> {
+    fn count(&self) -> usize {
+        self.morsels.count()
+    }
+
+    fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>> {
+        let (lock, cv) = self.inside;
+        let mut inside = lock.lock().unwrap();
+        *inside += 1;
+        cv.notify_all();
+        while *inside < 2 {
+            let (guard, timeout) = cv.wait_timeout(inside, Duration::from_secs(10)).unwrap();
+            inside = guard;
+            if timeout.timed_out() {
+                return Err(Error::Exec(
+                    "rendezvous timed out: no second worker entered a scan morsel \
+                     while the first was still inside one"
+                        .into(),
+                ));
+            }
+        }
+        drop(inside);
+        self.morsels.morsel(i, ctx)
+    }
+}
+
+/// Decode + filter run inside the morsel, on every worker: under each of
+/// the three drivers two workers are inside table-scan morsels at once,
+/// `Open` has decoded nothing, and every block is decoded exactly once.
+#[test]
+fn scan_morsels_decode_concurrently_and_open_decodes_nothing() {
+    const BLOCKS: usize = 4;
+    let n = (BLOCKS * rpt_common::VECTOR_SIZE) as i64;
+    for kind in [
+        SchedulerKind::Global,
+        SchedulerKind::Stealing,
+        SchedulerKind::Scoped,
+    ] {
+        let ctx = ExecContext::new()
+            .with_scheduler(kind)
+            .with_threads(2)
+            .with_workers(2)
+            .with_partitions(1)
+            .with_storage_encoding(true);
+        let res = Resources::with_partitions(1, 0, 0, 1);
+        let t = table("t", (0..n).collect(), (0..n).map(|v| v % 10).collect());
+        let keep_high = Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(ScalarValue::Int64(4)));
+        let pipeline = PhysicalPipeline {
+            label: "scan".into(),
+            source: Box::new(RendezvousScan {
+                scan: TableScan::fused(t, Some(&keep_high), vec![0, 1], vec![]),
+                inside: (Mutex::new(0), Condvar::new()),
+            }),
+            ops: vec![],
+            sink: Box::new(BufferSinkFactory::new(0, two_col_schema(), vec![])),
+            intermediate: false,
+            route: RouteMode::Radix,
+        };
+        if kind == SchedulerKind::Scoped {
+            run_physical(&pipeline, &ctx, &res).unwrap();
+        } else {
+            let deps = vec![NodeDeps {
+                reads: vec![],
+                writes: vec![ResourceId::Buffer(0)],
+            }];
+            run_physical_global(&[pipeline], &deps, &ctx, &res, 2).unwrap();
+        }
+        let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();
+        assert_eq!(rows, (0..n).filter(|v| v % 10 > 4).count(), "{kind:?}");
+        let m = ctx.metrics.summary();
+        assert_eq!(m.blocks_scanned, BLOCKS as u64, "{kind:?}");
+        assert_eq!(m.scan_rows, n as u64, "{kind:?}");
     }
 }

@@ -12,7 +12,7 @@ pub mod zone;
 
 pub use zone::ZoneMap;
 
-use crate::encode::{build_utf8_dict, decode_i64, encode_i64, EncodedBlock};
+use crate::encode::{build_utf8_dict, decode_i64, decode_i64_sel, encode_i64, EncodedBlock};
 use crate::table::Table;
 use rpt_common::chunk::chunk_ranges;
 use rpt_common::{ColumnData, DataChunk, DataType, Utf8Dict, Vector};
@@ -96,33 +96,49 @@ impl BlockColumn {
     /// other codecs decode to flat payloads.
     pub fn decode_block(&self, b: usize) -> Vector {
         let block = &self.blocks[b];
-        let validity = block.validity.clone();
-        match &block.data {
-            EncodedBlock::DictUtf8(codes) => Vector::from_dict_codes(
-                codes.iter().map(|&c| c as i64).collect(),
-                validity,
-                self.dict.clone().expect("dict block in dict column"),
-            ),
-            EncodedBlock::RawUtf8(v) => Vector {
-                data: ColumnData::Utf8(v.clone()),
-                validity,
-                dict: None,
-            },
-            EncodedBlock::RawF64(v) => Vector {
-                data: ColumnData::Float64(v.clone()),
-                validity,
-                dict: None,
-            },
-            EncodedBlock::RawBool(v) => Vector {
-                data: ColumnData::Bool(v.clone()),
-                validity,
-                dict: None,
-            },
-            int => Vector {
-                data: ColumnData::Int64(decode_i64(int)),
-                validity,
-                dict: None,
-            },
+        let data = match &block.data {
+            EncodedBlock::DictUtf8(codes) => {
+                ColumnData::Int64(codes.iter().map(|&c| c as i64).collect())
+            }
+            EncodedBlock::RawUtf8(v) => ColumnData::Utf8(v.clone()),
+            EncodedBlock::RawF64(v) => ColumnData::Float64(v.clone()),
+            EncodedBlock::RawBool(v) => ColumnData::Bool(v.clone()),
+            int => ColumnData::Int64(decode_i64(int)),
+        };
+        self.vector(block, data, block.validity.clone())
+    }
+
+    /// Decode only rows `sel` (ascending block-local indices) of block `b`:
+    /// the late-materialization half of a filter-first scan. Equal to
+    /// `decode_block(b).take(sel)` without touching the unselected rows.
+    pub fn decode_block_sel(&self, b: usize, sel: &[u32]) -> Vector {
+        let block = &self.blocks[b];
+        let at = |i: &u32| *i as usize;
+        let data = match &block.data {
+            EncodedBlock::DictUtf8(codes) => {
+                ColumnData::Int64(sel.iter().map(|i| codes[at(i)] as i64).collect())
+            }
+            EncodedBlock::RawUtf8(v) => {
+                ColumnData::Utf8(sel.iter().map(|i| v[at(i)].clone()).collect())
+            }
+            EncodedBlock::RawF64(v) => ColumnData::Float64(sel.iter().map(|i| v[at(i)]).collect()),
+            EncodedBlock::RawBool(v) => ColumnData::Bool(sel.iter().map(|i| v[at(i)]).collect()),
+            int => ColumnData::Int64(decode_i64_sel(int, sel)),
+        };
+        let validity = block
+            .validity
+            .as_ref()
+            .map(|m| sel.iter().map(|i| m[at(i)]).collect());
+        self.vector(block, data, validity)
+    }
+
+    fn vector(&self, block: &Block, data: ColumnData, validity: Option<Vec<bool>>) -> Vector {
+        let dict = matches!(block.data, EncodedBlock::DictUtf8(_))
+            .then(|| self.dict.clone().expect("dict block in dict column"));
+        Vector {
+            data,
+            validity,
+            dict,
         }
     }
 }

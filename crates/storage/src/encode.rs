@@ -165,11 +165,43 @@ pub fn decode_i64(block: &EncodedBlock) -> Vec<i64> {
             base,
             width,
             words,
-        } => unpack_bits(words, *width, *len as usize)
-            .into_iter()
-            .map(|d| base.wrapping_add(d as i64))
+        } => (0..*len as usize)
+            .map(|i| base.wrapping_add(unpack_at(words, *width, i) as i64))
             .collect(),
         other => panic!("decode_i64 on non-Int64 block {other:?}"),
+    }
+}
+
+/// Decode only rows `sel` (ascending block-local indices) of an
+/// `Int64`-typed block: FOR unpacks each selected slot in place, RLE walks
+/// its runs once alongside the selection.
+pub fn decode_i64_sel(block: &EncodedBlock, sel: &[u32]) -> Vec<i64> {
+    debug_assert!(
+        sel.windows(2).all(|w| w[0] < w[1]),
+        "selection not ascending"
+    );
+    match block {
+        EncodedBlock::RawI64(v) => sel.iter().map(|&i| v[i as usize]).collect(),
+        EncodedBlock::RleI64 { values, lengths } => {
+            let mut out = Vec::with_capacity(sel.len());
+            let mut run = 0usize;
+            let mut run_end = lengths.first().map_or(0, |&l| l as usize);
+            for &i in sel {
+                while i as usize >= run_end {
+                    run += 1;
+                    run_end += lengths[run] as usize;
+                }
+                out.push(values[run]);
+            }
+            out
+        }
+        EncodedBlock::ForI64 {
+            base, width, words, ..
+        } => sel
+            .iter()
+            .map(|&i| base.wrapping_add(unpack_at(words, *width, i as usize) as i64))
+            .collect(),
+        other => panic!("decode_i64_sel on non-Int64 block {other:?}"),
     }
 }
 
@@ -193,26 +225,22 @@ fn pack_bits(deltas: &[u64], width: u8) -> Vec<u64> {
     words
 }
 
-/// Inverse of [`pack_bits`].
-fn unpack_bits(words: &[u64], width: u8, len: usize) -> Vec<u64> {
+/// The `i`-th `width`-bit value of a [`pack_bits`] payload.
+#[inline]
+fn unpack_at(words: &[u64], width: u8, i: usize) -> u64 {
     if width == 0 {
-        return vec![0u64; len];
+        return 0;
     }
     let w = width as usize;
     let mask = (1u64 << w) - 1; // width < 64 guaranteed by encode_i64
-    let mut out = Vec::with_capacity(len);
-    let mut bit = 0usize;
-    for _ in 0..len {
-        let word = bit / 64;
-        let off = bit % 64;
-        let mut v = words[word] >> off;
-        if off + w > 64 {
-            v |= words[word + 1] << (64 - off);
-        }
-        out.push(v & mask);
-        bit += w;
+    let bit = i * w;
+    let word = bit / 64;
+    let off = bit % 64;
+    let mut v = words[word] >> off;
+    if off + w > 64 {
+        v |= words[word + 1] << (64 - off);
     }
-    out
+    v & mask
 }
 
 /// Build the shared sorted dictionary for a `Utf8` column, or `None` when

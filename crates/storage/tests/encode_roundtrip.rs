@@ -1,7 +1,8 @@
 //! Property tests for the block codecs: every `Table` → `BlockTable` →
 //! decode cycle must reproduce the original rows exactly (values, NULLs,
-//! and block boundaries), and every block's zone map must tightly bound
-//! its valid rows.
+//! and block boundaries), every block's zone map must tightly bound its
+//! valid rows, and decoding a row selection must equal gathering the full
+//! decode.
 
 use proptest::prelude::*;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
@@ -39,6 +40,7 @@ fn check_roundtrip(table: &Table, block_rows: usize) {
     for b in 0..enc.num_blocks() {
         let chunk = enc.decode_block(b);
         let base = b * block_rows;
+        check_selected_decodes(&enc, b, &chunk);
         for (col, vec) in chunk.columns.iter().enumerate() {
             let src = &table.columns[col];
             // Row-for-row equality, NULLs included (dict vectors decode
@@ -62,6 +64,28 @@ fn check_roundtrip(table: &Table, block_rows: usize) {
                 assert_eq!(lo, *vals.iter().min().unwrap());
                 assert_eq!(hi, *vals.iter().max().unwrap());
             }
+        }
+    }
+}
+
+/// Selected-row decode equals gathering the full decode — for the empty,
+/// full, single-row and strided selections of every column's codec.
+fn check_selected_decodes(enc: &BlockTable, b: usize, full: &rpt_common::DataChunk) {
+    let n = full.num_rows() as u32;
+    let selections: [Vec<u32>; 5] = [
+        vec![],
+        (0..n).collect(),
+        vec![n - 1],
+        (0..n).step_by(3).collect(),
+        (0..n).filter(|i| i % 7 > 3).collect(),
+    ];
+    for sel in &selections {
+        for (col, vec) in full.columns.iter().enumerate() {
+            assert_eq!(
+                enc.columns[col].decode_block_sel(b, sel),
+                vec.take(sel),
+                "col {col} block {b} sel {sel:?}"
+            );
         }
     }
 }

@@ -262,3 +262,80 @@ fn case_insensitive_keywords() {
         ScalarValue::Int64(4)
     );
 }
+
+/// `pet(id, kind, legs)` with NULLs in both predicate columns (row 2) and
+/// the strings `'ringer'` / `'ring'` / `'sing'` that tell a suffix match
+/// from a substring match.
+fn db_with_nulls() -> Database {
+    let mut db = Database::new();
+    let rows: Vec<Vec<ScalarValue>> = [
+        (Some("ringer"), Some(4)),
+        (Some("ring"), Some(5)),
+        (None, None),
+        (Some("sing"), Some(2)),
+    ]
+    .into_iter()
+    .enumerate()
+    .map(|(id, (kind, legs))| {
+        vec![
+            ScalarValue::Int64(id as i64),
+            kind.map_or(ScalarValue::Null, |k| ScalarValue::Utf8(k.into())),
+            legs.map_or(ScalarValue::Null, ScalarValue::Int64),
+        ]
+    })
+    .collect();
+    db.register_table(
+        Table::from_rows(
+            "pet",
+            Schema::new(vec![
+                Field::new("id", DataType::Int64),
+                Field::new("kind", DataType::Utf8),
+                Field::new("legs", DataType::Int64),
+            ]),
+            &rows,
+        )
+        .expect("valid pet table"),
+    );
+    db
+}
+
+fn ids(db: &Database, predicate: &str, storage_encoding: bool) -> Vec<i64> {
+    let sql = format!("SELECT pet.id FROM pet WHERE {predicate} ORDER BY 1");
+    let opts =
+        QueryOptions::new(Mode::RobustPredicateTransfer).with_storage_encoding(storage_encoding);
+    db.query(&sql, &opts)
+        .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"))
+        .rows
+        .iter()
+        .map(|r| r[0].as_i64().expect("id"))
+        .collect()
+}
+
+/// Three-valued logic under NOT: a NULL operand makes `NOT IN`, `NOT LIKE`
+/// and `NOT (x = 5)` UNKNOWN, so the row is dropped — under both storage
+/// layouts (dictionary and flat string kernels).
+#[test]
+fn not_over_null_drops_the_row() {
+    let db = db_with_nulls();
+    for encoded in [true, false] {
+        assert_eq!(ids(&db, "pet.legs NOT IN (5)", encoded), vec![0, 3]);
+        assert_eq!(ids(&db, "NOT (pet.legs = 5)", encoded), vec![0, 3]);
+        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ring%'", encoded), vec![3]);
+        assert_eq!(ids(&db, "pet.kind NOT IN ('sing')", encoded), vec![0, 1]);
+        // The positive forms and IS NULL were right before and stay right.
+        assert_eq!(ids(&db, "pet.legs IN (5)", encoded), vec![1]);
+        assert_eq!(ids(&db, "pet.kind IS NULL", encoded), vec![2]);
+        assert_eq!(ids(&db, "NOT (pet.kind IS NULL)", encoded), vec![0, 1, 3]);
+    }
+}
+
+/// `LIKE '%ing'` is a suffix match: `'ringer'` contains `ing` but does not
+/// end with it.
+#[test]
+fn like_suffix_pattern_is_a_suffix_match() {
+    let db = db_with_nulls();
+    for encoded in [true, false] {
+        assert_eq!(ids(&db, "pet.kind LIKE '%ing'", encoded), vec![1, 3]);
+        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ing'", encoded), vec![0]);
+    }
+}
