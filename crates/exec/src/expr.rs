@@ -373,13 +373,6 @@ impl Expr {
             }
         }
     }
-
-    /// Evaluate as a predicate: logical row indices (into the chunk's
-    /// logical order) for which it is TRUE. Compiles a throw-away
-    /// [`Predicate`]; operators that filter many chunks keep one.
-    pub fn eval_selection(&self, chunk: &DataChunk) -> Result<Vec<u32>> {
-        Predicate::new(self).select(chunk)
-    }
 }
 
 /// One of the `LIKE` stand-ins over the rows of a string operand: NULL in,
@@ -415,43 +408,50 @@ enum Test {
     EndsWith(String),
 }
 
-/// The string view of a [`Test`], for `Utf8` columns.
-enum StrTest<'a> {
-    Cmp(CmpOp, &'a str),
-    In(Vec<&'a str>),
-    Contains(&'a str),
-    StartsWith(&'a str),
-    EndsWith(&'a str),
-}
-
-impl<'a> StrTest<'a> {
-    /// `None` when the test compares a string column to a non-string
-    /// constant (left to the generic evaluation).
-    fn of(test: &'a Test) -> Option<StrTest<'a>> {
-        Some(match test {
-            Test::Cmp(op, ScalarValue::Utf8(s)) => StrTest::Cmp(*op, s),
-            Test::Cmp(..) => return None,
-            Test::In(list) => StrTest::In(
-                list.iter()
-                    .filter_map(|v| match v {
-                        ScalarValue::Utf8(s) => Some(s.as_str()),
-                        _ => None,
-                    })
-                    .collect(),
-            ),
-            Test::Contains(p) => StrTest::Contains(p),
-            Test::StartsWith(p) => StrTest::StartsWith(p),
-            Test::EndsWith(p) => StrTest::EndsWith(p),
-        })
-    }
-
+impl Test {
+    /// The verdict for a non-NULL string. A string never compares to a
+    /// constant of another type, as in [`ScalarValue::partial_cmp_sql`].
     fn hit(&self, s: &str) -> bool {
         match self {
-            StrTest::Cmp(op, lit) => op.holds(Some(s.cmp(lit))),
-            StrTest::In(list) => list.contains(&s),
-            StrTest::Contains(p) => s.contains(p),
-            StrTest::StartsWith(p) => s.starts_with(p),
-            StrTest::EndsWith(p) => s.ends_with(p),
+            Test::Cmp(op, lit) => op.holds(match lit {
+                ScalarValue::Utf8(lit) => Some(s.cmp(lit.as_str())),
+                _ => None,
+            }),
+            Test::In(list) => list
+                .iter()
+                .any(|v| matches!(v, ScalarValue::Utf8(x) if x == s)),
+            Test::Contains(p) => s.contains(p.as_str()),
+            Test::StartsWith(p) => s.starts_with(p.as_str()),
+            Test::EndsWith(p) => s.ends_with(p.as_str()),
+        }
+    }
+
+    /// The test as an [`Expr`] over column `col`, for the column types
+    /// without a kernel.
+    fn to_expr(&self, col: usize) -> Expr {
+        let expr = Box::new(Expr::Column(col));
+        match self {
+            Test::Cmp(op, lit) => Expr::Cmp {
+                op: *op,
+                left: expr,
+                right: Box::new(Expr::Literal(lit.clone())),
+            },
+            Test::In(list) => Expr::InList {
+                expr,
+                list: list.clone(),
+            },
+            Test::Contains(p) => Expr::Contains {
+                expr,
+                pattern: p.clone(),
+            },
+            Test::StartsWith(p) => Expr::StartsWith {
+                expr,
+                pattern: p.clone(),
+            },
+            Test::EndsWith(p) => Expr::EndsWith {
+                expr,
+                pattern: p.clone(),
+            },
         }
     }
 }
@@ -468,7 +468,7 @@ struct DictVerdicts {
 
 impl DictVerdicts {
     #[inline]
-    fn hit(&self, code: usize, test: &StrTest<'_>) -> bool {
+    fn hit(&self, code: usize, test: &Test) -> bool {
         match self.verdicts[code].load(Relaxed) {
             0 => {
                 let hit = test.hit(self.dict.value(code));
@@ -509,13 +509,11 @@ enum Node {
     Not(Box<Node>),
     /// `col IS NULL`.
     IsNull(usize),
-    /// `col ⋈ constant`; `fallback` is the same test as an [`Expr`], for
-    /// column types without a kernel.
+    /// `col ⋈ constant`.
     Leaf {
         col: usize,
         test: Test,
         memo: DictMemo,
-        fallback: Expr,
     },
     /// Any other shape, evaluated through [`Expr::eval`].
     Generic(Expr),
@@ -548,7 +546,6 @@ impl Node {
                 col: *c,
                 test,
                 memo: DictMemo::default(),
-                fallback: expr.clone(),
             },
             _ => Node::Generic(expr.clone()),
         };
@@ -620,13 +617,12 @@ impl Node {
                     None => rows.to_vec(),
                 })
             }
-            Node::Leaf {
-                col,
-                test,
-                memo,
-                fallback,
-            } => select_leaf(column(chunk, *col)?, test, memo, chunk, rows, want)?
-                .map_or_else(|| select_generic(fallback, chunk, rows, want), Ok),
+            Node::Leaf { col, test, memo } => {
+                match select_leaf(column(chunk, *col)?, test, memo, chunk, rows, want)? {
+                    Some(hit) => Ok(hit),
+                    None => select_generic(&test.to_expr(*col), chunk, rows, want),
+                }
+            }
             Node::Generic(expr) => select_generic(expr, chunk, rows, want),
         }
     }
@@ -696,18 +692,10 @@ fn select_leaf(
     Ok(Some(match (&c.data, &c.dict, test) {
         // Dictionary-backed strings: test the code's memoized verdict.
         (ColumnData::Int64(codes), Some(dict), _) => {
-            let Some(st) = StrTest::of(test) else {
-                return Ok(None);
-            };
             let verdicts = memo.verdicts(dict)?;
-            scan.keep(|p| verdicts.hit(codes[p] as usize, &st) == want)
+            scan.keep(|p| verdicts.hit(codes[p] as usize, test) == want)
         }
-        (ColumnData::Utf8(vals), None, _) => {
-            let Some(st) = StrTest::of(test) else {
-                return Ok(None);
-            };
-            scan.keep(|p| st.hit(&vals[p]) == want)
-        }
+        (ColumnData::Utf8(vals), None, _) => scan.keep(|p| test.hit(&vals[p]) == want),
         (ColumnData::Int64(vals), None, Test::Cmp(op, ScalarValue::Int64(x))) => {
             scan.keep(|p| op.holds(vals[p].partial_cmp(x)) == want)
         }
@@ -942,6 +930,10 @@ impl AggExpr {
 mod tests {
     use super::*;
 
+    fn select(e: &Expr, c: &DataChunk) -> Result<Vec<u32>> {
+        Predicate::new(e).select(c)
+    }
+
     fn chunk() -> DataChunk {
         DataChunk::new(vec![
             Vector::from_i64(vec![1, 2, 3, 4]),
@@ -963,7 +955,7 @@ mod tests {
     fn comparison_selection() {
         let c = chunk();
         let pred = Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::lit(ScalarValue::Int64(2)));
-        assert_eq!(pred.eval_selection(&c).unwrap(), vec![2, 3]);
+        assert_eq!(select(&pred, &c).unwrap(), vec![2, 3]);
     }
 
     #[test]
@@ -972,7 +964,7 @@ mod tests {
         c.set_selection(vec![1, 3]); // values 2, 4
         let pred = Expr::cmp(CmpOp::GtEq, Expr::col(0), Expr::lit(ScalarValue::Int64(3)));
         // logical row 1 (value 4) passes
-        assert_eq!(pred.eval_selection(&c).unwrap(), vec![1]);
+        assert_eq!(select(&pred, &c).unwrap(), vec![1]);
     }
 
     #[test]
@@ -981,14 +973,14 @@ mod tests {
         let gt1 = Expr::cmp(CmpOp::Gt, Expr::col(0), Expr::lit(ScalarValue::Int64(1)));
         let lt4 = Expr::cmp(CmpOp::Lt, Expr::col(0), Expr::lit(ScalarValue::Int64(4)));
         let both = Expr::And(vec![gt1.clone(), lt4.clone()]);
-        assert_eq!(both.eval_selection(&c).unwrap(), vec![1, 2]);
+        assert_eq!(select(&both, &c).unwrap(), vec![1, 2]);
         let either = Expr::Or(vec![
             Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(ScalarValue::Int64(1))),
             Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(ScalarValue::Int64(4))),
         ]);
-        assert_eq!(either.eval_selection(&c).unwrap(), vec![0, 3]);
+        assert_eq!(select(&either, &c).unwrap(), vec![0, 3]);
         let neither = Expr::Not(Box::new(either));
-        assert_eq!(neither.eval_selection(&c).unwrap(), vec![1, 2]);
+        assert_eq!(select(&neither, &c).unwrap(), vec![1, 2]);
     }
 
     #[test]
@@ -998,12 +990,12 @@ mod tests {
             expr: Box::new(Expr::col(1)),
             pattern: "bc".into(),
         };
-        assert_eq!(contains.eval_selection(&c).unwrap(), vec![1, 3]);
+        assert_eq!(select(&contains, &c).unwrap(), vec![1, 3]);
         let starts = Expr::StartsWith {
             expr: Box::new(Expr::col(1)),
             pattern: "b".into(),
         };
-        assert_eq!(starts.eval_selection(&c).unwrap(), vec![1, 3]);
+        assert_eq!(select(&starts, &c).unwrap(), vec![1, 3]);
     }
 
     #[test]
@@ -1013,7 +1005,7 @@ mod tests {
             expr: Box::new(Expr::col(0)),
             list: vec![ScalarValue::Int64(2), ScalarValue::Int64(4)],
         };
-        assert_eq!(inl.eval_selection(&c).unwrap(), vec![1, 3]);
+        assert_eq!(select(&inl, &c).unwrap(), vec![1, 3]);
     }
 
     #[test]
@@ -1085,7 +1077,7 @@ mod tests {
                     let negated = Expr::Not(Box::new(direct.clone()));
                     for e in [direct, flipped, negated] {
                         assert_eq!(
-                            e.eval_selection(&c).unwrap(),
+                            select(&e, &c).unwrap(),
                             oracle(&e, &c),
                             "{e:?} sel {with_sel}"
                         );
@@ -1129,7 +1121,7 @@ mod tests {
             list: vec![ScalarValue::Int64(5)],
         });
         for e in [not_eq, not_in] {
-            assert_eq!(e.eval_selection(&c).unwrap(), vec![2], "{e:?}");
+            assert_eq!(select(&e, &c).unwrap(), vec![2], "{e:?}");
             assert_eq!(oracle(&e, &c), vec![2], "{e:?}");
         }
         // A miss against a list holding a NULL is UNKNOWN too.
@@ -1137,7 +1129,7 @@ mod tests {
             expr: Box::new(Expr::col(0)),
             list: vec![ScalarValue::Int64(5), ScalarValue::Null],
         });
-        assert_eq!(not_in_null.eval_selection(&c).unwrap(), Vec::<u32>::new());
+        assert_eq!(select(&not_in_null, &c).unwrap(), Vec::<u32>::new());
         assert_eq!(oracle(&not_in_null, &c), Vec::<u32>::new());
 
         for dict in [false, true] {
@@ -1146,7 +1138,7 @@ mod tests {
                 expr: Box::new(Expr::col(0)),
                 pattern: "ring".into(),
             });
-            assert_eq!(not_like.eval_selection(&c).unwrap(), vec![3], "dict {dict}");
+            assert_eq!(select(&not_like, &c).unwrap(), vec![3], "dict {dict}");
             assert_eq!(oracle(&not_like, &c), vec![3], "dict {dict}");
             // NOT over AND/OR: FALSE AND UNKNOWN is FALSE, TRUE OR UNKNOWN
             // is TRUE, everything else with an UNKNOWN stays UNKNOWN.
@@ -1159,7 +1151,7 @@ mod tests {
                 not(Expr::And(vec![is_sing.clone(), has_r.clone()])),
                 not(Expr::Or(vec![is_sing, has_r])),
             ] {
-                assert_eq!(e.eval_selection(&c).unwrap(), oracle(&e, &c), "{e:?}");
+                assert_eq!(select(&e, &c).unwrap(), oracle(&e, &c), "{e:?}");
                 assert!(!oracle(&e, &c).contains(&2), "NULL row kept by {e:?}");
             }
         }
@@ -1175,7 +1167,7 @@ mod tests {
         };
         for dict in [false, true] {
             let c = DataChunk::new(vec![nullable_strings(dict)]);
-            assert_eq!(e.eval_selection(&c).unwrap(), vec![1, 3, 4], "dict {dict}");
+            assert_eq!(select(&e, &c).unwrap(), vec![1, 3, 4], "dict {dict}");
             assert_eq!(oracle(&e, &c), vec![1, 3, 4], "dict {dict}");
         }
     }
@@ -1188,9 +1180,9 @@ mod tests {
         let c = DataChunk::new(vec![v]);
         let pred = Expr::cmp(CmpOp::Eq, Expr::col(0), Expr::lit(ScalarValue::Int64(1)));
         // NULL = 1 is not true → filtered out.
-        assert_eq!(pred.eval_selection(&c).unwrap(), vec![0]);
+        assert_eq!(select(&pred, &c).unwrap(), vec![0]);
         let isnull = Expr::IsNull(Box::new(Expr::col(0)));
-        assert_eq!(isnull.eval_selection(&c).unwrap(), vec![1]);
+        assert_eq!(select(&isnull, &c).unwrap(), vec![1]);
     }
 
     #[test]

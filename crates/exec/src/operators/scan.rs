@@ -76,7 +76,13 @@ impl TableScan {
         let filter = filter.map(|f| {
             let mut cols = BTreeSet::new();
             f.columns(&mut cols);
-            let cols: Vec<usize> = cols.into_iter().collect();
+            let mut cols: Vec<usize> = cols.into_iter().collect();
+            if cols.is_empty() {
+                // A constant predicate (`WHERE 1 = 1`) reads no column, but
+                // its chunk still needs the morsel's row count: lend it the
+                // first output column, which the output then reuses.
+                cols.extend(output.first());
+            }
             let compact = f.map_columns(&|c| cols.partition_point(|&x| x < c));
             ScanFilter {
                 pred: Predicate::new(&compact),

@@ -103,6 +103,16 @@ fn in_list(
     list
 }
 
+/// A string constant, now and then an integer one (a string compares to
+/// no integer: FALSE, not an error).
+fn str_or_int_lit(rng: &mut TestRng) -> ScalarValue {
+    if rng.below(6) == 0 {
+        int_lit(rng)
+    } else {
+        ScalarValue::Utf8(str_lit(rng))
+    }
+}
+
 /// A numeric operand: a column, or arithmetic over columns and literals
 /// (no kernel — exercises the `eval` fallback on a row subset).
 fn numeric(rng: &mut TestRng) -> Expr {
@@ -126,11 +136,7 @@ fn leaf(rng: &mut TestRng) -> Expr {
         0 => Expr::cmp(op, numeric(rng), Expr::lit(int_lit(rng))),
         1 => Expr::cmp(op, Expr::lit(float_lit(rng)), numeric(rng)),
         2 => Expr::cmp(op, numeric(rng), numeric(rng)),
-        3 => Expr::cmp(
-            op,
-            Expr::col(str_col),
-            Expr::lit(ScalarValue::Utf8(str_lit(rng))),
-        ),
+        3 => Expr::cmp(op, Expr::col(str_col), Expr::lit(str_or_int_lit(rng))),
         4 => Expr::cmp(op, Expr::col(STR_FLAT), Expr::col(STR_DICT)),
         5 => Expr::cmp(
             op,
@@ -149,7 +155,7 @@ fn leaf(rng: &mut TestRng) -> Expr {
         },
         7 => Expr::InList {
             expr: boxed_str,
-            list: in_list(rng, |rng| ScalarValue::Utf8(str_lit(rng))),
+            list: in_list(rng, str_or_int_lit),
         },
         8 => Expr::Contains {
             expr: boxed_str,
@@ -213,7 +219,7 @@ proptest! {
             let c = chunk(&mut rng, &dict);
             let want = oracle(&e, &c);
             prop_assert_eq!(compiled.select(&c).expect("select"), want.clone(), "{:?}\n{:?}", e, c);
-            prop_assert_eq!(e.eval_selection(&c).expect("eval_selection"), want, "{:?}", e);
+            prop_assert_eq!(Predicate::new(&e).select(&c).expect("fresh select"), want, "{:?}", e);
         }
     }
 }

@@ -190,7 +190,13 @@ fn random_leaf(rng: &mut TestRng, rows: i64) -> Expr {
     let op = ops[rng.below(6) as usize];
     let word = || Box::new(Expr::col(WORD));
     let pattern = ["ring", "ing", "r", "absent"][rng.below(4) as usize].to_string();
-    match rng.below(9) {
+    match rng.below(10) {
+        // Column-free: one verdict for every row of every block.
+        9 => Expr::cmp(
+            op,
+            Expr::lit(ScalarValue::Int64(rng.below(3) as i64)),
+            Expr::lit(ScalarValue::Int64(1)),
+        ),
         0 => Expr::cmp(
             op,
             Expr::col(CLUSTERED),
@@ -262,6 +268,26 @@ proptest! {
             columns.reverse();
         }
         assert_parity(&table, filter.as_ref(), &columns, &format!("{filter:?} -> {columns:?}"));
+    }
+}
+
+/// A predicate that reads no column (the binder pushes `WHERE 1 = 1` down
+/// to relation 0) still sees every row of every morsel.
+#[test]
+fn constant_filters_keep_or_drop_every_row() {
+    let mut rng = TestRng::from_name("fused-scan-constant");
+    let table = random_table(&mut rng);
+    let one = || Expr::lit(ScalarValue::Int64(1));
+    let holds = Expr::eq(one(), one());
+    let fails = Expr::cmp(CmpOp::Lt, one(), one());
+    for filter in [
+        holds.clone(),
+        fails.clone(),
+        Expr::Or(vec![fails, holds.clone()]),
+        Expr::Not(Box::new(holds)),
+    ] {
+        let what = format!("{filter:?}");
+        assert_parity(&table, Some(&filter), &[WORD, SMALL], &what);
     }
 }
 

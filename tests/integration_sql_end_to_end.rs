@@ -339,3 +339,17 @@ fn like_suffix_pattern_is_a_suffix_match() {
         assert_eq!(ids(&db, "pet.kind NOT LIKE '%ing'", encoded), vec![0]);
     }
 }
+
+/// A predicate that names no column is pushed down to a scan with nothing
+/// to decode for it; it must still hold (or fail) for every row.
+#[test]
+fn constant_predicates_keep_or_drop_every_row() {
+    let db = db_with_nulls();
+    for encoded in [true, false] {
+        assert_eq!(ids(&db, "1 = 1", encoded), vec![0, 1, 2, 3]);
+        assert_eq!(ids(&db, "1 = 0 OR 2 = 2", encoded), vec![0, 1, 2, 3]);
+        assert_eq!(ids(&db, "1 = 1 AND pet.legs < 5", encoded), vec![0, 3]);
+        assert_eq!(ids(&db, "1 = 0", encoded), Vec::<i64>::new());
+        assert_eq!(ids(&db, "NOT (1 = 1)", encoded), Vec::<i64>::new());
+    }
+}
