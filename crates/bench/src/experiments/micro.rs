@@ -26,10 +26,11 @@ pub struct Fig16Row {
 /// Keys are uniform in `0..2^30` like the paper's microbenchmark.
 ///
 /// Both sides measure the *engine's* code paths: the hash side probes a
-/// real `JoinHashTable` (hash → bucket → key verification, exactly what a
-/// semi-join or hash join pays per tuple); the Bloom side runs the
-/// `ProbeBF` path (vectorized hash → batched bitmask probe → selection
-/// conversion). Chunked at the engine's 2048-row vector size.
+/// real `JoinHashTable` (hash → directory slot → chain walk with key
+/// comparison, exactly what a semi-join or hash join pays per tuple); the
+/// Bloom side runs the `ProbeBF` path (vectorized hash → batched bitmask
+/// probe → selection conversion). Chunked at the engine's 2048-row vector
+/// size.
 pub fn fig16_bloom_micro(probe_rows: usize, max_build_log2: u32) -> Vec<Fig16Row> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -55,7 +56,7 @@ pub fn fig16_bloom_micro(probe_rows: usize, max_build_log2: u32) -> Vec<Fig16Row
         let n = 1usize << log2;
         let build_keys: Vec<i64> = (0..n).map(|_| rng.gen_range(0..1i64 << 30)).collect();
 
-        // Engine hash table (bucket lists + key verification).
+        // Engine hash table (chained directory + key verification).
         let ht = JoinHashTable::build(
             &[DataChunk::new(vec![Vector::from_i64(build_keys.clone())])],
             vec![0],

@@ -142,12 +142,22 @@ impl DataChunk {
                 other.columns.len()
             )));
         }
-        let flat = other.flattened();
-        for (dst, src) in self.columns.iter_mut().zip(flat.columns.iter()) {
-            dst.append(src)?;
+        for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
+            match &other.selection {
+                Some(sel) => dst.append(&src.take(sel))?,
+                None => dst.append(src)?,
+            }
         }
-        self.len += flat.len;
+        self.len += other.num_rows();
         Ok(())
+    }
+
+    /// Reserve room for `additional` more rows in every column of this
+    /// (flattened) chunk, ahead of a run of [`DataChunk::append`]s.
+    pub fn reserve(&mut self, additional: usize) {
+        for col in &mut self.columns {
+            col.reserve(additional);
+        }
     }
 
     /// Extract logical row `row` as a vector of scalars (slow path: tests,

@@ -8,10 +8,10 @@
 //! partition index is a pure function of the key hash.
 //!
 //! The partition bits are taken from bits 48..56 of the (already
-//! avalanche-mixed) hash rather than the extremes: the low bits feed the
-//! hash map's bucket index and the topmost bits pick the Bloom filter block
-//! and the SwissTable control byte, so carving the partition out of either
-//! end would strip entropy from those structures within a partition.
+//! avalanche-mixed) hash rather than the extremes: the low bits index the
+//! join hash table's directory and the topmost bits pick the Bloom filter
+//! block, so carving the partition out of either end would strip entropy
+//! from those structures within a partition.
 
 use crate::chunk::DataChunk;
 

@@ -271,6 +271,20 @@ impl Vector {
         }
     }
 
+    /// Reserve room for `additional` more rows (payload and validity mask),
+    /// so a run of [`Vector::append`]s of known total length never regrows.
+    pub fn reserve(&mut self, additional: usize) {
+        match &mut self.data {
+            ColumnData::Int64(v) => v.reserve(additional),
+            ColumnData::Float64(v) => v.reserve(additional),
+            ColumnData::Utf8(v) => v.reserve(additional),
+            ColumnData::Bool(v) => v.reserve(additional),
+        }
+        if let Some(validity) = &mut self.validity {
+            validity.reserve(additional);
+        }
+    }
+
     /// Append all rows of `other` (same type) to `self`. Appending across
     /// different encodings (dictionary vs flat, or two distinct
     /// dictionaries) decodes both sides to flat strings.

@@ -23,14 +23,37 @@
 //! per row per aggregate.
 
 use crate::expr::{AggExpr, AggFunc};
-use crate::hash_table::IdentityMap;
 use rpt_common::{
     ColumnData, DataChunk, DataType, Error, Result, ScalarValue, Schema, Utf8Dict, Vector,
     DICT_KEY_BITS,
 };
 use std::any::Any;
 use std::cmp::Ordering;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
+
+/// Group-key hashes are already avalanche-mixed by `rpt_common::hash`, so
+/// the generic group table's map uses an identity hasher.
+#[derive(Default)]
+struct IdentityHasher(u64);
+
+impl Hasher for IdentityHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, _bytes: &[u8]) {
+        unreachable!("IdentityHasher only accepts u64 keys");
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        self.0 = v;
+    }
+}
+
+/// `u64 → V` map keyed by an already-mixed hash.
+type IdentityMap<V> = HashMap<u64, V, BuildHasherDefault<IdentityHasher>>;
 
 /// Running state of one aggregate in one group.
 #[derive(Debug, Clone)]

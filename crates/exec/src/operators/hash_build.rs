@@ -34,7 +34,8 @@ pub struct HashBuildSink {
     rows: u64,
     /// Unevictable governor registration: build rows must stay addressable
     /// in memory, so this only contributes pressure that pushes evictable
-    /// buffers to spill earlier.
+    /// buffers to spill earlier. It moves into the published table, which
+    /// keeps that pressure up for as long as probes can read it.
     governed: Option<GovernedHandle>,
     resident_bytes: usize,
 }
@@ -63,13 +64,14 @@ fn build_partition(
 }
 
 impl Sink for HashBuildSink {
-    fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
+    fn sink(&mut self, mut chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
         let n = chunk.num_rows() as u64;
         insert_into_blooms(&chunk, &mut self.blooms, ctx);
         ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
         self.report_residency(chunk_size_bytes(&chunk));
         if self.partitioner.is_single() {
-            self.parts[0].push(chunk.flattened());
+            chunk.flatten();
+            self.parts[0].push(chunk);
         } else {
             let hashes = super::key_hashes(&chunk, &self.key_cols);
             for (p, sub) in self
@@ -87,7 +89,7 @@ impl Sink for HashBuildSink {
         Ok(())
     }
 
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
+    fn sink_part(&mut self, mut chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
         if self.partitioner.is_single() {
             return self.sink(chunk, ctx);
         }
@@ -97,7 +99,8 @@ impl Sink for HashBuildSink {
         ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
         self.report_residency(chunk_size_bytes(&chunk));
         ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        self.parts[part].push(chunk.flattened());
+        chunk.flatten();
+        self.parts[part].push(chunk);
         self.rows = self.rows.saturating_add(n);
         Ok(())
     }
@@ -119,7 +122,7 @@ impl Sink for HashBuildSink {
         self.rows
     }
 
-    fn finalize(self: Box<Self>, res: &Resources) -> Result<()> {
+    fn finalize(mut self: Box<Self>, res: &Resources) -> Result<()> {
         let table = if self.parts.len() == 1 {
             PartitionedHashTable::single(build_partition(
                 &self.parts[0],
@@ -134,7 +137,7 @@ impl Sink for HashBuildSink {
                 .collect::<Result<Vec<_>>>()?;
             PartitionedHashTable::from_parts(parts)
         };
-        res.publish_table(self.ht_id, table)?;
+        res.publish_table(self.ht_id, table.governed_by(self.governed.take()))?;
         for b in self.blooms {
             b.publish(res)?;
         }
@@ -214,6 +217,18 @@ impl SinkFactory for HashBuildFactory {
             .iter_mut()
             .map(|w| std::mem::take(&mut w.blooms))
             .collect();
+        // One registration carries every worker's bytes through the merge
+        // and into the published table; the others release here.
+        let resident = workers
+            .iter()
+            .fold(0usize, |sum, w| sum.saturating_add(w.resident_bytes));
+        let mut governed = None;
+        for w in &mut workers {
+            governed = governed.or(w.governed.take());
+        }
+        if let Some(h) = &governed {
+            h.update(resident);
+        }
         let slots =
             PartitionSlots::transpose(workers.into_iter().map(|w| w.parts).collect(), partitions);
         Ok(Box::new(HashBuildMerger {
@@ -224,6 +239,7 @@ impl SinkFactory for HashBuildFactory {
             slots,
             tables: (0..partitions).map(|_| Mutex::new(None)).collect(),
             blooms: Mutex::new(Some(blooms)),
+            governed: Mutex::new(governed),
             max_task_rows: AtomicU64::new(0),
         }))
     }
@@ -242,6 +258,7 @@ struct HashBuildMerger {
     slots: PartitionSlots<Vec<DataChunk>>,
     tables: Vec<Mutex<Option<JoinHashTable>>>,
     blooms: Mutex<Option<Vec<Vec<BloomBuild>>>>,
+    governed: Mutex<Option<GovernedHandle>>,
     max_task_rows: AtomicU64,
 }
 
@@ -269,7 +286,9 @@ impl PartitionMerger for HashBuildMerger {
                     .ok_or_else(|| Error::Exec("partition table missing at finish".into()))
             })
             .collect::<Result<_>>()?;
-        res.publish_table(self.ht_id, PartitionedHashTable::from_parts(parts))?;
+        let governed = lock_or_err(&self.governed, "governor slot")?.take();
+        let table = PartitionedHashTable::from_parts(parts).governed_by(governed);
+        res.publish_table(self.ht_id, table)?;
         let blooms = lock_or_err(&self.blooms, "bloom slot")?
             .take()
             .ok_or_else(|| Error::Exec("hash-build merge finished twice".into()))?;

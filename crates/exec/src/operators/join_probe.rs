@@ -42,9 +42,7 @@ impl Operator for JoinProbe {
             .map(|&l| chunk.physical_index(l as usize) as u32)
             .collect();
         let mut cols: Vec<Vector> = chunk.columns.iter().map(|c| c.take(&phys)).collect();
-        for &bc in &self.build_output_cols {
-            cols.push(ht.gather(bc, &build_refs));
-        }
+        cols.extend(ht.gather(&self.build_output_cols, &build_refs)?);
         Ok(Some(DataChunk::new(cols)))
     }
 

@@ -1,102 +1,274 @@
-//! Property test: the vectorized hash join must agree with a naive
-//! nested-loop reference implementation on random inputs, and the exact
-//! semi-join must equal "rows with ≥1 match".
+//! Property tests: the hash-join probe and the exact semi-join must agree
+//! with a naive nested-loop reference — pairs in (probe row, ascending
+//! build row) order, not merely as a set — over NULL keys on either side,
+//! duplicate-heavy keys (long chains), composite `Int64` + `Utf8` keys,
+//! every mix of flat and dictionary string encodings, probe chunks behind a
+//! selection vector, and builds from several chunks; and an 8-partition
+//! [`PartitionedHashTable`] must answer exactly like the single table.
 
 use proptest::prelude::*;
-use rpt_common::{DataChunk, Vector};
-use rpt_exec::JoinHashTable;
+use rpt_common::hash::hash_columns;
+use rpt_common::{DataChunk, DataType, Partitioner, ScalarValue, Utf8Dict, Vector};
+use rpt_exec::{JoinHashTable, PartitionedHashTable};
+use std::sync::Arc;
 
-fn reference_join(build: &[i64], probe: &[i64]) -> Vec<(usize, usize)> {
+/// A key value as the tests describe it: a small integer, `None` = NULL
+/// (generated as -1).
+type Key = Option<i64>;
+
+fn keys(raw: &[i64]) -> Vec<Key> {
+    raw.iter().map(|&v| (v >= 0).then_some(v)).collect()
+}
+
+/// How a key column is laid out in a [`Vector`]. The string layouts spell
+/// key `v` as `"k{v}"`; the two dictionaries hold the same keys under
+/// different codes.
+#[derive(Clone, Copy, Debug)]
+enum Enc {
+    Int64,
+    Flat,
+    Dict(usize),
+}
+
+const STRING_ENCS: [Enc; 3] = [Enc::Flat, Enc::Dict(0), Enc::Dict(1)];
+
+fn dicts() -> [Arc<Utf8Dict>; 2] {
+    let spelled = || (0..8).map(|v| format!("k{v}"));
+    [
+        Utf8Dict::from_values(spelled()),
+        Utf8Dict::from_values(spelled().chain(["a".to_string(), "k3x".to_string()])),
+    ]
+}
+
+fn vector(col: &[Key], enc: Enc, dicts: &[Arc<Utf8Dict>; 2]) -> Vector {
+    match enc {
+        Enc::Int64 => {
+            let mut v = Vector::new_empty(DataType::Int64);
+            for k in col {
+                v.push(&k.map_or(ScalarValue::Null, ScalarValue::Int64))
+                    .unwrap();
+            }
+            v
+        }
+        Enc::Flat => {
+            let mut v = Vector::new_empty(DataType::Utf8);
+            for k in col {
+                v.push(&k.map_or(ScalarValue::Null, |k| ScalarValue::Utf8(format!("k{k}"))))
+                    .unwrap();
+            }
+            v
+        }
+        Enc::Dict(d) => {
+            let code =
+                |k: &Key| k.map_or(0, |k| dicts[d].code_of(&format!("k{k}")).unwrap() as i64);
+            let validity = col
+                .iter()
+                .any(Option::is_none)
+                .then(|| col.iter().map(Option::is_some).collect());
+            Vector::from_dict_codes(col.iter().map(code).collect(), validity, dicts[d].clone())
+        }
+    }
+}
+
+/// One side of a join: its key columns and how each is encoded.
+struct Side {
+    cols: Vec<Vec<Key>>,
+    encs: Vec<Enc>,
+}
+
+impl Side {
+    fn rows(&self) -> usize {
+        self.cols[0].len()
+    }
+
+    fn row(&self, i: usize) -> Vec<Key> {
+        self.cols.iter().map(|c| c[i]).collect()
+    }
+
+    /// Key columns followed by a payload column holding the row number.
+    fn chunk(&self, dicts: &[Arc<Utf8Dict>; 2]) -> DataChunk {
+        let mut columns: Vec<Vector> = self
+            .cols
+            .iter()
+            .zip(&self.encs)
+            .map(|(c, &e)| vector(c, e, dicts))
+            .collect();
+        columns.push(Vector::from_i64((0..self.rows() as i64).collect()));
+        DataChunk::new(columns)
+    }
+}
+
+/// Rows `offset..offset + len` of a flat chunk.
+fn slice(chunk: &DataChunk, offset: usize, len: usize) -> DataChunk {
+    DataChunk::new(chunk.columns.iter().map(|c| c.slice(offset, len)).collect())
+}
+
+/// Nested-loop join of the probe side's rows `sel` against every build row:
+/// `(logical probe row, build row)`, NULL in any key column matching
+/// nothing.
+fn reference_join(build: &Side, probe: &Side, sel: &[u32]) -> Vec<(u32, u32)> {
     let mut out = Vec::new();
-    for (p, pk) in probe.iter().enumerate() {
-        for (b, bk) in build.iter().enumerate() {
-            if pk == bk {
-                out.push((p, b));
+    for (logical, &p) in sel.iter().enumerate() {
+        let pk = probe.row(p as usize);
+        if pk.iter().any(Option::is_none) {
+            continue;
+        }
+        for b in 0..build.rows() {
+            if build.row(b) == pk {
+                out.push((logical as u32, b as u32));
             }
         }
     }
     out
 }
 
+/// Build `build` from `pieces` chunks, probe it with `probe` behind the
+/// selection `sel` (`None` = every row), and hold every entry point to the
+/// reference.
+fn check(
+    build: &Side,
+    probe: &Side,
+    pieces: usize,
+    sel: Option<Vec<u32>>,
+) -> Result<(), TestCaseError> {
+    let dicts = dicts();
+    let key_cols: Vec<usize> = (0..build.cols.len()).collect();
+    let payload = key_cols.len();
+    // `pieces` build chunks of near-equal length (one empty chunk for an
+    // empty build side).
+    let whole = build.chunk(&dicts);
+    let step = build.rows().div_ceil(pieces).max(1);
+    let build_chunks: Vec<DataChunk> = (0..build.rows().max(1))
+        .step_by(step)
+        .map(|o| slice(&whole, o, step.min(build.rows() - o)))
+        .collect();
+    let mut probe_chunk = probe.chunk(&dicts);
+    let all: Vec<u32> = (0..probe.rows() as u32).collect();
+    let want = reference_join(build, probe, sel.as_deref().unwrap_or(&all));
+    if let Some(sel) = sel {
+        probe_chunk.set_selection(sel);
+    }
+
+    let table = JoinHashTable::build(&build_chunks, key_cols.clone()).unwrap();
+    prop_assert_eq!(table.num_rows(), build.rows());
+    let (mut p_out, mut b_out) = (vec![], vec![]);
+    table.probe(&probe_chunk, &key_cols, &mut p_out, &mut b_out);
+    let got: Vec<(u32, u32)> = p_out.iter().copied().zip(b_out.iter().copied()).collect();
+    prop_assert_eq!(&got, &want, "probe pairs, in order");
+
+    let mut want_semi: Vec<u32> = want.iter().map(|&(p, _)| p).collect();
+    want_semi.dedup();
+    prop_assert_eq!(table.semi_probe(&probe_chunk, &key_cols), want_semi.clone());
+
+    // The same build side radix-partitioned eight ways, as the partitioned
+    // sink lays it out: every chunk split by key hash, partition tables
+    // built from the pieces in arrival order.
+    let partitioner = Partitioner::new(8);
+    let mut parts: Vec<Vec<DataChunk>> = vec![Vec::new(); 8];
+    for chunk in &build_chunks {
+        let key_refs: Vec<&Vector> = key_cols.iter().map(|&k| &chunk.columns[k]).collect();
+        let hashes = hash_columns(&key_refs, chunk.num_rows());
+        for (p, piece) in partitioner
+            .split_chunk(chunk, &hashes)
+            .into_iter()
+            .enumerate()
+        {
+            parts[p].extend(piece);
+        }
+    }
+    let empty = slice(&whole, 0, 0);
+    let partitioned = PartitionedHashTable::from_parts(
+        parts
+            .iter()
+            .map(|chunks| {
+                let chunks = if chunks.is_empty() {
+                    std::slice::from_ref(&empty)
+                } else {
+                    chunks
+                };
+                JoinHashTable::build(chunks, key_cols.clone()).unwrap()
+            })
+            .collect(),
+    );
+    prop_assert_eq!(partitioned.num_rows(), build.rows());
+    let (mut pp_out, mut refs) = (vec![], vec![]);
+    partitioned.probe(&probe_chunk, &key_cols, &mut pp_out, &mut refs);
+    prop_assert_eq!(&pp_out, &p_out, "partitioned probe rows");
+    // The payload is the build row number, so gathering it names the match.
+    let matched = partitioned.gather(&[payload], &refs).unwrap().remove(0);
+    let matched: Vec<u32> = (0..refs.len())
+        .map(|i| matched.get(i).as_i64().unwrap() as u32)
+        .collect();
+    prop_assert_eq!(&matched, &b_out, "partitioned build rows, in order");
+    prop_assert_eq!(partitioned.semi_probe(&probe_chunk, &key_cols), want_semi);
+    Ok(())
+}
+
+/// A selection over `n` physical rows from one bit per row of `mask`
+/// (ascending, possibly empty); `None` when `use_sel` is off.
+fn selection(use_sel: bool, mask: u64, n: usize) -> Option<Vec<u32>> {
+    use_sel.then(|| {
+        (0..n as u32)
+            .filter(|i| mask >> (i % 64) & 1 == 1)
+            .collect()
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
+    /// One `Int64` key, NULLs on both sides, few distinct values over up
+    /// to 300 build rows: every chain is long.
     #[test]
-    fn hash_join_matches_nested_loop(
-        build in proptest::collection::vec(-5i64..5, 0..40),
-        probe in proptest::collection::vec(-5i64..5, 0..40),
+    fn int64_key_with_nulls_and_long_chains(
+        build in proptest::collection::vec(-1i64..4, 0..300),
+        probe in proptest::collection::vec(-1i64..6, 0..40),
+        pieces in 1usize..5,
+        use_sel in proptest::bool::ANY,
+        mask in 0u64..u64::MAX,
     ) {
-        let ht = JoinHashTable::build(
-            &[DataChunk::new(vec![Vector::from_i64(build.clone())])],
-            vec![0],
-        )
-        .unwrap();
-        let probe_chunk = DataChunk::new(vec![Vector::from_i64(probe.clone())]);
-        let (mut p_out, mut b_out) = (vec![], vec![]);
-        ht.probe(&probe_chunk, &[0], &mut p_out, &mut b_out);
-        let mut got: Vec<(usize, usize)> = p_out
-            .iter()
-            .zip(b_out.iter())
-            .map(|(&p, &b)| (p as usize, b as usize))
-            .collect();
-        got.sort_unstable();
-        let mut want = reference_join(&build, &probe);
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let sel = selection(use_sel, mask, probe.len());
+        let build = Side { cols: vec![keys(&build)], encs: vec![Enc::Int64] };
+        let probe = Side { cols: vec![keys(&probe)], encs: vec![Enc::Int64] };
+        check(&build, &probe, pieces, sel)?;
     }
 
+    /// One string key under every pairing of flat, dictionary and
+    /// other-dictionary encodings.
     #[test]
-    fn semi_join_matches_membership(
-        build in proptest::collection::vec(-5i64..5, 0..40),
-        probe in proptest::collection::vec(-5i64..5, 0..40),
+    fn string_key_across_encodings(
+        build in proptest::collection::vec(-1i64..8, 0..60),
+        probe in proptest::collection::vec(-1i64..8, 0..40),
+        encs in (0usize..3, 0usize..3),
+        pieces in 1usize..4,
+        use_sel in proptest::bool::ANY,
+        mask in 0u64..u64::MAX,
     ) {
-        let ht = JoinHashTable::build(
-            &[DataChunk::new(vec![Vector::from_i64(build.clone())])],
-            vec![0],
-        )
-        .unwrap();
-        let probe_chunk = DataChunk::new(vec![Vector::from_i64(probe.clone())]);
-        let got = ht.semi_probe(&probe_chunk, &[0]);
-        let want: Vec<u32> = probe
-            .iter()
-            .enumerate()
-            .filter(|(_, k)| build.contains(k))
-            .map(|(i, _)| i as u32)
-            .collect();
-        prop_assert_eq!(got, want);
+        let sel = selection(use_sel, mask, probe.len());
+        let build = Side { cols: vec![keys(&build)], encs: vec![STRING_ENCS[encs.0]] };
+        let probe = Side { cols: vec![keys(&probe)], encs: vec![STRING_ENCS[encs.1]] };
+        check(&build, &probe, pieces, sel)?;
     }
 
+    /// Composite key: an `Int64` column and a string column, NULLs in
+    /// either position on either side.
     #[test]
-    fn composite_key_join_matches_reference(
-        rows in proptest::collection::vec((-3i64..3, -3i64..3), 0..30),
-        probes in proptest::collection::vec((-3i64..3, -3i64..3), 0..30),
+    fn composite_int64_utf8_key(
+        build in proptest::collection::vec((-1i64..3, -1i64..3), 0..80),
+        probe in proptest::collection::vec((-1i64..3, -1i64..3), 0..40),
+        encs in (0usize..3, 0usize..3),
+        pieces in 1usize..4,
+        use_sel in proptest::bool::ANY,
+        mask in 0u64..u64::MAX,
     ) {
-        let build = DataChunk::new(vec![
-            Vector::from_i64(rows.iter().map(|r| r.0).collect()),
-            Vector::from_i64(rows.iter().map(|r| r.1).collect()),
-        ]);
-        let ht = JoinHashTable::build(&[build], vec![0, 1]).unwrap();
-        let probe_chunk = DataChunk::new(vec![
-            Vector::from_i64(probes.iter().map(|r| r.0).collect()),
-            Vector::from_i64(probes.iter().map(|r| r.1).collect()),
-        ]);
-        let (mut p_out, mut b_out) = (vec![], vec![]);
-        ht.probe(&probe_chunk, &[0, 1], &mut p_out, &mut b_out);
-        let mut got: Vec<(usize, usize)> = p_out
-            .iter()
-            .zip(b_out.iter())
-            .map(|(&p, &b)| (p as usize, b as usize))
-            .collect();
-        got.sort_unstable();
-        let mut want = Vec::new();
-        for (p, pk) in probes.iter().enumerate() {
-            for (b, bk) in rows.iter().enumerate() {
-                if pk == bk {
-                    want.push((p, b));
-                }
-            }
-        }
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let sel = selection(use_sel, mask, probe.len());
+        let side = |rows: &[(i64, i64)], enc: Enc| Side {
+            cols: vec![
+                keys(&rows.iter().map(|r| r.0).collect::<Vec<_>>()),
+                keys(&rows.iter().map(|r| r.1).collect::<Vec<_>>()),
+            ],
+            encs: vec![Enc::Int64, enc],
+        };
+        check(&side(&build, STRING_ENCS[encs.0]), &side(&probe, STRING_ENCS[encs.1]), pieces, sel)?;
     }
 }

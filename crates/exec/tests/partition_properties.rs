@@ -81,6 +81,29 @@ fn bloom_spec() -> BloomSink {
     }
 }
 
+/// The governor keeps seeing a hash build's bytes after its sinks are
+/// gone: the registration moves into the published table and reports the
+/// table's own footprint until `Resources` lets the table go.
+#[test]
+fn published_hash_table_keeps_its_governor_registration() {
+    for partitions in [1usize, 8] {
+        let ctx = ExecContext::new()
+            .with_partitions(partitions)
+            .with_memory_budget(Some(1 << 30));
+        let gov = ctx.governor.clone().unwrap();
+        let factory = HashBuildFactory::new(0, vec![0], schema(), vec![]);
+        let res = Resources::with_partitions(0, 0, 1, partitions);
+        let keys: Vec<i64> = (0..2000).collect();
+        run_sink(&factory, &ctx, &res, worker_chunks(&keys, 500, 2));
+        // Every sink is gone; the table holds the one registration left.
+        let footprint = res.hash_table(0).unwrap().size_bytes();
+        assert!(footprint > 2000 * 16, "rows plus the index");
+        assert_eq!(gov.resident_bytes(), footprint);
+        drop(res);
+        assert_eq!(gov.resident_bytes(), 0, "released with the table");
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -265,7 +288,7 @@ proptest! {
         let matches = |t: &rpt_exec::PartitionedHashTable| {
             let (mut pr, mut br) = (vec![], vec![]);
             t.probe(&probe, &[0], &mut pr, &mut br);
-            let vals = t.gather(1, &br);
+            let vals = t.gather(&[1], &br).unwrap().remove(0);
             let mut out: Vec<(i64, i64)> = pr
                 .iter()
                 .enumerate()
