@@ -199,10 +199,10 @@ fn spec_reads(p: &PipelinePlan, partition_count: usize) -> Vec<ResourceId> {
     let mut r = Vec::new();
     match &p.source {
         SourceSpec::Table(_) => {}
-        // The fused scan reads the Bloom filters whose key ranges prune it;
-        // its own predicate and projection read nothing shared.
-        SourceSpec::Scan { bloom, .. } => {
-            r.extend(bloom.iter().map(|&(f, _, _)| ResourceId::Filter(f)));
+        // The fused scan reads the Bloom filters it probes (and prunes
+        // by); its own predicate and projection read nothing shared.
+        SourceSpec::Scan { probes, .. } => {
+            r.extend(probes.iter().map(|p| ResourceId::Filter(p.filter_id)));
         }
         SourceSpec::Buffer(b) => r.push(ResourceId::Buffer(*b)),
     }

@@ -15,8 +15,8 @@ pub struct Fig16Row {
     pub build_rows: usize,
     pub hash_probe_secs: f64,
     pub bloom_probe_secs: f64,
-    /// Batched (bitmask) Bloom probe — the stand-in for the paper's
-    /// AVX2 "SIMD Bloom Probe" series.
+    /// Batched Bloom probe (the branch-free block test, compiled for AVX2
+    /// where the CPU has it) — the paper's "SIMD Bloom Probe" series.
     pub bloom_batched_secs: f64,
     pub hash_table_bytes: usize,
     pub bloom_bytes: usize,
@@ -28,13 +28,12 @@ pub struct Fig16Row {
 /// Both sides measure the *engine's* code paths: the hash side probes a
 /// real `JoinHashTable` (hash → directory slot → chain walk with key
 /// comparison, exactly what a semi-join or hash join pays per tuple); the
-/// Bloom side runs the `ProbeBF` path (vectorized hash → batched bitmask
-/// probe → selection conversion). Chunked at the engine's 2048-row vector
-/// size.
+/// Bloom side runs the `ProbeBF` path (vectorized hash → batch probe
+/// straight into a selection vector). Chunked at the engine's 2048-row
+/// vector size.
 pub fn fig16_bloom_micro(probe_rows: usize, max_build_log2: u32) -> Vec<Fig16Row> {
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
-    use rpt_bloom::bitmask_to_selection;
     use rpt_common::chunk::VECTOR_SIZE;
     use rpt_common::hash::hash_columns;
     use rpt_common::{DataChunk, Vector};
@@ -70,7 +69,7 @@ pub fn fig16_bloom_micro(probe_rows: usize, max_build_log2: u32) -> Vec<Fig16Row
         let hash_probe_secs = t0.elapsed().as_secs_f64();
         std::hint::black_box(survivors);
 
-        // Engine Bloom filter (scalar and batched/bitmask paths).
+        // Engine Bloom filter (scalar early-exit and batched paths).
         let mut bf = BloomFilter::with_default_fpr(n);
         for &k in &build_keys {
             bf.insert_i64(k);
@@ -89,9 +88,9 @@ pub fn fig16_bloom_micro(probe_rows: usize, max_build_log2: u32) -> Vec<Fig16Row
         for c in &probe_chunks {
             let cols: Vec<&Vector> = c.columns.iter().collect();
             let hashes = hash_columns(&cols, c.num_rows());
-            let mask = bf.probe_hashes_bitmask(&hashes);
             sel.clear();
-            survivors += bitmask_to_selection(&mask, c.num_rows(), &mut sel);
+            bf.probe_hashes_sel(&hashes, None, &mut sel);
+            survivors += sel.len();
         }
         let bloom_batched_secs = t0.elapsed().as_secs_f64();
         std::hint::black_box(survivors);

@@ -9,8 +9,10 @@
 //! 32-bit words. A key sets exactly one bit in each of the eight words of a
 //! single block, so an insert or probe touches one cache line. The word bit
 //! positions are derived from the key hash with eight odd "salt" multipliers
-//! — the same construction Arrow vectorizes with AVX2; here the eight lanes
-//! are unrolled scalar ops, which LLVM auto-vectorizes.
+//! — the same construction Arrow vectorizes with AVX2; here the bulk paths
+//! are plain safe loops compiled a second time with AVX2 enabled, where
+//! LLVM turns the eight lanes into one 256-bit operation each (see
+//! [`filter`]).
 //!
 //! The default false-positive target is 2%, Arrow's default, as used in the
 //! paper.

@@ -1,11 +1,13 @@
 //! Bitmask → selection-vector conversion.
 //!
-//! A vectorized Bloom probe produces a packed bitmask, but the execution
-//! engine marks surviving rows with a selection vector (§4.2 of the paper,
-//! which cites Lemire's "really fast bitset decoding"). This module converts
+//! A vectorized Bloom probe produces a packed bitmask
+//! ([`crate::BloomFilter::probe_hashes_bitmask`]), but the execution engine
+//! marks surviving rows with a selection vector (§4.2 of the paper, which
+//! cites Lemire's "really fast bitset decoding"). This module converts
 //! between the two, processing one 64-bit word at a time and extracting set
 //! bits with `trailing_zeros` + clear-lowest-set-bit, which is the scalar
-//! core of Lemire's technique.
+//! core of Lemire's technique. The engine's own ProbeBF skips the bitmask:
+//! [`crate::BloomFilter::probe_hashes_sel`] writes the selection directly.
 
 /// Append the positions of set bits in `mask` (interpreted over
 /// `num_rows` rows, LSB-first within each word) to `out`.

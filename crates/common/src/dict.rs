@@ -5,23 +5,40 @@
 //! zone maps over codes are meaningful, and fixed-width group keys packed
 //! from codes finalize in the same order as their decoded strings.
 
-use std::sync::Arc;
+use crate::hash::hash_bytes;
+use std::sync::{Arc, OnceLock};
 
 /// Maximum number of bits a dictionary code occupies when packed into a
 /// fixed-width group key (see `DataType::fixed_key_bits`).
 pub const DICT_KEY_BITS: u32 = 32;
 
 /// An immutable sorted dictionary of distinct strings.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone)]
 pub struct Utf8Dict {
     values: Vec<String>,
+    /// `hash_bytes(value)` per code, built the first time a key hash over
+    /// this dictionary is asked for (see [`Utf8Dict::hashes`]).
+    hashes: OnceLock<Vec<u64>>,
 }
+
+/// Equality is over the entries; whether the hash table has been built yet
+/// is not part of a dictionary's value.
+impl PartialEq for Utf8Dict {
+    fn eq(&self, other: &Utf8Dict) -> bool {
+        self.values == other.values
+    }
+}
+
+impl Eq for Utf8Dict {}
 
 impl Utf8Dict {
     /// Build from a sorted, deduplicated list of values.
     pub fn from_sorted(values: Vec<String>) -> Arc<Utf8Dict> {
         debug_assert!(values.windows(2).all(|w| w[0] < w[1]), "dict not sorted");
-        Arc::new(Utf8Dict { values })
+        Arc::new(Utf8Dict {
+            values,
+            hashes: OnceLock::new(),
+        })
     }
 
     /// Build from arbitrary values: sorts and deduplicates.
@@ -29,7 +46,7 @@ impl Utf8Dict {
         let mut v: Vec<String> = values.into_iter().map(Into::into).collect();
         v.sort_unstable();
         v.dedup();
-        Arc::new(Utf8Dict { values: v })
+        Utf8Dict::from_sorted(v)
     }
 
     pub fn len(&self) -> usize {
@@ -57,6 +74,20 @@ impl Utf8Dict {
     pub fn values(&self) -> &[String] {
         &self.values
     }
+
+    /// The key hash of every entry, indexed by code: exactly
+    /// [`hash_bytes`] of the entry, so a dictionary-backed vector hashes
+    /// like its decoded strings at the cost of one load per row. Built on
+    /// first use and kept for the dictionary's lifetime (a table column's
+    /// dictionary is shared by every scan of it).
+    pub fn hashes(&self) -> &[u64] {
+        self.hashes.get_or_init(|| {
+            self.values
+                .iter()
+                .map(|v| hash_bytes(v.as_bytes()))
+                .collect()
+        })
+    }
 }
 
 #[cfg(test)]
@@ -73,6 +104,19 @@ mod tests {
         assert_eq!(d.code_of("grape"), None);
         // code order == lexicographic order
         assert!(d.value(0) < d.value(1) && d.value(1) < d.value(2));
+    }
+
+    #[test]
+    fn per_code_hashes_equal_hash_bytes() {
+        let d = Utf8Dict::from_values(vec!["pear", "", "apple", "fig"]);
+        let expected: Vec<u64> = d
+            .values()
+            .iter()
+            .map(|v| hash_bytes(v.as_bytes()))
+            .collect();
+        assert_eq!(d.hashes(), expected);
+        // Building the table does not change what the dictionary equals.
+        assert_eq!(*d, *Utf8Dict::from_values(vec!["", "apple", "fig", "pear"]));
     }
 
     #[test]

@@ -62,10 +62,12 @@ pub fn hash_vector(vector: &Vector, out: &mut [u64], combine_mode: bool) {
             }
         };
     }
-    // Dictionary-backed Utf8 hashes the *decoded* strings so routing and
-    // Bloom probes agree with flat string vectors bit-for-bit.
+    // Dictionary-backed Utf8 takes the hash of the *decoded* string from
+    // the dictionary's per-code table, so routing and Bloom probes agree
+    // with flat string vectors bit-for-bit.
     if let (Some(d), ColumnData::Int64(codes)) = (&vector.dict, &vector.data) {
-        go!(codes, |v: &i64| hash_bytes(d.value(*v as usize).as_bytes()));
+        let table = d.hashes();
+        go!(codes, |v: &i64| table[*v as usize]);
     } else {
         match &vector.data {
             ColumnData::Int64(vals) => go!(vals, |v: &i64| hash_i64(*v)),
@@ -121,7 +123,8 @@ pub fn hash_columns_sel(columns: &[&Vector], sel: Option<&[u32]>, num_rows: usiz
             };
         }
         if let (Some(d), ColumnData::Int64(codes)) = (&col.dict, &col.data) {
-            go!(codes, |v: &i64| hash_bytes(d.value(*v as usize).as_bytes()));
+            let table = d.hashes();
+            go!(codes, |v: &i64| table[*v as usize]);
         } else {
             match &col.data {
                 ColumnData::Int64(vals) => go!(vals, |v: &i64| hash_i64(*v)),

@@ -13,8 +13,8 @@ use crate::optimizer::PlanNode;
 use crate::query::JoinQuery;
 use rpt_common::{DataType, Error, Field, Result, Schema};
 use rpt_exec::{
-    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, RouteMode, SinkSpec, SortKey,
-    SourceSpec,
+    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, RouteMode, ScanProbe, SinkSpec,
+    SortKey, SourceSpec,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
@@ -246,6 +246,24 @@ impl Stream {
     fn position_of(&self, rel: usize, col: usize) -> Option<usize> {
         self.layout.iter().position(|&(r, c)| r == rel && c == col)
     }
+
+    /// ProbeBF on the key at layout positions `key_cols`. While the stream
+    /// is still a bare base scan the probe moves into the scan itself
+    /// (keyed by base-table column), which applies it before decoding the
+    /// output columns and prunes blocks by the filter's key ranges; any
+    /// other stream gets the streaming operator.
+    fn probe_bloom(&mut self, filter_id: usize, key_cols: Vec<usize>) {
+        match &mut self.source {
+            SourceSpec::Scan { probes, .. } if self.ops.is_empty() => probes.push(ScanProbe {
+                filter_id,
+                key_cols: key_cols.iter().map(|&pos| self.layout[pos].1).collect(),
+            }),
+            _ => self.ops.push(OpSpec::ProbeBloom {
+                filter_id,
+                key_cols,
+            }),
+        }
+    }
 }
 
 /// Per-relation state during the transfer phase.
@@ -379,7 +397,7 @@ impl<'q> Planner<'q> {
     /// base-table columns) and projects to the needed columns, so the
     /// stream starts with no operators at all. The scan derives its
     /// zone-map pruning from the filter's literal conjuncts; later transfer
-    /// steps may add Bloom key ranges (see [`Planner::transfer_step`]).
+    /// steps may add Bloom probes (see [`Stream::probe_bloom`]).
     fn base_stream(&self, r: usize) -> Result<RelState> {
         let rel = &self.q.relations[r];
         let filter = rel
@@ -395,7 +413,7 @@ impl<'q> Planner<'q> {
                     table: rel.table.clone(),
                     filter,
                     columns: rel.needed_cols.clone(),
-                    bloom: Vec::new(),
+                    probes: Vec::new(),
                 },
                 ops: Vec::new(),
                 layout,
@@ -570,29 +588,7 @@ impl<'q> Planner<'q> {
                 format!("{dir} createbf {src_name}"),
             )?;
             states[*source].stream = materialized;
-            let probe_keys = tgt_keys.clone();
-            states[*target].stream.ops.push(OpSpec::ProbeBloom {
-                filter_id,
-                key_cols: tgt_keys,
-            });
-            // Zone-map push-down of the transferred predicate: when the
-            // target is still a base scan, record a `(filter, key
-            // position, column)` triple for every probe key that is an
-            // `Int64` base column, so the scan can skip blocks whose key
-            // range is disjoint from the Bloom filter's observed build-key
-            // range at the same position. The ProbeBF op above remains in
-            // the pipeline — pruning only removes blocks it would have
-            // fully rejected anyway.
-            for (key_pos, pos) in probe_keys.into_iter().enumerate() {
-                let (kr, kc) = states[*target].stream.layout[pos];
-                debug_assert_eq!(kr, *target);
-                let key_type = self.q.relations[kr].table.schema.field(kc).data_type;
-                if key_type == DataType::Int64 {
-                    if let SourceSpec::Scan { bloom, .. } = &mut states[*target].stream.source {
-                        bloom.push((filter_id, key_pos, kc));
-                    }
-                }
-            }
+            states[*target].stream.probe_bloom(filter_id, tgt_keys);
         }
         let _ = tgt_name;
         states[*target].reduced = true;
@@ -661,7 +657,7 @@ impl<'q> Planner<'q> {
                 // Bloom filter for SIP into the probe side).
                 let ht = self.new_table();
                 let mut blooms = Vec::new();
-                let mut probe_bf_op = None;
+                let mut probe_bf = None;
                 // BloomJoin only pays for a filter when the build side is
                 // actually selective (some base predicate or an earlier join
                 // reduced it) — the standard SIP heuristic; otherwise the
@@ -683,10 +679,7 @@ impl<'q> Planner<'q> {
                         expected_keys: expected,
                         fpr: self.opts.bloom_fpr,
                     });
-                    probe_bf_op = Some(OpSpec::ProbeBloom {
-                        filter_id,
-                        key_cols: probe_keys.clone(),
-                    });
+                    probe_bf = Some(filter_id);
                 }
                 let schema = self.stream_schema(&build_stream);
                 let build_label = format!("build {}", build_stream.label);
@@ -706,8 +699,8 @@ impl<'q> Planner<'q> {
 
                 // Extend the probe stream.
                 let mut out = probe_stream;
-                if let Some(op) = probe_bf_op {
-                    out.ops.push(op);
+                if let Some(filter_id) = probe_bf {
+                    out.probe_bloom(filter_id, probe_keys.clone());
                 }
                 out.ops.push(OpSpec::JoinProbe {
                     ht_id: ht,

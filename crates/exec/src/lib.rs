@@ -49,7 +49,8 @@ pub use operators::{
     Source,
 };
 pub use pipeline::{
-    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, SinkSpec, SourceSpec,
+    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, ScanProbe, SinkSpec,
+    SourceSpec,
 };
 pub use scheduler::{run_dag, NodeDeps, SchedulerStats};
 pub use wcoj::{generic_join, WcojRelation};

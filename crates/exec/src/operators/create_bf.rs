@@ -65,12 +65,10 @@ pub fn insert_into_blooms(chunk: &DataChunk, blooms: &mut [BloomBuild], ctx: &Ex
     let m = &ctx.metrics;
     let t0 = Instant::now();
     for build in blooms.iter_mut() {
-        let hashes = key_hashes(chunk, &build.spec.key_cols);
-        for h in hashes {
-            if h != u64::MAX {
-                build.filter.insert_hash(h);
-            }
-        }
+        let mut hashes = key_hashes(chunk, &build.spec.key_cols);
+        // NULL keys match nothing, so they are never inserted.
+        hashes.retain(|&h| h != u64::MAX);
+        build.filter.insert_hashes(&hashes);
         observe_i64_key_ranges(chunk, build);
     }
     m.add(&m.bloom_nanos, t0.elapsed().as_nanos() as u64);
@@ -87,7 +85,8 @@ pub fn insert_into_blooms(chunk: &DataChunk, blooms: &mut [BloomBuild], ctx: &Ex
 /// Dictionary-backed vectors are skipped: their `Int64` payload holds
 /// codes, not values.
 fn observe_i64_key_ranges(chunk: &DataChunk, build: &mut BloomBuild) {
-    for (pos, &col) in build.spec.key_cols.clone().iter().enumerate() {
+    let BloomBuild { spec, filter } = build;
+    for (pos, &col) in spec.key_cols.iter().enumerate() {
         let v = &chunk.columns[col];
         if v.is_dict() {
             continue;
@@ -95,16 +94,20 @@ fn observe_i64_key_ranges(chunk: &DataChunk, build: &mut BloomBuild) {
         let ColumnData::Int64(vals) = &v.data else {
             continue;
         };
-        let mut bounds: Option<(i64, i64)> = None;
-        for i in 0..chunk.num_rows() {
-            let p = chunk.physical_index(i);
-            if v.is_valid(p) {
-                let x = vals[p];
-                bounds = Some(bounds.map_or((x, x), |(a, b)| (a.min(x), b.max(x))));
-            }
-        }
+        let widen = |bounds: Option<(i64, i64)>, x: i64| {
+            Some(bounds.map_or((x, x), |(a, b)| (a.min(x), b.max(x))))
+        };
+        let bounds = if chunk.selection.is_none() && v.validity.is_none() {
+            vals.iter().copied().fold(None, widen)
+        } else {
+            (0..chunk.num_rows())
+                .map(|i| chunk.physical_index(i))
+                .filter(|&p| v.is_valid(p))
+                .map(|p| vals[p])
+                .fold(None, widen)
+        };
         if let Some((lo, hi)) = bounds {
-            build.filter.observe_key_range_at(pos, lo, hi);
+            filter.observe_key_range_at(pos, lo, hi);
         }
     }
 }

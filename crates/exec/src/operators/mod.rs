@@ -36,7 +36,7 @@ pub use hash_build::HashBuildSink;
 pub use join_probe::JoinProbe;
 pub use probe_bloom::ProbeBloom;
 pub use project::Project;
-pub use scan::{BufferScan, TableScan};
+pub use scan::{BufferScan, ScanProbe, TableScan};
 pub use semi_probe::SemiProbe;
 pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 

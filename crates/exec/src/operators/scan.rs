@@ -1,12 +1,15 @@
 //! Scan sources: the fused late-materializing table scan (zone-map block
-//! pruning, filter first, decode the rest for the surviving rows only) and
-//! buffer re-scans.
+//! pruning, selection first — predicate, then transferred Bloom filters —
+//! and only then decode the rest, for the surviving rows) and buffer
+//! re-scans.
 
+use super::probe_bloom::probe_selection;
 use super::{ChunkList, Morsels, ResourceId, Resources, Source};
 use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
+use rpt_bloom::BloomFilter;
 use rpt_common::chunk::VECTOR_SIZE;
-use rpt_common::{DataChunk, Result, Vector};
+use rpt_common::{DataChunk, DataType, Result, Vector};
 use rpt_storage::{BlockTable, Table, ZoneMap};
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -31,14 +34,28 @@ struct ScanFilter {
     utf8_conjuncts: Vec<(usize, CmpOp, String)>,
 }
 
+/// A transferred Bloom filter probed inside the scan (a scan-resident
+/// ProbeBF): rows whose key misses filter `filter_id` never leave the scan.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScanProbe {
+    pub filter_id: usize,
+    /// Base-table columns forming the probe key, in key order.
+    pub key_cols: Vec<usize>,
+}
+
 /// Scan an in-memory columnar table in `VECTOR_SIZE`-row morsels, with the
-/// relation's predicate and projection fused in.
+/// relation's predicate, its transferred Bloom filters and its projection
+/// fused in.
 ///
-/// Opening resolves transferred Bloom key ranges and prunes blocks by zone
-/// map; nothing is decoded. Each morsel then decodes only the predicate's
-/// columns, evaluates the predicate to a selection, gives up on the block
-/// when nothing survives, and only then decodes the output columns — for
-/// the selected rows — into a flat chunk in `output` order.
+/// Opening resolves every probe's filter (published before the scan may
+/// open — they are in `reads()`) and, from the filters' tracked key
+/// ranges, prunes blocks by zone map; nothing is decoded. Each morsel then
+/// runs its *selection phase* — decode the predicate's columns and evaluate
+/// it to a selection; for each probe in plan order decode the key columns
+/// not decoded yet, hash them through the selection and narrow it with the
+/// filter — giving up on the block as soon as nothing survives, and only
+/// then decodes the remaining output columns, for the selected rows, into
+/// a flat chunk in `output` order.
 ///
 /// With `ctx.storage_encoding` on, columns come from the table's
 /// block-encoded form (dictionary-coded `Utf8` columns as dictionary-backed
@@ -49,13 +66,13 @@ pub struct TableScan {
     filter: Option<ScanFilter>,
     /// Base-table columns emitted, in output order.
     output: Vec<usize>,
-    /// `(filter_id, key_pos, col)` triples: transferred Bloom filters
-    /// probed on base column `col` (the `key_pos`-th probe key) downstream
-    /// of this scan. When the published filter tracked a raw key range at
-    /// that position, blocks of all-valid rows disjoint from it cannot
-    /// contain a true semi-join match and are skipped — multi-column join
-    /// keys contribute one independent range per position.
-    bloom: Vec<(usize, usize, usize)>,
+    /// Transferred Bloom filters, probed in this order after the predicate.
+    /// Every `Int64` key column also prunes: when the published filter
+    /// tracked a raw key range at that key position, blocks of all-valid
+    /// rows disjoint from it cannot contain a true semi-join match and are
+    /// skipped — multi-column join keys contribute one independent range
+    /// per position.
+    probes: Vec<ScanProbe>,
 }
 
 impl TableScan {
@@ -65,13 +82,13 @@ impl TableScan {
         TableScan::fused(table, None, output, Vec::new())
     }
 
-    /// The rows passing `filter` (over base-table column indices),
-    /// projected to `output`, minus blocks the `bloom` key ranges rule out.
+    /// The rows passing `filter` (over base-table column indices) and every
+    /// filter of `probes`, projected to `output`.
     pub fn fused(
         table: Arc<Table>,
         filter: Option<&Expr>,
         output: Vec<usize>,
-        bloom: Vec<(usize, usize, usize)>,
+        probes: Vec<ScanProbe>,
     ) -> TableScan {
         let filter = filter.map(|f| {
             let mut cols = BTreeSet::new();
@@ -95,7 +112,7 @@ impl TableScan {
             table,
             filter,
             output,
-            bloom,
+            probes,
         }
     }
 
@@ -165,19 +182,30 @@ impl TableScan {
 
 impl Source for TableScan {
     fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
+        let filters: Vec<Arc<BloomFilter>> = self
+            .probes
+            .iter()
+            .map(|p| res.filter(p.filter_id))
+            .collect::<Result<_>>()?;
         if !ctx.storage_encoding {
             return Ok(Box::new(ScanMorsels {
                 scan: self,
                 layout: Layout::Flat,
+                filters,
             }));
         }
         let enc = self.table.encoded();
-        // Resolve transferred key ranges once per scan; filters named here
-        // are in `reads()`, so they are published before the scan opens.
-        let mut bloom_ranges = Vec::with_capacity(self.bloom.len());
-        for &(filter_id, key_pos, col) in &self.bloom {
-            if let Some((lo, hi)) = res.filter(filter_id)?.key_range_at(key_pos) {
-                bloom_ranges.push((col, lo, hi));
+        // `(col, lo, hi)`: the raw key range each filter tracked, per
+        // `Int64` key column.
+        let mut bloom_ranges = Vec::new();
+        for (probe, filter) in self.probes.iter().zip(&filters) {
+            for (key_pos, &col) in probe.key_cols.iter().enumerate() {
+                if self.table.schema.field(col).data_type != DataType::Int64 {
+                    continue;
+                }
+                if let Some((lo, hi)) = filter.key_range_at(key_pos) {
+                    bloom_ranges.push((col, lo, hi));
+                }
             }
         }
         let blocks: Vec<usize> = (0..enc.num_blocks())
@@ -194,14 +222,15 @@ impl Source for TableScan {
         Ok(Box::new(ScanMorsels {
             scan: self,
             layout: Layout::Blocks { enc, blocks },
+            filters,
         }))
     }
 
     fn reads(&self) -> Vec<ResourceId> {
         let mut ids: Vec<ResourceId> = self
-            .bloom
+            .probes
             .iter()
-            .map(|&(filter_id, _, _)| ResourceId::Filter(filter_id))
+            .map(|p| ResourceId::Filter(p.filter_id))
             .collect();
         ids.sort();
         ids.dedup();
@@ -224,6 +253,8 @@ enum Layout {
 struct ScanMorsels<'a> {
     scan: &'a TableScan,
     layout: Layout,
+    /// The published filter of each of `scan.probes`, resolved at `open`.
+    filters: Vec<Arc<BloomFilter>>,
 }
 
 impl ScanMorsels<'_> {
@@ -272,9 +303,11 @@ impl Morsels for ScanMorsels<'_> {
             m.add(&m.blocks_scanned, 1);
         }
 
-        // Filter first: decode the predicate's columns, keep its selection.
+        // Selection phase. `decoded` holds the whole-morsel columns decoded
+        // so far, by base column; `sel` (morsel-local rows, `None` = all)
+        // is what survives.
         let mut sel: Option<Vec<u32>> = None;
-        let mut decoded: Vec<Option<Vector>> = Vec::new();
+        let mut decoded: Vec<(usize, Vector)> = Vec::new();
         if let Some(f) = &self.scan.filter {
             let chunk = DataChunk::new(f.cols.iter().map(|&c| self.column(c, i, None)).collect());
             let keep = f.pred.select(&chunk)?;
@@ -284,24 +317,43 @@ impl Morsels for ScanMorsels<'_> {
             if keep.len() < rows {
                 sel = Some(keep);
             }
-            decoded = chunk.columns.into_iter().map(Some).collect();
+            decoded = f.cols.iter().copied().zip(chunk.columns).collect();
+        }
+        for (probe, filter) in self.scan.probes.iter().zip(&self.filters) {
+            let keys: Vec<usize> = probe
+                .key_cols
+                .iter()
+                .map(|&c| {
+                    let at = decoded.iter().position(|(d, _)| *d == c);
+                    at.unwrap_or_else(|| {
+                        decoded.push((c, self.column(c, i, None)));
+                        decoded.len() - 1
+                    })
+                })
+                .collect();
+            let keys: Vec<&Vector> = keys.iter().map(|&k| &decoded[k].1).collect();
+            let n = sel.as_ref().map_or(rows, Vec::len);
+            let keep = probe_selection(filter, &keys, sel.as_deref(), n, m);
+            if keep.is_empty() {
+                return Ok(None);
+            }
+            if keep.len() < rows {
+                sel = Some(keep);
+            }
         }
 
         // Then materialize the output columns for the surviving rows,
-        // reusing what the predicate already decoded.
+        // reusing what the selection phase already decoded.
         let sel = sel.as_deref();
         let columns = self
             .scan
             .output
             .iter()
             .map(|&c| {
-                let reused = self.scan.filter.as_ref().and_then(|f| {
-                    let k = f.cols.binary_search(&c).ok()?;
-                    decoded[k].take()
-                });
+                let reused = decoded.iter().position(|(d, _)| *d == c);
                 match (reused, sel) {
-                    (Some(v), None) => v,
-                    (Some(v), Some(sel)) => v.take(sel),
+                    (Some(k), None) => decoded.swap_remove(k).1,
+                    (Some(k), Some(sel)) => decoded[k].1.take(sel),
                     (None, _) => self.column(c, i, sel),
                 }
             })

@@ -31,24 +31,25 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 
 pub use crate::operators::create_bf::BloomSink;
+pub use crate::operators::scan::ScanProbe;
 
 /// Where a pipeline reads its chunks from.
 #[derive(Clone)]
 pub enum SourceSpec {
     /// Scan every column of every row of an in-memory table.
     Table(Arc<Table>),
-    /// The fused base-relation scan: the relation's pushed-down predicate
-    /// and projection run inside the scan morsel, filter first (see
-    /// [`TableScan`]).
+    /// The fused base-relation scan: the relation's pushed-down predicate,
+    /// its transferred Bloom filters and its projection run inside the scan
+    /// morsel, selection first (see [`TableScan`]).
     Scan {
         table: Arc<Table>,
         /// Pushed-down predicate over base-table column indices.
         filter: Option<Expr>,
         /// Base-table columns emitted, in output order.
         columns: Vec<usize>,
-        /// `(filter_id, key_pos, col)`: transferred Bloom filters whose
-        /// key range on base column `col` can rule out whole blocks.
-        bloom: Vec<(usize, usize, usize)>,
+        /// Scan-resident ProbeBFs, applied in order after `filter`; their
+        /// key ranges also rule out whole blocks.
+        probes: Vec<ScanProbe>,
     },
     /// Read the materialized output of an earlier pipeline (e.g. a
     /// `CreateBF` buffer acting as a source).
@@ -64,12 +65,12 @@ impl SourceSpec {
                 table,
                 filter,
                 columns,
-                bloom,
+                probes,
             } => Box::new(TableScan::fused(
                 table.clone(),
                 filter.as_ref(),
                 columns.clone(),
-                bloom.clone(),
+                probes.clone(),
             )),
             SourceSpec::Buffer(id) => Box::new(BufferScan::new(*id)),
         }
@@ -83,7 +84,8 @@ pub enum OpSpec {
     Filter(Expr),
     /// Replace the chunk with evaluated expressions (flattens).
     Project(Vec<Expr>),
-    /// ProbeBF: drop rows whose key misses the Bloom filter.
+    /// ProbeBF on a stream that no longer starts at a bare scan: drop rows
+    /// whose key misses the Bloom filter.
     ProbeBloom {
         filter_id: usize,
         key_cols: Vec<usize>,

@@ -159,9 +159,11 @@ impl SpillBuffer {
         self
     }
 
-    /// Append a chunk (flattens it first so spilled bytes are exact).
-    pub fn push(&mut self, chunk: DataChunk) -> Result<()> {
-        let flat = chunk.flattened();
+    /// Append a chunk (flattens it first so spilled bytes are exact; a
+    /// chunk with no selection is stored as it came, not copied).
+    pub fn push(&mut self, mut chunk: DataChunk) -> Result<()> {
+        chunk.flatten();
+        let flat = chunk;
         if flat.num_rows() == 0 {
             return Ok(());
         }

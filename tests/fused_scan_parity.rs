@@ -3,16 +3,19 @@
 //! base relation of every corpus query, `SourceSpec::Scan` (filter and
 //! projection inside the scan morsel) must emit exactly the rows — in
 //! order — of `SourceSpec::Table` → `OpSpec::Filter` → `OpSpec::Project`,
-//! under both storage layouts.
+//! under both storage layouts; and with scan-resident Bloom probes, the
+//! rows and probe counters of the same composition with one
+//! `OpSpec::ProbeBloom` per probe.
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{ScalarValue, Schema, Vector};
-use rpt_core::Database;
+use rpt_core::{Database, Mode, Planner, QueryOptions};
+use rpt_exec::operators::TableScan;
 use rpt_exec::{
-    CmpOp, ExecContext, Executor, Expr, MetricsSummary, OpSpec, PipelinePlan, RouteMode, SinkSpec,
-    SourceSpec,
+    BloomSink, CmpOp, ExecContext, Executor, Expr, MetricsSummary, OpSpec, PipelinePlan, RouteMode,
+    ScanProbe, SinkSpec, Source, SourceSpec,
 };
 use rpt_storage::Table;
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
@@ -20,73 +23,19 @@ use std::sync::Arc;
 
 type Rows = Vec<Vec<ScalarValue>>;
 
-/// Run `source → ops → collect` single-threaded, unpartitioned (so buffer
-/// order is scan order) and return the collected rows plus the metrics.
+/// `source → ops → collect` with no transferred filter.
 fn collect(
     source: SourceSpec,
     ops: Vec<OpSpec>,
     schema: Schema,
     encoded: bool,
 ) -> (Rows, MetricsSummary) {
-    let ctx = ExecContext::new()
-        .with_threads(1)
-        .with_partitions(1)
-        .with_storage_encoding(encoded);
-    let mut exec = Executor::new(ctx, 1, 0, 0);
-    let plan = PipelinePlan {
-        label: "collect".into(),
-        source,
-        ops,
-        sink: SinkSpec::Buffer {
-            buf_id: 0,
-            blooms: vec![],
-        },
-        intermediate: false,
-        route: RouteMode::Radix,
-        sink_schema: schema,
-    };
-    exec.run(&[plan]).expect("pipeline runs");
-    let rows = exec
-        .buffer(0)
-        .expect("output buffer")
-        .iter()
-        .flat_map(|c| c.rows())
-        .collect();
-    (rows, exec.ctx.metrics.summary())
+    collect_probed(&[], source, ops, schema, encoded)
 }
 
 /// Fused scan vs the unfused reference composition, both layouts.
 fn assert_parity(table: &Arc<Table>, filter: Option<&Expr>, columns: &[usize], what: &str) {
-    let schema = Schema::new(
-        columns
-            .iter()
-            .map(|&c| table.schema.field(c).clone())
-            .collect(),
-    );
-    let mut reference_ops: Vec<OpSpec> = filter
-        .iter()
-        .map(|f| OpSpec::Filter((*f).clone()))
-        .collect();
-    reference_ops.push(OpSpec::Project(
-        columns.iter().map(|&c| Expr::Column(c)).collect(),
-    ));
-    for encoded in [true, false] {
-        let fused = SourceSpec::Scan {
-            table: table.clone(),
-            filter: filter.cloned(),
-            columns: columns.to_vec(),
-            bloom: vec![],
-        };
-        let (got, _) = collect(fused, vec![], schema.clone(), encoded);
-        let (want, _) = collect(
-            SourceSpec::Table(table.clone()),
-            reference_ops.clone(),
-            schema.clone(),
-            encoded,
-        );
-        assert_eq!(got.len(), want.len(), "{what} encoded={encoded}: row count");
-        assert!(got == want, "{what} encoded={encoded}: rows differ");
-    }
+    assert_probe_parity(table, filter, columns, &[], what);
 }
 
 fn database_for(w: &Workload) -> Database {
@@ -122,6 +71,47 @@ fn corpus_base_relations_scan_identically() {
         }
     }
     assert!(relations > 150, "only {relations} base relations covered");
+}
+
+/// Plan shape of the whole corpus under RPT: a ProbeBF whose stream still
+/// starts at a base scan lives in the scan, so the streaming operator only
+/// ever follows a buffer source (backward pass, join phase) — and both
+/// forms occur.
+#[test]
+fn corpus_rpt_plans_probe_base_relations_inside_the_scan() {
+    let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
+    let (mut queries, mut resident, mut streaming) = (0, 0, 0);
+    for w in [tpch(0.2, 42), job(0.2, 5), tpcds(0.2, 7), dsb(0.2, 9)] {
+        let db = database_for(&w);
+        for q in &w.queries {
+            let bound = db.bind_sql(&q.sql).expect("corpus query binds");
+            let order = db.choose_order(&bound, &opts).expect("order chosen");
+            let plan = Planner::new(&bound, &opts)
+                .compile(&order.plan())
+                .expect("corpus query compiles");
+            queries += 1;
+            for p in &plan.pipelines {
+                let probe_ops = p
+                    .ops
+                    .iter()
+                    .filter(|op| matches!(op, OpSpec::ProbeBloom { .. }))
+                    .count();
+                match &p.source {
+                    SourceSpec::Buffer(_) => streaming += probe_ops,
+                    SourceSpec::Scan { probes, .. } => {
+                        assert_eq!(probe_ops, 0, "{} {}: {}", w.name, q.id, p.label);
+                        resident += probes.len();
+                    }
+                    SourceSpec::Table(_) => assert_eq!(probe_ops, 0, "{} {}", w.name, q.id),
+                }
+            }
+        }
+    }
+    assert_eq!(queries, 64);
+    assert!(
+        resident > 0 && streaming > 0,
+        "{resident} resident, {streaming} streaming"
+    );
 }
 
 const WORDS: [&str; 6] = ["ring", "ringer", "sing", "", "bring", "zebra"];
@@ -327,7 +317,7 @@ fn unprunable_block_with_no_survivors_is_skipped_after_the_filter() {
         table: table.clone(),
         filter: Some(filter),
         columns: vec![1],
-        bloom: vec![],
+        probes: vec![],
     };
     let schema = Schema::new(vec![table.schema.field(1).clone()]);
     let (rows, m) = collect(fused, vec![], schema, true);
@@ -342,4 +332,293 @@ fn unprunable_block_with_no_survivors_is_skipped_after_the_filter() {
     assert_eq!(m.blocks_scanned, 3);
     assert_eq!(m.scan_rows, n as u64);
     assert_eq!(m.output_rows, 2);
+}
+
+// ---- Scan-resident Bloom probes ----
+
+/// The build side of a transfer: a table of the probe keys to keep.
+fn key_table(cols: Vec<Vector>) -> Arc<Table> {
+    let schema = Schema::new(
+        cols.iter()
+            .enumerate()
+            .map(|(i, v)| rpt_common::Field::new(format!("k{i}"), v.data_type()))
+            .collect(),
+    );
+    Arc::new(Table::new("keys", schema, cols).expect("valid key table"))
+}
+
+/// A transferred filter for the parity harness: built over all columns of
+/// `keys` (in order), probed on base columns `on` of the scanned table.
+struct Transfer {
+    keys: Arc<Table>,
+    on: Vec<usize>,
+}
+
+/// One CreateBF pipeline per transfer: filter `i` (and buffer `i`) from
+/// `transfers[i]`.
+fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
+    transfers
+        .iter()
+        .enumerate()
+        .map(|(i, t)| PipelinePlan {
+            label: format!("createbf {i}"),
+            source: SourceSpec::Table(t.keys.clone()),
+            ops: vec![],
+            sink: SinkSpec::Buffer {
+                buf_id: i,
+                blooms: vec![BloomSink {
+                    filter_id: i,
+                    key_cols: (0..t.keys.num_columns()).collect(),
+                    expected_keys: t.keys.num_rows().max(1),
+                    fpr: 0.02,
+                }],
+            },
+            intermediate: true,
+            route: RouteMode::Radix,
+            sink_schema: t.keys.schema.clone(),
+        })
+        .collect()
+}
+
+fn probe_ctx(encoded: bool) -> ExecContext {
+    ExecContext::new()
+        .with_threads(1)
+        .with_partitions(1)
+        .with_storage_encoding(encoded)
+}
+
+/// Build the filters of `transfers`, then run `source → ops → collect`,
+/// single-threaded and unpartitioned (so buffer order is scan order), and
+/// return the collected rows plus the metrics.
+fn collect_probed(
+    transfers: &[Transfer],
+    source: SourceSpec,
+    ops: Vec<OpSpec>,
+    schema: Schema,
+    encoded: bool,
+) -> (Rows, MetricsSummary) {
+    let out = transfers.len();
+    let mut exec = Executor::new(probe_ctx(encoded), out + 1, out, 0);
+    let mut plans = createbf_plans(transfers);
+    plans.push(PipelinePlan {
+        label: "collect".into(),
+        source,
+        ops,
+        sink: SinkSpec::Buffer {
+            buf_id: out,
+            blooms: vec![],
+        },
+        intermediate: false,
+        route: RouteMode::Radix,
+        sink_schema: schema,
+    });
+    exec.run(&plans).expect("pipelines run");
+    let rows = exec
+        .buffer(out)
+        .expect("output buffer")
+        .iter()
+        .flat_map(|c| c.rows())
+        .collect();
+    (rows, exec.ctx.metrics.summary())
+}
+
+/// A scan with resident probes vs `Table` → `Filter` → `ProbeBloom`… →
+/// `Project`: the same rows in the same order and the same probe
+/// counters, under both layouts. Returns the encoded run's metrics.
+fn assert_probe_parity(
+    table: &Arc<Table>,
+    filter: Option<&Expr>,
+    columns: &[usize],
+    transfers: &[Transfer],
+    what: &str,
+) -> MetricsSummary {
+    let schema = Schema::new(
+        columns
+            .iter()
+            .map(|&c| table.schema.field(c).clone())
+            .collect(),
+    );
+    let mut reference_ops: Vec<OpSpec> = filter
+        .iter()
+        .map(|f| OpSpec::Filter((*f).clone()))
+        .collect();
+    reference_ops.extend(
+        transfers
+            .iter()
+            .enumerate()
+            .map(|(i, t)| OpSpec::ProbeBloom {
+                filter_id: i,
+                key_cols: t.on.clone(),
+            }),
+    );
+    reference_ops.push(OpSpec::Project(
+        columns.iter().map(|&c| Expr::Column(c)).collect(),
+    ));
+    let mut encoded_metrics = None;
+    for encoded in [true, false] {
+        let fused = SourceSpec::Scan {
+            table: table.clone(),
+            filter: filter.cloned(),
+            columns: columns.to_vec(),
+            probes: transfers
+                .iter()
+                .enumerate()
+                .map(|(i, t)| ScanProbe {
+                    filter_id: i,
+                    key_cols: t.on.clone(),
+                })
+                .collect(),
+        };
+        let (got, gm) = collect_probed(transfers, fused, vec![], schema.clone(), encoded);
+        let (want, wm) = collect_probed(
+            transfers,
+            SourceSpec::Table(table.clone()),
+            reference_ops.clone(),
+            schema.clone(),
+            encoded,
+        );
+        assert_eq!(got.len(), want.len(), "{what} encoded={encoded}: row count");
+        assert!(got == want, "{what} encoded={encoded}: rows differ");
+        assert_eq!(
+            (gm.bloom_probe_in, gm.bloom_probe_out),
+            (wm.bloom_probe_in, wm.bloom_probe_out),
+            "{what} encoded={encoded}: probe counters"
+        );
+        if encoded {
+            encoded_metrics = Some(gm);
+        }
+    }
+    encoded_metrics.expect("encoded leg ran")
+}
+
+/// Column `col` of `table`, rows `rows` (NULLs included), as a key column.
+fn sample(table: &Table, col: usize, rows: &[usize]) -> Vector {
+    let idx: Vec<u32> = rows.iter().map(|&r| r as u32).collect();
+    table.column(col).take(&idx)
+}
+
+/// A column of distinct strings: a selective string key. Like `WORD` it is
+/// dictionary-coded in the block layout and flat `Utf8` in the raw one, so
+/// the two legs of every case cover both forms.
+const TAG: usize = NUM_COLS;
+
+fn with_tag_column(t: &Table, rng: &mut TestRng) -> Arc<Table> {
+    let n = t.num_rows();
+    let mut fields = t.schema.fields.clone();
+    fields.push(rpt_common::Field::new("tag", rpt_common::DataType::Utf8));
+    let mut columns: Vec<Vector> = (0..NUM_COLS).map(|c| t.column(c).clone()).collect();
+    columns.push(nullable(
+        Vector::from_utf8((0..n).map(|i| format!("tag-{i}")).collect()),
+        rng,
+    ));
+    Arc::new(Table::new("t", Schema::new(fields), columns).expect("valid table"))
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// Random tables × predicates × projections × one or two transferred
+    /// filters over Int64, dictionary-Utf8, flat-Utf8 and composite keys
+    /// (NULL keys on both sides; the second probe shares a key column with
+    /// the first; keys may be predicate columns and need not be output).
+    #[test]
+    fn random_probed_scans_match_the_unfused_composition(seed in 0u64..u64::MAX) {
+        let mut rng = TestRng::from_name(&format!("fused-scan-probes-{seed}"));
+        let table = with_tag_column(&random_table(&mut rng), &mut rng);
+        let n = table.num_rows();
+        let filter = rng.gen_bool().then(|| random_filter(&mut rng, n as i64, 2));
+        let mut columns: Vec<usize> = (0..=NUM_COLS).filter(|_| rng.gen_bool()).collect();
+        if columns.is_empty() {
+            columns.push(rng.below(NUM_COLS as u64) as usize);
+        }
+        let on: Vec<usize> = match rng.below(6) {
+            0 => vec![CLUSTERED],
+            1 => vec![WORD],
+            2 => vec![TAG],
+            3 => vec![SMALL, WORD],
+            4 => vec![WORD, FLOAT, FLAG],
+            _ => vec![CLUSTERED, TAG],
+        };
+        // Keys of a few hundred sampled rows: most blocks keep a handful.
+        let picks: Vec<usize> = (0..1 + rng.below(300)).map(|_| rng.below(n as u64) as usize).collect();
+        let mut transfers = vec![Transfer {
+            keys: key_table(on.iter().map(|&c| sample(&table, c, &picks)).collect()),
+            on: on.clone(),
+        }];
+        if rng.gen_bool() {
+            // A second filter on the first one's leading key column.
+            let picks: Vec<usize> = (0..1 + rng.below(2000)).map(|_| rng.below(n as u64) as usize).collect();
+            transfers.push(Transfer {
+                keys: key_table(vec![sample(&table, on[0], &picks)]),
+                on: vec![on[0]],
+            });
+        }
+        let what = format!("{filter:?} probes {on:?} x{} -> {columns:?}", transfers.len());
+        let m = assert_probe_parity(&table, filter.as_ref(), &columns, &transfers, &what);
+        prop_assert!(m.bloom_probe_out <= m.bloom_probe_in);
+    }
+}
+
+/// A block no zone map can prune — the filter tracked no key range for a
+/// string key — whose every row the filter rejects is decoded for the key
+/// column only, then skipped: scanned, probed, contributing no rows.
+#[test]
+fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
+    let n = VECTOR_SIZE * 3;
+    let table = Arc::new(
+        Table::new(
+            "t",
+            Schema::new(vec![
+                rpt_common::Field::new("k", rpt_common::DataType::Utf8),
+                rpt_common::Field::new("payload", rpt_common::DataType::Int64),
+            ]),
+            vec![
+                Vector::from_utf8((0..n).map(|i| format!("key-{i}")).collect()),
+                Vector::from_i64((0..n as i64).collect()),
+            ],
+        )
+        .expect("valid table"),
+    );
+    // One surviving key in block 0, one in block 2, none in block 1.
+    let wanted = [7, n - 3];
+    let transfers = [Transfer {
+        keys: key_table(vec![Vector::from_utf8(
+            wanted.iter().map(|i| format!("key-{i}")).collect(),
+        )]),
+        on: vec![0],
+    }];
+    let m = assert_probe_parity(&table, None, &[1], &transfers, "rejected block");
+    assert_eq!(m.blocks_pruned, 0, "no key range to prune a Utf8 key by");
+    assert_eq!(m.blocks_scanned, 3 + 1, "every block of `t`, one of `keys`");
+    assert_eq!(m.bloom_probe_in, n as u64);
+    // Two true matches plus whatever the 2% false-positive rate lets by.
+    assert!((2..n as u64 / 10).contains(&m.bloom_probe_out), "{m:?}");
+    assert_eq!(m.output_rows, m.bloom_probe_out);
+
+    // The same rejection seen at the source: morsel 1 yields no chunk.
+    let mut exec = Executor::new(probe_ctx(true), 1, 1, 0);
+    exec.run(&createbf_plans(&transfers))
+        .expect("createbf runs");
+    let scan = TableScan::fused(
+        table,
+        None,
+        vec![1],
+        vec![ScanProbe {
+            filter_id: 0,
+            key_cols: vec![0],
+        }],
+    );
+    let morsels = scan.open(&exec.ctx, exec.resources()).expect("scan opens");
+    assert_eq!(morsels.count(), 3);
+    let survivors: Vec<Option<usize>> = (0..3)
+        .map(|i| {
+            let chunk = morsels.morsel(i, &exec.ctx).expect("morsel decodes");
+            chunk.map(|c| c.num_rows())
+        })
+        .collect();
+    assert!(
+        survivors[0] >= Some(1) && survivors[2] >= Some(1),
+        "{survivors:?}"
+    );
+    assert_eq!(survivors[1], None, "block 1 holds no wanted key");
 }

@@ -9,11 +9,13 @@
 //! edge, a flipped distribution claim, a `Preserve` route on an ineligible
 //! pipeline, an orphaned output buffer, a dropped writer claim — must each
 //! be rejected with the expected stable rule id (`D6`, `P2`, `P1`, `D5`,
-//! `S1`), proving the rule families fire independently.
+//! `S1`), proving the rule families fire independently. A Bloom filter
+//! probed *inside* a scan is a dependency like any other: dropping it from
+//! the scan pipeline's reads (`D6`) or losing its writer (`D2`) is caught.
 
 use proptest::prelude::*;
 use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions, SchedulerKind};
-use rpt_exec::{RouteMode, SinkSpec, SourceSpec, VerifyMode};
+use rpt_exec::{ResourceId, RouteMode, SinkSpec, SourceSpec, VerifyMode};
 use rpt_workloads::{tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
@@ -187,6 +189,50 @@ fn mutation_dropped_dep_edge_is_reads_divergence() {
     plan.deps[i].reads.clear();
     let ids = rule_ids(&plan);
     assert!(ids.contains(&"D6"), "expected D6, got {ids:?}");
+}
+
+/// The read set of a fused scan comes from its resident probes: a plan
+/// that forgets one (so the scan could open before the filter exists), or
+/// whose filter has lost its writer, is rejected at that pipeline.
+#[test]
+fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
+    for pc in [1usize, 8] {
+        let healthy = healthy_plan(pc, true);
+        let (scan, filter) = healthy
+            .pipelines
+            .iter()
+            .enumerate()
+            .find_map(|(i, p)| match &p.source {
+                SourceSpec::Scan { probes, .. } => {
+                    Some((i, ResourceId::Filter(probes.first()?.filter_id)))
+                }
+                _ => None,
+            })
+            .expect("an RPT plan probes some base scan");
+        assert!(healthy.deps[scan].reads.contains(&filter));
+
+        let mut plan = healthy_plan(pc, true);
+        plan.deps[scan].reads.retain(|g| *g != filter);
+        let errors = plan.verify().errors;
+        assert!(
+            errors
+                .iter()
+                .any(|e| e.rule.id() == "D6" && e.pipeline == Some(scan)),
+            "pc={pc}: expected D6 at pipeline {scan}, got {errors:?}"
+        );
+
+        let mut plan = healthy_plan(pc, true);
+        for d in &mut plan.deps {
+            d.writes.retain(|g| *g != filter);
+        }
+        let errors = plan.verify().errors;
+        assert!(
+            errors.iter().any(|e| e.rule.id() == "D2"
+                && e.pipeline == Some(scan)
+                && e.grain == Some(filter)),
+            "pc={pc}: expected D2 on {filter:?} at pipeline {scan}, got {errors:?}"
+        );
+    }
 }
 
 #[test]

@@ -1,7 +1,8 @@
 //! `cargo xtask lint` — std-only workspace lint (no external deps).
 //!
-//! Three token-scan rules, all scoped to hot execution paths where a panic
-//! or a silent counter wrap would take down or corrupt a query:
+//! Four token-scan rules; the first three are scoped to hot execution
+//! paths where a panic or a silent counter wrap would take down or corrupt
+//! a query:
 //!
 //! * **A (no-panic operators):** no `.unwrap()` / `.expect(` in
 //!   `crates/exec/src/operators/`, `crates/exec/src/expr.rs` (the
@@ -19,6 +20,9 @@
 //!   outside its declaring file (someone increments it) and referenced in
 //!   test code (a `tests/` directory or a `#[cfg(test)]` region) so a
 //!   regression to zero is caught.
+//! * **D (argued unsafe):** the `unsafe` keyword may appear only in
+//!   `crates/bloom/src/filter.rs` (the AVX2 dispatch of the Bloom kernels),
+//!   and only directly under a `// SAFETY:` comment.
 //!
 //! Findings can be suppressed via `xtask/lint-allow.txt` (`RULE path[:line]`
 //! entries); the file starts — and should stay — empty.
@@ -67,6 +71,7 @@ fn lint(root: PathBuf) -> ExitCode {
     findings.extend(rule_a(&root));
     findings.extend(rule_b(&root));
     findings.extend(rule_c(&root));
+    findings.extend(rule_d(&root));
 
     let mut failed = 0usize;
     for f in &findings {
@@ -408,6 +413,63 @@ fn rule_c(root: &Path) -> Vec<Finding> {
     findings
 }
 
+// ---- Rule D: unsafe only where it is argued for ----
+
+const RULE_D_FILE: &str = "crates/bloom/src/filter.rs";
+
+fn rule_d(root: &Path) -> Vec<Finding> {
+    let mut files = Vec::new();
+    for dir in ["crates", "src", "tests", "examples", "xtask", "benchmark"] {
+        walk(&root.join(dir), &mut files);
+    }
+    let mut findings = Vec::new();
+    for path in files {
+        let Ok(text) = fs::read_to_string(&path) else {
+            continue;
+        };
+        findings.extend(scan_d(&rel(root, &path), &text));
+    }
+    findings
+}
+
+fn scan_d(path: &str, text: &str) -> Vec<Finding> {
+    let is_word = |c: char| c.is_alphanumeric() || c == '_';
+    let has_unsafe = |line: &str| {
+        line.match_indices("unsafe").any(|(at, kw)| {
+            !line[..at].chars().next_back().is_some_and(is_word)
+                && !line[at + kw.len()..].chars().next().is_some_and(is_word)
+        })
+    };
+    let raw: Vec<&str> = text.lines().collect();
+    let mut findings = Vec::new();
+    for (i, line) in strip_comments(text).lines().enumerate() {
+        if !has_unsafe(line) {
+            continue;
+        }
+        // The run of `//` lines directly above must open the argument.
+        let argued = raw[..i]
+            .iter()
+            .rev()
+            .map(|l| l.trim_start())
+            .take_while(|l| l.starts_with("//"))
+            .any(|l| l.starts_with("// SAFETY:"));
+        let message = if path != RULE_D_FILE {
+            format!("`unsafe` outside {RULE_D_FILE}")
+        } else if !argued {
+            "`unsafe` without a `// SAFETY:` comment directly above".into()
+        } else {
+            continue;
+        };
+        findings.push(Finding {
+            rule: 'D',
+            path: path.to_string(),
+            line: i + 1,
+            message,
+        });
+    }
+    findings
+}
+
 /// Field names of `pub struct Metrics` with type `AtomicU64`.
 fn metric_fields(context_rs: &str) -> Vec<String> {
     let mut fields = Vec::new();
@@ -489,6 +551,22 @@ fn add_f64(a: &mut f64, b: f64) { *a += b }
     }
 
     #[test]
+    fn rule_d_wants_unsafe_in_one_file_under_a_safety_comment() {
+        let argued =
+            "fn f() {\n    // SAFETY: checked above,\n    // twice.\n    unsafe { g() }\n}\n";
+        assert!(scan_d(RULE_D_FILE, argued).is_empty());
+        let elsewhere = scan_d("crates/exec/src/x.rs", argued);
+        assert_eq!(elsewhere.len(), 1);
+        assert_eq!((elsewhere[0].rule, elsewhere[0].line), ('D', 4));
+        // A blank line or code between the comment and the block breaks it.
+        let detached = "// SAFETY: stale\nlet x = 1;\nunsafe { g() }\n";
+        assert_eq!(scan_d(RULE_D_FILE, detached).len(), 1);
+        // Identifiers, comments and strings that merely contain the word.
+        let mentions = "fn first_unsafe_prefix() {} // unsafe\nconst S: &str = \"unsafe\";\n";
+        assert!(scan_d("x.rs", mentions).is_empty());
+    }
+
+    #[test]
     fn metric_fields_parsed() {
         let src = "\
 pub struct Metrics {
@@ -542,6 +620,7 @@ pub struct Metrics {
             .into_iter()
             .chain(rule_b(&root))
             .chain(rule_c(&root))
+            .chain(rule_d(&root))
             .collect();
         let allow = load_allowlist(&root.join("xtask/lint-allow.txt"));
         let active: Vec<&Finding> = findings.iter().filter(|f| !allowed(&allow, f)).collect();
