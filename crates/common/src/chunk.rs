@@ -128,8 +128,19 @@ impl DataChunk {
         }
     }
 
-    /// Append the logical rows of `other` to this (flattened) chunk.
-    pub fn append(&mut self, other: &DataChunk) -> Result<()> {
+    /// A new flat chunk holding physical rows `rows` of this one.
+    pub fn take_rows(&self, rows: &[u32]) -> DataChunk {
+        DataChunk::new(self.columns.iter().map(|c| c.take(rows)).collect())
+    }
+
+    /// Would `additional` more rows still leave this (flattened) chunk
+    /// within one vector? Write-combining sinks append into their tail
+    /// chunk while this holds, so stored chunks stay vector-sized.
+    pub fn has_room_for(&self, additional: usize) -> bool {
+        self.selection.is_none() && self.len + additional <= VECTOR_SIZE
+    }
+
+    fn check_append(&self, other: &DataChunk) -> Result<()> {
         if self.selection.is_some() {
             return Err(Error::Exec(
                 "append target must be flattened (no selection vector)".into(),
@@ -142,13 +153,32 @@ impl DataChunk {
                 other.columns.len()
             )));
         }
-        for (dst, src) in self.columns.iter_mut().zip(other.columns.iter()) {
-            match &other.selection {
-                Some(sel) => dst.append(&src.take(sel))?,
-                None => dst.append(src)?,
+        Ok(())
+    }
+
+    /// Append the logical rows of `other` to this (flattened) chunk.
+    pub fn append(&mut self, other: &DataChunk) -> Result<()> {
+        match &other.selection {
+            Some(sel) => self.append_rows(other, sel),
+            None => {
+                self.check_append(other)?;
+                for (dst, src) in self.columns.iter_mut().zip(&other.columns) {
+                    dst.append(src)?;
+                }
+                self.len += other.len;
+                Ok(())
             }
         }
-        self.len += other.num_rows();
+    }
+
+    /// Append physical rows `rows` of `src` (its selection is not
+    /// consulted) to this (flattened) chunk, each copied once.
+    pub fn append_rows(&mut self, src: &DataChunk, rows: &[u32]) -> Result<()> {
+        self.check_append(src)?;
+        for (dst, col) in self.columns.iter_mut().zip(&src.columns) {
+            dst.extend_taken(col, rows)?;
+        }
+        self.len += rows.len();
         Ok(())
     }
 
@@ -245,6 +275,28 @@ mod tests {
         dst.append(&src).unwrap();
         assert_eq!(dst.num_rows(), 1);
         assert_eq!(dst.value(0, 0), ScalarValue::Int64(20));
+    }
+
+    #[test]
+    fn append_rows_ignores_selection_of_source() {
+        let mut dst = chunk();
+        let mut src = chunk();
+        src.set_selection(vec![0]);
+        dst.append_rows(&src, &[3, 1]).unwrap();
+        assert_eq!(dst.num_rows(), 6);
+        assert_eq!(dst.value(0, 4), ScalarValue::Int64(40));
+        assert_eq!(dst.value(1, 5), ScalarValue::Utf8("b".into()));
+        assert_eq!(dst.take_rows(&[5, 0]).rows(), vec![dst.row(5), dst.row(0)]);
+    }
+
+    #[test]
+    fn room_is_one_vector() {
+        let c = chunk();
+        assert!(c.has_room_for(VECTOR_SIZE - 4));
+        assert!(!c.has_room_for(VECTOR_SIZE - 3));
+        let mut selected = chunk();
+        selected.set_selection(vec![0]);
+        assert!(!selected.has_room_for(1), "only flat chunks take appends");
     }
 
     #[test]

@@ -2,10 +2,13 @@
 //!
 //! A [`Partitioner`] assigns every key hash to one of a power-of-two number
 //! of partitions. Materializing sinks use it to write thread-local
-//! *partitioned* runs so the per-partition merges can run in parallel, and
-//! probes route each row to the partition whose hash table can contain its
-//! matches. Build and probe sides must agree on the routing, so the
-//! partition index is a pure function of the key hash.
+//! *partitioned* runs so the per-partition merges can run in parallel: a
+//! sink buckets the rows of an incoming chunk by [`Partitioner::of_hash`]
+//! and appends each bucket straight into that partition's tail chunk
+//! ([`crate::DataChunk::append_rows`]). Producer and consumer of a
+//! partitioned buffer must agree on the routing, so the partition index is
+//! a pure function of the key hash. Probes do not route: the join hash
+//! table is one table, whatever the partition count its build ran with.
 //!
 //! The partition bits are taken from bits 48..56 of the (already
 //! avalanche-mixed) hash rather than the extremes: the low bits index the
@@ -70,27 +73,17 @@ impl Partitioner {
         ((hash >> PARTITION_SHIFT) & self.mask) as usize
     }
 
-    /// Split the logical rows of a chunk into per-partition flat chunks,
-    /// given one hash per *logical* row. Partitions that receive no rows
-    /// are `None`.
-    pub fn split_chunk(&self, chunk: &DataChunk, hashes: &[u64]) -> Vec<Option<DataChunk>> {
+    /// Bucket the logical rows of `chunk` by partition, given one hash per
+    /// *logical* row: `rows[p]` becomes the physical indices of partition
+    /// `p`'s rows, in chunk order. `rows` is the caller's scratch: cleared
+    /// first, its allocations kept from call to call.
+    pub fn bucket_rows(&self, chunk: &DataChunk, hashes: &[u64], rows: &mut Vec<Vec<u32>>) {
         debug_assert_eq!(hashes.len(), chunk.num_rows());
-        let mut indices: Vec<Vec<u32>> = vec![Vec::new(); self.count];
+        rows.resize_with(self.count, Vec::new);
+        rows.iter_mut().for_each(Vec::clear);
         for (logical, &h) in hashes.iter().enumerate() {
-            indices[self.of_hash(h)].push(chunk.physical_index(logical) as u32);
+            rows[self.of_hash(h)].push(chunk.physical_index(logical) as u32);
         }
-        indices
-            .into_iter()
-            .map(|idx| {
-                if idx.is_empty() {
-                    None
-                } else {
-                    Some(DataChunk::new(
-                        chunk.columns.iter().map(|c| c.take(&idx)).collect(),
-                    ))
-                }
-            })
-            .collect()
     }
 }
 
@@ -133,8 +126,10 @@ mod tests {
         assert_eq!(p.of_hash(0), 0);
     }
 
+    /// The scatter step of the partitioned sinks: bucket a chunk's logical
+    /// rows by key hash and append each bucket to its partition's chunk.
     #[test]
-    fn split_chunk_respects_selection_and_routing() {
+    fn scatter_respects_selection_and_routing() {
         let p = Partitioner::new(4);
         let mut chunk = DataChunk::new(vec![
             Vector::from_i64(vec![10, 11, 12, 13, 14]),
@@ -142,20 +137,28 @@ mod tests {
         ]);
         chunk.set_selection(vec![0, 2, 4]); // logical rows: keys 10, 12, 14
         let hashes: Vec<u64> = [10i64, 12, 14].iter().map(|&k| hash_i64(k)).collect();
-        let parts = p.split_chunk(&chunk, &hashes);
-        assert_eq!(parts.len(), 4);
+        let mut rows = vec![vec![99]; 2]; // stale scratch of another shape
+        p.bucket_rows(&chunk, &hashes, &mut rows);
+        assert_eq!(rows.concat().len(), 3);
+        let mut parts: Vec<DataChunk> = (0..4).map(|_| chunk.take_rows(&[])).collect();
+        for (part, rows) in parts.iter_mut().zip(&rows) {
+            part.append_rows(&chunk, rows).unwrap();
+        }
         let mut seen = Vec::new();
-        for (i, part) in parts.iter().enumerate() {
-            if let Some(c) = part {
-                assert!(c.selection.is_none(), "split chunks are flat");
-                for row in 0..c.num_rows() {
-                    let key = match c.value(0, row) {
-                        ScalarValue::Int64(k) => k,
-                        other => panic!("unexpected value {other:?}"),
-                    };
-                    assert_eq!(p.of_hash(hash_i64(key)), i, "row routed to wrong partition");
-                    seen.push(key);
-                }
+        for (i, c) in parts.iter().enumerate() {
+            assert!(c.selection.is_none(), "partition chunks are flat");
+            for row in 0..c.num_rows() {
+                let key = match c.value(0, row) {
+                    ScalarValue::Int64(k) => k,
+                    other => panic!("unexpected value {other:?}"),
+                };
+                assert_eq!(p.of_hash(hash_i64(key)), i, "row routed to wrong partition");
+                assert_eq!(
+                    c.value(1, row),
+                    ScalarValue::Int64(key - 10),
+                    "payload follows key"
+                );
+                seen.push(key);
             }
         }
         seen.sort_unstable();

@@ -285,10 +285,10 @@ impl Vector {
         }
     }
 
-    /// Append all rows of `other` (same type) to `self`. Appending across
-    /// different encodings (dictionary vs flat, or two distinct
-    /// dictionaries) decodes both sides to flat strings.
-    pub fn append(&mut self, other: &Vector) -> Result<()> {
+    /// Type-check appending rows of `other` to `self`, and say whether the
+    /// two share one encoding (both flat, or codes into the same
+    /// dictionary) so the payloads can be appended as they are.
+    fn same_encoding(&self, other: &Vector) -> Result<bool> {
         if self.data_type() != other.data_type() {
             return Err(Error::Exec(format!(
                 "appending {:?} column to {:?} column",
@@ -296,20 +296,31 @@ impl Vector {
                 self.data_type()
             )));
         }
-        let same_dict = match (&self.dict, &other.dict) {
+        Ok(match (&self.dict, &other.dict) {
             (Some(a), Some(b)) => Arc::ptr_eq(a, b),
             (None, None) => true,
             _ => false,
-        };
-        if !same_dict {
-            self.decode_dict_in_place();
-            return self.append(&other.decode_dict());
-        }
-        // Reconcile validity masks up front.
+        })
+    }
+
+    /// Give `self` a validity mask when rows of `other` are about to bring
+    /// one; returns the mask the appended rows must extend, if any.
+    fn reconciled_validity(&mut self, other: &Vector) -> Option<&mut Vec<bool>> {
         if other.validity.is_some() && self.validity.is_none() {
             self.validity = Some(vec![true; self.len()]);
         }
-        if let Some(validity) = &mut self.validity {
+        self.validity.as_mut()
+    }
+
+    /// Append all rows of `other` (same type) to `self`. Appending across
+    /// different encodings (dictionary vs flat, or two distinct
+    /// dictionaries) decodes both sides to flat strings.
+    pub fn append(&mut self, other: &Vector) -> Result<()> {
+        if !self.same_encoding(other)? {
+            self.decode_dict_in_place();
+            return self.append(&other.decode_dict());
+        }
+        if let Some(validity) = self.reconciled_validity(other) {
             match &other.validity {
                 Some(m) => validity.extend_from_slice(m),
                 None => validity.extend(std::iter::repeat_n(true, other.len())),
@@ -320,6 +331,32 @@ impl Vector {
             (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),
             (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend(b.iter().cloned()),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
+            _ => unreachable!("type checked above"),
+        }
+        Ok(())
+    }
+
+    /// Append rows `indices` of `src` to `self`: [`Vector::append`] of
+    /// `src.take(indices)` without the gathered copy in between, so a
+    /// partitioned sink scatters each row straight to where it is stored.
+    /// Encodings and validity masks reconcile as in `append`.
+    pub fn extend_taken(&mut self, src: &Vector, indices: &[u32]) -> Result<()> {
+        if !self.same_encoding(src)? {
+            self.decode_dict_in_place();
+            return self.append(&src.take(indices).decode_dict());
+        }
+        let rows = indices.iter().map(|&i| i as usize);
+        if let Some(validity) = self.reconciled_validity(src) {
+            match &src.validity {
+                Some(m) => validity.extend(rows.clone().map(|i| m[i])),
+                None => validity.extend(std::iter::repeat_n(true, indices.len())),
+            }
+        }
+        match (&mut self.data, &src.data) {
+            (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend(rows.map(|i| b[i])),
+            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend(rows.map(|i| b[i].clone())),
+            (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend(rows.map(|i| b[i])),
             _ => unreachable!("type checked above"),
         }
         Ok(())
@@ -560,6 +597,48 @@ mod tests {
         e.push(&ScalarValue::Utf8("q".into())).unwrap();
         assert!(!e.is_dict());
         assert_eq!(e.get(1), ScalarValue::Utf8("east".into()));
+    }
+
+    /// `extend_taken` is `append` of the gathered rows, for every pairing
+    /// of encodings and validity masks.
+    #[test]
+    fn extend_taken_matches_append_of_take() {
+        let other_dict = Utf8Dict::from_values(vec!["x", "y", "z"]);
+        let mut nullable = Vector::new_empty(DataType::Utf8);
+        for v in [ScalarValue::Utf8("p".into()), ScalarValue::Null] {
+            nullable.push(&v).unwrap();
+        }
+        let strings = [
+            dict_vec(),
+            Vector::from_dict_codes(vec![1, 1, 0, 2], None, dict_vec().dict.unwrap()),
+            Vector::from_dict_codes(vec![2, 0, 1, 1], None, other_dict),
+            Vector::from_utf8(vec!["a".into(), "b".into(), "c".into(), "d".into()]),
+            nullable,
+        ];
+        let idx = [1u32, 0, 1];
+        for dst in &strings {
+            for src in &strings {
+                let mut want = dst.clone();
+                want.append(&src.take(&idx)).unwrap();
+                let mut got = dst.clone();
+                got.extend_taken(src, &idx).unwrap();
+                assert_eq!(got, want);
+                assert_eq!(got.len(), dst.len() + idx.len());
+            }
+        }
+        // Same dictionary on both sides stays encoded.
+        let mut coded = dict_vec();
+        coded.extend_taken(&coded.clone(), &[3]).unwrap();
+        assert!(coded.is_dict());
+        assert_eq!(coded.get(4), ScalarValue::Utf8("north".into()));
+
+        let mut ints = Vector::from_i64(vec![7]);
+        ints.extend_taken(&Vector::from_i64(vec![1, 2, 3]), &[2, 2, 0])
+            .unwrap();
+        assert_eq!(ints, Vector::from_i64(vec![7, 3, 3, 1]));
+        assert!(ints
+            .extend_taken(&Vector::from_bool(vec![true]), &[0])
+            .is_err());
     }
 
     #[test]

@@ -209,6 +209,12 @@ pub struct Metrics {
     pub intermediate_tuples: AtomicU64,
     /// Rows in the final result.
     pub output_rows: AtomicU64,
+    /// Non-empty chunks the sources handed to their pipelines (one per
+    /// `Morsels::morsel` call that produced rows). Not work — the same rows
+    /// in fewer, fuller chunks are the same work — but every chunk pays
+    /// the per-chunk costs of every operator after it, so this pins how
+    /// well the sinks upstream kept their stored chunks vector-sized.
+    pub source_chunks: AtomicU64,
     /// Nanoseconds spent in Bloom filter build + probe (the §5.5 breakdown).
     pub bloom_nanos: AtomicU64,
     /// Per-partition sink-merge tasks executed (partitioned Combine path).
@@ -408,6 +414,7 @@ impl Metrics {
             join_output_rows: self.join_output_rows.load(Ordering::Relaxed),
             intermediate_tuples: self.intermediate_tuples.load(Ordering::Relaxed),
             output_rows: self.output_rows.load(Ordering::Relaxed),
+            source_chunks: self.source_chunks.load(Ordering::Relaxed),
             bloom_nanos: self.bloom_nanos.load(Ordering::Relaxed),
             merge_tasks: self.merge_tasks.load(Ordering::Relaxed),
             merge_max_task_rows: self.merge_max_task_rows.load(Ordering::Relaxed),
@@ -452,6 +459,7 @@ pub struct MetricsSummary {
     pub join_output_rows: u64,
     pub intermediate_tuples: u64,
     pub output_rows: u64,
+    pub source_chunks: u64,
     pub bloom_nanos: u64,
     pub merge_tasks: u64,
     pub merge_max_task_rows: u64,

@@ -31,7 +31,8 @@
 use crate::context::{ExecContext, SchedulerKind};
 use crate::operators::{Morsels, PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
-    combine_finalize, push_through, record_pipeline_rows, PhysicalPipeline, PipelinePlan, RouteMode,
+    combine_finalize, count_source_chunk, push_through, record_pipeline_rows, PhysicalPipeline,
+    PipelinePlan, RouteMode,
 };
 use crate::scheduler::{build_dag, check_acyclic, NodeDeps, SchedulerStats};
 use rpt_common::{Error, Result};
@@ -522,6 +523,7 @@ impl<'a> Engine<'a> {
                     let Some(chunk) = run.morsels.morsel(i, self.ctx)? else {
                         continue;
                     };
+                    count_source_chunk(&chunk, self.ctx);
                     if let Some(out) = push_through(&p.ops, chunk, self.ctx, self.res)? {
                         if preserve {
                             state.sink_part(out, group, self.ctx)?;

@@ -1,8 +1,4 @@
-//! Join hash tables (build side of hash joins and exact semi-joins), and
-//! their hash-partitioned aggregate: a [`PartitionedHashTable`] holds one
-//! [`JoinHashTable`] per radix partition so builds can run per-partition in
-//! parallel, and routes every probe row to the single partition whose table
-//! can contain its matches (build and probe share the [`Partitioner`]).
+//! The join hash table: build side of hash joins and exact semi-joins.
 //!
 //! A table is flat and chained, in the style of DuckDB's join hash table:
 //! the build rows sit concatenated in one columnar row store, a
@@ -10,9 +6,16 @@
 //! build row of its chain, and a per-row link leads to the next. Nothing is
 //! allocated per key, so building is three array fills and dropping a table
 //! is four frees.
+//!
+//! There is one table per join whatever the sink's partition count. A
+//! partitioned build prepares each partition's rows in parallel — one
+//! [`BuildPart`] per merge task: the partition's runs concatenated, its
+//! keys hashed — and [`JoinHashTable::assemble`] lays the parts end to end
+//! under one directory, so a probe never routes, never resolves keys per
+//! partition and gathers matches with one `take` per column.
 
 use rpt_common::hash::hash_columns_sel;
-use rpt_common::{ColumnData, DataChunk, DataType, Error, Partitioner, Result, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Vector};
 use rpt_storage::{chunk_size_bytes, GovernedHandle};
 use std::sync::Arc;
 
@@ -24,9 +27,8 @@ pub struct JoinHashTable {
     pub key_cols: Vec<usize>,
     /// Directory, a power of two long: `heads[hash & (len - 1)]` is the
     /// first build row of that slot's chain plus one, 0 when the slot is
-    /// empty. The index comes from the low hash bits — disjoint from the
-    /// [`Partitioner`]'s bits 48..56, which are constant within one
-    /// partition's table.
+    /// empty. The index comes from the low hash bits; the
+    /// [`rpt_common::Partitioner`]'s bits 48..56 only routed the build.
     heads: Vec<u32>,
     /// `next[row]` is the following row of `row`'s chain plus one, 0 at the
     /// end. Chains run in ascending build-row order.
@@ -35,10 +37,47 @@ pub struct JoinHashTable {
     /// lands in the slot, and comparing hashes first rejects the others
     /// without touching the key columns (string and composite keys).
     hashes: Vec<u64>,
+    /// The build sink's unevictable governor registration, held for as
+    /// long as the table lives so it keeps exerting memory pressure through
+    /// the probe phase.
+    _governed: Option<GovernedHandle>,
+}
+
+/// One partition's share of a build side, ready to be laid into the table:
+/// its rows concatenated in arrival order and the key hash of each. Merge
+/// tasks prepare these in parallel.
+pub struct BuildPart {
+    data: DataChunk,
+    hashes: Vec<u64>,
+}
+
+impl BuildPart {
+    /// Concatenate `chunks` (every row copied once, into column storage
+    /// reserved from the summed row count) and hash the key columns. No
+    /// chunks at all give a part without columns; pass one empty chunk of
+    /// the build schema to keep the column arity.
+    pub fn new(chunks: &[DataChunk], key_cols: &[usize]) -> Result<BuildPart> {
+        let n: usize = chunks.iter().map(DataChunk::num_rows).sum();
+        let mut data = DataChunk::default();
+        if let Some((first, rest)) = chunks.split_first() {
+            data = first.flattened();
+            data.reserve(n - data.num_rows());
+            for c in rest {
+                data.append(c)?;
+            }
+        }
+        let hashes = hash_columns_sel(&key_columns(&data, key_cols), None, n);
+        Ok(BuildPart { data, hashes })
+    }
+
+    pub fn num_rows(&self) -> usize {
+        self.data.num_rows()
+    }
 }
 
 /// Build rows are addressed by `u32` and stored off by one in the
-/// directory and the chains, so a table holds at most `u32::MAX` rows.
+/// directory and the chains, so a table holds at most `u32::MAX` rows —
+/// summed over all the parts it is assembled from.
 fn check_row_count(rows: usize) -> Result<()> {
     if rows > u32::MAX as usize {
         return Err(Error::Exec(format!(
@@ -47,6 +86,17 @@ fn check_row_count(rows: usize) -> Result<()> {
         )));
     }
     Ok(())
+}
+
+/// Rows of a build side given as the row counts of its parts, checked
+/// against what one table can address.
+fn total_rows(parts: impl IntoIterator<Item = usize>) -> Result<usize> {
+    let rows = parts
+        .into_iter()
+        .try_fold(0usize, |sum, n| sum.checked_add(n))
+        .unwrap_or(usize::MAX);
+    check_row_count(rows)?;
+    Ok(rows)
 }
 
 /// The key columns of a row store — none for a table built from no chunks
@@ -64,11 +114,11 @@ fn key_validity<'a>(keys: &[&'a Vector]) -> Vec<&'a [bool]> {
     keys.iter().filter_map(|k| k.validity.as_deref()).collect()
 }
 
-/// Equality of one key column between a probe chunk and a build side,
-/// resolved to typed slices once per (probe chunk, table) so the candidate
-/// loop does no type or encoding dispatch on the vectors. NULLs are ruled
-/// out before a comparison runs (NULL build rows are never linked, NULL
-/// probe rows are skipped).
+/// Equality of one key column between a probe chunk and the build side,
+/// resolved to typed slices once per probe chunk so the candidate loop does
+/// no type or encoding dispatch on the vectors. NULLs are ruled out before
+/// a comparison runs (NULL build rows are never linked, NULL probe rows are
+/// skipped).
 enum KeyEq<'a> {
     /// `Int64`, or `Utf8` codes into one shared dictionary.
     Int64(&'a [i64], &'a [i64]),
@@ -115,126 +165,44 @@ impl<'a> KeyEq<'a> {
     }
 }
 
-/// The probe behind every probe and semi-probe, partitioned or not: route
-/// each logical row of `chunk` (keyed on `probe_keys`) to the one table of
-/// `parts` that can hold its matches and walk that slot's chain.
-/// `on_match(logical probe row, partition, build row)` sees a probe row's
-/// matches in ascending build-row order and returns whether to keep walking
-/// (a semi-probe stops at the first).
-#[inline]
-fn probe_each(
-    parts: &[JoinHashTable],
-    partitioner: Partitioner,
-    chunk: &DataChunk,
-    probe_keys: &[usize],
-    on_match: impl FnMut(u32, u32, u32) -> bool,
-) {
-    if chunk.num_rows() == 0 || parts.iter().all(|t| t.num_rows() == 0) {
-        return;
-    }
-    let keys: Vec<&Vector> = probe_keys.iter().map(|&k| &chunk.columns[k]).collect();
-    let key_eq: Vec<Vec<KeyEq>> = parts
-        .iter()
-        .map(|t| {
-            keys.iter()
-                .zip(key_columns(&t.data, &t.key_cols))
-                .map(|(p, b)| KeyEq::resolve(p, b))
-                .collect()
-        })
-        .collect();
-    // The common key — one `Int64` column, or one column of codes into a
-    // shared dictionary — compares with no dispatch at all, and as cheaply
-    // as the hashes would. Every other key rejects on the build row's
-    // stored hash before it touches the key columns.
-    let probe_int64 = key_eq.iter().find_map(|k| match k.as_slice() {
-        [KeyEq::Int64(probe, _)] => Some(*probe),
-        _ => None,
-    });
-    let builds_int64: Option<Vec<&[i64]>> = key_eq
-        .iter()
-        .map(|k| match k.as_slice() {
-            [KeyEq::Int64(_, build)] => Some(*build),
-            [] => Some(&[][..]), // a table with no columns has no rows to compare
-            _ => None,
-        })
-        .collect();
-    match probe_int64.zip(builds_int64) {
-        Some((probe, builds)) => walk_chains(
-            parts,
-            partitioner,
-            chunk,
-            &keys,
-            |part, p, b, _| probe[p] == builds[part][b],
-            on_match,
-        ),
-        None => walk_chains(
-            parts,
-            partitioner,
-            chunk,
-            &keys,
-            |part, p, b, hash| {
-                parts[part].hashes[b] == hash && key_eq[part].iter().all(|k| k.eq(p, b))
-            },
-            on_match,
-        ),
-    }
-}
-
-/// The one candidate loop of [`probe_each`], compiled once per key
-/// comparison `keys_eq(partition, physical probe row, build row, probe
-/// hash)`. Hashes the key columns through the chunk's selection — no
-/// gathered copy.
-#[inline]
-fn walk_chains(
-    parts: &[JoinHashTable],
-    partitioner: Partitioner,
-    chunk: &DataChunk,
-    keys: &[&Vector],
-    keys_eq: impl Fn(usize, usize, usize, u64) -> bool,
-    mut on_match: impl FnMut(u32, u32, u32) -> bool,
-) {
-    let sel = chunk.selection.as_deref();
-    let hashes = hash_columns_sel(keys, sel, chunk.num_rows());
-    let nulls = key_validity(keys);
-    for (row, &hash) in hashes.iter().enumerate() {
-        let probe_row = sel.map_or(row, |s| s[row] as usize);
-        if nulls.iter().any(|valid| !valid[probe_row]) {
-            continue;
-        }
-        let part = partitioner.of_hash(hash);
-        let table = &parts[part];
-        let mut link = table.heads[hash as usize & (table.heads.len() - 1)];
-        while link != 0 {
-            let build_row = (link - 1) as usize;
-            // `on_match` last: it runs only for a match, and ends the walk
-            // by returning false.
-            if keys_eq(part, probe_row, build_row, hash)
-                && !on_match(row as u32, part as u32, link - 1)
-            {
-                break;
-            }
-            link = table.next[build_row];
-        }
-    }
-}
-
 impl JoinHashTable {
     /// Build from the build side's chunks: every row is copied once, into
     /// column storage reserved from the summed row count.
     pub fn build(chunks: &[DataChunk], key_cols: Vec<usize>) -> Result<JoinHashTable> {
-        let n: usize = chunks.iter().map(DataChunk::num_rows).sum();
-        check_row_count(n)?;
-        let mut data = DataChunk::default();
-        if let Some((first, rest)) = chunks.split_first() {
-            data = first.flattened();
-            data.reserve(n - data.num_rows());
-            for c in rest {
-                data.append(c)?;
+        JoinHashTable::assemble(vec![BuildPart::new(chunks, &key_cols)?], key_cols)
+    }
+
+    /// Lay `parts` end to end into one table: row stores appended in part
+    /// order into columns reserved once, hashes concatenated, one directory
+    /// sized for the total. The first part with rows is moved in, not
+    /// copied, and brings its encodings (dictionaries) with it. All rows of
+    /// a key sit in one part and parts stay contiguous and in order, so
+    /// linking the whole store in reverse leaves every chain in ascending
+    /// build-row order exactly as a build over the concatenated input.
+    pub fn assemble(parts: Vec<BuildPart>, key_cols: Vec<usize>) -> Result<JoinHashTable> {
+        let n = total_rows(parts.iter().map(BuildPart::num_rows))?;
+        let mut hashes = Vec::with_capacity(n);
+        let mut store: Option<DataChunk> = None;
+        // Columns of an empty part: the shape of a table without rows.
+        let mut shape = DataChunk::default();
+        for part in parts {
+            hashes.extend_from_slice(&part.hashes);
+            match &mut store {
+                _ if part.num_rows() == 0 => {
+                    if shape.num_columns() == 0 {
+                        shape = part.data;
+                    }
+                }
+                None => {
+                    let mut data = part.data;
+                    data.reserve(n - data.num_rows());
+                    store = Some(data);
+                }
+                Some(data) => data.append(&part.data)?,
             }
         }
-        let keys = key_columns(&data, &key_cols);
-        let hashes = hash_columns_sel(&keys, None, n);
-        let nulls = key_validity(&keys);
+        let data = store.unwrap_or(shape);
+        let nulls = key_validity(&key_columns(&data, &key_cols));
         // At most half full, and never empty so a probe needs no size check.
         let mut heads = vec![0u32; (n * 2).next_power_of_two()];
         let mask = heads.len() - 1;
@@ -255,7 +223,18 @@ impl JoinHashTable {
             heads,
             next,
             hashes,
+            _governed: None,
         })
+    }
+
+    /// Take over the build sink's governor registration and report the
+    /// table's footprint on it until the table drops.
+    pub fn governed_by(mut self, handle: Option<GovernedHandle>) -> JoinHashTable {
+        if let Some(h) = &handle {
+            h.update(self.size_bytes());
+        }
+        self._governed = handle;
+        self
     }
 
     pub fn num_rows(&self) -> usize {
@@ -267,6 +246,78 @@ impl JoinHashTable {
         chunk_size_bytes(&self.data)
             + (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>()
             + self.hashes.len() * std::mem::size_of::<u64>()
+    }
+
+    /// The probe behind [`Self::probe`] and [`Self::semi_probe`]: walk the
+    /// chain of each logical row of `chunk` (keyed on `probe_keys`).
+    /// `on_match(logical probe row, build row)` sees a probe row's matches
+    /// in ascending build-row order and returns whether to keep walking (a
+    /// semi-probe stops at the first).
+    #[inline]
+    fn probe_each(
+        &self,
+        chunk: &DataChunk,
+        probe_keys: &[usize],
+        on_match: impl FnMut(u32, u32) -> bool,
+    ) {
+        if chunk.num_rows() == 0 || self.num_rows() == 0 {
+            return;
+        }
+        let keys: Vec<&Vector> = probe_keys.iter().map(|&k| &chunk.columns[k]).collect();
+        let key_eq: Vec<KeyEq> = keys
+            .iter()
+            .zip(key_columns(&self.data, &self.key_cols))
+            .map(|(p, b)| KeyEq::resolve(p, b))
+            .collect();
+        // The common key — one `Int64` column, or one column of codes into
+        // a shared dictionary — compares with no dispatch at all, and as
+        // cheaply as the hashes would. Every other key rejects on the build
+        // row's stored hash before it touches the key columns.
+        match key_eq.as_slice() {
+            [KeyEq::Int64(probe, build)] => {
+                self.walk_chains(chunk, &keys, |p, b, _| probe[p] == build[b], on_match)
+            }
+            _ => self.walk_chains(
+                chunk,
+                &keys,
+                |p, b, hash| self.hashes[b] == hash && key_eq.iter().all(|k| k.eq(p, b)),
+                on_match,
+            ),
+        }
+    }
+
+    /// The one candidate loop of [`Self::probe_each`], compiled once per
+    /// key comparison `keys_eq(physical probe row, build row, probe hash)`.
+    /// Hashes the key columns through the chunk's selection — no gathered
+    /// copy.
+    #[inline]
+    fn walk_chains(
+        &self,
+        chunk: &DataChunk,
+        keys: &[&Vector],
+        keys_eq: impl Fn(usize, usize, u64) -> bool,
+        mut on_match: impl FnMut(u32, u32) -> bool,
+    ) {
+        let sel = chunk.selection.as_deref();
+        let hashes = hash_columns_sel(keys, sel, chunk.num_rows());
+        let nulls = key_validity(keys);
+        let mask = self.heads.len() - 1;
+        for (row, &hash) in hashes.iter().enumerate() {
+            let probe_row = sel.map_or(row, |s| s[row] as usize);
+            if nulls.iter().any(|valid| !valid[probe_row]) {
+                continue;
+            }
+            let mut link = self.heads[hash as usize & mask];
+            while link != 0 {
+                let build_row = (link - 1) as usize;
+                // `on_match` last: it runs only for a match, and ends the
+                // walk by returning false.
+                if keys_eq(probe_row, build_row, hash) && !on_match(row as u32, link - 1) {
+                    break;
+                }
+                link = self.next[build_row];
+            }
+        }
     }
 
     /// Hash-join probe: for each logical row of `chunk` (keyed on
@@ -281,18 +332,11 @@ impl JoinHashTable {
         probe_out: &mut Vec<u32>,
         build_out: &mut Vec<u32>,
     ) {
-        let parts = std::slice::from_ref(self);
-        probe_each(
-            parts,
-            Partitioner::new(1),
-            chunk,
-            probe_keys,
-            |row, _, b| {
-                probe_out.push(row);
-                build_out.push(b);
-                true
-            },
-        );
+        self.probe_each(chunk, probe_keys, |row, b| {
+            probe_out.push(row);
+            build_out.push(b);
+            true
+        });
     }
 
     /// Exact semi-join probe: logical rows of `chunk` with ≥ 1 match
@@ -300,171 +344,11 @@ impl JoinHashTable {
     /// Yannakakis algorithm.
     pub fn semi_probe(&self, chunk: &DataChunk, probe_keys: &[usize]) -> Vec<u32> {
         let mut out = Vec::new();
-        let parts = std::slice::from_ref(self);
-        probe_each(
-            parts,
-            Partitioner::new(1),
-            chunk,
-            probe_keys,
-            |row, _, _| {
-                out.push(row);
-                false
-            },
-        );
+        self.probe_each(chunk, probe_keys, |row, _| {
+            out.push(row);
+            false
+        });
         out
-    }
-}
-
-/// A match emitted by a partitioned probe: `(partition, build row within
-/// that partition's table)`.
-pub type BuildRef = (u32, u32);
-
-/// One [`JoinHashTable`] per radix partition, with probes routed by the
-/// same key hash the build side partitioned on. With one partition this
-/// degenerates to a plain wrapped table.
-pub struct PartitionedHashTable {
-    parts: Vec<JoinHashTable>,
-    partitioner: Partitioner,
-    /// The build sink's unevictable governor registration, held for as
-    /// long as the table lives so it keeps exerting memory pressure through
-    /// the probe phase.
-    _governed: Option<GovernedHandle>,
-}
-
-impl PartitionedHashTable {
-    /// Wrap an unpartitioned table (partition count 1).
-    pub fn single(table: JoinHashTable) -> PartitionedHashTable {
-        PartitionedHashTable::from_parts(vec![table])
-    }
-
-    /// Assemble from per-partition tables (the length must be the
-    /// partition count the build side routed with: a power of two).
-    pub fn from_parts(parts: Vec<JoinHashTable>) -> PartitionedHashTable {
-        assert!(
-            parts.len().is_power_of_two(),
-            "partition count must be a power of two, got {}",
-            parts.len()
-        );
-        let partitioner = Partitioner::new(parts.len());
-        PartitionedHashTable {
-            parts,
-            partitioner,
-            _governed: None,
-        }
-    }
-
-    /// Take over the build sink's governor registration and report the
-    /// table's footprint on it until the table drops.
-    pub fn governed_by(mut self, handle: Option<GovernedHandle>) -> PartitionedHashTable {
-        if let Some(h) = &handle {
-            h.update(self.size_bytes());
-        }
-        self._governed = handle;
-        self
-    }
-
-    pub fn num_partitions(&self) -> usize {
-        self.parts.len()
-    }
-
-    pub fn partition(&self, part: usize) -> &JoinHashTable {
-        &self.parts[part]
-    }
-
-    pub fn num_rows(&self) -> usize {
-        self.parts.iter().map(JoinHashTable::num_rows).sum()
-    }
-
-    pub fn size_bytes(&self) -> usize {
-        self.parts.iter().map(JoinHashTable::size_bytes).sum()
-    }
-
-    /// Hash-join probe (see [`JoinHashTable::probe`]): each probe row is
-    /// routed to exactly one partition — the one its key hash maps to —
-    /// so matches and multiplicities are identical to an unpartitioned
-    /// probe over the union of the partitions.
-    pub fn probe(
-        &self,
-        chunk: &DataChunk,
-        probe_keys: &[usize],
-        probe_out: &mut Vec<u32>,
-        build_out: &mut Vec<BuildRef>,
-    ) {
-        probe_each(
-            &self.parts,
-            self.partitioner,
-            chunk,
-            probe_keys,
-            |row, part, b| {
-                probe_out.push(row);
-                build_out.push((part, b));
-                true
-            },
-        );
-    }
-
-    /// Exact semi-join probe (see [`JoinHashTable::semi_probe`]).
-    pub fn semi_probe(&self, chunk: &DataChunk, probe_keys: &[usize]) -> Vec<u32> {
-        let mut out = Vec::new();
-        probe_each(
-            &self.parts,
-            self.partitioner,
-            chunk,
-            probe_keys,
-            |row, _, _| {
-                out.push(row);
-                false
-            },
-        );
-        out
-    }
-
-    /// Gather build-side columns `cols` for the given probe matches (the
-    /// probe-side analogue of `Vector::take` across partitions). Stays
-    /// vectorized: with one partition a single `take` per column; otherwise
-    /// one bulk `take` per partition and column plus one permutation `take`
-    /// to restore match order — no per-row scalar dispatch.
-    pub fn gather(&self, cols: &[usize], matches: &[BuildRef]) -> Result<Vec<Vector>> {
-        if let [table] = self.parts.as_slice() {
-            let rows: Vec<u32> = matches.iter().map(|&(_, b)| b).collect();
-            return Ok(cols
-                .iter()
-                .map(|&col| table.data.columns[col].take(&rows))
-                .collect());
-        }
-        // Bucket the match indices per partition, and note where each match
-        // lands in the partition-major concatenation of the buckets.
-        let mut per_part: Vec<Vec<u32>> = vec![Vec::new(); self.parts.len()];
-        for &(part, b) in matches {
-            per_part[part as usize].push(b);
-        }
-        let mut next = Vec::with_capacity(self.parts.len());
-        let mut acc = 0u32;
-        for idx in &per_part {
-            next.push(acc);
-            acc += idx.len() as u32;
-        }
-        let perm: Vec<u32> = matches
-            .iter()
-            .map(|&(part, _)| {
-                let pos = next[part as usize];
-                next[part as usize] += 1;
-                pos
-            })
-            .collect();
-        cols.iter()
-            .map(|&col| {
-                // Concatenate the per-partition bulk takes…
-                let mut concat = Vector::new_empty(self.parts[0].data.columns[col].data_type());
-                for (table, idx) in self.parts.iter().zip(&per_part) {
-                    if !idx.is_empty() {
-                        concat.append(&table.data.columns[col].take(idx))?;
-                    }
-                }
-                // …then permute back into match order.
-                Ok(concat.take(&perm))
-            })
-            .collect()
     }
 }
 
@@ -559,7 +443,8 @@ mod tests {
     }
 
     /// An empty build side given as an empty chunk keeps its columns, so a
-    /// probe's output chunk still has the build columns to (not) gather.
+    /// probe's output chunk still has the build columns to (not) gather —
+    /// also when it is assembled from several empty parts.
     #[test]
     fn empty_build_side_keeps_column_arity() {
         use rpt_common::{Field, Schema};
@@ -567,26 +452,43 @@ mod tests {
             Field::new("k", DataType::Int64),
             Field::new("s", DataType::Utf8),
         ]);
-        let ht = JoinHashTable::build(&[DataChunk::empty_like(&schema)], vec![0]).unwrap();
-        assert_eq!((ht.num_rows(), ht.data.num_columns()), (0, 2));
-        let pht = PartitionedHashTable::single(ht);
-        let probe = DataChunk::new(vec![Vector::from_i64(vec![1])]);
-        let (mut p, mut b) = (vec![], vec![]);
-        pht.probe(&probe, &[0], &mut p, &mut b);
-        assert!(p.is_empty());
-        let cols = pht.gather(&[0, 1], &b).unwrap();
-        assert_eq!(cols.len(), 2);
-        assert_eq!(cols[1].data_type(), DataType::Utf8);
-        assert!(cols.iter().all(Vector::is_empty));
+        let empty = [DataChunk::empty_like(&schema)];
+        let parts = (0..4).map(|_| BuildPart::new(&empty, &[0]).unwrap());
+        for ht in [
+            JoinHashTable::build(&empty, vec![0]).unwrap(),
+            JoinHashTable::assemble(parts.collect(), vec![0]).unwrap(),
+        ] {
+            assert_eq!((ht.num_rows(), ht.data.num_columns()), (0, 2));
+            let probe = DataChunk::new(vec![Vector::from_i64(vec![1])]);
+            let (mut p, mut b) = (vec![], vec![]);
+            ht.probe(&probe, &[0], &mut p, &mut b);
+            assert!(p.is_empty());
+            let col = ht.data.columns[1].take(&b);
+            assert_eq!(col.data_type(), DataType::Utf8);
+            assert!(col.is_empty());
+        }
     }
 
-    /// The bound `build` enforces before narrowing row ids to `u32`.
+    /// The bound `assemble` enforces before narrowing row ids to `u32`: on
+    /// the rows of all parts together, since one table addresses them all.
     #[test]
     fn row_ids_past_u32_are_an_error() {
         assert!(check_row_count(0).is_ok());
         assert!(check_row_count(u32::MAX as usize).is_ok());
         let err = check_row_count(u32::MAX as usize + 1).unwrap_err();
         assert!(matches!(err, Error::Exec(_)), "{err:?}");
+
+        let half = u32::MAX as usize / 2;
+        assert_eq!(total_rows([half, half, 1]).unwrap(), u32::MAX as usize);
+        let err = total_rows([half, half, 2]).unwrap_err();
+        assert!(
+            matches!(err, Error::Exec(_)),
+            "each part fits, the sum does not: {err:?}"
+        );
+        assert!(
+            total_rows([usize::MAX, 1]).is_err(),
+            "a sum past usize is an error too"
+        );
     }
 
     /// Every probe row sees its matches in ascending build-row order, even
@@ -613,11 +515,14 @@ mod tests {
         assert_eq!(got, want);
     }
 
-    /// Partition build chunks by key hash, rebuild per-partition tables,
-    /// and verify probes and semi-probes match the unpartitioned table.
+    /// A table assembled from eight radix partitions of the build side —
+    /// each part the partition's rows in arrival order — matches the same
+    /// keys as the table built over the unpartitioned input, every probe
+    /// row meeting its matches in the same (build) order.
     #[test]
     fn partitioned_probe_matches_unpartitioned() {
         use rpt_common::hash::hash_columns;
+        use rpt_common::Partitioner;
 
         let keys: Vec<i64> = (0..500).map(|i| i % 37).collect();
         let vals: Vec<i64> = (0..500).collect();
@@ -626,44 +531,33 @@ mod tests {
 
         let partitioner = Partitioner::new(8);
         let hashes = hash_columns(&[&build.columns[0]], build.num_rows());
-        let split = partitioner.split_chunk(&build, &hashes);
-        let parts: Vec<JoinHashTable> = split
-            .into_iter()
-            .map(|c| JoinHashTable::build(&c.into_iter().collect::<Vec<_>>(), vec![0]).unwrap())
+        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); 8];
+        for (row, &h) in hashes.iter().enumerate() {
+            rows[partitioner.of_hash(h)].push(row as u32);
+        }
+        let parts = rows
+            .iter()
+            .map(|r| BuildPart::new(&[build.take_rows(r)], &[0]).unwrap())
             .collect();
-        let pht = PartitionedHashTable::from_parts(parts);
-        assert_eq!(pht.num_rows(), flat.num_rows());
+        let assembled = JoinHashTable::assemble(parts, vec![0]).unwrap();
+        assert_eq!(assembled.num_rows(), flat.num_rows());
 
         let probe = DataChunk::new(vec![Vector::from_i64((0..60).collect())]);
-        let (mut fp, mut fb) = (vec![], vec![]);
-        flat.probe(&probe, &[0], &mut fp, &mut fb);
-        let (mut pp, mut pb) = (vec![], vec![]);
-        pht.probe(&probe, &[0], &mut pp, &mut pb);
-
-        // Same matches as multisets of (probe key, build value).
-        let key = |p: u32| probe.value(0, p as usize).as_i64().unwrap();
-        let mut flat_pairs: Vec<(i64, i64)> = fp
-            .iter()
-            .zip(fb.iter())
-            .map(|(&p, &b)| {
-                (
-                    key(p),
-                    flat.data.columns[1].get(b as usize).as_i64().unwrap(),
-                )
-            })
-            .collect();
-        let gathered = pht.gather(&[1], &pb).unwrap().remove(0);
-        let mut part_pairs: Vec<(i64, i64)> = pp
-            .iter()
-            .enumerate()
-            .map(|(i, &p)| (key(p), gathered.get(i).as_i64().unwrap()))
-            .collect();
-        flat_pairs.sort_unstable();
-        part_pairs.sort_unstable();
-        assert_eq!(flat_pairs, part_pairs);
-
-        // Semi-probe selections are identical (order included).
-        assert_eq!(flat.semi_probe(&probe, &[0]), pht.semi_probe(&probe, &[0]));
+        let pairs = |t: &JoinHashTable| -> Vec<(u32, i64)> {
+            let (mut p, mut b) = (vec![], vec![]);
+            t.probe(&probe, &[0], &mut p, &mut b);
+            let vals = t.data.columns[1].take(&b);
+            p.into_iter()
+                .zip(vals.i64_slice().iter().copied())
+                .collect()
+        };
+        // The payload is the row number in the unpartitioned input, so equal
+        // pair lists mean equal matches in equal order.
+        assert_eq!(pairs(&flat), pairs(&assembled));
+        assert_eq!(
+            flat.semi_probe(&probe, &[0]),
+            assembled.semi_probe(&probe, &[0])
+        );
     }
 
     #[test]

@@ -42,7 +42,7 @@ pub use context::{
 };
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
 pub use global::{run_physical_global, GlobalStats};
-pub use hash_table::{BuildRef, JoinHashTable, PartitionedHashTable};
+pub use hash_table::{BuildPart, JoinHashTable};
 pub use operators::{
     cmp_scalar_rows, expand_partition_grains, AccessLog, ChunkList, Morsels, Operator,
     PartitionMerger, ResourceId, Resources, Sink, SinkFactory, SortKey, SortSink, SortSinkFactory,

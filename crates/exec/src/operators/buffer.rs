@@ -14,8 +14,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, record_spill_stats, PartitionMerger,
-    PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
+    check_partition_route, downcast_sink, lock_or_err, record_spill_stats, KeyHashes,
+    PartitionMerger, PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
@@ -36,6 +36,9 @@ pub struct BufferSink {
     /// Has the keyless path already split its first chunk across
     /// partitions?
     keyless_seeded: bool,
+    /// Scratch of the radix route: per partition, the rows of the chunk
+    /// being sunk.
+    routed: Vec<Vec<u32>>,
     blooms: Vec<BloomBuild>,
     rows: u64,
     /// Metrics sink for spill accounting on the ctx-less `finalize` path.
@@ -52,68 +55,57 @@ impl BufferSink {
 impl Sink for BufferSink {
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
         self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
+        let mut hashes = KeyHashes::of(&chunk);
+        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
         if self.partitioner.is_single() {
             return self.parts[0].push(chunk);
         }
+        let count = self.parts.len();
         match &self.partition_keys {
-            Some(keys) => {
-                let hashes = super::key_hashes(&chunk, keys);
-                for (p, sub) in self
-                    .partitioner
-                    .split_chunk(&chunk, &hashes)
-                    .into_iter()
-                    .enumerate()
-                {
-                    if let Some(sub) = sub {
-                        self.parts[p].push(sub)?;
-                    }
-                }
-                Ok(())
+            // Radix route: every row goes straight into its partition's
+            // tail chunk, on the hashes the Bloom request already computed.
+            Some(keys) => self
+                .partitioner
+                .bucket_rows(&chunk, hashes.get(keys), &mut self.routed),
+            // Keyless collect sink: no hash to route on. Every chunk is
+            // routed whole, copy-free, to a rotating partition …
+            None if self.keyless_seeded => {
+                let p = self.next_round_robin;
+                self.next_round_robin = (p + 1) % count;
+                return self.parts[p].push(chunk);
             }
+            // … except the first, split into contiguous row ranges (bounded
+            // copy: it guarantees ≥2 partitions are non-empty, so no merge
+            // task can cover the full result even for single-chunk outputs).
             None => {
-                // Keyless collect sink: no hash to route on. Only the first
-                // chunk is split into contiguous row ranges (bounded copy:
-                // it guarantees ≥2 partitions are non-empty, so no merge
-                // task can cover the full result even for single-chunk
-                // outputs); every later chunk is routed whole, copy-free,
-                // to a rotating partition.
-                let count = self.parts.len();
-                if self.keyless_seeded {
-                    let p = self.next_round_robin;
-                    self.next_round_robin = (p + 1) % count;
-                    return self.parts[p].push(chunk);
-                }
                 self.keyless_seeded = true;
                 let n = chunk.num_rows();
                 let per = n.div_ceil(count).max(1);
-                let mut start = 0;
-                let mut p = 0;
-                while start < n {
-                    let end = (start + per).min(n);
-                    let idx: Vec<u32> = (start..end)
-                        .map(|l| chunk.physical_index(l) as u32)
-                        .collect();
-                    let sub = DataChunk::new(chunk.columns.iter().map(|c| c.take(&idx)).collect());
-                    self.parts[p % count].push(sub)?;
-                    p = p.saturating_add(1);
-                    start = end;
+                self.routed.resize_with(count, Vec::new);
+                for (p, rows) in self.routed.iter_mut().enumerate() {
+                    let range = (p * per).min(n)..(p * per + per).min(n);
+                    rows.clear();
+                    rows.extend(range.map(|l| chunk.physical_index(l) as u32));
                 }
-                self.next_round_robin = p % count;
-                Ok(())
+                self.next_round_robin = n.div_ceil(per) % count;
             }
         }
+        for (part, rows) in self.parts.iter_mut().zip(&self.routed) {
+            part.push_rows(&chunk, rows)?;
+        }
+        Ok(())
     }
 
     fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
         if self.partitioner.is_single() {
             return self.sink(chunk, ctx);
         }
+        let mut hashes = KeyHashes::of(&chunk);
         if let Some(keys) = &self.partition_keys {
-            check_partition_route(&chunk, keys, &self.partitioner, part, ctx)?;
+            check_partition_route(&mut hashes, keys, &self.partitioner, part, ctx)?;
         }
         self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
+        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
         ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
         self.parts[part].push(chunk)
     }
@@ -206,6 +198,7 @@ impl SinkFactory for BufferSinkFactory {
             partition_keys: self.blooms.first().map(|b| b.key_cols.clone()),
             next_round_robin: 0,
             keyless_seeded: false,
+            routed: Vec::new(),
             blooms: BloomBuild::from_specs(&self.blooms),
             rows: 0,
             metrics: ctx.metrics.clone(),

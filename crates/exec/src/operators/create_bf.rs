@@ -6,7 +6,7 @@
 //! hash-build sinks (the BloomJoin baseline's build side) both embed a list
 //! of `BloomBuild`s, merge them in `Combine`, and publish in `Finalize`.
 
-use super::{key_hashes, Resources};
+use super::{KeyHashes, Resources};
 use crate::context::ExecContext;
 use rpt_bloom::BloomFilter;
 use rpt_common::{ColumnData, DataChunk, Error, Result};
@@ -57,18 +57,29 @@ impl BloomBuild {
 }
 
 /// Insert the key hashes of a chunk into the worker's partial filters
-/// (the `Sink` step of CreateBF / the BloomJoin build side).
-pub fn insert_into_blooms(chunk: &DataChunk, blooms: &mut [BloomBuild], ctx: &ExecContext) {
+/// (the `Sink` step of CreateBF / the BloomJoin build side). The hashes
+/// come from — and stay in — `hashes`, so the sink's partition routing on
+/// the same key columns does not hash them again.
+pub(crate) fn insert_into_blooms(
+    hashes: &mut KeyHashes,
+    blooms: &mut [BloomBuild],
+    ctx: &ExecContext,
+) {
     if blooms.is_empty() {
         return;
     }
     let m = &ctx.metrics;
     let t0 = Instant::now();
+    let chunk = hashes.chunk();
     for build in blooms.iter_mut() {
-        let mut hashes = key_hashes(chunk, &build.spec.key_cols);
+        let keys = hashes.get(&build.spec.key_cols);
         // NULL keys match nothing, so they are never inserted.
-        hashes.retain(|&h| h != u64::MAX);
-        build.filter.insert_hashes(&hashes);
+        if keys.contains(&u64::MAX) {
+            let valid: Vec<u64> = keys.iter().copied().filter(|&h| h != u64::MAX).collect();
+            build.filter.insert_hashes(&valid);
+        } else {
+            build.filter.insert_hashes(keys);
+        }
         observe_i64_key_ranges(chunk, build);
     }
     m.add(&m.bloom_nanos, t0.elapsed().as_nanos() as u64);

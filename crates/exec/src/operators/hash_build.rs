@@ -2,21 +2,27 @@
 //! stream — how the BloomJoin baseline (§6.1) attaches a filter to each
 //! hash-join build side.
 //!
-//! With `partition_count > 1` every worker radix-partitions its build rows
-//! by key hash, and the driver's merge builds one [`JoinHashTable`] per
-//! partition in parallel, publishing them as a [`PartitionedHashTable`]
-//! that probes route into by the same hash — the build is never
-//! re-serialized over the full build side.
+//! Every worker keeps one run of chunks per partition (one run in all when
+//! unpartitioned) and write-combines into it: rows are appended to the
+//! run's tail chunk while they fit one vector, so a run is as many chunks
+//! as its rows need, not as many as arrived. With `partition_count > 1`
+//! the rows of a chunk are radix-routed by key hash, each straight into its
+//! partition's tail. The driver's merge then prepares the partitions in
+//! parallel — task `p` concatenates every worker's partition-`p` run and
+//! hashes its keys into a [`BuildPart`] — and `finish` lays the parts end
+//! to end into the **one** [`JoinHashTable`] probes read, so the expensive
+//! part of the build is never serialized over the full build side and a
+//! probe never knows the build was partitioned.
 
 use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, PartitionMerger, PartitionSlots, ResourceId,
-    Resources, Sink, SinkFactory,
+    check_partition_route, downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots,
+    ResourceId, Resources, Sink, SinkFactory,
 };
 use crate::context::ExecContext;
-use crate::hash_table::{JoinHashTable, PartitionedHashTable};
+use crate::hash_table::{BuildPart, JoinHashTable};
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
 use rpt_storage::{chunk_size_bytes, GovernedHandle};
 use std::any::Any;
@@ -30,6 +36,9 @@ pub struct HashBuildSink {
     /// Per-partition runs (a single entry when unpartitioned).
     parts: Vec<Vec<DataChunk>>,
     partitioner: Partitioner,
+    /// Scratch of the radix route: per partition, the rows of the chunk
+    /// being sunk.
+    routed: Vec<Vec<u32>>,
     schema: Schema,
     rows: u64,
     /// Unevictable governor registration: build rows must stay addressable
@@ -41,6 +50,17 @@ pub struct HashBuildSink {
 }
 
 impl HashBuildSink {
+    /// Book one incoming chunk: Bloom inserts (on `hashes`, which the radix
+    /// route reuses), the build-row metric, residency.
+    fn admit(&mut self, hashes: &mut KeyHashes, ctx: &ExecContext) {
+        let chunk = hashes.chunk();
+        let n = chunk.num_rows() as u64;
+        insert_into_blooms(hashes, &mut self.blooms, ctx);
+        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
+        self.report_residency(chunk_size_bytes(chunk));
+        self.rows = self.rows.saturating_add(n);
+    }
+
     fn report_residency(&mut self, added_bytes: usize) {
         if let Some(h) = &self.governed {
             self.resident_bytes = self.resident_bytes.saturating_add(added_bytes);
@@ -49,60 +69,69 @@ impl HashBuildSink {
     }
 }
 
-/// Build one partition's table; an empty partition still carries the
-/// column arity so probe-side output chunks have the right shape.
-fn build_partition(
-    chunks: &[DataChunk],
-    key_cols: Vec<usize>,
-    schema: &Schema,
-) -> Result<JoinHashTable> {
+/// Append the logical rows of `chunk` to a run, into its tail chunk while
+/// they fit one vector with it; a chunk that does not fit is flattened and
+/// becomes the next tail.
+fn push_chunk(run: &mut Vec<DataChunk>, mut chunk: DataChunk) -> Result<()> {
+    match run.last_mut() {
+        Some(tail) if tail.has_room_for(chunk.num_rows()) => tail.append(&chunk),
+        _ => {
+            chunk.flatten();
+            run.push(chunk);
+            Ok(())
+        }
+    }
+}
+
+/// [`push_chunk`] for physical rows `rows` of `src`, each copied once.
+fn push_rows(run: &mut Vec<DataChunk>, src: &DataChunk, rows: &[u32]) -> Result<()> {
+    if rows.is_empty() {
+        return Ok(());
+    }
+    match run.last_mut() {
+        Some(tail) if tail.has_room_for(rows.len()) => tail.append_rows(src, rows),
+        _ => {
+            run.push(src.take_rows(rows));
+            Ok(())
+        }
+    }
+}
+
+/// Concatenate one partition's runs and hash its keys; an empty partition
+/// still carries the column arity so probe-side output chunks have the
+/// right shape.
+fn build_part(chunks: &[DataChunk], key_cols: &[usize], schema: &Schema) -> Result<BuildPart> {
     if chunks.is_empty() {
-        JoinHashTable::build(&[DataChunk::empty_like(schema)], key_cols)
+        BuildPart::new(&[DataChunk::empty_like(schema)], key_cols)
     } else {
-        JoinHashTable::build(chunks, key_cols)
+        BuildPart::new(chunks, key_cols)
     }
 }
 
 impl Sink for HashBuildSink {
-    fn sink(&mut self, mut chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
-        let n = chunk.num_rows() as u64;
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
-        self.report_residency(chunk_size_bytes(&chunk));
+    fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
+        let mut hashes = KeyHashes::of(&chunk);
+        self.admit(&mut hashes, ctx);
         if self.partitioner.is_single() {
-            chunk.flatten();
-            self.parts[0].push(chunk);
-        } else {
-            let hashes = super::key_hashes(&chunk, &self.key_cols);
-            for (p, sub) in self
-                .partitioner
-                .split_chunk(&chunk, &hashes)
-                .into_iter()
-                .enumerate()
-            {
-                if let Some(sub) = sub {
-                    self.parts[p].push(sub);
-                }
-            }
+            return push_chunk(&mut self.parts[0], chunk);
         }
-        self.rows = self.rows.saturating_add(n);
+        self.partitioner
+            .bucket_rows(&chunk, hashes.get(&self.key_cols), &mut self.routed);
+        for (run, rows) in self.parts.iter_mut().zip(&self.routed) {
+            push_rows(run, &chunk, rows)?;
+        }
         Ok(())
     }
 
-    fn sink_part(&mut self, mut chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
+    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
         if self.partitioner.is_single() {
             return self.sink(chunk, ctx);
         }
-        check_partition_route(&chunk, &self.key_cols, &self.partitioner, part, ctx)?;
-        let n = chunk.num_rows() as u64;
-        insert_into_blooms(&chunk, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
-        self.report_residency(chunk_size_bytes(&chunk));
+        let mut hashes = KeyHashes::of(&chunk);
+        check_partition_route(&mut hashes, &self.key_cols, &self.partitioner, part, ctx)?;
+        self.admit(&mut hashes, ctx);
         ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        chunk.flatten();
-        self.parts[part].push(chunk);
-        self.rows = self.rows.saturating_add(n);
-        Ok(())
+        push_chunk(&mut self.parts[part], chunk)
     }
 
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
@@ -123,20 +152,12 @@ impl Sink for HashBuildSink {
     }
 
     fn finalize(mut self: Box<Self>, res: &Resources) -> Result<()> {
-        let table = if self.parts.len() == 1 {
-            PartitionedHashTable::single(build_partition(
-                &self.parts[0],
-                self.key_cols.clone(),
-                &self.schema,
-            )?)
-        } else {
-            let parts = self
-                .parts
-                .iter()
-                .map(|chunks| build_partition(chunks, self.key_cols.clone(), &self.schema))
-                .collect::<Result<Vec<_>>>()?;
-            PartitionedHashTable::from_parts(parts)
-        };
+        let parts = self
+            .parts
+            .iter()
+            .map(|run| build_part(run, &self.key_cols, &self.schema))
+            .collect::<Result<Vec<_>>>()?;
+        let table = JoinHashTable::assemble(parts, self.key_cols.clone())?;
         res.publish_table(self.ht_id, table.governed_by(self.governed.take()))?;
         for b in self.blooms {
             b.publish(res)?;
@@ -181,6 +202,7 @@ impl SinkFactory for HashBuildFactory {
             blooms: BloomBuild::from_specs(&self.blooms),
             parts: (0..partitioner.count()).map(|_| Vec::new()).collect(),
             partitioner,
+            routed: Vec::new(),
             schema: self.schema.clone(),
             rows: 0,
             governed: ctx.governor.as_ref().map(|g| g.register(false)),
@@ -237,7 +259,7 @@ impl SinkFactory for HashBuildFactory {
             schema: self.schema.clone(),
             partitions,
             slots,
-            tables: (0..partitions).map(|_| Mutex::new(None)).collect(),
+            built: (0..partitions).map(|_| Mutex::new(None)).collect(),
             blooms: Mutex::new(Some(blooms)),
             governed: Mutex::new(governed),
             max_task_rows: AtomicU64::new(0),
@@ -245,10 +267,11 @@ impl SinkFactory for HashBuildFactory {
     }
 }
 
-/// Merge plan of a partitioned [`HashBuildSink`]: task `p` builds one
-/// partition's [`JoinHashTable`]; `finish` assembles the
-/// [`PartitionedHashTable`], publishes it, and merges the Bloom filters.
-/// (The table is only probe-able once complete, so — unlike buffer
+/// Merge plan of a partitioned [`HashBuildSink`]: task `p` prepares one
+/// partition's [`BuildPart`] (concatenate, hash — the per-row work);
+/// `finish` assembles the parts into the one [`JoinHashTable`] (block
+/// appends and the chain links), publishes it, and merges the Bloom
+/// filters. (The table is only probe-able once complete, so — unlike buffer
 /// partitions — nothing is consumable until `finish`.)
 struct HashBuildMerger {
     ht_id: usize,
@@ -256,7 +279,7 @@ struct HashBuildMerger {
     schema: Schema,
     partitions: usize,
     slots: PartitionSlots<Vec<DataChunk>>,
-    tables: Vec<Mutex<Option<JoinHashTable>>>,
+    built: Vec<Mutex<Option<BuildPart>>>,
     blooms: Mutex<Option<Vec<Vec<BloomBuild>>>>,
     governed: Mutex<Option<GovernedHandle>>,
     max_task_rows: AtomicU64,
@@ -269,25 +292,25 @@ impl PartitionMerger for HashBuildMerger {
 
     fn merge_partition(&self, part: usize, _ctx: &ExecContext, _res: &Resources) -> Result<()> {
         let chunks: Vec<DataChunk> = self.slots.take(part)?.into_iter().flatten().collect();
-        let rows: u64 = chunks.iter().map(|c| c.num_rows() as u64).sum();
-        self.max_task_rows.fetch_max(rows, Ordering::Relaxed);
-        let table = build_partition(&chunks, self.key_cols.clone(), &self.schema)?;
-        *lock_or_err(&self.tables[part], "table slot")? = Some(table);
+        let built = build_part(&chunks, &self.key_cols, &self.schema)?;
+        self.max_task_rows
+            .fetch_max(built.num_rows() as u64, Ordering::Relaxed);
+        *lock_or_err(&self.built[part], "build part slot")? = Some(built);
         Ok(())
     }
 
     fn finish(&self, ctx: &ExecContext, res: &Resources) -> Result<()> {
-        let parts: Vec<JoinHashTable> = self
-            .tables
+        let parts: Vec<BuildPart> = self
+            .built
             .iter()
             .map(|t| {
-                lock_or_err(t, "table slot")?
+                lock_or_err(t, "build part slot")?
                     .take()
-                    .ok_or_else(|| Error::Exec("partition table missing at finish".into()))
+                    .ok_or_else(|| Error::Exec("partition build missing at finish".into()))
             })
             .collect::<Result<_>>()?;
         let governed = lock_or_err(&self.governed, "governor slot")?.take();
-        let table = PartitionedHashTable::from_parts(parts).governed_by(governed);
+        let table = JoinHashTable::assemble(parts, self.key_cols.clone())?.governed_by(governed);
         res.publish_table(self.ht_id, table)?;
         let blooms = lock_or_err(&self.blooms, "bloom slot")?
             .take()

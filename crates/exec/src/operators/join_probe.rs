@@ -31,8 +31,8 @@ impl Operator for JoinProbe {
         let m = &ctx.metrics;
         m.add(&m.join_probe_in, chunk.num_rows() as u64);
         let mut probe_rows = Vec::new();
-        let mut build_refs = Vec::new();
-        ht.probe(&chunk, &self.key_cols, &mut probe_rows, &mut build_refs);
+        let mut build_rows = Vec::new();
+        ht.probe(&chunk, &self.key_cols, &mut probe_rows, &mut build_rows);
         let out_n = probe_rows.len();
         ctx.charge(out_n as u64)?;
         m.add(&m.join_output_rows, out_n as u64);
@@ -42,7 +42,12 @@ impl Operator for JoinProbe {
             .map(|&l| chunk.physical_index(l as usize) as u32)
             .collect();
         let mut cols: Vec<Vector> = chunk.columns.iter().map(|c| c.take(&phys)).collect();
-        cols.extend(ht.gather(&self.build_output_cols, &build_refs)?);
+        let build = &ht.data.columns;
+        cols.extend(
+            self.build_output_cols
+                .iter()
+                .map(|&c| build[c].take(&build_rows)),
+        );
         Ok(Some(DataChunk::new(cols)))
     }
 

@@ -41,7 +41,7 @@ pub use semi_probe::SemiProbe;
 pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 
 use crate::context::ExecContext;
-use crate::hash_table::PartitionedHashTable;
+use crate::hash_table::JoinHashTable;
 use rpt_bloom::BloomFilter;
 use rpt_common::{DataChunk, Error, Partitioner, Result, Vector};
 use std::any::Any;
@@ -161,7 +161,7 @@ pub struct Resources {
     partitions: usize,
     buffers: Vec<BufferSlot>,
     filters: Vec<OnceLock<Arc<BloomFilter>>>,
-    tables: Vec<OnceLock<Arc<PartitionedHashTable>>>,
+    tables: Vec<OnceLock<Arc<JoinHashTable>>>,
     access_log: Option<AccessLog>,
 }
 
@@ -292,7 +292,7 @@ impl Resources {
             .ok_or_else(|| Error::Exec(format!("bloom filter {id} not built")))
     }
 
-    pub fn hash_table(&self, id: usize) -> Result<Arc<PartitionedHashTable>> {
+    pub fn hash_table(&self, id: usize) -> Result<Arc<JoinHashTable>> {
         self.log_read(ResourceId::HashTable(id));
         self.tables
             .get(id)
@@ -346,7 +346,7 @@ impl Resources {
             .map_err(|_| Error::Exec(format!("bloom filter {id} published twice")))
     }
 
-    pub fn publish_table(&self, id: usize, table: PartitionedHashTable) -> Result<()> {
+    pub fn publish_table(&self, id: usize, table: JoinHashTable) -> Result<()> {
         self.log_write(ResourceId::HashTable(id));
         self.tables
             .get(id)
@@ -648,7 +648,7 @@ pub(crate) fn check_partition_hashes(
 /// [`check_partition_hashes`] from key columns, skipping the hash
 /// computation entirely when verification is off.
 pub(crate) fn check_partition_route(
-    chunk: &DataChunk,
+    hashes: &mut KeyHashes,
     key_cols: &[usize],
     partitioner: &Partitioner,
     part: usize,
@@ -657,7 +657,7 @@ pub(crate) fn check_partition_route(
     if !ctx.verify.enabled() {
         return Ok(());
     }
-    check_partition_hashes(&key_hashes(chunk, key_cols), partitioner, part, ctx)
+    check_partition_hashes(hashes.get(key_cols), partitioner, part, ctx)
 }
 
 /// Downcast `other` to `S` for a `combine`, with a uniform error.
@@ -673,4 +673,38 @@ pub(crate) fn downcast_sink<S: Sink>(other: Box<dyn Sink>) -> Result<Box<S>> {
 pub(crate) fn key_hashes(chunk: &DataChunk, key_cols: &[usize]) -> Vec<u64> {
     let refs: Vec<&Vector> = key_cols.iter().map(|&k| &chunk.columns[k]).collect();
     rpt_common::hash::hash_columns_sel(&refs, chunk.selection.as_deref(), chunk.num_rows())
+}
+
+/// The [`key_hashes`] of one sunk chunk, computed once per distinct set of
+/// key columns: a sink's Bloom requests, its partition routing and the
+/// Preserve-route check mostly hash the same columns.
+pub(crate) struct KeyHashes<'a> {
+    chunk: &'a DataChunk,
+    sets: Vec<(Vec<usize>, Vec<u64>)>,
+}
+
+impl<'a> KeyHashes<'a> {
+    pub(crate) fn of(chunk: &'a DataChunk) -> KeyHashes<'a> {
+        KeyHashes {
+            chunk,
+            sets: Vec::new(),
+        }
+    }
+
+    pub(crate) fn chunk(&self) -> &'a DataChunk {
+        self.chunk
+    }
+
+    /// One hash per logical row of the chunk over `key_cols`.
+    pub(crate) fn get(&mut self, key_cols: &[usize]) -> &[u64] {
+        let at = match self.sets.iter().position(|(k, _)| k == key_cols) {
+            Some(at) => at,
+            None => {
+                let hashes = key_hashes(self.chunk, key_cols);
+                self.sets.push((key_cols.to_vec(), hashes));
+                self.sets.len() - 1
+            }
+        };
+        &self.sets[at].1
+    }
 }

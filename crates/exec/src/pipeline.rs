@@ -18,7 +18,7 @@
 
 use crate::context::ExecContext;
 use crate::expr::{AggExpr, Expr};
-use crate::hash_table::PartitionedHashTable;
+use crate::hash_table::JoinHashTable;
 use crate::operators::{
     aggregate::AggregateFactory, buffer::BufferSinkFactory, hash_build::HashBuildFactory,
     BufferScan, Filter, JoinProbe, Morsels, Operator, ProbeBloom, Project, ResourceId, Resources,
@@ -309,6 +309,13 @@ impl PhysicalPipeline {
     }
 }
 
+/// Count a chunk a source just produced towards `Metrics::source_chunks`.
+pub(crate) fn count_source_chunk(chunk: &DataChunk, ctx: &ExecContext) {
+    if !chunk.is_logically_empty() {
+        ctx.metrics.add(&ctx.metrics.source_chunks, 1);
+    }
+}
+
 /// Push one chunk through a pipeline's operator chain. `None` = the chunk
 /// was filtered to nothing (short-circuits the remaining operators).
 pub(crate) fn push_through(
@@ -430,6 +437,7 @@ pub fn run_physical(p: &PhysicalPipeline, ctx: &ExecContext, res: &Resources) ->
         let Some(chunk) = streams[s].morsel(i, ctx)? else {
             return Ok(());
         };
+        count_source_chunk(&chunk, ctx);
         match push_through(&p.ops, chunk, ctx, res)? {
             Some(out) if preserve => state.sink_part(out, s, ctx),
             Some(out) => state.sink(out, ctx),
@@ -710,7 +718,7 @@ impl Executor {
         self.res.filter(id)
     }
 
-    pub fn hash_table(&self, id: usize) -> Result<Arc<PartitionedHashTable>> {
+    pub fn hash_table(&self, id: usize) -> Result<Arc<JoinHashTable>> {
         self.res.hash_table(id)
     }
 }
@@ -1050,8 +1058,9 @@ mod tests {
     }
 
     /// The partitioned sinks (hash build + collect buffer) produce the same
-    /// join result as the unpartitioned path, and every buffer partition
-    /// seals independently with only its own rows.
+    /// join result as the unpartitioned path — from one join table whose
+    /// partitions were prepared by separate merge tasks — and no merge task
+    /// covers a full result.
     #[test]
     fn partitioned_pipelines_match_unpartitioned() {
         let run = |partitions: usize, threads: usize| {
@@ -1102,15 +1111,27 @@ mod tests {
         for (partitions, threads) in [(2, 1), (8, 1), (8, 4)] {
             let (rows, exec) = run(partitions, threads);
             assert_eq!(rows, base, "partitions={partitions} threads={threads}");
-            // The hash table really is partitioned, with all rows present.
+            // One table holds every build row, a key's rows still in build
+            // order (here: one row per key, so the payload names the key).
             let ht = exec.hash_table(0).unwrap();
-            assert_eq!(ht.num_partitions(), partitions);
             assert_eq!(ht.num_rows(), 100);
-            // Every partitioned merge recorded tasks; none saw all 250
-            // joined rows.
+            let mut stored = ht.data.rows();
+            assert!(stored
+                .iter()
+                .all(|r| r[1] == ScalarValue::Int64(10 * r[0].as_i64().unwrap())));
+            stored.sort_by_key(|r| r[0].as_i64());
+            assert_eq!(stored.len(), 100);
+            assert_eq!(stored[99][0], ScalarValue::Int64(99));
+            // The build and the collect each merged per partition; no task
+            // saw all 100 build rows or all 250 joined rows.
             let s = exec.ctx.metrics.summary();
-            assert!(s.merge_tasks >= 2 * partitions as u64, "{s:?}");
+            assert_eq!(s.merge_tasks, 2 * partitions as u64, "{s:?}");
             assert!(s.merge_max_task_rows < 250, "{s:?}");
+            let trace = exec.ctx.metrics.trace();
+            let build_max = trace
+                .iter()
+                .find(|(l, _)| l == "[merge] build max-task-rows");
+            assert!(build_max.is_some_and(|&(_, rows)| rows < 100), "{trace:?}");
         }
     }
 

@@ -3,13 +3,14 @@
 //! build row) order, not merely as a set — over NULL keys on either side,
 //! duplicate-heavy keys (long chains), composite `Int64` + `Utf8` keys,
 //! every mix of flat and dictionary string encodings, probe chunks behind a
-//! selection vector, and builds from several chunks; and an 8-partition
-//! [`PartitionedHashTable`] must answer exactly like the single table.
+//! selection vector, and builds from several chunks; and the table an
+//! 8-partition [`HashBuildFactory`] sink and merge assemble from the same
+//! chunks must answer exactly like the single table.
 
 use proptest::prelude::*;
-use rpt_common::hash::hash_columns;
-use rpt_common::{DataChunk, DataType, Partitioner, ScalarValue, Utf8Dict, Vector};
-use rpt_exec::{JoinHashTable, PartitionedHashTable};
+use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector};
+use rpt_exec::operators::hash_build::HashBuildFactory;
+use rpt_exec::{ExecContext, JoinHashTable, Resources, SinkFactory};
 use std::sync::Arc;
 
 /// A key value as the tests describe it: a small integer, `None` = NULL
@@ -160,47 +161,37 @@ fn check(
     want_semi.dedup();
     prop_assert_eq!(table.semi_probe(&probe_chunk, &key_cols), want_semi.clone());
 
-    // The same build side radix-partitioned eight ways, as the partitioned
-    // sink lays it out: every chunk split by key hash, partition tables
-    // built from the pieces in arrival order.
-    let partitioner = Partitioner::new(8);
-    let mut parts: Vec<Vec<DataChunk>> = vec![Vec::new(); 8];
-    for chunk in &build_chunks {
-        let key_refs: Vec<&Vector> = key_cols.iter().map(|&k| &chunk.columns[k]).collect();
-        let hashes = hash_columns(&key_refs, chunk.num_rows());
-        for (p, piece) in partitioner
-            .split_chunk(chunk, &hashes)
-            .into_iter()
-            .enumerate()
-        {
-            parts[p].extend(piece);
-        }
-    }
-    let empty = slice(&whole, 0, 0);
-    let partitioned = PartitionedHashTable::from_parts(
-        parts
-            .iter()
-            .map(|chunks| {
-                let chunks = if chunks.is_empty() {
-                    std::slice::from_ref(&empty)
-                } else {
-                    chunks
-                };
-                JoinHashTable::build(chunks, key_cols.clone()).unwrap()
-            })
+    // The same build chunks through the partitioned sink: radix-routed
+    // eight ways into write-combined runs, one merge task per partition
+    // (most of them empty at these sizes), one table assembled at the end.
+    // Its row ids follow partition order; the payload is the row number in
+    // the input, so gathering it names the match.
+    let fields = whole.columns.iter().enumerate();
+    let schema = Schema::new(
+        fields
+            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
             .collect(),
     );
-    prop_assert_eq!(partitioned.num_rows(), build.rows());
-    let (mut pp_out, mut refs) = (vec![], vec![]);
-    partitioned.probe(&probe_chunk, &key_cols, &mut pp_out, &mut refs);
-    prop_assert_eq!(&pp_out, &p_out, "partitioned probe rows");
-    // The payload is the build row number, so gathering it names the match.
-    let matched = partitioned.gather(&[payload], &refs).unwrap().remove(0);
-    let matched: Vec<u32> = (0..refs.len())
-        .map(|i| matched.get(i).as_i64().unwrap() as u32)
-        .collect();
-    prop_assert_eq!(&matched, &b_out, "partitioned build rows, in order");
-    prop_assert_eq!(partitioned.semi_probe(&probe_chunk, &key_cols), want_semi);
+    let factory = HashBuildFactory::new(0, key_cols.clone(), schema, vec![]);
+    let ctx = ExecContext::new().with_partitions(8);
+    let res = Resources::with_partitions(0, 0, 1, 8);
+    let mut sink = factory.make(&ctx).unwrap();
+    for chunk in &build_chunks {
+        sink.sink(chunk.clone(), &ctx).unwrap();
+    }
+    factory
+        .merge_partitioned("build", vec![sink], &ctx, &res)
+        .unwrap();
+    let assembled = res.hash_table(0).unwrap();
+    prop_assert_eq!(assembled.num_rows(), build.rows());
+    prop_assert_eq!(assembled.data.num_columns(), payload + 1);
+    let (mut pp_out, mut rows) = (vec![], vec![]);
+    assembled.probe(&probe_chunk, &key_cols, &mut pp_out, &mut rows);
+    prop_assert_eq!(&pp_out, &p_out, "assembled probe rows");
+    let matched = assembled.data.columns[payload].take(&rows);
+    let matched: Vec<u32> = matched.i64_slice().iter().map(|&r| r as u32).collect();
+    prop_assert_eq!(&matched, &b_out, "assembled build rows, in order");
+    prop_assert_eq!(assembled.semi_probe(&probe_chunk, &key_cols), want_semi);
     Ok(())
 }
 

@@ -241,8 +241,9 @@ proptest! {
         }
     }
 
-    /// Partitioned `HashBuildSink`: the published table holds the same rows
-    /// (each inside the partition its key hashes to), and both hash-join
+    /// Partitioned `HashBuildSink`: the one published table holds the same
+    /// rows as the unpartitioned build's — laid out partition after
+    /// partition, each key's rows in one of them — and both hash-join
     /// probes and semi-join probes agree with the unpartitioned baseline.
     #[test]
     fn partitioned_hash_build_matches_baseline(
@@ -265,34 +266,33 @@ proptest! {
 
         let base_ht = base_res.hash_table(0).unwrap();
         let ht = res.hash_table(0).unwrap();
-        prop_assert_eq!(ht.num_partitions(), partitions);
         prop_assert_eq!(ht.num_rows(), keys.len());
+        prop_assert_eq!(ctx.metrics.summary().merge_tasks, partitions as u64);
 
-        // Build rows as multisets + per-partition routing.
+        // Build rows as multisets; partitions contiguous and in order.
+        prop_assert_eq!(
+            row_multiset(std::iter::once(&ht.data)),
+            row_multiset(std::iter::once(&base_ht.data))
+        );
         let partitioner = Partitioner::new(partitions);
-        let mut part_rows = Vec::new();
-        for p in 0..partitions {
-            let data = &ht.partition(p).data;
-            for row in data.rows() {
-                let key = row[0].as_i64().unwrap();
-                prop_assert_eq!(partitioner.of_hash(hash_i64(key)), p,
-                    "build key {} in wrong partition {}", key, p);
-                part_rows.push((key, row[1].as_i64().unwrap()));
-            }
-        }
-        part_rows.sort_unstable();
-        prop_assert_eq!(part_rows, row_multiset(std::iter::once(&base_ht.partition(0).data)));
+        let part_of_row: Vec<usize> = ht.data.columns[0]
+            .i64_slice()
+            .iter()
+            .map(|&key| partitioner.of_hash(hash_i64(key)))
+            .collect();
+        prop_assert!(part_of_row.windows(2).all(|w| w[0] <= w[1]),
+            "partitions interleave in the row store: {:?}", part_of_row);
 
         // Probe parity: same (probe key, build value) match multiset.
         let probe = DataChunk::new(vec![Vector::from_i64(probes.clone())]);
-        let matches = |t: &rpt_exec::PartitionedHashTable| {
+        let matches = |t: &rpt_exec::JoinHashTable| {
             let (mut pr, mut br) = (vec![], vec![]);
             t.probe(&probe, &[0], &mut pr, &mut br);
-            let vals = t.gather(&[1], &br).unwrap().remove(0);
+            let vals = t.data.columns[1].take(&br);
             let mut out: Vec<(i64, i64)> = pr
                 .iter()
-                .enumerate()
-                .map(|(i, &p)| (probes[p as usize], vals.get(i).as_i64().unwrap()))
+                .zip(vals.i64_slice())
+                .map(|(&p, &v)| (probes[p as usize], v))
                 .collect();
             out.sort_unstable();
             out

@@ -41,7 +41,7 @@
 use crate::disk::{read_chunk, write_chunk};
 use crate::encode::{decode_i64, encode_i64, EncodedBlock};
 use crate::govern::GovernedHandle;
-use crate::table::chunk_size_bytes;
+use crate::table::{chunk_size_bytes, taken_size_bytes};
 use crate::ZoneMap;
 use rpt_common::{ColumnData, DataChunk, Error, Result, Schema, Utf8Dict, Vector};
 use std::fs::File;
@@ -159,15 +159,72 @@ impl SpillBuffer {
         self
     }
 
-    /// Append a chunk (flattens it first so spilled bytes are exact; a
-    /// chunk with no selection is stored as it came, not copied).
+    /// Append the logical rows of a chunk. Write-combining: the rows go
+    /// into the resident tail chunk while they fit one vector with it, so
+    /// a run never stores two adjacent resident chunks that one vector
+    /// could hold; a selection-free chunk that does not fit is stored as
+    /// it came, not copied.
     pub fn push(&mut self, mut chunk: DataChunk) -> Result<()> {
-        chunk.flatten();
-        let flat = chunk;
-        if flat.num_rows() == 0 {
+        if let Some(sel) = chunk.selection.take() {
+            return self.push_rows(&chunk, &sel);
+        }
+        let rows = chunk.num_rows();
+        if rows == 0 {
             return Ok(());
         }
-        let sz = chunk_size_bytes(&flat);
+        let sz = chunk_size_bytes(&chunk);
+        if !self.combine_into_tail(rows, sz, |tail| tail.append(&chunk))? {
+            self.store(chunk, sz)?;
+        }
+        self.report_residency()
+    }
+
+    /// Append physical rows `rows` of `src` — how a partitioned sink
+    /// scatters a chunk: each row is copied once, into this partition's
+    /// tail, with no sub-chunk in between.
+    pub fn push_rows(&mut self, src: &DataChunk, rows: &[u32]) -> Result<()> {
+        if rows.is_empty() {
+            return Ok(());
+        }
+        let sz = taken_size_bytes(src, rows);
+        if !self.combine_into_tail(rows.len(), sz, |tail| tail.append_rows(src, rows))? {
+            self.store(src.take_rows(rows), sz)?;
+        }
+        self.report_residency()
+    }
+
+    /// Run `append` on the tail chunk if `rows` more rows of `sz` bytes
+    /// may join it: it is resident (the last slot in insertion order, so
+    /// order is kept), has room, and the cap would not have spilled the
+    /// rows on their own. Residency grows by what the tail measurably
+    /// gained — an append may add a validity mask or decode a dictionary.
+    fn combine_into_tail(
+        &mut self,
+        rows: usize,
+        sz: usize,
+        append: impl FnOnce(&mut DataChunk) -> Result<()>,
+    ) -> Result<bool> {
+        if self.mem_bytes + sz > self.mem_limit_bytes {
+            return Ok(false);
+        }
+        let Some(ChunkSlot::Mem(i)) = self.order.last().copied() else {
+            return Ok(false);
+        };
+        let tail = &mut self.in_memory[i];
+        if !tail.has_room_for(rows) {
+            return Ok(false);
+        }
+        let before = chunk_size_bytes(tail);
+        append(tail)?;
+        let added = chunk_size_bytes(tail).saturating_sub(before);
+        self.mem_bytes += added;
+        self.stats.bytes_in_memory += added;
+        Ok(true)
+    }
+
+    /// Store a flat chunk of `sz` bytes as a chunk of its own: resident
+    /// under the cap, else in the spill file.
+    fn store(&mut self, flat: DataChunk, sz: usize) -> Result<()> {
         if self.mem_bytes + sz > self.mem_limit_bytes {
             let seq = self.spill_chunk(&flat, sz)?;
             self.order.push(ChunkSlot::Spill(seq));
@@ -178,6 +235,11 @@ impl SpillBuffer {
             self.order.push(ChunkSlot::Mem(self.in_memory.len()));
             self.in_memory.push(flat);
         }
+        Ok(())
+    }
+
+    /// Tell the governor what is resident now and evict if it says so.
+    fn report_residency(&mut self) -> Result<()> {
         let flagged = match &self.governor {
             Some(h) => h.update(self.mem_bytes),
             None => false,
@@ -708,15 +770,50 @@ mod tests {
         DataChunk::new(vec![Vector::from_i64(vals)])
     }
 
+    /// Logical rows of a restored run, in order.
+    fn values(chunks: &[DataChunk]) -> Vec<i64> {
+        chunks
+            .iter()
+            .flat_map(|c| c.rows().into_iter().map(|r| r[0].as_i64().unwrap()))
+            .collect()
+    }
+
     #[test]
     fn unbounded_keeps_everything_in_memory() {
         let mut b = SpillBuffer::unbounded(schema());
         b.push(chunk(vec![1, 2, 3])).unwrap();
         b.push(chunk(vec![4])).unwrap();
-        assert_eq!(b.stats().chunks_spilled, 0);
+        let mut selected = chunk(vec![7, 6, 5]);
+        selected.set_selection(vec![2, 1]);
+        b.push(selected).unwrap();
+        b.push_rows(&chunk(vec![9, 8, 7]), &[2]).unwrap();
+        let st = b.stats();
+        assert_eq!(st.chunks_spilled, 0);
+        // Everything fits one vector, so it is one resident chunk, and the
+        // accounting is that chunk's size.
+        assert_eq!((st.chunks_in_memory, st.bytes_in_memory), (1, 7 * 8));
+        assert_eq!(b.mem_bytes, 7 * 8);
         let chunks = b.into_chunks().unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].value(0, 0), ScalarValue::Int64(4));
+        assert_eq!(chunks.len(), 1);
+        assert_eq!(values(&chunks), vec![1, 2, 3, 4, 5, 6, 7]);
+    }
+
+    /// The tail takes rows only while the result fits one vector; a chunk
+    /// that does not fit starts the next tail, untouched.
+    #[test]
+    fn tail_combines_up_to_one_vector() {
+        use rpt_common::VECTOR_SIZE;
+        let mut b = SpillBuffer::unbounded(schema());
+        let sizes = [VECTOR_SIZE - 10, 10, 1, VECTOR_SIZE, 5, 5];
+        let mut next = 0i64;
+        for n in sizes {
+            b.push(chunk((next..next + n as i64).collect())).unwrap();
+            next += n as i64;
+        }
+        let chunks = b.into_chunks().unwrap();
+        let rows: Vec<usize> = chunks.iter().map(DataChunk::num_rows).collect();
+        assert_eq!(rows, vec![VECTOR_SIZE, 1, VECTOR_SIZE, 10]);
+        assert_eq!(values(&chunks), (0..next).collect::<Vec<_>>());
     }
 
     #[test]
@@ -974,19 +1071,31 @@ mod tests {
         let mut b = SpillBuffer::new(schema(), usize::MAX, &dir).with_governor(gov.register(true));
         b.push(chunk(vec![1, 2, 3])).unwrap(); // 24B resident, under budget
         assert_eq!(b.stats().chunks_spilled, 0);
-        b.push(chunk(vec![4, 5, 6, 7, 8, 9])).unwrap(); // 72B total: evict
+        assert_eq!(gov.resident_bytes(), 24);
+        b.push(chunk(vec![4, 5, 6, 7, 8, 9])).unwrap(); // 72B in the tail: evict
         let st = b.stats();
         assert_eq!(st.chunks_in_memory, 0, "eviction cleared residency");
-        assert_eq!(st.chunks_spilled, 2);
+        assert_eq!(st.bytes_in_memory, 0);
+        assert_eq!(
+            st.chunks_spilled, 1,
+            "the combined tail went out as one frame"
+        );
+        assert_eq!(st.bytes_spilled, 72);
         assert_eq!(st.victim_evictions, 1);
         assert_eq!(gov.evictions(), 1);
-        let all: Vec<i64> = b
-            .into_chunks()
-            .unwrap()
-            .iter()
-            .flat_map(|c| c.rows().into_iter().map(|r| r[0].as_i64().unwrap()))
-            .collect();
-        assert_eq!(all, vec![1, 2, 3, 4, 5, 6, 7, 8, 9], "order preserved");
+        assert_eq!(gov.resident_bytes(), 0);
+        // Nothing is resident, so the next rows start a new tail after the
+        // spilled frame rather than joining it.
+        b.push(chunk(vec![10])).unwrap();
+        assert_eq!(b.stats().chunks_in_memory, 1);
+        assert_eq!(gov.resident_bytes(), 8);
+        let chunks = b.into_chunks().unwrap();
+        assert_eq!(chunks.len(), 2);
+        assert_eq!(
+            values(&chunks),
+            vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10],
+            "order preserved"
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -163,6 +163,26 @@ pub fn chunk_size_bytes(c: &DataChunk) -> usize {
     c.columns.iter().map(vector_size_bytes).sum()
 }
 
+/// What [`chunk_size_bytes`] reports for `c.take_rows(rows)`, without
+/// gathering the rows.
+pub fn taken_size_bytes(c: &DataChunk, rows: &[u32]) -> usize {
+    use rpt_common::ColumnData::*;
+    let n = rows.len();
+    let column = |v: &Vector| {
+        let payload = match &v.data {
+            Int64(_) => n * std::mem::size_of::<i64>(),
+            Float64(_) => n * std::mem::size_of::<f64>(),
+            Utf8(x) => {
+                rows.iter().map(|&i| x[i as usize].len()).sum::<usize>()
+                    + n * std::mem::size_of::<String>()
+            }
+            Bool(_) => n,
+        };
+        payload + v.validity.as_ref().map_or(0, |_| n)
+    };
+    c.columns.iter().map(column).sum()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
