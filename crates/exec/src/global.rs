@@ -929,12 +929,16 @@ pub fn run_physical_global(
             .count()
     };
 
+    // Worker 0 is the calling thread: a one-worker run spawns nothing, and
+    // every query keeps running on the thread (cache, malloc arena) its
+    // client called from. Task panics are contained in `worker_loop`.
     let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for id in 0..workers {
+        for id in 1..workers {
             let engine = &engine;
             scope.spawn(move || engine.worker(id, n));
         }
+        engine.worker(0, n);
     });
     let wall = t0.elapsed().as_nanos() as u64;
 
