@@ -105,10 +105,7 @@ impl DataChunk {
     /// physical rows are logical rows.
     pub fn flatten(&mut self) {
         if let Some(sel) = self.selection.take() {
-            for col in &mut self.columns {
-                *col = col.take(&sel);
-            }
-            self.len = sel.len();
+            *self = self.take_rows(&sel);
         }
     }
 

@@ -46,6 +46,7 @@ pub struct JoinHashTable {
 /// One partition's share of a build side, ready to be laid into the table:
 /// its rows concatenated in arrival order and the key hash of each. Merge
 /// tasks prepare these in parallel.
+#[derive(Default)]
 pub struct BuildPart {
     data: DataChunk,
     hashes: Vec<u64>,
@@ -75,27 +76,21 @@ impl BuildPart {
     }
 }
 
-/// Build rows are addressed by `u32` and stored off by one in the
-/// directory and the chains, so a table holds at most `u32::MAX` rows —
-/// summed over all the parts it is assembled from.
-fn check_row_count(rows: usize) -> Result<()> {
+/// Rows of a build side given as the row counts of its parts. Build rows
+/// are addressed by `u32` and stored off by one in the directory and the
+/// chains, so a table holds at most `u32::MAX` rows — summed over all the
+/// parts it is assembled from.
+fn total_rows(parts: impl IntoIterator<Item = usize>) -> Result<usize> {
+    let rows = parts
+        .into_iter()
+        .try_fold(0usize, |sum, n| sum.checked_add(n))
+        .unwrap_or(usize::MAX);
     if rows > u32::MAX as usize {
         return Err(Error::Exec(format!(
             "hash-join build side of {rows} rows exceeds the {} a table can address",
             u32::MAX
         )));
     }
-    Ok(())
-}
-
-/// Rows of a build side given as the row counts of its parts, checked
-/// against what one table can address.
-fn total_rows(parts: impl IntoIterator<Item = usize>) -> Result<usize> {
-    let rows = parts
-        .into_iter()
-        .try_fold(0usize, |sum, n| sum.checked_add(n))
-        .unwrap_or(usize::MAX);
-    check_row_count(rows)?;
     Ok(rows)
 }
 
@@ -175,33 +170,27 @@ impl JoinHashTable {
     /// Lay `parts` end to end into one table: row stores appended in part
     /// order into columns reserved once, hashes concatenated, one directory
     /// sized for the total. The first part with rows is moved in, not
-    /// copied, and brings its encodings (dictionaries) with it. All rows of
-    /// a key sit in one part and parts stay contiguous and in order, so
-    /// linking the whole store in reverse leaves every chain in ascending
-    /// build-row order exactly as a build over the concatenated input.
+    /// copied, and brings its encodings (dictionaries) with it; a build
+    /// without rows keeps the first part's columns. All rows of a key sit
+    /// in one part and parts stay contiguous and in order, so linking the
+    /// whole store in reverse leaves every chain in ascending build-row
+    /// order exactly as a build over the concatenated input.
     pub fn assemble(parts: Vec<BuildPart>, key_cols: Vec<usize>) -> Result<JoinHashTable> {
         let n = total_rows(parts.iter().map(BuildPart::num_rows))?;
-        let mut hashes = Vec::with_capacity(n);
-        let mut store: Option<DataChunk> = None;
-        // Columns of an empty part: the shape of a table without rows.
-        let mut shape = DataChunk::default();
-        for part in parts {
+        let lead = parts.iter().position(|p| p.num_rows() > 0).unwrap_or(0);
+        let mut rest = parts.into_iter().skip(lead);
+        let BuildPart {
+            mut data,
+            mut hashes,
+        } = rest.next().unwrap_or_default();
+        data.reserve(n - data.num_rows());
+        hashes.reserve_exact(n - hashes.len());
+        // An empty part has nothing to add — and, being flat, would make
+        // the append decode the store's dictionaries.
+        for part in rest.filter(|p| p.num_rows() > 0) {
+            data.append(&part.data)?;
             hashes.extend_from_slice(&part.hashes);
-            match &mut store {
-                _ if part.num_rows() == 0 => {
-                    if shape.num_columns() == 0 {
-                        shape = part.data;
-                    }
-                }
-                None => {
-                    let mut data = part.data;
-                    data.reserve(n - data.num_rows());
-                    store = Some(data);
-                }
-                Some(data) => data.append(&part.data)?,
-            }
         }
-        let data = store.unwrap_or(shape);
         let nulls = key_validity(&key_columns(&data, &key_cols));
         // At most half full, and never empty so a probe needs no size check.
         let mut heads = vec![0u32; (n * 2).next_power_of_two()];
@@ -473,9 +462,9 @@ mod tests {
     /// the rows of all parts together, since one table addresses them all.
     #[test]
     fn row_ids_past_u32_are_an_error() {
-        assert!(check_row_count(0).is_ok());
-        assert!(check_row_count(u32::MAX as usize).is_ok());
-        let err = check_row_count(u32::MAX as usize + 1).unwrap_err();
+        assert_eq!(total_rows([]).unwrap(), 0);
+        assert_eq!(total_rows([u32::MAX as usize]).unwrap(), u32::MAX as usize);
+        let err = total_rows([u32::MAX as usize + 1]).unwrap_err();
         assert!(matches!(err, Error::Exec(_)), "{err:?}");
 
         let half = u32::MAX as usize / 2;

@@ -2,11 +2,16 @@
 //! optionally build Bloom filters along the way — the CreateBF operator.
 //! With no Bloom requests this is a plain collect sink.
 //!
-//! With `partition_count > 1` every worker writes *hash-partitioned* runs
-//! (radix on the Bloom request's key columns; keyless collect sinks split
-//! their first chunk across partitions, then route whole chunks
-//! round-robin, copy-free), and the driver merges the partitions in
-//! parallel — each merge task concatenates one partition's runs from every
+//! Every worker keeps one [`SpillBuffer`] per partition (one in all when
+//! unpartitioned), and the buffer write-combines: rows join its resident
+//! tail chunk while they fit one vector, so the next pipeline reads
+//! vector-sized chunks however small the chunks that arrived here were.
+//! With `partition_count > 1` the rows of a chunk are radix-routed on the
+//! Bloom request's key columns — hashed once, for the filters and the route
+//! — each straight into its partition's tail, with no sub-chunk in between
+//! (keyless collect sinks split their first chunk across partitions, then
+//! route whole chunks round-robin). The driver merges the partitions in
+//! parallel: each merge task concatenates one partition's runs from every
 //! worker and seals that partition's buffer slot, so no merge task ever
 //! scans the full result.
 

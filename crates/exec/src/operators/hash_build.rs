@@ -322,3 +322,48 @@ impl PartitionMerger for HashBuildMerger {
         self.max_task_rows.load(Ordering::Relaxed)
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rpt_common::{Vector, VECTOR_SIZE};
+
+    /// Both ways into a run keep it combined: no two adjacent chunks that
+    /// one vector could hold, rows in arrival order.
+    #[test]
+    fn runs_are_write_combined() {
+        let mut run = Vec::new();
+        let mut want = Vec::new();
+        let mut next = 0i64;
+        for (i, n) in [700usize, 700, 700, 1, VECTOR_SIZE, 30, 30, 2000]
+            .into_iter()
+            .enumerate()
+        {
+            let mut chunk =
+                DataChunk::new(vec![Vector::from_i64((next..next + n as i64).collect())]);
+            next += n as i64;
+            let kept: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
+            want.extend(
+                kept.iter()
+                    .map(|&r| chunk.columns[0].i64_slice()[r as usize]),
+            );
+            if i % 2 == 0 {
+                push_rows(&mut run, &chunk, &kept).unwrap();
+            } else {
+                chunk.set_selection(kept);
+                push_chunk(&mut run, chunk).unwrap();
+            }
+        }
+        let got: Vec<i64> = run
+            .iter()
+            .flat_map(|c| c.columns[0].i64_slice().to_vec())
+            .collect();
+        assert_eq!(got, want);
+        assert!(run
+            .iter()
+            .all(|c| c.selection.is_none() && c.num_rows() <= VECTOR_SIZE));
+        assert!(run
+            .windows(2)
+            .all(|w| w[0].num_rows() + w[1].num_rows() > VECTOR_SIZE));
+    }
+}

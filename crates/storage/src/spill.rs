@@ -28,9 +28,15 @@
 //! file — a chunk arriving with a *different* dictionary falls back to raw
 //! strings for that chunk. Each spilled chunk also records its row count
 //! and per-column [`ZoneMap`]s ([`SpillBuffer::spilled_zones`]). Restores
-//! are insertion-ordered: forced-spill output is chunk-for-chunk identical
-//! to the resident path. The legacy decoded format remains available as
-//! the parity leg (`with_encoding(false)` / `RPT_SPILL_ENCODING=off`).
+//! are insertion-ordered: forced-spill output is row-for-row identical to
+//! the resident path. The legacy decoded format remains available as the
+//! parity leg (`with_encoding(false)` / `RPT_SPILL_ENCODING=off`).
+//!
+//! Resident rows are **write-combined**: [`SpillBuffer::push`] and
+//! [`SpillBuffer::push_rows`] append into the resident tail chunk while
+//! the rows fit one vector with it, so however small the chunks a sink is
+//! handed (a partitioned sink scatters each one eight ways), the run it
+//! stores never holds two adjacent resident chunks one vector could hold.
 //!
 //! Residency is governed two ways: the per-buffer `mem_limit_bytes` cap
 //! (the pre-PR-10 behaviour) and, when a [`MemoryGovernor`] handle is
@@ -405,7 +411,7 @@ impl SpillBuffer {
 
     /// Finish writing and return all chunks in **insertion order**: the
     /// restore interleaves spilled and resident chunks exactly as pushed,
-    /// so a forced-spill run is chunk-identical to a resident one. Consumes
+    /// so a forced-spill run is row-identical to a resident one. Consumes
     /// the prefetch cache when one covers the whole file (a prefetch hit);
     /// otherwise reads the file synchronously (a miss). Removes the spill
     /// file. The backward pass and join phase re-scan through this.
