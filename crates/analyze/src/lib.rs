@@ -397,7 +397,7 @@ pub fn verify_plan(facts: &PlanFacts<'_>) -> VerifyReport {
         }
     }
 
-    // From here on, judge the *recorded* deps (what the schedulers will
+    // From here on, judge the *recorded* deps (what the scheduler will
     // actually consume); divergence from the specs was reported above.
     let reads: Vec<&[ResourceId]> = facts.deps.iter().map(|d| d.reads.as_slice()).collect();
     let writes: Vec<&[ResourceId]> = facts.deps.iter().map(|d| d.writes.as_slice()).collect();

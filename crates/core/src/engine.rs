@@ -66,28 +66,20 @@ pub struct QueryOptions {
     pub join_order: Option<JoinOrder>,
     /// When the optimizer chooses: bushy (greedy) instead of left-deep DP.
     pub bushy_optimizer: bool,
-    /// Which scheduler executes the pipeline DAG. `Global` (the default;
-    /// overridable via `RPT_SCHEDULER`) runs every morsel and merge task of
-    /// the query on **one** worker pool with partition-granular readiness;
-    /// `Scoped` keeps the legacy two-level model for parity testing.
+    // Ignored by the engine; only `benchmark/src/workloads.rs:6,162`
+    // assigns it, and the next `benchmark` PR can drop it.
+    #[doc(hidden)]
     pub scheduler: SchedulerKind,
-    /// Global worker-pool size; `None` (default) sizes the pool to
-    /// `available_parallelism()`. Only read by the global scheduler.
+    /// Worker-pool size; `None` (default) sizes the pool to
+    /// `available_parallelism()`. Every morsel and merge task of the query
+    /// runs on this one pool.
     pub workers: Option<usize>,
     /// Morsel threads *within* one pipeline (1 = the paper's default
-    /// single-threaded setting; 32 for §5.3). Under the global scheduler
-    /// this caps the morsel fan-out per source partition, and `1`
-    /// additionally pins each pipeline to a deterministic ordered chunk
-    /// order; the pool size itself comes from `workers`.
+    /// single-threaded setting; 32 for §5.3): caps the morsel fan-out per
+    /// source partition, and `1` additionally pins each pipeline to a
+    /// deterministic ordered chunk order; the pool size itself comes from
+    /// `workers`.
     pub threads: usize,
-    /// **Deprecated for the global scheduler** (ignored there): maximum
-    /// pipelines in flight under the *scoped* scheduler, where each running
-    /// pipeline spawns its own `threads`-wide morsel scope — i.e. thread
-    /// counts multiply as `pipeline_parallelism × threads`. The global
-    /// scheduler replaces that layering with the single `workers`-sized
-    /// pool. Kept as an override for the scoped parity path; `1` forces the
-    /// classic sequential plan-order execution there.
-    pub pipeline_parallelism: usize,
     /// Hash partitions per materializing sink (normalized to a power of
     /// two). With more than one partition, `BufferSink`/`HashBuildSink`
     /// write radix-partitioned runs merged per-partition in parallel
@@ -98,6 +90,8 @@ pub struct QueryOptions {
     pub work_budget: Option<u64>,
     /// Memory cap for transfer-phase materialization (the "+spill" setup).
     pub spill_limit_bytes: Option<usize>,
+    /// Directory of every spill run, whether the per-buffer cap or the
+    /// memory governor evicted it.
     pub spill_dir: PathBuf,
     /// Global memory budget shared by *all* materializing sinks of a query
     /// through one `MemoryGovernor`: when the summed resident bytes cross
@@ -110,8 +104,8 @@ pub struct QueryOptions {
     /// to `RPT_SPILL_ENCODING` (`off` disables — the parity leg); restored
     /// chunks are identical either way.
     pub spill_encoding: bool,
-    /// Let the global scheduler prefetch spilled partitions with low-band
-    /// `SpillIo` tasks so restore I/O overlaps upstream execution.
+    /// Let the scheduler prefetch spilled partitions with `SpillIo` tasks
+    /// so restore I/O overlaps upstream execution.
     /// Defaults to `RPT_SPILL_PREFETCH` (`off` disables).
     pub spill_prefetch: bool,
     /// §4.3: skip trivial PK-side semi-joins.
@@ -161,10 +155,9 @@ impl QueryOptions {
             mode,
             join_order: None,
             bushy_optimizer: false,
-            scheduler: SchedulerKind::from_env(),
+            scheduler: SchedulerKind::Global,
             workers: None,
             threads: 1,
-            pipeline_parallelism: 4,
             partition_count: rpt_common::partition_count_from_env(),
             work_budget: None,
             spill_limit_bytes: None,
@@ -223,24 +216,10 @@ impl QueryOptions {
         self
     }
 
-    /// Select the DAG scheduler (Global by default; Scoped for parity).
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Size the global worker pool explicitly (default:
+    /// Size the worker pool explicitly (default:
     /// `available_parallelism()`).
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = Some(workers.max(1));
-        self
-    }
-
-    /// Cap (or, with `1`, disable) concurrent pipeline execution under the
-    /// **scoped** scheduler. The global scheduler ignores this — its
-    /// `workers` pool is the only concurrency cap.
-    pub fn with_pipeline_parallelism(mut self, max_concurrent: usize) -> Self {
-        self.pipeline_parallelism = max_concurrent.max(1);
         self
     }
 
@@ -514,9 +493,9 @@ impl Database {
     }
 
     /// Build the per-query execution context from the options
-    /// (scheduler / threads / work budget / spill configuration).
+    /// (workers / threads / work budget / spill configuration).
     ///
-    /// The global worker pool defaults to `available_parallelism()`, but an
+    /// The worker pool defaults to `available_parallelism()`, but an
     /// explicit `threads` override above 1 raises the floor so §5.3-style
     /// thread sweeps behave the same on small machines.
     pub fn make_context(&self, opts: &QueryOptions) -> ExecContext {
@@ -526,40 +505,32 @@ impl Database {
         let mut ctx = ExecContext::new()
             .with_threads(opts.threads)
             .with_partitions(opts.partition_count)
-            .with_scheduler(opts.scheduler)
             .with_workers(workers)
             .with_agg_fast(opts.agg_fast)
             .with_storage_encoding(opts.storage_encoding)
             .with_spill_encoding(opts.spill_encoding)
             .with_spill_prefetch(opts.spill_prefetch)
             .with_memory_budget(opts.memory_budget_bytes)
+            .with_spill(opts.spill_limit_bytes, opts.spill_dir.clone())
             .with_verify(opts.plan_verify);
         if let Some(b) = opts.work_budget {
             ctx = ctx.with_budget(b);
         }
-        if let Some(limit) = opts.spill_limit_bytes {
-            ctx = ctx.with_spill(limit, opts.spill_dir.clone());
-        }
         ctx
     }
 
-    /// Run a compiled [`PhysicalPlan`] through the DAG scheduler on a
-    /// fresh executor; returns the executor holding the published
-    /// resources. The plan's recorded `partition_count` is authoritative
-    /// for the executor's per-partition resource slots.
-    fn run_plan(
-        &self,
-        plan: &crate::planner::PhysicalPlan,
-        ctx: ExecContext,
-        opts: &QueryOptions,
-    ) -> Result<Executor> {
+    /// Run a compiled [`PhysicalPlan`] on a fresh executor; returns the
+    /// executor holding the published resources. The plan's recorded
+    /// `partition_count` is authoritative for the executor's per-partition
+    /// resource slots.
+    fn run_plan(&self, plan: &crate::planner::PhysicalPlan, ctx: ExecContext) -> Result<Executor> {
         let (nb, nf, nt) = plan.resource_counts();
         let ctx = ctx.with_partitions(plan.partition_count);
         if ctx.verify.enabled() {
             enforce_verify(&ctx, plan.verify(), "physical plan")?;
         }
         let mut exec = Executor::new(ctx, nb, nf, nt);
-        exec.run_dag_with_deps(&plan.pipelines, &plan.deps, opts.pipeline_parallelism)?;
+        exec.run_dag_with_deps(&plan.pipelines, &plan.deps)?;
         reconcile_run(&exec, &plan.deps)?;
         Ok(exec)
     }
@@ -577,7 +548,7 @@ impl Database {
         let ctx = self.make_context(opts);
         let metrics = ctx.metrics.clone();
         let t0 = Instant::now();
-        let exec = self.run_plan(&compiled, ctx, opts)?;
+        let exec = self.run_plan(&compiled, ctx)?;
         let wall_time = t0.elapsed();
 
         let chunks = exec.buffer(compiled.output_buffer)?;
@@ -617,7 +588,7 @@ impl Database {
             prelude.num_filters,
             prelude.num_tables,
         );
-        exec.run_dag_with_deps(&prelude.pipelines, &prelude.deps, opts.pipeline_parallelism)?;
+        exec.run_dag_with_deps(&prelude.pipelines, &prelude.deps)?;
         reconcile_run(&exec, &prelude.deps)?;
 
         // Assemble the reduced relations for the generic join.
@@ -660,7 +631,7 @@ impl Database {
             joined.flattened().columns,
         )?);
         let compiled = Planner::new(q, opts).compile_epilogue(joined_table, prelude.layout)?;
-        let exec2 = self.run_plan(&compiled, ctx, opts)?;
+        let exec2 = self.run_plan(&compiled, ctx)?;
         let wall_time = t0.elapsed();
         let chunks = exec2.buffer(compiled.output_buffer)?;
         let mut rows = Vec::new();

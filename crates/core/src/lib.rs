@@ -44,4 +44,3 @@ pub use optimizer::{random_bushy, random_left_deep, JoinOrder, PlanNode};
 pub use planner::{PhysicalPlan, Planner};
 pub use query::JoinQuery;
 pub use robustness::{robustness_factor, RobustnessReport};
-pub use rpt_exec::SchedulerKind;

@@ -29,13 +29,12 @@ pub struct PhysicalPlan {
     pub pipelines: Vec<PipelinePlan>,
     /// `deps[i]` = read/write resource sets of `pipelines[i]`, recorded at
     /// **partition granularity**: buffer dependencies are expanded to one
-    /// `ResourceId::BufferPart` grain per hash partition, so the global
-    /// scheduler can start a consumer's partition-`p` tasks as soon as the
-    /// producer seals partition `p`. This covers aggregate output buffers
-    /// too: a GROUP BY sink's merge seals one partition of its result per
-    /// merge task, so e.g. the final re-projection pipeline starts on the
-    /// first sealed group partition. The scoped scheduler treats grains
-    /// opaquely and derives the same pipeline-level DAG.
+    /// `ResourceId::BufferPart` grain per hash partition, so the scheduler
+    /// can start a consumer's partition-`p` tasks as soon as the producer
+    /// seals partition `p`. This covers aggregate output buffers too: a
+    /// GROUP BY sink's merge seals one partition of its result per merge
+    /// task, so e.g. the final re-projection pipeline starts on the first
+    /// sealed group partition.
     pub deps: Vec<NodeDeps>,
     pub num_buffers: usize,
     pub num_filters: usize,
@@ -719,7 +718,7 @@ impl<'q> Planner<'q> {
     /// ORDER BY keys are bound to output positions, so the sort reads the
     /// projected buffer as-is. `LIMIT` without `ORDER BY` still runs the
     /// sort sink (keys empty ⇒ the total-order tie-break alone), which
-    /// pins a deterministic row choice across schedulers and partitions.
+    /// pins a deterministic row choice across worker and partition counts.
     fn finish_order_by(&mut self, out_buf: usize, out_schema: &Schema) -> usize {
         if self.q.order_by.is_empty() && self.q.limit.is_none() && self.q.offset.is_none() {
             return out_buf;

@@ -8,44 +8,12 @@ use std::sync::Mutex;
 
 use rpt_common::{Error, Result};
 
-/// Which pipeline scheduler executes a query's DAG.
-///
-/// `Global` is the default: one worker pool sized to the machine runs
-/// *every* task of the query — source-morsel claims, per-partition sink
-/// merges, finalizes — with readiness tracked per buffer *partition*, so a
-/// consumer pipeline starts on partition `p` the moment its producer seals
-/// `p`. `Scoped` is the legacy two-level model (a DAG worker pool that
-/// spawns a fresh morsel thread-scope per running pipeline); it is kept for
-/// parity testing and can be forced with `RPT_SCHEDULER=scoped`.
-/// `Stealing` keeps the global pool's readiness machinery but replaces its
-/// shared FIFO with per-worker deques plus an injector: workers push
-/// locally, pop LIFO, and steal FIFO from victims, with merge/finish tasks
-/// that unblock registered waiters promoted to a high-priority band.
+// Only `benchmark/src/workloads.rs:6,162` reads this (it assigns
+// `QueryOptions::scheduler`); the next `benchmark` PR can drop both.
+#[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
-    /// One global morsel-driven worker pool with a unified task queue.
     Global,
-    /// Legacy: DAG worker pool × per-pipeline morsel thread scopes.
-    Scoped,
-    /// Global pool with per-worker deques, work stealing, and two-level
-    /// priorities (`RPT_SCHEDULER=steal`).
-    Stealing,
-}
-
-impl SchedulerKind {
-    /// Process default: `RPT_SCHEDULER` (`global` / `scoped` / `steal`),
-    /// else Global.
-    pub fn from_env() -> SchedulerKind {
-        match std::env::var("RPT_SCHEDULER") {
-            Ok(v) if v.eq_ignore_ascii_case("scoped") || v.eq_ignore_ascii_case("legacy") => {
-                SchedulerKind::Scoped
-            }
-            Ok(v) if v.eq_ignore_ascii_case("steal") || v.eq_ignore_ascii_case("stealing") => {
-                SchedulerKind::Stealing
-            }
-            _ => SchedulerKind::Global,
-        }
-    }
 }
 
 /// Process default for the fixed-width aggregation fast path: enabled
@@ -173,7 +141,7 @@ pub fn utilization_pct(busy_nanos: u64, wall_nanos: u64, workers: u64) -> u64 {
         .min(100)
 }
 
-/// Number of hardware threads, the default global worker-pool size.
+/// Number of hardware threads, the default worker-pool size.
 pub fn default_worker_count() -> usize {
     std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
@@ -223,30 +191,22 @@ pub struct Metrics {
     /// `partition_count > 1` this must stay below the row count of every
     /// non-trivial sink (no merge task covers a full result).
     pub merge_max_task_rows: AtomicU64,
-    /// Tasks executed by the global scheduler (morsels + merges + setup).
+    /// Tasks executed by the scheduler (morsels + merges + setup).
     pub sched_tasks: AtomicU64,
     /// Downstream partition tasks that started while their producer
     /// pipeline had not yet sealed all partitions — the partition-overlap
-    /// win the global scheduler exists for.
+    /// win partition-granular readiness exists for.
     pub sched_overlap_tasks: AtomicU64,
-    /// Deepest the global task queue ever got.
+    /// Deepest the task queue ever got.
     pub sched_max_queue_depth: AtomicU64,
     /// Nanoseconds workers spent executing tasks (Σ over workers).
     pub sched_busy_nanos: AtomicU64,
     /// Thread-lifetime wall nanoseconds, summed per worker (each worker
     /// contributes its own spawn-to-exit span); utilization is
-    /// `busy / wall` — meaningful even when some workers only steal or
-    /// idle.
+    /// `busy / wall` — meaningful even when some workers idle.
     pub sched_wall_nanos: AtomicU64,
-    /// Worker-pool size of the last global run.
+    /// Worker-pool size of the last run.
     pub sched_workers: AtomicU64,
-    /// Tasks a worker popped from its own deque (stealing scheduler).
-    pub sched_local_hits: AtomicU64,
-    /// Tasks taken from another worker's deque (stealing scheduler).
-    pub sched_steals: AtomicU64,
-    /// Merge/finish tasks promoted to the high-priority band because a
-    /// registered waiter blocks on the grains they seal.
-    pub sched_priority_promotions: AtomicU64,
     /// Chunks that skipped the hash+scatter radix route because the
     /// producer's partitioning already matched the sink's (Preserve route).
     pub repartition_elided_chunks: AtomicU64,
@@ -331,8 +291,8 @@ impl Metrics {
     }
 
     /// Append one arbitrary `(label, value)` entry to the pipeline trace —
-    /// used by the global scheduler for its summary and (when
-    /// `ExecContext::sched_trace` is on) per-task lifecycle entries.
+    /// used by the scheduler (when `ExecContext::sched_trace` is on) for
+    /// per-task lifecycle entries.
     pub fn trace_entry(&self, label: impl Into<String>, value: u64) {
         self.pipeline_trace
             .lock()
@@ -347,10 +307,17 @@ impl Metrics {
             .clone()
     }
 
-    /// Append the DAG scheduler's observations to the pipeline trace so
-    /// case studies report extracted parallelism alongside per-pipeline
-    /// rows.
-    pub fn record_scheduler(&self, stats: &crate::scheduler::SchedulerStats) {
+    /// Record a finished scheduler run: the `sched_*` counters, and the
+    /// `[scheduler] …` trace entries so case studies report extracted
+    /// parallelism alongside per-pipeline rows.
+    pub fn record_scheduler(&self, stats: &crate::global::GlobalStats) {
+        self.add(&self.sched_tasks, stats.tasks);
+        self.add(&self.sched_overlap_tasks, stats.overlap_tasks);
+        self.max_update(&self.sched_max_queue_depth, stats.max_queue_depth as u64);
+        // Per-worker-summed wall: each worker's own thread-lifetime span, so
+        // utilization (`busy / wall`) counts idle workers against the pool.
+        self.add(&self.sched_wall_nanos, stats.worker_wall_nanos);
+        self.max_update(&self.sched_workers, stats.workers as u64);
         let mut trace = self
             .pipeline_trace
             .lock()
@@ -400,6 +367,22 @@ impl Metrics {
             "[sort] max-run-rows".to_string(),
             self.get(&self.sort_max_run_rows),
         ));
+        trace.push(("[scheduler] workers".to_string(), stats.workers as u64));
+        trace.push(("[scheduler] tasks".to_string(), stats.tasks));
+        trace.push(("[scheduler] morsel-tasks".to_string(), stats.morsel_tasks));
+        trace.push((
+            "[scheduler] merge-task-count".to_string(),
+            stats.merge_tasks,
+        ));
+        trace.push(("[scheduler] overlap-tasks".to_string(), stats.overlap_tasks));
+        trace.push((
+            "[scheduler] max-queue-depth".to_string(),
+            stats.max_queue_depth as u64,
+        ));
+        trace.push((
+            "[scheduler] utilization-pct".to_string(),
+            utilization_pct(stats.busy_nanos, stats.worker_wall_nanos, 1),
+        ));
     }
 
     /// Snapshot of the headline numbers.
@@ -424,9 +407,6 @@ impl Metrics {
             sched_busy_nanos: self.sched_busy_nanos.load(Ordering::Relaxed),
             sched_wall_nanos: self.sched_wall_nanos.load(Ordering::Relaxed),
             sched_workers: self.sched_workers.load(Ordering::Relaxed),
-            sched_local_hits: self.sched_local_hits.load(Ordering::Relaxed),
-            sched_steals: self.sched_steals.load(Ordering::Relaxed),
-            sched_priority_promotions: self.sched_priority_promotions.load(Ordering::Relaxed),
             repartition_elided_chunks: self.repartition_elided_chunks.load(Ordering::Relaxed),
             agg_fast_path_chunks: self.agg_fast_path_chunks.load(Ordering::Relaxed),
             agg_generic_chunks: self.agg_generic_chunks.load(Ordering::Relaxed),
@@ -469,9 +449,6 @@ pub struct MetricsSummary {
     pub sched_busy_nanos: u64,
     pub sched_wall_nanos: u64,
     pub sched_workers: u64,
-    pub sched_local_hits: u64,
-    pub sched_steals: u64,
-    pub sched_priority_promotions: u64,
     pub repartition_elided_chunks: u64,
     pub agg_fast_path_chunks: u64,
     pub agg_generic_chunks: u64,
@@ -491,11 +468,10 @@ pub struct MetricsSummary {
 }
 
 impl MetricsSummary {
-    /// Worker utilization of the last global-scheduler run, in percent.
-    /// `sched_wall_nanos` is already summed over each worker's own
-    /// thread-lifetime span, so the ratio is simply `busy / wall` — an
-    /// idle stealer drags it down instead of being hidden behind a single
-    /// shared clock.
+    /// Worker utilization of the last run, in percent. `sched_wall_nanos`
+    /// is already summed over each worker's own thread-lifetime span, so
+    /// the ratio is simply `busy / wall` — an idle worker drags it down
+    /// instead of being hidden behind a single shared clock.
     pub fn scheduler_utilization_pct(&self) -> u64 {
         utilization_pct(self.sched_busy_nanos, self.sched_wall_nanos, 1)
     }
@@ -544,11 +520,7 @@ pub struct ExecContext {
     /// classic unpartitioned sinks with a serial Combine merge). Defaults
     /// to `RPT_PARTITION_COUNT` when set.
     pub partition_count: usize,
-    /// Which scheduler executes DAG runs (defaults from `RPT_SCHEDULER`).
-    pub scheduler: SchedulerKind,
-    /// Global worker-pool size (defaults to `available_parallelism()`).
-    /// Only the global scheduler reads this; the scoped scheduler keeps
-    /// the legacy `pipeline_parallelism × threads` layering.
+    /// Worker-pool size (defaults to `available_parallelism()`).
     pub workers: usize,
     /// Emit per-task `[scheduler]` lifecycle trace entries
     /// (enqueue/start/finish with pipeline+partition ids). Defaults from
@@ -601,7 +573,6 @@ impl ExecContext {
             spill_limit_bytes: None,
             spill_dir: std::env::temp_dir(),
             partition_count: rpt_common::partition_count_from_env(),
-            scheduler: SchedulerKind::from_env(),
             workers: default_worker_count(),
             sched_trace: std::env::var("RPT_SCHED_TRACE").is_ok_and(|v| v == "1"),
             agg_fast: agg_fast_from_env(),
@@ -633,13 +604,7 @@ impl ExecContext {
         self
     }
 
-    /// Select the DAG scheduler.
-    pub fn with_scheduler(mut self, scheduler: SchedulerKind) -> Self {
-        self.scheduler = scheduler;
-        self
-    }
-
-    /// Size the global worker pool.
+    /// Size the worker pool.
     pub fn with_workers(mut self, workers: usize) -> Self {
         self.workers = workers.max(1);
         self
@@ -661,8 +626,11 @@ impl ExecContext {
         self
     }
 
-    pub fn with_spill(mut self, limit_bytes: usize, dir: impl Into<PathBuf>) -> Self {
-        self.spill_limit_bytes = Some(limit_bytes);
+    /// Set the per-buffer spill cap (`None` = no cap) and the directory
+    /// every spill run goes to, whichever of the cap or the memory governor
+    /// evicts it.
+    pub fn with_spill(mut self, limit_bytes: Option<usize>, dir: impl Into<PathBuf>) -> Self {
+        self.spill_limit_bytes = limit_bytes;
         self.spill_dir = dir.into();
         self
     }

@@ -1,13 +1,10 @@
-//! The global morsel-driven scheduler: one worker pool, one task queue,
-//! partition-granular readiness.
+//! The morsel-driven executor: one worker pool, one task queue,
+//! partition-granular readiness (Leis et al., "Morsel-Driven Parallelism").
 //!
-//! The scoped scheduler ([`crate::scheduler`]) layers two thread pools —
-//! `pipeline_parallelism` DAG workers, each spawning its own morsel scope —
-//! so thread counts multiply and a downstream pipeline cannot start until
-//! its entire input buffer is published. This module replaces both levels:
-//! every pipeline decomposes into *tasks* (source-morsel claims, one merge
-//! task per sink partition, a finalize) and a single pool of
-//! [`ExecContext::workers`] threads drains them all from one queue.
+//! Every pipeline decomposes into *tasks* — source-morsel claims, one merge
+//! task per sink partition, a finalize — and a single pool of
+//! [`ExecContext::workers`] threads drains them all from one FIFO queue, so
+//! the thread count is the pool size whatever the plan's shape.
 //!
 //! Readiness is tracked by an **event-count dependency graph** over
 //! partition-granular grains ([`ResourceId::BufferPart`]): a pipeline's
@@ -22,26 +19,25 @@
 //!
 //! Determinism: with `ctx.threads == 1` (the paper's default) each
 //! pipeline runs as an *ordered chain* — one morsel task at a time,
-//! partitions in index order — which consumes chunks in exactly the order
-//! the scoped single-threaded driver does, so results (including float
-//! aggregation order) are bit-identical across schedulers. With
-//! `ctx.threads > 1` morsels fan out and only multiset/ulp-level
-//! determinism is guaranteed, as in the scoped scheduler.
+//! partitions in index order — so every sink sees its chunks in source
+//! order and results (including float aggregation order) are bit-identical
+//! from run to run, whatever the pool size. With `ctx.threads > 1` morsels
+//! fan out and only multiset/ulp-level determinism is guaranteed.
 
-use crate::context::{ExecContext, SchedulerKind};
+use crate::context::ExecContext;
 use crate::operators::{Morsels, PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
     combine_finalize, count_source_chunk, push_through, record_pipeline_rows, PhysicalPipeline,
-    PipelinePlan, RouteMode,
+    RouteMode,
 };
-use crate::scheduler::{build_dag, check_acyclic, NodeDeps, SchedulerStats};
+use crate::scheduler::{build_dag, check_acyclic, NodeDeps};
 use rpt_common::{Error, Result};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Instant;
 
-/// What the global scheduler observed while running a query.
+/// What the executor observed while running a query.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GlobalStats {
     /// Number of pipelines executed.
@@ -63,24 +59,15 @@ pub struct GlobalStats {
     pub max_queue_depth: usize,
     /// Σ nanoseconds workers spent inside tasks.
     pub busy_nanos: u64,
-    /// Wall nanoseconds of the whole run (one shared clock).
-    pub wall_nanos: u64,
     /// Thread-lifetime wall nanoseconds summed over the workers — the
     /// denominator of `busy / wall` utilization, honest even when some
-    /// workers only steal or idle.
+    /// workers idle.
     pub worker_wall_nanos: u64,
     /// Worker-pool size used.
     pub workers: usize,
-    /// Tasks a worker popped from its own deque (stealing mode).
-    pub local_hits: u64,
-    /// Tasks taken from another worker's deque (stealing mode).
-    pub steals: u64,
-    /// Tasks enqueued into the high-priority band because the grains they
-    /// seal have registered waiters (stealing mode).
-    pub priority_promotions: u64,
 }
 
-/// One schedulable unit on the global queue.
+/// One schedulable unit on the task queue.
 #[derive(Debug, Clone, Copy)]
 enum Task {
     /// Open one source partition group's morsel stream (cheap: nothing is
@@ -94,9 +81,9 @@ enum Task {
     /// Merge and seal one sink partition (fires that partition's grains).
     Merge { pipe: usize, part: usize },
     /// Prefetch one partition's spilled runs from disk into memory so the
-    /// later `Merge` task restores from cache. Always low-band: it is pure
-    /// I/O overlap, never on the critical path, and touches no resource
-    /// grains (the slot mutex serializes it against the merge).
+    /// later `Merge` task restores from cache. Pure I/O overlap: it touches
+    /// no resource grains (the slot mutex serializes it against the merge)
+    /// and never gates completion.
     SpillIo { pipe: usize, part: usize },
     /// Publish whole-resource results after all partition merges.
     Finish { pipe: usize },
@@ -161,61 +148,9 @@ struct GroupRun<'a> {
     next: AtomicUsize,
 }
 
-/// A two-band task deque: the `high` band holds merge/finish tasks whose
-/// sealed grains have registered waiters (they unblock other pipelines),
-/// and drains before `low` everywhere it is consulted.
-#[derive(Default)]
-struct BandedDeque {
-    high: VecDeque<Task>,
-    low: VecDeque<Task>,
-}
-
-impl BandedDeque {
-    fn len(&self) -> usize {
-        self.high.len() + self.low.len()
-    }
-
-    fn push(&mut self, task: Task, high: bool) {
-        if high {
-            self.high.push_back(task);
-        } else {
-            self.low.push_back(task);
-        }
-    }
-}
-
-/// The pending-task store: one shared FIFO (`Global`), or per-worker
-/// deques plus an injector (`Stealing`). All operations happen under the
-/// scheduler mutex either way — on this engine the *policy* (what runs
-/// next, and from whose queue) is the experiment, not lock-freedom.
-enum TaskQueues {
-    Fifo(VecDeque<Task>),
-    Steal {
-        /// One deque per worker: owners push and pop at the back (LIFO,
-        /// cache-warm), thieves take from the front (FIFO, oldest work).
-        locals: Vec<BandedDeque>,
-        /// Overflow for tasks enqueued outside any worker (initial seeds).
-        injector: BandedDeque,
-    },
-}
-
-impl TaskQueues {
-    fn len(&self) -> usize {
-        match self {
-            TaskQueues::Fifo(q) => q.len(),
-            TaskQueues::Steal { locals, injector } => {
-                injector.len() + locals.iter().map(BandedDeque::len).sum::<usize>()
-            }
-        }
-    }
-}
-
 /// Everything guarded by the single scheduler mutex.
 struct Sched {
-    queue: TaskQueues,
-    /// The worker currently applying task effects; its enqueues go to its
-    /// own deque in stealing mode (`None` during seeding → injector).
-    current_worker: Option<usize>,
+    queue: VecDeque<Task>,
     pipes: Vec<PipeState>,
     completed: usize,
     busy: usize,
@@ -225,9 +160,6 @@ struct Sched {
     morsel_tasks: u64,
     merge_tasks: u64,
     overlap_tasks: u64,
-    local_hits: u64,
-    steals: u64,
-    priority_promotions: u64,
     /// This run's Σ task nanoseconds (the metrics counter is cumulative
     /// across runs on a shared context).
     busy_nanos: u64,
@@ -296,85 +228,10 @@ impl<'a> Engine<'a> {
         self.ctx.metrics.trace_entry(label, s.seq);
     }
 
-    /// Is this a task whose completion seals grains that registered
-    /// waiters block on? Those are the merge/finish tasks downstream
-    /// partition-granular consumers are stalled behind, and the stealing
-    /// scheduler runs them ahead of ordinary morsel work.
-    fn is_priority(&self, task: &Task) -> bool {
-        let waited = |g: ResourceId| {
-            self.grains
-                .get(&g)
-                .is_some_and(|&gi| !self.waiters[gi].is_empty())
-        };
-        match *task {
-            Task::Merge { pipe, part } => self.info[pipe]
-                .buffers_written
-                .iter()
-                .any(|&b| part < self.partitions && waited(ResourceId::BufferPart(b, part))),
-            Task::Finish { pipe } => self.info[pipe]
-                .other_write_grains
-                .iter()
-                .copied()
-                .any(waited),
-            _ => false,
-        }
-    }
-
     fn enqueue(&self, s: &mut Sched, task: Task) {
         self.trace(s, "enqueue", &task);
-        match &mut s.queue {
-            TaskQueues::Fifo(q) => q.push_back(task),
-            TaskQueues::Steal { locals, injector } => {
-                let high = self.is_priority(&task);
-                if high {
-                    s.priority_promotions += 1;
-                }
-                match s.current_worker {
-                    Some(w) => locals[w].push(task, high),
-                    None => injector.push(task, high),
-                }
-            }
-        }
+        s.queue.push_back(task);
         s.max_queue_depth = s.max_queue_depth.max(s.queue.len());
-    }
-
-    /// Next task for worker `w`: under FIFO, the queue head; under
-    /// stealing, own high band LIFO → injector high → stolen high →
-    /// own low LIFO → injector low → stolen low, so the high band drains
-    /// globally before any low task runs.
-    fn pop_task(&self, s: &mut Sched, w: usize) -> Option<Task> {
-        match &mut s.queue {
-            TaskQueues::Fifo(q) => q.pop_front(),
-            TaskQueues::Steal { locals, injector } => {
-                let n = locals.len();
-                let victims = |from: usize| (1..n).map(move |d| (from + d) % n);
-                for high in [true, false] {
-                    let own = &mut locals[w];
-                    let band = if high { &mut own.high } else { &mut own.low };
-                    if let Some(t) = band.pop_back() {
-                        s.local_hits += 1;
-                        return Some(t);
-                    }
-                    let inj = if high {
-                        &mut injector.high
-                    } else {
-                        &mut injector.low
-                    };
-                    if let Some(t) = inj.pop_front() {
-                        return Some(t);
-                    }
-                    for v in victims(w) {
-                        let vic = &mut locals[v];
-                        let band = if high { &mut vic.high } else { &mut vic.low };
-                        if let Some(t) = band.pop_front() {
-                            s.steals += 1;
-                            return Some(t);
-                        }
-                    }
-                }
-                None
-            }
-        }
     }
 
     /// Start every group that is sealed, unstarted, and admissible under
@@ -641,8 +498,8 @@ impl<'a> Engine<'a> {
             (Task::MergeSetup { pipe }, Done::SetupPartitioned { parts, prefetch }) => {
                 s.pipes[pipe].merge_left = parts;
                 s.merge_tasks += parts as u64;
-                // Prefetch tasks are enqueued first so FIFO workers start
-                // the spill reads before the merges that consume them; they
+                // Prefetch tasks are enqueued first so workers start the
+                // spill reads before the merges that consume them; they
                 // never gate completion (a prefetch racing its merge
                 // degrades to a no-op on the taken slot).
                 for part in prefetch {
@@ -687,18 +544,18 @@ impl<'a> Engine<'a> {
         }
     }
 
-    fn worker(&self, id: usize, n: usize) {
+    fn worker(&self, n: usize) {
         // Each worker contributes its own thread-lifetime span to the
         // summed wall clock, so `busy / wall` utilization stays meaningful
-        // when some workers spend the run stealing-or-idle.
+        // when some workers spend the run idle.
         let t0 = Instant::now();
-        self.worker_loop(id, n);
+        self.worker_loop(n);
         let wall = t0.elapsed().as_nanos() as u64;
         let mut s = self.state.lock().expect("scheduler state poisoned");
         s.worker_wall_nanos = s.worker_wall_nanos.saturating_add(wall);
     }
 
-    fn worker_loop(&self, id: usize, n: usize) {
+    fn worker_loop(&self, n: usize) {
         loop {
             let task = {
                 let mut s = self.state.lock().expect("scheduler state poisoned");
@@ -708,7 +565,7 @@ impl<'a> Engine<'a> {
                         self.cvar.notify_all();
                         return;
                     }
-                    if let Some(task) = self.pop_task(&mut s, id) {
+                    if let Some(task) = s.queue.pop_front() {
                         s.busy += 1;
                         s.max_parallel = s.max_parallel.max(s.busy);
                         s.tasks += 1;
@@ -735,11 +592,7 @@ impl<'a> Engine<'a> {
                 .metrics
                 .add(&self.ctx.metrics.sched_busy_nanos, busy);
             match outcome {
-                Ok(done) => {
-                    s.current_worker = Some(id);
-                    self.apply(&mut s, task, done);
-                    s.current_worker = None;
-                }
+                Ok(done) => self.apply(&mut s, task, done),
                 Err(e) => {
                     if s.error.is_none() {
                         s.error = Some(e);
@@ -752,16 +605,15 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Run lowered pipelines on the global worker pool. `deps` may be recorded
-/// at either granularity — whole-buffer ids are expanded to partition
-/// grains internally. Returns the observed stats or the first task error
-/// (`Error::Plan` for cyclic dependencies, detected up front).
+/// Run lowered pipelines on a pool of `ctx.workers` threads. `deps` may be
+/// recorded at either granularity — whole-buffer ids are expanded to
+/// partition grains internally. Returns the observed stats or the first
+/// task error (`Error::Plan` for cyclic dependencies, detected up front).
 pub fn run_physical_global(
     phys: &[PhysicalPipeline],
     deps: &[NodeDeps],
     ctx: &ExecContext,
     res: &Resources,
-    workers: usize,
 ) -> Result<GlobalStats> {
     let n = phys.len();
     debug_assert_eq!(n, deps.len());
@@ -874,16 +726,7 @@ pub fn run_physical_global(
         });
     }
 
-    let workers = workers.max(1);
-    let stealing = ctx.scheduler == SchedulerKind::Stealing;
-    let queue = if stealing {
-        TaskQueues::Steal {
-            locals: (0..workers).map(|_| BandedDeque::default()).collect(),
-            injector: BandedDeque::default(),
-        }
-    } else {
-        TaskQueues::Fifo(VecDeque::new())
-    };
+    let workers = ctx.workers.max(1);
     let engine = Engine {
         phys,
         info,
@@ -896,8 +739,7 @@ pub fn run_physical_global(
         ctx,
         res,
         state: Mutex::new(Sched {
-            queue,
-            current_worker: None,
+            queue: VecDeque::new(),
             pipes,
             completed: 0,
             busy: 0,
@@ -907,9 +749,6 @@ pub fn run_physical_global(
             morsel_tasks: 0,
             merge_tasks: 0,
             overlap_tasks: 0,
-            local_hits: 0,
-            steals: 0,
-            priority_promotions: 0,
             busy_nanos: 0,
             worker_wall_nanos: 0,
             error: None,
@@ -932,15 +771,12 @@ pub fn run_physical_global(
     // Worker 0 is the calling thread: a one-worker run spawns nothing, and
     // every query keeps running on the thread (cache, malloc arena) its
     // client called from. Task panics are contained in `worker_loop`.
-    let t0 = Instant::now();
     std::thread::scope(|scope| {
-        for id in 1..workers {
-            let engine = &engine;
-            scope.spawn(move || engine.worker(id, n));
+        for _ in 1..workers {
+            scope.spawn(|| engine.worker(n));
         }
-        engine.worker(0, n);
+        engine.worker(n);
     });
-    let wall = t0.elapsed().as_nanos() as u64;
 
     let mut s = engine.state.into_inner().expect("scheduler state poisoned");
     if let Some(e) = s.error.take() {
@@ -957,67 +793,7 @@ pub fn run_physical_global(
         overlap_tasks: s.overlap_tasks,
         max_queue_depth: s.max_queue_depth,
         busy_nanos: s.busy_nanos,
-        wall_nanos: wall,
         worker_wall_nanos: s.worker_wall_nanos,
         workers,
-        local_hits: s.local_hits,
-        steals: s.steals,
-        priority_promotions: s.priority_promotions,
     })
-}
-
-/// Lower a pipeline list and run it on the global pool, recording stats
-/// into the metrics trace (`[scheduler] …` entries, same vocabulary as the
-/// scoped scheduler plus the global-only counters).
-pub fn run_pipelines_global(
-    pipelines: &[PipelinePlan],
-    deps: &[NodeDeps],
-    ctx: &ExecContext,
-    res: &Resources,
-    workers: usize,
-) -> Result<SchedulerStats> {
-    debug_assert_eq!(pipelines.len(), deps.len());
-    let phys: Vec<PhysicalPipeline> = pipelines.iter().map(PipelinePlan::lower).collect();
-    let g = run_physical_global(&phys, deps, ctx, res, workers)?;
-    record_global_stats(ctx, &g);
-    Ok(SchedulerStats {
-        pipelines: g.pipelines,
-        initially_ready: g.initially_ready,
-        max_parallel: g.max_parallel,
-    })
-}
-
-/// Record a finished global run: the classic `[scheduler]` trace entries
-/// plus the global-only counters (tasks, queue depth, overlap,
-/// utilization) and their `Metrics` counterparts.
-pub fn record_global_stats(ctx: &ExecContext, g: &GlobalStats) {
-    let m = &ctx.metrics;
-    m.add(&m.sched_tasks, g.tasks);
-    m.add(&m.sched_overlap_tasks, g.overlap_tasks);
-    m.max_update(&m.sched_max_queue_depth, g.max_queue_depth as u64);
-    // Per-worker-summed wall: each worker's own thread-lifetime span, so
-    // utilization (`busy / wall`) counts idle stealers against the pool.
-    m.add(&m.sched_wall_nanos, g.worker_wall_nanos);
-    m.max_update(&m.sched_workers, g.workers as u64);
-    m.add(&m.sched_local_hits, g.local_hits);
-    m.add(&m.sched_steals, g.steals);
-    m.add(&m.sched_priority_promotions, g.priority_promotions);
-    m.record_scheduler(&SchedulerStats {
-        pipelines: g.pipelines,
-        initially_ready: g.initially_ready,
-        max_parallel: g.max_parallel,
-    });
-    m.trace_entry("[scheduler] workers", g.workers as u64);
-    m.trace_entry("[scheduler] tasks", g.tasks);
-    m.trace_entry("[scheduler] morsel-tasks", g.morsel_tasks);
-    m.trace_entry("[scheduler] merge-task-count", g.merge_tasks);
-    m.trace_entry("[scheduler] overlap-tasks", g.overlap_tasks);
-    m.trace_entry("[scheduler] max-queue-depth", g.max_queue_depth as u64);
-    m.trace_entry("[scheduler] local-hits", g.local_hits);
-    m.trace_entry("[scheduler] steals", g.steals);
-    m.trace_entry("[scheduler] priority-promotions", g.priority_promotions);
-    m.trace_entry(
-        "[scheduler] utilization-pct",
-        crate::context::utilization_pct(g.busy_nanos, g.worker_wall_nanos, 1),
-    );
 }

@@ -18,10 +18,10 @@
 //!
 //! The planner in `rpt-core` compiles logical RPT plans into
 //! [`pipeline::PipelinePlan`]s. Those specs *lower* onto the physical
-//! operator traits in [`operators`] (`Source`/`Operator`/`Sink`), and the
-//! DAG [`scheduler`] executes pipelines concurrently whenever their
-//! buffer/filter/hash-table dependencies allow, via
-//! [`pipeline::Executor::run_dag`].
+//! operator traits in [`operators`] (`Source`/`Operator`/`Sink`), and
+//! [`pipeline::Executor::run_dag`] runs them on the morsel-driven worker
+//! pool in [`global`], concurrently wherever the buffer/filter/hash-table
+//! dependencies recorded in [`scheduler`] allow.
 
 pub mod aggregate;
 pub mod context;
@@ -52,5 +52,5 @@ pub use pipeline::{
     BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, ScanProbe, SinkSpec,
     SourceSpec,
 };
-pub use scheduler::{run_dag, NodeDeps, SchedulerStats};
+pub use scheduler::NodeDeps;
 pub use wcoj::{generic_join, WcojRelation};

@@ -469,9 +469,8 @@ pub trait SinkFactory: Send + Sync {
     }
 
     /// Turn the workers' partitioned sink states into a merge plan whose
-    /// per-partition tasks the *caller* schedules — on the global worker
-    /// pool, or on the same scoped workers that ran the morsels. No fresh
-    /// thread scope is spawned for the merge.
+    /// per-partition tasks the *caller* schedules (the executor runs them
+    /// on the worker pool that ran the morsels).
     fn make_merger(
         &self,
         _states: Vec<Box<dyn Sink>>,
@@ -484,9 +483,8 @@ pub trait SinkFactory: Send + Sync {
 
     /// Standalone partitioned merge: build the merger, run every partition
     /// task on the calling thread, finish, and record merge stats. The
-    /// pipeline drivers schedule the merger's tasks on their own workers
-    /// instead; this entry point serves direct sink harnesses (tests,
-    /// benchmarks).
+    /// executor schedules the merger's tasks on its worker pool instead;
+    /// this entry point serves direct sink harnesses (tests, benchmarks).
     fn merge_partitioned(
         &self,
         label: &str,

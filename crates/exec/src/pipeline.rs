@@ -1,4 +1,4 @@
-//! Pipeline specs, lowering, and the push-based pipeline driver.
+//! Pipeline specs, their lowering, and the `Executor` facade.
 //!
 //! A query compiles into [`PipelinePlan`]s, mirroring DuckDB's execution
 //! model (§4.1, Figure 3): each pipeline pulls chunks from its *source*,
@@ -9,26 +9,24 @@
 //! The enums here ([`SourceSpec`], [`OpSpec`], [`SinkSpec`]) are a thin
 //! declarative layer: [`PipelinePlan::lower`] turns a spec into a
 //! [`PhysicalPipeline`] of trait objects from [`crate::operators`], which
-//! is what [`run_physical`] executes. Multi-threaded execution is
-//! morsel-driven: workers claim source chunks from an atomic counter,
-//! maintain thread-local sink state (`Sink`), and the driver merges
-//! (`Combine`) and publishes (`Finalize`). Pipelines themselves are
-//! ordered by the DAG scheduler in [`crate::scheduler`] based on the
-//! resources they read and write.
+//! is what [`crate::global`] executes. Execution is morsel-driven: workers
+//! claim source chunks from an atomic counter, maintain thread-local sink
+//! state (`Sink`), and merge (`Combine`) and publish (`Finalize`) as tasks
+//! of the same pool. Pipelines are ordered by the resources they read and
+//! write ([`crate::scheduler`]).
 
 use crate::context::ExecContext;
 use crate::expr::{AggExpr, Expr};
 use crate::hash_table::JoinHashTable;
 use crate::operators::{
     aggregate::AggregateFactory, buffer::BufferSinkFactory, hash_build::HashBuildFactory,
-    BufferScan, Filter, JoinProbe, Morsels, Operator, ProbeBloom, Project, ResourceId, Resources,
-    SemiProbe, SinkFactory, Source, TableScan,
+    BufferScan, Filter, JoinProbe, Operator, ProbeBloom, Project, ResourceId, Resources, SemiProbe,
+    SinkFactory, Source, TableScan,
 };
 use rpt_bloom::BloomFilter;
-use rpt_common::{DataChunk, DataType, Error, Result, Schema};
+use rpt_common::{DataChunk, DataType, Result, Schema};
 use rpt_storage::Table;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::Arc;
 
 pub use crate::operators::create_bf::BloomSink;
 pub use crate::operators::scan::ScanProbe;
@@ -371,234 +369,6 @@ pub(crate) fn combine_finalize(
     merged.finalize(res)
 }
 
-/// What the morsel workers hand over to the merge phase. The *last* morsel
-/// worker to finish prepares this; every worker then claims partition
-/// merge tasks from it — the same scoped threads run both phases, no fresh
-/// thread scope is spawned for the merge.
-enum MergePhase {
-    /// Serial sink (or error): nothing left for the workers to do.
-    Done,
-    /// Partitioned sink: claim partitions from `next_part`.
-    Merge(Arc<Box<dyn crate::operators::PartitionMerger>>),
-}
-
-struct PipelineShared {
-    states: Mutex<Vec<Box<dyn crate::operators::Sink>>>,
-    /// Morsel workers still running; the one that drops this to zero
-    /// prepares the merge phase.
-    remaining: AtomicUsize,
-    phase: Mutex<Option<MergePhase>>,
-    phase_ready: Condvar,
-    next_part: AtomicUsize,
-    failed: AtomicBool,
-    error: Mutex<Option<rpt_common::Error>>,
-}
-
-impl PipelineShared {
-    fn fail(&self, e: rpt_common::Error) {
-        self.failed.store(true, Ordering::Release);
-        let mut slot = self.error.lock().expect("pipeline error lock poisoned");
-        if slot.is_none() {
-            *slot = Some(e);
-        }
-    }
-}
-
-/// Execute one lowered pipeline: morsel-parallel Sink, then the merge —
-/// per-partition tasks claimed by the *same* workers for partitioned
-/// sinks, serial Combine + Finalize otherwise.
-pub fn run_physical(p: &PhysicalPipeline, ctx: &ExecContext, res: &Resources) -> Result<()> {
-    // `Preserve` route (repartition elision): read the source partition by
-    // partition so whole partition-`p` chunks can be fed straight into the
-    // sink's partition-`p` state. Partitions concatenate in order, so the
-    // morsel list equals the whole source row-for-row and the serial path
-    // stays bit-deterministic.
-    let preserve = p.route == RouteMode::Preserve;
-    if preserve && p.source.partitioned_input().is_none() {
-        return Err(Error::Exec(
-            "Preserve route requires a partitioned source".into(),
-        ));
-    }
-    let streams: Vec<Box<dyn Morsels + '_>> = if preserve {
-        (0..ctx.partition_count.max(1))
-            .map(|part| p.source.open_partition(ctx, res, part))
-            .collect::<Result<_>>()?
-    } else {
-        vec![p.source.open(ctx, res)?]
-    };
-    // `(stream, morsel)` claims; under `Preserve` the stream index is the
-    // hash partition.
-    let morsels: Vec<(usize, usize)> = streams
-        .iter()
-        .enumerate()
-        .flat_map(|(s, m)| (0..m.count()).map(move |i| (s, i)))
-        .collect();
-    let run_morsel = |state: &mut Box<dyn crate::operators::Sink>, (s, i): (usize, usize)| {
-        let Some(chunk) = streams[s].morsel(i, ctx)? else {
-            return Ok(());
-        };
-        count_source_chunk(&chunk, ctx);
-        match push_through(&p.ops, chunk, ctx, res)? {
-            Some(out) if preserve => state.sink_part(out, s, ctx),
-            Some(out) => state.sink(out, ctx),
-            None => Ok(()),
-        }
-    };
-    // The same workers later claim the per-partition merge tasks, so a
-    // partitioned sink sizes the scope for whichever phase is wider — a
-    // one-chunk source must not serialize an 8-partition merge.
-    let threads = if p.sink.partitioned_merge(ctx) {
-        ctx.threads
-            .min(morsels.len().max(ctx.partition_count))
-            .max(1)
-    } else {
-        ctx.threads.min(morsels.len()).max(1)
-    };
-
-    if threads == 1 {
-        let mut state = p.sink.make(ctx)?;
-        for &m in &morsels {
-            run_morsel(&mut state, m)?;
-        }
-        let states = vec![state];
-        record_pipeline_rows(p, &states, ctx);
-        if p.sink.partitioned_merge(ctx) {
-            return p.sink.merge_partitioned(&p.label, states, ctx, res);
-        }
-        return combine_finalize(states, res);
-    }
-
-    let next = AtomicUsize::new(0);
-    let shared = PipelineShared {
-        states: Mutex::new(Vec::with_capacity(threads)),
-        remaining: AtomicUsize::new(threads),
-        phase: Mutex::new(None),
-        phase_ready: Condvar::new(),
-        next_part: AtomicUsize::new(0),
-        failed: AtomicBool::new(false),
-        error: Mutex::new(None),
-    };
-    let merger_out: OnceLock<Arc<Box<dyn crate::operators::PartitionMerger>>> = OnceLock::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..threads {
-            scope.spawn(|| {
-                // Phase 1: claim morsels into a thread-local sink state.
-                // Panics are contained (→ `fail`) so the barrier below is
-                // always reached and peers never block forever.
-                let morsels =
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| -> Result<()> {
-                        let mut state = p.sink.make(ctx)?;
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= morsels.len() || shared.failed.load(Ordering::Acquire) {
-                                break;
-                            }
-                            run_morsel(&mut state, morsels[i])?;
-                        }
-                        shared
-                            .states
-                            .lock()
-                            .expect("pipeline states lock poisoned")
-                            .push(state);
-                        Ok(())
-                    }))
-                    .unwrap_or_else(|_| {
-                        Err(rpt_common::Error::Exec("pipeline worker panicked".into()))
-                    });
-                if let Err(e) = morsels {
-                    shared.fail(e);
-                }
-
-                // Barrier: the last worker decides the merge phase (again
-                // panic-contained — an undecided phase would strand peers).
-                if shared.remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                    let decided = if shared.failed.load(Ordering::Acquire) {
-                        MergePhase::Done
-                    } else {
-                        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            let states = std::mem::take(
-                                &mut *shared.states.lock().expect("pipeline states lock poisoned"),
-                            );
-                            record_pipeline_rows(p, &states, ctx);
-                            if p.sink.partitioned_merge(ctx) {
-                                match p.sink.make_merger(states, ctx) {
-                                    Ok(m) => {
-                                        let m = Arc::new(m);
-                                        let _ = merger_out.set(m.clone());
-                                        MergePhase::Merge(m)
-                                    }
-                                    Err(e) => {
-                                        shared.fail(e);
-                                        MergePhase::Done
-                                    }
-                                }
-                            } else {
-                                if let Err(e) = combine_finalize(states, res) {
-                                    shared.fail(e);
-                                }
-                                MergePhase::Done
-                            }
-                        }))
-                        .unwrap_or_else(|_| {
-                            shared.fail(rpt_common::Error::Exec(
-                                "pipeline merge setup panicked".into(),
-                            ));
-                            MergePhase::Done
-                        })
-                    };
-                    *shared.phase.lock().expect("pipeline phase lock poisoned") = Some(decided);
-                    shared.phase_ready.notify_all();
-                }
-
-                // Phase 2: every worker claims partition merge tasks.
-                let merger = {
-                    let mut phase = shared.phase.lock().expect("pipeline phase lock poisoned");
-                    while phase.is_none() {
-                        phase = shared
-                            .phase_ready
-                            .wait(phase)
-                            .expect("pipeline phase lock poisoned");
-                    }
-                    match phase.as_ref().expect("phase just checked") {
-                        MergePhase::Done => return,
-                        MergePhase::Merge(m) => m.clone(),
-                    }
-                };
-                loop {
-                    let q = shared.next_part.fetch_add(1, Ordering::Relaxed);
-                    if q >= merger.partitions() || shared.failed.load(Ordering::Acquire) {
-                        break;
-                    }
-                    let merged = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        merger.merge_partition(q, ctx, res)
-                    }))
-                    .unwrap_or_else(|_| Err(rpt_common::Error::Exec("merge task panicked".into())));
-                    if let Err(e) = merged {
-                        shared.fail(e);
-                        break;
-                    }
-                }
-            });
-        }
-    });
-
-    if let Some(e) = shared
-        .error
-        .lock()
-        .expect("pipeline error lock poisoned")
-        .take()
-    {
-        return Err(e);
-    }
-    if let Some(merger) = merger_out.get() {
-        merger.finish(ctx, res)?;
-        ctx.metrics
-            .record_merge(&p.label, merger.partitions() as u64, merger.max_task_rows());
-    }
-    Ok(())
-}
-
 /// Executor state shared across a query's pipelines: the execution context
 /// plus the write-once resource slots.
 pub struct Executor {
@@ -631,69 +401,28 @@ impl Executor {
         &self.res
     }
 
-    /// Execute pipelines sequentially, in the given order.
-    pub fn run(&mut self, pipelines: &[PipelinePlan]) -> Result<()> {
-        for p in pipelines {
-            let phys = p.lower();
-            run_physical(&phys, &self.ctx, &self.res)?;
-        }
-        Ok(())
-    }
-
-    /// Execute pipelines as a dependency DAG: pipelines whose read sets
-    /// don't overlap other pipelines' write sets run concurrently. Derives
-    /// the read/write sets from the pipelines and delegates to
-    /// [`Executor::run_dag_with_deps`] — there is exactly one execution
-    /// path per [`crate::context::SchedulerKind`].
-    pub fn run_dag(
-        &mut self,
-        pipelines: &[PipelinePlan],
-        max_concurrent: usize,
-    ) -> Result<crate::scheduler::SchedulerStats> {
+    /// Execute pipelines as a dependency DAG on the `ctx.workers` pool:
+    /// pipelines whose read sets don't overlap other pipelines' write sets
+    /// run concurrently. Derives the read/write sets from the pipelines and
+    /// delegates to [`Executor::run_dag_with_deps`].
+    pub fn run_dag(&mut self, pipelines: &[PipelinePlan]) -> Result<crate::global::GlobalStats> {
         let deps: Vec<crate::scheduler::NodeDeps> =
             pipelines.iter().map(PipelinePlan::node_deps).collect();
-        self.run_dag_with_deps(pipelines, &deps, max_concurrent)
+        self.run_dag_with_deps(pipelines, &deps)
     }
 
     /// [`Executor::run_dag`] with caller-supplied read/write sets (the
     /// planner's `PhysicalPlan` records them at compile time).
-    ///
-    /// Dispatches on `ctx.scheduler`: the default [`SchedulerKind::Global`]
-    /// runs every pipeline's morsel and merge tasks on one worker pool of
-    /// `ctx.workers` threads with partition-granular readiness
-    /// (`max_concurrent` is ignored — the pool *is* the concurrency cap);
-    /// [`SchedulerKind::Scoped`] keeps the legacy two-level model where up
-    /// to `max_concurrent` pipelines each spawn their own morsel scope.
-    ///
-    /// [`SchedulerKind::Global`]: crate::context::SchedulerKind::Global
-    /// [`SchedulerKind::Scoped`]: crate::context::SchedulerKind::Scoped
     pub fn run_dag_with_deps(
         &mut self,
         pipelines: &[PipelinePlan],
         deps: &[crate::scheduler::NodeDeps],
-        max_concurrent: usize,
-    ) -> Result<crate::scheduler::SchedulerStats> {
-        match self.ctx.scheduler {
-            // `Stealing` shares the global engine; the engine swaps its
-            // shared FIFO for per-worker deques + an injector when it sees
-            // `ctx.scheduler == Stealing`.
-            crate::context::SchedulerKind::Global | crate::context::SchedulerKind::Stealing => {
-                crate::global::run_pipelines_global(
-                    pipelines,
-                    deps,
-                    &self.ctx,
-                    &self.res,
-                    self.ctx.workers,
-                )
-            }
-            crate::context::SchedulerKind::Scoped => crate::scheduler::run_pipelines_dag_with_deps(
-                pipelines,
-                deps,
-                &self.ctx,
-                &self.res,
-                max_concurrent,
-            ),
-        }
+    ) -> Result<crate::global::GlobalStats> {
+        debug_assert_eq!(pipelines.len(), deps.len());
+        let phys: Vec<PhysicalPipeline> = pipelines.iter().map(PipelinePlan::lower).collect();
+        let stats = crate::global::run_physical_global(&phys, deps, &self.ctx, &self.res)?;
+        self.ctx.metrics.record_scheduler(&stats);
+        Ok(stats)
     }
 
     /// Materialized chunks of a buffer (all partitions, partition order).
@@ -783,7 +512,7 @@ mod tests {
             0,
             two_col_schema(),
         );
-        exec.run(&[p]).unwrap();
+        exec.run_dag(&[p]).unwrap();
         assert_eq!(exec.buffer_rows(0), 3);
         let chunks = exec.buffer(0).unwrap();
         assert_eq!(chunks[0].value(0, 0), ScalarValue::Int64(7));
@@ -821,7 +550,7 @@ mod tests {
                 Field::new("bv", DataType::Int64),
             ]),
         );
-        exec.run(&[p1, p2]).unwrap();
+        exec.run_dag(&[p1, p2]).unwrap();
         assert_eq!(exec.buffer_rows(0), 3); // 2,2,3 match
         let s = exec.ctx.metrics.summary();
         assert_eq!(s.join_output_rows, 3);
@@ -875,7 +604,7 @@ mod tests {
             1,
             two_col_schema(),
         );
-        exec.run(&[p1, p2]).unwrap();
+        exec.run_dag(&[p1, p2]).unwrap();
         let survivors = exec.buffer_rows(1);
         // No false negatives: both 5 and 6 survive; FPR 2% on 98 others →
         // allow a little slack.
@@ -913,7 +642,7 @@ mod tests {
             route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
-        exec.run(&[p]).unwrap();
+        exec.run_dag(&[p]).unwrap();
         // Chunk layout depends on the partition count; compare row sets.
         let mut rows: Vec<(i64, i64)> = exec
             .buffer(0)
@@ -971,7 +700,7 @@ mod tests {
                 route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
-            exec.run(&[p]).unwrap();
+            exec.run_dag(&[p]).unwrap();
             let mut rows: Vec<(i64, i64, i64)> = exec
                 .buffer(0)
                 .unwrap()
@@ -1050,7 +779,7 @@ mod tests {
                 route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
-            exec.run(&[p]).unwrap();
+            exec.run_dag(&[p]).unwrap();
             let chunks = exec.buffer(0).unwrap();
             chunks[0].value(0, 0).as_i64().unwrap()
         };
@@ -1097,7 +826,7 @@ mod tests {
                     Field::new("bv", DataType::Int64),
                 ]),
             );
-            exec.run(&[p1, p2]).unwrap();
+            exec.run_dag(&[p1, p2]).unwrap();
             let mut rows: Vec<Vec<ScalarValue>> = exec
                 .buffer(0)
                 .unwrap()
@@ -1169,7 +898,7 @@ mod tests {
                 Field::new("bv", DataType::Int64),
             ]),
         );
-        let err = exec.run(&[p1, p2]).unwrap_err();
+        let err = exec.run_dag(&[p1, p2]).unwrap_err();
         assert!(err.is_budget(), "expected budget abort, got {err}");
     }
 
@@ -1200,7 +929,7 @@ mod tests {
             0,
             two_col_schema(),
         );
-        exec.run(&[p1, p2]).unwrap();
+        exec.run_dag(&[p1, p2]).unwrap();
         assert_eq!(exec.buffer_rows(0), 3); // rows with keys 1,2,1 (3 excluded)
     }
 
@@ -1219,7 +948,7 @@ mod tests {
             1,
             two_col_schema(),
         );
-        exec.run(&[p1, p2]).unwrap();
+        exec.run_dag(&[p1, p2]).unwrap();
         assert_eq!(exec.buffer_rows(1), 3);
     }
 
@@ -1227,10 +956,10 @@ mod tests {
     fn spill_enabled_buffer_roundtrips() {
         let dir = std::env::temp_dir().join("rpt_exec_spill_test");
         let t = table("t", (0..5000).collect(), (0..5000).collect());
-        let ctx = ExecContext::new().with_spill(1024, &dir); // tiny cap
+        let ctx = ExecContext::new().with_spill(Some(1024), &dir); // tiny cap
         let mut exec = Executor::new(ctx, 1, 0, 0);
         let p = collect_pipeline(SourceSpec::Table(t), vec![], 0, two_col_schema());
-        exec.run(&[p]).unwrap();
+        exec.run_dag(&[p]).unwrap();
         assert_eq!(exec.buffer_rows(0), 5000);
         std::fs::remove_dir_all(&dir).ok();
     }
@@ -1249,7 +978,7 @@ mod tests {
             0,
             Schema::new(vec![Field::new("sum", DataType::Int64)]),
         );
-        exec.run(&[p]).unwrap();
+        exec.run_dag(&[p]).unwrap();
         // Chunk layout depends on the partition count; compare row sets.
         let mut sums: Vec<i64> = exec
             .buffer(0)

@@ -1,28 +1,16 @@
-//! Dependency-DAG pipeline scheduler.
+//! The pipeline dependency DAG.
 //!
-//! `Executor::run` executes pipelines strictly in plan order, which
-//! serializes work that is actually independent — e.g. the per-relation
-//! CreateBF builds of the forward transfer pass (§4.2) touch disjoint
-//! buffers and filters, so nothing orders them relative to each other.
-//! This module derives the real partial order from each pipeline's
-//! [`ResourceId`] read/write sets and executes the DAG with a small worker
-//! pool: a pipeline becomes *ready* once every pipeline whose writes it
-//! reads has finalized; up to `max_concurrent` ready pipelines run at a
-//! time, each still using morsel-level parallelism internally.
-//!
-//! The scheduler is deterministic with respect to results: resources are
-//! write-once ([`Resources`]), every consumer is ordered after its
-//! producer, and ready pipelines are dispatched lowest-index-first — with
-//! `max_concurrent == 1` the execution order is exactly the stable
-//! topological order of the plan (which, for plans out of the sequential
-//! planner, is the plan order itself).
+//! Each pipeline reads and writes [`ResourceId`]s (buffers, Bloom filters,
+//! hash tables); those sets define the only order execution has to respect
+//! — e.g. the per-relation CreateBF builds of the forward transfer pass
+//! (§4.2) touch disjoint buffers and filters, so nothing orders them
+//! relative to each other. The planner records a [`NodeDeps`] per pipeline,
+//! `rpt-analyze` verifies them, and the executor ([`crate::global`]) rejects
+//! a cyclic record up front and gates every task on the grains it reads.
 
-use crate::context::ExecContext;
-use crate::operators::{ResourceId, Resources};
-use crate::pipeline::{run_physical, PipelinePlan};
+use crate::operators::ResourceId;
 use rpt_common::{Error, Result};
 use std::collections::HashMap;
-use std::sync::{Condvar, Mutex};
 
 /// Read/write sets of one schedulable node.
 #[derive(Debug, Clone, Default)]
@@ -35,28 +23,14 @@ impl NodeDeps {
     /// Partition-granular form: whole-buffer ids become one
     /// `ResourceId::BufferPart` grain per hash partition (idempotent; see
     /// [`crate::operators::expand_partition_grains`]). The planner records
-    /// this form in the `PhysicalPlan` IR so the global scheduler can gate
-    /// a consumer's partition-`p` tasks on the producer sealing `p` alone;
-    /// the scoped scheduler treats grains opaquely and derives the same
-    /// pipeline-level edges either way.
+    /// this form in the `PhysicalPlan` IR so the executor can gate a
+    /// consumer's partition-`p` tasks on the producer sealing `p` alone.
     pub fn expand_partitions(&self, partitions: usize) -> NodeDeps {
         NodeDeps {
             reads: crate::operators::expand_partition_grains(&self.reads, partitions),
             writes: crate::operators::expand_partition_grains(&self.writes, partitions),
         }
     }
-}
-
-/// What the scheduler observed while running a DAG; recorded into the
-/// metrics trace so case studies can see the extracted parallelism.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedulerStats {
-    /// Number of pipelines executed.
-    pub pipelines: usize,
-    /// Nodes ready at the start — the width of the first wave.
-    pub initially_ready: usize,
-    /// Maximum number of pipelines observed running at the same time.
-    pub max_parallel: usize,
 }
 
 /// The dependency DAG in adjacency form: `edges[p]` lists the nodes that
@@ -127,135 +101,9 @@ pub(crate) fn check_acyclic(dag: &Dag) -> Result<()> {
     Ok(())
 }
 
-struct SchedState {
-    ready: Vec<usize>, // kept sorted descending; pop() yields lowest index
-    indegree: Vec<usize>,
-    running: usize,
-    completed: usize,
-    max_parallel: usize,
-    error: Option<Error>,
-}
-
-impl SchedState {
-    fn pop_ready(&mut self) -> Option<usize> {
-        self.ready.pop()
-    }
-
-    fn push_ready(&mut self, node: usize) {
-        self.ready.push(node);
-        self.ready.sort_unstable_by(|a, b| b.cmp(a));
-    }
-}
-
-/// Run `nodes` respecting `deps`, calling `run(i)` for each node, with at
-/// most `max_concurrent` nodes in flight. Returns observed stats, the
-/// first error raised by a node, or `Error::Plan` on a dependency cycle.
-pub fn run_dag<F>(deps: &[NodeDeps], max_concurrent: usize, run: F) -> Result<SchedulerStats>
-where
-    F: Fn(usize) -> Result<()> + Sync,
-{
-    let n = deps.len();
-    if n == 0 {
-        return Ok(SchedulerStats::default());
-    }
-    let dag = build_dag(deps);
-    check_acyclic(&dag)?;
-
-    let initially_ready = dag.indegree.iter().filter(|&&d| d == 0).count();
-    let workers = max_concurrent.max(1).min(n);
-    let mut ready: Vec<usize> = (0..n).filter(|&i| dag.indegree[i] == 0).collect();
-    ready.sort_unstable_by(|a, b| b.cmp(a));
-    let state = Mutex::new(SchedState {
-        ready,
-        indegree: dag.indegree.clone(),
-        running: 0,
-        completed: 0,
-        max_parallel: 0,
-        error: None,
-    });
-    let cvar = Condvar::new();
-
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let node = {
-                    let mut s = state.lock().expect("scheduler state poisoned");
-                    loop {
-                        if s.error.is_some() || s.completed == n {
-                            return;
-                        }
-                        if let Some(i) = s.pop_ready() {
-                            s.running += 1;
-                            s.max_parallel = s.max_parallel.max(s.running);
-                            break i;
-                        }
-                        s = cvar.wait(s).expect("scheduler state poisoned");
-                    }
-                };
-
-                let result = run(node);
-
-                let mut s = state.lock().expect("scheduler state poisoned");
-                s.running -= 1;
-                match result {
-                    Ok(()) => {
-                        s.completed += 1;
-                        for &c in &dag.edges[node] {
-                            s.indegree[c] -= 1;
-                            if s.indegree[c] == 0 {
-                                s.push_ready(c);
-                            }
-                        }
-                    }
-                    Err(e) => {
-                        if s.error.is_none() {
-                            s.error = Some(e);
-                        }
-                    }
-                }
-                drop(s);
-                cvar.notify_all();
-            });
-        }
-    });
-
-    let mut s = state.into_inner().expect("scheduler state poisoned");
-    if let Some(e) = s.error.take() {
-        return Err(e);
-    }
-    debug_assert_eq!(s.completed, n);
-    Ok(SchedulerStats {
-        pipelines: n,
-        initially_ready,
-        max_parallel: s.max_parallel,
-    })
-}
-
-/// Lower a pipeline list and execute it as a dependency DAG, with the
-/// read/write sets supplied by the caller — this is how the planner's
-/// `PhysicalPlan` IR (which records dependencies at compile time) drives
-/// execution. Stats are appended to the metrics trace (`[scheduler] …`
-/// entries).
-pub fn run_pipelines_dag_with_deps(
-    pipelines: &[PipelinePlan],
-    deps: &[NodeDeps],
-    ctx: &ExecContext,
-    res: &Resources,
-    max_concurrent: usize,
-) -> Result<SchedulerStats> {
-    debug_assert_eq!(pipelines.len(), deps.len());
-    let phys: Vec<_> = pipelines.iter().map(PipelinePlan::lower).collect();
-    let stats = run_dag(deps, max_concurrent, |i| run_physical(&phys[i], ctx, res))?;
-    ctx.metrics.record_scheduler(&stats);
-    Ok(stats)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex as StdMutex;
-    use std::time::Duration;
 
     fn node(reads: Vec<ResourceId>, writes: Vec<ResourceId>) -> NodeDeps {
         NodeDeps { reads, writes }
@@ -263,8 +111,8 @@ mod tests {
 
     use ResourceId::{Buffer, Filter, HashTable};
 
-    /// (a) Topological execution: every producer finishes before any of
-    /// its consumers starts, across many concurrent runs.
+    /// Every read of a written resource becomes exactly one producer →
+    /// consumer edge; an independent node has none.
     #[test]
     fn dependencies_respected() {
         // 0 → {1, 2} → 3 (a diamond), 4 independent.
@@ -275,50 +123,23 @@ mod tests {
             node(vec![Filter(0), HashTable(0)], vec![Buffer(1)]),
             node(vec![], vec![Buffer(2)]),
         ];
-        for max_concurrent in [1, 2, 5] {
-            let log = StdMutex::new(Vec::new());
-            run_dag(&deps, max_concurrent, |i| {
-                log.lock().unwrap().push(i);
-                Ok(())
-            })
-            .unwrap();
-            let order = log.into_inner().unwrap();
-            assert_eq!(order.len(), 5);
-            let pos = |x: usize| order.iter().position(|&i| i == x).unwrap();
-            assert!(pos(0) < pos(1));
-            assert!(pos(0) < pos(2));
-            assert!(pos(1) < pos(3));
-            assert!(pos(2) < pos(3));
-        }
+        let dag = build_dag(&deps);
+        assert_eq!(
+            dag.edges,
+            vec![vec![1, 2], vec![3], vec![3], vec![], vec![]]
+        );
+        assert_eq!(dag.indegree, vec![0, 1, 1, 2, 0]);
+        check_acyclic(&dag).unwrap();
     }
 
-    /// With a single worker the dispatch order is the stable topological
-    /// order (lowest ready index first).
-    #[test]
-    fn single_worker_is_stable_topo_order() {
-        let deps = vec![
-            node(vec![], vec![Buffer(0)]),
-            node(vec![], vec![Buffer(1)]),
-            node(vec![Buffer(1)], vec![Buffer(2)]),
-            node(vec![Buffer(0), Buffer(2)], vec![Buffer(3)]),
-        ];
-        let log = StdMutex::new(Vec::new());
-        run_dag(&deps, 1, |i| {
-            log.lock().unwrap().push(i);
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(log.into_inner().unwrap(), vec![0, 1, 2, 3]);
-    }
-
-    /// (b) A dependency cycle is reported as `Error::Plan`, not a hang.
+    /// A dependency cycle is reported as `Error::Plan`.
     #[test]
     fn cycle_is_plan_error() {
         let deps = vec![
             node(vec![Buffer(1)], vec![Buffer(0)]),
             node(vec![Buffer(0)], vec![Buffer(1)]),
         ];
-        let err = run_dag(&deps, 2, |_| Ok(())).unwrap_err();
+        let err = check_acyclic(&build_dag(&deps)).unwrap_err();
         assert!(matches!(err, Error::Plan(_)), "got {err}");
         // Nodes reachable only through the cycle are reported too.
         let deps = vec![
@@ -326,64 +147,12 @@ mod tests {
             node(vec![Buffer(9), Filter(0)], vec![HashTable(0)]),
             node(vec![HashTable(0)], vec![Filter(0)]),
         ];
-        let err = run_dag(&deps, 2, |_| Ok(())).unwrap_err();
+        let err = check_acyclic(&build_dag(&deps)).unwrap_err();
         assert!(matches!(err, Error::Plan(_)), "got {err}");
     }
 
-    /// Independent nodes genuinely overlap: both must be in flight at the
-    /// same moment before either may finish (rendezvous via condvar with a
-    /// timeout, so a sequential scheduler fails rather than deadlocks).
-    #[test]
-    fn independent_nodes_run_concurrently() {
-        let deps = vec![node(vec![], vec![Buffer(0)]), node(vec![], vec![Buffer(1)])];
-        let pair = (StdMutex::new(0usize), Condvar::new());
-        let stats = run_dag(&deps, 2, |_| {
-            let (lock, cv) = &pair;
-            let mut inside = lock.lock().unwrap();
-            *inside += 1;
-            cv.notify_all();
-            let deadline = Duration::from_secs(10);
-            while *inside < 2 {
-                let (guard, timeout) = cv.wait_timeout(inside, deadline).unwrap();
-                inside = guard;
-                if timeout.timed_out() {
-                    return Err(Error::Exec(
-                        "rendezvous timed out: nodes did not overlap".into(),
-                    ));
-                }
-            }
-            Ok(())
-        })
-        .unwrap();
-        assert_eq!(stats.max_parallel, 2);
-        assert_eq!(stats.initially_ready, 2);
-    }
-
-    /// A node error cancels the run and propagates.
-    #[test]
-    fn node_error_propagates() {
-        let deps = vec![
-            node(vec![], vec![Buffer(0)]),
-            node(vec![Buffer(0)], vec![Buffer(1)]),
-            node(vec![Buffer(1)], vec![Buffer(2)]),
-        ];
-        let ran = AtomicUsize::new(0);
-        let err = run_dag(&deps, 2, |i| {
-            ran.fetch_add(1, Ordering::Relaxed);
-            if i == 1 {
-                Err(Error::Exec("boom".into()))
-            } else {
-                Ok(())
-            }
-        })
-        .unwrap_err();
-        assert!(matches!(err, Error::Exec(_)));
-        // Node 2 never ran: its producer failed.
-        assert_eq!(ran.load(Ordering::Relaxed), 2);
-    }
-
     /// Write-write conflicts (never emitted by the planner) are serialized
-    /// by index rather than racing.
+    /// by index rather than left unordered.
     #[test]
     fn write_write_serialized() {
         let deps = vec![
@@ -391,21 +160,16 @@ mod tests {
             node(vec![], vec![Buffer(0)]),
             node(vec![Buffer(0)], vec![Buffer(1)]),
         ];
-        let log = StdMutex::new(Vec::new());
-        run_dag(&deps, 4, |i| {
-            log.lock().unwrap().push(i);
-            Ok(())
-        })
-        .unwrap();
-        let order = log.into_inner().unwrap();
-        let pos = |x: usize| order.iter().position(|&i| i == x).unwrap();
-        assert!(pos(0) < pos(1));
-        assert!(pos(1) < pos(2));
+        let dag = build_dag(&deps);
+        assert!(dag.edges[0].contains(&1));
+        assert!(dag.edges[1].contains(&2));
+        check_acyclic(&dag).unwrap();
     }
 
     #[test]
     fn empty_dag_is_noop() {
-        let stats = run_dag(&[], 4, |_| Ok(())).unwrap();
-        assert_eq!(stats, SchedulerStats::default());
+        let dag = build_dag(&[]);
+        assert!(dag.edges.is_empty() && dag.indegree.is_empty());
+        check_acyclic(&dag).unwrap();
     }
 }

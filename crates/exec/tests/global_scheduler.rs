@@ -1,6 +1,6 @@
 //! The global morsel-driven scheduler: readiness/topology units, the
-//! partition-overlap rendezvous proof, and Global-vs-Scoped parity at the
-//! executor level.
+//! partition-overlap rendezvous proof, and parity with an independent
+//! reference across the partition × worker matrix at the executor level.
 //!
 //! The rendezvous test is the acceptance check for partition-wise
 //! downstream scheduling: a producer whose partition-1 merge *blocks until
@@ -12,11 +12,10 @@
 use rpt_common::{DataChunk, DataType, Error, Field, Result, ScalarValue, Schema, Vector};
 use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::{AggregateFactory, BufferScan, TableScan};
-use rpt_exec::pipeline::run_physical;
 use rpt_exec::{
     run_physical_global, CmpOp, ExecContext, Executor, Expr, Morsels, NodeDeps, OpSpec, Operator,
-    PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode,
-    SchedulerKind, Sink, SinkFactory, SinkSpec, Source, SourceSpec,
+    PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode, Sink,
+    SinkFactory, SinkSpec, Source, SourceSpec,
 };
 use rpt_storage::Table;
 use std::any::Any;
@@ -66,14 +65,13 @@ fn chained_buffers_execute_in_dependency_order() {
     for (workers, partitions) in [(1, 1), (2, 2), (4, 8)] {
         let t = table("t", (0..100).collect(), (0..100).collect());
         let ctx = ExecContext::new()
-            .with_scheduler(SchedulerKind::Global)
             .with_workers(workers)
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 3, 0, 0);
         let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
         let p2 = collect_pipeline(SourceSpec::Buffer(1), vec![], 2);
-        exec.run_dag(&[p0, p1, p2], 4).unwrap();
+        exec.run_dag(&[p0, p1, p2]).unwrap();
         assert_eq!(
             exec.buffer_rows(2),
             100,
@@ -94,10 +92,7 @@ fn chained_buffers_execute_in_dependency_order() {
 fn probe_waits_for_hash_table_readiness() {
     let build = table("b", (0..50).collect(), (0..50).map(|x| x * 2).collect());
     let probe = table("p", (0..200).map(|i| i % 60).collect(), (0..200).collect());
-    let ctx = ExecContext::new()
-        .with_scheduler(SchedulerKind::Global)
-        .with_workers(4)
-        .with_partitions(4);
+    let ctx = ExecContext::new().with_workers(4).with_partitions(4);
     let mut exec = Executor::new(ctx, 1, 0, 1);
     let p_build = PipelinePlan {
         label: "build".into(),
@@ -123,7 +118,7 @@ fn probe_waits_for_hash_table_readiness() {
         }],
         0,
     );
-    exec.run_dag(&[p_probe, p_build], 4).unwrap();
+    exec.run_dag(&[p_probe, p_build]).unwrap();
     // keys 0..50 match; probe ids are i % 60 → 200 * 50/60
     let expected: u64 = (0..200).filter(|i| i % 60 < 50).count() as u64;
     assert_eq!(exec.buffer_rows(0), expected);
@@ -133,7 +128,7 @@ fn probe_waits_for_hash_table_readiness() {
 #[test]
 fn global_scheduler_rejects_cycles() {
     let t = table("t", vec![1, 2], vec![3, 4]);
-    let ctx = ExecContext::new().with_partitions(2);
+    let ctx = ExecContext::new().with_workers(2).with_partitions(2);
     let res = Resources::with_partitions(2, 0, 0, 2);
     let phys: Vec<PhysicalPipeline> = vec![
         collect_pipeline(SourceSpec::Table(t.clone()), vec![], 0).lower(),
@@ -149,7 +144,7 @@ fn global_scheduler_rejects_cycles() {
             writes: vec![ResourceId::Buffer(1)],
         },
     ];
-    let err = run_physical_global(&phys, &deps, &ctx, &res, 2).unwrap_err();
+    let err = run_physical_global(&phys, &deps, &ctx, &res).unwrap_err();
     assert!(matches!(err, Error::Plan(_)), "got {err}");
 }
 
@@ -158,14 +153,11 @@ fn global_scheduler_rejects_cycles() {
 #[test]
 fn task_error_propagates_and_halts() {
     let t = table("t", (0..100).collect(), (0..100).collect());
-    let ctx = ExecContext::new()
-        .with_scheduler(SchedulerKind::Global)
-        .with_workers(2)
-        .with_budget(10); // first morsel blows the budget
+    let ctx = ExecContext::new().with_workers(2).with_budget(10); // first morsel blows the budget
     let mut exec = Executor::new(ctx, 2, 0, 0);
     let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
     let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
-    let err = exec.run_dag(&[p0, p1], 4).unwrap_err();
+    let err = exec.run_dag(&[p0, p1]).unwrap_err();
     assert!(err.is_budget(), "expected budget abort, got {err}");
 }
 
@@ -303,7 +295,7 @@ impl Operator for SignalStarted {
 #[test]
 fn consumer_partition_task_overlaps_producer_merge() {
     let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let ctx = ExecContext::new().with_partitions(2);
+    let ctx = ExecContext::new().with_workers(2).with_partitions(2);
     let res = Resources::with_partitions(2, 0, 0, 2);
 
     let producer = PhysicalPipeline {
@@ -336,7 +328,7 @@ fn consumer_partition_task_overlaps_producer_merge() {
         },
     ];
 
-    let stats = run_physical_global(&[producer, consumer], &deps, &ctx, &res, 2).unwrap();
+    let stats = run_physical_global(&[producer, consumer], &deps, &ctx, &res).unwrap();
 
     // The rendezvous succeeded (no timeout): partition-0 consumption ran
     // strictly inside the producer's merge window — and the scheduler
@@ -448,7 +440,7 @@ fn aggregate_consumer_overlaps_group_merge() {
     assert!(n >= 10, "need keys in both partitions");
 
     let gate: Gate = Arc::new((Mutex::new(false), Condvar::new()));
-    let ctx = ExecContext::new().with_partitions(2);
+    let ctx = ExecContext::new().with_workers(2).with_partitions(2);
     let res = Resources::with_partitions(2, 0, 0, 2);
     let out_schema = Schema::new(vec![
         Field::new("id", DataType::Int64),
@@ -491,7 +483,7 @@ fn aggregate_consumer_overlaps_group_merge() {
             writes: vec![ResourceId::Buffer(1)],
         },
     ];
-    let stats = run_physical_global(&[producer, consumer], &deps, &ctx, &res, 2).unwrap();
+    let stats = run_physical_global(&[producer, consumer], &deps, &ctx, &res).unwrap();
 
     // No timeout: the consumer ran on partition 0's groups strictly inside
     // the producer's merge window, and the scheduler counted the overlap.
@@ -545,63 +537,72 @@ fn join_pipelines() -> Vec<PipelinePlan> {
     vec![p1, p2]
 }
 
-/// Global and Scoped produce identical result multisets across the
-/// `partition_count × worker-count` matrix; with `threads == 1` the chunk
-/// order is bit-identical too (ordered-chain determinism).
+/// Every `partition_count × worker-count` point produces the multiset a
+/// nested-loop join over the same two tables does — a reference that
+/// shares no operator, sink or scheduler code with the engine.
 #[test]
-fn global_matches_scoped_across_partition_matrix() {
-    let run = |kind: SchedulerKind, partitions: usize, workers: usize| {
+fn global_matches_nested_loop_across_partition_matrix() {
+    let run = |partitions: usize, workers: usize| {
         let ctx = ExecContext::new()
-            .with_scheduler(kind)
             .with_workers(workers)
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 1, 0, 1);
-        exec.run_dag(&join_pipelines(), workers).unwrap();
-        let mut rows: Vec<Vec<ScalarValue>> = exec
+        exec.run_dag(&join_pipelines()).unwrap();
+        let mut rows: Vec<(i64, i64, i64)> = exec
             .buffer(0)
             .unwrap()
             .iter()
             .flat_map(|c| c.rows())
+            .map(|r| {
+                (
+                    r[0].as_i64().unwrap(),
+                    r[1].as_i64().unwrap(),
+                    r[2].as_i64().unwrap(),
+                )
+            })
             .collect();
-        rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
+        rows.sort_unstable();
         (rows, exec.ctx.metrics.summary())
     };
-    let (base_rows, base_m) = run(SchedulerKind::Scoped, 1, 1);
+    // The tables of `join_pipelines`, joined row by row.
+    let build: Vec<(i64, i64)> = (0..100).map(|x| (x, x * 10)).collect();
+    let probe: Vec<(i64, i64)> = (0..300).map(|i| (i % 120, i)).collect();
+    let mut expected: Vec<(i64, i64, i64)> = Vec::new();
+    for &(pid, pv) in &probe {
+        for &(bid, bv) in &build {
+            if pid == bid {
+                expected.push((pid, pv, bv));
+            }
+        }
+    }
+    expected.sort_unstable();
     for partitions in [1usize, 2, 8] {
         for workers in [1usize, 2, 8] {
-            let (rows, m) = run(SchedulerKind::Global, partitions, workers);
-            assert_eq!(
-                rows, base_rows,
-                "global pc={partitions} workers={workers} differs"
-            );
+            let (rows, m) = run(partitions, workers);
+            assert_eq!(rows, expected, "pc={partitions} workers={workers} differs");
             // Deterministic totals: same tuples flowed through the same
             // operators under any scheduling.
-            assert_eq!(m.hash_build_rows, base_m.hash_build_rows);
-            assert_eq!(m.join_output_rows, base_m.join_output_rows);
-            assert_eq!(m.output_rows, base_m.output_rows);
-            let (srows, _) = run(SchedulerKind::Scoped, partitions, workers);
-            assert_eq!(
-                srows, base_rows,
-                "scoped pc={partitions} workers={workers} differs"
-            );
+            assert_eq!(m.hash_build_rows, build.len() as u64);
+            assert_eq!(m.join_output_rows, expected.len() as u64);
+            assert_eq!(m.output_rows, expected.len() as u64);
         }
     }
 }
 
-/// With `threads == 1` the global scheduler's ordered chains reproduce the
-/// scoped scheduler's buffer *chunk order* exactly, not just the multiset.
+/// With `threads == 1` every pipeline is an ordered chain, so a buffer's
+/// *chunk order* — not just its multiset — is the same for any pool size,
+/// and with one partition it is the source order itself.
 #[test]
 fn ordered_chains_are_bit_deterministic() {
-    let run = |kind: SchedulerKind| {
+    let run = |workers: usize, partitions: usize| {
         let ctx = ExecContext::new()
-            .with_scheduler(kind)
-            .with_workers(2)
-            .with_partitions(4);
+            .with_workers(workers)
+            .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 2, 0, 0);
-        let t = table("t", (0..500).collect(), (0..500).collect());
+        let t = table("t", (0..5000).collect(), (0..5000).collect());
         let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
-        exec.run_dag(&[p0, p1], 2).unwrap();
+        exec.run_dag(&[p0, p1]).unwrap();
         let chunks = exec.buffer(1).unwrap();
         chunks
             .iter()
@@ -609,23 +610,10 @@ fn ordered_chains_are_bit_deterministic() {
             .map(|r| r[0].as_i64().unwrap())
             .collect::<Vec<_>>()
     };
-    assert_eq!(run(SchedulerKind::Global), run(SchedulerKind::Scoped));
-}
-
-/// `run_physical` (scoped driver) merges partitioned sinks on its own
-/// morsel workers — sanity-check it end to end with several thread counts.
-#[test]
-fn scoped_driver_merges_on_morsel_workers() {
-    for threads in [1usize, 2, 4] {
-        let ctx = ExecContext::new().with_threads(threads).with_partitions(4);
-        let res = Resources::with_partitions(1, 0, 0, 4);
-        let t = table("t", (0..1000).collect(), (0..1000).collect());
-        let phys = collect_pipeline(SourceSpec::Table(t), vec![], 0).lower();
-        run_physical(&phys, &ctx, &res).unwrap();
-        let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();
-        assert_eq!(rows, 1000, "threads={threads}");
-        let s = ctx.metrics.summary();
-        assert_eq!(s.merge_tasks, 4, "threads={threads}");
+    assert_eq!(run(1, 1), (0..5000).collect::<Vec<_>>());
+    let base = run(1, 4);
+    for workers in [2usize, 8] {
+        assert_eq!(run(workers, 4), base, "workers={workers}");
     }
 }
 
@@ -689,51 +677,40 @@ impl Morsels for RendezvousMorsels<'_> {
     }
 }
 
-/// Decode + filter run inside the morsel, on every worker: under each of
-/// the three drivers two workers are inside table-scan morsels at once,
-/// `Open` has decoded nothing, and every block is decoded exactly once.
+/// Decode + filter run inside the morsel, on every worker: two workers are
+/// inside table-scan morsels at once, `Open` has decoded nothing, and every
+/// block is decoded exactly once.
 #[test]
 fn scan_morsels_decode_concurrently_and_open_decodes_nothing() {
     const BLOCKS: usize = 4;
     let n = (BLOCKS * rpt_common::VECTOR_SIZE) as i64;
-    for kind in [
-        SchedulerKind::Global,
-        SchedulerKind::Stealing,
-        SchedulerKind::Scoped,
-    ] {
-        let ctx = ExecContext::new()
-            .with_scheduler(kind)
-            .with_threads(2)
-            .with_workers(2)
-            .with_partitions(1)
-            .with_storage_encoding(true);
-        let res = Resources::with_partitions(1, 0, 0, 1);
-        let t = table("t", (0..n).collect(), (0..n).map(|v| v % 10).collect());
-        let keep_high = Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(ScalarValue::Int64(4)));
-        let pipeline = PhysicalPipeline {
-            label: "scan".into(),
-            source: Box::new(RendezvousScan {
-                scan: TableScan::fused(t, Some(&keep_high), vec![0, 1], vec![]),
-                inside: (Mutex::new(0), Condvar::new()),
-            }),
-            ops: vec![],
-            sink: Box::new(BufferSinkFactory::new(0, two_col_schema(), vec![])),
-            intermediate: false,
-            route: RouteMode::Radix,
-        };
-        if kind == SchedulerKind::Scoped {
-            run_physical(&pipeline, &ctx, &res).unwrap();
-        } else {
-            let deps = vec![NodeDeps {
-                reads: vec![],
-                writes: vec![ResourceId::Buffer(0)],
-            }];
-            run_physical_global(&[pipeline], &deps, &ctx, &res, 2).unwrap();
-        }
-        let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();
-        assert_eq!(rows, (0..n).filter(|v| v % 10 > 4).count(), "{kind:?}");
-        let m = ctx.metrics.summary();
-        assert_eq!(m.blocks_scanned, BLOCKS as u64, "{kind:?}");
-        assert_eq!(m.scan_rows, n as u64, "{kind:?}");
-    }
+    let ctx = ExecContext::new()
+        .with_threads(2)
+        .with_workers(2)
+        .with_partitions(1)
+        .with_storage_encoding(true);
+    let res = Resources::with_partitions(1, 0, 0, 1);
+    let t = table("t", (0..n).collect(), (0..n).map(|v| v % 10).collect());
+    let keep_high = Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(ScalarValue::Int64(4)));
+    let pipeline = PhysicalPipeline {
+        label: "scan".into(),
+        source: Box::new(RendezvousScan {
+            scan: TableScan::fused(t, Some(&keep_high), vec![0, 1], vec![]),
+            inside: (Mutex::new(0), Condvar::new()),
+        }),
+        ops: vec![],
+        sink: Box::new(BufferSinkFactory::new(0, two_col_schema(), vec![])),
+        intermediate: false,
+        route: RouteMode::Radix,
+    };
+    let deps = vec![NodeDeps {
+        reads: vec![],
+        writes: vec![ResourceId::Buffer(0)],
+    }];
+    run_physical_global(&[pipeline], &deps, &ctx, &res).unwrap();
+    let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();
+    assert_eq!(rows, (0..n).filter(|v| v % 10 > 4).count());
+    let m = ctx.metrics.summary();
+    assert_eq!(m.blocks_scanned, BLOCKS as u64);
+    assert_eq!(m.scan_rows, n as u64);
 }

@@ -1,15 +1,22 @@
 //! Property tests for the hash-partitioned sinks: random chunk streams ×
 //! random partition counts × random worker counts must produce exactly the
 //! unpartitioned baseline's contents (as multisets), route every row to the
-//! partition its key hashes to, and build bit-identical Bloom filters.
+//! partition its key hashes to, and build bit-identical Bloom filters; and
+//! a DAG whose consumers take the partition-preserving route must produce
+//! exactly what radix re-partitioning produces.
 
 use proptest::prelude::*;
 use rpt_common::hash::hash_i64;
-use rpt_common::{DataChunk, DataType, Field, Partitioner, Schema, Vector};
+use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::hash_build::HashBuildFactory;
 use rpt_exec::operators::AggregateFactory;
-use rpt_exec::{AggExpr, AggFunc, BloomSink, ExecContext, Expr, Resources, SinkFactory};
+use rpt_exec::{
+    AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, OpSpec, PipelinePlan, Resources,
+    RouteMode, SinkFactory, SinkSpec, SourceSpec,
+};
+use rpt_storage::Table;
+use std::sync::Arc;
 
 fn schema() -> Schema {
     Schema::new(vec![
@@ -79,6 +86,114 @@ fn bloom_spec() -> BloomSink {
         expected_keys: 256,
         fpr: 0.02,
     }
+}
+
+fn agg_schema() -> Schema {
+    Schema::new(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("c", DataType::Int64),
+        Field::new("s", DataType::Int64),
+    ])
+}
+
+/// The three-pipeline DAG the planner's elision pass targets: a CreateBF
+/// buffer distributed on the key column, a grouped aggregate consuming it
+/// on the same key, and a CreateBF consumer of the aggregate's output —
+/// both consumers take `route` (the planner marks them `Preserve` when
+/// elision applies; `Radix` is the general path).
+fn elision_pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
+    let t = Arc::new(
+        Table::new(
+            "t",
+            schema(),
+            vec![
+                Vector::from_i64(keys.to_vec()),
+                Vector::from_i64((0..keys.len() as i64).collect()),
+            ],
+        )
+        .unwrap(),
+    );
+    let bloom = |filter_id: usize| BloomSink {
+        filter_id,
+        ..bloom_spec()
+    };
+    let p0 = PipelinePlan {
+        label: "createbf".into(),
+        source: SourceSpec::Table(t),
+        ops: vec![],
+        sink: SinkSpec::Buffer {
+            buf_id: 0,
+            blooms: vec![bloom(0)],
+        },
+        intermediate: true,
+        route: RouteMode::Radix,
+        sink_schema: schema(),
+    };
+    let p1 = PipelinePlan {
+        label: "aggregate".into(),
+        source: SourceSpec::Buffer(0),
+        ops: vec![],
+        sink: SinkSpec::Aggregate {
+            buf_id: 1,
+            group_cols: vec![0],
+            aggs: vec![
+                AggExpr::count_star("c"),
+                AggExpr {
+                    func: AggFunc::Sum,
+                    input: Some(Expr::col(1)),
+                    alias: "s".into(),
+                },
+            ],
+            input_types: vec![DataType::Int64, DataType::Int64],
+            output_schema: agg_schema(),
+            key_dicts: vec![],
+        },
+        intermediate: true,
+        route,
+        sink_schema: agg_schema(),
+    };
+    // Aggregate output is [group key, aggs...]: still distributed on
+    // column 0, so a keyed buffer consumer stays elision-eligible.
+    let p2 = PipelinePlan {
+        label: "consume".into(),
+        source: SourceSpec::Buffer(1),
+        ops: vec![OpSpec::Project(vec![
+            Expr::col(0),
+            Expr::col(1),
+            Expr::col(2),
+        ])],
+        sink: SinkSpec::Buffer {
+            buf_id: 2,
+            blooms: vec![bloom(1)],
+        },
+        intermediate: false,
+        route,
+        sink_schema: agg_schema(),
+    };
+    vec![p0, p1, p2]
+}
+
+/// Run [`elision_pipelines`]: the full row sequence of buffer 2 (partition
+/// concatenation order) plus the run's elided-chunk count.
+fn run_elision_dag(
+    keys: &[i64],
+    route: RouteMode,
+    partitions: usize,
+    workers: usize,
+) -> (Vec<Vec<ScalarValue>>, u64) {
+    let ctx = ExecContext::new()
+        .with_workers(workers)
+        .with_partitions(partitions);
+    let mut exec = Executor::new(ctx, 3, 2, 0);
+    exec.run_dag(&elision_pipelines(keys, route)).unwrap();
+    let rows: Vec<Vec<ScalarValue>> = exec
+        .buffer(2)
+        .unwrap()
+        .iter()
+        .flat_map(|c| c.rows())
+        .collect();
+    let m = exec.ctx.metrics.summary();
+    (rows, m.repartition_elided_chunks)
 }
 
 /// The governor keeps seeing a hash build's bytes after its sinks are
@@ -301,5 +416,51 @@ proptest! {
 
         // Semi-probe parity (selection order included).
         prop_assert_eq!(base_ht.semi_probe(&probe, &[0]), ht.semi_probe(&probe, &[0]));
+    }
+
+    /// Preserve ≡ Radix over the `partition_count {1..8} × workers {1..4}`
+    /// matrix: identical group rows (exact sequence at `workers == 1`,
+    /// multiset above), no elided chunks on the radix leg, and elision
+    /// engaged whenever the plan is actually partitioned.
+    #[test]
+    fn preserve_route_matches_radix_route(
+        keys in proptest::collection::vec(-60i64..60, 1..250),
+        partitions in 1usize..=8,
+        workers in 1usize..=4,
+    ) {
+        let (base, base_elided) = run_elision_dag(&keys, RouteMode::Radix, partitions, workers);
+        prop_assert_eq!(base_elided, 0, "radix leg elided chunks");
+        let (rows, elided) = run_elision_dag(&keys, RouteMode::Preserve, partitions, workers);
+        // Partitioned runs must take the preserved route at least once per
+        // consumer (single-partition plans legitimately fall back to plain
+        // `sink`).
+        if partitions > 1 {
+            prop_assert!(elided > 0, "preserve never elided");
+        }
+        if workers == 1 {
+            prop_assert_eq!(rows, base, "pc={} differs bit-for-bit", partitions);
+        } else {
+            let sorted = |mut rows: Vec<Vec<ScalarValue>>| {
+                rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
+                rows
+            };
+            prop_assert_eq!(
+                sorted(rows), sorted(base),
+                "pc={} workers={} differs", partitions, workers
+            );
+        }
+    }
+
+    /// Repeatability: preserved routes are bit-deterministic under ordered
+    /// chains (`threads == 1`, `workers == 1`) — two runs of the same
+    /// config emit the same bytes.
+    #[test]
+    fn preserve_route_is_deterministic_single_threaded(
+        keys in proptest::collection::vec(-60i64..60, 1..250),
+        partitions in 1usize..=8,
+    ) {
+        let (a, _) = run_elision_dag(&keys, RouteMode::Preserve, partitions, 1);
+        let (b, _) = run_elision_dag(&keys, RouteMode::Preserve, partitions, 1);
+        prop_assert_eq!(a, b, "pc={} not deterministic", partitions);
     }
 }

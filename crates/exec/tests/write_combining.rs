@@ -194,12 +194,10 @@ proptest! {
             let want = routed(&chunks, partitions);
             let dir = std::env::temp_dir().join(format!("rpt_wc_sink_{seed}_{partitions}"));
             for spill_cap in [None, Some(1usize)] {
-                let mut ctx = ExecContext::new()
+                let ctx = ExecContext::new()
                     .with_partitions(partitions)
-                    .with_memory_budget(Some(usize::MAX));
-                if let Some(cap) = spill_cap {
-                    ctx = ctx.with_spill(cap, &dir);
-                }
+                    .with_memory_budget(Some(usize::MAX))
+                    .with_spill(spill_cap, &dir);
                 let gov = ctx.governor.clone().unwrap();
                 let res = Resources::with_partitions(1, 1, 0, partitions);
                 let mut sink = factory.make(&ctx).unwrap();

@@ -412,7 +412,7 @@ fn collect_probed(
         route: RouteMode::Radix,
         sink_schema: schema,
     });
-    exec.run(&plans).expect("pipelines run");
+    exec.run_dag(&plans).expect("pipelines run");
     let rows = exec
         .buffer(out)
         .expect("output buffer")
@@ -597,7 +597,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
 
     // The same rejection seen at the source: morsel 1 yields no chunk.
     let mut exec = Executor::new(probe_ctx(true), 1, 1, 0);
-    exec.run(&createbf_plans(&transfers))
+    exec.run_dag(&createbf_plans(&transfers))
         .expect("createbf runs");
     let scan = TableScan::fused(
         table,

@@ -9,7 +9,7 @@
 
 use proptest::prelude::*;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
-use rpt_core::{random_left_deep, Database, JoinOrder, Mode, QueryOptions, SchedulerKind};
+use rpt_core::{random_left_deep, Database, JoinOrder, Mode, QueryOptions};
 use rpt_storage::Table;
 
 fn table(name: &str, cols: Vec<(&str, Vector)>) -> Table {
@@ -317,69 +317,34 @@ fn scheduler_parity_cases() -> Vec<(Database, String)> {
     ]
 }
 
-/// Result parity: every query in this file returns identical rows through
-/// the sequential scheduler (`pipeline_parallelism = 1`, which dispatches
-/// in stable topological = plan order) and the concurrent DAG scheduler,
-/// under every execution mode.
-#[test]
-fn sequential_and_concurrent_schedulers_agree() {
-    for (db, sql) in scheduler_parity_cases() {
-        for mode in Mode::ALL {
-            let seq = db
-                .query(&sql, &QueryOptions::new(mode).with_pipeline_parallelism(1))
-                .unwrap_or_else(|e| panic!("seq {mode:?} failed on {sql}: {e}"));
-            let conc = db
-                .query(&sql, &QueryOptions::new(mode).with_pipeline_parallelism(8))
-                .unwrap_or_else(|e| panic!("conc {mode:?} failed on {sql}: {e}"));
-            assert_eq!(
-                seq.sorted_rows(),
-                conc.sorted_rows(),
-                "{mode:?} parity failure on {sql}"
-            );
-            // The DAG scheduler ran and reported stats for both runs.
-            for r in [&seq, &conc] {
-                assert!(
-                    r.trace.iter().any(|(l, _)| l == "[scheduler] pipelines"),
-                    "scheduler stats missing from trace: {:?}",
-                    r.trace
-                );
-            }
-        }
-    }
-}
-
 /// Parity matrix: every query in this file, under every mode, must produce
 /// identical sorted results at every `partition_count ∈ {1, 2, 8}` ×
-/// `pipeline_parallelism ∈ {1, 4}` point — the partitioned sinks and the
-/// concurrent scheduler may only change *how* results are materialized,
-/// never *what* they contain.
+/// `threads ∈ {1, 4}` point — the partitioned sinks and the morsel fan-out
+/// may only change *how* results are materialized, never *what* they
+/// contain.
 #[test]
 fn partition_parallelism_parity_matrix() {
     for (db, sql) in scheduler_parity_cases() {
         for mode in Mode::ALL {
             let mut baseline: Option<Vec<Vec<ScalarValue>>> = None;
             for partition_count in [1usize, 2, 8] {
-                for pipeline_parallelism in [1usize, 4] {
+                for threads in [1usize, 4] {
                     let r = db
                         .query(
                             &sql,
                             &QueryOptions::new(mode)
                                 .with_partition_count(partition_count)
-                                .with_pipeline_parallelism(pipeline_parallelism),
+                                .with_threads(threads),
                         )
                         .unwrap_or_else(|e| {
-                            panic!(
-                                "{mode:?} pc={partition_count} pp={pipeline_parallelism} \
-                                 failed on {sql}: {e}"
-                            )
+                            panic!("{mode:?} pc={partition_count} t={threads} failed on {sql}: {e}")
                         });
                     let rows = r.sorted_rows();
                     match &baseline {
                         None => baseline = Some(rows),
                         Some(b) => assert_eq!(
                             &rows, b,
-                            "{mode:?} pc={partition_count} pp={pipeline_parallelism} \
-                             differs on {sql}"
+                            "{mode:?} pc={partition_count} t={threads} differs on {sql}"
                         ),
                     }
                 }
@@ -402,8 +367,7 @@ fn partitioned_merges_never_cover_the_full_result() {
             CHAIN_SQL,
             &QueryOptions::new(Mode::RobustPredicateTransfer)
                 .with_partition_count(partitions as usize)
-                .with_threads(2)
-                .with_pipeline_parallelism(4),
+                .with_threads(2),
         )
         .unwrap();
     // Scheduler-level stats: merges happened and none spanned a full
@@ -453,53 +417,51 @@ fn partitioned_merges_never_cover_the_full_result() {
     assert!(checked >= 2, "expected ≥2 spread-checked sink merges");
 }
 
-/// Global-vs-Scoped scheduler parity: every query in this file, under
-/// every mode, returns identical rows through the global worker pool and
-/// the legacy scoped scheduler, across the `partition_count × worker-count`
-/// matrix. With the default `threads == 1` both schedulers consume chunks
-/// in the same order, so equality is exact (floats included).
+/// Worker/partition parity: every query in this file, under every mode,
+/// returns the rows of its serial run (`workers = 1`, `threads = 1`,
+/// `partition_count = 1`) across the `partition_count × worker-count`
+/// matrix. With the default `threads == 1` every pipeline is an ordered
+/// chain, so equality is exact (floats included).
 #[test]
-fn global_and_scoped_schedulers_agree() {
+fn worker_partition_matrix_agrees_with_serial_run() {
     for (db, sql) in scheduler_parity_cases() {
         for mode in Mode::ALL {
-            let scoped = db
+            let serial = db
                 .query(
                     &sql,
-                    &QueryOptions::new(mode).with_scheduler(SchedulerKind::Scoped),
+                    &QueryOptions::new(mode)
+                        .with_partition_count(1)
+                        .with_workers(1),
                 )
-                .unwrap_or_else(|e| panic!("scoped {mode:?} failed on {sql}: {e}"));
+                .unwrap_or_else(|e| panic!("serial {mode:?} failed on {sql}: {e}"));
             for partition_count in [1usize, 2, 8] {
                 for workers in [1usize, 2, 8] {
-                    let global = db
+                    let r = db
                         .query(
                             &sql,
                             &QueryOptions::new(mode)
-                                .with_scheduler(SchedulerKind::Global)
                                 .with_partition_count(partition_count)
                                 .with_workers(workers),
                         )
                         .unwrap_or_else(|e| {
-                            panic!(
-                                "global {mode:?} pc={partition_count} w={workers} \
-                                 failed on {sql}: {e}"
-                            )
+                            panic!("{mode:?} pc={partition_count} w={workers} failed on {sql}: {e}")
                         });
                     assert_eq!(
-                        global.sorted_rows(),
-                        scoped.sorted_rows(),
+                        r.sorted_rows(),
+                        serial.sorted_rows(),
                         "{mode:?} pc={partition_count} w={workers} differs on {sql}"
                     );
                     // Deterministic work totals under any scheduling.
                     assert_eq!(
-                        global.metrics.intermediate_tuples, scoped.metrics.intermediate_tuples,
+                        r.metrics.intermediate_tuples, serial.metrics.intermediate_tuples,
                         "{mode:?} pc={partition_count} w={workers} totals differ on {sql}"
                     );
-                    // The global scheduler reported its task accounting.
+                    // The scheduler reported its task accounting.
                     for stat in ["[scheduler] pipelines", "[scheduler] tasks"] {
                         assert!(
-                            global.trace.iter().any(|(l, _)| l == stat),
-                            "{stat} missing from global trace: {:?}",
-                            global.trace
+                            r.trace.iter().any(|(l, _)| l == stat),
+                            "{stat} missing from trace: {:?}",
+                            r.trace
                         );
                     }
                 }
@@ -509,95 +471,73 @@ fn global_and_scoped_schedulers_agree() {
 }
 
 /// GROUP BY matrix (the aggregate-sink acceptance check): a grouped
-/// aggregation returns identical groups through the global and scoped
-/// schedulers at every `partition_count {1,2,8} × workers {1,2,8}` point,
-/// and with `partition_count > 1` its merge runs as per-partition tasks,
-/// none of which covers the full group set.
+/// aggregation returns the groups of its serial run (`workers = 1`,
+/// `threads = 1`, `partition_count = 1`) at every
+/// `partition_count {1,2,8} × workers {1,2,8}` point, and with
+/// `partition_count > 1` its merge runs as per-partition tasks, none of
+/// which covers the full group set.
 #[test]
-fn groupby_partition_worker_matrix_global_vs_scoped() {
+fn groupby_partition_worker_matrix() {
     let db = chain_db();
     let baseline = db
         .query(
             GROUP_BY_SQL,
             &QueryOptions::new(Mode::RobustPredicateTransfer)
-                .with_scheduler(SchedulerKind::Scoped)
-                .with_partition_count(1),
+                .with_partition_count(1)
+                .with_workers(1),
         )
         .unwrap();
     let groups = baseline.rows.len() as u64;
     assert_eq!(groups, 20, "20 distinct b.j groups");
-    for kind in [SchedulerKind::Global, SchedulerKind::Scoped] {
-        for partition_count in [1usize, 2, 8] {
-            for workers in [1usize, 2, 8] {
-                for agg_fast in [true, false] {
-                    let r = db
+    for partition_count in [1usize, 2, 8] {
+        for workers in [1usize, 2, 8] {
+            for agg_fast in [true, false] {
+                let at = format!("pc={partition_count} w={workers} fast={agg_fast}");
+                let r = db
                     .query(
                         GROUP_BY_SQL,
                         &QueryOptions::new(Mode::RobustPredicateTransfer)
-                            .with_scheduler(kind)
                             .with_partition_count(partition_count)
                             .with_workers(workers)
                             .with_agg_fast(agg_fast),
                     )
-                    .unwrap_or_else(|e| {
-                        panic!("{kind:?} pc={partition_count} w={workers} fast={agg_fast} failed: {e}")
-                    });
-                    assert_eq!(
-                        r.sorted_rows(),
-                        baseline.sorted_rows(),
-                        "{kind:?} pc={partition_count} w={workers} fast={agg_fast} differs"
+                    .unwrap_or_else(|e| panic!("{at} failed: {e}"));
+                assert_eq!(r.sorted_rows(), baseline.sorted_rows(), "{at} differs");
+                // The GROUP BY key is a single Int64, so the requested
+                // group-table path is the one that actually consumed chunks.
+                let (fast, generic) =
+                    (r.metrics.agg_fast_path_chunks, r.metrics.agg_generic_chunks);
+                if agg_fast {
+                    assert!(
+                        fast > 0 && generic == 0,
+                        "{at}: expected fast path, fast={fast} generic={generic}"
                     );
-                    // The GROUP BY key is a single Int64, so the requested
-                    // group-table path is the one that actually consumed chunks.
-                    if agg_fast {
-                        assert!(
-                            r.metrics.agg_fast_path_chunks > 0 && r.metrics.agg_generic_chunks == 0,
-                            "{kind:?} pc={partition_count} w={workers}: expected fast path, \
-                         fast={} generic={}",
-                            r.metrics.agg_fast_path_chunks,
-                            r.metrics.agg_generic_chunks
-                        );
-                    } else {
-                        assert!(
-                            r.metrics.agg_generic_chunks > 0 && r.metrics.agg_fast_path_chunks == 0,
-                            "{kind:?} pc={partition_count} w={workers}: expected generic path, \
-                         fast={} generic={}",
-                            r.metrics.agg_fast_path_chunks,
-                            r.metrics.agg_generic_chunks
-                        );
-                    }
-                    if partition_count > 1 {
-                        // The GROUP BY merge ran one task per partition and no
-                        // task saw all 20 groups.
-                        let agg_tasks = r
-                            .trace
+                } else {
+                    assert!(
+                        generic > 0 && fast == 0,
+                        "{at}: expected generic path, fast={fast} generic={generic}"
+                    );
+                }
+                if partition_count > 1 {
+                    // The GROUP BY merge ran one task per partition and no
+                    // task saw all 20 groups.
+                    let merge_stat = |suffix: &str| {
+                        r.trace
                             .iter()
                             .find(|(l, _)| {
-                                l.starts_with("[merge] aggregate") && l.ends_with("tasks")
+                                l.starts_with("[merge] aggregate") && l.ends_with(suffix)
                             })
                             .unwrap_or_else(|| {
-                                panic!(
-                                    "{kind:?} pc={partition_count} w={workers}: no aggregate \
-                                 merge tasks in trace {:?}",
-                                    r.trace
-                                )
+                                panic!("{at}: no aggregate merge {suffix} in trace {:?}", r.trace)
                             })
-                            .1;
-                        assert_eq!(agg_tasks, partition_count as u64);
-                        let agg_max = r
-                            .trace
-                            .iter()
-                            .find(|(l, _)| {
-                                l.starts_with("[merge] aggregate") && l.ends_with("max-task-rows")
-                            })
-                            .expect("aggregate merge max-task-rows entry")
-                            .1;
-                        assert!(
-                            agg_max < groups,
-                            "{kind:?} pc={partition_count} w={workers}: an aggregate merge \
-                         task covered {agg_max} of {groups} groups"
-                        );
-                    }
+                            .1
+                    };
+                    assert_eq!(merge_stat("tasks"), partition_count as u64);
+                    let agg_max = merge_stat("max-task-rows");
+                    assert!(
+                        agg_max < groups,
+                        "{at}: an aggregate merge task covered {agg_max} of {groups} groups"
+                    );
                 }
             }
         }
@@ -697,12 +637,12 @@ fn utf8_group_key_fast_path_follows_storage_encoding() {
 }
 
 /// The transfer phase of a star query has independent per-relation
-/// CreateBF builds; the DAG scheduler must surface that parallelism
+/// CreateBF builds; the scheduler must surface that parallelism
 /// (initially-ready > 1) while still producing the sequential result.
 #[test]
 fn transfer_pass_exposes_parallelism() {
     let db = chain_db();
-    let opts = QueryOptions::new(Mode::RobustPredicateTransfer).with_pipeline_parallelism(8);
+    let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
     let r = db.query(CHAIN_SQL, &opts).unwrap();
     let ready = r
         .trace

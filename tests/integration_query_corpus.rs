@@ -1,9 +1,9 @@
 //! Differential query corpus: ~20 full queries (filters, multi-way joins,
 //! GROUP BY, ORDER BY / LIMIT / OFFSET) over the TPC-H, TPC-DS, JOB, and
 //! DSB generators, each executed through every
-//! `partition_count {1,8} × scheduler {global,scoped,steal} ×
-//! repartition_elide {on,off} × agg_fast {on,off} × storage_encoding
-//! {on,off}` leg and compared — in exact row order —
+//! `partition_count {1,8} × repartition_elide {on,off} × agg_fast
+//! {on,off} × storage_encoding {on,off}` leg and compared — in exact row
+//! order —
 //! against a naive single-threaded reference: the unordered query run at
 //! `Baseline / threads=1 / partition_count=1`, gathered into rows, sorted
 //! with `sort_unstable_by` under the engine's published total-order
@@ -13,7 +13,7 @@
 //! everything else must match exactly, including position.
 
 use rpt_common::ScalarValue;
-use rpt_core::{Database, Mode, QueryOptions, SchedulerKind};
+use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::{cmp_scalar_rows, SortKey};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 
@@ -346,53 +346,46 @@ fn check_corpus(w: &Workload, corpus: &[CorpusQuery]) {
         );
         let sql = q.sql();
         for parts in [1usize, 8] {
-            for sched in [
-                SchedulerKind::Global,
-                SchedulerKind::Scoped,
-                SchedulerKind::Stealing,
-            ] {
-                for elide in [true, false] {
-                    // The agg-fast × storage sub-matrix only multiplies the
-                    // default elision leg; the elision-off leg runs once per
-                    // scheduler (its interaction surface is the sink route).
-                    let combos: &[(bool, bool)] = if elide {
-                        &[(true, true), (true, false), (false, true), (false, false)]
-                    } else {
-                        &[(true, true)]
-                    };
-                    for &(agg_fast, storage) in combos {
-                        let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
-                            .with_partition_count(parts)
-                            .with_scheduler(sched)
-                            .with_threads(2)
-                            .with_workers(4)
-                            .with_agg_fast(agg_fast)
-                            .with_storage_encoding(storage)
-                            .with_repartition_elide(elide);
-                        let leg = format!(
-                            "{} {} [parts={parts} sched={sched:?} elide={elide} agg_fast={agg_fast} storage={storage}]",
-                            w.name, q.id
+            for elide in [true, false] {
+                // The agg-fast × storage sub-matrix only multiplies the
+                // default elision leg; the elision-off leg runs once (its
+                // interaction surface is the sink route).
+                let combos: &[(bool, bool)] = if elide {
+                    &[(true, true), (true, false), (false, true), (false, false)]
+                } else {
+                    &[(true, true)]
+                };
+                for &(agg_fast, storage) in combos {
+                    let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+                        .with_partition_count(parts)
+                        .with_threads(2)
+                        .with_workers(4)
+                        .with_agg_fast(agg_fast)
+                        .with_storage_encoding(storage)
+                        .with_repartition_elide(elide);
+                    let leg = format!(
+                        "{} {} [parts={parts} elide={elide} agg_fast={agg_fast} storage={storage}]",
+                        w.name, q.id
+                    );
+                    let r = db
+                        .query(&sql, &opts)
+                        .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
+                    assert_rows_match(&expected, &r.rows, &leg);
+                    // Elision-off must never take the Preserve route.
+                    if !elide {
+                        assert_eq!(
+                            r.metrics.repartition_elided_chunks, 0,
+                            "{leg}: elided chunks while disabled"
                         );
-                        let r = db
-                            .query(&sql, &opts)
-                            .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
-                        assert_rows_match(&expected, &r.rows, &leg);
-                        // Elision-off must never take the Preserve route.
-                        if !elide {
-                            assert_eq!(
-                                r.metrics.repartition_elided_chunks, 0,
-                                "{leg}: elided chunks while disabled"
-                            );
-                        }
-                        // The TopK bound: no sort run may retain more than
-                        // limit + offset rows.
-                        if let Some(limit) = q.limit {
-                            assert!(
-                                r.metrics.sort_max_run_rows <= (limit + q.offset) as u64,
-                                "{leg}: sort run exceeded the TopK bound: {:?}",
-                                r.metrics
-                            );
-                        }
+                    }
+                    // The TopK bound: no sort run may retain more than
+                    // limit + offset rows.
+                    if let Some(limit) = q.limit {
+                        assert!(
+                            r.metrics.sort_max_run_rows <= (limit + q.offset) as u64,
+                            "{leg}: sort run exceeded the TopK bound: {:?}",
+                            r.metrics
+                        );
                     }
                 }
             }
@@ -463,35 +456,35 @@ fn single_thread_single_partition_is_bit_deterministic() {
 
 /// The forced-spill leg of the corpus: every TPC-H corpus query under a
 /// 1 KiB query-wide memory budget (the governor pushes every materializing
-/// sink to disk) across partition counts and the global/stealing
-/// schedulers, still matching the naive reference row-for-row — and no
-/// spill file survives any query.
+/// sink to disk — asserted, so the leak scan below is known to cover a
+/// directory that was written to) across partition counts, still matching
+/// the naive reference row-for-row — and no spill file survives any query.
 #[test]
 fn tpch_corpus_under_tiny_memory_budget() {
     let w = tpch(0.05, 42);
     let db = database_for(&w);
     let dir = std::env::temp_dir().join(format!("rpt_corpus_budget_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    let mut evictions = 0;
     for q in TPCH_QUERIES {
         let expected = reference_rows(&db, q);
         let sql = q.sql();
         for parts in [1usize, 8] {
-            for sched in [SchedulerKind::Global, SchedulerKind::Stealing] {
-                let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
-                    .with_partition_count(parts)
-                    .with_scheduler(sched)
-                    .with_threads(2)
-                    .with_workers(4)
-                    .with_memory_budget(Some(1024));
-                opts.spill_dir = dir.clone();
-                let leg = format!("{} [budget parts={parts} sched={sched:?}]", q.id);
-                let r = db
-                    .query(&sql, &opts)
-                    .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
-                assert_rows_match(&expected, &r.rows, &leg);
-            }
+            let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+                .with_partition_count(parts)
+                .with_threads(2)
+                .with_workers(4)
+                .with_memory_budget(Some(1024));
+            opts.spill_dir = dir.clone();
+            let leg = format!("{} [budget parts={parts}]", q.id);
+            let r = db
+                .query(&sql, &opts)
+                .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
+            assert_rows_match(&expected, &r.rows, &leg);
+            evictions += r.metrics.spill_victim_evictions;
         }
     }
+    assert!(evictions > 0, "nothing was ever evicted into {dir:?}");
     let leftovers = std::fs::read_dir(&dir)
         .map(|it| {
             it.filter(|e| {

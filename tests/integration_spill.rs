@@ -8,9 +8,7 @@ use rpt_common::hash::hash_i64;
 use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::operators::buffer::{BufferSink, BufferSinkFactory};
-use rpt_exec::{
-    BloomSink, ExecContext, JoinHashTable, Resources, SchedulerKind, Sink, SinkFactory,
-};
+use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, Sink, SinkFactory};
 use rpt_storage::disk::{write_table, DiskTable};
 use rpt_storage::Table;
 use rpt_workloads::{tpch, Workload};
@@ -148,7 +146,7 @@ fn spilling_one_partition_keeps_others_resident() {
     // spill; the 60 spread rows stay resident everywhere else.
     let ctx = ExecContext::new()
         .with_partitions(partitions)
-        .with_spill(64 * 1024, &dir);
+        .with_spill(Some(64 * 1024), &dir);
     let factory = BufferSinkFactory::new(
         0,
         schema,
@@ -241,7 +239,7 @@ fn sort_spills_one_partition_and_merges_in_order() {
     // 32 KiB cap / 1 thread / 4 partitions = 8 KiB per partition run.
     let ctx = ExecContext::new()
         .with_partitions(partitions)
-        .with_spill(32 * 1024, &dir);
+        .with_spill(Some(32 * 1024), &dir);
     let keys = vec![SortKey {
         col: 0,
         desc: true,
@@ -404,7 +402,7 @@ fn encoded_spill_at_least_halves_written_bytes() {
         // single-partition layout whatever RPT_PARTITION_COUNT says.
         let ctx = ExecContext::new()
             .with_partitions(1)
-            .with_spill(4 * 1024, &dir)
+            .with_spill(Some(4 * 1024), &dir)
             .with_spill_encoding(encoded);
         let factory = BufferSinkFactory::new(0, schema.clone(), vec![]);
         let mut sink = factory.make(&ctx).unwrap();
@@ -464,7 +462,7 @@ fn encoded_spill_at_least_halves_written_bytes() {
 fn dropped_sink_mid_query_leaves_no_spill_files() {
     let dir = std::env::temp_dir().join(format!("rpt_it_dropspill_{}", std::process::id()));
     let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
-    let ctx = ExecContext::new().with_spill(1024, &dir);
+    let ctx = ExecContext::new().with_spill(Some(1024), &dir);
     let factory = BufferSinkFactory::new(0, schema, vec![]);
     let mut sink = factory.make(&ctx).unwrap();
     for _ in 0..4 {
@@ -529,8 +527,29 @@ fn memory_governor_evicts_across_sinks_without_changing_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Overlapped spill restore on the global scheduler: with one worker the
-/// FIFO queue runs every `SpillIo` prefetch before the merge that consumes
+/// Governor-driven spills honour `QueryOptions::spill_dir` without a
+/// per-buffer cap being set: the context carries the directory, and a
+/// directory that cannot exist (its parent is a regular file) fails the
+/// query instead of the runs quietly landing in `temp_dir()`.
+#[test]
+fn governor_spills_go_to_the_query_spill_dir() {
+    let w = tpch(0.05, 56);
+    let db = database_for(&w);
+    let blocker = std::env::temp_dir().join(format!("rpt_it_blocker_{}", std::process::id()));
+    std::fs::write(&blocker, b"not a directory").unwrap();
+    let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+        .with_partition_count(4)
+        .with_memory_budget(Some(1024));
+    opts.spill_dir = blocker.join("spill");
+    assert_eq!(opts.spill_limit_bytes, None);
+    assert_eq!(db.make_context(&opts).spill_dir, opts.spill_dir);
+    let result = db.query(&w.query("q3").unwrap().sql, &opts);
+    std::fs::remove_file(&blocker).ok();
+    let err = result.expect_err("spilled somewhere other than spill_dir");
+    assert!(!err.is_budget(), "unexpected error kind: {err}");
+}
+
+/// Overlapped spill restore: with one worker the FIFO queue runs every `SpillIo` prefetch before the merge that consumes
 /// it, so every spilled partition restores from cache (`prefetch_hits`);
 /// disabling prefetch forces the synchronous re-read path
 /// (`prefetch_misses`) — and with a single worker no overlap nanoseconds
@@ -543,7 +562,6 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
     let qd = w.query("q3").unwrap();
     let base = QueryOptions::new(Mode::RobustPredicateTransfer)
         .with_partition_count(4)
-        .with_scheduler(SchedulerKind::Global)
         .with_workers(1)
         .with_threads(1)
         .with_spill(1, &dir);
@@ -605,9 +623,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Random join+GROUP BY instances: resident, forced decoded spill, and
-    /// forced compressed spill return identical rows across partition
-    /// counts and all three schedulers (integer aggregates, so equality is
-    /// exact even on the multithreaded legs).
+    /// forced compressed spill at `threads = 2, workers = 4` return the
+    /// rows of the serial resident run (`workers = 1, threads = 1,
+    /// partition_count = 1`) across partition counts (integer aggregates,
+    /// so equality is exact even on the multithreaded legs).
     #[test]
     fn spill_legs_agree_with_resident(
         keys_a in proptest::collection::vec(0i64..12, 1..60),
@@ -617,30 +636,33 @@ proptest! {
         let dir = std::env::temp_dir().join(format!("rpt_it_propspill_{}", std::process::id()));
         let sql = "SELECT pb.j, COUNT(*) AS c, SUM(pa.k) AS s FROM pa, pb \
                    WHERE pa.k = pb.k GROUP BY pb.j";
+        let serial = db
+            .query(
+                sql,
+                &QueryOptions::new(Mode::RobustPredicateTransfer)
+                    .with_partition_count(1)
+                    .with_workers(1),
+            )
+            .unwrap()
+            .sorted_rows();
         for parts in [1usize, 8] {
-            for sched in [
-                SchedulerKind::Global,
-                SchedulerKind::Scoped,
-                SchedulerKind::Stealing,
-            ] {
-                let base = QueryOptions::new(Mode::RobustPredicateTransfer)
-                    .with_partition_count(parts)
-                    .with_scheduler(sched)
-                    .with_threads(2)
-                    .with_workers(4);
-                let resident = db.query(sql, &base).unwrap().sorted_rows();
-                // A 1-byte cap forces every chunk of every buffer to spill.
-                let decoded = db
-                    .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(false))
-                    .unwrap()
-                    .sorted_rows();
-                let compressed = db
-                    .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(true))
-                    .unwrap()
-                    .sorted_rows();
-                prop_assert_eq!(&resident, &decoded, "decoded parts={} {:?}", parts, sched);
-                prop_assert_eq!(&resident, &compressed, "compressed parts={} {:?}", parts, sched);
-            }
+            let base = QueryOptions::new(Mode::RobustPredicateTransfer)
+                .with_partition_count(parts)
+                .with_threads(2)
+                .with_workers(4);
+            let resident = db.query(sql, &base).unwrap().sorted_rows();
+            // A 1-byte cap forces every chunk of every buffer to spill.
+            let decoded = db
+                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(false))
+                .unwrap()
+                .sorted_rows();
+            let compressed = db
+                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(true))
+                .unwrap()
+                .sorted_rows();
+            prop_assert_eq!(&serial, &resident, "resident parts={}", parts);
+            prop_assert_eq!(&serial, &decoded, "decoded parts={}", parts);
+            prop_assert_eq!(&serial, &compressed, "compressed parts={}", parts);
         }
         prop_assert_eq!(count_spill_files(&dir), 0, "spill files leaked");
         std::fs::remove_dir_all(&dir).ok();

@@ -3,7 +3,7 @@
 //!
 //! Positive: every corpus query's compiled plan verifies clean across
 //! `partition_count {1,8} × repartition_elide {on,off}` (statically) and
-//! end-to-end under `RPT_PLAN_VERIFY=strict` across all three schedulers.
+//! end-to-end under `RPT_PLAN_VERIFY=strict`.
 //!
 //! Negative: single mutations of a healthy plan — a dropped dependency
 //! edge, a flipped distribution claim, a `Preserve` route on an ineligible
@@ -14,7 +14,7 @@
 //! the scan pipeline's reads (`D6`) or losing its writer (`D2`) is caught.
 
 use proptest::prelude::*;
-use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions, SchedulerKind};
+use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions};
 use rpt_exec::{ResourceId, RouteMode, SinkSpec, SourceSpec, VerifyMode};
 use rpt_workloads::{tpch, Workload};
 
@@ -91,22 +91,16 @@ fn corpus_plans_verify_clean_static() {
 fn corpus_runs_clean_under_strict_all_legs() {
     let db = database_for(&tpch(0.05, 42));
     for sql in CORPUS.iter().take(3) {
-        for sched in [
-            SchedulerKind::Global,
-            SchedulerKind::Scoped,
-            SchedulerKind::Stealing,
-        ] {
-            for pc in [1usize, 8] {
-                for elide in [false, true] {
-                    let o = opts(pc, elide).with_scheduler(sched).with_workers(4);
-                    let r = db.query(sql, &o).unwrap_or_else(|e| {
-                        panic!("strict verify failed ({sched:?} pc={pc} elide={elide}): {e}")
-                    });
-                    assert!(
-                        r.metrics.verify_checks_run > 0,
-                        "no verify checks recorded ({sched:?} pc={pc} elide={elide})"
-                    );
-                }
+        for pc in [1usize, 8] {
+            for elide in [false, true] {
+                let o = opts(pc, elide).with_workers(4);
+                let r = db.query(sql, &o).unwrap_or_else(|e| {
+                    panic!("strict verify failed (pc={pc} elide={elide}): {e}")
+                });
+                assert!(
+                    r.metrics.verify_checks_run > 0,
+                    "no verify checks recorded (pc={pc} elide={elide})"
+                );
             }
         }
     }
@@ -120,48 +114,25 @@ fn corpus_runs_clean_under_strict_all_legs() {
 fn scheduler_metrics_are_live() {
     let db = database_for(&tpch(0.05, 42));
     let sql = CORPUS[2];
-    for sched in [SchedulerKind::Global, SchedulerKind::Stealing] {
-        let o = opts(8, true)
-            .with_scheduler(sched)
-            .with_workers(4)
-            .with_threads(2);
-        let s = db.query(sql, &o).expect("query runs").metrics;
-        assert!(s.scan_rows > 0, "{sched:?}: scan_rows dead");
-        assert!(
-            s.bloom_probe_out <= s.bloom_probe_in,
-            "{sched:?}: probe out {} > in {}",
-            s.bloom_probe_out,
-            s.bloom_probe_in
-        );
-        assert!(s.sched_tasks > 0, "{sched:?}: sched_tasks dead");
-        assert!(s.sched_workers >= 1, "{sched:?}: sched_workers dead");
-        assert!(s.sched_wall_nanos > 0, "{sched:?}: sched_wall_nanos dead");
-        assert!(s.sched_busy_nanos > 0, "{sched:?}: sched_busy_nanos dead");
-        assert!(
-            s.sched_max_queue_depth <= s.sched_tasks,
-            "{sched:?}: queue depth {} exceeds task count {}",
-            s.sched_max_queue_depth,
-            s.sched_tasks
-        );
-        assert!(
-            s.sched_priority_promotions <= s.sched_tasks,
-            "{sched:?}: promotions exceed tasks"
-        );
-        if sched == SchedulerKind::Stealing {
-            // Every executed task was either a local-deque hit or a steal.
-            assert!(
-                s.sched_local_hits + s.sched_steals <= s.sched_tasks,
-                "local {} + steals {} > tasks {}",
-                s.sched_local_hits,
-                s.sched_steals,
-                s.sched_tasks
-            );
-            assert!(
-                s.sched_local_hits > 0,
-                "stealing pool never hit its own deque"
-            );
-        }
-    }
+    let o = opts(8, true).with_workers(4).with_threads(2);
+    let s = db.query(sql, &o).expect("query runs").metrics;
+    assert!(s.scan_rows > 0, "scan_rows dead");
+    assert!(
+        s.bloom_probe_out <= s.bloom_probe_in,
+        "probe out {} > in {}",
+        s.bloom_probe_out,
+        s.bloom_probe_in
+    );
+    assert!(s.sched_tasks > 0, "sched_tasks dead");
+    assert!(s.sched_workers >= 1, "sched_workers dead");
+    assert!(s.sched_wall_nanos > 0, "sched_wall_nanos dead");
+    assert!(s.sched_busy_nanos > 0, "sched_busy_nanos dead");
+    assert!(
+        s.sched_max_queue_depth <= s.sched_tasks,
+        "queue depth {} exceeds task count {}",
+        s.sched_max_queue_depth,
+        s.sched_tasks
+    );
 }
 
 // ---- Mutations: each class must be rejected with its stable rule id ----
