@@ -18,31 +18,12 @@
 //!   declared resource layout matches the spec's (and no grain escapes
 //!   the plan's partition count), `S3` every sealed buffer grain has a
 //!   downstream reader or is a required output (no dead seal).
-//! * **P — distribution proofs.** An abstract interpreter walks each
-//!   pipeline's operator chain propagating hash-distribution facts
-//!   (which source-buffer key positions survive to which sink-input
-//!   positions): `P1` every `Preserve` route must be independently
-//!   provable, `P2` the planner's per-buffer distribution claims must
-//!   equal the derived ones, `P3` with elision enabled a provably
-//!   eligible route must actually be elided (the PR-8 eligibility table,
-//!   checked in both directions).
 //! * **R — runtime reconciliation.** After a verify-mode run, the
 //!   executor's observed-access shadow log must be a subset of the
 //!   declared dependencies: `R1` undeclared read, `R2` undeclared write.
-//!
-//! The abstract domain for distribution facts is
-//! `Option<Vec<usize>>` per buffer: `Some(keys)` = "rows are hash
-//! partitioned by the values at these column positions, in key order";
-//! `None` = no distribution known (round-robin, keyless, or unknown).
-//! Transfer through an operator chain uses column provenance: filters and
-//! probes only drop rows (values, hence partitions, survive); a
-//! projection preserves a position only when it is a plain column
-//! reference; a join probe destroys provenance (it duplicates rows and
-//! mixes build columns).
 
 use rpt_exec::{
-    expand_partition_grains, Expr, NodeDeps, OpSpec, PipelinePlan, ResourceId, RouteMode, SinkSpec,
-    SourceSpec,
+    expand_partition_grains, NodeDeps, OpSpec, PipelinePlan, ResourceId, SinkSpec, SourceSpec,
 };
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
@@ -70,12 +51,6 @@ pub enum Rule {
     /// S3: a sealed buffer grain has no downstream reader and is not a
     /// required output.
     DeadSeal,
-    /// P1: a `Preserve` route is not independently provable.
-    PreserveIneligible,
-    /// P2: a claimed buffer distribution diverges from the derived one.
-    DistClaimDiverge,
-    /// P3: elision is on but a provably eligible route was not elided.
-    ElisionDiverge,
     /// R1: execution read a grain the plan never declared as read.
     UndeclaredRead,
     /// R2: execution wrote a grain the plan never declared as written.
@@ -95,9 +70,6 @@ impl Rule {
             Rule::WritesDiverge => "S1",
             Rule::PartitionLayout => "S2",
             Rule::DeadSeal => "S3",
-            Rule::PreserveIneligible => "P1",
-            Rule::DistClaimDiverge => "P2",
-            Rule::ElisionDiverge => "P3",
             Rule::UndeclaredRead => "R1",
             Rule::UndeclaredWrite => "R2",
         }
@@ -148,13 +120,6 @@ pub struct PlanFacts<'a> {
     /// Buffers the driver reads after the run (the output buffer, or the
     /// hybrid prelude's per-relation buffers).
     pub required_buffers: &'a [usize],
-    /// Planner-claimed hash distribution per buffer id (`None` = no
-    /// claim recorded for that buffer). Empty slice = claims not
-    /// emitted; the P2 comparison is skipped.
-    pub distributions: &'a [Option<Vec<usize>>],
-    /// Was repartition elision enabled when the plan was compiled? Gates
-    /// the bidirectional P3 check.
-    pub repartition_elide: bool,
 }
 
 /// Outcome of a static verification pass.
@@ -164,8 +129,6 @@ pub struct VerifyReport {
     /// Individual rule applications executed (feeds the
     /// `verify_checks_run` metric).
     pub checks_run: u64,
-    /// `Preserve`-routed pipelines seen (all proven eligible if clean).
-    pub preserve_routes: usize,
 }
 
 impl VerifyReport {
@@ -235,116 +198,6 @@ fn spec_writes(p: &PipelinePlan, partition_count: usize) -> Vec<ResourceId> {
         }
     }
     expand_partition_grains(&w, partition_count)
-}
-
-/// Map a sink-input column position back to its source-buffer position
-/// through the operator chain — the verifier's own provenance walk
-/// (mirrors, independently, what the planner's elision uses). `None` =
-/// provenance or row distribution not preserved.
-fn trace_to_source(ops: &[OpSpec], mut pos: usize) -> Option<usize> {
-    for op in ops.iter().rev() {
-        pos = match op {
-            // Row-dropping operators: surviving rows keep their values,
-            // hence their hash partition.
-            OpSpec::Filter(_) | OpSpec::ProbeBloom { .. } | OpSpec::SemiProbe { .. } => pos,
-            OpSpec::Project(exprs) => match exprs.get(pos)? {
-                Expr::Column(c) => *c,
-                // A computed column has no stable provenance.
-                _ => return None,
-            },
-            // Join probes duplicate rows and append build columns.
-            OpSpec::JoinProbe { .. } => return None,
-        };
-    }
-    Some(pos)
-}
-
-/// Does `keys` (sink-input positions), traced through `ops`, equal the
-/// producer's distribution `dist` in order? Ordered equality is required:
-/// the partition hash is computed over key columns in key order.
-fn keys_match_dist(ops: &[OpSpec], keys: &[usize], dist: Option<&Vec<usize>>) -> bool {
-    let Some(dist) = dist else { return false };
-    keys.len() == dist.len()
-        && keys
-            .iter()
-            .zip(dist)
-            .all(|(&k, &d)| trace_to_source(ops, k) == Some(d))
-}
-
-/// Derive each buffer's output hash distribution from its producer sink —
-/// the abstract state the distribution interpreter starts from.
-fn derive_distributions(pipelines: &[PipelinePlan], num_buffers: usize) -> Vec<Option<Vec<usize>>> {
-    let mut dist: Vec<Option<Vec<usize>>> = vec![None; num_buffers];
-    for p in pipelines {
-        match &p.sink {
-            SinkSpec::Buffer { buf_id, blooms } => {
-                if let (Some(b), Some(slot)) = (blooms.first(), dist.get_mut(*buf_id)) {
-                    *slot = Some(b.key_cols.clone());
-                }
-            }
-            // Aggregate output is `[group keys…, aggs…]`, partitioned by
-            // the group-key hash in group-column order.
-            SinkSpec::Aggregate {
-                buf_id, group_cols, ..
-            } if !group_cols.is_empty() => {
-                if let Some(slot) = dist.get_mut(*buf_id) {
-                    *slot = Some((0..group_cols.len()).collect());
-                }
-            }
-            _ => {}
-        }
-    }
-    dist
-}
-
-/// Can the verifier independently prove `Preserve` eligibility for this
-/// pipeline? Returns `Err(reason)` when it cannot.
-fn prove_preserve(
-    p: &PipelinePlan,
-    dist: &[Option<Vec<usize>>],
-    partition_count: usize,
-) -> std::result::Result<(), String> {
-    if partition_count <= 1 {
-        return Err("partition count is 1 (nothing to elide)".into());
-    }
-    let SourceSpec::Buffer(src) = &p.source else {
-        return Err("source is not a partitioned buffer".into());
-    };
-    let src_dist = dist.get(*src).and_then(|d| d.as_ref());
-    match &p.sink {
-        // Sort runs carry no hash distribution: any partition assignment
-        // is sound, the loser-tree merge rebuilds the total order.
-        SinkSpec::Sort { .. } => Ok(()),
-        SinkSpec::HashBuild { key_cols, .. } => {
-            if keys_match_dist(&p.ops, key_cols, src_dist) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "hash-build keys {key_cols:?} do not map onto source buffer {src} distribution {src_dist:?}"
-                ))
-            }
-        }
-        SinkSpec::Aggregate { group_cols, .. } if !group_cols.is_empty() => {
-            if keys_match_dist(&p.ops, group_cols, src_dist) {
-                Ok(())
-            } else {
-                Err(format!(
-                    "group keys {group_cols:?} do not map onto source buffer {src} distribution {src_dist:?}"
-                ))
-            }
-        }
-        SinkSpec::Aggregate { .. } => Err("global aggregate is single-partition".into()),
-        SinkSpec::Buffer { blooms, .. } => match blooms.first() {
-            Some(b) if keys_match_dist(&p.ops, &b.key_cols, src_dist) => Ok(()),
-            Some(b) => Err(format!(
-                "bloom keys {:?} do not map onto source buffer {src} distribution {src_dist:?}",
-                b.key_cols
-            )),
-            // Keyless collect sinks must radix-split their first chunk to
-            // guarantee balanced multi-partition output.
-            None => Err("keyless collect sink is never eligible".into()),
-        },
-    }
 }
 
 /// Run every static rule family over the plan facts.
@@ -580,61 +433,6 @@ pub fn verify_plan(facts: &PlanFacts<'_>) -> VerifyReport {
         }
     }
 
-    // ---- P1 / P2 / P3: distribution proofs ----
-    let dist = derive_distributions(facts.pipelines, facts.num_buffers);
-    if !facts.distributions.is_empty() {
-        rep.check();
-        if facts.distributions.len() != facts.num_buffers {
-            rep.error(
-                Rule::DistClaimDiverge,
-                None,
-                None,
-                format!(
-                    "{} distribution claims for {} buffers",
-                    facts.distributions.len(),
-                    facts.num_buffers
-                ),
-            );
-        }
-        for (b, claim) in facts.distributions.iter().enumerate() {
-            rep.check();
-            if dist.get(b) != Some(claim) {
-                rep.error(
-                    Rule::DistClaimDiverge,
-                    None,
-                    Some(ResourceId::Buffer(b)),
-                    format!("claimed {:?}, derived {:?}", claim, dist.get(b)),
-                );
-            }
-        }
-    }
-    for (i, p) in facts.pipelines.iter().enumerate() {
-        match p.route {
-            RouteMode::Preserve => {
-                rep.preserve_routes += 1;
-                rep.check();
-                if let Err(reason) = prove_preserve(p, &dist, pc) {
-                    rep.error(Rule::PreserveIneligible, Some(i), None, reason);
-                }
-            }
-            RouteMode::Radix => {
-                // Bidirectional check: with elision enabled, a provably
-                // eligible route must have been elided.
-                if facts.repartition_elide && pc > 1 {
-                    rep.check();
-                    if prove_preserve(p, &dist, pc).is_ok() {
-                        rep.error(
-                            Rule::ElisionDiverge,
-                            Some(i),
-                            None,
-                            "route is Radix but Preserve eligibility is provable under enabled elision",
-                        );
-                    }
-                }
-            }
-        }
-    }
-
     rep
 }
 
@@ -700,8 +498,8 @@ mod tests {
     }
 
     /// scan → keyed CreateBF buffer 0; buffer 0 → hash-build table 0 on
-    /// the same key (Preserve-eligible); buffer 0 → collect buffer 1.
-    fn small_plan(pc: usize, elide: bool) -> (Vec<PipelinePlan>, Vec<NodeDeps>) {
+    /// the same key; buffer 0 → collect buffer 1.
+    fn small_plan(pc: usize) -> (Vec<PipelinePlan>, Vec<NodeDeps>) {
         let mut pipelines = vec![
             PipelinePlan {
                 label: "create".into(),
@@ -718,7 +516,6 @@ mod tests {
                 },
                 intermediate: true,
                 sink_schema: schema(),
-                route: RouteMode::Radix,
             },
             PipelinePlan {
                 label: "build".into(),
@@ -731,11 +528,6 @@ mod tests {
                 },
                 intermediate: true,
                 sink_schema: schema(),
-                route: if elide && pc > 1 {
-                    RouteMode::Preserve
-                } else {
-                    RouteMode::Radix
-                },
             },
             PipelinePlan {
                 label: "out".into(),
@@ -750,7 +542,6 @@ mod tests {
                 },
                 intermediate: false,
                 sink_schema: schema(),
-                route: RouteMode::Radix,
             },
         ];
         // Keep the fixture honest: recorded deps are derived the same way
@@ -768,7 +559,6 @@ mod tests {
         deps: &'a [NodeDeps],
         pc: usize,
         required: &'a [usize],
-        elide: bool,
     ) -> PlanFacts<'a> {
         PlanFacts {
             pipelines,
@@ -778,16 +568,14 @@ mod tests {
             num_tables: 1,
             partition_count: pc,
             required_buffers: required,
-            distributions: &[],
-            repartition_elide: elide,
         }
     }
 
     #[test]
     fn clean_plan_verifies() {
         for pc in [1, 4] {
-            let (pipes, deps) = small_plan(pc, true);
-            let rep = verify_plan(&facts(&pipes, &deps, pc, &[1], true));
+            let (pipes, deps) = small_plan(pc);
+            let rep = verify_plan(&facts(&pipes, &deps, pc, &[1]));
             assert!(rep.is_clean(), "pc={pc}: {:?}", rep.errors);
             assert!(rep.checks_run > 0);
         }
@@ -795,17 +583,17 @@ mod tests {
 
     #[test]
     fn dropped_dep_edge_is_reads_divergence() {
-        let (pipes, mut deps) = small_plan(4, true);
+        let (pipes, mut deps) = small_plan(4);
         deps[1].reads.clear();
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
+        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1]));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::ReadsDiverge));
     }
 
     #[test]
     fn orphaned_output_is_rejected() {
-        let (pipes, deps) = small_plan(4, true);
+        let (pipes, deps) = small_plan(4);
         // Claim the output lives in a buffer nobody writes.
-        let mut f = facts(&pipes, &deps, 4, &[1], true);
+        let mut f = facts(&pipes, &deps, 4, &[1]);
         f.num_buffers = 3;
         f.required_buffers = &[2];
         let rep = verify_plan(&f);
@@ -813,56 +601,20 @@ mod tests {
     }
 
     #[test]
-    fn ineligible_preserve_is_rejected() {
-        let (mut pipes, deps) = small_plan(4, true);
-        // The collect sink (keyless) must never ride a Preserve route.
-        pipes[2].route = RouteMode::Preserve;
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
-        assert!(rep
-            .errors
-            .iter()
-            .any(|e| e.rule == Rule::PreserveIneligible && e.pipeline == Some(2)));
-    }
-
-    #[test]
-    fn missed_elision_is_divergence() {
-        let (mut pipes, deps) = small_plan(4, true);
-        pipes[1].route = RouteMode::Radix;
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
-        assert!(rep
-            .errors
-            .iter()
-            .any(|e| e.rule == Rule::ElisionDiverge && e.pipeline == Some(1)));
-        // …but with elision off the same plan is legitimate.
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], false));
-        assert!(rep.is_clean(), "{:?}", rep.errors);
-    }
-
-    #[test]
-    fn flipped_distribution_claim_is_rejected() {
-        let (pipes, deps) = small_plan(4, true);
-        let claims = vec![Some(vec![7]), None];
-        let mut f = facts(&pipes, &deps, 4, &[1], true);
-        f.distributions = &claims;
-        let rep = verify_plan(&f);
-        assert!(rep.errors.iter().any(|e| e.rule == Rule::DistClaimDiverge));
-    }
-
-    #[test]
     fn self_read_write_and_multi_writer() {
-        let (pipes, mut deps) = small_plan(4, true);
+        let (pipes, mut deps) = small_plan(4);
         // Pipeline 1 claims to also write its own source buffer.
         let extra: Vec<ResourceId> = (0..4).map(|p| ResourceId::BufferPart(0, p)).collect();
         deps[1].writes.extend(extra);
         deps[1].writes.sort_unstable();
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
+        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1]));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::SelfReadWrite));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::MultiWriter));
     }
 
     #[test]
     fn cycle_detected() {
-        let (pipes, mut deps) = small_plan(4, true);
+        let (pipes, mut deps) = small_plan(4);
         // Make pipeline 0 read what pipeline 2 writes: 0→1 already holds
         // via buffer 0, now 2→0 and 0 reads nothing else; edges
         // 0→2 (buffer 0) and 2→0 (buffer 1) form a cycle.
@@ -870,26 +622,26 @@ mod tests {
             .reads
             .extend((0..4).map(|p| ResourceId::BufferPart(1, p)));
         deps[0].reads.sort_unstable();
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
+        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1]));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::Cycle));
     }
 
     #[test]
     fn unwritten_read_detected() {
-        let (pipes, mut deps) = small_plan(4, true);
+        let (pipes, mut deps) = small_plan(4);
         deps[2].reads.push(ResourceId::Filter(0));
         deps[2].reads.sort_unstable();
         // Remove filter 0's writer claim so the read dangles.
         deps[0]
             .writes
             .retain(|g| !matches!(g, ResourceId::Filter(0)));
-        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1], true));
+        let rep = verify_plan(&facts(&pipes, &deps, 4, &[1]));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::UnwrittenRead));
     }
 
     #[test]
     fn reconcile_flags_undeclared_accesses() {
-        let (_pipes, deps) = small_plan(4, true);
+        let (_pipes, deps) = small_plan(4);
         let (errors, checks) = reconcile_accesses(
             &deps,
             &[ResourceId::BufferPart(0, 0), ResourceId::Filter(9)],

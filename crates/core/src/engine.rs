@@ -135,11 +135,9 @@ pub struct QueryOptions {
     /// vector layout. Defaults to `RPT_STORAGE_ENCODING` (`off` disables —
     /// the CI parity leg); results are identical either way.
     pub storage_encoding: bool,
-    /// Repartition elision: lower sinks whose required hash distribution
-    /// matches their source buffer's with a partition-preserving route
-    /// (skipping the radix hash + scatter). Defaults to
-    /// `RPT_REPARTITION_ELIDE` (`off` disables — the CI parity leg);
-    /// results are identical either way.
+    // Ignored by the engine; only `benchmark/src/workloads.rs:174` assigns
+    // it, and the next `benchmark` PR can drop it.
+    #[doc(hidden)]
     pub repartition_elide: bool,
     /// Static plan verification mode (see `rpt_analyze`): every compiled
     /// plan is re-checked between planning and execution, and in verify
@@ -173,7 +171,7 @@ impl QueryOptions {
             enforce_safe_orders: false,
             agg_fast: rpt_exec::agg_fast_from_env(),
             storage_encoding: rpt_exec::storage_encoding_from_env(),
-            repartition_elide: rpt_exec::repartition_elide_from_env(),
+            repartition_elide: false,
             plan_verify: rpt_exec::plan_verify_from_env(),
         }
     }
@@ -196,13 +194,6 @@ impl QueryOptions {
     /// eligibility rule still applies; `false` forces the generic tables).
     pub fn with_agg_fast(mut self, agg_fast: bool) -> Self {
         self.agg_fast = agg_fast;
-        self
-    }
-
-    /// Enable or disable repartition elision (the partition-preserving
-    /// sink route; `false` forces the radix route everywhere).
-    pub fn with_repartition_elide(mut self, repartition_elide: bool) -> Self {
-        self.repartition_elide = repartition_elide;
         self
     }
 

@@ -13,8 +13,8 @@ use crate::optimizer::PlanNode;
 use crate::query::JoinQuery;
 use rpt_common::{DataType, Error, Field, Result, Schema};
 use rpt_exec::{
-    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, RouteMode, ScanProbe, SinkSpec,
-    SortKey, SourceSpec,
+    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey,
+    SourceSpec,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
@@ -47,34 +47,20 @@ pub struct PhysicalPlan {
     pub output_buffer: usize,
     /// Result schema (aliases + types).
     pub output_schema: Schema,
-    /// The planner's hash-distribution claim per buffer id: `Some(keys)` =
-    /// the producer radix-routes on these column positions. The static
-    /// verifier re-derives these independently and rejects divergence
-    /// (rule P2).
-    pub distributions: Vec<Option<Vec<usize>>>,
-    /// Was repartition elision enabled when this plan was compiled? Gates
-    /// the verifier's bidirectional elision check (rule P3).
-    pub repartition_elide: bool,
 }
 
 impl PhysicalPlan {
     /// Assemble the IR, recording each pipeline's resource dependencies.
-    #[allow(clippy::too_many_arguments)]
     fn assemble(
-        mut pipelines: Vec<PipelinePlan>,
+        pipelines: Vec<PipelinePlan>,
         num_buffers: usize,
         num_filters: usize,
         num_tables: usize,
         partition_count: usize,
         output_buffer: usize,
         output_schema: Schema,
-        repartition_elide: bool,
     ) -> PhysicalPlan {
         let partition_count = rpt_common::normalize_partition_count(partition_count);
-        let distributions = buffer_distributions(&pipelines, num_buffers);
-        if repartition_elide {
-            apply_repartition_elision(&mut pipelines, &distributions, partition_count);
-        }
         let deps = record_deps(&pipelines, partition_count);
         PhysicalPlan {
             pipelines,
@@ -85,8 +71,6 @@ impl PhysicalPlan {
             partition_count,
             output_buffer,
             output_schema,
-            distributions,
-            repartition_elide,
         }
     }
 
@@ -96,8 +80,8 @@ impl PhysicalPlan {
     }
 
     /// Statically verify this plan (see `rpt_analyze`): dependency-graph
-    /// soundness, sink contracts, and distribution proofs, all re-derived
-    /// independently of what the planner recorded.
+    /// soundness and sink contracts, re-derived independently of what the
+    /// planner recorded.
     pub fn verify(&self) -> rpt_analyze::VerifyReport {
         rpt_analyze::verify_plan(&rpt_analyze::PlanFacts {
             pipelines: &self.pipelines,
@@ -107,118 +91,8 @@ impl PhysicalPlan {
             num_tables: self.num_tables,
             partition_count: self.partition_count,
             required_buffers: std::slice::from_ref(&self.output_buffer),
-            distributions: &self.distributions,
-            repartition_elide: self.repartition_elide,
         })
     }
-}
-
-/// Map a sink-input column position back to its source-buffer position
-/// through the pipeline's streaming operators. `None` = the position's
-/// provenance (or its row distribution) is not preserved, so elision must
-/// not apply. Filters and probes only *drop* rows — surviving rows keep
-/// their values, hence their hash partition; a projection preserves a
-/// position only when it is a plain column reference. `JoinProbe` bails:
-/// its output mixes build-side columns and duplicates rows.
-fn map_to_source(ops: &[OpSpec], mut pos: usize) -> Option<usize> {
-    for op in ops.iter().rev() {
-        pos = match op {
-            OpSpec::Filter(_) | OpSpec::ProbeBloom { .. } | OpSpec::SemiProbe { .. } => pos,
-            OpSpec::Project(exprs) => match exprs.get(pos)? {
-                Expr::Column(c) => *c,
-                _ => return None,
-            },
-            OpSpec::JoinProbe { .. } => return None,
-        };
-    }
-    Some(pos)
-}
-
-/// Do the consumer sink's key positions, mapped back to the source buffer,
-/// equal the producer's distribution key positions — in order? (The hash
-/// is computed over the key columns in key order, so ordered equality is
-/// what guarantees identical partition assignment.)
-fn keys_match(ops: &[OpSpec], keys: &[usize], dist: Option<&Vec<usize>>) -> bool {
-    let Some(dist) = dist else { return false };
-    keys.len() == dist.len()
-        && keys
-            .iter()
-            .zip(dist)
-            .all(|(&k, &d)| map_to_source(ops, k) == Some(d))
-}
-
-/// Repartition elision: track each buffer's output *distribution* (the
-/// hash-key positions its producer radix-routed on) and lower any consumer
-/// sink whose required distribution matches its source buffer's with
-/// `route = Preserve` — workers then feed whole partition-`p` chunks
-/// straight into partition-`p` sink state, skipping the hash + scatter.
-///
-/// Eligibility:
-/// - `HashBuild` / keyed `Buffer` (CreateBF) / grouped `Aggregate` sinks:
-///   key positions must map through the ops onto the producer's
-///   distribution keys, ordered-exactly (same hash ⇒ same partition).
-///   The aggregate's bucket hash *is* the routing hash, so group placement
-///   is unchanged.
-/// - `Sort` sinks: always eligible over a buffer source — sort runs carry
-///   no hash distribution (the radix route round-robins whole chunks), and
-///   the loser-tree merge rebuilds the total order from any assignment.
-/// - Keyless collect `Buffer` sinks: excluded — their radix route splits
-///   the first chunk to guarantee balanced, multi-partition output.
-fn apply_repartition_elision(
-    pipelines: &mut [PipelinePlan],
-    dist: &[Option<Vec<usize>>],
-    partition_count: usize,
-) {
-    if partition_count <= 1 {
-        return;
-    }
-    let dist_of = |src: &usize| dist.get(*src).and_then(|d| d.as_ref());
-    for p in pipelines.iter_mut() {
-        let SourceSpec::Buffer(src) = &p.source else {
-            continue;
-        };
-        let eligible = match &p.sink {
-            SinkSpec::Sort { .. } => true,
-            SinkSpec::HashBuild { key_cols, .. } => keys_match(&p.ops, key_cols, dist_of(src)),
-            SinkSpec::Aggregate { group_cols, .. } if !group_cols.is_empty() => {
-                keys_match(&p.ops, group_cols, dist_of(src))
-            }
-            SinkSpec::Buffer { blooms, .. } => blooms
-                .first()
-                .is_some_and(|b| keys_match(&p.ops, &b.key_cols, dist_of(src))),
-            _ => false,
-        };
-        if eligible {
-            p.route = RouteMode::Preserve;
-        }
-    }
-}
-
-/// Each buffer's output hash distribution, derived from its producer sink:
-/// a keyed CreateBF buffer is partitioned on its first Bloom's key
-/// positions; a grouped aggregate's output (`[group keys…, aggs…]`) on the
-/// group-key prefix. The same facts drive elision and are recorded on the
-/// plan as the planner's claim for the verifier to re-check.
-fn buffer_distributions(pipelines: &[PipelinePlan], num_buffers: usize) -> Vec<Option<Vec<usize>>> {
-    let mut dist: Vec<Option<Vec<usize>>> = vec![None; num_buffers];
-    for p in pipelines {
-        match &p.sink {
-            SinkSpec::Buffer { buf_id, blooms } => {
-                if let (Some(b), Some(slot)) = (blooms.first(), dist.get_mut(*buf_id)) {
-                    *slot = Some(b.key_cols.clone());
-                }
-            }
-            SinkSpec::Aggregate {
-                buf_id, group_cols, ..
-            } if !group_cols.is_empty() => {
-                if let Some(slot) = dist.get_mut(*buf_id) {
-                    *slot = Some((0..group_cols.len()).collect());
-                }
-            }
-            _ => {}
-        }
-    }
-    dist
 }
 
 /// Per-pipeline read/write sets, derived from one lowering of the
@@ -456,7 +330,6 @@ impl<'q> Planner<'q> {
                 blooms,
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: schema,
         });
         Ok(Stream {
@@ -558,7 +431,6 @@ impl<'q> Planner<'q> {
                     blooms: vec![],
                 },
                 intermediate: true,
-                route: RouteMode::Radix,
                 sink_schema: schema,
             });
             states[*target].stream.ops.push(OpSpec::SemiProbe {
@@ -692,7 +564,6 @@ impl<'q> Planner<'q> {
                         blooms,
                     },
                     intermediate: true,
-                    route: RouteMode::Radix,
                     sink_schema: schema,
                 });
 
@@ -745,7 +616,6 @@ impl<'q> Planner<'q> {
                 offset: self.q.offset.unwrap_or(0),
             },
             intermediate: false,
-            route: RouteMode::Radix,
             sink_schema: out_schema.clone(),
         });
         sort_buf
@@ -831,7 +701,6 @@ impl<'q> Planner<'q> {
                     key_dicts,
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema,
             });
 
@@ -889,7 +758,6 @@ impl<'q> Planner<'q> {
                     self.opts.partition_count,
                     final_buf,
                     agg_schema,
-                    self.opts.repartition_elide,
                 ));
             }
             let out_buf = self.new_buffer();
@@ -905,7 +773,6 @@ impl<'q> Planner<'q> {
                     blooms: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: out_schema.clone(),
             });
             let final_buf = self.finish_order_by(out_buf, &out_schema);
@@ -917,7 +784,6 @@ impl<'q> Planner<'q> {
                 self.opts.partition_count,
                 final_buf,
                 out_schema,
-                self.opts.repartition_elide,
             ))
         } else {
             // Plain projection.
@@ -949,7 +815,6 @@ impl<'q> Planner<'q> {
                     blooms: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: out_schema.clone(),
             });
             let final_buf = self.finish_order_by(out_buf, &out_schema);
@@ -961,7 +826,6 @@ impl<'q> Planner<'q> {
                 self.opts.partition_count,
                 final_buf,
                 out_schema,
-                self.opts.repartition_elide,
             ))
         }
     }
@@ -988,12 +852,6 @@ pub struct HybridPrelude {
     pub layout: Vec<(usize, usize)>,
     /// Schema matching `layout` (binding-qualified names).
     pub schema: Schema,
-    /// Planner distribution claims per buffer (see
-    /// [`PhysicalPlan::distributions`]).
-    pub distributions: Vec<Option<Vec<usize>>>,
-    /// Elision setting at compile time (see
-    /// [`PhysicalPlan::repartition_elide`]).
-    pub repartition_elide: bool,
 }
 
 impl HybridPrelude {
@@ -1009,8 +867,6 @@ impl HybridPrelude {
             num_tables: self.num_tables,
             partition_count: self.partition_count,
             required_buffers: &self.rel_buffers,
-            distributions: &self.distributions,
-            repartition_elide: self.repartition_elide,
         })
     }
 }
@@ -1050,10 +906,6 @@ impl<'q> Planner<'q> {
             }
         }
         let partition_count = rpt_common::normalize_partition_count(self.opts.partition_count);
-        let distributions = buffer_distributions(&self.pipelines, self.num_buffers);
-        if self.opts.repartition_elide {
-            apply_repartition_elision(&mut self.pipelines, &distributions, partition_count);
-        }
         let deps = record_deps(&self.pipelines, partition_count);
         Ok(HybridPrelude {
             pipelines: self.pipelines,
@@ -1065,8 +917,6 @@ impl<'q> Planner<'q> {
             partition_count,
             layout,
             schema: Schema::new(fields),
-            distributions,
-            repartition_elide: self.opts.repartition_elide,
         })
     }
 

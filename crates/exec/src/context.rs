@@ -34,14 +34,6 @@ pub fn storage_encoding_from_env() -> bool {
         .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
 }
 
-/// Process default for repartition elision (partition-preserving sink
-/// routes): enabled unless `RPT_REPARTITION_ELIDE` is set to
-/// `off`/`0`/`false` (every sink then radix-routes — the CI parity leg).
-pub fn repartition_elide_from_env() -> bool {
-    !std::env::var("RPT_REPARTITION_ELIDE")
-        .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-}
-
 /// Process default for the query-wide memory budget: `RPT_MEMORY_BUDGET`
 /// in bytes (`None` when unset/unparsable — no governor, only the legacy
 /// per-buffer spill caps apply). The forced-spill CI leg sets a tiny value
@@ -66,11 +58,11 @@ pub fn spill_prefetch_from_env() -> bool {
         .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
 }
 
-/// How thoroughly plans and Preserve-routed chunks are verified.
+/// How thoroughly plans are verified.
 ///
-/// `Strict` runs the static plan verifier before execution, the per-chunk
-/// partition-membership checks on elided routes, and the observed-access
-/// reconciliation after execution, failing the query on any violation.
+/// `Strict` runs the static plan verifier before execution and the
+/// observed-access reconciliation after execution, failing the query on
+/// any violation.
 /// `Warn` runs the same checks but only reports (stderr + pipeline trace).
 /// `Off` skips everything. Debug builds default to `Strict` (the checks
 /// subsume the old `debug_assert!`s); release builds default to `Off`.
@@ -207,9 +199,6 @@ pub struct Metrics {
     pub sched_wall_nanos: AtomicU64,
     /// Worker-pool size of the last run.
     pub sched_workers: AtomicU64,
-    /// Chunks that skipped the hash+scatter radix route because the
-    /// producer's partitioning already matched the sink's (Preserve route).
-    pub repartition_elided_chunks: AtomicU64,
     /// Chunks consumed by aggregate sinks on the fixed-width packed-key
     /// fast path (type-specialized group tables).
     pub agg_fast_path_chunks: AtomicU64,
@@ -227,8 +216,8 @@ pub struct Metrics {
     /// with a TopK bound this must stay at `limit + offset` or below.
     pub sort_max_run_rows: AtomicU64,
     /// Verifier-mode checks executed this query: static plan-verifier
-    /// rules, per-chunk Preserve-route partition checks, and access-log
-    /// reconciliations (only counted when `VerifyMode` is on).
+    /// rules and access-log reconciliations (only counted when
+    /// `VerifyMode` is on).
     pub verify_checks_run: AtomicU64,
     /// Bytes written to spill files (encoded, on-disk form).
     pub spill_bytes_written: AtomicU64,
@@ -407,7 +396,6 @@ impl Metrics {
             sched_busy_nanos: self.sched_busy_nanos.load(Ordering::Relaxed),
             sched_wall_nanos: self.sched_wall_nanos.load(Ordering::Relaxed),
             sched_workers: self.sched_workers.load(Ordering::Relaxed),
-            repartition_elided_chunks: self.repartition_elided_chunks.load(Ordering::Relaxed),
             agg_fast_path_chunks: self.agg_fast_path_chunks.load(Ordering::Relaxed),
             agg_generic_chunks: self.agg_generic_chunks.load(Ordering::Relaxed),
             blocks_pruned: self.blocks_pruned.load(Ordering::Relaxed),
@@ -449,7 +437,6 @@ pub struct MetricsSummary {
     pub sched_busy_nanos: u64,
     pub sched_wall_nanos: u64,
     pub sched_workers: u64,
-    pub repartition_elided_chunks: u64,
     pub agg_fast_path_chunks: u64,
     pub agg_generic_chunks: u64,
     pub blocks_pruned: u64,
@@ -536,8 +523,7 @@ pub struct ExecContext {
     /// `RPT_STORAGE_ENCODING`; `off` scans the raw flat layout.
     pub storage_encoding: bool,
     /// Plan-verification mode (defaults from `RPT_PLAN_VERIFY`; debug
-    /// builds default to `Strict`). Gates the runtime Preserve-route
-    /// checks and the observed-access shadow log.
+    /// builds default to `Strict`). Gates the observed-access shadow log.
     pub verify: VerifyMode,
     /// Query-wide memory governor all materializing sinks register with
     /// (`None` = no global budget, only per-buffer caps apply). Built from

@@ -28,7 +28,6 @@ use crate::context::ExecContext;
 use crate::operators::{Morsels, PartitionMerger, ResourceId, Resources, Sink};
 use crate::pipeline::{
     combine_finalize, count_source_chunk, push_through, record_pipeline_rows, PhysicalPipeline,
-    RouteMode,
 };
 use crate::scheduler::{build_dag, check_acyclic, NodeDeps};
 use rpt_common::{Error, Result};
@@ -362,16 +361,6 @@ impl<'a> Engine<'a> {
                         None => p.sink.make(self.ctx)?,
                     }
                 };
-                // A Preserve-route pipeline's source is partitioned and
-                // its partitioning already matches the sink's, so this
-                // group's rows feed partition `group` directly — no
-                // hash + scatter.
-                let preserve = p.route == RouteMode::Preserve;
-                if preserve && p.source.partitioned_input().is_none() {
-                    return Err(Error::Exec(
-                        "Preserve route requires a partitioned source".into(),
-                    ));
-                }
                 loop {
                     let i = run.next.fetch_add(1, Ordering::Relaxed);
                     if i >= run.morsels.count() {
@@ -382,11 +371,7 @@ impl<'a> Engine<'a> {
                     };
                     count_source_chunk(&chunk, self.ctx);
                     if let Some(out) = push_through(&p.ops, chunk, self.ctx, self.res)? {
-                        if preserve {
-                            state.sink_part(out, group, self.ctx)?;
-                        } else {
-                            state.sink(out, self.ctx)?;
-                        }
+                        state.sink(out, self.ctx)?;
                     }
                 }
                 self.runtimes[pipe]

@@ -36,9 +36,8 @@ pub mod wcoj;
 pub use aggregate::{AggState, AggUpdateStats, AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
     agg_fast_from_env, default_worker_count, memory_budget_from_env, plan_verify_from_env,
-    repartition_elide_from_env, spill_encoding_from_env, spill_prefetch_from_env,
-    storage_encoding_from_env, utilization_pct, ExecContext, Metrics, MetricsSummary,
-    SchedulerKind, VerifyMode,
+    spill_encoding_from_env, spill_prefetch_from_env, storage_encoding_from_env, utilization_pct,
+    ExecContext, Metrics, MetricsSummary, SchedulerKind, VerifyMode,
 };
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
 pub use global::{run_physical_global, GlobalStats};
@@ -49,8 +48,7 @@ pub use operators::{
     Source,
 };
 pub use pipeline::{
-    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, RouteMode, ScanProbe, SinkSpec,
-    SourceSpec,
+    BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, ScanProbe, SinkSpec, SourceSpec,
 };
 pub use scheduler::NodeDeps;
 pub use wcoj::{generic_join, WcojRelation};

@@ -16,8 +16,7 @@
 //! single finalize point.
 
 use super::{
-    check_partition_hashes, downcast_sink, PartitionMerger, PartitionSlots, ResourceId, Resources,
-    Sink, SinkFactory,
+    downcast_sink, PartitionMerger, PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
 };
 use crate::aggregate::AggregateState;
 use crate::context::ExecContext;
@@ -99,42 +98,6 @@ impl Sink for AggregateSink {
                 self.parts[p].update_rows(&chunk, &inputs, &rows, &keys)?;
             }
         }
-        self.report_residency();
-        Ok(())
-    }
-
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        if self.partitioner.is_single() {
-            return self.sink(chunk, ctx);
-        }
-        let n = chunk.num_rows();
-        if n == 0 {
-            return Ok(());
-        }
-        self.rows = self.rows.saturating_add(n as u64);
-        // The group-key hash is still needed — it doubles as the group
-        // table's bucket hash (and `prepare_keys` *is* `key_hashes`, the
-        // same hash the producer distributed on) — but the per-row scatter
-        // is skipped: every row goes to partition `part` with an identity
-        // selection.
-        let inputs = self.parts[part].eval_inputs(&chunk)?;
-        let keys = self.parts[part].prepare_keys(&chunk);
-        // The hashes are already computed, so the membership check costs
-        // only the comparison; it still counts toward `verify_checks_run`.
-        if ctx.verify.enabled() {
-            check_partition_hashes(&keys.hashes, &self.partitioner, part, ctx)?;
-        }
-        let m = &ctx.metrics;
-        if self.parts[part].is_fast() {
-            m.add(&m.agg_fast_path_chunks, 1);
-        } else {
-            m.add(&m.agg_generic_chunks, 1);
-        }
-        m.add(&m.repartition_elided_chunks, 1);
-        self.ident.clear();
-        self.ident.extend(0..n as u32);
-        let (state, ident) = (&mut self.parts[part], &self.ident);
-        state.update_rows(&chunk, &inputs, ident, &keys)?;
         self.report_residency();
         Ok(())
     }

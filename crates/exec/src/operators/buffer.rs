@@ -19,8 +19,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, record_spill_stats, KeyHashes,
-    PartitionMerger, PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
+    downcast_sink, lock_or_err, record_spill_stats, KeyHashes, PartitionMerger, PartitionSlots,
+    ResourceId, Resources, Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
@@ -99,20 +99,6 @@ impl Sink for BufferSink {
             part.push_rows(&chunk, rows)?;
         }
         Ok(())
-    }
-
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        if self.partitioner.is_single() {
-            return self.sink(chunk, ctx);
-        }
-        let mut hashes = KeyHashes::of(&chunk);
-        if let Some(keys) = &self.partition_keys {
-            check_partition_route(&mut hashes, keys, &self.partitioner, part, ctx)?;
-        }
-        self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
-        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        self.parts[part].push(chunk)
     }
 
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {

@@ -18,8 +18,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    check_partition_route, downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots,
-    ResourceId, Resources, Sink, SinkFactory,
+    downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, ResourceId, Resources,
+    Sink, SinkFactory,
 };
 use crate::context::ExecContext;
 use crate::hash_table::{BuildPart, JoinHashTable};
@@ -50,17 +50,6 @@ pub struct HashBuildSink {
 }
 
 impl HashBuildSink {
-    /// Book one incoming chunk: Bloom inserts (on `hashes`, which the radix
-    /// route reuses), the build-row metric, residency.
-    fn admit(&mut self, hashes: &mut KeyHashes, ctx: &ExecContext) {
-        let chunk = hashes.chunk();
-        let n = chunk.num_rows() as u64;
-        insert_into_blooms(hashes, &mut self.blooms, ctx);
-        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
-        self.report_residency(chunk_size_bytes(chunk));
-        self.rows = self.rows.saturating_add(n);
-    }
-
     fn report_residency(&mut self, added_bytes: usize) {
         if let Some(h) = &self.governed {
             self.resident_bytes = self.resident_bytes.saturating_add(added_bytes);
@@ -110,8 +99,13 @@ fn build_part(chunks: &[DataChunk], key_cols: &[usize], schema: &Schema) -> Resu
 
 impl Sink for HashBuildSink {
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
+        let n = chunk.num_rows() as u64;
+        // Bloom inserts hash the key columns the radix route reuses below.
         let mut hashes = KeyHashes::of(&chunk);
-        self.admit(&mut hashes, ctx);
+        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
+        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
+        self.report_residency(chunk_size_bytes(&chunk));
+        self.rows = self.rows.saturating_add(n);
         if self.partitioner.is_single() {
             return push_chunk(&mut self.parts[0], chunk);
         }
@@ -121,17 +115,6 @@ impl Sink for HashBuildSink {
             push_rows(run, &chunk, rows)?;
         }
         Ok(())
-    }
-
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        if self.partitioner.is_single() {
-            return self.sink(chunk, ctx);
-        }
-        let mut hashes = KeyHashes::of(&chunk);
-        check_partition_route(&mut hashes, &self.key_cols, &self.partitioner, part, ctx)?;
-        self.admit(&mut hashes, ctx);
-        ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        push_chunk(&mut self.parts[part], chunk)
     }
 
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {

@@ -43,7 +43,7 @@ pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use rpt_bloom::BloomFilter;
-use rpt_common::{DataChunk, Error, Partitioner, Result, Vector};
+use rpt_common::{DataChunk, Error, Result, Vector};
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -427,17 +427,6 @@ pub trait Sink: Send + Any {
     /// Consume one chunk on a worker thread.
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()>;
 
-    /// Consume one chunk already known to belong wholly to hash partition
-    /// `part` (the `Preserve` route: the producer's distribution matches
-    /// this sink's, so the driver hands over whole partition-`p` chunks and
-    /// the sink may skip its `key_hashes` + scatter step). The default
-    /// falls back to the radix [`Sink::sink`] path, which is always
-    /// correct; partitioned sinks override it to route directly.
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        let _ = part;
-        self.sink(chunk, ctx)
-    }
-
     /// Merge another worker's state (same concrete type) into this one.
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()>;
 
@@ -452,8 +441,8 @@ pub trait Sink: Send + Any {
 }
 
 /// Builds one [`Sink`] per worker thread and declares what the pipeline
-/// publishes. All three materializing sinks (buffer/CreateBF, hash build,
-/// aggregate) opt into the partitioned merge path when
+/// publishes. All four materializing sinks (buffer/CreateBF, hash build,
+/// aggregate, sort) opt into the partitioned merge path when
 /// `ctx.partition_count > 1`.
 pub trait SinkFactory: Send + Sync {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>>;
@@ -619,45 +608,6 @@ pub(crate) fn lock_or_err<'a, T>(
         .map_err(|_| Error::Exec(format!("{what} lock poisoned")))
 }
 
-/// Verifier-mode check that every row of a Preserve-routed chunk really
-/// hashes into partition `part` — the runtime half of the repartition
-/// elision proof. No-op when verification is off; in `Warn` mode a
-/// violation is reported (stderr + pipeline trace) and execution
-/// continues; in `Strict` mode it fails the query.
-pub(crate) fn check_partition_hashes(
-    hashes: &[u64],
-    partitioner: &Partitioner,
-    part: usize,
-    ctx: &ExecContext,
-) -> Result<()> {
-    ctx.metrics.add(&ctx.metrics.verify_checks_run, 1);
-    if hashes.iter().all(|&h| partitioner.of_hash(h) == part) {
-        return Ok(());
-    }
-    let msg = format!("Preserve-routed chunk has rows outside partition {part}");
-    if ctx.verify.strict() {
-        return Err(Error::Exec(msg));
-    }
-    eprintln!("[rpt-verify] {msg}");
-    ctx.metrics.trace_entry(format!("[verify] {msg}"), 1);
-    Ok(())
-}
-
-/// [`check_partition_hashes`] from key columns, skipping the hash
-/// computation entirely when verification is off.
-pub(crate) fn check_partition_route(
-    hashes: &mut KeyHashes,
-    key_cols: &[usize],
-    partitioner: &Partitioner,
-    part: usize,
-    ctx: &ExecContext,
-) -> Result<()> {
-    if !ctx.verify.enabled() {
-        return Ok(());
-    }
-    check_partition_hashes(hashes.get(key_cols), partitioner, part, ctx)
-}
-
 /// Downcast `other` to `S` for a `combine`, with a uniform error.
 pub(crate) fn downcast_sink<S: Sink>(other: Box<dyn Sink>) -> Result<Box<S>> {
     other
@@ -674,8 +624,8 @@ pub(crate) fn key_hashes(chunk: &DataChunk, key_cols: &[usize]) -> Vec<u64> {
 }
 
 /// The [`key_hashes`] of one sunk chunk, computed once per distinct set of
-/// key columns: a sink's Bloom requests, its partition routing and the
-/// Preserve-route check mostly hash the same columns.
+/// key columns: a sink's Bloom requests and its partition routing mostly
+/// hash the same columns.
 pub(crate) struct KeyHashes<'a> {
     chunk: &'a DataChunk,
     sets: Vec<(Vec<usize>, Vec<u64>)>,

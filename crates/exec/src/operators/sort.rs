@@ -317,32 +317,6 @@ impl Sink for SortSink {
         }
     }
 
-    fn sink_part(&mut self, chunk: DataChunk, part: usize, ctx: &ExecContext) -> Result<()> {
-        // Sort runs carry no hash distribution (round-robin assignment is
-        // already arbitrary), so any partition assignment is sound — the
-        // loser-tree merge rebuilds the total order. Preserving the source
-        // partition keeps run sizes aligned with the producer's layout.
-        if self.parts.len() == 1 {
-            return self.sink(chunk, ctx);
-        }
-        self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
-        if chunk.is_logically_empty() {
-            return Ok(());
-        }
-        ctx.metrics.add(&ctx.metrics.repartition_elided_chunks, 1);
-        let bound = self.bound;
-        match &mut self.parts[part] {
-            Run::TopK(run) => Self::push_topk(
-                &self.keys,
-                bound.ok_or_else(|| Error::Exec("TopK run without bound".into()))?,
-                run,
-                &chunk,
-                &self.metrics,
-            ),
-            Run::Full(buf) => buf.push(chunk),
-        }
-    }
-
     fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
         let other = downcast_sink::<SortSink>(other)?;
         self.rows = self.rows.saturating_add(other.rows);

@@ -218,24 +218,6 @@ impl SinkSpec {
     }
 }
 
-/// How a pipeline's sink routes incoming rows onto its hash partitions.
-///
-/// `Radix` is the general case: the sink hashes its key columns and
-/// radix-scatters every chunk across `partition_count` runs. `Preserve` is
-/// the *repartition elision* fast path the planner selects when the source
-/// buffer is already distributed on the sink's key layout: the driver reads
-/// the source partition-by-partition and hands whole partition-`p` chunks
-/// to [`crate::operators::Sink::sink_part`], skipping the hash + scatter
-/// entirely (counted in `Metrics::repartition_elided_chunks`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RouteMode {
-    /// Hash the sink keys and radix-scatter rows (always correct).
-    #[default]
-    Radix,
-    /// Feed whole partition-`p` chunks straight into partition-`p` state.
-    Preserve,
-}
-
 /// One pipeline: source → ops → sink.
 #[derive(Clone)]
 pub struct PipelinePlan {
@@ -249,9 +231,6 @@ pub struct PipelinePlan {
     pub intermediate: bool,
     /// Schema of chunks entering the sink (needed for buffer spill files).
     pub sink_schema: Schema,
-    /// Sink routing mode; `Preserve` only when the planner proved the
-    /// source distribution matches the sink's required distribution.
-    pub route: RouteMode,
 }
 
 impl PipelinePlan {
@@ -263,7 +242,6 @@ impl PipelinePlan {
             ops: self.ops.iter().map(OpSpec::lower).collect(),
             sink: self.sink.lower(&self.sink_schema),
             intermediate: self.intermediate,
-            route: self.route,
         }
     }
 
@@ -286,7 +264,6 @@ pub struct PhysicalPipeline {
     pub ops: Vec<Box<dyn Operator>>,
     pub sink: Box<dyn SinkFactory>,
     pub intermediate: bool,
-    pub route: RouteMode,
 }
 
 impl PhysicalPipeline {
@@ -486,7 +463,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: false,
-            route: RouteMode::Radix,
             sink_schema: schema,
         }
     }
@@ -533,7 +509,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
@@ -591,7 +566,6 @@ mod tests {
                 }],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         // Pipeline 2: scan big, ProbeBF, collect.
@@ -639,7 +613,6 @@ mod tests {
                 key_dicts: vec![],
             },
             intermediate: false,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         exec.run_dag(&[p]).unwrap();
@@ -697,7 +670,6 @@ mod tests {
                     key_dicts: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             exec.run_dag(&[p]).unwrap();
@@ -776,7 +748,6 @@ mod tests {
                     key_dicts: vec![],
                 },
                 intermediate: false,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             exec.run_dag(&[p]).unwrap();
@@ -809,7 +780,6 @@ mod tests {
                     blooms: vec![],
                 },
                 intermediate: true,
-                route: RouteMode::Radix,
                 sink_schema: two_col_schema(),
             };
             let p2 = collect_pipeline(
@@ -881,7 +851,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
@@ -917,7 +886,6 @@ mod tests {
                 blooms: vec![],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(

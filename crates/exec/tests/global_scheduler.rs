@@ -14,8 +14,8 @@ use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::{AggregateFactory, BufferScan, TableScan};
 use rpt_exec::{
     run_physical_global, CmpOp, ExecContext, Executor, Expr, Morsels, NodeDeps, OpSpec, Operator,
-    PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, RouteMode, Sink,
-    SinkFactory, SinkSpec, Source, SourceSpec,
+    PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, Sink, SinkFactory,
+    SinkSpec, Source, SourceSpec,
 };
 use rpt_storage::Table;
 use std::any::Any;
@@ -53,7 +53,6 @@ fn collect_pipeline(src: SourceSpec, ops: Vec<OpSpec>, buf_id: usize) -> Pipelin
             blooms: vec![],
         },
         intermediate: false,
-        route: RouteMode::Radix,
         sink_schema: two_col_schema(),
     }
 }
@@ -104,7 +103,6 @@ fn probe_waits_for_hash_table_readiness() {
             blooms: vec![],
         },
         intermediate: true,
-        route: RouteMode::Radix,
         sink_schema: two_col_schema(),
     };
     // List the probe pipeline FIRST: only dependency readiness (not plan
@@ -307,7 +305,6 @@ fn consumer_partition_task_overlaps_producer_merge() {
             gate: gate.clone(),
         }),
         intermediate: true,
-        route: RouteMode::Radix,
     };
     let consumer = PhysicalPipeline {
         label: "consumer".into(),
@@ -315,7 +312,6 @@ fn consumer_partition_task_overlaps_producer_merge() {
         ops: vec![Box::new(SignalStarted { gate: gate.clone() })],
         sink: Box::new(BufferSinkFactory::new(1, two_col_schema(), vec![])),
         intermediate: false,
-        route: RouteMode::Radix,
     };
     let deps = vec![
         NodeDeps {
@@ -463,7 +459,6 @@ fn aggregate_consumer_overlaps_group_merge() {
             gate: gate.clone(),
         }),
         intermediate: true,
-        route: RouteMode::Radix,
     };
     let consumer = PhysicalPipeline {
         label: "consume-groups".into(),
@@ -471,7 +466,6 @@ fn aggregate_consumer_overlaps_group_merge() {
         ops: vec![Box::new(SignalStarted { gate: gate.clone() })],
         sink: Box::new(BufferSinkFactory::new(1, out_schema, vec![])),
         intermediate: false,
-        route: RouteMode::Radix,
     };
     let deps = vec![
         NodeDeps {
@@ -511,7 +505,6 @@ fn join_pipelines() -> Vec<PipelinePlan> {
             blooms: vec![],
         },
         intermediate: true,
-        route: RouteMode::Radix,
         sink_schema: two_col_schema(),
     };
     let p2 = PipelinePlan {
@@ -527,7 +520,6 @@ fn join_pipelines() -> Vec<PipelinePlan> {
             blooms: vec![],
         },
         intermediate: false,
-        route: RouteMode::Radix,
         sink_schema: Schema::new(vec![
             Field::new("id", DataType::Int64),
             Field::new("v", DataType::Int64),
@@ -701,7 +693,6 @@ fn scan_morsels_decode_concurrently_and_open_decodes_nothing() {
         ops: vec![],
         sink: Box::new(BufferSinkFactory::new(0, two_col_schema(), vec![])),
         intermediate: false,
-        route: RouteMode::Radix,
     };
     let deps = vec![NodeDeps {
         reads: vec![],

@@ -2,8 +2,8 @@
 //! random partition counts × random worker counts must produce exactly the
 //! unpartitioned baseline's contents (as multisets), route every row to the
 //! partition its key hashes to, and build bit-identical Bloom filters; and
-//! a DAG whose consumers take the partition-preserving route must produce
-//! exactly what radix re-partitioning produces.
+//! a DAG of partitioned sinks fed from partitioned buffers must produce
+//! exactly what the serial, unpartitioned run produces.
 
 use proptest::prelude::*;
 use rpt_common::hash::hash_i64;
@@ -13,7 +13,7 @@ use rpt_exec::operators::hash_build::HashBuildFactory;
 use rpt_exec::operators::AggregateFactory;
 use rpt_exec::{
     AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, OpSpec, PipelinePlan, Resources,
-    RouteMode, SinkFactory, SinkSpec, SourceSpec,
+    SinkFactory, SinkSpec, SourceSpec,
 };
 use rpt_storage::Table;
 use std::sync::Arc;
@@ -96,12 +96,11 @@ fn agg_schema() -> Schema {
     ])
 }
 
-/// The three-pipeline DAG the planner's elision pass targets: a CreateBF
-/// buffer distributed on the key column, a grouped aggregate consuming it
-/// on the same key, and a CreateBF consumer of the aggregate's output —
-/// both consumers take `route` (the planner marks them `Preserve` when
-/// elision applies; `Radix` is the general path).
-fn elision_pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
+/// The three-pipeline DAG that feeds a partitioned aggregate and a keyed
+/// CreateBF from partitioned buffers: a CreateBF buffer keyed on column 0,
+/// a grouped aggregate consuming it on the same key, and a keyed CreateBF
+/// over the aggregate's output.
+fn keyed_dag_pipelines(keys: &[i64]) -> Vec<PipelinePlan> {
     let t = Arc::new(
         Table::new(
             "t",
@@ -126,7 +125,6 @@ fn elision_pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
             blooms: vec![bloom(0)],
         },
         intermediate: true,
-        route: RouteMode::Radix,
         sink_schema: schema(),
     };
     let p1 = PipelinePlan {
@@ -149,11 +147,8 @@ fn elision_pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
             key_dicts: vec![],
         },
         intermediate: true,
-        route,
         sink_schema: agg_schema(),
     };
-    // Aggregate output is [group key, aggs...]: still distributed on
-    // column 0, so a keyed buffer consumer stays elision-eligible.
     let p2 = PipelinePlan {
         label: "consume".into(),
         source: SourceSpec::Buffer(1),
@@ -167,33 +162,25 @@ fn elision_pipelines(keys: &[i64], route: RouteMode) -> Vec<PipelinePlan> {
             blooms: vec![bloom(1)],
         },
         intermediate: false,
-        route,
         sink_schema: agg_schema(),
     };
     vec![p0, p1, p2]
 }
 
-/// Run [`elision_pipelines`]: the full row sequence of buffer 2 (partition
-/// concatenation order) plus the run's elided-chunk count.
-fn run_elision_dag(
-    keys: &[i64],
-    route: RouteMode,
-    partitions: usize,
-    workers: usize,
-) -> (Vec<Vec<ScalarValue>>, u64) {
+/// Run [`keyed_dag_pipelines`] on a pool of `workers` threads: the full
+/// row sequence of buffer 2 (partition concatenation order).
+fn run_keyed_dag(keys: &[i64], partitions: usize, workers: usize) -> Vec<Vec<ScalarValue>> {
     let ctx = ExecContext::new()
         .with_workers(workers)
+        .with_threads(workers)
         .with_partitions(partitions);
     let mut exec = Executor::new(ctx, 3, 2, 0);
-    exec.run_dag(&elision_pipelines(keys, route)).unwrap();
-    let rows: Vec<Vec<ScalarValue>> = exec
-        .buffer(2)
+    exec.run_dag(&keyed_dag_pipelines(keys)).unwrap();
+    exec.buffer(2)
         .unwrap()
         .iter()
         .flat_map(|c| c.rows())
-        .collect();
-    let m = exec.ctx.metrics.summary();
-    (rows, m.repartition_elided_chunks)
+        .collect()
 }
 
 /// The governor keeps seeing a hash build's bytes after its sinks are
@@ -418,49 +405,34 @@ proptest! {
         prop_assert_eq!(base_ht.semi_probe(&probe, &[0]), ht.semi_probe(&probe, &[0]));
     }
 
-    /// Preserve ≡ Radix over the `partition_count {1..8} × workers {1..4}`
-    /// matrix: identical group rows (exact sequence at `workers == 1`,
-    /// multiset above), no elided chunks on the radix leg, and elision
-    /// engaged whenever the plan is actually partitioned.
+    /// The keyed DAG over the `partition_count {1..8} × workers {1..4}`
+    /// matrix equals the `partitions = 1, workers = 1` run as a multiset
+    /// of `(key, COUNT, SUM)` rows.
     #[test]
-    fn preserve_route_matches_radix_route(
+    fn keyed_dag_matches_serial_run(
         keys in proptest::collection::vec(-60i64..60, 1..250),
         partitions in 1usize..=8,
         workers in 1usize..=4,
     ) {
-        let (base, base_elided) = run_elision_dag(&keys, RouteMode::Radix, partitions, workers);
-        prop_assert_eq!(base_elided, 0, "radix leg elided chunks");
-        let (rows, elided) = run_elision_dag(&keys, RouteMode::Preserve, partitions, workers);
-        // Partitioned runs must take the preserved route at least once per
-        // consumer (single-partition plans legitimately fall back to plain
-        // `sink`).
-        if partitions > 1 {
-            prop_assert!(elided > 0, "preserve never elided");
-        }
-        if workers == 1 {
-            prop_assert_eq!(rows, base, "pc={} differs bit-for-bit", partitions);
-        } else {
-            let sorted = |mut rows: Vec<Vec<ScalarValue>>| {
-                rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
-                rows
-            };
-            prop_assert_eq!(
-                sorted(rows), sorted(base),
-                "pc={} workers={} differs", partitions, workers
-            );
-        }
+        let sorted = |mut rows: Vec<Vec<ScalarValue>>| {
+            rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
+            rows
+        };
+        let base = sorted(run_keyed_dag(&keys, 1, 1));
+        let rows = sorted(run_keyed_dag(&keys, partitions, workers));
+        prop_assert_eq!(rows, base, "pc={} workers={} differs", partitions, workers);
     }
 
-    /// Repeatability: preserved routes are bit-deterministic under ordered
+    /// Repeatability: the keyed DAG is bit-deterministic under ordered
     /// chains (`threads == 1`, `workers == 1`) — two runs of the same
-    /// config emit the same bytes.
+    /// config emit the same rows in the same order.
     #[test]
-    fn preserve_route_is_deterministic_single_threaded(
+    fn keyed_dag_is_deterministic_single_threaded(
         keys in proptest::collection::vec(-60i64..60, 1..250),
         partitions in 1usize..=8,
     ) {
-        let (a, _) = run_elision_dag(&keys, RouteMode::Preserve, partitions, 1);
-        let (b, _) = run_elision_dag(&keys, RouteMode::Preserve, partitions, 1);
+        let a = run_keyed_dag(&keys, partitions, 1);
+        let b = run_keyed_dag(&keys, partitions, 1);
         prop_assert_eq!(a, b, "pc={} not deterministic", partitions);
     }
 }

@@ -14,8 +14,8 @@ use rpt_common::{ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, Planner, QueryOptions};
 use rpt_exec::operators::TableScan;
 use rpt_exec::{
-    BloomSink, CmpOp, ExecContext, Executor, Expr, MetricsSummary, OpSpec, PipelinePlan, RouteMode,
-    ScanProbe, SinkSpec, Source, SourceSpec,
+    BloomSink, CmpOp, ExecContext, Executor, Expr, MetricsSummary, OpSpec, PipelinePlan, ScanProbe,
+    SinkSpec, Source, SourceSpec,
 };
 use rpt_storage::Table;
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
@@ -374,7 +374,6 @@ fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
                 }],
             },
             intermediate: true,
-            route: RouteMode::Radix,
             sink_schema: t.keys.schema.clone(),
         })
         .collect()
@@ -409,7 +408,6 @@ fn collect_probed(
             blooms: vec![],
         },
         intermediate: false,
-        route: RouteMode::Radix,
         sink_schema: schema,
     });
     exec.run_dag(&plans).expect("pipelines run");

@@ -1,10 +1,9 @@
 //! Differential query corpus: ~20 full queries (filters, multi-way joins,
 //! GROUP BY, ORDER BY / LIMIT / OFFSET) over the TPC-H, TPC-DS, JOB, and
 //! DSB generators, each executed through every
-//! `partition_count {1,8} × repartition_elide {on,off} × agg_fast
-//! {on,off} × storage_encoding {on,off}` leg and compared — in exact row
-//! order —
-//! against a naive single-threaded reference: the unordered query run at
+//! `partition_count {1,8} × agg_fast {on,off} × storage_encoding
+//! {on,off}` leg and compared — in exact row order — against a naive
+//! single-threaded reference: the unordered query run at
 //! `Baseline / threads=1 / partition_count=1`, gathered into rows, sorted
 //! with `sort_unstable_by` under the engine's published total-order
 //! comparator ([`rpt_exec::cmp_scalar_rows`]), then sliced by
@@ -346,38 +345,22 @@ fn check_corpus(w: &Workload, corpus: &[CorpusQuery]) {
         );
         let sql = q.sql();
         for parts in [1usize, 8] {
-            for elide in [true, false] {
-                // The agg-fast × storage sub-matrix only multiplies the
-                // default elision leg; the elision-off leg runs once (its
-                // interaction surface is the sink route).
-                let combos: &[(bool, bool)] = if elide {
-                    &[(true, true), (true, false), (false, true), (false, false)]
-                } else {
-                    &[(true, true)]
-                };
-                for &(agg_fast, storage) in combos {
+            for agg_fast in [true, false] {
+                for storage in [true, false] {
                     let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
                         .with_partition_count(parts)
                         .with_threads(2)
                         .with_workers(4)
                         .with_agg_fast(agg_fast)
-                        .with_storage_encoding(storage)
-                        .with_repartition_elide(elide);
+                        .with_storage_encoding(storage);
                     let leg = format!(
-                        "{} {} [parts={parts} elide={elide} agg_fast={agg_fast} storage={storage}]",
+                        "{} {} [parts={parts} agg_fast={agg_fast} storage={storage}]",
                         w.name, q.id
                     );
                     let r = db
                         .query(&sql, &opts)
                         .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
                     assert_rows_match(&expected, &r.rows, &leg);
-                    // Elision-off must never take the Preserve route.
-                    if !elide {
-                        assert_eq!(
-                            r.metrics.repartition_elided_chunks, 0,
-                            "{leg}: elided chunks while disabled"
-                        );
-                    }
                     // The TopK bound: no sort run may retain more than
                     // limit + offset rows.
                     if let Some(limit) = q.limit {

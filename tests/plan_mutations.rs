@@ -2,20 +2,19 @@
 //! coverage.
 //!
 //! Positive: every corpus query's compiled plan verifies clean across
-//! `partition_count {1,8} × repartition_elide {on,off}` (statically) and
-//! end-to-end under `RPT_PLAN_VERIFY=strict`.
+//! `partition_count {1,8}` (statically) and end-to-end under
+//! `RPT_PLAN_VERIFY=strict`.
 //!
 //! Negative: single mutations of a healthy plan — a dropped dependency
-//! edge, a flipped distribution claim, a `Preserve` route on an ineligible
-//! pipeline, an orphaned output buffer, a dropped writer claim — must each
-//! be rejected with the expected stable rule id (`D6`, `P2`, `P1`, `D5`,
-//! `S1`), proving the rule families fire independently. A Bloom filter
+//! edge, a dropped writer claim, an orphaned output buffer — must each be
+//! rejected with the expected stable rule id (`D6`, `S1`, `D5`), proving
+//! the rule families fire independently. A Bloom filter
 //! probed *inside* a scan is a dependency like any other: dropping it from
 //! the scan pipeline's reads (`D6`) or losing its writer (`D2`) is caught.
 
 use proptest::prelude::*;
 use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions};
-use rpt_exec::{ResourceId, RouteMode, SinkSpec, SourceSpec, VerifyMode};
+use rpt_exec::{ResourceId, SourceSpec, VerifyMode};
 use rpt_workloads::{tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
@@ -45,10 +44,9 @@ const CORPUS: &[&str] = &[
      GROUP BY p.p_brand ORDER BY 2 DESC, 1 LIMIT 10",
 ];
 
-fn opts(pc: usize, elide: bool) -> QueryOptions {
+fn opts(pc: usize) -> QueryOptions {
     QueryOptions::new(Mode::RobustPredicateTransfer)
         .with_partition_count(pc)
-        .with_repartition_elide(elide)
         .with_plan_verify(VerifyMode::Strict)
 }
 
@@ -63,28 +61,14 @@ fn compile(db: &Database, sql: &str, o: &QueryOptions) -> PhysicalPlan {
 #[test]
 fn corpus_plans_verify_clean_static() {
     let db = database_for(&tpch(0.05, 42));
-    let mut preserve_total = 0usize;
     for sql in CORPUS {
         for pc in [1usize, 8] {
-            for elide in [false, true] {
-                let o = opts(pc, elide);
-                let plan = compile(&db, sql, &o);
-                let rep = plan.verify();
-                assert!(
-                    rep.is_clean(),
-                    "pc={pc} elide={elide} sql={sql}: {:?}",
-                    rep.errors
-                );
-                assert!(rep.checks_run > 0);
-                if elide && pc > 1 {
-                    preserve_total += rep.preserve_routes;
-                }
-            }
+            let plan = compile(&db, sql, &opts(pc));
+            let rep = plan.verify();
+            assert!(rep.is_clean(), "pc={pc} sql={sql}: {:?}", rep.errors);
+            assert!(rep.checks_run > 0);
         }
     }
-    // Elision must actually fire somewhere in the corpus — every Preserve
-    // route above was independently proven eligible by the verifier.
-    assert!(preserve_total > 0, "no corpus plan elided a repartition");
 }
 
 #[test]
@@ -92,16 +76,14 @@ fn corpus_runs_clean_under_strict_all_legs() {
     let db = database_for(&tpch(0.05, 42));
     for sql in CORPUS.iter().take(3) {
         for pc in [1usize, 8] {
-            for elide in [false, true] {
-                let o = opts(pc, elide).with_workers(4);
-                let r = db.query(sql, &o).unwrap_or_else(|e| {
-                    panic!("strict verify failed (pc={pc} elide={elide}): {e}")
-                });
-                assert!(
-                    r.metrics.verify_checks_run > 0,
-                    "no verify checks recorded (pc={pc} elide={elide})"
-                );
-            }
+            let o = opts(pc).with_workers(4);
+            let r = db
+                .query(sql, &o)
+                .unwrap_or_else(|e| panic!("strict verify failed (pc={pc}): {e}"));
+            assert!(
+                r.metrics.verify_checks_run > 0,
+                "no verify checks recorded (pc={pc})"
+            );
         }
     }
 }
@@ -114,7 +96,7 @@ fn corpus_runs_clean_under_strict_all_legs() {
 fn scheduler_metrics_are_live() {
     let db = database_for(&tpch(0.05, 42));
     let sql = CORPUS[2];
-    let o = opts(8, true).with_workers(4).with_threads(2);
+    let o = opts(8).with_workers(4).with_threads(2);
     let s = db.query(sql, &o).expect("query runs").metrics;
     assert!(s.scan_rows > 0, "scan_rows dead");
     assert!(
@@ -141,17 +123,16 @@ fn rule_ids(plan: &PhysicalPlan) -> Vec<&'static str> {
     plan.verify().errors.iter().map(|e| e.rule.id()).collect()
 }
 
-fn healthy_plan(pc: usize, elide: bool) -> PhysicalPlan {
+fn healthy_plan(pc: usize) -> PhysicalPlan {
     let db = database_for(&tpch(0.05, 42));
-    let o = opts(pc, elide);
-    let plan = compile(&db, CORPUS[2], &o);
+    let plan = compile(&db, CORPUS[2], &opts(pc));
     assert!(plan.verify().is_clean(), "fixture plan must start clean");
     plan
 }
 
 #[test]
 fn mutation_dropped_dep_edge_is_reads_divergence() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     let i = plan
         .deps
         .iter()
@@ -168,7 +149,7 @@ fn mutation_dropped_dep_edge_is_reads_divergence() {
 #[test]
 fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
     for pc in [1usize, 8] {
-        let healthy = healthy_plan(pc, true);
+        let healthy = healthy_plan(pc);
         let (scan, filter) = healthy
             .pipelines
             .iter()
@@ -182,7 +163,7 @@ fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
             .expect("an RPT plan probes some base scan");
         assert!(healthy.deps[scan].reads.contains(&filter));
 
-        let mut plan = healthy_plan(pc, true);
+        let mut plan = healthy_plan(pc);
         plan.deps[scan].reads.retain(|g| *g != filter);
         let errors = plan.verify().errors;
         assert!(
@@ -192,7 +173,7 @@ fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
             "pc={pc}: expected D6 at pipeline {scan}, got {errors:?}"
         );
 
-        let mut plan = healthy_plan(pc, true);
+        let mut plan = healthy_plan(pc);
         for d in &mut plan.deps {
             d.writes.retain(|g| *g != filter);
         }
@@ -208,7 +189,7 @@ fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
 
 #[test]
 fn mutation_dropped_writer_claim_is_writes_divergence() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     plan.deps[0].writes.clear();
     let ids = rule_ids(&plan);
     assert!(ids.contains(&"S1"), "expected S1, got {ids:?}");
@@ -217,55 +198,90 @@ fn mutation_dropped_writer_claim_is_writes_divergence() {
 }
 
 #[test]
-fn mutation_flipped_distribution_claim_is_rejected() {
-    let mut plan = healthy_plan(8, true);
-    let b = plan
-        .distributions
-        .iter()
-        .position(|d| d.is_some())
-        .expect("some buffer carries a distribution claim");
-    plan.distributions[b] = Some(vec![41]);
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"P2"), "expected P2, got {ids:?}");
-}
-
-#[test]
-fn mutation_ineligible_preserve_route_is_rejected() {
-    // Compile with elision off so every route starts Radix, then force a
-    // Preserve route onto a pipeline that cannot prove eligibility: a
-    // table-sourced pipeline has no partitioned input to preserve.
-    let mut plan = healthy_plan(8, false);
-    let i = plan
-        .pipelines
-        .iter()
-        .position(|p| {
-            matches!(&p.source, SourceSpec::Table(_) | SourceSpec::Scan { .. })
-                && !matches!(&p.sink, SinkSpec::Sort { .. })
-        })
-        .expect("plan has a table-sourced pipeline");
-    plan.pipelines[i].route = RouteMode::Preserve;
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"P1"), "expected P1, got {ids:?}");
-}
-
-#[test]
 fn mutation_orphaned_output_buffer_is_rejected() {
-    let mut plan = healthy_plan(8, true);
+    let mut plan = healthy_plan(8);
     // Claim the result lives in a brand-new buffer that no pipeline writes.
     plan.num_buffers += 1;
     plan.output_buffer = plan.num_buffers - 1;
-    plan.distributions.push(None);
     let ids = rule_ids(&plan);
     assert!(ids.contains(&"D5"), "expected D5, got {ids:?}");
 }
 
+/// The rule ids one mutation class reports at the site it mutated (a
+/// pipeline or a grain), compiled and verified from [`healthy_plan`].
+fn ids_at(
+    plan: &PhysicalPlan,
+    at: impl Fn(&rpt_analyze::VerifyError) -> bool,
+) -> Vec<&'static str> {
+    let mut ids: Vec<_> = plan
+        .verify()
+        .errors
+        .iter()
+        .filter(|e| at(e))
+        .map(|e| e.rule.id())
+        .collect();
+    ids.sort_unstable();
+    ids.dedup();
+    ids
+}
+
 #[test]
 fn mutation_rule_ids_are_distinct_per_class() {
-    // The four headline mutation classes report four different rules —
-    // a diagnostic that always says "plan invalid" would be useless.
-    let ids = ["D6", "P2", "P1", "D5"];
-    let unique: std::collections::BTreeSet<_> = ids.iter().collect();
-    assert_eq!(unique.len(), ids.len());
+    // Dropped dep edge: the reader's recorded reads diverge.
+    let mut plan = healthy_plan(8);
+    let reader = plan
+        .deps
+        .iter()
+        .position(|d| !d.reads.is_empty())
+        .expect("some pipeline reads something");
+    plan.deps[reader].reads.clear();
+    let dropped_edge = ids_at(&plan, |e| e.pipeline == Some(reader));
+
+    // Dropped writer claim: the writer's recorded writes diverge.
+    let mut plan = healthy_plan(8);
+    plan.deps[0].writes.clear();
+    let dropped_writer = ids_at(&plan, |e| e.pipeline == Some(0));
+
+    // Dropped filter writer: the probed filter's read dangles.
+    let mut plan = healthy_plan(8);
+    let filter = plan
+        .pipelines
+        .iter()
+        .find_map(|p| match &p.source {
+            SourceSpec::Scan { probes, .. } => Some(ResourceId::Filter(probes.first()?.filter_id)),
+            _ => None,
+        })
+        .expect("an RPT plan probes some base scan");
+    for d in &mut plan.deps {
+        d.writes.retain(|g| *g != filter);
+    }
+    let dropped_filter_writer = ids_at(&plan, |e| e.grain == Some(filter));
+
+    // Orphaned output buffer: the claimed result is never written.
+    let mut plan = healthy_plan(8);
+    plan.num_buffers += 1;
+    plan.output_buffer = plan.num_buffers - 1;
+    let out = plan.output_buffer;
+    let orphaned = ids_at(
+        &plan,
+        |e| matches!(e.grain, Some(ResourceId::BufferPart(b, _)) if b == out),
+    );
+
+    // Each class reports exactly its own rule at the site it broke, and
+    // the four rules differ — a diagnostic that always says "plan
+    // invalid" would be useless.
+    let classes = [
+        dropped_edge,
+        dropped_writer,
+        dropped_filter_writer,
+        orphaned,
+    ];
+    assert_eq!(
+        classes,
+        [["D6"], ["S1"], ["D2"], ["D5"]].map(|c| c.to_vec())
+    );
+    let unique: std::collections::BTreeSet<_> = classes.iter().collect();
+    assert_eq!(unique.len(), classes.len());
 }
 
 proptest! {
@@ -278,11 +294,9 @@ proptest! {
     fn random_legs_verify_clean(
         qi in 0usize..4,
         pc_pow in 0u32..4,
-        elide in proptest::bool::ANY,
     ) {
         let db = database_for(&tpch(0.05, 42));
-        let o = opts(1usize << pc_pow, elide);
-        let plan = compile(&db, CORPUS[qi], &o);
+        let plan = compile(&db, CORPUS[qi], &opts(1usize << pc_pow));
         let rep = plan.verify();
         prop_assert!(rep.is_clean(), "{:?}", rep.errors);
     }
