@@ -33,7 +33,7 @@ pub mod pipeline;
 pub mod scheduler;
 pub mod wcoj;
 
-pub use aggregate::{AggState, AggUpdateStats, AggregateState, ChunkKeys, KeyLayout};
+pub use aggregate::{AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
     agg_fast_from_env, default_worker_count, memory_budget_from_env, plan_verify_from_env,
     spill_encoding_from_env, spill_prefetch_from_env, storage_encoding_from_env, utilization_pct,

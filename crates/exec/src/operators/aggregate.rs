@@ -18,7 +18,7 @@
 use super::{
     downcast_sink, PartitionMerger, PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
 };
-use crate::aggregate::AggregateState;
+use crate::aggregate::{AggregateState, ChunkKeys};
 use crate::context::ExecContext;
 use crate::expr::AggExpr;
 use rpt_common::{DataChunk, DataType, Error, Partitioner, Result, Schema, Utf8Dict};
@@ -35,9 +35,12 @@ pub struct AggregateSink {
     partitioner: Partitioner,
     output_schema: Schema,
     rows: u64,
-    /// Reusable identity row-index buffer for the single-partition path
-    /// (no per-chunk `Vec` allocation).
+    /// Per-chunk scratch, reused from chunk to chunk: the key material,
+    /// the identity row list of the single-partition path, and each
+    /// partition's rows on the partitioned path.
+    keys: ChunkKeys,
     ident: Vec<u32>,
+    rows_by_part: Vec<Vec<u32>>,
     /// Unevictable governor registration (group tables must stay
     /// addressable); residency is a documented estimate, see
     /// [`AggregateSink::report_residency`].
@@ -71,10 +74,10 @@ impl Sink for AggregateSink {
         self.rows = self.rows.saturating_add(n as u64);
         // Aggregate inputs and group-key material are evaluated once per
         // chunk: the vectorized hash doubles as the radix routing key and
-        // the group table's bucket hash, and on the fast path the packed
-        // fixed-width keys ride along in the same pass.
+        // the group table's probe hash, and the packed (fast path) or
+        // encoded (generic) keys ride along in the same pass.
         let inputs = self.parts[0].eval_inputs(&chunk)?;
-        let keys = self.parts[0].prepare_keys(&chunk);
+        self.parts[0].prepare_keys(&chunk, &mut self.keys)?;
         let m = &ctx.metrics;
         if self.parts[0].is_fast() {
             m.add(&m.agg_fast_path_chunks, 1);
@@ -84,18 +87,16 @@ impl Sink for AggregateSink {
         if self.partitioner.is_single() {
             self.ident.clear();
             self.ident.extend(0..n as u32);
-            let (part, ident) = (&mut self.parts[0], &self.ident);
-            part.update_rows(&chunk, &inputs, ident, &keys)?;
-            self.report_residency();
-            return Ok(());
-        }
-        let mut rows_by_part: Vec<Vec<u32>> = vec![Vec::new(); self.partitioner.count()];
-        for (row, &h) in keys.hashes.iter().enumerate() {
-            rows_by_part[self.partitioner.of_hash(h)].push(row as u32);
-        }
-        for (p, rows) in rows_by_part.into_iter().enumerate() {
-            if !rows.is_empty() {
-                self.parts[p].update_rows(&chunk, &inputs, &rows, &keys)?;
+            self.parts[0].update_rows(&inputs, &self.ident, &self.keys)?;
+        } else {
+            self.rows_by_part.iter_mut().for_each(Vec::clear);
+            for (row, &h) in self.keys.hashes.iter().enumerate() {
+                self.rows_by_part[self.partitioner.of_hash(h)].push(row as u32);
+            }
+            for (part, rows) in self.parts.iter_mut().zip(&self.rows_by_part) {
+                if !rows.is_empty() {
+                    part.update_rows(&inputs, rows, &self.keys)?;
+                }
             }
         }
         self.report_residency();
@@ -201,11 +202,13 @@ impl SinkFactory for AggregateFactory {
             .collect::<Result<Vec<_>>>()?;
         Ok(Box::new(AggregateSink {
             buf_id: self.buf_id,
-            parts,
             partitioner,
             output_schema: self.output_schema.clone(),
             rows: 0,
+            keys: ChunkKeys::default(),
             ident: Vec::new(),
+            rows_by_part: vec![Vec::new(); parts.len()],
+            parts,
             governed: ctx.governor.as_ref().map(|g| g.register(false)),
         }))
     }

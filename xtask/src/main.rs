@@ -6,10 +6,12 @@
 //!
 //! * **A (no-panic operators):** no `.unwrap()` / `.expect(` in
 //!   `crates/exec/src/operators/`, `crates/exec/src/expr.rs` (the
-//!   predicate kernels every scan morsel and filter runs) or
-//!   `crates/exec/src/hash_table.rs` (every join build and probe) outside
-//!   `#[cfg(test)]` modules. Operator code returns `Result`; lock poisoning
-//!   and absent slots are runtime errors, not panics.
+//!   predicate kernels every scan morsel and filter runs),
+//!   `crates/exec/src/hash_table.rs` (every join build and probe) or
+//!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold)
+//!   outside `#[cfg(test)]` modules. Operator code returns `Result`; lock
+//!   poisoning, absent slots and values missing from a dictionary are
+//!   runtime errors, not panics.
 //! * **B (checked counters):** no bare `+=` in `crates/exec/src/aggregate.rs`,
 //!   `crates/exec/src/context.rs`, or `crates/exec/src/operators/` outside
 //!   tests. A line is exempt when it visibly routes through a checked/
@@ -267,6 +269,7 @@ fn rule_a(root: &Path) -> Vec<Finding> {
     let mut files = vec![
         root.join("crates/exec/src/expr.rs"),
         root.join("crates/exec/src/hash_table.rs"),
+        root.join("crates/exec/src/aggregate.rs"),
     ];
     walk(&root.join("crates/exec/src/operators"), &mut files);
     let mut findings = Vec::new();
