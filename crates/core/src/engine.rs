@@ -4,7 +4,7 @@
 use crate::binder::bind;
 use crate::catalog::Catalog;
 use crate::estimator::Estimator;
-use crate::optimizer::{optimize_bushy, optimize_left_deep, JoinOrder, PlanNode};
+use crate::optimizer::{optimize_bushy, optimize_left_deep, with_build_sides, JoinOrder, PlanNode};
 use crate::planner::Planner;
 use crate::query::JoinQuery;
 use rpt_common::{Error, Result, ScalarValue, Schema};
@@ -266,6 +266,15 @@ impl QueryOptions {
         self.enforce_safe_orders = true;
         self
     }
+
+    /// The optimizer's estimator for `q`, with `ce_noise` applied.
+    pub(crate) fn estimator<'q>(&self, q: &'q JoinQuery) -> Estimator<'q> {
+        let est = Estimator::new(q);
+        match self.ce_noise {
+            Some((seed, sigma)) => est.with_noise(seed, sigma),
+            None => est,
+        }
+    }
 }
 
 /// Result of one query execution.
@@ -415,8 +424,14 @@ impl Database {
     }
 
     /// Choose the join order per `opts` (explicit or optimizer), applying
-    /// §3.2 SafeSubjoin supervision when requested.
+    /// §3.2 SafeSubjoin supervision when requested. An explicit order keeps
+    /// the build sides it was given. An optimizer's left-deep order under
+    /// Baseline or BloomJoin then builds each join on its smaller input by
+    /// estimate, and comes back as the tree (`JoinOrder::Bushy`) when any
+    /// side flips. Transfer modes keep right = build: pre-transfer
+    /// estimates do not describe their join inputs.
     pub fn choose_order(&self, q: &JoinQuery, opts: &QueryOptions) -> Result<JoinOrder> {
+        let est = opts.estimator(q);
         let order = if let Some(order) = &opts.join_order {
             let mut rels = order.relations();
             rels.sort_unstable();
@@ -429,21 +444,30 @@ impl Database {
                 )));
             }
             order.clone()
+        } else if opts.bushy_optimizer {
+            JoinOrder::Bushy(optimize_bushy(q, &est)?)
         } else {
-            let mut est = Estimator::new(q);
-            if let Some((seed, sigma)) = opts.ce_noise {
-                est = est.with_noise(seed, sigma);
-            }
-            if opts.bushy_optimizer {
-                JoinOrder::Bushy(optimize_bushy(q, &est)?)
-            } else {
-                JoinOrder::LeftDeep(optimize_left_deep(q, &est)?)
-            }
+            JoinOrder::LeftDeep(optimize_left_deep(q, &est)?)
         };
-        if opts.enforce_safe_orders {
-            return Ok(self.supervise_order(q, order));
+        let order = if opts.enforce_safe_orders {
+            self.supervise_order(q, order)
+        } else {
+            order
+        };
+        let estimated_sides =
+            opts.join_order.is_none() && matches!(opts.mode, Mode::Baseline | Mode::BloomJoin);
+        match order {
+            JoinOrder::LeftDeep(seq) if estimated_sides => {
+                let chain = PlanNode::left_deep(&seq);
+                let plan = with_build_sides(chain.clone(), &est);
+                Ok(if plan == chain {
+                    JoinOrder::LeftDeep(seq)
+                } else {
+                    JoinOrder::Bushy(plan)
+                })
+            }
+            order => Ok(order),
         }
-        Ok(order)
     }
 
     /// §3.2: γ-acyclic queries cannot pick an unsafe order, so the check is

@@ -128,6 +128,20 @@ impl<'q> Estimator<'q> {
         }
         card.max(1.0)
     }
+
+    /// Estimated rows of joining `rels` in the given order: the first
+    /// relation's `base_card`, extended by each following one. This is the
+    /// number the left-deep DP gives that prefix of its order.
+    pub fn join_card(&self, rels: &[usize]) -> f64 {
+        let Some((&first, rest)) = rels.split_first() else {
+            return 1.0;
+        };
+        rest.iter()
+            .enumerate()
+            .fold(self.base_card(first), |card, (i, &r)| {
+                self.extend_card(&rels[..=i], card, r)
+            })
+    }
 }
 
 #[cfg(test)]

@@ -11,16 +11,17 @@ use rpt_common::{Error, Result};
 use rpt_graph::QueryGraph;
 
 /// A (possibly bushy) join plan tree. The build side of each hash join is
-/// the `right` child unless `build_left` flips it (used by the Figure 10
-/// wrong-build-side experiment).
+/// the `right` child unless `build_left` flips it. The Baseline and
+/// BloomJoin optimizer plans set it from estimates (`with_build_sides`);
+/// the Figure 10 experiment sets it by hand to build on the wrong side.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PlanNode {
     Leaf(usize),
     Join {
         left: Box<PlanNode>,
         right: Box<PlanNode>,
-        /// When true, build on `left` and probe with `right` (the mistake
-        /// studied in Figure 10). Default false: build on `right`.
+        /// When true, build on `left` and probe with `right`. Default
+        /// false: build on `right`.
         build_left: bool,
     },
 }
@@ -218,6 +219,25 @@ fn greedy_left_deep(q: &JoinQuery, est: &Estimator<'_>) -> Result<Vec<usize>> {
         card = c;
     }
     Ok(order)
+}
+
+/// Build every join of `plan` on its smaller input by estimate, keeping
+/// the tree shape: `build_left` wherever the left subtree's
+/// [`Estimator::join_card`] is strictly below the right's, so a tie keeps
+/// the right side. The planner sizes a BloomJoin filter from the same
+/// number.
+pub(crate) fn with_build_sides(plan: PlanNode, est: &Estimator<'_>) -> PlanNode {
+    match plan {
+        PlanNode::Leaf(r) => PlanNode::Leaf(r),
+        PlanNode::Join { left, right, .. } => {
+            let build_left = est.join_card(&left.relations()) < est.join_card(&right.relations());
+            PlanNode::Join {
+                left: Box::new(with_build_sides(*left, est)),
+                right: Box::new(with_build_sides(*right, est)),
+                build_left,
+            }
+        }
+    }
 }
 
 /// Greedy bushy optimizer: repeatedly merge the pair of subtrees with the

@@ -539,11 +539,10 @@ impl<'q> Planner<'q> {
                     || build_rels.len() > 1;
                 if self.opts.mode == Mode::BloomJoin && build_side_filtered {
                     let filter_id = self.new_filter();
-                    let expected: usize = build_rels
-                        .iter()
-                        .map(|&r| self.q.relations[r].stats.num_rows as usize)
-                        .max()
-                        .unwrap_or(1024);
+                    // Sized for the build subtree's estimate, the number its
+                    // side was chosen by (`with_build_sides`).
+                    let expected =
+                        self.opts.estimator(self.q).join_card(&build_rels).ceil() as usize;
                     blooms.push(BloomSink {
                         filter_id,
                         key_cols: build_keys.clone(),

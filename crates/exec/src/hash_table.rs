@@ -279,6 +279,12 @@ impl JoinHashTable {
     /// key comparison `keys_eq(physical probe row, build row, probe hash)`.
     /// Hashes the key columns through the chunk's selection — no gathered
     /// copy.
+    ///
+    /// Two passes. The first reads every row's chain head and, without a
+    /// branch, keeps the rows whose directory slot is occupied together
+    /// with that head; a probe of a small table by a large input drops most
+    /// of its rows here. The second walks the kept rows' chains, in row
+    /// order, so matches come out as a single loop would emit them.
     #[inline]
     fn walk_chains(
         &self,
@@ -291,12 +297,23 @@ impl JoinHashTable {
         let hashes = hash_columns_sel(keys, sel, chunk.num_rows());
         let nulls = key_validity(keys);
         let mask = self.heads.len() - 1;
+        // Every row is written at `live`, which advances only past rows
+        // with a chain, so the kept `(row, head)` pairs end up in front.
+        let mut candidates = vec![(0u32, 0u32); hashes.len()];
+        let mut live = 0;
         for (row, &hash) in hashes.iter().enumerate() {
+            let head = self.heads[hash as usize & mask];
+            candidates[live] = (row as u32, head);
+            live += usize::from(head != 0);
+        }
+        for &(row, head) in &candidates[..live] {
+            let row = row as usize;
             let probe_row = sel.map_or(row, |s| s[row] as usize);
             if nulls.iter().any(|valid| !valid[probe_row]) {
                 continue;
             }
-            let mut link = self.heads[hash as usize & mask];
+            let hash = hashes[row];
+            let mut link = head;
             while link != 0 {
                 let build_row = (link - 1) as usize;
                 // `on_match` last: it runs only for a match, and ends the
@@ -417,6 +434,28 @@ mod tests {
         ht.probe(&probe, &[0], &mut p, &mut b);
         assert_eq!(p, vec![1]); // only the non-null key matches
         assert_eq!(b, vec![0]);
+        assert_eq!(ht.semi_probe(&probe, &[0]), vec![1]);
+    }
+
+    /// A NULL probe key hashes to the sentinel `u64::MAX`, whose slot is the
+    /// directory's last. When a build key shares that slot and equals the
+    /// NULL row's payload, only the validity check keeps them apart.
+    #[test]
+    fn null_probe_row_skipped_in_the_sentinel_slot() {
+        use rpt_common::hash::hash_i64;
+        let key = (0..).find(|&k| hash_i64(k) & 1 == 1).unwrap();
+        let ht = JoinHashTable::build(
+            &[DataChunk::new(vec![Vector::from_i64(vec![key])])],
+            vec![0],
+        )
+        .unwrap();
+        assert_eq!(ht.heads.len(), 2);
+        let mut probe_key = Vector::from_i64(vec![key, key]);
+        probe_key.validity = Some(vec![false, true]);
+        let probe = DataChunk::new(vec![probe_key]);
+        let (mut p, mut b) = (vec![], vec![]);
+        ht.probe(&probe, &[0], &mut p, &mut b);
+        assert_eq!((p, b), (vec![1], vec![0]));
         assert_eq!(ht.semi_probe(&probe, &[0]), vec![1]);
     }
 

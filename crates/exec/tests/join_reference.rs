@@ -3,12 +3,13 @@
 //! build row) order, not merely as a set — over NULL keys on either side,
 //! duplicate-heavy keys (long chains), composite `Int64` + `Utf8` keys,
 //! every mix of flat and dictionary string encodings, probe chunks behind a
-//! selection vector, and builds from several chunks; and the table an
-//! 8-partition [`HashBuildFactory`] sink and merge assemble from the same
-//! chunks must answer exactly like the single table.
+//! selection vector, builds from several chunks, and small tables probed by
+//! large inputs that mostly miss; and the table an 8-partition
+//! [`HashBuildFactory`] sink and merge assemble from the same chunks must
+//! answer exactly like the single table.
 
 use proptest::prelude::*;
-use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector};
+use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector, VECTOR_SIZE};
 use rpt_exec::operators::hash_build::HashBuildFactory;
 use rpt_exec::{ExecContext, JoinHashTable, Resources, SinkFactory};
 use std::sync::Arc;
@@ -261,5 +262,31 @@ proptest! {
             encs: vec![Enc::Int64, enc],
         };
         check(&side(&build, STRING_ENCS[encs.0]), &side(&probe, STRING_ENCS[encs.1]), pieces, sel)?;
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A small table probed by a large input whose keys mostly miss — what
+    /// a build side chosen by estimate gives: 1–64 build rows against more
+    /// than one vector of probe rows, probed chunk by chunk, with NULLs on
+    /// both sides, as `Int64` or flat string keys.
+    #[test]
+    fn small_build_large_mostly_missing_probe(
+        build in proptest::collection::vec(-8i64..256, 1..=64),
+        probe in proptest::collection::vec(-100i64..4096, VECTOR_SIZE + 1..3 * VECTOR_SIZE),
+        flat_strings in proptest::bool::ANY,
+        pieces in 1usize..3,
+        use_sel in proptest::bool::ANY,
+        mask in 0u64..u64::MAX,
+    ) {
+        let enc = if flat_strings { Enc::Flat } else { Enc::Int64 };
+        let build = Side { cols: vec![keys(&build)], encs: vec![enc] };
+        for (c, rows) in probe.chunks(VECTOR_SIZE).enumerate() {
+            let sel = selection(use_sel, mask.rotate_left(c as u32), rows.len());
+            let probe = Side { cols: vec![keys(rows)], encs: vec![enc] };
+            check(&build, &probe, pieces, sel)?;
+        }
     }
 }
