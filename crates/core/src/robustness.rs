@@ -2,34 +2,23 @@
 //! compute the Robustness Factor (RF) — the max/min ratio the paper uses
 //! throughout §5.
 //!
-//! Besides wall time we report a deterministic *work* metric (tuples through
+//! RF is computed on the deterministic *work* metric (tuples through
 //! stateful operators), which is what the theory actually bounds and what
-//! makes the laptop-scale reproduction stable.
+//! makes the laptop-scale reproduction stable; wall-clock factors are the
+//! benchmark's `robustness.rf_time_*`.
 
-use crate::engine::{Database, Mode, QueryOptions, QueryResult};
+use crate::engine::{Database, Mode, QueryOptions};
 use crate::optimizer::{random_bushy, random_left_deep, JoinOrder};
 use crate::query::JoinQuery;
 use rpt_common::Result;
-
-/// Outcome of one random-order run.
-#[derive(Debug, Clone)]
-pub enum RunOutcome {
-    Ok {
-        time_secs: f64,
-        work: u64,
-    },
-    /// Budget (timeout analogue) exceeded — the `*` marker in the paper's
-    /// figures.
-    Timeout,
-}
 
 /// Aggregated robustness statistics for one query × one mode.
 #[derive(Debug, Clone)]
 pub struct RobustnessReport {
     pub mode: Mode,
-    pub outcomes: Vec<RunOutcome>,
     pub works: Vec<u64>,
-    pub times: Vec<f64>,
+    /// Orders that exceeded the budget (the `*` markers in the paper's
+    /// figures); each counts as `budget` work in `works`.
     pub timeouts: usize,
 }
 
@@ -39,19 +28,6 @@ impl RobustnessReport {
     /// timeouts occurred.
     pub fn rf_work(&self) -> f64 {
         ratio(&self.works.iter().map(|&w| w as f64).collect::<Vec<_>>())
-    }
-
-    /// Robustness factor over wall time.
-    pub fn rf_time(&self) -> f64 {
-        ratio(&self.times)
-    }
-
-    pub fn min_work(&self) -> u64 {
-        self.works.iter().copied().min().unwrap_or(0)
-    }
-
-    pub fn max_work(&self) -> u64 {
-        self.works.iter().copied().max().unwrap_or(0)
     }
 
     /// Five-number summary of normalized work (for box plots à la Fig. 6):
@@ -79,7 +55,7 @@ pub fn five_numbers(values: &[f64]) -> (f64, f64, f64, f64, f64) {
         return (f64::NAN, f64::NAN, f64::NAN, f64::NAN, f64::NAN);
     }
     let mut v = values.to_vec();
-    v.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+    v.sort_by(f64::total_cmp);
     let q = |p: f64| -> f64 {
         let idx = p * (v.len() - 1) as f64;
         let lo = idx.floor() as usize;
@@ -91,13 +67,6 @@ pub fn five_numbers(values: &[f64]) -> (f64, f64, f64, f64, f64) {
         }
     };
     (v[0], q(0.25), q(0.5), q(0.75), v[v.len() - 1])
-}
-
-/// Number of random plans per query, scaled from the paper's
-/// `N = 70m − 190` for m joins (clamped for laptop budgets).
-pub fn plans_for_joins(num_joins: usize, scale: f64) -> usize {
-    let n = (70.0 * num_joins as f64 - 190.0).max(20.0) * scale;
-    (n as usize).clamp(4, 1000)
 }
 
 /// Run `n` random join orders (left-deep or bushy) of `q` under `mode` and
@@ -113,9 +82,7 @@ pub fn robustness_factor(
     base_seed: u64,
 ) -> Result<RobustnessReport> {
     let graph = q.graph();
-    let mut outcomes = Vec::with_capacity(n);
     let mut works = Vec::with_capacity(n);
-    let mut times = Vec::with_capacity(n);
     let mut timeouts = 0;
     for i in 0..n {
         let seed = base_seed.wrapping_add(i as u64);
@@ -127,37 +94,21 @@ pub fn robustness_factor(
         let mut opts = QueryOptions::new(mode).with_order(order);
         opts.work_budget = budget;
         match db.execute(q, &opts) {
-            Ok(r) => {
-                works.push(r.work());
-                times.push(r.wall_time.as_secs_f64());
-                outcomes.push(RunOutcome::Ok {
-                    time_secs: r.wall_time.as_secs_f64(),
-                    work: r.work(),
-                });
-            }
+            Ok(r) => works.push(r.work()),
             Err(e) if e.is_budget() => {
                 timeouts += 1;
                 if let Some(b) = budget {
                     works.push(b);
                 }
-                outcomes.push(RunOutcome::Timeout);
             }
             Err(e) => return Err(e),
         }
     }
     Ok(RobustnessReport {
         mode,
-        outcomes,
         works,
-        times,
         timeouts,
     })
-}
-
-/// Convenience: execute with the optimizer's plan and return the result
-/// (the `t_opt` normalizer used throughout §5).
-pub fn optimizer_run(db: &Database, q: &JoinQuery, mode: Mode) -> Result<QueryResult> {
-    db.execute(q, &QueryOptions::new(mode))
 }
 
 #[cfg(test)]
@@ -246,7 +197,7 @@ mod tests {
         let q = db.bind_sql(SQL).unwrap();
         let r = robustness_factor(&db, &q, Mode::Baseline, 6, false, Some(100), 3).unwrap();
         assert!(r.timeouts > 0);
-        assert_eq!(r.outcomes.len(), 6);
+        assert_eq!(r.works.len(), 6);
     }
 
     #[test]
@@ -255,12 +206,5 @@ mod tests {
         assert_eq!((mn, p25, med, p75, mx), (1.0, 2.0, 3.0, 4.0, 5.0));
         let (mn, _, med, _, mx) = five_numbers(&[2.0]);
         assert_eq!((mn, med, mx), (2.0, 2.0, 2.0));
-    }
-
-    #[test]
-    fn plan_count_formula() {
-        assert_eq!(plans_for_joins(3, 1.0), 20);
-        assert_eq!(plans_for_joins(17, 1.0), 1000);
-        assert!(plans_for_joins(3, 0.2) >= 4);
     }
 }

@@ -593,7 +593,8 @@ impl<'a> Engine<'a> {
 /// Run lowered pipelines on a pool of `ctx.workers` threads. `deps` may be
 /// recorded at either granularity — whole-buffer ids are expanded to
 /// partition grains internally. Returns the observed stats or the first
-/// task error (`Error::Plan` for cyclic dependencies, detected up front).
+/// task error (`Error::Plan` for cyclic dependencies or a `deps` slice that
+/// is not one entry per pipeline, both detected up front).
 pub fn run_physical_global(
     phys: &[PhysicalPipeline],
     deps: &[NodeDeps],
@@ -601,7 +602,12 @@ pub fn run_physical_global(
     res: &Resources,
 ) -> Result<GlobalStats> {
     let n = phys.len();
-    debug_assert_eq!(n, deps.len());
+    if n != deps.len() {
+        return Err(Error::Plan(format!(
+            "{n} pipelines but {} dependency records",
+            deps.len()
+        )));
+    }
     if n == 0 {
         return Ok(GlobalStats::default());
     }

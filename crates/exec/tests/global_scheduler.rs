@@ -146,6 +146,32 @@ fn global_scheduler_rejects_cycles() {
     assert!(matches!(err, Error::Plan(_)), "got {err}");
 }
 
+/// A `deps` slice that is not one record per pipeline is rejected with
+/// `Error::Plan`, in every build profile: a short one must not index past
+/// its end, and a long one must not be silently ignored.
+#[test]
+fn global_scheduler_rejects_deps_length_mismatch() {
+    let t = table("t", vec![1, 2], vec![3, 4]);
+    let ctx = ExecContext::new().with_workers(2).with_partitions(2);
+    let res = Resources::with_partitions(2, 0, 0, 2);
+    let phys: Vec<PhysicalPipeline> = vec![
+        collect_pipeline(SourceSpec::Table(t.clone()), vec![], 0).lower(),
+        collect_pipeline(SourceSpec::Table(t), vec![], 1).lower(),
+    ];
+    let dep = |buf| NodeDeps {
+        reads: vec![],
+        writes: vec![ResourceId::Buffer(buf)],
+    };
+    for deps in [vec![dep(0)], vec![dep(0), dep(1), dep(2)]] {
+        let err = run_physical_global(&phys, &deps, &ctx, &res).unwrap_err();
+        assert!(
+            matches!(err, Error::Plan(_)),
+            "{} deps: got {err}",
+            deps.len()
+        );
+    }
+}
+
 /// A failing task aborts the run and propagates the first error; dependent
 /// pipelines never execute.
 #[test]

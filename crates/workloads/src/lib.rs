@@ -13,7 +13,8 @@
 //!   composite-key joins), Q54/Q83 (PT-fragile shapes), and the cyclic
 //!   templates (19, 24, 46, 64, 68, 72, 85 shapes);
 //! * [`dsb()`](dsb::dsb) — the TPC-DS schema with Zipf-skewed foreign keys and
-//!   correlated predicates, following DSB's "more realistic distributions".
+//!   correlated predicates, following DSB's "more realistic distributions";
+//! * [`adversarial()`](adversarial::adversarial) — Figure 12's N²/2 instance.
 //!
 //! **Substitution note (see DESIGN.md):** the official generators and the
 //! IMDB snapshot are not redistributable; these generators reproduce the
@@ -22,6 +23,7 @@
 //! on. Row counts default to ≈1/1000 of SF100 so the full suite runs on a
 //! laptop; scale with the `sf` parameter.
 
+pub mod adversarial;
 pub mod dsb;
 pub mod gen;
 pub mod job;
@@ -29,6 +31,7 @@ pub mod tpcds;
 pub mod tpch;
 pub mod workload;
 
+pub use adversarial::adversarial;
 pub use dsb::dsb;
 pub use job::job;
 pub use tpcds::tpcds;

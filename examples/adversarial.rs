@@ -7,50 +7,8 @@
 //! cargo run --example adversarial --release
 //! ```
 
-use rpt_common::{DataType, Field, Schema, Vector};
 use rpt_core::{Database, JoinOrder, Mode, QueryOptions};
-use rpt_storage::Table;
-
-/// Build the Figure 12 instance for a given N.
-fn adversarial_db(n: usize) -> rpt_common::Result<Database> {
-    let mut db = Database::new();
-    let half = n / 2;
-    db.register_table(Table::new(
-        "r",
-        Schema::new(vec![
-            Field::new("a", DataType::Int64),
-            Field::new("b", DataType::Int64),
-        ]),
-        vec![
-            Vector::from_i64((0..n as i64).collect()),
-            Vector::from_i64(vec![1; n]),
-        ],
-    )?);
-    let mut sb = vec![1i64; half];
-    sb.extend(vec![9i64; n - half]);
-    let mut sc = vec![2i64; half];
-    sc.extend(vec![4i64; n - half]);
-    db.register_table(Table::new(
-        "s",
-        Schema::new(vec![
-            Field::new("b", DataType::Int64),
-            Field::new("c", DataType::Int64),
-        ]),
-        vec![Vector::from_i64(sb), Vector::from_i64(sc)],
-    )?);
-    db.register_table(Table::new(
-        "t",
-        Schema::new(vec![
-            Field::new("c", DataType::Int64),
-            Field::new("d", DataType::Int64),
-        ]),
-        vec![
-            Vector::from_i64(vec![4; n]),
-            Vector::from_i64((0..n as i64).collect()),
-        ],
-    )?);
-    Ok(db)
-}
+use rpt_workloads::adversarial;
 
 fn main() -> rpt_common::Result<()> {
     println!("R(A,B): N rows, B = 1");
@@ -61,9 +19,13 @@ fn main() -> rpt_common::Result<()> {
         "{:>6} {:>14} {:>14} {:>12}",
         "N", "(R⋈S)⋈T", "(S⋈T)⋈R", "RPT joins"
     );
-    let sql = "SELECT COUNT(*) AS cnt FROM r, s, t WHERE r.b = s.b AND s.c = t.c";
     for n in [100usize, 500, 1000, 2000] {
-        let db = adversarial_db(n)?;
+        let w = adversarial(n);
+        let mut db = Database::new();
+        for t in &w.tables {
+            db.register_table(t.clone());
+        }
+        let sql = &w.queries[0].sql;
         let rs_first = db.query(
             sql,
             &QueryOptions::new(Mode::Baseline).with_order(JoinOrder::LeftDeep(vec![0, 1, 2])),

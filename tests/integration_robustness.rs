@@ -59,6 +59,13 @@ fn baseline_rf_exceeds_rpt_rf_overall() {
         base_avg > rpt_avg * 1.5,
         "baseline avg RF {base_avg} vs RPT {rpt_avg}: robustness advantage missing"
     );
+    // Table 1's shape holds at the worst query too, not just on average.
+    let max = |rfs: &[f64]| rfs.iter().copied().fold(0.0, f64::max);
+    let (base_max, rpt_max) = (max(&base_rfs), max(&rpt_rfs));
+    assert!(
+        rpt_max <= base_max,
+        "RPT max RF {rpt_max} vs baseline {base_max}"
+    );
 }
 
 #[test]

@@ -7,8 +7,9 @@
 //! * **A (no-panic operators):** no `.unwrap()` / `.expect(` in
 //!   `crates/exec/src/operators/`, `crates/exec/src/expr.rs` (the
 //!   predicate kernels every scan morsel and filter runs),
-//!   `crates/exec/src/hash_table.rs` (every join build and probe) or
-//!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold)
+//!   `crates/exec/src/hash_table.rs` (every join build and probe),
+//!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold) or
+//!   `crates/core/src/robustness.rs` (the paper's robustness factors)
 //!   outside `#[cfg(test)]` modules. Operator code returns `Result`; lock
 //!   poisoning, absent slots and values missing from a dictionary are
 //!   runtime errors, not panics.
@@ -263,13 +264,14 @@ fn rel(root: &Path, path: &Path) -> String {
         .replace('\\', "/")
 }
 
-// ---- Rule A: no panicking calls in operator code ----
+// ---- Rule A: no panicking calls in operator and robustness code ----
 
 fn rule_a(root: &Path) -> Vec<Finding> {
     let mut files = vec![
         root.join("crates/exec/src/expr.rs"),
         root.join("crates/exec/src/hash_table.rs"),
         root.join("crates/exec/src/aggregate.rs"),
+        root.join("crates/core/src/robustness.rs"),
     ];
     walk(&root.join("crates/exec/src/operators"), &mut files);
     let mut findings = Vec::new();
@@ -295,7 +297,7 @@ fn scan_a(path: &str, text: &str) -> Vec<Finding> {
                     rule: 'A',
                     path: path.to_string(),
                     line: i + 1,
-                    message: format!("`{needle}` in operator code; return a Result instead"),
+                    message: format!("`{needle}` in panic-free code; return a Result instead"),
                 });
             }
         }
