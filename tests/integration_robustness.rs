@@ -69,6 +69,48 @@ fn baseline_rf_exceeds_rpt_rf_overall() {
 }
 
 #[test]
+fn tpch_robustness_tiny() {
+    // Table 1's shape on every TPC-H query with at least two joins, at a
+    // tiny scale: a few random orders each (more for more joins), and a
+    // budget of 1000 × the optimizer plan's work so no order runs away.
+    let w = tpch(0.02, 7);
+    let db = database_for(&w);
+    let mut rfs: [Vec<f64>; 2] = [Vec::new(), Vec::new()];
+    let modes = [Mode::Baseline, Mode::RobustPredicateTransfer];
+    for qd in w.queries.iter().filter(|qd| qd.num_joins >= 2) {
+        let q = db.bind_sql(&qd.sql).unwrap();
+        let opt_work = db
+            .execute(&q, &QueryOptions::new(Mode::Baseline))
+            .unwrap()
+            .work()
+            .max(1);
+        let orders =
+            (((70.0 * qd.num_joins as f64 - 190.0).max(20.0) * 0.02) as usize).clamp(4, 1000);
+        for (mode, acc) in modes.iter().zip(rfs.iter_mut()) {
+            let rep =
+                robustness_factor(&db, &q, *mode, orders, false, Some(opt_work * 1000), 7).unwrap();
+            if !qd.cyclic && rep.rf_work().is_finite() {
+                acc.push(rep.rf_work());
+            }
+        }
+    }
+    let [base_rfs, rpt_rfs] = rfs;
+    assert!(!base_rfs.is_empty() && !rpt_rfs.is_empty());
+    let avg = |rfs: &[f64]| rfs.iter().sum::<f64>() / rfs.len() as f64;
+    let max = |rfs: &[f64]| rfs.iter().copied().fold(0.0, f64::max);
+    let (base_avg, rpt_avg) = (avg(&base_rfs), avg(&rpt_rfs));
+    assert!(
+        rpt_avg < base_avg,
+        "RPT avg RF {rpt_avg} should beat baseline {base_avg}"
+    );
+    let (base_max, rpt_max) = (max(&base_rfs), max(&rpt_rfs));
+    assert!(
+        rpt_max <= base_max,
+        "RPT max RF {rpt_max} vs baseline {base_max}"
+    );
+}
+
+#[test]
 fn transfer_phase_fully_reduces_acyclic_query() {
     // On an α-acyclic query, exact (Yannakakis) reduction leaves only
     // output-contributing tuples: the join phase's per-join outputs are
