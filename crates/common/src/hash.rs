@@ -26,6 +26,18 @@ pub fn hash_i64(v: i64) -> u64 {
     mix64((v as u64).wrapping_mul(SEED))
 }
 
+/// Hash a single `f64` key by its bit pattern.
+#[inline(always)]
+pub fn hash_f64(v: f64) -> u64 {
+    hash_i64(v.to_bits() as i64)
+}
+
+/// Hash a single `bool` key.
+#[inline(always)]
+pub fn hash_bool(v: bool) -> u64 {
+    hash_i64(v as i64)
+}
+
 /// Hash a single byte string.
 #[inline]
 pub fn hash_bytes(bytes: &[u8]) -> u64 {
@@ -45,94 +57,104 @@ pub fn combine(acc: u64, next: u64) -> u64 {
     mix64(acc.rotate_left(31) ^ next.wrapping_mul(SEED))
 }
 
-/// Hash every *physical* row of a vector into `out` (overwrite mode) or
-/// combine with existing hashes (combine mode).
-pub fn hash_vector(vector: &Vector, out: &mut [u64], combine_mode: bool) {
-    debug_assert_eq!(vector.len(), out.len());
-    macro_rules! go {
-        ($vals:expr, $hash:expr) => {
-            if combine_mode {
-                for (i, v) in $vals.iter().enumerate() {
-                    out[i] = combine(out[i], $hash(v));
-                }
-            } else {
-                for (i, v) in $vals.iter().enumerate() {
-                    out[i] = $hash(v);
-                }
-            }
-        };
-    }
-    // Dictionary-backed Utf8 takes the hash of the *decoded* string from
-    // the dictionary's per-code table, so routing and Bloom probes agree
-    // with flat string vectors bit-for-bit.
-    if let (Some(d), ColumnData::Int64(codes)) = (&vector.dict, &vector.data) {
-        let table = d.hashes();
-        go!(codes, |v: &i64| table[*v as usize]);
+/// The row hash a NULL key column leaves behind (see [`fold_key_column`]).
+/// It is only a value: whether a key is NULL is read from the key columns'
+/// validity, never from the hash, since a valid key can hash to it too.
+pub const NULL_HASH: u64 = u64::MAX;
+
+/// Fold one key column into the row hashes `out`: the one rule every
+/// composite key hash follows, whatever form the column is stored in.
+/// `hashes` yields the column's hash of each output row in order; output
+/// row `i` is physical row `sel[i]` (`i` when `sel` is `None`), and
+/// `validity` is read over physical rows. The first key column overwrites
+/// `out`, a later one [`combine`]s into it. A NULL then overwrites the
+/// row's hash with [`NULL_HASH`], discarding earlier columns, and later
+/// valid columns combine on top of the sentinel — so only a NULL in the
+/// last key column leaves the row hash at the sentinel itself.
+#[inline]
+pub fn fold_key_column(
+    out: &mut [u64],
+    first: bool,
+    hashes: impl Iterator<Item = u64>,
+    validity: Option<&[bool]>,
+    sel: Option<&[u32]>,
+) {
+    if first {
+        for (slot, h) in out.iter_mut().zip(hashes) {
+            *slot = h;
+        }
     } else {
-        match &vector.data {
-            ColumnData::Int64(vals) => go!(vals, |v: &i64| hash_i64(*v)),
-            ColumnData::Float64(vals) => go!(vals, |v: &f64| hash_i64(v.to_bits() as i64)),
-            ColumnData::Utf8(vals) => go!(vals, |v: &String| hash_bytes(v.as_bytes())),
-            ColumnData::Bool(vals) => go!(vals, |v: &bool| hash_i64(*v as i64)),
+        for (slot, h) in out.iter_mut().zip(hashes) {
+            *slot = combine(*slot, h);
         }
     }
-    // NULL keys hash to a fixed sentinel so they never match anything in
-    // joins (the join operators additionally filter NULL keys out).
-    if let Some(validity) = &vector.validity {
-        for (i, valid) in validity.iter().enumerate() {
-            if !valid {
-                out[i] = u64::MAX;
+    if let Some(mask) = validity {
+        for (i, slot) in out.iter_mut().enumerate() {
+            if !mask[sel.map_or(i, |s| s[i] as usize)] {
+                *slot = NULL_HASH;
             }
+        }
+    }
+}
+
+/// Fold key column `col` into `out` through the selection `sel` (see
+/// [`fold_key_column`]), reading the typed payload in place.
+pub fn hash_column_into(col: &Vector, sel: Option<&[u32]>, out: &mut [u64], first: bool) {
+    match sel {
+        None => hash_rows_into(col, 0..out.len(), None, out, first),
+        Some(s) => hash_rows_into(col, s.iter().map(|&r| r as usize), sel, out, first),
+    }
+}
+
+/// [`hash_column_into`] over the physical rows `rows`, which `sel` names.
+#[inline]
+fn hash_rows_into(
+    col: &Vector,
+    rows: impl Iterator<Item = usize>,
+    sel: Option<&[u32]>,
+    out: &mut [u64],
+    first: bool,
+) {
+    let validity = col.validity.as_deref();
+    match (&col.dict, &col.data) {
+        // Dictionary-backed Utf8 takes the hash of the *decoded* string
+        // from the dictionary's per-code table, so routing and Bloom probes
+        // agree with flat string vectors bit-for-bit.
+        (Some(d), ColumnData::Int64(codes)) => {
+            let table = d.hashes();
+            let hashes = rows.map(|r| table[codes[r] as usize]);
+            fold_key_column(out, first, hashes, validity, sel)
+        }
+        (_, ColumnData::Int64(v)) => {
+            fold_key_column(out, first, rows.map(|r| hash_i64(v[r])), validity, sel)
+        }
+        (_, ColumnData::Float64(v)) => {
+            fold_key_column(out, first, rows.map(|r| hash_f64(v[r])), validity, sel)
+        }
+        (_, ColumnData::Utf8(v)) => {
+            let hashes = rows.map(|r| hash_bytes(v[r].as_bytes()));
+            fold_key_column(out, first, hashes, validity, sel)
+        }
+        (_, ColumnData::Bool(v)) => {
+            fold_key_column(out, first, rows.map(|r| hash_bool(v[r])), validity, sel)
         }
     }
 }
 
 /// Compute row hashes for the given key columns of physical rows.
 pub fn hash_columns(columns: &[&Vector], num_rows: usize) -> Vec<u64> {
-    let mut hashes = vec![0u64; num_rows];
-    for (k, col) in columns.iter().enumerate() {
-        hash_vector(col, &mut hashes, k > 0);
-    }
-    hashes
+    hash_columns_sel(columns, None, num_rows)
 }
 
 /// Row hashes over the *selected* rows of the key columns, without
 /// materializing a gathered copy first: `out[i]` hashes physical row
 /// `sel[i]` (or `i` when `sel` is `None`). Produces exactly the values
-/// [`hash_columns`] yields on a [`Vector::take`]-gathered copy — including
-/// the NULL sentinel semantics: an invalid key column overwrites the
-/// accumulated hash with `u64::MAX` at that column's position (discarding
-/// earlier columns), and later *valid* columns combine on top of the
-/// sentinel, so only a NULL in the final key column leaves the row hash at
-/// `u64::MAX` itself.
+/// [`hash_columns`] yields on a [`Vector::take`]-gathered copy, the NULL
+/// sentinel included (see [`fold_key_column`]).
 pub fn hash_columns_sel(columns: &[&Vector], sel: Option<&[u32]>, num_rows: usize) -> Vec<u64> {
     let mut out = vec![0u64; num_rows];
-    let row_at = |i: usize| sel.map_or(i, |s| s[i] as usize);
     for (k, col) in columns.iter().enumerate() {
-        macro_rules! go {
-            ($vals:expr, $hash:expr) => {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    let row = row_at(i);
-                    if col.is_valid(row) {
-                        let h = $hash(&$vals[row]);
-                        *slot = if k == 0 { h } else { combine(*slot, h) };
-                    } else {
-                        *slot = u64::MAX;
-                    }
-                }
-            };
-        }
-        if let (Some(d), ColumnData::Int64(codes)) = (&col.dict, &col.data) {
-            let table = d.hashes();
-            go!(codes, |v: &i64| table[*v as usize]);
-        } else {
-            match &col.data {
-                ColumnData::Int64(vals) => go!(vals, |v: &i64| hash_i64(*v)),
-                ColumnData::Float64(vals) => go!(vals, |v: &f64| hash_i64(v.to_bits() as i64)),
-                ColumnData::Utf8(vals) => go!(vals, |v: &String| hash_bytes(v.as_bytes())),
-                ColumnData::Bool(vals) => go!(vals, |v: &bool| hash_i64(*v as i64)),
-            }
-        }
+        hash_column_into(col, sel, &mut out, k == 0);
     }
     out
 }
@@ -169,8 +191,7 @@ mod tests {
     #[test]
     fn vector_hash_matches_scalar() {
         let v = Vector::from_i64(vec![5, 6, 7]);
-        let mut out = vec![0u64; 3];
-        hash_vector(&v, &mut out, false);
+        let out = hash_columns(&[&v], 3);
         assert_eq!(out[0], hash_i64(5));
         assert_eq!(out[2], hash_i64(7));
     }
@@ -191,10 +212,16 @@ mod tests {
         let mut v = Vector::new_empty(DataType::Int64);
         v.push(&ScalarValue::Int64(5)).unwrap();
         v.push(&ScalarValue::Null).unwrap();
-        let mut out = vec![0u64; 2];
-        hash_vector(&v, &mut out, false);
-        assert_eq!(out[1], u64::MAX);
-        assert_ne!(out[0], u64::MAX);
+        let out = hash_columns(&[&v], 2);
+        assert_eq!(out[1], NULL_HASH);
+        assert_ne!(out[0], NULL_HASH);
+        // A NULL discards the columns before it; a valid column after it
+        // combines on top of the sentinel, so the row hash is no longer
+        // the sentinel and a NULL must be read from validity.
+        let b = Vector::from_i64(vec![7, 7]);
+        let out = hash_columns(&[&b, &v, &b], 2);
+        assert_eq!(out[1], combine(NULL_HASH, hash_i64(7)));
+        assert_ne!(out[1], NULL_HASH);
     }
 
     /// The gather-free selection-aware hash must equal hashing a
@@ -241,11 +268,6 @@ mod tests {
         let d = Utf8Dict::from_values(vec!["a", "bb", "ccc"]);
         let dv = Vector::from_dict_codes(vec![2, 0, 0, 1], Some(vec![true, true, false, true]), d);
         let flat = dv.decode_dict();
-        let mut h_dict = vec![0u64; 4];
-        let mut h_flat = vec![0u64; 4];
-        hash_vector(&dv, &mut h_dict, false);
-        hash_vector(&flat, &mut h_flat, false);
-        assert_eq!(h_dict, h_flat);
         for sel in [None, Some(vec![3u32, 0, 0])] {
             let n = sel.as_ref().map_or(4, Vec::len);
             assert_eq!(
@@ -259,8 +281,7 @@ mod tests {
     #[test]
     fn float_hash_uses_bits() {
         let v = Vector::from_f64(vec![1.0, -1.0]);
-        let mut out = vec![0u64; 2];
-        hash_vector(&v, &mut out, false);
+        let out = hash_columns(&[&v], 2);
         assert_ne!(out[0], out[1]);
     }
 }

@@ -72,13 +72,30 @@ pub(crate) fn insert_into_blooms(
     let t0 = Instant::now();
     let chunk = hashes.chunk();
     for build in blooms.iter_mut() {
+        let nulls: Vec<&[bool]> = build
+            .spec
+            .key_cols
+            .iter()
+            .filter_map(|&k| chunk.columns[k].validity.as_deref())
+            .collect();
         let keys = hashes.get(&build.spec.key_cols);
-        // NULL keys match nothing, so they are never inserted.
-        if keys.contains(&u64::MAX) {
-            let valid: Vec<u64> = keys.iter().copied().filter(|&h| h != u64::MAX).collect();
-            build.filter.insert_hashes(&valid);
-        } else {
+        // A key with a NULL in any column matches nothing, so it is never
+        // inserted. NULL is read from validity: a composite key's hash is
+        // not the sentinel when a later column is valid, and a valid key
+        // may hash to the sentinel.
+        if nulls.is_empty() {
             build.filter.insert_hashes(keys);
+        } else {
+            let valid: Vec<u64> = keys
+                .iter()
+                .enumerate()
+                .filter(|&(i, _)| {
+                    let row = chunk.physical_index(i);
+                    nulls.iter().all(|valid| valid[row])
+                })
+                .map(|(_, &h)| h)
+                .collect();
+            build.filter.insert_hashes(&valid);
         }
         observe_i64_key_ranges(chunk, build);
     }

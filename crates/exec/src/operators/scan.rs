@@ -3,7 +3,7 @@
 //! and only then decode the rest, for the surviving rows) and buffer
 //! re-scans.
 
-use super::probe_bloom::probe_selection;
+use super::probe_bloom::{probe_selection, ProbeKey};
 use super::{ChunkList, Morsels, ResourceId, Resources, Source};
 use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
@@ -51,16 +51,18 @@ pub struct ScanProbe {
 /// open — they are in `reads()`) and, from the filters' tracked key
 /// ranges, prunes blocks by zone map; nothing is decoded. Each morsel then
 /// runs its *selection phase* — decode the predicate's columns and evaluate
-/// it to a selection; for each probe in plan order decode the key columns
-/// not decoded yet, hash them through the selection and narrow it with the
-/// filter — giving up on the block as soon as nothing survives, and only
-/// then decodes the remaining output columns, for the selected rows, into
-/// a flat chunk in `output` order.
+/// it to a selection; for each probe in plan order hash the key columns
+/// through the selection (a predicate column from its decoded vector, any
+/// other straight from its encoded block, undecoded) and narrow it with
+/// the filter — giving up on the block as soon as nothing survives, and
+/// only then decodes the remaining output columns, key columns included,
+/// for the selected rows, into a flat chunk in `output` order.
 ///
 /// With `ctx.storage_encoding` on, columns come from the table's
 /// block-encoded form (dictionary-coded `Utf8` columns as dictionary-backed
 /// vectors); with it off the raw flat layout is sliced and gathered in the
-/// same filter-first order, unpruned.
+/// same filter-first order, unpruned, and key columns are decoded before
+/// they are hashed.
 pub struct TableScan {
     table: Arc<Table>,
     filter: Option<ScanFilter>,
@@ -165,9 +167,9 @@ impl TableScan {
         }
         for &(col, lo, hi) in bloom_ranges {
             let zone = enc.zone(col, b);
-            // Only all-valid blocks are eligible: a NULL-keyed row's fate
-            // is decided downstream (the Bloom probe may keep it), so
-            // blocks containing NULLs are never range-pruned.
+            // Only all-valid blocks are eligible. The probe drops
+            // NULL-keyed rows, so pruning a block holding NULLs would be
+            // correct too; the gate keeps such blocks' probe counters.
             if zone.null_count == 0 {
                 if let Some((mn, mx)) = zone.i64_bounds() {
                     if mx < lo || mn > hi {
@@ -320,18 +322,36 @@ impl Morsels for ScanMorsels<'_> {
             decoded = f.cols.iter().copied().zip(chunk.columns).collect();
         }
         for (probe, filter) in self.scan.probes.iter().zip(&self.filters) {
-            let keys: Vec<usize> = probe
-                .key_cols
-                .iter()
-                .map(|&c| {
-                    let at = decoded.iter().position(|(d, _)| *d == c);
-                    at.unwrap_or_else(|| {
-                        decoded.push((c, self.column(c, i, None)));
-                        decoded.len() - 1
+            // A key column the predicate decoded hashes from that vector;
+            // the encoded layout hashes every other one from its block,
+            // decoding nothing. The raw layout decodes it first, keeping it
+            // for later probes and the output.
+            let keys: Vec<ProbeKey> = match &self.layout {
+                Layout::Blocks { enc, blocks } => probe
+                    .key_cols
+                    .iter()
+                    .map(|&c| match decoded.iter().find(|(d, _)| *d == c) {
+                        Some((_, v)) => ProbeKey::Vector(v),
+                        None => ProbeKey::Block(&enc.columns[c].blocks[blocks[i]]),
                     })
-                })
-                .collect();
-            let keys: Vec<&Vector> = keys.iter().map(|&k| &decoded[k].1).collect();
+                    .collect(),
+                Layout::Flat => {
+                    let at: Vec<usize> = probe
+                        .key_cols
+                        .iter()
+                        .map(|&c| {
+                            let at = decoded.iter().position(|(d, _)| *d == c);
+                            at.unwrap_or_else(|| {
+                                decoded.push((c, self.column(c, i, None)));
+                                decoded.len() - 1
+                            })
+                        })
+                        .collect();
+                    at.iter()
+                        .map(|&k| ProbeKey::Vector(&decoded[k].1))
+                        .collect()
+                }
+            };
             let n = sel.as_ref().map_or(rows, Vec::len);
             let keep = probe_selection(filter, &keys, sel.as_deref(), n, m);
             if keep.is_empty() {

@@ -12,9 +12,10 @@ pub mod zone;
 
 pub use zone::ZoneMap;
 
-use crate::encode::{build_utf8_dict, decode_i64, decode_i64_sel, encode_i64, EncodedBlock};
+use crate::encode::{dict_encode_utf8, encode_i64, for_values, rle_runs, EncodedBlock};
 use crate::table::Table;
 use rpt_common::chunk::chunk_ranges;
+use rpt_common::hash::{fold_key_column, hash_bool, hash_bytes, hash_f64, hash_i64};
 use rpt_common::{ColumnData, DataChunk, DataType, Utf8Dict, Vector};
 use std::sync::Arc;
 
@@ -28,6 +29,97 @@ pub struct Block {
     pub data: EncodedBlock,
 }
 
+impl Block {
+    /// Fold this block's key hashes through `sel` (ascending block-local
+    /// rows; every row when `None`) into `out`, as the first key column
+    /// (`first`) or a later one — exactly what [`rpt_common::hash::hash_column_into`]
+    /// folds from the decoded block, NULL sentinel included, but hashed
+    /// from the stored form: FOR unpacks, adds the base and hashes in one
+    /// loop, RLE hashes once per run, dictionary codes index
+    /// [`Utf8Dict::hashes`], and raw payloads hash in place. Nothing is
+    /// materialized, so a row the caller's filter then drops never has its
+    /// key decoded.
+    pub fn hash_sel_into(&self, sel: Option<&[u32]>, out: &mut [u64], first: bool) {
+        match sel {
+            None => self.hash_rows_into(0..self.len, None, out, first),
+            Some(s) => self.hash_rows_into(s.iter().map(|&r| r as usize), sel, out, first),
+        }
+    }
+
+    /// [`Block::hash_sel_into`] over the block-local rows `rows`, which
+    /// `sel` names.
+    #[inline]
+    fn hash_rows_into(
+        &self,
+        rows: impl Iterator<Item = usize>,
+        sel: Option<&[u32]>,
+        out: &mut [u64],
+        first: bool,
+    ) {
+        let validity = self.validity.as_deref();
+        match &self.data {
+            EncodedBlock::RawI64(v) => {
+                fold_key_column(out, first, rows.map(|r| hash_i64(v[r])), validity, sel)
+            }
+            EncodedBlock::RawF64(v) => {
+                fold_key_column(out, first, rows.map(|r| hash_f64(v[r])), validity, sel)
+            }
+            EncodedBlock::RawUtf8(v) => {
+                let hashes = rows.map(|r| hash_bytes(v[r].as_bytes()));
+                fold_key_column(out, first, hashes, validity, sel)
+            }
+            EncodedBlock::RawBool(v) => {
+                fold_key_column(out, first, rows.map(|r| hash_bool(v[r])), validity, sel)
+            }
+            EncodedBlock::DictUtf8 { codes, dict } => {
+                let table = dict.hashes();
+                let hashes = rows.map(|r| table[codes[r] as usize]);
+                fold_key_column(out, first, hashes, validity, sel)
+            }
+            EncodedBlock::RleI64 { values, lengths } => {
+                let mut last: Option<(usize, u64)> = None;
+                let hashes = rle_runs(lengths, rows).map(|run| match last {
+                    Some((at, h)) if at == run => h,
+                    _ => {
+                        let h = hash_i64(values[run]);
+                        last = Some((run, h));
+                        h
+                    }
+                });
+                fold_key_column(out, first, hashes, validity, sel)
+            }
+            EncodedBlock::ForI64 {
+                base, width, words, ..
+            } => {
+                let hashes = for_values(*base, *width, words, rows).map(hash_i64);
+                fold_key_column(out, first, hashes, validity, sel)
+            }
+        }
+    }
+
+    /// Decode rows `sel` (every row when `None`) to a column vector.
+    /// Dictionary blocks come back as dictionary-backed vectors (codes
+    /// stay fixed-width); all other codecs decode to flat payloads.
+    fn decode(&self, sel: Option<&[u32]>) -> Vector {
+        let validity = match sel {
+            None => self.validity.clone(),
+            Some(s) => self
+                .validity
+                .as_ref()
+                .map(|m| s.iter().map(|&i| m[i as usize]).collect()),
+        };
+        let dict = match &self.data {
+            EncodedBlock::DictUtf8 { dict, .. } => Some(dict.clone()),
+            _ => None,
+        };
+        Vector {
+            data: self.data.decode(sel),
+            validity,
+            dict,
+        }
+    }
+}
+
 /// All blocks of one column, plus its shared dictionary when the column is
 /// dictionary-encoded.
 #[derive(Debug, Clone, PartialEq)]
@@ -39,11 +131,7 @@ pub struct BlockColumn {
 
 impl BlockColumn {
     fn build(v: &Vector, block_rows: usize) -> BlockColumn {
-        let dict = if v.data_type() == DataType::Utf8 {
-            build_utf8_dict(v)
-        } else {
-            None
-        };
+        let dict = dict_encode_utf8(v);
         let blocks = chunk_ranges(v.len(), block_rows)
             .map(|(start, len)| {
                 let zone = ZoneMap::compute(v, start, len);
@@ -55,17 +143,10 @@ impl BlockColumn {
                     (ColumnData::Int64(vals), _) => {
                         encode_i64(&vals[start..start + len], validity.as_deref())
                     }
-                    (ColumnData::Utf8(vals), Some(d)) => EncodedBlock::DictUtf8(
-                        (start..start + len)
-                            .map(|i| {
-                                if v.is_valid(i) {
-                                    d.code_of(&vals[i]).expect("value present in its own dict")
-                                } else {
-                                    0 // placeholder under the validity mask
-                                }
-                            })
-                            .collect(),
-                    ),
+                    (ColumnData::Utf8(_), Some((dict, codes))) => EncodedBlock::DictUtf8 {
+                        codes: codes[start..start + len].to_vec(),
+                        dict: dict.clone(),
+                    },
                     (ColumnData::Utf8(vals), None) => {
                         EncodedBlock::RawUtf8(vals[start..start + len].to_vec())
                     }
@@ -86,7 +167,7 @@ impl BlockColumn {
             .collect();
         BlockColumn {
             data_type: v.data_type(),
-            dict,
+            dict: dict.map(|(d, _)| d),
             blocks,
         }
     }
@@ -95,51 +176,14 @@ impl BlockColumn {
     /// back as dictionary-backed vectors (codes stay fixed-width); all
     /// other codecs decode to flat payloads.
     pub fn decode_block(&self, b: usize) -> Vector {
-        let block = &self.blocks[b];
-        let data = match &block.data {
-            EncodedBlock::DictUtf8(codes) => {
-                ColumnData::Int64(codes.iter().map(|&c| c as i64).collect())
-            }
-            EncodedBlock::RawUtf8(v) => ColumnData::Utf8(v.clone()),
-            EncodedBlock::RawF64(v) => ColumnData::Float64(v.clone()),
-            EncodedBlock::RawBool(v) => ColumnData::Bool(v.clone()),
-            int => ColumnData::Int64(decode_i64(int)),
-        };
-        self.vector(block, data, block.validity.clone())
+        self.blocks[b].decode(None)
     }
 
     /// Decode only rows `sel` (ascending block-local indices) of block `b`:
     /// the late-materialization half of a filter-first scan. Equal to
     /// `decode_block(b).take(sel)` without touching the unselected rows.
     pub fn decode_block_sel(&self, b: usize, sel: &[u32]) -> Vector {
-        let block = &self.blocks[b];
-        let at = |i: &u32| *i as usize;
-        let data = match &block.data {
-            EncodedBlock::DictUtf8(codes) => {
-                ColumnData::Int64(sel.iter().map(|i| codes[at(i)] as i64).collect())
-            }
-            EncodedBlock::RawUtf8(v) => {
-                ColumnData::Utf8(sel.iter().map(|i| v[at(i)].clone()).collect())
-            }
-            EncodedBlock::RawF64(v) => ColumnData::Float64(sel.iter().map(|i| v[at(i)]).collect()),
-            EncodedBlock::RawBool(v) => ColumnData::Bool(sel.iter().map(|i| v[at(i)]).collect()),
-            int => ColumnData::Int64(decode_i64_sel(int, sel)),
-        };
-        let validity = block
-            .validity
-            .as_ref()
-            .map(|m| sel.iter().map(|i| m[at(i)]).collect());
-        self.vector(block, data, validity)
-    }
-
-    fn vector(&self, block: &Block, data: ColumnData, validity: Option<Vec<bool>>) -> Vector {
-        let dict = matches!(block.data, EncodedBlock::DictUtf8(_))
-            .then(|| self.dict.clone().expect("dict block in dict column"));
-        Vector {
-            data,
-            validity,
-            dict,
-        }
+        self.blocks[b].decode(Some(sel))
     }
 }
 

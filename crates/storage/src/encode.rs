@@ -16,7 +16,7 @@
 //! The `Raw*` variants double as the parity layout: every codec decodes back
 //! to the exact logical values of the source column.
 
-use rpt_common::{Utf8Dict, Vector};
+use rpt_common::{ColumnData, Utf8Dict, Vector};
 use std::sync::Arc;
 
 /// Dictionary-encode a `Utf8` column only when it has at most this many
@@ -47,8 +47,12 @@ pub enum EncodedBlock {
         width: u8,
         words: Vec<u64>,
     },
-    /// `u32` codes into the owning column's shared dictionary.
-    DictUtf8(Vec<u32>),
+    /// `u32` codes into the owning column's shared dictionary (code 0
+    /// under NULL).
+    DictUtf8 {
+        codes: Vec<u32>,
+        dict: Arc<Utf8Dict>,
+    },
 }
 
 impl EncodedBlock {
@@ -63,7 +67,58 @@ impl EncodedBlock {
             EncodedBlock::RawBool(v) => v.len(),
             EncodedBlock::RleI64 { values, .. } => values.len() * 12,
             EncodedBlock::ForI64 { words, .. } => 16 + words.len() * 8,
-            EncodedBlock::DictUtf8(codes) => codes.len() * 4,
+            EncodedBlock::DictUtf8 { codes, .. } => codes.len() * 4,
+        }
+    }
+
+    /// Decode rows `sel` (ascending block-local indices; every row when
+    /// `None`) to a column payload: `Int64` codecs to their values, raw
+    /// payloads as stored, and dictionary blocks to their codes as `Int64`
+    /// (the caller attaches the dictionary). FOR unpacks each selected slot
+    /// in place, RLE walks its runs once alongside the selection.
+    pub fn decode(&self, sel: Option<&[u32]>) -> ColumnData {
+        debug_assert!(
+            sel.is_none_or(|s| s.windows(2).all(|w| w[0] < w[1])),
+            "selection not ascending"
+        );
+        fn gather<T: Clone>(v: &[T], sel: Option<&[u32]>) -> Vec<T> {
+            match sel {
+                None => v.to_vec(),
+                Some(s) => s.iter().map(|&i| v[i as usize].clone()).collect(),
+            }
+        }
+        fn rows(s: &[u32]) -> impl Iterator<Item = usize> + '_ {
+            s.iter().map(|&i| i as usize)
+        }
+        match self {
+            EncodedBlock::RawI64(v) => ColumnData::Int64(gather(v, sel)),
+            EncodedBlock::RawF64(v) => ColumnData::Float64(gather(v, sel)),
+            EncodedBlock::RawUtf8(v) => ColumnData::Utf8(gather(v, sel)),
+            EncodedBlock::RawBool(v) => ColumnData::Bool(gather(v, sel)),
+            EncodedBlock::DictUtf8 { codes, .. } => ColumnData::Int64(match sel {
+                None => codes.iter().map(|&c| c as i64).collect(),
+                Some(s) => s.iter().map(|&i| codes[i as usize] as i64).collect(),
+            }),
+            EncodedBlock::RleI64 { values, lengths } => ColumnData::Int64(match sel {
+                None => {
+                    let total: usize = lengths.iter().map(|&l| l as usize).sum();
+                    let mut out = Vec::with_capacity(total);
+                    for (&v, &l) in values.iter().zip(lengths.iter()) {
+                        out.extend(std::iter::repeat_n(v, l as usize));
+                    }
+                    out
+                }
+                Some(s) => rle_runs(lengths, rows(s)).map(|r| values[r]).collect(),
+            }),
+            EncodedBlock::ForI64 {
+                len,
+                base,
+                width,
+                words,
+            } => ColumnData::Int64(match sel {
+                None => for_values(*base, *width, words, 0..*len as usize).collect(),
+                Some(s) => for_values(*base, *width, words, rows(s)).collect(),
+            }),
         }
     }
 }
@@ -148,63 +203,6 @@ pub fn encode_i64(values: &[i64], validity: Option<&[bool]>) -> EncodedBlock {
     }
 }
 
-/// Decode an `Int64`-typed block back to its value payload.
-pub fn decode_i64(block: &EncodedBlock) -> Vec<i64> {
-    match block {
-        EncodedBlock::RawI64(v) => v.clone(),
-        EncodedBlock::RleI64 { values, lengths } => {
-            let total: usize = lengths.iter().map(|&l| l as usize).sum();
-            let mut out = Vec::with_capacity(total);
-            for (&v, &l) in values.iter().zip(lengths.iter()) {
-                out.extend(std::iter::repeat_n(v, l as usize));
-            }
-            out
-        }
-        EncodedBlock::ForI64 {
-            len,
-            base,
-            width,
-            words,
-        } => (0..*len as usize)
-            .map(|i| base.wrapping_add(unpack_at(words, *width, i) as i64))
-            .collect(),
-        other => panic!("decode_i64 on non-Int64 block {other:?}"),
-    }
-}
-
-/// Decode only rows `sel` (ascending block-local indices) of an
-/// `Int64`-typed block: FOR unpacks each selected slot in place, RLE walks
-/// its runs once alongside the selection.
-pub fn decode_i64_sel(block: &EncodedBlock, sel: &[u32]) -> Vec<i64> {
-    debug_assert!(
-        sel.windows(2).all(|w| w[0] < w[1]),
-        "selection not ascending"
-    );
-    match block {
-        EncodedBlock::RawI64(v) => sel.iter().map(|&i| v[i as usize]).collect(),
-        EncodedBlock::RleI64 { values, lengths } => {
-            let mut out = Vec::with_capacity(sel.len());
-            let mut run = 0usize;
-            let mut run_end = lengths.first().map_or(0, |&l| l as usize);
-            for &i in sel {
-                while i as usize >= run_end {
-                    run += 1;
-                    run_end += lengths[run] as usize;
-                }
-                out.push(values[run]);
-            }
-            out
-        }
-        EncodedBlock::ForI64 {
-            base, width, words, ..
-        } => sel
-            .iter()
-            .map(|&i| base.wrapping_add(unpack_at(words, *width, i as usize) as i64))
-            .collect(),
-        other => panic!("decode_i64_sel on non-Int64 block {other:?}"),
-    }
-}
-
 /// Pack `width`-bit values little-endian across `u64` words.
 fn pack_bits(deltas: &[u64], width: u8) -> Vec<u64> {
     if width == 0 {
@@ -225,46 +223,86 @@ fn pack_bits(deltas: &[u64], width: u8) -> Vec<u64> {
     words
 }
 
-/// The `i`-th `width`-bit value of a [`pack_bits`] payload.
+/// The values at `rows` (ascending block-local indices) of a
+/// frame-of-reference block: the one copy of the unpacking arithmetic,
+/// shared by decoding and key hashing. A width-0 block stores no words; it
+/// reads one zero word instead, so the loop carries no per-row width test.
 #[inline]
-fn unpack_at(words: &[u64], width: u8, i: usize) -> u64 {
-    if width == 0 {
-        return 0;
-    }
+pub(crate) fn for_values<'a>(
+    base: i64,
+    width: u8,
+    words: &'a [u64],
+    rows: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = i64> + 'a {
+    let words: &[u64] = if width == 0 { &[0] } else { words };
+    let last = words.len() - 1;
     let w = width as usize;
     let mask = (1u64 << w) - 1; // width < 64 guaranteed by encode_i64
-    let bit = i * w;
-    let word = bit / 64;
-    let off = bit % 64;
-    let mut v = words[word] >> off;
-    if off + w > 64 {
-        v |= words[word + 1] << (64 - off);
-    }
-    v & mask
+    rows.map(move |i| {
+        let bit = i * w;
+        let (word, off) = (bit / 64, bit % 64);
+        // Branch-free straddle: the next word's low bits land above the
+        // `64 - off` bits of this one (two shifts, so `off = 0` shifts the
+        // next word out entirely). A value that does not straddle masks
+        // them off again, so the last word may stand in for its successor.
+        let next = (words[(word + 1).min(last)] << 1) << (63 - off);
+        base.wrapping_add((((words[word] >> off) | next) & mask) as i64)
+    })
 }
 
-/// Build the shared sorted dictionary for a `Utf8` column, or `None` when
-/// the column exceeds [`DICT_MAX_DISTINCT`] distinct valid values.
-pub fn build_utf8_dict(v: &Vector) -> Option<Arc<Utf8Dict>> {
-    let vals = match &v.data {
-        rpt_common::ColumnData::Utf8(vals) => vals,
-        _ => return None,
+/// The run of each of `rows` (ascending block-local indices) of a
+/// run-length block with run `lengths`: one walk over the runs.
+#[inline]
+pub(crate) fn rle_runs<'a>(
+    lengths: &'a [u32],
+    rows: impl Iterator<Item = usize> + 'a,
+) -> impl Iterator<Item = usize> + 'a {
+    let mut run = 0usize;
+    let mut run_end = lengths.first().map_or(0, |&l| l as usize);
+    rows.map(move |i| {
+        while i >= run_end {
+            run += 1;
+            run_end += lengths[run] as usize;
+        }
+        run
+    })
+}
+
+/// Dictionary-encode a `Utf8` column: its shared sorted dictionary and the
+/// code of every row (0 under NULL), or `None` when the column holds no
+/// valid value or more than [`DICT_MAX_DISTINCT`] distinct ones. One sort
+/// of the valid rows assigns the codes, so every value finds its code.
+pub fn dict_encode_utf8(v: &Vector) -> Option<(Arc<Utf8Dict>, Vec<u32>)> {
+    let ColumnData::Utf8(vals) = &v.data else {
+        return None;
     };
-    let mut distinct: Vec<&str> = (0..vals.len())
-        .filter(|&i| v.is_valid(i))
-        .map(|i| vals[i].as_str())
-        .collect();
-    distinct.sort_unstable();
-    distinct.dedup();
-    if distinct.len() > DICT_MAX_DISTINCT {
+    let mut order: Vec<usize> = (0..vals.len()).filter(|&i| v.is_valid(i)).collect();
+    order.sort_unstable_by(|&a, &b| vals[a].cmp(&vals[b]));
+    let mut distinct: Vec<&str> = Vec::new();
+    let mut codes = vec![0u32; vals.len()];
+    for i in order {
+        if distinct.last() != Some(&vals[i].as_str()) {
+            distinct.push(&vals[i]);
+        }
+        codes[i] = (distinct.len() - 1) as u32;
+    }
+    if distinct.is_empty() || distinct.len() > DICT_MAX_DISTINCT {
         return None;
     }
-    Some(Utf8Dict::from_values(distinct))
+    let dict = Utf8Dict::from_sorted(distinct.into_iter().map(String::from).collect());
+    Some((dict, codes))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn decode_i64(enc: &EncodedBlock) -> Vec<i64> {
+        match enc.decode(None) {
+            ColumnData::Int64(v) => v,
+            other => panic!("not an Int64 payload: {other:?}"),
+        }
+    }
 
     #[test]
     fn for_roundtrip_small_span() {
@@ -350,8 +388,21 @@ mod tests {
     #[test]
     fn dict_respects_distinct_cap() {
         let v = Vector::from_utf8((0..10).map(|i| format!("v{}", i % 3)).collect());
-        let d = build_utf8_dict(&v).unwrap();
+        let (d, codes) = dict_encode_utf8(&v).unwrap();
         assert_eq!(d.len(), 3);
         assert_eq!(d.value(0), "v0");
+        assert_eq!(codes, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
+        let wide = Vector::from_utf8((0..=DICT_MAX_DISTINCT).map(|i| i.to_string()).collect());
+        assert!(dict_encode_utf8(&wide).is_none());
+    }
+
+    /// An all-NULL column has no value to code: it stays raw, so no
+    /// dictionary block ever holds a placeholder code into an empty
+    /// dictionary.
+    #[test]
+    fn all_null_utf8_column_gets_no_dict() {
+        let mut v = Vector::from_utf8(vec![String::new(); 4]);
+        v.validity = Some(vec![false; 4]);
+        assert!(dict_encode_utf8(&v).is_none());
     }
 }

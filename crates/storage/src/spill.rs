@@ -45,7 +45,7 @@
 //! chunks to the spill file (order preserved).
 
 use crate::disk::{read_chunk, write_chunk};
-use crate::encode::{decode_i64, encode_i64, EncodedBlock};
+use crate::encode::{encode_i64, EncodedBlock};
 use crate::govern::GovernedHandle;
 use crate::table::{chunk_size_bytes, taken_size_bytes};
 use crate::ZoneMap;
@@ -635,7 +635,7 @@ impl SpillBuffer {
                     lengths.push(r.u32()?);
                 }
                 Vector {
-                    data: ColumnData::Int64(decode_i64(&EncodedBlock::RleI64 { values, lengths })),
+                    data: EncodedBlock::RleI64 { values, lengths }.decode(None),
                     validity,
                     dict: None,
                 }
@@ -649,12 +649,13 @@ impl SpillBuffer {
                     words.push(u64::from_le_bytes(r.array::<8>()?));
                 }
                 Vector {
-                    data: ColumnData::Int64(decode_i64(&EncodedBlock::ForI64 {
+                    data: EncodedBlock::ForI64 {
                         len: nrows as u32,
                         base,
                         width,
                         words,
-                    })),
+                    }
+                    .decode(None),
                     validity,
                     dict: None,
                 }

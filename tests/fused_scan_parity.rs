@@ -422,14 +422,15 @@ fn collect_probed(
 
 /// A scan with resident probes vs `Table` → `Filter` → `ProbeBloom`… →
 /// `Project`: the same rows in the same order and the same probe
-/// counters, under both layouts. Returns the encoded run's metrics.
+/// counters, under both layouts. Returns the encoded run's rows and
+/// metrics.
 fn assert_probe_parity(
     table: &Arc<Table>,
     filter: Option<&Expr>,
     columns: &[usize],
     transfers: &[Transfer],
     what: &str,
-) -> MetricsSummary {
+) -> (Rows, MetricsSummary) {
     let schema = Schema::new(
         columns
             .iter()
@@ -452,7 +453,7 @@ fn assert_probe_parity(
     reference_ops.push(OpSpec::Project(
         columns.iter().map(|&c| Expr::Column(c)).collect(),
     ));
-    let mut encoded_metrics = None;
+    let mut encoded_run = None;
     for encoded in [true, false] {
         let fused = SourceSpec::Scan {
             table: table.clone(),
@@ -483,10 +484,10 @@ fn assert_probe_parity(
             "{what} encoded={encoded}: probe counters"
         );
         if encoded {
-            encoded_metrics = Some(gm);
+            encoded_run = Some((got, gm));
         }
     }
-    encoded_metrics.expect("encoded leg ran")
+    encoded_run.expect("encoded leg ran")
 }
 
 /// Column `col` of `table`, rows `rows` (NULLs included), as a key column.
@@ -552,7 +553,7 @@ proptest! {
             });
         }
         let what = format!("{filter:?} probes {on:?} x{} -> {columns:?}", transfers.len());
-        let m = assert_probe_parity(&table, filter.as_ref(), &columns, &transfers, &what);
+        let (_, m) = assert_probe_parity(&table, filter.as_ref(), &columns, &transfers, &what);
         prop_assert!(m.bloom_probe_out <= m.bloom_probe_in);
     }
 }
@@ -585,7 +586,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
         )]),
         on: vec![0],
     }];
-    let m = assert_probe_parity(&table, None, &[1], &transfers, "rejected block");
+    let (_, m) = assert_probe_parity(&table, None, &[1], &transfers, "rejected block");
     assert_eq!(m.blocks_pruned, 0, "no key range to prune a Utf8 key by");
     assert_eq!(m.blocks_scanned, 3 + 1, "every block of `t`, one of `keys`");
     assert_eq!(m.bloom_probe_in, n as u64);
@@ -619,4 +620,92 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
         "{survivors:?}"
     );
     assert_eq!(survivors[1], None, "block 1 holds no wanted key");
+}
+
+/// Keys hashed from every source at once, against the unfused operator:
+/// a composite probe key whose first column is the predicate's (hashed
+/// from the decoded vector) and whose second is still encoded (hashed
+/// from its block), run-length and width-0 frame-of-reference key blocks,
+/// and NULL keys on both sides of the transfer. A row with a NULL in any
+/// key column never survives a probe.
+#[test]
+fn mixed_key_sources_probe_like_the_unfused_composition() {
+    const PRED: usize = 0;
+    const RUNS: usize = 1;
+    const SPARSE: usize = 2;
+    const PAYLOAD: usize = 3;
+    let n = VECTOR_SIZE * 3;
+    let mut sparse = Vector::from_i64((0..n as i64).map(|i| (i * 13) % 500).collect());
+    // Block 1 is all NULL (stored as width-0 FOR); the others hold a NULL
+    // every fifth row.
+    sparse.validity = Some((0..n).map(|i| i / VECTOR_SIZE != 1 && i % 5 != 0).collect());
+    let field = |name: &str, t| rpt_common::Field::new(name, t);
+    let table = Arc::new(
+        Table::new(
+            "t",
+            Schema::new(vec![
+                field("pred", rpt_common::DataType::Int64),
+                field("runs", rpt_common::DataType::Int64),
+                field("sparse", rpt_common::DataType::Int64),
+                field("payload", rpt_common::DataType::Utf8),
+            ]),
+            vec![
+                Vector::from_i64((0..n as i64).map(|i| (i * 37) % 1000).collect()),
+                Vector::from_i64((0..n as i64).map(|i| i / 16 % 50).collect()),
+                sparse,
+                Vector::from_utf8((0..n).map(|i| format!("row-{i}")).collect()),
+            ],
+        )
+        .expect("valid table"),
+    );
+    let enc = table.encoded();
+    assert!(enc.columns[RUNS]
+        .blocks
+        .iter()
+        .all(|b| matches!(b.data, rpt_storage::EncodedBlock::RleI64 { .. })));
+    assert!(matches!(
+        enc.columns[SPARSE].blocks[1].data,
+        rpt_storage::EncodedBlock::ForI64 { width: 0, .. }
+    ));
+
+    // Every seventh row's keys, NULLs included, so most blocks keep some.
+    let picks: Vec<usize> = (0..n).step_by(7).collect();
+    let transfer = |on: Vec<usize>| Transfer {
+        keys: key_table(on.iter().map(|&c| sample(&table, c, &picks)).collect()),
+        on,
+    };
+    let filter = Expr::cmp(
+        CmpOp::Lt,
+        Expr::col(PRED),
+        Expr::lit(ScalarValue::Int64(600)),
+    );
+    let cases: [(Option<&Expr>, Vec<Transfer>, Vec<usize>); 4] = [
+        (
+            Some(&filter),
+            vec![transfer(vec![PRED, RUNS])],
+            vec![PAYLOAD],
+        ),
+        (
+            Some(&filter),
+            vec![transfer(vec![PRED, SPARSE]), transfer(vec![RUNS])],
+            vec![SPARSE, PAYLOAD],
+        ),
+        (None, vec![transfer(vec![SPARSE, RUNS])], vec![RUNS, SPARSE]),
+        (
+            None,
+            vec![transfer(vec![RUNS, SPARSE])],
+            vec![PAYLOAD, SPARSE],
+        ),
+    ];
+    for (i, (filter, transfers, columns)) in cases.iter().enumerate() {
+        let what = format!("case {i}");
+        let (rows, m) = assert_probe_parity(&table, *filter, columns, transfers, &what);
+        assert!(m.bloom_probe_out > 0, "{what}: {m:?}");
+        if let Some(at) = columns.iter().position(|&c| c == SPARSE) {
+            assert!(
+                rows.iter().all(|r| r[at] != ScalarValue::Null),
+                "{what}: a NULL key survived a probe"
+            );
+        }
+    }
 }

@@ -353,3 +353,60 @@ fn constant_predicates_keep_or_drop_every_row() {
         assert_eq!(ids(&db, "NOT (1 = 1)", encoded), Vec::<i64>::new());
     }
 }
+
+/// `r(a, b)` and `s(a, b)`, 4 000 rows each: `b` takes every value in
+/// both, `a` is NULL everywhere, or valid everywhere when `a_valid`.
+fn db_composite_keys(a_valid: bool) -> Database {
+    let n = 4_000;
+    let mut db = Database::new();
+    for name in ["r", "s"] {
+        let mut a = Vector::from_i64((0..n).map(|i| i % 7).collect());
+        if !a_valid {
+            a.validity = Some(vec![false; n as usize]);
+        }
+        db.register_table(
+            Table::new(
+                name,
+                Schema::new(vec![
+                    Field::new("a", DataType::Int64),
+                    Field::new("b", DataType::Int64),
+                ]),
+                vec![a, Vector::from_i64((0..n).collect())],
+            )
+            .expect("valid key table"),
+        );
+    }
+    db
+}
+
+/// A key with a NULL in any column matches nothing, so no transferred
+/// filter may let it through: with `a` NULL everywhere, the filter `r ⋈ s`
+/// transfers on `(a, b)` passes no row, and the join phase probes none.
+/// Only a NULL in the last key column used to leave the sentinel hash that
+/// CreateBF skipped; a NULL in the first one had every key inserted and
+/// every probe row pass.
+#[test]
+fn null_composite_join_keys_never_pass_a_transferred_filter() {
+    let join = "SELECT r.b FROM r, s WHERE r.a = s.a AND r.b = s.b";
+    let swapped = "SELECT r.b FROM r, s WHERE r.b = s.b AND r.a = s.a";
+    let single = "SELECT r.b FROM r, s WHERE r.a = s.a";
+    for encoded in [true, false] {
+        let opts = QueryOptions::new(Mode::RobustPredicateTransfer).with_storage_encoding(encoded);
+        let db = db_composite_keys(false);
+        for sql in [join, swapped, single] {
+            let r = db
+                .query(sql, &opts)
+                .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"));
+            let m = &r.metrics;
+            assert!(r.rows.is_empty(), "{sql}");
+            assert!(m.bloom_probe_in > 0, "{sql} encoded={encoded}: {m:?}");
+            assert_eq!(m.bloom_probe_out, 0, "{sql} encoded={encoded}: {m:?}");
+            assert_eq!(m.join_probe_in, 0, "{sql} encoded={encoded}: {m:?}");
+        }
+        // The same join with `a` valid keeps every row.
+        let r = db_composite_keys(true)
+            .query(join, &opts)
+            .expect("join runs");
+        assert_eq!(r.rows.len(), 4_000);
+    }
+}

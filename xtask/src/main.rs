@@ -8,11 +8,14 @@
 //!   `crates/exec/src/operators/`, `crates/exec/src/expr.rs` (the
 //!   predicate kernels every scan morsel and filter runs),
 //!   `crates/exec/src/hash_table.rs` (every join build and probe),
-//!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold) or
-//!   `crates/core/src/robustness.rs` (the paper's robustness factors)
-//!   outside `#[cfg(test)]` modules. Operator code returns `Result`; lock
+//!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold),
+//!   `crates/core/src/robustness.rs` (the paper's robustness factors),
+//!   `crates/storage/src/block/` or `crates/storage/src/encode.rs` (the
+//!   block codecs and the key-hash kernel every scan probe runs) outside
+//!   `#[cfg(test)]` modules. Operator code returns `Result`; lock
 //!   poisoning, absent slots and values missing from a dictionary are
-//!   runtime errors, not panics.
+//!   runtime errors, not panics, and a codec matches every block variant
+//!   instead of panicking on the ones it does not expect.
 //! * **B (checked counters):** no bare `+=` in `crates/exec/src/aggregate.rs`,
 //!   `crates/exec/src/context.rs`, or `crates/exec/src/operators/` outside
 //!   tests. A line is exempt when it visibly routes through a checked/
@@ -272,8 +275,10 @@ fn rule_a(root: &Path) -> Vec<Finding> {
         root.join("crates/exec/src/hash_table.rs"),
         root.join("crates/exec/src/aggregate.rs"),
         root.join("crates/core/src/robustness.rs"),
+        root.join("crates/storage/src/encode.rs"),
     ];
     walk(&root.join("crates/exec/src/operators"), &mut files);
+    walk(&root.join("crates/storage/src/block"), &mut files);
     let mut findings = Vec::new();
     for path in files {
         let Ok(text) = fs::read_to_string(&path) else {
