@@ -18,11 +18,13 @@
 use crate::context::ExecContext;
 use crate::expr::{AggExpr, Expr};
 use crate::hash_table::JoinHashTable;
+use crate::operators::expand_partition_grains;
 use crate::operators::{
     aggregate::AggregateFactory, buffer::BufferSinkFactory, hash_build::HashBuildFactory,
     BufferScan, Filter, JoinProbe, Operator, ProbeBloom, Project, ResourceId, Resources, SemiProbe,
     SinkFactory, Source, TableScan,
 };
+use crate::scheduler::NodeDeps;
 use rpt_bloom::BloomFilter;
 use rpt_common::{DataChunk, DataType, Result, Schema};
 use rpt_storage::Table;
@@ -245,6 +247,46 @@ impl PipelinePlan {
         }
     }
 
+    /// The grains this pipeline reads and writes, straight from its specs:
+    /// a buffer is named by its `partitions` partition grains, so a
+    /// consumer's partition-`p` tasks wait for the producer to seal `p`
+    /// alone. Both sets are sorted and deduped.
+    pub fn deps(&self, partitions: usize) -> NodeDeps {
+        let parts = |b: usize| (0..partitions.max(1)).map(move |p| ResourceId::BufferPart(b, p));
+        let mut reads = Vec::new();
+        match &self.source {
+            SourceSpec::Table(_) => {}
+            SourceSpec::Scan { probes, .. } => {
+                reads.extend(probes.iter().map(|p| ResourceId::Filter(p.filter_id)))
+            }
+            SourceSpec::Buffer(b) => reads.extend(parts(*b)),
+        }
+        for op in &self.ops {
+            match op {
+                OpSpec::Filter(_) | OpSpec::Project(_) => {}
+                OpSpec::ProbeBloom { filter_id, .. } => reads.push(ResourceId::Filter(*filter_id)),
+                OpSpec::JoinProbe { ht_id, .. } | OpSpec::SemiProbe { ht_id, .. } => {
+                    reads.push(ResourceId::HashTable(*ht_id))
+                }
+            }
+        }
+        let (mut writes, blooms): (Vec<ResourceId>, &[BloomSink]) = match &self.sink {
+            SinkSpec::Buffer { buf_id, blooms } => (parts(*buf_id).collect(), blooms),
+            SinkSpec::HashBuild { ht_id, blooms, .. } => {
+                (vec![ResourceId::HashTable(*ht_id)], blooms)
+            }
+            SinkSpec::Aggregate { buf_id, .. } | SinkSpec::Sort { buf_id, .. } => {
+                (parts(*buf_id).collect(), &[])
+            }
+        };
+        writes.extend(blooms.iter().map(|b| ResourceId::Filter(b.filter_id)));
+        for set in [&mut reads, &mut writes] {
+            set.sort_unstable();
+            set.dedup();
+        }
+        NodeDeps { reads, writes }
+    }
+
     /// Read/write resource sets, derived from one lowering of the
     /// operator layer. Use this (not separate `reads`/`writes` calls) so
     /// the spec is lowered only once per dependency query.
@@ -346,6 +388,9 @@ pub(crate) fn combine_finalize(
     merged.finalize(res)
 }
 
+/// Pipelines whose spec-derived deps were compared with the lowering's.
+pub static DEPS_COMPARED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+
 /// Executor state shared across a query's pipelines: the execution context
 /// plus the write-once resource slots.
 pub struct Executor {
@@ -396,6 +441,25 @@ impl Executor {
         deps: &[crate::scheduler::NodeDeps],
     ) -> Result<crate::global::GlobalStats> {
         debug_assert_eq!(pipelines.len(), deps.len());
+        let pc = self.res.partitions();
+        for (p, d) in pipelines.iter().zip(deps) {
+            assert_eq!(
+                &p.deps(pc),
+                &NodeDeps {
+                    reads: expand_partition_grains(&d.reads, pc),
+                    writes: expand_partition_grains(&d.writes, pc),
+                },
+                "spec-derived deps diverge from the recorded ones for {}",
+                p.label
+            );
+            assert_eq!(
+                p.deps(pc),
+                p.node_deps().expand_partitions(pc),
+                "spec-derived deps diverge from the lowering for {}",
+                p.label
+            );
+            DEPS_COMPARED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
         let phys: Vec<PhysicalPipeline> = pipelines.iter().map(PipelinePlan::lower).collect();
         let stats = crate::global::run_physical_global(&phys, deps, &self.ctx, &self.res)?;
         self.ctx.metrics.record_scheduler(&stats);

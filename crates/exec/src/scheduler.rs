@@ -13,7 +13,7 @@ use rpt_common::{Error, Result};
 use std::collections::HashMap;
 
 /// Read/write sets of one schedulable node.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeDeps {
     pub reads: Vec<ResourceId>,
     pub writes: Vec<ResourceId>,
