@@ -356,15 +356,18 @@ fn enforce_verify(ctx: &ExecContext, report: rpt_analyze::VerifyReport, what: &s
 }
 
 /// Reconcile the executor's observed-access shadow log (present only in
-/// verify mode) against the plan's declared dependencies, *before* the
-/// driver fetches the output buffer — an undeclared access means the
+/// verify mode) against the deps the pipelines' specs declare, *before*
+/// the driver fetches the output buffer — an undeclared access means the
 /// scheduler ran on a wrong partial order and the result can't be trusted.
-fn reconcile_run(exec: &Executor, deps: &[rpt_exec::NodeDeps]) -> Result<()> {
+fn reconcile_run(exec: &Executor, pipelines: &[rpt_exec::PipelinePlan]) -> Result<()> {
     let Some(log) = exec.resources().access_log() else {
         return Ok(());
     };
+    let partitions = exec.resources().partitions();
+    let deps: Vec<_> = pipelines.iter().map(|p| p.deps(partitions)).collect();
     let (observed_reads, observed_writes) = log.observed();
-    let (errors, checks) = rpt_analyze::reconcile_accesses(deps, &observed_reads, &observed_writes);
+    let (errors, checks) =
+        rpt_analyze::reconcile_accesses(&deps, &observed_reads, &observed_writes);
     let ctx = &exec.ctx;
     ctx.metrics.add(&ctx.metrics.verify_checks_run, checks);
     if errors.is_empty() {
@@ -545,8 +548,8 @@ impl Database {
             enforce_verify(&ctx, plan.verify(), "physical plan")?;
         }
         let mut exec = Executor::new(ctx, nb, nf, nt);
-        exec.run_dag_with_deps(&plan.pipelines, &plan.deps)?;
-        reconcile_run(&exec, &plan.deps)?;
+        exec.run_dag(&plan.pipelines)?;
+        reconcile_run(&exec, &plan.pipelines)?;
         Ok(exec)
     }
 
@@ -603,8 +606,8 @@ impl Database {
             prelude.num_filters,
             prelude.num_tables,
         );
-        exec.run_dag_with_deps(&prelude.pipelines, &prelude.deps)?;
-        reconcile_run(&exec, &prelude.deps)?;
+        exec.run_dag(&prelude.pipelines)?;
+        reconcile_run(&exec, &prelude.pipelines)?;
 
         // Assemble the reduced relations for the generic join.
         let mut relations = Vec::with_capacity(q.num_relations());

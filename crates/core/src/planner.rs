@@ -13,29 +13,22 @@ use crate::optimizer::PlanNode;
 use crate::query::JoinQuery;
 use rpt_common::{DataType, Error, Field, Result, Schema};
 use rpt_exec::{
-    AggExpr, BloomSink, Expr, NodeDeps, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey,
-    SourceSpec,
+    AggExpr, BloomSink, Expr, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey, SourceSpec,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
 };
 use std::sync::Arc;
 
-/// The physical-plan IR: the compiled pipelines, plus — per pipeline —
-/// the buffers/filters/hash-tables it *reads* and *writes*. The read/write
-/// sets define the partial order the DAG scheduler executes: pipelines
-/// with disjoint dependencies run concurrently.
+/// The physical-plan IR: the compiled pipelines and the resource slots
+/// they use. Each pipeline's specs are the whole plan — the buffer
+/// partitions, filters and hash tables it reads and writes, and so the
+/// partial order the DAG scheduler executes, come from
+/// [`PipelinePlan::deps`] at `partition_count`. A GROUP BY sink's merge
+/// seals one partition of its result per merge task, so e.g. the final
+/// re-projection pipeline starts on the first sealed group partition.
 pub struct PhysicalPlan {
     pub pipelines: Vec<PipelinePlan>,
-    /// `deps[i]` = read/write resource sets of `pipelines[i]`, recorded at
-    /// **partition granularity**: buffer dependencies are expanded to one
-    /// `ResourceId::BufferPart` grain per hash partition, so the scheduler
-    /// can start a consumer's partition-`p` tasks as soon as the producer
-    /// seals partition `p`. This covers aggregate output buffers too: a
-    /// GROUP BY sink's merge seals one partition of its result per merge
-    /// task, so e.g. the final re-projection pipeline starts on the first
-    /// sealed group partition.
-    pub deps: Vec<NodeDeps>,
     pub num_buffers: usize,
     pub num_filters: usize,
     pub num_tables: usize,
@@ -50,7 +43,7 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Assemble the IR, recording each pipeline's resource dependencies.
+    /// Assemble the IR.
     fn assemble(
         pipelines: Vec<PipelinePlan>,
         num_buffers: usize,
@@ -60,15 +53,12 @@ impl PhysicalPlan {
         output_buffer: usize,
         output_schema: Schema,
     ) -> PhysicalPlan {
-        let partition_count = rpt_common::normalize_partition_count(partition_count);
-        let deps = record_deps(&pipelines, partition_count);
         PhysicalPlan {
             pipelines,
-            deps,
             num_buffers,
             num_filters,
             num_tables,
-            partition_count,
+            partition_count: rpt_common::normalize_partition_count(partition_count),
             output_buffer,
             output_schema,
         }
@@ -80,12 +70,10 @@ impl PhysicalPlan {
     }
 
     /// Statically verify this plan (see `rpt_analyze`): dependency-graph
-    /// soundness and sink contracts, re-derived independently of what the
-    /// planner recorded.
+    /// soundness and sink contracts over the grains its specs imply.
     pub fn verify(&self) -> rpt_analyze::VerifyReport {
         rpt_analyze::verify_plan(&rpt_analyze::PlanFacts {
             pipelines: &self.pipelines,
-            deps: &self.deps,
             num_buffers: self.num_buffers,
             num_filters: self.num_filters,
             num_tables: self.num_tables,
@@ -93,16 +81,6 @@ impl PhysicalPlan {
             required_buffers: std::slice::from_ref(&self.output_buffer),
         })
     }
-}
-
-/// Per-pipeline read/write sets, derived from one lowering of the
-/// operator layer per pipeline and recorded partition-granularly (see
-/// [`PhysicalPlan::deps`]).
-fn record_deps(pipelines: &[PipelinePlan], partition_count: usize) -> Vec<NodeDeps> {
-    pipelines
-        .iter()
-        .map(|p| p.node_deps().expand_partitions(partition_count))
-        .collect()
 }
 
 /// A not-yet-terminated chunk stream with its column provenance.
@@ -311,20 +289,16 @@ impl<'q> Planner<'q> {
         )
     }
 
-    /// Materialize a stream into a buffer, optionally building Bloom
-    /// filters — this is the CreateBF operator (sink half).
-    fn materialize(
-        &mut self,
-        stream: Stream,
-        blooms: Vec<BloomSink>,
-        label: String,
-    ) -> Result<Stream> {
+    /// Materialize a stream into a new buffer, optionally building Bloom
+    /// filters — this is the CreateBF operator (sink half). `stream` then
+    /// reads that buffer; returns its id.
+    fn materialize(&mut self, stream: &mut Stream, blooms: Vec<BloomSink>, label: String) -> usize {
         let buf = self.new_buffer();
-        let schema = self.stream_schema(&stream);
+        let schema = self.stream_schema(stream);
         self.pipelines.push(PipelinePlan {
             label,
-            source: stream.source.clone(),
-            ops: stream.ops.clone(),
+            source: std::mem::replace(&mut stream.source, SourceSpec::Buffer(buf)),
+            ops: std::mem::take(&mut stream.ops),
             sink: SinkSpec::Buffer {
                 buf_id: buf,
                 blooms,
@@ -332,12 +306,7 @@ impl<'q> Planner<'q> {
             intermediate: true,
             sink_schema: schema,
         });
-        Ok(Stream {
-            source: SourceSpec::Buffer(buf),
-            ops: vec![],
-            layout: stream.layout,
-            label: stream.label,
-        })
+        buf
     }
 
     /// Run a transfer schedule, inserting CreateBF/ProbeBF (or exact hash
@@ -415,15 +384,13 @@ impl<'q> Planner<'q> {
         if exact {
             // Yannakakis: materialize the source, build an exact hash table,
             // semi-probe the target.
-            let src_stream = states[*source].stream.clone();
-            let materialized =
-                self.materialize(src_stream, vec![], format!("{dir} materialize {src_name}"))?;
-            states[*source].stream = materialized.clone();
+            let src_stream = &mut states[*source].stream;
+            let buf = self.materialize(src_stream, vec![], format!("{dir} materialize {src_name}"));
+            let schema = self.stream_schema(src_stream);
             let ht = self.new_table();
-            let schema = self.stream_schema(&materialized);
             self.pipelines.push(PipelinePlan {
                 label: format!("{dir} semibuild {src_name}"),
-                source: materialized.source.clone(),
+                source: SourceSpec::Buffer(buf),
                 ops: vec![],
                 sink: SinkSpec::HashBuild {
                     ht_id: ht,
@@ -447,9 +414,8 @@ impl<'q> Planner<'q> {
             let expected = crate::estimator::Estimator::new(self.q)
                 .base_card(*source)
                 .ceil() as usize;
-            let src_stream = states[*source].stream.clone();
-            let materialized = self.materialize(
-                src_stream,
+            self.materialize(
+                &mut states[*source].stream,
                 vec![BloomSink {
                     filter_id,
                     key_cols: src_keys,
@@ -457,8 +423,7 @@ impl<'q> Planner<'q> {
                     fpr: self.opts.bloom_fpr,
                 }],
                 format!("{dir} createbf {src_name}"),
-            )?;
-            states[*source].stream = materialized;
+            );
             states[*target].stream.probe_bloom(filter_id, tgt_keys);
         }
         let _ = tgt_name;
@@ -836,8 +801,6 @@ impl<'q> Planner<'q> {
 /// join phase.
 pub struct HybridPrelude {
     pub pipelines: Vec<PipelinePlan>,
-    /// Per-pipeline read/write resource sets (see [`PhysicalPlan::deps`]).
-    pub deps: Vec<NodeDeps>,
     /// Buffer id holding each relation's reduced rows (indexed by relation).
     pub rel_buffers: Vec<usize>,
     pub num_buffers: usize,
@@ -860,7 +823,6 @@ impl HybridPrelude {
     pub fn verify(&self) -> rpt_analyze::VerifyReport {
         rpt_analyze::verify_plan(&rpt_analyze::PlanFacts {
             pipelines: &self.pipelines,
-            deps: &self.deps,
             num_buffers: self.num_buffers,
             num_filters: self.num_filters,
             num_tables: self.num_tables,
@@ -888,7 +850,7 @@ impl<'q> Planner<'q> {
         let mut layout = Vec::new();
         let mut fields = Vec::new();
         for (r, state) in states.iter().enumerate() {
-            let stream = state.stream.clone();
+            let mut stream = state.stream.clone();
             layout.extend(stream.layout.iter().copied());
             let schema = self.stream_schema(&stream);
             fields.extend(schema.fields.iter().cloned());
@@ -896,24 +858,17 @@ impl<'q> Planner<'q> {
                 (SourceSpec::Buffer(id), true) => rel_buffers.push(*id),
                 _ => {
                     let label = format!("materialize {}", self.q.relations[r].binding);
-                    let m = self.materialize(stream, vec![], label)?;
-                    match m.source {
-                        SourceSpec::Buffer(id) => rel_buffers.push(id),
-                        _ => unreachable!("materialize returns a buffer"),
-                    }
+                    rel_buffers.push(self.materialize(&mut stream, vec![], label));
                 }
             }
         }
-        let partition_count = rpt_common::normalize_partition_count(self.opts.partition_count);
-        let deps = record_deps(&self.pipelines, partition_count);
         Ok(HybridPrelude {
             pipelines: self.pipelines,
-            deps,
             rel_buffers,
             num_buffers: self.num_buffers,
             num_filters: self.num_filters,
             num_tables: self.num_tables,
-            partition_count,
+            partition_count: rpt_common::normalize_partition_count(self.opts.partition_count),
             layout,
             schema: Schema::new(fields),
         })
@@ -927,7 +882,7 @@ impl<'q> Planner<'q> {
         layout: Vec<(usize, usize)>,
     ) -> Result<PhysicalPlan> {
         let mut stream = Stream {
-            source: SourceSpec::Table(joined),
+            source: SourceSpec::full_scan(joined),
             ops: vec![],
             layout,
             label: "wcoj".into(),
@@ -968,9 +923,9 @@ mod tests {
     use super::*;
     use rpt_graph::JoinTree;
 
-    /// The aggregate pipeline's output buffer is recorded at partition
-    /// grain in the `PhysicalPlan` IR, and its consumer (the reprojection
-    /// pipeline) reads the same grains — what lets the global scheduler
+    /// The aggregate pipeline's output buffer is written at partition
+    /// grain, and its consumer (the reprojection pipeline) reads the same
+    /// grains — what lets the global scheduler
     /// overlap GROUP BY merges with downstream consumption.
     #[test]
     fn aggregate_buffer_deps_are_partition_granular() {
@@ -1006,16 +961,17 @@ mod tests {
         let agg_buf = plan.output_buffer - 1; // aggregate buffer precedes output
         let agg_grains: Vec<ResourceId> =
             (0..4).map(|p| ResourceId::BufferPart(agg_buf, p)).collect();
+        let (agg, reproject) = (plan.pipelines[0].deps(4), plan.pipelines[1].deps(4));
         for g in &agg_grains {
             assert!(
-                plan.deps[0].writes.contains(g),
+                agg.writes.contains(g),
                 "aggregate writes missing grain {g:?}: {:?}",
-                plan.deps[0].writes
+                agg.writes
             );
             assert!(
-                plan.deps[1].reads.contains(g),
+                reproject.reads.contains(g),
                 "reprojection reads missing grain {g:?}: {:?}",
-                plan.deps[1].reads
+                reproject.reads
             );
         }
     }

@@ -98,7 +98,7 @@ enum Waiter {
 }
 
 /// Static, per-pipeline scheduling facts derived from the lowered pipeline
-/// and its (partition-granular) dependency record.
+/// and its dependency grains.
 struct PipeInfo {
     /// Source partition groups (== resource partitions for buffer sources).
     groups: usize,
@@ -590,11 +590,12 @@ impl<'a> Engine<'a> {
     }
 }
 
-/// Run lowered pipelines on a pool of `ctx.workers` threads. `deps` may be
-/// recorded at either granularity — whole-buffer ids are expanded to
-/// partition grains internally. Returns the observed stats or the first
-/// task error (`Error::Plan` for cyclic dependencies or a `deps` slice that
-/// is not one entry per pipeline, both detected up front).
+/// Run lowered pipelines on a pool of `ctx.workers` threads. `deps[i]`
+/// holds pipeline `i`'s grains at `res`' partition count (what
+/// [`crate::pipeline::PipelinePlan::deps`] returns). Returns the observed
+/// stats or the first task error (`Error::Plan` for cyclic dependencies or
+/// a `deps` slice that is not one entry per pipeline, both detected up
+/// front).
 pub fn run_physical_global(
     phys: &[PhysicalPipeline],
     deps: &[NodeDeps],
@@ -612,15 +613,11 @@ pub fn run_physical_global(
         return Ok(GlobalStats::default());
     }
     let partitions = res.partitions();
-    let norm: Vec<NodeDeps> = deps
-        .iter()
-        .map(|d| d.expand_partitions(partitions))
-        .collect();
-    check_acyclic(&build_dag(&norm))?;
+    check_acyclic(&build_dag(deps))?;
 
     // Writer sets per grain.
     let mut writers: HashMap<ResourceId, Vec<usize>> = HashMap::new();
-    for (i, d) in norm.iter().enumerate() {
+    for (i, d) in deps.iter().enumerate() {
         for &w in &d.writes {
             writers.entry(w).or_default().push(i);
         }
@@ -644,7 +641,7 @@ pub fn run_physical_global(
         let mut base_wait = 0usize;
         let mut group_wait = vec![0usize; groups];
         let mut source_producers: Vec<usize> = Vec::new();
-        for &r in &norm[c].reads {
+        for &r in &deps[c].reads {
             let producing: Vec<usize> = writers
                 .get(&r)
                 .map(|ps| ps.iter().copied().filter(|&pr| pr != c).collect())
@@ -676,9 +673,9 @@ pub fn run_physical_global(
         }
         let mut buffers_written: Vec<usize> = Vec::new();
         let mut other_write_grains: Vec<ResourceId> = Vec::new();
-        for &w in &norm[c].writes {
+        for &w in &deps[c].writes {
             match w {
-                ResourceId::Buffer(b) | ResourceId::BufferPart(b, _) => {
+                ResourceId::BufferPart(b, _) => {
                     if !buffers_written.contains(&b) {
                         buffers_written.push(b);
                     }

@@ -17,11 +17,13 @@
 //!   `1000 × t_opt` timeout.
 //!
 //! The planner in `rpt-core` compiles logical RPT plans into
-//! [`pipeline::PipelinePlan`]s. Those specs *lower* onto the physical
-//! operator traits in [`operators`] (`Source`/`Operator`/`Sink`), and
-//! [`pipeline::Executor::run_dag`] runs them on the morsel-driven worker
-//! pool in [`global`], concurrently wherever the buffer/filter/hash-table
-//! dependencies recorded in [`scheduler`] allow.
+//! [`pipeline::PipelinePlan`]s, which are the plan: each one's
+//! buffer/filter/hash-table grains come straight from its specs
+//! ([`pipeline::PipelinePlan::deps`]). [`pipeline::Executor::run_dag`]
+//! lowers the specs onto the physical operator traits in [`operators`]
+//! (`Source`/`Operator`/`Sink`) and runs them on the morsel-driven worker
+//! pool in [`global`], concurrently wherever the [`scheduler`]'s DAG over
+//! those grains allows.
 
 pub mod aggregate;
 pub mod context;
@@ -43,9 +45,8 @@ pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
 pub use global::{run_physical_global, GlobalStats};
 pub use hash_table::{BuildPart, JoinHashTable};
 pub use operators::{
-    cmp_scalar_rows, expand_partition_grains, AccessLog, ChunkList, Morsels, Operator,
-    PartitionMerger, ResourceId, Resources, Sink, SinkFactory, SortKey, SortSink, SortSinkFactory,
-    Source,
+    cmp_scalar_rows, AccessLog, ChunkList, Morsels, Operator, PartitionMerger, ResourceId,
+    Resources, Sink, SinkFactory, SortKey, SortSink, SortSinkFactory, Source,
 };
 pub use pipeline::{
     BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, ScanProbe, SinkSpec, SourceSpec,

@@ -15,9 +15,7 @@
 //! constant-size fold, and the zero-row → one-row output contract needs a
 //! single finalize point.
 
-use super::{
-    downcast_sink, PartitionMerger, PartitionSlots, ResourceId, Resources, Sink, SinkFactory,
-};
+use super::{downcast_sink, PartitionMerger, PartitionSlots, Resources, Sink, SinkFactory};
 use crate::aggregate::{AggregateState, ChunkKeys};
 use crate::context::ExecContext;
 use crate::expr::AggExpr;
@@ -211,10 +209,6 @@ impl SinkFactory for AggregateFactory {
             parts,
             governed: ctx.governor.as_ref().map(|g| g.register(false)),
         }))
-    }
-
-    fn writes(&self) -> Vec<ResourceId> {
-        vec![ResourceId::Buffer(self.buf_id)]
     }
 
     fn partitioned_merge(&self, ctx: &ExecContext) -> bool {

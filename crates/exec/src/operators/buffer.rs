@@ -20,7 +20,7 @@ use super::create_bf::{
 };
 use super::{
     downcast_sink, lock_or_err, record_spill_stats, KeyHashes, PartitionMerger, PartitionSlots,
-    ResourceId, Resources, Sink, SinkFactory,
+    Resources, Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
@@ -194,12 +194,6 @@ impl SinkFactory for BufferSinkFactory {
             rows: 0,
             metrics: ctx.metrics.clone(),
         }))
-    }
-
-    fn writes(&self) -> Vec<ResourceId> {
-        let mut w = vec![ResourceId::Buffer(self.buf_id)];
-        w.extend(self.blooms.iter().map(|b| ResourceId::Filter(b.filter_id)));
-        w
     }
 
     fn partitioned_merge(&self, ctx: &ExecContext) -> bool {

@@ -18,8 +18,8 @@ use super::create_bf::{
     combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
 };
 use super::{
-    downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, ResourceId, Resources,
-    Sink, SinkFactory,
+    downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, Resources, Sink,
+    SinkFactory,
 };
 use crate::context::ExecContext;
 use crate::hash_table::{BuildPart, JoinHashTable};
@@ -191,12 +191,6 @@ impl SinkFactory for HashBuildFactory {
             governed: ctx.governor.as_ref().map(|g| g.register(false)),
             resident_bytes: 0,
         }))
-    }
-
-    fn writes(&self) -> Vec<ResourceId> {
-        let mut w = vec![ResourceId::HashTable(self.ht_id)];
-        w.extend(self.blooms.iter().map(|b| ResourceId::Filter(b.filter_id)));
-        w
     }
 
     fn partitioned_merge(&self, ctx: &ExecContext) -> bool {

@@ -1,6 +1,6 @@
 //! Hash-join probe: one output row per match, appending build-side columns.
 
-use super::{Operator, ResourceId, Resources};
+use super::{Operator, Resources};
 use crate::context::ExecContext;
 use rpt_common::{DataChunk, Result, Vector};
 
@@ -49,9 +49,5 @@ impl Operator for JoinProbe {
                 .map(|&c| build[c].take(&build_rows)),
         );
         Ok(Some(DataChunk::new(cols)))
-    }
-
-    fn reads(&self) -> Vec<ResourceId> {
-        vec![ResourceId::HashTable(self.ht_id)]
     }
 }

@@ -1,11 +1,10 @@
 //! The physical operator layer: `Source` / `Operator` / `Sink` traits and
 //! one implementation per physical operator.
 //!
-//! This is the trait-object IR the executor actually runs. The enum specs
-//! in [`crate::pipeline`] (`SourceSpec`/`OpSpec`/`SinkSpec`) survive as a
-//! thin, declarative compat layer that *lowers* onto these traits; new
-//! operators can be added by implementing a trait without touching the
-//! enums or the executor loop.
+//! The plan is the enum specs in [`crate::pipeline`]
+//! (`SourceSpec`/`OpSpec`/`SinkSpec`): what a pipeline reads and writes is
+//! read off them. Only the executor lowers a spec onto these traits, once
+//! per pipeline, to run it; the traits carry behaviour, not dependencies.
 //!
 //! Execution model (unchanged from §4.1 of the paper's DuckDB substrate):
 //! a pipeline pulls morsels from its [`Source`], pushes them through a
@@ -48,47 +47,23 @@ use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Identifier of a cross-pipeline resource: what a pipeline reads or
-/// writes. The planner's `PhysicalPlan` records these per pipeline and the
-/// scheduler derives the execution DAG from them.
+/// Identifier of a cross-pipeline resource grain: what a pipeline reads
+/// or writes ([`crate::pipeline::PipelinePlan::deps`]); the scheduler
+/// derives the execution DAG from these.
 ///
-/// Buffers exist at two granularities. `Buffer(id)` names the whole
-/// buffer; `BufferPart(id, p)` names one hash partition of it — the grain
-/// the *global* scheduler tracks, so a consumer's tasks for partition `p`
-/// become runnable the moment the producer's merge task seals `p`, while
-/// the producer is still merging its other partitions.
-/// [`expand_partition_grains`] rewrites whole-buffer ids into their
-/// partition grains; the planner records the expanded form in the
-/// `PhysicalPlan` IR.
+/// A buffer is only ever named by its hash partitions: `BufferPart(id, p)`
+/// is the grain the scheduler tracks, so a consumer's tasks for partition
+/// `p` become runnable the moment the producer's merge task seals `p`,
+/// while the producer is still merging its other partitions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ResourceId {
-    /// A materialized chunk buffer (`CreateBF` output, collect sinks, …).
-    Buffer(usize),
-    /// One sealed hash partition of a buffer (partition-granular grain).
+    /// One sealed hash partition of a materialized chunk buffer (`CreateBF`
+    /// output, collect, aggregate and sort sinks).
     BufferPart(usize, usize),
     /// A Bloom filter built by a CreateBF / BloomJoin build sink.
     Filter(usize),
     /// A join hash table.
     HashTable(usize),
-}
-
-/// Rewrite whole-buffer resource ids into per-partition grains:
-/// `Buffer(b)` becomes `BufferPart(b, 0..partitions)`; everything else
-/// (and already-granular ids) passes through. Idempotent, sorted, deduped.
-pub fn expand_partition_grains(ids: &[ResourceId], partitions: usize) -> Vec<ResourceId> {
-    let partitions = partitions.max(1);
-    let mut out = Vec::with_capacity(ids.len());
-    for &id in ids {
-        match id {
-            ResourceId::Buffer(b) => {
-                out.extend((0..partitions).map(|p| ResourceId::BufferPart(b, p)))
-            }
-            other => out.push(other),
-        }
-    }
-    out.sort_unstable();
-    out.dedup();
-    out
 }
 
 /// Chunks are stored and handed to consumers behind per-chunk `Arc`s so
@@ -118,9 +93,9 @@ impl BufferSlot {
 /// Shadow log of resource accesses actually performed during execution,
 /// kept at partition grain (whole-buffer reads expand to every partition
 /// grain). Enabled only in verify mode; after the run the observed sets
-/// are reconciled against the plan's *declared* `NodeDeps` — any observed
-/// access missing from the declaration means the scheduler could have
-/// raced it.
+/// are reconciled against the deps derived from the plan's specs — any
+/// observed access missing from them means the scheduler could have raced
+/// it.
 #[derive(Debug, Default)]
 pub struct AccessLog {
     reads: Mutex<BTreeSet<ResourceId>>,
@@ -367,11 +342,6 @@ pub trait Source: Send + Sync {
     /// `storage_encoding`) and the metrics sink for scan-side counters.
     fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>>;
 
-    /// Resources this source depends on.
-    fn reads(&self) -> Vec<ResourceId> {
-        Vec::new()
-    }
-
     /// The buffer this source can read partition-by-partition, if any.
     /// Sources reporting `Some(buf)` let the global scheduler start the
     /// pipeline's morsels for partition `p` as soon as the producer seals
@@ -415,11 +385,6 @@ pub trait Operator: Send + Sync {
         ctx: &ExecContext,
         res: &Resources,
     ) -> Result<Option<DataChunk>>;
-
-    /// Resources this operator probes.
-    fn reads(&self) -> Vec<ResourceId> {
-        Vec::new()
-    }
 }
 
 /// Per-thread sink state (`Sink` / `Combine` / `Finalize`).
@@ -440,15 +405,11 @@ pub trait Sink: Send + Any {
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// Builds one [`Sink`] per worker thread and declares what the pipeline
-/// publishes. All four materializing sinks (buffer/CreateBF, hash build,
+/// Builds one [`Sink`] per worker thread. All four materializing sinks (buffer/CreateBF, hash build,
 /// aggregate, sort) opt into the partitioned merge path when
 /// `ctx.partition_count > 1`.
 pub trait SinkFactory: Send + Sync {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>>;
-
-    /// Resources the sink publishes in `finalize`.
-    fn writes(&self) -> Vec<ResourceId>;
 
     /// Does this sink write hash-partitioned runs that the driver should
     /// merge per-partition in parallel via a [`PartitionMerger`]? When

@@ -8,7 +8,7 @@
 //! [`probe_selection`]; the scan hands it encoded key blocks to hash in
 //! place, the operator decoded key columns.
 
-use super::{Operator, ResourceId, Resources};
+use super::{Operator, Resources};
 use crate::context::{ExecContext, Metrics};
 use rpt_bloom::BloomFilter;
 use rpt_common::hash::hash_column_into;
@@ -115,10 +115,6 @@ impl Operator for ProbeBloom {
         );
         chunk.set_selection(keep);
         Ok(Some(chunk))
-    }
-
-    fn reads(&self) -> Vec<ResourceId> {
-        vec![ResourceId::Filter(self.filter_id)]
     }
 }
 

@@ -4,7 +4,7 @@
 //! re-scans.
 
 use super::probe_bloom::{probe_selection, ProbeKey};
-use super::{ChunkList, Morsels, ResourceId, Resources, Source};
+use super::{ChunkList, Morsels, Resources, Source};
 use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
 use rpt_bloom::BloomFilter;
@@ -48,8 +48,8 @@ pub struct ScanProbe {
 /// fused in.
 ///
 /// Opening resolves every probe's filter (published before the scan may
-/// open — they are in `reads()`) and, from the filters' tracked key
-/// ranges, prunes blocks by zone map; nothing is decoded. Each morsel then
+/// open — they are in its pipeline's reads) and, from the filters' tracked
+/// key ranges, prunes blocks by zone map; nothing is decoded. Each morsel then
 /// runs its *selection phase* — decode the predicate's columns and evaluate
 /// it to a selection; for each probe in plan order hash the key columns
 /// through the selection (a predicate column from its decoded vector, any
@@ -78,12 +78,6 @@ pub struct TableScan {
 }
 
 impl TableScan {
-    /// Every column of every row.
-    pub fn new(table: Arc<Table>) -> TableScan {
-        let output = (0..table.num_columns()).collect();
-        TableScan::fused(table, None, output, Vec::new())
-    }
-
     /// The rows passing `filter` (over base-table column indices) and every
     /// filter of `probes`, projected to `output`.
     pub fn fused(
@@ -226,17 +220,6 @@ impl Source for TableScan {
             layout: Layout::Blocks { enc, blocks },
             filters,
         }))
-    }
-
-    fn reads(&self) -> Vec<ResourceId> {
-        let mut ids: Vec<ResourceId> = self
-            .probes
-            .iter()
-            .map(|p| ResourceId::Filter(p.filter_id))
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
     }
 }
 
@@ -413,10 +396,6 @@ impl Morsels for BufferMorsels {
 impl Source for BufferScan {
     fn open<'a>(&'a self, _ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
         Ok(Box::new(BufferMorsels(res.buffer(self.buf_id)?)))
-    }
-
-    fn reads(&self) -> Vec<ResourceId> {
-        vec![ResourceId::Buffer(self.buf_id)]
     }
 
     /// Buffer partitions seal independently, so the global scheduler can

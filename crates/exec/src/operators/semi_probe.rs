@@ -1,7 +1,7 @@
 //! Exact semi-join probe (Yannakakis reducer): keep rows with ≥1 match,
 //! without duplication.
 
-use super::{Operator, ResourceId, Resources};
+use super::{Operator, Resources};
 use crate::context::ExecContext;
 use rpt_common::{DataChunk, Result};
 
@@ -27,9 +27,5 @@ impl Operator for SemiProbe {
         let keep = ht.semi_probe(&chunk, &self.key_cols);
         chunk.refine_selection(&keep);
         Ok(Some(chunk))
-    }
-
-    fn reads(&self) -> Vec<ResourceId> {
-        vec![ResourceId::HashTable(self.ht_id)]
     }
 }

@@ -39,8 +39,8 @@
 //! boundary test and the loser tree all compare these words.
 
 use super::{
-    downcast_sink, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, ResourceId,
-    Resources, Sink, SinkFactory,
+    downcast_sink, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, Resources,
+    Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::chunk::chunk_ranges;
@@ -678,10 +678,6 @@ impl SinkFactory for SortSinkFactory {
             rows: 0,
             metrics: ctx.metrics.clone(),
         }))
-    }
-
-    fn writes(&self) -> Vec<ResourceId> {
-        vec![ResourceId::Buffer(self.buf_id)]
     }
 
     fn partitioned_merge(&self, ctx: &ExecContext) -> bool {

@@ -6,19 +6,20 @@
 //! (a pipeline breaker). The RPT integration (§4.2, §4.3, Figure 5) adds
 //! the CreateBF sink and the ProbeBF streaming operator.
 //!
-//! The enums here ([`SourceSpec`], [`OpSpec`], [`SinkSpec`]) are a thin
-//! declarative layer: [`PipelinePlan::lower`] turns a spec into a
-//! [`PhysicalPipeline`] of trait objects from [`crate::operators`], which
-//! is what [`crate::global`] executes. Execution is morsel-driven: workers
-//! claim source chunks from an atomic counter, maintain thread-local sink
-//! state (`Sink`), and merge (`Combine`) and publish (`Finalize`) as tasks
-//! of the same pool. Pipelines are ordered by the resources they read and
-//! write ([`crate::scheduler`]).
+//! The enums here ([`SourceSpec`], [`OpSpec`], [`SinkSpec`]) are the plan
+//! IR: the planner emits them, `rpt-analyze` verifies them, and
+//! [`PipelinePlan::deps`] reads each pipeline's read/write grains straight
+//! off them — the only order the scheduler ([`crate::scheduler`]) has to
+//! respect. Only [`Executor::run_dag`] lowers them, once per pipeline, into
+//! a [`PhysicalPipeline`] of trait objects from [`crate::operators`] for
+//! [`crate::global`] to execute. Execution is morsel-driven: workers claim
+//! source chunks from an atomic counter, maintain thread-local sink state
+//! (`Sink`), and merge (`Combine`) and publish (`Finalize`) as tasks of the
+//! same pool.
 
 use crate::context::ExecContext;
 use crate::expr::{AggExpr, Expr};
 use crate::hash_table::JoinHashTable;
-use crate::operators::expand_partition_grains;
 use crate::operators::{
     aggregate::AggregateFactory, buffer::BufferSinkFactory, hash_build::HashBuildFactory,
     BufferScan, Filter, JoinProbe, Operator, ProbeBloom, Project, ResourceId, Resources, SemiProbe,
@@ -26,7 +27,7 @@ use crate::operators::{
 };
 use crate::scheduler::NodeDeps;
 use rpt_bloom::BloomFilter;
-use rpt_common::{DataChunk, DataType, Result, Schema};
+use rpt_common::{DataChunk, DataType, Error, Result, Schema};
 use rpt_storage::Table;
 use std::sync::Arc;
 
@@ -36,8 +37,6 @@ pub use crate::operators::scan::ScanProbe;
 /// Where a pipeline reads its chunks from.
 #[derive(Clone)]
 pub enum SourceSpec {
-    /// Scan every column of every row of an in-memory table.
-    Table(Arc<Table>),
     /// The fused base-relation scan: the relation's pushed-down predicate,
     /// its transferred Bloom filters and its projection run inside the scan
     /// morsel, selection first (see [`TableScan`]).
@@ -57,10 +56,20 @@ pub enum SourceSpec {
 }
 
 impl SourceSpec {
+    /// Every column of every row of `table`: a scan with no predicate and
+    /// no probes.
+    pub fn full_scan(table: Arc<Table>) -> SourceSpec {
+        SourceSpec::Scan {
+            columns: (0..table.num_columns()).collect(),
+            table,
+            filter: None,
+            probes: Vec::new(),
+        }
+    }
+
     /// Lower onto the operator trait layer.
     pub fn lower(&self) -> Box<dyn Source> {
         match self {
-            SourceSpec::Table(t) => Box::new(TableScan::new(t.clone())),
             SourceSpec::Scan {
                 table,
                 filter,
@@ -255,7 +264,6 @@ impl PipelinePlan {
         let parts = |b: usize| (0..partitions.max(1)).map(move |p| ResourceId::BufferPart(b, p));
         let mut reads = Vec::new();
         match &self.source {
-            SourceSpec::Table(_) => {}
             SourceSpec::Scan { probes, .. } => {
                 reads.extend(probes.iter().map(|p| ResourceId::Filter(p.filter_id)))
             }
@@ -286,17 +294,6 @@ impl PipelinePlan {
         }
         NodeDeps { reads, writes }
     }
-
-    /// Read/write resource sets, derived from one lowering of the
-    /// operator layer. Use this (not separate `reads`/`writes` calls) so
-    /// the spec is lowered only once per dependency query.
-    pub fn node_deps(&self) -> crate::scheduler::NodeDeps {
-        let phys = self.lower();
-        crate::scheduler::NodeDeps {
-            reads: phys.reads(),
-            writes: phys.writes(),
-        }
-    }
 }
 
 /// A lowered pipeline: trait objects ready for the driver.
@@ -306,24 +303,6 @@ pub struct PhysicalPipeline {
     pub ops: Vec<Box<dyn Operator>>,
     pub sink: Box<dyn SinkFactory>,
     pub intermediate: bool,
-}
-
-impl PhysicalPipeline {
-    /// Resources read by the source and the streaming operators.
-    pub fn reads(&self) -> Vec<ResourceId> {
-        let mut r = self.source.reads();
-        for op in &self.ops {
-            r.extend(op.reads());
-        }
-        r.sort_unstable();
-        r.dedup();
-        r
-    }
-
-    /// Resources published by the sink.
-    pub fn writes(&self) -> Vec<ResourceId> {
-        self.sink.writes()
-    }
 }
 
 /// Count a chunk a source just produced towards `Metrics::source_chunks`.
@@ -381,15 +360,14 @@ pub(crate) fn combine_finalize(
     res: &Resources,
 ) -> Result<()> {
     let mut iter = states.into_iter();
-    let mut merged = iter.next().expect("at least one sink state");
+    let mut merged = iter
+        .next()
+        .ok_or_else(|| Error::Exec("pipeline finished without a sink state".into()))?;
     for s in iter {
         merged.combine(s)?;
     }
     merged.finalize(res)
 }
-
-/// Pipelines whose spec-derived deps were compared with the lowering's.
-pub static DEPS_COMPARED: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
 
 /// Executor state shared across a query's pipelines: the execution context
 /// plus the write-once resource slots.
@@ -425,43 +403,13 @@ impl Executor {
 
     /// Execute pipelines as a dependency DAG on the `ctx.workers` pool:
     /// pipelines whose read sets don't overlap other pipelines' write sets
-    /// run concurrently. Derives the read/write sets from the pipelines and
-    /// delegates to [`Executor::run_dag_with_deps`].
+    /// run concurrently. Each pipeline's deps come from its specs at the
+    /// resources' partition count; each pipeline is lowered once, here.
     pub fn run_dag(&mut self, pipelines: &[PipelinePlan]) -> Result<crate::global::GlobalStats> {
-        let deps: Vec<crate::scheduler::NodeDeps> =
-            pipelines.iter().map(PipelinePlan::node_deps).collect();
-        self.run_dag_with_deps(pipelines, &deps)
-    }
-
-    /// [`Executor::run_dag`] with caller-supplied read/write sets (the
-    /// planner's `PhysicalPlan` records them at compile time).
-    pub fn run_dag_with_deps(
-        &mut self,
-        pipelines: &[PipelinePlan],
-        deps: &[crate::scheduler::NodeDeps],
-    ) -> Result<crate::global::GlobalStats> {
-        debug_assert_eq!(pipelines.len(), deps.len());
-        let pc = self.res.partitions();
-        for (p, d) in pipelines.iter().zip(deps) {
-            assert_eq!(
-                &p.deps(pc),
-                &NodeDeps {
-                    reads: expand_partition_grains(&d.reads, pc),
-                    writes: expand_partition_grains(&d.writes, pc),
-                },
-                "spec-derived deps diverge from the recorded ones for {}",
-                p.label
-            );
-            assert_eq!(
-                p.deps(pc),
-                p.node_deps().expand_partitions(pc),
-                "spec-derived deps diverge from the lowering for {}",
-                p.label
-            );
-            DEPS_COMPARED.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        }
+        let partitions = self.res.partitions();
+        let deps: Vec<NodeDeps> = pipelines.iter().map(|p| p.deps(partitions)).collect();
         let phys: Vec<PhysicalPipeline> = pipelines.iter().map(PipelinePlan::lower).collect();
-        let stats = crate::global::run_physical_global(&phys, deps, &self.ctx, &self.res)?;
+        let stats = crate::global::run_physical_global(&phys, &deps, &self.ctx, &self.res)?;
         self.ctx.metrics.record_scheduler(&stats);
         Ok(stats)
     }
@@ -538,12 +486,133 @@ mod tests {
         ])
     }
 
+    /// `PipelinePlan::deps` over every source, operator and sink variant:
+    /// exact, sorted grains, with buffers named by their partitions only.
+    #[test]
+    fn deps_are_read_off_every_spec_variant() {
+        use ResourceId::{BufferPart, Filter, HashTable};
+        let t = table("t", vec![1, 2], vec![3, 4]);
+        let bloom = |filter_id| BloomSink {
+            filter_id,
+            key_cols: vec![0],
+            expected_keys: 2,
+            fpr: 0.02,
+        };
+        let pipeline = |source, ops, sink| PipelinePlan {
+            label: "p".into(),
+            source,
+            ops,
+            sink,
+            intermediate: true,
+            sink_schema: two_col_schema(),
+        };
+        let cases = [
+            // A fused scan whose two probes share filter 3 reads it once;
+            // a CreateBF sink writes its buffer and both filters.
+            pipeline(
+                SourceSpec::Scan {
+                    table: t.clone(),
+                    filter: Some(Expr::cmp(
+                        CmpOp::Gt,
+                        Expr::col(1),
+                        Expr::lit(ScalarValue::Int64(0)),
+                    )),
+                    columns: vec![0, 1],
+                    probes: vec![
+                        ScanProbe {
+                            filter_id: 3,
+                            key_cols: vec![0],
+                        },
+                        ScanProbe {
+                            filter_id: 3,
+                            key_cols: vec![1],
+                        },
+                    ],
+                },
+                vec![OpSpec::Filter(Expr::col(0)), OpSpec::Project(vec![])],
+                SinkSpec::Buffer {
+                    buf_id: 2,
+                    blooms: vec![bloom(1), bloom(0)],
+                },
+            ),
+            // A buffer source under every probing operator, into a hash
+            // build that also builds a filter (BloomJoin).
+            pipeline(
+                SourceSpec::Buffer(0),
+                vec![
+                    OpSpec::ProbeBloom {
+                        filter_id: 2,
+                        key_cols: vec![0],
+                    },
+                    OpSpec::JoinProbe {
+                        ht_id: 1,
+                        key_cols: vec![0],
+                        build_output_cols: vec![1],
+                    },
+                    OpSpec::SemiProbe {
+                        ht_id: 0,
+                        key_cols: vec![0],
+                    },
+                ],
+                SinkSpec::HashBuild {
+                    ht_id: 2,
+                    key_cols: vec![0],
+                    blooms: vec![bloom(4)],
+                },
+            ),
+            pipeline(
+                SourceSpec::full_scan(t),
+                vec![],
+                SinkSpec::Aggregate {
+                    buf_id: 5,
+                    group_cols: vec![0],
+                    aggs: vec![AggExpr::count_star("c")],
+                    input_types: vec![DataType::Int64, DataType::Int64],
+                    output_schema: two_col_schema(),
+                    key_dicts: vec![],
+                },
+            ),
+            pipeline(
+                SourceSpec::Buffer(5),
+                vec![],
+                SinkSpec::Sort {
+                    buf_id: 6,
+                    keys: vec![],
+                    limit: Some(1),
+                    offset: 0,
+                },
+            ),
+        ];
+        for pc in [1, 4] {
+            let parts = |b| (0..pc).map(move |p| BufferPart(b, p));
+            let want = [
+                (
+                    vec![Filter(3)],
+                    [parts(2).collect(), vec![Filter(0), Filter(1)]].concat(),
+                ),
+                (
+                    [
+                        parts(0).collect(),
+                        vec![Filter(2), HashTable(0), HashTable(1)],
+                    ]
+                    .concat(),
+                    vec![Filter(4), HashTable(2)],
+                ),
+                (vec![], parts(5).collect()),
+                (parts(5).collect(), parts(6).collect()),
+            ];
+            for (p, (reads, writes)) in cases.iter().zip(want) {
+                assert_eq!(p.deps(pc), NodeDeps { reads, writes }, "pc={pc}");
+            }
+        }
+    }
+
     #[test]
     fn scan_filter_collect() {
         let t = table("t", (0..10).collect(), (0..10).map(|x| x * 2).collect());
         let mut exec = Executor::new(ExecContext::new(), 1, 0, 0);
         let p = collect_pipeline(
-            SourceSpec::Table(t),
+            SourceSpec::full_scan(t),
             vec![OpSpec::Filter(Expr::cmp(
                 CmpOp::Gt,
                 Expr::col(0),
@@ -565,7 +634,7 @@ mod tests {
         let mut exec = Executor::new(ExecContext::new(), 1, 0, 1);
         let p1 = PipelinePlan {
             label: "build".into(),
-            source: SourceSpec::Table(build),
+            source: SourceSpec::full_scan(build),
             ops: vec![],
             sink: SinkSpec::HashBuild {
                 ht_id: 0,
@@ -576,7 +645,7 @@ mod tests {
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
-            SourceSpec::Table(probe),
+            SourceSpec::full_scan(probe),
             vec![OpSpec::JoinProbe {
                 ht_id: 0,
                 key_cols: vec![0],
@@ -618,7 +687,7 @@ mod tests {
         // Pipeline 1: CreateBF over `small` on id.
         let p1 = PipelinePlan {
             label: "createbf s".into(),
-            source: SourceSpec::Table(small),
+            source: SourceSpec::full_scan(small),
             ops: vec![],
             sink: SinkSpec::Buffer {
                 buf_id: 0,
@@ -634,7 +703,7 @@ mod tests {
         };
         // Pipeline 2: scan big, ProbeBF, collect.
         let p2 = collect_pipeline(
-            SourceSpec::Table(big),
+            SourceSpec::full_scan(big),
             vec![OpSpec::ProbeBloom {
                 filter_id: 0,
                 key_cols: vec![0],
@@ -659,7 +728,7 @@ mod tests {
         let mut exec = Executor::new(ExecContext::new(), 1, 0, 0);
         let p = PipelinePlan {
             label: "agg".into(),
-            source: SourceSpec::Table(t),
+            source: SourceSpec::full_scan(t),
             ops: vec![],
             sink: SinkSpec::Aggregate {
                 buf_id: 0,
@@ -712,7 +781,7 @@ mod tests {
             let mut exec = Executor::new(ctx, 1, 0, 0);
             let p = PipelinePlan {
                 label: "agg".into(),
-                source: SourceSpec::Table(t),
+                source: SourceSpec::full_scan(t),
                 ops: vec![],
                 sink: SinkSpec::Aggregate {
                     buf_id: 0,
@@ -793,7 +862,7 @@ mod tests {
             let mut exec = Executor::new(ExecContext::new().with_threads(threads), 1, 0, 0);
             let p = PipelinePlan {
                 label: "agg".into(),
-                source: SourceSpec::Table(t),
+                source: SourceSpec::full_scan(t),
                 ops: vec![OpSpec::Filter(Expr::cmp(
                     CmpOp::Lt,
                     Expr::col(0),
@@ -836,7 +905,7 @@ mod tests {
             let mut exec = Executor::new(ctx, 1, 0, 1);
             let p1 = PipelinePlan {
                 label: "build".into(),
-                source: SourceSpec::Table(build),
+                source: SourceSpec::full_scan(build),
                 ops: vec![],
                 sink: SinkSpec::HashBuild {
                     ht_id: 0,
@@ -847,7 +916,7 @@ mod tests {
                 sink_schema: two_col_schema(),
             };
             let p2 = collect_pipeline(
-                SourceSpec::Table(probe),
+                SourceSpec::full_scan(probe),
                 vec![OpSpec::JoinProbe {
                     ht_id: 0,
                     key_cols: vec![0],
@@ -907,7 +976,7 @@ mod tests {
         let mut exec = Executor::new(ctx, 1, 0, 1);
         let p1 = PipelinePlan {
             label: "build".into(),
-            source: SourceSpec::Table(build),
+            source: SourceSpec::full_scan(build),
             ops: vec![],
             sink: SinkSpec::HashBuild {
                 ht_id: 0,
@@ -918,7 +987,7 @@ mod tests {
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
-            SourceSpec::Table(probe),
+            SourceSpec::full_scan(probe),
             vec![OpSpec::JoinProbe {
                 ht_id: 0,
                 key_cols: vec![0],
@@ -942,7 +1011,7 @@ mod tests {
         let mut exec = Executor::new(ExecContext::new(), 1, 0, 1);
         let p1 = PipelinePlan {
             label: "build".into(),
-            source: SourceSpec::Table(source),
+            source: SourceSpec::full_scan(source),
             ops: vec![],
             sink: SinkSpec::HashBuild {
                 ht_id: 0,
@@ -953,7 +1022,7 @@ mod tests {
             sink_schema: two_col_schema(),
         };
         let p2 = collect_pipeline(
-            SourceSpec::Table(target),
+            SourceSpec::full_scan(target),
             vec![OpSpec::SemiProbe {
                 ht_id: 0,
                 key_cols: vec![0],
@@ -969,7 +1038,7 @@ mod tests {
     fn buffer_as_source_chains_pipelines() {
         let t = table("t", (0..10).collect(), (0..10).collect());
         let mut exec = Executor::new(ExecContext::new(), 2, 0, 0);
-        let p1 = collect_pipeline(SourceSpec::Table(t), vec![], 0, two_col_schema());
+        let p1 = collect_pipeline(SourceSpec::full_scan(t), vec![], 0, two_col_schema());
         let p2 = collect_pipeline(
             SourceSpec::Buffer(0),
             vec![OpSpec::Filter(Expr::cmp(
@@ -990,7 +1059,7 @@ mod tests {
         let t = table("t", (0..5000).collect(), (0..5000).collect());
         let ctx = ExecContext::new().with_spill(Some(1024), &dir); // tiny cap
         let mut exec = Executor::new(ctx, 1, 0, 0);
-        let p = collect_pipeline(SourceSpec::Table(t), vec![], 0, two_col_schema());
+        let p = collect_pipeline(SourceSpec::full_scan(t), vec![], 0, two_col_schema());
         exec.run_dag(&[p]).unwrap();
         assert_eq!(exec.buffer_rows(0), 5000);
         std::fs::remove_dir_all(&dir).ok();
@@ -1001,7 +1070,7 @@ mod tests {
         let t = table("t", vec![1, 2], vec![10, 20]);
         let mut exec = Executor::new(ExecContext::new(), 1, 0, 0);
         let p = collect_pipeline(
-            SourceSpec::Table(t),
+            SourceSpec::full_scan(t),
             vec![OpSpec::Project(vec![Expr::Arith {
                 op: crate::expr::ArithOp::Add,
                 left: Box::new(Expr::col(0)),

@@ -1,41 +1,31 @@
 //! The pipeline dependency DAG.
 //!
-//! Each pipeline reads and writes [`ResourceId`]s (buffers, Bloom filters,
-//! hash tables); those sets define the only order execution has to respect
-//! — e.g. the per-relation CreateBF builds of the forward transfer pass
-//! (§4.2) touch disjoint buffers and filters, so nothing orders them
-//! relative to each other. The planner records a [`NodeDeps`] per pipeline,
-//! `rpt-analyze` verifies them, and the executor ([`crate::global`]) rejects
-//! a cyclic record up front and gates every task on the grains it reads.
+//! Each pipeline reads and writes [`ResourceId`] grains (buffer partitions,
+//! Bloom filters, hash tables); those sets define the only order execution
+//! has to respect — e.g. the per-relation CreateBF builds of the forward
+//! transfer pass (§4.2) touch disjoint buffers and filters, so nothing
+//! orders them relative to each other. [`PipelinePlan::deps`] derives a
+//! [`NodeDeps`] per pipeline from its specs; `rpt-analyze` judges those sets
+//! with [`build_dag`] and [`stuck_nodes`], and the executor
+//! ([`crate::global`]) rejects a cyclic plan up front with the same two
+//! functions and gates every task on the grains it reads.
+//!
+//! [`PipelinePlan::deps`]: crate::pipeline::PipelinePlan::deps
 
 use crate::operators::ResourceId;
 use rpt_common::{Error, Result};
 use std::collections::HashMap;
 
-/// Read/write sets of one schedulable node.
+/// Read/write grain sets of one schedulable node.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct NodeDeps {
     pub reads: Vec<ResourceId>,
     pub writes: Vec<ResourceId>,
 }
 
-impl NodeDeps {
-    /// Partition-granular form: whole-buffer ids become one
-    /// `ResourceId::BufferPart` grain per hash partition (idempotent; see
-    /// [`crate::operators::expand_partition_grains`]). The planner records
-    /// this form in the `PhysicalPlan` IR so the executor can gate a
-    /// consumer's partition-`p` tasks on the producer sealing `p` alone.
-    pub fn expand_partitions(&self, partitions: usize) -> NodeDeps {
-        NodeDeps {
-            reads: crate::operators::expand_partition_grains(&self.reads, partitions),
-            writes: crate::operators::expand_partition_grains(&self.writes, partitions),
-        }
-    }
-}
-
 /// The dependency DAG in adjacency form: `edges[p]` lists the nodes that
 /// must wait for `p`; `indegree[c]` counts how many nodes `c` waits for.
-pub(crate) struct Dag {
+pub struct Dag {
     pub(crate) edges: Vec<Vec<usize>>,
     pub(crate) indegree: Vec<usize>,
 }
@@ -43,7 +33,7 @@ pub(crate) struct Dag {
 /// Build the DAG: node `c` depends on node `p` (p < runs-before > c) when
 /// `p` writes a resource `c` reads, or — defensively, the planner never
 /// emits this — when both write the same resource (ordered by index).
-pub(crate) fn build_dag(deps: &[NodeDeps]) -> Dag {
+pub fn build_dag(deps: &[NodeDeps]) -> Dag {
     let n = deps.len();
     let mut writer: HashMap<ResourceId, Vec<usize>> = HashMap::new();
     for (i, d) in deps.iter().enumerate() {
@@ -77,14 +67,14 @@ pub(crate) fn build_dag(deps: &[NodeDeps]) -> Dag {
     Dag { edges, indegree }
 }
 
-/// Kahn's algorithm; `Error::Plan` if the dependencies contain a cycle.
-pub(crate) fn check_acyclic(dag: &Dag) -> Result<()> {
+/// Kahn's algorithm: the nodes a dependency cycle keeps from ever running
+/// (the cycle's members and everything downstream of it), ascending; empty
+/// when the DAG is acyclic.
+pub fn stuck_nodes(dag: &Dag) -> Vec<usize> {
     let n = dag.indegree.len();
     let mut indegree = dag.indegree.clone();
     let mut stack: Vec<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
-    let mut seen = 0;
     while let Some(p) = stack.pop() {
-        seen += 1;
         for &c in &dag.edges[p] {
             indegree[c] -= 1;
             if indegree[c] == 0 {
@@ -92,13 +82,18 @@ pub(crate) fn check_acyclic(dag: &Dag) -> Result<()> {
             }
         }
     }
-    if seen != n {
-        let stuck: Vec<usize> = (0..n).filter(|&i| indegree[i] > 0).collect();
-        return Err(Error::Plan(format!(
-            "pipeline dependency cycle involving pipelines {stuck:?}"
-        )));
+    (0..n).filter(|&i| indegree[i] > 0).collect()
+}
+
+/// `Error::Plan` if the dependencies contain a cycle.
+pub(crate) fn check_acyclic(dag: &Dag) -> Result<()> {
+    let stuck = stuck_nodes(dag);
+    if stuck.is_empty() {
+        return Ok(());
     }
-    Ok(())
+    Err(Error::Plan(format!(
+        "pipeline dependency cycle involving pipelines {stuck:?}"
+    )))
 }
 
 #[cfg(test)]
@@ -109,7 +104,7 @@ mod tests {
         NodeDeps { reads, writes }
     }
 
-    use ResourceId::{Buffer, Filter, HashTable};
+    use ResourceId::{BufferPart, Filter, HashTable};
 
     /// Every read of a written resource becomes exactly one producer →
     /// consumer edge; an independent node has none.
@@ -117,11 +112,11 @@ mod tests {
     fn dependencies_respected() {
         // 0 → {1, 2} → 3 (a diamond), 4 independent.
         let deps = vec![
-            node(vec![], vec![Buffer(0)]),
-            node(vec![Buffer(0)], vec![Filter(0)]),
-            node(vec![Buffer(0)], vec![HashTable(0)]),
-            node(vec![Filter(0), HashTable(0)], vec![Buffer(1)]),
-            node(vec![], vec![Buffer(2)]),
+            node(vec![], vec![BufferPart(0, 0)]),
+            node(vec![BufferPart(0, 0)], vec![Filter(0)]),
+            node(vec![BufferPart(0, 0)], vec![HashTable(0)]),
+            node(vec![Filter(0), HashTable(0)], vec![BufferPart(1, 0)]),
+            node(vec![], vec![BufferPart(2, 0)]),
         ];
         let dag = build_dag(&deps);
         assert_eq!(
@@ -136,15 +131,15 @@ mod tests {
     #[test]
     fn cycle_is_plan_error() {
         let deps = vec![
-            node(vec![Buffer(1)], vec![Buffer(0)]),
-            node(vec![Buffer(0)], vec![Buffer(1)]),
+            node(vec![BufferPart(1, 0)], vec![BufferPart(0, 0)]),
+            node(vec![BufferPart(0, 0)], vec![BufferPart(1, 0)]),
         ];
         let err = check_acyclic(&build_dag(&deps)).unwrap_err();
         assert!(matches!(err, Error::Plan(_)), "got {err}");
         // Nodes reachable only through the cycle are reported too.
         let deps = vec![
-            node(vec![], vec![Buffer(9)]),
-            node(vec![Buffer(9), Filter(0)], vec![HashTable(0)]),
+            node(vec![], vec![BufferPart(9, 0)]),
+            node(vec![BufferPart(9, 0), Filter(0)], vec![HashTable(0)]),
             node(vec![HashTable(0)], vec![Filter(0)]),
         ];
         let err = check_acyclic(&build_dag(&deps)).unwrap_err();
@@ -156,9 +151,9 @@ mod tests {
     #[test]
     fn write_write_serialized() {
         let deps = vec![
-            node(vec![], vec![Buffer(0)]),
-            node(vec![], vec![Buffer(0)]),
-            node(vec![Buffer(0)], vec![Buffer(1)]),
+            node(vec![], vec![BufferPart(0, 0)]),
+            node(vec![], vec![BufferPart(0, 0)]),
+            node(vec![BufferPart(0, 0)], vec![BufferPart(1, 0)]),
         ];
         let dag = build_dag(&deps);
         assert!(dag.edges[0].contains(&1));

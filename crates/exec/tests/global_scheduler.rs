@@ -43,6 +43,13 @@ fn two_col_schema() -> Schema {
     ])
 }
 
+/// Every partition grain of buffer `buf` at `partitions` partitions.
+fn parts(buf: usize, partitions: usize) -> Vec<ResourceId> {
+    (0..partitions)
+        .map(|p| ResourceId::BufferPart(buf, p))
+        .collect()
+}
+
 fn collect_pipeline(src: SourceSpec, ops: Vec<OpSpec>, buf_id: usize) -> PipelinePlan {
     PipelinePlan {
         label: format!("collect{buf_id}"),
@@ -67,7 +74,7 @@ fn chained_buffers_execute_in_dependency_order() {
             .with_workers(workers)
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 3, 0, 0);
-        let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
+        let p0 = collect_pipeline(SourceSpec::full_scan(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
         let p2 = collect_pipeline(SourceSpec::Buffer(1), vec![], 2);
         exec.run_dag(&[p0, p1, p2]).unwrap();
@@ -95,7 +102,7 @@ fn probe_waits_for_hash_table_readiness() {
     let mut exec = Executor::new(ctx, 1, 0, 1);
     let p_build = PipelinePlan {
         label: "build".into(),
-        source: SourceSpec::Table(build),
+        source: SourceSpec::full_scan(build),
         ops: vec![],
         sink: SinkSpec::HashBuild {
             ht_id: 0,
@@ -108,7 +115,7 @@ fn probe_waits_for_hash_table_readiness() {
     // List the probe pipeline FIRST: only dependency readiness (not plan
     // order) can sequence it after the build.
     let p_probe = collect_pipeline(
-        SourceSpec::Table(probe),
+        SourceSpec::full_scan(probe),
         vec![OpSpec::JoinProbe {
             ht_id: 0,
             key_cols: vec![0],
@@ -129,17 +136,17 @@ fn global_scheduler_rejects_cycles() {
     let ctx = ExecContext::new().with_workers(2).with_partitions(2);
     let res = Resources::with_partitions(2, 0, 0, 2);
     let phys: Vec<PhysicalPipeline> = vec![
-        collect_pipeline(SourceSpec::Table(t.clone()), vec![], 0).lower(),
-        collect_pipeline(SourceSpec::Table(t), vec![], 1).lower(),
+        collect_pipeline(SourceSpec::full_scan(t.clone()), vec![], 0).lower(),
+        collect_pipeline(SourceSpec::full_scan(t), vec![], 1).lower(),
     ];
     let deps = vec![
         NodeDeps {
-            reads: vec![ResourceId::Buffer(1)],
-            writes: vec![ResourceId::Buffer(0)],
+            reads: parts(1, 2),
+            writes: parts(0, 2),
         },
         NodeDeps {
-            reads: vec![ResourceId::Buffer(0)],
-            writes: vec![ResourceId::Buffer(1)],
+            reads: parts(0, 2),
+            writes: parts(1, 2),
         },
     ];
     let err = run_physical_global(&phys, &deps, &ctx, &res).unwrap_err();
@@ -155,12 +162,12 @@ fn global_scheduler_rejects_deps_length_mismatch() {
     let ctx = ExecContext::new().with_workers(2).with_partitions(2);
     let res = Resources::with_partitions(2, 0, 0, 2);
     let phys: Vec<PhysicalPipeline> = vec![
-        collect_pipeline(SourceSpec::Table(t.clone()), vec![], 0).lower(),
-        collect_pipeline(SourceSpec::Table(t), vec![], 1).lower(),
+        collect_pipeline(SourceSpec::full_scan(t.clone()), vec![], 0).lower(),
+        collect_pipeline(SourceSpec::full_scan(t), vec![], 1).lower(),
     ];
     let dep = |buf| NodeDeps {
         reads: vec![],
-        writes: vec![ResourceId::Buffer(buf)],
+        writes: parts(buf, 2),
     };
     for deps in [vec![dep(0)], vec![dep(0), dep(1), dep(2)]] {
         let err = run_physical_global(&phys, &deps, &ctx, &res).unwrap_err();
@@ -179,7 +186,7 @@ fn task_error_propagates_and_halts() {
     let t = table("t", (0..100).collect(), (0..100).collect());
     let ctx = ExecContext::new().with_workers(2).with_budget(10); // first morsel blows the budget
     let mut exec = Executor::new(ctx, 2, 0, 0);
-    let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
+    let p0 = collect_pipeline(SourceSpec::full_scan(t), vec![], 0);
     let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
     let err = exec.run_dag(&[p0, p1]).unwrap_err();
     assert!(err.is_budget(), "expected budget abort, got {err}");
@@ -275,10 +282,6 @@ impl SinkFactory for RendezvousFactory {
         Ok(Box::new(NullSink { rows: 0 }))
     }
 
-    fn writes(&self) -> Vec<ResourceId> {
-        vec![ResourceId::Buffer(self.buf_id)]
-    }
-
     fn partitioned_merge(&self, _ctx: &ExecContext) -> bool {
         true
     }
@@ -324,7 +327,7 @@ fn consumer_partition_task_overlaps_producer_merge() {
 
     let producer = PhysicalPipeline {
         label: "producer".into(),
-        source: SourceSpec::Table(table("src", vec![1, 2, 3], vec![0, 0, 0])).lower(),
+        source: SourceSpec::full_scan(table("src", vec![1, 2, 3], vec![0, 0, 0])).lower(),
         ops: vec![],
         sink: Box::new(RendezvousFactory {
             buf_id: 0,
@@ -342,11 +345,11 @@ fn consumer_partition_task_overlaps_producer_merge() {
     let deps = vec![
         NodeDeps {
             reads: vec![],
-            writes: vec![ResourceId::Buffer(0)],
+            writes: parts(0, 2),
         },
         NodeDeps {
-            reads: vec![ResourceId::Buffer(0)],
-            writes: vec![ResourceId::Buffer(1)],
+            reads: parts(0, 2),
+            writes: parts(1, 2),
         },
     ];
 
@@ -381,10 +384,6 @@ struct GatedMerger {
 impl SinkFactory for GatedAggFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         self.inner.make(ctx)
-    }
-
-    fn writes(&self) -> Vec<ResourceId> {
-        self.inner.writes()
     }
 
     fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
@@ -471,7 +470,7 @@ fn aggregate_consumer_overlaps_group_merge() {
 
     let producer = PhysicalPipeline {
         label: "aggregate".into(),
-        source: SourceSpec::Table(table("src", keys.clone(), vec![0; n])).lower(),
+        source: SourceSpec::full_scan(table("src", keys.clone(), vec![0; n])).lower(),
         ops: vec![],
         sink: Box::new(GatedAggFactory {
             inner: AggregateFactory::new(
@@ -496,11 +495,11 @@ fn aggregate_consumer_overlaps_group_merge() {
     let deps = vec![
         NodeDeps {
             reads: vec![],
-            writes: vec![ResourceId::Buffer(0)],
+            writes: parts(0, 2),
         },
         NodeDeps {
-            reads: vec![ResourceId::Buffer(0)],
-            writes: vec![ResourceId::Buffer(1)],
+            reads: parts(0, 2),
+            writes: parts(1, 2),
         },
     ];
     let stats = run_physical_global(&[producer, consumer], &deps, &ctx, &res).unwrap();
@@ -523,7 +522,7 @@ fn join_pipelines() -> Vec<PipelinePlan> {
     let probe = table("p", (0..300).map(|i| i % 120).collect(), (0..300).collect());
     let p1 = PipelinePlan {
         label: "build".into(),
-        source: SourceSpec::Table(build),
+        source: SourceSpec::full_scan(build),
         ops: vec![],
         sink: SinkSpec::HashBuild {
             ht_id: 0,
@@ -535,7 +534,7 @@ fn join_pipelines() -> Vec<PipelinePlan> {
     };
     let p2 = PipelinePlan {
         label: "probe".into(),
-        source: SourceSpec::Table(probe),
+        source: SourceSpec::full_scan(probe),
         ops: vec![OpSpec::JoinProbe {
             ht_id: 0,
             key_cols: vec![0],
@@ -618,7 +617,7 @@ fn ordered_chains_are_bit_deterministic() {
             .with_partitions(partitions);
         let mut exec = Executor::new(ctx, 2, 0, 0);
         let t = table("t", (0..5000).collect(), (0..5000).collect());
-        let p0 = collect_pipeline(SourceSpec::Table(t), vec![], 0);
+        let p0 = collect_pipeline(SourceSpec::full_scan(t), vec![], 0);
         let p1 = collect_pipeline(SourceSpec::Buffer(0), vec![], 1);
         exec.run_dag(&[p0, p1]).unwrap();
         let chunks = exec.buffer(1).unwrap();
@@ -722,7 +721,7 @@ fn scan_morsels_decode_concurrently_and_open_decodes_nothing() {
     };
     let deps = vec![NodeDeps {
         reads: vec![],
-        writes: vec![ResourceId::Buffer(0)],
+        writes: parts(0, 1),
     }];
     run_physical_global(&[pipeline], &deps, &ctx, &res).unwrap();
     let rows: usize = res.buffer(0).unwrap().iter().map(|c| c.num_rows()).sum();

@@ -118,7 +118,7 @@ fn keyed_dag_pipelines(keys: &[i64]) -> Vec<PipelinePlan> {
     };
     let p0 = PipelinePlan {
         label: "createbf".into(),
-        source: SourceSpec::Table(t),
+        source: SourceSpec::full_scan(t),
         ops: vec![],
         sink: SinkSpec::Buffer {
             buf_id: 0,

@@ -2,10 +2,11 @@
 //! replaced: for random tables × predicates × projections, and for every
 //! base relation of every corpus query, `SourceSpec::Scan` (filter and
 //! projection inside the scan morsel) must emit exactly the rows — in
-//! order — of `SourceSpec::Table` → `OpSpec::Filter` → `OpSpec::Project`,
-//! under both storage layouts; and with scan-resident Bloom probes, the
-//! rows and probe counters of the same composition with one
-//! `OpSpec::ProbeBloom` per probe.
+//! order — of a bare scan (`SourceSpec::full_scan`: every column, no
+//! predicate, no probes) → `OpSpec::Filter` → `OpSpec::Project`, under
+//! both storage layouts; and with scan-resident Bloom probes, the rows and
+//! probe counters of the same composition with one `OpSpec::ProbeBloom`
+//! per probe.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -102,7 +103,6 @@ fn corpus_rpt_plans_probe_base_relations_inside_the_scan() {
                         assert_eq!(probe_ops, 0, "{} {}: {}", w.name, q.id, p.label);
                         resident += probes.len();
                     }
-                    SourceSpec::Table(_) => assert_eq!(probe_ops, 0, "{} {}", w.name, q.id),
                 }
             }
         }
@@ -362,7 +362,7 @@ fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
         .enumerate()
         .map(|(i, t)| PipelinePlan {
             label: format!("createbf {i}"),
-            source: SourceSpec::Table(t.keys.clone()),
+            source: SourceSpec::full_scan(t.keys.clone()),
             ops: vec![],
             sink: SinkSpec::Buffer {
                 buf_id: i,
@@ -471,7 +471,7 @@ fn assert_probe_parity(
         let (got, gm) = collect_probed(transfers, fused, vec![], schema.clone(), encoded);
         let (want, wm) = collect_probed(
             transfers,
-            SourceSpec::Table(table.clone()),
+            SourceSpec::full_scan(table.clone()),
             reference_ops.clone(),
             schema.clone(),
             encoded,

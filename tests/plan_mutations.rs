@@ -5,16 +5,21 @@
 //! `partition_count {1,8}` (statically) and end-to-end under
 //! `RPT_PLAN_VERIFY=strict`.
 //!
-//! Negative: single mutations of a healthy plan — a dropped dependency
-//! edge, a dropped writer claim, an orphaned output buffer — must each be
-//! rejected with the expected stable rule id (`D6`, `S1`, `D5`), proving
-//! the rule families fire independently. A Bloom filter
-//! probed *inside* a scan is a dependency like any other: dropping it from
-//! the scan pipeline's reads (`D6`) or losing its writer (`D2`) is caught.
+//! Negative: single spec mutations of a healthy plan — a dropped filter
+//! builder, a second writer of a buffer, a pipeline sourced from its own
+//! output, an orphaned output buffer, two pipelines reading each other's
+//! outputs — must each be rejected with the expected stable rule id (`D2`,
+//! `D3`, `D4`, `D5`, `D1`) at the site they broke, proving the rule
+//! families fire independently. A Bloom filter probed *inside* a scan is a
+//! dependency like any other: losing its builder is caught at the scan.
+//!
+//! Runtime: the executor's access log, kept on every verify-mode run,
+//! reconciles with the spec-derived deps (`R1`/`R2`).
 
 use proptest::prelude::*;
+use rpt_analyze::reconcile_accesses;
 use rpt_core::{Database, Mode, PhysicalPlan, Planner, QueryOptions};
-use rpt_exec::{ResourceId, SourceSpec, VerifyMode};
+use rpt_exec::{ExecContext, Executor, NodeDeps, ResourceId, SinkSpec, SourceSpec, VerifyMode};
 use rpt_workloads::{tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
@@ -119,10 +124,6 @@ fn scheduler_metrics_are_live() {
 
 // ---- Mutations: each class must be rejected with its stable rule id ----
 
-fn rule_ids(plan: &PhysicalPlan) -> Vec<&'static str> {
-    plan.verify().errors.iter().map(|e| e.rule.id()).collect()
-}
-
 fn healthy_plan(pc: usize) -> PhysicalPlan {
     let db = database_for(&tpch(0.05, 42));
     let plan = compile(&db, CORPUS[2], &opts(pc));
@@ -130,71 +131,84 @@ fn healthy_plan(pc: usize) -> PhysicalPlan {
     plan
 }
 
-#[test]
-fn mutation_dropped_dep_edge_is_reads_divergence() {
-    let mut plan = healthy_plan(8);
-    let i = plan
-        .deps
+/// `(rule id, pipeline, grain)` of every finding.
+fn findings(plan: &PhysicalPlan) -> Vec<(&'static str, Option<usize>, Option<ResourceId>)> {
+    let errors = plan.verify().errors;
+    errors
         .iter()
-        .position(|d| !d.reads.is_empty())
-        .expect("some pipeline reads something");
-    plan.deps[i].reads.clear();
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"D6"), "expected D6, got {ids:?}");
+        .map(|e| (e.rule.id(), e.pipeline, e.grain))
+        .collect()
 }
 
-/// The read set of a fused scan comes from its resident probes: a plan
-/// that forgets one (so the scan could open before the filter exists), or
-/// whose filter has lost its writer, is rejected at that pipeline.
-#[test]
-fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
-    for pc in [1usize, 8] {
-        let healthy = healthy_plan(pc);
-        let (scan, filter) = healthy
-            .pipelines
-            .iter()
-            .enumerate()
-            .find_map(|(i, p)| match &p.source {
-                SourceSpec::Scan { probes, .. } => {
-                    Some((i, ResourceId::Filter(probes.first()?.filter_id)))
-                }
-                _ => None,
-            })
-            .expect("an RPT plan probes some base scan");
-        assert!(healthy.deps[scan].reads.contains(&filter));
-
-        let mut plan = healthy_plan(pc);
-        plan.deps[scan].reads.retain(|g| *g != filter);
-        let errors = plan.verify().errors;
-        assert!(
-            errors
+/// A filter probed inside exactly one base scan: `(scan pipeline, filter
+/// id)`.
+fn scan_probed_filter(plan: &PhysicalPlan) -> (usize, usize) {
+    let pc = plan.partition_count;
+    plan.pipelines
+        .iter()
+        .enumerate()
+        .flat_map(|(i, p)| match &p.source {
+            SourceSpec::Scan { probes, .. } => probes.iter().map(|pr| (i, pr.filter_id)).collect(),
+            SourceSpec::Buffer(_) => vec![],
+        })
+        .find(|&(_, f)| {
+            let readers = plan
+                .pipelines
                 .iter()
-                .any(|e| e.rule.id() == "D6" && e.pipeline == Some(scan)),
-            "pc={pc}: expected D6 at pipeline {scan}, got {errors:?}"
-        );
+                .filter(|p| p.deps(pc).reads.contains(&ResourceId::Filter(f)));
+            readers.count() == 1
+        })
+        .expect("an RPT plan probes some base scan")
+}
 
-        let mut plan = healthy_plan(pc);
-        for d in &mut plan.deps {
-            d.writes.retain(|g| *g != filter);
-        }
-        let errors = plan.verify().errors;
-        assert!(
-            errors.iter().any(|e| e.rule.id() == "D2"
-                && e.pipeline == Some(scan)
-                && e.grain == Some(filter)),
-            "pc={pc}: expected D2 on {filter:?} at pipeline {scan}, got {errors:?}"
-        );
+/// The buffer a sink writes, if it writes one.
+fn sink_buffer(sink: &mut SinkSpec) -> Option<&mut usize> {
+    match sink {
+        SinkSpec::Buffer { buf_id, .. }
+        | SinkSpec::Aggregate { buf_id, .. }
+        | SinkSpec::Sort { buf_id, .. } => Some(buf_id),
+        SinkSpec::HashBuild { .. } => None,
     }
 }
 
+/// Base-scan pipelines that materialize into a buffer, with that buffer.
+fn scans_into_buffers(plan: &mut PhysicalPlan) -> Vec<(usize, usize)> {
+    plan.pipelines
+        .iter_mut()
+        .enumerate()
+        .filter(|(_, p)| matches!(p.source, SourceSpec::Scan { .. }))
+        .filter_map(|(i, p)| Some((i, *sink_buffer(&mut p.sink)?)))
+        .collect()
+}
+
+/// Drop the `BloomSink` that builds `filter`.
+fn drop_bloom_sink(plan: &mut PhysicalPlan, filter: usize) {
+    let mut dropped = 0;
+    for p in &mut plan.pipelines {
+        if let SinkSpec::Buffer { blooms, .. } | SinkSpec::HashBuild { blooms, .. } = &mut p.sink {
+            let before = blooms.len();
+            blooms.retain(|b| b.filter_id != filter);
+            dropped += before - blooms.len();
+        }
+    }
+    assert_eq!(dropped, 1, "filter {filter} has one builder");
+}
+
+/// A scan-probed filter whose builder is gone: the scan could open before
+/// the filter exists. Exactly one finding — `D2` at that scan, on that
+/// filter grain.
 #[test]
-fn mutation_dropped_writer_claim_is_writes_divergence() {
-    let mut plan = healthy_plan(8);
-    plan.deps[0].writes.clear();
-    let ids = rule_ids(&plan);
-    assert!(ids.contains(&"S1"), "expected S1, got {ids:?}");
-    // The dangling readers of those grains surface too.
-    assert!(ids.contains(&"D2"), "expected D2 alongside S1, got {ids:?}");
+fn mutation_dropped_scan_probe_filter_dependency_is_rejected() {
+    for pc in [1usize, 8] {
+        let mut plan = healthy_plan(pc);
+        let (scan, filter) = scan_probed_filter(&plan);
+        drop_bloom_sink(&mut plan, filter);
+        assert_eq!(
+            findings(&plan),
+            vec![("D2", Some(scan), Some(ResourceId::Filter(filter)))],
+            "pc={pc}"
+        );
+    }
 }
 
 #[test]
@@ -203,12 +217,12 @@ fn mutation_orphaned_output_buffer_is_rejected() {
     // Claim the result lives in a brand-new buffer that no pipeline writes.
     plan.num_buffers += 1;
     plan.output_buffer = plan.num_buffers - 1;
-    let ids = rule_ids(&plan);
+    let ids: Vec<_> = findings(&plan).into_iter().map(|f| f.0).collect();
     assert!(ids.contains(&"D5"), "expected D5, got {ids:?}");
 }
 
-/// The rule ids one mutation class reports at the site it mutated (a
-/// pipeline or a grain), compiled and verified from [`healthy_plan`].
+/// The rule ids a mutated plan reports at the site it broke (a pipeline
+/// or a grain), sorted and deduped.
 fn ids_at(
     plan: &PhysicalPlan,
     at: impl Fn(&rpt_analyze::VerifyError) -> bool,
@@ -225,37 +239,31 @@ fn ids_at(
     ids
 }
 
+/// Each mutation edits a spec, never a dependency set: the verifier sees
+/// only what `PipelinePlan::deps` reads off the specs.
 #[test]
 fn mutation_rule_ids_are_distinct_per_class() {
-    // Dropped dep edge: the reader's recorded reads diverge.
+    // Dropped filter builder: the probed filter's read dangles.
     let mut plan = healthy_plan(8);
-    let reader = plan
-        .deps
-        .iter()
-        .position(|d| !d.reads.is_empty())
-        .expect("some pipeline reads something");
-    plan.deps[reader].reads.clear();
-    let dropped_edge = ids_at(&plan, |e| e.pipeline == Some(reader));
+    let (_, filter) = scan_probed_filter(&plan);
+    drop_bloom_sink(&mut plan, filter);
+    let dropped_filter_writer = ids_at(&plan, |e| e.grain == Some(ResourceId::Filter(filter)));
 
-    // Dropped writer claim: the writer's recorded writes diverge.
+    // A second sink pointed at an existing buffer: two writers per grain.
     let mut plan = healthy_plan(8);
-    plan.deps[0].writes.clear();
-    let dropped_writer = ids_at(&plan, |e| e.pipeline == Some(0));
+    let scans = scans_into_buffers(&mut plan);
+    let ((_, taken), (second, _)) = (scans[0], scans[1]);
+    *sink_buffer(&mut plan.pipelines[second].sink).expect("buffer sink") = taken;
+    let second_writer = ids_at(
+        &plan,
+        |e| matches!(e.grain, Some(ResourceId::BufferPart(b, _)) if b == taken),
+    );
 
-    // Dropped filter writer: the probed filter's read dangles.
+    // A pipeline sourced from its own sink's buffer.
     let mut plan = healthy_plan(8);
-    let filter = plan
-        .pipelines
-        .iter()
-        .find_map(|p| match &p.source {
-            SourceSpec::Scan { probes, .. } => Some(ResourceId::Filter(probes.first()?.filter_id)),
-            _ => None,
-        })
-        .expect("an RPT plan probes some base scan");
-    for d in &mut plan.deps {
-        d.writes.retain(|g| *g != filter);
-    }
-    let dropped_filter_writer = ids_at(&plan, |e| e.grain == Some(filter));
+    let (own, own_buf) = scans_into_buffers(&mut plan)[0];
+    plan.pipelines[own].source = SourceSpec::Buffer(own_buf);
+    let self_sourced = ids_at(&plan, |e| e.pipeline == Some(own));
 
     // Orphaned output buffer: the claimed result is never written.
     let mut plan = healthy_plan(8);
@@ -267,21 +275,69 @@ fn mutation_rule_ids_are_distinct_per_class() {
         |e| matches!(e.grain, Some(ResourceId::BufferPart(b, _)) if b == out),
     );
 
+    // Two pipelines whose buffer sources read each other's outputs.
+    let mut plan = healthy_plan(8);
+    let scans = scans_into_buffers(&mut plan);
+    let ((a, a_buf), (b, b_buf)) = (scans[0], scans[1]);
+    plan.pipelines[a].source = SourceSpec::Buffer(b_buf);
+    plan.pipelines[b].source = SourceSpec::Buffer(a_buf);
+    let mutual = ids_at(&plan, |e| e.pipeline == Some(a) || e.pipeline == Some(b));
+
     // Each class reports exactly its own rule at the site it broke, and
-    // the four rules differ — a diagnostic that always says "plan
+    // the five rules differ — a diagnostic that always says "plan
     // invalid" would be useless.
     let classes = [
-        dropped_edge,
-        dropped_writer,
         dropped_filter_writer,
+        second_writer,
+        self_sourced,
         orphaned,
+        mutual,
     ];
     assert_eq!(
         classes,
-        [["D6"], ["S1"], ["D2"], ["D5"]].map(|c| c.to_vec())
+        [["D2"], ["D3"], ["D4"], ["D5"], ["D1"]].map(|c| c.to_vec())
     );
     let unique: std::collections::BTreeSet<_> = classes.iter().collect();
     assert_eq!(unique.len(), classes.len());
+}
+
+/// R1/R2 on a real run: the access log the executor keeps shares no code
+/// with `PipelinePlan::deps`, so it is the independent check of the derived
+/// sets. A healthy plan's observed accesses are all declared; drop the
+/// probed filter grain from its scan's derived reads and exactly one `R1`
+/// names it.
+#[test]
+fn access_log_reconciles_with_derived_deps_on_a_real_run() {
+    for pc in [1usize, 8] {
+        let plan = healthy_plan(pc);
+        let (nb, nf, nt) = plan.resource_counts();
+        let ctx = ExecContext::new()
+            .with_partitions(plan.partition_count)
+            .with_verify(VerifyMode::Strict);
+        let mut exec = Executor::new(ctx, nb, nf, nt);
+        exec.run_dag(&plan.pipelines).expect("healthy plan runs");
+        let (reads, writes) = exec
+            .resources()
+            .access_log()
+            .expect("verify mode keeps the access log")
+            .observed();
+        let mut deps: Vec<NodeDeps> = plan
+            .pipelines
+            .iter()
+            .map(|p| p.deps(plan.partition_count))
+            .collect();
+        let (errors, checks) = reconcile_accesses(&deps, &reads, &writes);
+        assert!(errors.is_empty(), "pc={pc}: {errors:?}");
+        assert_eq!(checks, (reads.len() + writes.len()) as u64);
+
+        let (scan, filter) = scan_probed_filter(&plan);
+        let grain = ResourceId::Filter(filter);
+        assert!(reads.contains(&grain), "pc={pc}: the scan opened {grain:?}");
+        deps[scan].reads.retain(|g| *g != grain);
+        let (errors, _) = reconcile_accesses(&deps, &reads, &writes);
+        let found: Vec<_> = errors.iter().map(|e| (e.rule.id(), e.grain)).collect();
+        assert_eq!(found, vec![("R1", Some(grain))], "pc={pc}");
+    }
 }
 
 proptest! {

@@ -9,6 +9,10 @@
 //!   predicate kernels every scan morsel and filter runs),
 //!   `crates/exec/src/hash_table.rs` (every join build and probe),
 //!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold),
+//!   `crates/exec/src/pipeline.rs` and `crates/exec/src/scheduler.rs` (the
+//!   plan's specs, their deps, lowering and the pipeline DAG),
+//!   `crates/analyze/src/lib.rs` (the static plan verifier),
+//!   `crates/core/src/planner.rs` (every compiled plan),
 //!   `crates/core/src/robustness.rs` (the paper's robustness factors),
 //!   `crates/storage/src/block/` or `crates/storage/src/encode.rs` (the
 //!   block codecs and the key-hash kernel every scan probe runs) outside
@@ -274,6 +278,10 @@ fn rule_a(root: &Path) -> Vec<Finding> {
         root.join("crates/exec/src/expr.rs"),
         root.join("crates/exec/src/hash_table.rs"),
         root.join("crates/exec/src/aggregate.rs"),
+        root.join("crates/exec/src/pipeline.rs"),
+        root.join("crates/exec/src/scheduler.rs"),
+        root.join("crates/analyze/src/lib.rs"),
+        root.join("crates/core/src/planner.rs"),
         root.join("crates/core/src/robustness.rs"),
         root.join("crates/storage/src/encode.rs"),
     ];
