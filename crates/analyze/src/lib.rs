@@ -100,9 +100,10 @@ impl fmt::Display for VerifyError {
     }
 }
 
-/// Everything the verifier needs about a compiled plan. Built by the
-/// planner (`PhysicalPlan::verify_facts` / `HybridPrelude::verify_facts`)
-/// but deliberately plain so tests can mutate a copy.
+/// Everything the verifier needs about a compiled plan: its pipelines'
+/// specs and the slots it allocates. Built by `PhysicalPlan::verify` /
+/// `HybridPrelude::verify`, but deliberately plain so tests can build one
+/// around mutated specs.
 pub struct PlanFacts<'a> {
     pub pipelines: &'a [PipelinePlan],
     pub num_buffers: usize,
@@ -172,8 +173,8 @@ pub fn verify_plan(facts: &PlanFacts<'_>) -> VerifyReport {
                     Some(i),
                     Some(g),
                     format!(
-                        "grain outside plan layout ({} buffers × {pc} partitions)",
-                        facts.num_buffers
+                        "grain outside plan layout ({} buffers × {pc} partitions, {} filters, {} tables)",
+                        facts.num_buffers, facts.num_filters, facts.num_tables
                     ),
                 );
             }
@@ -239,7 +240,8 @@ pub fn verify_plan(facts: &PlanFacts<'_>) -> VerifyReport {
 
     // ---- S3: no dead seals ----
     let required: BTreeSet<usize> = facts.required_buffers.iter().copied().collect();
-    let read_grains: BTreeSet<ResourceId> = deps.iter().flat_map(|d| d.reads.clone()).collect();
+    let read_grains: BTreeSet<ResourceId> =
+        deps.iter().flat_map(|d| d.reads.iter().copied()).collect();
     for (&g, ws) in &writers {
         if let ResourceId::BufferPart(b, _) = g {
             rep.check();
