@@ -357,7 +357,7 @@ fn enforce_verify(ctx: &ExecContext, report: rpt_analyze::VerifyReport, what: &s
 
 /// Reconcile the executor's observed-access shadow log (present only in
 /// verify mode) against the deps the pipelines' specs declare, *before*
-/// the driver fetches the output buffer — an undeclared access means the
+/// the engine fetches the output buffer — an undeclared access means the
 /// scheduler ran on a wrong partial order and the result can't be trusted.
 fn reconcile_run(exec: &Executor, pipelines: &[rpt_exec::PipelinePlan]) -> Result<()> {
     let Some(log) = exec.resources().access_log() else {
