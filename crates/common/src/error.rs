@@ -28,7 +28,7 @@ pub enum Error {
         /// The configured budget.
         budget: u64,
     },
-    /// Underlying I/O failure (on-disk tables, spill files).
+    /// Underlying I/O failure (spill files).
     Io(std::io::Error),
 }
 

@@ -99,14 +99,12 @@ pub struct QueryOptions {
     /// Independent of the per-buffer `spill_limit_bytes` cap. Defaults to
     /// `RPT_MEMORY_BUDGET` when set, else unlimited.
     pub memory_budget_bytes: Option<usize>,
-    /// Write spill runs block-encoded (RLE / frame-of-reference Int64,
-    /// dictionary-coded Utf8) instead of the decoded raw layout. Defaults
-    /// to `RPT_SPILL_ENCODING` (`off` disables — the parity leg); restored
-    /// chunks are identical either way.
+    // Ignored by the engine (spill runs are always block-encoded and
+    // always prefetched); only `benchmark/src/workloads.rs:170-171`
+    // assigns them, and the next `benchmark` PR can drop both.
+    #[doc(hidden)]
     pub spill_encoding: bool,
-    /// Let the scheduler prefetch spilled partitions with `SpillIo` tasks
-    /// so restore I/O overlaps upstream execution.
-    /// Defaults to `RPT_SPILL_PREFETCH` (`off` disables).
+    #[doc(hidden)]
     pub spill_prefetch: bool,
     /// §4.3: skip trivial PK-side semi-joins.
     pub prune_trivial: bool,
@@ -127,13 +125,13 @@ pub struct QueryOptions {
     pub enforce_safe_orders: bool,
     /// Let aggregate sinks use the fixed-width packed-key group tables
     /// when the group key is eligible (all `Int64`/`Bool` columns).
-    /// Defaults to `RPT_AGG_FAST` (`off` disables — the CI parity leg);
-    /// the generic encoded-key path is always the fallback.
+    /// Default on; the generic encoded-key path is always the fallback,
+    /// and `false` forces it, which only tests do, as their reference.
     pub agg_fast: bool,
     /// Scan base tables through the block-based encoded layout (zone-map
     /// block pruning + dictionary-coded `Utf8` columns) instead of the raw
-    /// vector layout. Defaults to `RPT_STORAGE_ENCODING` (`off` disables —
-    /// the CI parity leg); results are identical either way.
+    /// vector layout. Default on; `false` scans the raw layout, which only
+    /// tests do, as their reference. Results are identical either way.
     pub storage_encoding: bool,
     // Ignored by the engine; only `benchmark/src/workloads.rs:174` assigns
     // it, and the next `benchmark` PR can drop it.
@@ -161,16 +159,16 @@ impl QueryOptions {
             spill_limit_bytes: None,
             spill_dir: std::env::temp_dir(),
             memory_budget_bytes: rpt_exec::memory_budget_from_env(),
-            spill_encoding: rpt_exec::spill_encoding_from_env(),
-            spill_prefetch: rpt_exec::spill_prefetch_from_env(),
+            spill_encoding: true,
+            spill_prefetch: true,
             prune_trivial: true,
             prune_backward: true,
             bloom_fpr: 0.02,
             random_tree_seed: None,
             ce_noise: None,
             enforce_safe_orders: false,
-            agg_fast: rpt_exec::agg_fast_from_env(),
-            storage_encoding: rpt_exec::storage_encoding_from_env(),
+            agg_fast: true,
+            storage_encoding: true,
             repartition_elide: false,
             plan_verify: rpt_exec::plan_verify_from_env(),
         }
@@ -241,19 +239,6 @@ impl QueryOptions {
     /// [`rpt_storage::MemoryGovernor`].
     pub fn with_memory_budget(mut self, budget: Option<usize>) -> Self {
         self.memory_budget_bytes = budget;
-        self
-    }
-
-    /// Enable or disable block-encoded spill runs (`false` writes the
-    /// decoded raw layout — the parity path).
-    pub fn with_spill_encoding(mut self, spill_encoding: bool) -> Self {
-        self.spill_encoding = spill_encoding;
-        self
-    }
-
-    /// Enable or disable scheduler-overlapped spill prefetch.
-    pub fn with_spill_prefetch(mut self, spill_prefetch: bool) -> Self {
-        self.spill_prefetch = spill_prefetch;
         self
     }
 
@@ -526,8 +511,6 @@ impl Database {
             .with_workers(workers)
             .with_agg_fast(opts.agg_fast)
             .with_storage_encoding(opts.storage_encoding)
-            .with_spill_encoding(opts.spill_encoding)
-            .with_spill_prefetch(opts.spill_prefetch)
             .with_memory_budget(opts.memory_budget_bytes)
             .with_spill(opts.spill_limit_bytes, opts.spill_dir.clone())
             .with_verify(opts.plan_verify);

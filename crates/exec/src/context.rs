@@ -16,46 +16,12 @@ pub enum SchedulerKind {
     Global,
 }
 
-/// Process default for the fixed-width aggregation fast path: enabled
-/// unless `RPT_AGG_FAST` is set to `off`/`0`/`false` (the generic
-/// encoded-key group table then handles every aggregate — the CI parity
-/// leg).
-pub fn agg_fast_from_env() -> bool {
-    !std::env::var("RPT_AGG_FAST")
-        .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-}
-
-/// Process default for the block-encoded storage read path (zone-map scan
-/// pruning + dictionary-backed string vectors): enabled unless
-/// `RPT_STORAGE_ENCODING` is set to `off`/`0`/`false` (scans then serve the
-/// raw flat layout — the CI parity leg).
-pub fn storage_encoding_from_env() -> bool {
-    !std::env::var("RPT_STORAGE_ENCODING")
-        .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-}
-
 /// Process default for the query-wide memory budget: `RPT_MEMORY_BUDGET`
 /// in bytes (`None` when unset/unparsable — no governor, only the legacy
 /// per-buffer spill caps apply). The forced-spill CI leg sets a tiny value
 /// so every materializing sink spills.
 pub fn memory_budget_from_env() -> Option<usize> {
     std::env::var("RPT_MEMORY_BUDGET").ok()?.parse().ok()
-}
-
-/// Process default for the block-encoded spill format: enabled unless
-/// `RPT_SPILL_ENCODING` is set to `off`/`0`/`false` (spill files then use
-/// the legacy decoded chunk format — the CI parity leg).
-pub fn spill_encoding_from_env() -> bool {
-    !std::env::var("RPT_SPILL_ENCODING")
-        .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
-}
-
-/// Process default for overlapped spill restore I/O (SpillIo pool tasks
-/// that prefetch+decode spilled runs while upstream pipelines execute):
-/// enabled unless `RPT_SPILL_PREFETCH` is set to `off`/`0`/`false`.
-pub fn spill_prefetch_from_env() -> bool {
-    !std::env::var("RPT_SPILL_PREFETCH")
-        .is_ok_and(|v| v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false"))
 }
 
 /// How thoroughly plans are verified.
@@ -78,14 +44,19 @@ impl VerifyMode {
     /// else `Strict` in debug builds and `Off` in release. An explicit
     /// `off` is honored even in debug builds.
     pub fn from_env() -> VerifyMode {
-        match std::env::var("RPT_PLAN_VERIFY") {
-            Ok(v)
+        VerifyMode::from_setting(std::env::var("RPT_PLAN_VERIFY").ok().as_deref())
+    }
+
+    /// The mode a `RPT_PLAN_VERIFY` value selects (`None` = unset).
+    fn from_setting(setting: Option<&str>) -> VerifyMode {
+        match setting {
+            Some(v)
                 if v.eq_ignore_ascii_case("off") || v == "0" || v.eq_ignore_ascii_case("false") =>
             {
                 VerifyMode::Off
             }
-            Ok(v) if v.eq_ignore_ascii_case("warn") => VerifyMode::Warn,
-            Ok(v)
+            Some(v) if v.eq_ignore_ascii_case("warn") => VerifyMode::Warn,
+            Some(v)
                 if v.eq_ignore_ascii_case("strict") || v == "1" || v.eq_ignore_ascii_case("on") =>
             {
                 VerifyMode::Strict
@@ -515,12 +486,12 @@ pub struct ExecContext {
     /// asked for.
     pub sched_trace: bool,
     /// Allow aggregate sinks to take the fixed-width packed-key fast path
-    /// when the group key is eligible (defaults from `RPT_AGG_FAST`; `off`
-    /// forces the generic encoded-key tables everywhere).
+    /// when the group key is eligible (default on; `false` forces the
+    /// generic encoded-key tables, which only tests use as a reference).
     pub agg_fast: bool,
     /// Serve table scans from the block-encoded layout (zone-map pruning,
-    /// dictionary-backed string vectors). Defaults from
-    /// `RPT_STORAGE_ENCODING`; `off` scans the raw flat layout.
+    /// dictionary-backed string vectors). Default on; `false` scans the
+    /// raw flat layout, which only tests use as a reference.
     pub storage_encoding: bool,
     /// Plan-verification mode (defaults from `RPT_PLAN_VERIFY`; debug
     /// builds default to `Strict`). Gates the observed-access shadow log.
@@ -529,12 +500,6 @@ pub struct ExecContext {
     /// (`None` = no global budget, only per-buffer caps apply). Built from
     /// `QueryOptions::memory_budget_bytes` / `RPT_MEMORY_BUDGET`.
     pub governor: Option<Arc<rpt_storage::MemoryGovernor>>,
-    /// Write spill runs in the block-encoded format (defaults from
-    /// `RPT_SPILL_ENCODING`; `off` uses the legacy decoded chunk format).
-    pub spill_encoding: bool,
-    /// Prefetch+decode spilled runs on SpillIo pool tasks ahead of the
-    /// merge (defaults from `RPT_SPILL_PREFETCH`).
-    pub spill_prefetch: bool,
     /// Process-unique query id baked into spill file names (orphan-sweep
     /// forensics and lifecycle tests).
     pub query_id: u64,
@@ -561,13 +526,11 @@ impl ExecContext {
             partition_count: rpt_common::partition_count_from_env(),
             workers: default_worker_count(),
             sched_trace: std::env::var("RPT_SCHED_TRACE").is_ok_and(|v| v == "1"),
-            agg_fast: agg_fast_from_env(),
-            storage_encoding: storage_encoding_from_env(),
+            agg_fast: true,
+            storage_encoding: true,
             verify: VerifyMode::from_env(),
             governor: memory_budget_from_env()
                 .map(|b| Arc::new(rpt_storage::MemoryGovernor::new(b))),
-            spill_encoding: spill_encoding_from_env(),
-            spill_prefetch: spill_prefetch_from_env(),
             query_id: QUERY_ID.fetch_add(1, Ordering::Relaxed),
         }
     }
@@ -634,18 +597,6 @@ impl ExecContext {
         self
     }
 
-    /// Choose the spill format: block-encoded (default) or legacy decoded.
-    pub fn with_spill_encoding(mut self, on: bool) -> Self {
-        self.spill_encoding = on;
-        self
-    }
-
-    /// Enable or disable SpillIo restore prefetch tasks.
-    pub fn with_spill_prefetch(mut self, on: bool) -> Self {
-        self.spill_prefetch = on;
-        self
-    }
-
     /// Charge `n` tuples of work; error once over budget.
     #[inline]
     pub fn charge(&self, n: u64) -> Result<()> {
@@ -669,6 +620,20 @@ impl ExecContext {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A debug build verifies every plan strictly unless `RPT_PLAN_VERIFY`
+    /// says otherwise, so a plain debug `cargo test` is a strict-verifier
+    /// run of every suite and needs no second run under `strict`.
+    #[cfg(debug_assertions)]
+    #[test]
+    fn debug_builds_verify_strictly_by_default() {
+        assert_eq!(VerifyMode::from_setting(None), VerifyMode::Strict);
+        assert_eq!(VerifyMode::from_setting(Some("off")), VerifyMode::Off);
+        assert_eq!(VerifyMode::from_setting(Some("warn")), VerifyMode::Warn);
+        if std::env::var_os("RPT_PLAN_VERIFY").is_none() {
+            assert_eq!(ExecContext::new().verify, VerifyMode::Strict);
+        }
+    }
 
     #[test]
     fn budget_enforced() {

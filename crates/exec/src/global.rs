@@ -393,11 +393,7 @@ impl<'a> Engine<'a> {
                 if self.info[pipe].partitioned {
                     let merger = Arc::new(p.sink.make_merger(states, self.ctx)?);
                     let parts = merger.partitions();
-                    let prefetch = if self.ctx.spill_prefetch {
-                        merger.prefetch_parts()
-                    } else {
-                        Vec::new()
-                    };
+                    let prefetch = merger.prefetch_parts();
                     self.runtimes[pipe]
                         .merger
                         .set(merger)

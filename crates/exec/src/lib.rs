@@ -37,8 +37,7 @@ pub mod wcoj;
 
 pub use aggregate::{AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
-    agg_fast_from_env, default_worker_count, memory_budget_from_env, plan_verify_from_env,
-    spill_encoding_from_env, spill_prefetch_from_env, storage_encoding_from_env, utilization_pct,
+    default_worker_count, memory_budget_from_env, plan_verify_from_env, utilization_pct,
     ExecContext, Metrics, MetricsSummary, SchedulerKind, VerifyMode,
 };
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};

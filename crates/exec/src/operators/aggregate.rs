@@ -173,8 +173,8 @@ impl AggregateFactory {
 
     /// One per-partition group table. The table implementation is chosen
     /// here, at sink construction: the fixed-key fast path when the
-    /// context allows it (`ctx.agg_fast`, default on, `RPT_AGG_FAST=off`
-    /// to disable) *and* every group column is fixed-width — `Int64`,
+    /// context allows it (`ctx.agg_fast`, default on; tests turn it off
+    /// to reach the generic tables) *and* every group column is fixed-width — `Int64`,
     /// `Bool`, or a `Utf8` column with a planner-attached dictionary
     /// packing its codes — else the generic encoded-key table.
     fn state(&self, ctx: &ExecContext) -> Result<AggregateState> {

@@ -657,7 +657,6 @@ impl SinkFactory for SortSinkFactory {
                         per_buffer_limit,
                         ctx.spill_dir.clone(),
                     )
-                    .with_encoding(ctx.spill_encoding)
                     .with_file_tag(ctx.query_id);
                     if let Some(gov) = &ctx.governor {
                         buf = buf.with_governor(gov.register(true));

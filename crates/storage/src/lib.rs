@@ -12,8 +12,6 @@
 //!   (min/max/null-count) consulted by scans for block skipping;
 //! * [`encode`] — block codecs: RLE / frame-of-reference bit-packed
 //!   `Int64`, dictionary-coded `Utf8`, raw fallbacks;
-//! * [`disk`] — a simple chunk-streamed on-disk columnar format for the
-//!   §5.4 "on-disk" experiments;
 //! * [`spill`] — a memory-capped chunk buffer that spills to disk in the
 //!   block-encoded spill format, used to reproduce the "+spill"
 //!   configuration where the materialized intermediate results of the
@@ -23,7 +21,6 @@
 //!   isolated per-buffer caps.
 
 pub mod block;
-pub mod disk;
 pub mod encode;
 pub mod govern;
 pub mod spill;

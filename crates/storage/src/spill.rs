@@ -1,11 +1,10 @@
-//! Memory-capped chunk buffers that spill to disk — in the *block-encoded*
-//! spill format by default.
+//! Memory-capped chunk buffers that spill to disk in a block-encoded
+//! format.
 //!
 //! The "+spill" configuration of §5.4 limits available memory to ≈50% of
 //! RPT's peak usage so that the data chunks materialized after the forward
 //! pass (inside `CreateBF` operators) overflow to disk. [`SpillBuffer`]
-//! reproduces this; since PR 10 the spilled runs are written through the
-//! PR-6 block codecs instead of as decoded vectors:
+//! reproduces this, writing each spilled chunk through the block codecs:
 //!
 //! ```text
 //! file   = frame*                          (one frame per spilled chunk)
@@ -26,11 +25,16 @@
 //! width); dictionary-backed `Utf8` columns spill their 32-bit codes and
 //! the buffer keeps **one** dictionary reference per column for the whole
 //! file — a chunk arriving with a *different* dictionary falls back to raw
-//! strings for that chunk. Each spilled chunk also records its row count
-//! and per-column [`ZoneMap`]s ([`SpillBuffer::spilled_zones`]). Restores
-//! are insertion-ordered: forced-spill output is row-for-row identical to
-//! the resident path. The legacy decoded format remains available as the
-//! parity leg (`with_encoding(false)` / `RPT_SPILL_ENCODING=off`).
+//! strings for that chunk. Restores are insertion-ordered: forced-spill
+//! output is row-for-row identical to the resident path.
+//!
+//! A restore trusts nothing it reads. Each frame's length prefix and row
+//! count must equal the ones recorded when it was written, each column's
+//! tag must fit its schema type, and each payload must be well formed (a
+//! FOR width below 64 with exactly the words its rows need, RLE runs that
+//! sum to the row count, dictionary codes inside the dictionary) before
+//! anything is allocated for it or decoded. A failed check is an
+//! `Error::Exec`, never a panic.
 //!
 //! Resident rows are **write-combined**: [`SpillBuffer::push`] and
 //! [`SpillBuffer::push_rows`] append into the resident tail chunk while
@@ -44,12 +48,10 @@
 //! buffer as the spill victim after any push, which evicts *all* resident
 //! chunks to the spill file (order preserved).
 
-use crate::disk::{read_chunk, write_chunk};
 use crate::encode::{encode_i64, EncodedBlock};
 use crate::govern::GovernedHandle;
 use crate::table::{chunk_size_bytes, taken_size_bytes};
-use crate::ZoneMap;
-use rpt_common::{ColumnData, DataChunk, Error, Result, Schema, Utf8Dict, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Schema, Utf8Dict, Vector};
 use std::fs::File;
 use std::io::{BufWriter, Read, Write};
 use std::path::PathBuf;
@@ -58,8 +60,8 @@ use std::sync::Arc;
 
 static SPILL_COUNTER: AtomicU64 = AtomicU64::new(0);
 
-/// Statistics about a buffer's spill behaviour (reported by Figure 15's
-/// harness and aggregated into the engine's `spill_*` metrics family).
+/// Statistics about a buffer's spill behaviour, aggregated into the
+/// engine's `spill_*` metrics family.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SpillStats {
     pub chunks_in_memory: usize,
@@ -88,6 +90,14 @@ enum ChunkSlot {
     Spill(usize),
 }
 
+/// What was written for one spilled chunk, checked again on restore.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// Frame size in bytes, length prefix included.
+    bytes: usize,
+    rows: usize,
+}
+
 /// A buffer of data chunks with a memory cap; overflow goes to a temp file.
 pub struct SpillBuffer {
     schema: Schema,
@@ -99,18 +109,14 @@ pub struct SpillBuffer {
     /// Once-per-file dictionary reference per column (set by the first
     /// dict-backed chunk spilled for that column).
     dicts: Vec<Option<Arc<Utf8Dict>>>,
-    /// Per spilled chunk: one zone map per column.
-    zones: Vec<Vec<ZoneMap>>,
-    /// Per spilled chunk: encoded frame size in bytes.
-    frame_sizes: Vec<usize>,
+    /// Per spilled chunk, in sequence order.
+    frames: Vec<Frame>,
     /// Decoded chunks read ahead of the merge by a SpillIo pool task.
     prefetched: Option<Vec<DataChunk>>,
     spill_path: Option<PathBuf>,
     spill_writer: Option<BufWriter<File>>,
     stats: SpillStats,
     spill_dir: PathBuf,
-    /// Block-encoded spill format (default); `false` = legacy decoded.
-    encoded: bool,
     /// Query id baked into the spill file name (orphan-sweep forensics).
     file_tag: u64,
     governor: Option<GovernedHandle>,
@@ -128,14 +134,12 @@ impl SpillBuffer {
             mem_bytes: 0,
             order: Vec::new(),
             dicts: vec![None; ncols],
-            zones: Vec::new(),
-            frame_sizes: Vec::new(),
+            frames: Vec::new(),
             prefetched: None,
             spill_path: None,
             spill_writer: None,
             stats: SpillStats::default(),
             spill_dir: spill_dir.into(),
-            encoded: true,
             file_tag: 0,
             governor: None,
         }
@@ -146,9 +150,10 @@ impl SpillBuffer {
         SpillBuffer::new(schema, usize::MAX, std::env::temp_dir())
     }
 
-    /// Choose the spill format: block-encoded (default) or legacy decoded.
-    pub fn with_encoding(mut self, encoded: bool) -> Self {
-        self.encoded = encoded;
+    // Ignored: there is one spill format. Only `benchmark/src/kernels.rs`
+    // calls it, and the next `benchmark` PR can drop it.
+    #[doc(hidden)]
+    pub fn with_encoding(self, _encoded: bool) -> Self {
         self
     }
 
@@ -315,28 +320,17 @@ impl SpillBuffer {
             let file = std::fs::OpenOptions::new().append(true).open(path)?;
             self.spill_writer = Some(BufWriter::new(file));
         }
-        let frame = if self.encoded {
-            self.encode_chunk(chunk)?
-        } else {
-            let mut buf = Vec::new();
-            write_chunk(&mut buf, chunk)?;
-            buf
-        };
+        let frame = self.encode_chunk(chunk)?;
         let w = self
             .spill_writer
             .as_mut()
             .ok_or_else(|| Error::Exec("spill writer missing".into()))?;
         w.write_all(&(frame.len() as u32).to_le_bytes())?;
         w.write_all(&frame)?;
-        let nrows = chunk.num_rows();
-        self.zones.push(
-            chunk
-                .columns
-                .iter()
-                .map(|c| ZoneMap::compute(c, 0, nrows))
-                .collect(),
-        );
-        self.frame_sizes.push(frame.len() + 4);
+        self.frames.push(Frame {
+            bytes: frame.len() + 4,
+            rows: chunk.num_rows(),
+        });
         let seq = self.stats.chunks_spilled;
         self.stats.chunks_spilled += 1;
         self.stats.bytes_spilled += sz;
@@ -355,11 +349,6 @@ impl SpillBuffer {
     /// Has any chunk gone to disk (i.e. would a restore touch the file)?
     pub fn has_spilled(&self) -> bool {
         self.stats.chunks_spilled > 0
-    }
-
-    /// Per spilled chunk (sequence order): one zone map per column.
-    pub fn spilled_zones(&self) -> &[Vec<ZoneMap>] {
-        &self.zones
     }
 
     /// Read and decode the spilled run ahead of the restore (the SpillIo
@@ -383,8 +372,9 @@ impl SpillBuffer {
         Ok(())
     }
 
-    /// Sequentially read every spilled frame back (decoding per the file's
-    /// format) and account the bytes read.
+    /// Sequentially read every spilled frame back, decode it and account
+    /// the bytes read. A length prefix that differs from the size recorded
+    /// at write time fails before the frame is allocated.
     fn read_spilled(&mut self) -> Result<Vec<DataChunk>> {
         let path = self
             .spill_path
@@ -392,19 +382,25 @@ impl SpillBuffer {
             .ok_or_else(|| Error::Exec("spilled chunks without a spill file".into()))?;
         let mut r = std::io::BufReader::new(File::open(path)?);
         let mut out = Vec::with_capacity(self.stats.chunks_spilled);
-        for _ in 0..self.stats.chunks_spilled {
+        for seq in 0..self.stats.chunks_spilled {
+            let written = *self
+                .frames
+                .get(seq)
+                .ok_or_else(|| Error::Exec(format!("spill frame {seq} was never written")))?;
             let mut len = [0u8; 4];
             r.read_exact(&mut len)?;
             let len = u32::from_le_bytes(len) as usize;
+            if len + 4 != written.bytes {
+                return Err(Error::Exec(format!(
+                    "spill frame {seq}: {} bytes on disk, {} written",
+                    len + 4,
+                    written.bytes
+                )));
+            }
             let mut frame = vec![0u8; len];
             r.read_exact(&mut frame)?;
             self.stats.bytes_read += len + 4;
-            let chunk = if self.encoded {
-                self.decode_chunk(&frame)?
-            } else {
-                read_chunk(&mut frame.as_slice(), &self.schema)?
-            };
-            out.push(chunk);
+            out.push(self.decode_chunk(&frame, written.rows)?);
         }
         Ok(out)
     }
@@ -555,51 +551,51 @@ impl SpillBuffer {
         Ok(())
     }
 
-    fn decode_chunk(&self, frame: &[u8]) -> Result<DataChunk> {
+    fn decode_chunk(&self, frame: &[u8], rows: usize) -> Result<DataChunk> {
         let mut r = Cursor { buf: frame, pos: 0 };
-        let nrows = r.u64()? as usize;
+        let nrows = r.u64()?;
+        if nrows != rows as u64 {
+            return Err(corrupt(format!("{nrows} rows, {rows} written")));
+        }
         let mut columns = Vec::with_capacity(self.schema.len());
         for ci in 0..self.schema.len() {
-            columns.push(self.decode_column(&mut r, ci, nrows)?);
+            columns.push(self.decode_column(&mut r, ci, rows)?);
+        }
+        if r.pos != frame.len() {
+            return Err(corrupt(format!("{} trailing bytes", frame.len() - r.pos)));
         }
         Ok(DataChunk::new(columns))
     }
 
     fn decode_column(&self, r: &mut Cursor<'_>, ci: usize, nrows: usize) -> Result<Vector> {
         let tag = r.u8()?;
-        let validity = if r.u8()? == 1 {
-            Some(
+        let field = &self.schema.fields[ci];
+        let stored = match tag {
+            0 | 4 | 5 => DataType::Int64,
+            1 => DataType::Float64,
+            2 | 6 => DataType::Utf8,
+            3 => DataType::Bool,
+            other => return Err(corrupt(format!("bad column tag {other}"))),
+        };
+        if stored != field.data_type {
+            return Err(corrupt(format!(
+                "column `{}` stored as {stored:?}, schema says {:?}",
+                field.name, field.data_type
+            )));
+        }
+        let validity = match r.u8()? {
+            0 => None,
+            1 => Some(
                 r.bytes(nrows)?
                     .iter()
                     .map(|&b| b != 0)
                     .collect::<Vec<bool>>(),
-            )
-        } else {
-            None
+            ),
+            other => return Err(corrupt(format!("bad validity flag {other}"))),
         };
-        let col = match tag {
-            0 => {
-                let mut v = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(r.i64()?);
-                }
-                Vector {
-                    data: ColumnData::Int64(v),
-                    validity,
-                    dict: None,
-                }
-            }
-            1 => {
-                let mut v = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    v.push(f64::from_le_bytes(r.array::<8>()?));
-                }
-                Vector {
-                    data: ColumnData::Float64(v),
-                    validity,
-                    dict: None,
-                }
-            }
+        let data = match tag {
+            0 => ColumnData::Int64(r.words(nrows)?.map(i64::from_le_bytes).collect()),
+            1 => ColumnData::Float64(r.words(nrows)?.map(f64::from_le_bytes).collect()),
             2 => {
                 let mut v = Vec::with_capacity(nrows);
                 for _ in 0..nrows {
@@ -607,73 +603,80 @@ impl SpillBuffer {
                     let bytes = r.bytes(len)?;
                     v.push(
                         String::from_utf8(bytes.to_vec())
-                            .map_err(|e| Error::Exec(format!("invalid utf8 in spill file: {e}")))?,
+                            .map_err(|e| corrupt(format!("invalid utf8: {e}")))?,
                     );
                 }
-                Vector {
-                    data: ColumnData::Utf8(v),
-                    validity,
-                    dict: None,
-                }
+                ColumnData::Utf8(v)
             }
-            3 => {
-                let bytes = r.bytes(nrows)?;
-                Vector {
-                    data: ColumnData::Bool(bytes.iter().map(|&b| b != 0).collect()),
-                    validity,
-                    dict: None,
-                }
-            }
+            3 => ColumnData::Bool(r.bytes(nrows)?.iter().map(|&b| b != 0).collect()),
             4 => {
                 let nruns = r.u32()? as usize;
-                let mut values = Vec::with_capacity(nruns);
-                for _ in 0..nruns {
-                    values.push(r.i64()?);
+                if nruns > nrows {
+                    return Err(corrupt(format!("{nruns} runs over {nrows} rows")));
                 }
-                let mut lengths = Vec::with_capacity(nruns);
-                for _ in 0..nruns {
-                    lengths.push(r.u32()?);
+                let values = r.words(nruns)?.map(i64::from_le_bytes).collect();
+                let lengths: Vec<u32> = r
+                    .bytes(nruns * 4)?
+                    .chunks_exact(4)
+                    .map(|b| u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
+                    .collect();
+                let covered: u64 = lengths.iter().map(|&l| l as u64).sum();
+                if covered != nrows as u64 {
+                    return Err(corrupt(format!("runs cover {covered} of {nrows} rows")));
                 }
-                Vector {
-                    data: EncodedBlock::RleI64 { values, lengths }.decode(None),
-                    validity,
-                    dict: None,
-                }
+                EncodedBlock::RleI64 { values, lengths }.decode(None)
             }
             5 => {
                 let base = r.i64()?;
                 let width = r.u8()?;
+                if width >= 64 {
+                    return Err(corrupt(format!("bit width {width}")));
+                }
                 let nwords = r.u32()? as usize;
-                let mut words = Vec::with_capacity(nwords);
-                for _ in 0..nwords {
-                    words.push(u64::from_le_bytes(r.array::<8>()?));
+                let need = (nrows * width as usize).div_ceil(64);
+                if nwords != need {
+                    return Err(corrupt(format!(
+                        "{nwords} words for {nrows} rows of width {width}, need {need}"
+                    )));
                 }
-                Vector {
-                    data: EncodedBlock::ForI64 {
-                        len: nrows as u32,
-                        base,
-                        width,
-                        words,
-                    }
-                    .decode(None),
-                    validity,
-                    dict: None,
+                EncodedBlock::ForI64 {
+                    len: nrows as u32,
+                    base,
+                    width,
+                    words: r.words(nwords)?.map(u64::from_le_bytes).collect(),
                 }
+                .decode(None)
             }
-            6 => {
-                let dict = self.dicts[ci].clone().ok_or_else(|| {
-                    Error::Exec("dict-coded spill column without dictionary".into())
-                })?;
+            _ => {
+                let dict = self.dicts[ci]
+                    .clone()
+                    .ok_or_else(|| corrupt("dict-coded column without dictionary".into()))?;
                 let mut codes = Vec::with_capacity(nrows);
-                for _ in 0..nrows {
-                    codes.push(r.u32()? as i64);
+                for i in 0..nrows {
+                    let code = r.u32()? as usize;
+                    let valid = validity.as_ref().is_none_or(|m| m[i]);
+                    if valid && code >= dict.len() {
+                        return Err(corrupt(format!(
+                            "code {code} past a {}-entry dictionary",
+                            dict.len()
+                        )));
+                    }
+                    codes.push(code as i64);
                 }
-                Vector::from_dict_codes(codes, validity, dict)
+                return Ok(Vector::from_dict_codes(codes, validity, dict));
             }
-            other => return Err(Error::Exec(format!("bad spill column tag {other}"))),
         };
-        Ok(col)
+        Ok(Vector {
+            data,
+            validity,
+            dict: None,
+        })
     }
+}
+
+/// The error every failed restore check returns.
+fn corrupt(what: String) -> Error {
+    Error::Exec(format!("corrupt spill frame: {what}"))
 }
 
 fn write_validity(buf: &mut Vec<u8>, col: &Vector, nrows: usize) {
@@ -711,10 +714,24 @@ impl<'a> Cursor<'a> {
             .pos
             .checked_add(n)
             .filter(|&e| e <= self.buf.len())
-            .ok_or_else(|| Error::Exec("truncated spill frame".into()))?;
+            .ok_or_else(|| corrupt("truncated".into()))?;
         let out = &self.buf[self.pos..end];
         self.pos = end;
         Ok(out)
+    }
+
+    /// `n` little-endian 8-byte words, bounds-checked as one slice before
+    /// the caller allocates for them.
+    fn words(&mut self, n: usize) -> Result<impl Iterator<Item = [u8; 8]> + 'a> {
+        let bytes = self.bytes(
+            n.checked_mul(8)
+                .ok_or_else(|| corrupt(format!("{n} words")))?,
+        )?;
+        Ok(bytes.chunks_exact(8).map(|b| {
+            let mut a = [0u8; 8];
+            a.copy_from_slice(b);
+            a
+        }))
     }
 
     fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
@@ -767,7 +784,7 @@ const _: () = {
 mod tests {
     use super::*;
     use crate::govern::MemoryGovernor;
-    use rpt_common::{DataType, Field, ScalarValue};
+    use rpt_common::{Field, ScalarValue};
 
     fn schema() -> Schema {
         Schema::new(vec![Field::new("x", DataType::Int64)])
@@ -935,27 +952,26 @@ mod tests {
 
     #[test]
     fn encoded_spill_roundtrips_all_types() {
-        for encoded in [true, false] {
-            let dir = std::env::temp_dir().join(format!("rpt_spill_rt_{encoded}"));
-            let mut b = SpillBuffer::new(mixed_schema(), 0, &dir).with_encoding(encoded);
-            let c1 = mixed_chunk(200, 1_000_000);
-            let c2 = mixed_chunk(64, -50);
-            b.push(c1.clone()).unwrap();
-            b.push(c2.clone()).unwrap();
-            let restored = b.into_chunks().unwrap();
-            assert_eq!(restored.len(), 2);
-            for (orig, got) in [(&c1, &restored[0]), (&c2, &restored[1])] {
-                assert_eq!(orig.num_rows(), got.num_rows());
-                for (ri, row) in orig.rows().into_iter().enumerate() {
-                    assert_eq!(row, got.rows()[ri], "encoded={encoded} row {ri}");
-                }
+        let dir = std::env::temp_dir().join("rpt_spill_rt");
+        let mut b = SpillBuffer::new(mixed_schema(), 0, &dir);
+        let c1 = mixed_chunk(200, 1_000_000);
+        let c2 = mixed_chunk(64, -50);
+        b.push(c1.clone()).unwrap();
+        b.push(c2.clone()).unwrap();
+        let restored = b.into_chunks().unwrap();
+        assert_eq!(restored.len(), 2);
+        for (orig, got) in [(&c1, &restored[0]), (&c2, &restored[1])] {
+            assert_eq!(orig.num_rows(), got.num_rows());
+            for (ri, row) in orig.rows().into_iter().enumerate() {
+                assert_eq!(row, got.rows()[ri], "row {ri}");
             }
-            std::fs::remove_dir_all(&dir).ok();
         }
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     /// The Int64/dict-Utf8 shape the bench corpus uses: small-range keys
-    /// bit-pack, dictionary columns spill 32-bit codes instead of strings.
+    /// bit-pack, dictionary columns spill 32-bit codes instead of strings,
+    /// so the file is at most half the logical bytes it holds.
     #[test]
     fn encoded_spill_is_smaller_than_decoded() {
         let schema = Schema::new(vec![
@@ -969,24 +985,20 @@ mod tests {
                 Vector::from_dict_codes((0..512).map(|k| k % 3).collect(), None, dict.clone()),
             ])
         };
-        let run = |encoded: bool| -> (usize, usize) {
-            let dir = std::env::temp_dir().join(format!("rpt_spill_sz_{encoded}"));
-            let mut b = SpillBuffer::new(schema.clone(), 0, &dir).with_encoding(encoded);
-            for _ in 0..4 {
-                b.push(make()).unwrap();
-            }
-            let st = b.stats();
-            let _ = b.into_chunks().unwrap();
-            std::fs::remove_dir_all(&dir).ok();
-            (st.encoded_bytes_spilled, st.bytes_spilled)
-        };
-        let (enc, dec_logical) = run(true);
-        let (raw, _) = run(false);
+        let dir = std::env::temp_dir().join("rpt_spill_sz");
+        let mut b = SpillBuffer::new(schema, 0, &dir);
+        for _ in 0..4 {
+            b.push(make()).unwrap();
+        }
+        let st = b.stats();
+        let _ = b.into_chunks().unwrap();
+        std::fs::remove_dir_all(&dir).ok();
+        let (enc, logical) = (st.encoded_bytes_spilled, st.bytes_spilled);
+        assert_eq!(st.chunks_spilled, 4);
         assert!(
-            enc * 2 <= raw,
-            "block-encoded spill ({enc}B) not ≥2× smaller than decoded ({raw}B)"
+            enc > 0 && logical * 100 / enc >= 200,
+            "block-encoded spill ({enc}B) not ≥2× smaller than its logical bytes ({logical}B)"
         );
-        assert!(dec_logical > 0);
     }
 
     #[test]
@@ -1022,16 +1034,62 @@ mod tests {
         std::fs::remove_dir_all(&dir).ok();
     }
 
+    /// Each corruption a frame can carry past the bounds-checked cursor
+    /// fails the restore with `Error::Exec`: a stored type that differs
+    /// from the schema, a FOR width of 64, a short FOR word count, RLE runs
+    /// that do not cover the rows, a dictionary code past the dictionary,
+    /// a bad validity flag and a length prefix that differs from the
+    /// frame written. Offsets are into a one-frame file of one column:
+    /// `u32 len` at 0, `u64 nrows` at 4, the tag at 12, the validity flag
+    /// at 13, the payload from 14.
     #[test]
-    fn spilled_chunks_carry_zone_maps() {
-        let dir = std::env::temp_dir().join("rpt_spill_zones");
-        let mut b = SpillBuffer::new(schema(), 0, &dir);
-        b.push(chunk(vec![5, 9, 7])).unwrap();
-        b.push(chunk(vec![-2, 0])).unwrap();
-        assert_eq!(b.spilled_zones().len(), 2);
-        assert_eq!(b.spilled_zones()[0][0].i64_bounds(), Some((5, 9)));
-        assert_eq!(b.spilled_zones()[1][0].i64_bounds(), Some((-2, 0)));
-        let _ = b.into_chunks().unwrap();
+    fn corrupt_frames_fail_the_restore() {
+        let dict = Utf8Dict::from_values(vec!["a", "b", "c"]);
+        let int = || Schema::new(vec![Field::new("x", DataType::Int64)]);
+        let raw = chunk(vec![i64::MIN, 0, i64::MAX]); // span too wide: RawI64
+        let for_ = chunk((0..64).map(|k| k * 7 % 100).collect()); // ForI64
+        let rle = chunk((0..64).map(|k| k / 16).collect()); // four runs
+        let cases: Vec<(&str, Schema, DataChunk, usize, Vec<u8>)> = vec![
+            ("stored type", int(), raw, 12, vec![1]),
+            ("validity flag", int(), for_.clone(), 13, vec![2]),
+            ("FOR width", int(), for_.clone(), 22, vec![64]),
+            (
+                "FOR words",
+                int(),
+                for_.clone(),
+                23,
+                0u32.to_le_bytes().to_vec(),
+            ),
+            (
+                "RLE runs",
+                int(),
+                rle,
+                14 + 4 + 4 * 8,
+                1u32.to_le_bytes().to_vec(),
+            ),
+            (
+                "dict code",
+                Schema::new(vec![Field::new("s", DataType::Utf8)]),
+                DataChunk::new(vec![Vector::from_dict_codes(vec![0, 2, 1], None, dict)]),
+                14,
+                3u32.to_le_bytes().to_vec(),
+            ),
+            ("length prefix", int(), for_, 0, 1u32.to_le_bytes().to_vec()),
+        ];
+        let dir = std::env::temp_dir().join("rpt_spill_corrupt");
+        for (what, schema, c, offset, bytes) in cases {
+            let mut b = SpillBuffer::new(schema, 0, &dir);
+            b.push(c).unwrap();
+            b.flush_writer().unwrap();
+            let path = b.spill_path.clone().unwrap();
+            let mut file = std::fs::read(&path).unwrap();
+            file[offset..offset + bytes.len()].copy_from_slice(&bytes);
+            std::fs::write(&path, file).unwrap();
+            let got = b.take_chunks();
+            assert!(matches!(got, Err(Error::Exec(_))), "{what}: {got:?}");
+            drop(b);
+            assert!(!path.exists(), "{what}: spill file leaked");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -1,7 +1,7 @@
-//! The §5.4 storage paths: disk-resident tables and memory-capped
-//! (spilling) transfer-phase buffers must not change any query result —
-//! including when the buffers are hash-partitioned and only some
-//! partitions overflow their share of the cap.
+//! The §5.4 "+spill" path: memory-capped (spilling) transfer-phase
+//! buffers and sort runs must not change any query result — including
+//! when the buffers are hash-partitioned and only some partitions
+//! overflow their share of the cap — and must leave no spill file behind.
 
 use proptest::prelude::*;
 use rpt_common::hash::hash_i64;
@@ -9,7 +9,6 @@ use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, V
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::operators::buffer::{BufferSink, BufferSinkFactory};
 use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, Sink, SinkFactory};
-use rpt_storage::disk::{write_table, DiskTable};
 use rpt_storage::Table;
 use rpt_workloads::{tpch, Workload};
 
@@ -43,36 +42,6 @@ fn spill_limit_does_not_change_results() {
             "{}: spill changed the result",
             qd.id
         );
-    }
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-#[test]
-fn disk_roundtrip_preserves_query_results() {
-    let w = tpch(0.03, 52);
-    let mem_db = database_for(&w);
-    let dir = std::env::temp_dir().join(format!("rpt_it_disk_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    // Write all tables, read them back, rebuild the database from disk.
-    let mut disk_db = Database::new();
-    for t in &w.tables {
-        let path = dir.join(format!("{}.rptc", t.name));
-        write_table(t, &path, 2048).unwrap();
-        let loaded = DiskTable::open(t.name.clone(), &path)
-            .unwrap()
-            .load()
-            .unwrap();
-        assert_eq!(loaded.num_rows(), t.num_rows(), "{}", t.name);
-        disk_db.register_table(loaded);
-    }
-    for qd in &w.queries {
-        let a = mem_db
-            .query(&qd.sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
-            .unwrap();
-        let b = disk_db
-            .query(&qd.sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
-            .unwrap();
-        assert_eq!(a.sorted_rows(), b.sorted_rows(), "{}", qd.id);
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -385,10 +354,9 @@ fn count_spill_files(d: &std::path::Path) -> usize {
 }
 
 /// The block-encoded spill format must at least halve the bytes written
-/// for compressible Int64 runs versus the decoded raw format, restore the
-/// exact same rows, and record the compression-ratio gauge — the PR's
-/// headline byte-reduction claim, asserted at the sink level where the
-/// input is controlled.
+/// for compressible Int64 runs against the logical bytes they hold (the
+/// compression-ratio gauge reads at least 200), and restore the exact rows
+/// pushed — asserted at the sink level, where the input is controlled.
 #[test]
 fn encoded_spill_at_least_halves_written_bytes() {
     let dir = std::env::temp_dir().join(format!("rpt_it_encspill_{}", std::process::id()));
@@ -396,61 +364,44 @@ fn encoded_spill_at_least_halves_written_bytes() {
         Field::new("k", DataType::Int64),
         Field::new("v", DataType::Int64),
     ]);
-    let mut legs = Vec::new();
-    for encoded in [true, false] {
-        // Pin to one partition: the `Resources` below declares a
-        // single-partition layout whatever RPT_PARTITION_COUNT says.
-        let ctx = ExecContext::new()
-            .with_partitions(1)
-            .with_spill(Some(4 * 1024), &dir)
-            .with_spill_encoding(encoded);
-        let factory = BufferSinkFactory::new(0, schema.clone(), vec![]);
-        let mut sink = factory.make(&ctx).unwrap();
-        for c in 0..8i64 {
-            // Narrow-range keys (RLE/FOR-friendly) + a slowly growing value
-            // column: both land far under their 8-byte raw width.
-            let ks: Vec<i64> = (0..512).map(|j| 100 + (j % 40)).collect();
-            let vs: Vec<i64> = (0..512).map(|j| c * 512 + j).collect();
-            sink.sink(
-                DataChunk::new(vec![Vector::from_i64(ks), Vector::from_i64(vs)]),
-                &ctx,
-            )
-            .unwrap();
-        }
-        let res = Resources::new(1, 0, 0);
-        sink.finalize(&res).unwrap();
-        let rows: Vec<Vec<ScalarValue>> = res
-            .buffer(0)
-            .unwrap()
-            .iter()
-            .flat_map(|c| c.rows())
-            .collect();
-        let m = ctx.metrics.summary();
-        assert!(
-            m.spill_bytes_written > 0,
-            "encoded={encoded}: never spilled"
-        );
-        assert!(
-            m.spill_bytes_read >= m.spill_bytes_written,
-            "encoded={encoded}: restore read {} < wrote {}",
-            m.spill_bytes_read,
-            m.spill_bytes_written
-        );
-        legs.push((rows, m));
+    // Pin to one partition: the `Resources` below declares a
+    // single-partition layout whatever RPT_PARTITION_COUNT says.
+    let ctx = ExecContext::new()
+        .with_partitions(1)
+        .with_spill(Some(4 * 1024), &dir);
+    let factory = BufferSinkFactory::new(0, schema, vec![]);
+    let mut sink = factory.make(&ctx).unwrap();
+    let mut pushed = Vec::new();
+    for c in 0..8i64 {
+        // Narrow-range keys (RLE/FOR-friendly) + a slowly growing value
+        // column: both land far under their 8-byte raw width.
+        let ks: Vec<i64> = (0..512).map(|j| 100 + (j % 40)).collect();
+        let vs: Vec<i64> = (0..512).map(|j| c * 512 + j).collect();
+        let chunk = DataChunk::new(vec![Vector::from_i64(ks), Vector::from_i64(vs)]);
+        pushed.extend(chunk.rows());
+        sink.sink(chunk, &ctx).unwrap();
     }
-    let (enc_rows, enc) = &legs[0];
-    let (raw_rows, raw) = &legs[1];
-    assert_eq!(enc_rows, raw_rows, "spill format changed restored rows");
+    let res = Resources::new(1, 0, 0);
+    sink.finalize(&res).unwrap();
+    let rows: Vec<Vec<ScalarValue>> = res
+        .buffer(0)
+        .unwrap()
+        .iter()
+        .flat_map(|c| c.rows())
+        .collect();
+    assert_eq!(rows, pushed, "spill changed the restored rows");
+    let m = ctx.metrics.summary();
+    assert!(m.spill_bytes_written > 0, "never spilled");
     assert!(
-        enc.spill_bytes_written * 2 <= raw.spill_bytes_written,
-        "encoded spill {}B not >=2x smaller than decoded {}B",
-        enc.spill_bytes_written,
-        raw.spill_bytes_written
+        m.spill_bytes_read >= m.spill_bytes_written,
+        "restore read {} < wrote {}",
+        m.spill_bytes_read,
+        m.spill_bytes_written
     );
     assert!(
-        enc.spill_compression_ratio_pct >= 200,
+        m.spill_compression_ratio_pct >= 200,
         "compression gauge {} below 200 (2x)",
-        enc.spill_compression_ratio_pct
+        m.spill_compression_ratio_pct
     );
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -549,11 +500,12 @@ fn governor_spills_go_to_the_query_spill_dir() {
     assert!(!err.is_budget(), "unexpected error kind: {err}");
 }
 
-/// Overlapped spill restore: with one worker the FIFO queue runs every `SpillIo` prefetch before the merge that consumes
-/// it, so every spilled partition restores from cache (`prefetch_hits`);
-/// disabling prefetch forces the synchronous re-read path
-/// (`prefetch_misses`) — and with a single worker no overlap nanoseconds
-/// can ever be attributed. Both legs return identical rows.
+/// Overlapped spill restore: with one worker the FIFO queue runs every
+/// `SpillIo` prefetch before the merge that consumes it, so every spilled
+/// partition restores from cache (`prefetch_hits`). Serial sinks
+/// (`partition_count = 1`) never prefetch, so they take the synchronous
+/// re-read path (`prefetch_misses`). With a single worker no overlap
+/// nanoseconds can ever be attributed, and both runs return the same rows.
 #[test]
 fn spill_prefetch_hits_cache_under_global_scheduler() {
     let w = tpch(0.05, 57);
@@ -573,23 +525,27 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
     );
     // One worker: a prefetch can never run while another task executes.
     assert_eq!(on.metrics.spill_io_overlap_nanos, 0);
-    let off = db
-        .query(&qd.sql, &base.clone().with_spill_prefetch(false))
+    let serial = db
+        .query(&qd.sql, &base.clone().with_partition_count(1))
         .unwrap();
     assert_eq!(
-        off.metrics.spill_prefetch_hits, 0,
-        "prefetch ran while disabled"
+        serial.metrics.spill_prefetch_hits, 0,
+        "a serial sink prefetched"
     );
     assert!(
-        off.metrics.spill_prefetch_misses >= 1,
+        serial.metrics.spill_prefetch_misses >= 1,
         "no synchronous restore recorded: {:?}",
-        off.metrics
+        serial.metrics
     );
-    assert_eq!(off.metrics.spill_io_overlap_nanos, 0);
-    // threads == 1 on the global scheduler is bit-deterministic, so the
-    // two legs must agree exactly — prefetch only changes *where* restore
-    // bytes come from, never their content or order.
-    assert_eq!(on.rows, off.rows, "prefetch changed the result");
+    assert_eq!(serial.metrics.spill_io_overlap_nanos, 0);
+    // Prefetch only changes *where* restore bytes come from, never their
+    // content. The partition count changes the float summation order, so
+    // float cells compare within a relative tolerance.
+    assert_rows_approx_eq(
+        &on.sorted_rows(),
+        &serial.sorted_rows(),
+        "q3 prefetched vs serial",
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -622,11 +578,11 @@ fn spill_prop_db(keys_a: &[i64], keys_b: &[i64]) -> Database {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// Random join+GROUP BY instances: resident, forced decoded spill, and
-    /// forced compressed spill at `threads = 2, workers = 4` return the
-    /// rows of the serial resident run (`workers = 1, threads = 1,
-    /// partition_count = 1`) across partition counts (integer aggregates,
-    /// so equality is exact even on the multithreaded legs).
+    /// Random join+GROUP BY instances: resident and forced spill at
+    /// `threads = 2, workers = 4` return the rows of the serial resident
+    /// run (`workers = 1, threads = 1, partition_count = 1`) across
+    /// partition counts (integer aggregates, so equality is exact even on
+    /// the multithreaded legs).
     #[test]
     fn spill_legs_agree_with_resident(
         keys_a in proptest::collection::vec(0i64..12, 1..60),
@@ -652,17 +608,12 @@ proptest! {
                 .with_workers(4);
             let resident = db.query(sql, &base).unwrap().sorted_rows();
             // A 1-byte cap forces every chunk of every buffer to spill.
-            let decoded = db
-                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(false))
-                .unwrap()
-                .sorted_rows();
-            let compressed = db
-                .query(sql, &base.clone().with_spill(1, &dir).with_spill_encoding(true))
+            let spilled = db
+                .query(sql, &base.clone().with_spill(1, &dir))
                 .unwrap()
                 .sorted_rows();
             prop_assert_eq!(&serial, &resident, "resident parts={}", parts);
-            prop_assert_eq!(&serial, &decoded, "decoded parts={}", parts);
-            prop_assert_eq!(&serial, &compressed, "compressed parts={}", parts);
+            prop_assert_eq!(&serial, &spilled, "spilled parts={}", parts);
         }
         prop_assert_eq!(count_spill_files(&dir), 0, "spill files leaked");
         std::fs::remove_dir_all(&dir).ok();

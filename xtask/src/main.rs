@@ -15,11 +15,13 @@
 //!   `crates/core/src/planner.rs` (every compiled plan),
 //!   `crates/core/src/robustness.rs` (the paper's robustness factors),
 //!   `crates/storage/src/block/` or `crates/storage/src/encode.rs` (the
-//!   block codecs and the key-hash kernel every scan probe runs) outside
-//!   `#[cfg(test)]` modules. Operator code returns `Result`; lock
-//!   poisoning, absent slots and values missing from a dictionary are
-//!   runtime errors, not panics, and a codec matches every block variant
-//!   instead of panicking on the ones it does not expect.
+//!   block codecs and the key-hash kernel every scan probe runs), and
+//!   `crates/storage/src/spill.rs` (the spill writer and the decoder every
+//!   restore runs) outside `#[cfg(test)]` modules. Operator code returns
+//!   `Result`; lock poisoning, absent slots, values missing from a
+//!   dictionary and corrupt spill frames are runtime errors, not panics,
+//!   and a codec matches every block variant instead of panicking on the
+//!   ones it does not expect.
 //! * **B (checked counters):** no bare `+=` in `crates/exec/src/aggregate.rs`,
 //!   `crates/exec/src/context.rs`, or `crates/exec/src/operators/` outside
 //!   tests. A line is exempt when it visibly routes through a checked/
@@ -284,6 +286,7 @@ fn rule_a(root: &Path) -> Vec<Finding> {
         root.join("crates/core/src/planner.rs"),
         root.join("crates/core/src/robustness.rs"),
         root.join("crates/storage/src/encode.rs"),
+        root.join("crates/storage/src/spill.rs"),
     ];
     walk(&root.join("crates/exec/src/operators"), &mut files);
     walk(&root.join("crates/storage/src/block"), &mut files);
