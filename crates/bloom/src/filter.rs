@@ -230,8 +230,8 @@ impl BloomFilter {
         self.probe_hash(rpt_common::hash::hash_i64(key))
     }
 
-    /// Merge another filter built with identical geometry (used by the
-    /// parallel `CreateBF` Finalize step to OR thread-local filters).
+    /// Merge another filter built with identical geometry: the serial
+    /// fold [`BloomFilter::merge_parallel`] is tested against.
     pub fn merge(&mut self, other: &BloomFilter) -> Result<(), String> {
         if self.num_blocks != other.num_blocks {
             return Err(format!(

@@ -81,9 +81,9 @@ pub struct QueryOptions {
     /// `workers`.
     pub threads: usize,
     /// Hash partitions per materializing sink (normalized to a power of
-    /// two). With more than one partition, `BufferSink`/`HashBuildSink`
-    /// write radix-partitioned runs merged per-partition in parallel
-    /// instead of through the serial `Combine` path. Defaults to
+    /// two). Every sink merges through its partition merger, one merge
+    /// task per partition, so with more than one partition the merge runs
+    /// in parallel and no task covers the whole result. Defaults to
     /// `RPT_PARTITION_COUNT` when set, else 1.
     pub partition_count: usize,
     /// Work budget in tuples — the timeout analogue (§5.1's 1000×t_opt).
@@ -213,7 +213,7 @@ impl QueryOptions {
     }
 
     /// Set the sink partition count (normalized to a power of two; `1`
-    /// restores the unpartitioned sinks with a serial merge).
+    /// keeps each sink in one partition, merged by one task).
     pub fn with_partition_count(mut self, partitions: usize) -> Self {
         self.partition_count = rpt_common::normalize_partition_count(partitions);
         self

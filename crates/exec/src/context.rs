@@ -148,7 +148,8 @@ pub struct Metrics {
     pub source_chunks: AtomicU64,
     /// Nanoseconds spent in Bloom filter build + probe (the §5.5 breakdown).
     pub bloom_nanos: AtomicU64,
-    /// Per-partition sink-merge tasks executed (partitioned Combine path).
+    /// Per-partition sink-merge tasks executed (one per partition of every
+    /// merged sink state).
     pub merge_tasks: AtomicU64,
     /// Rows handled by the largest single merge task — with
     /// `partition_count > 1` this must stay below the row count of every
@@ -474,9 +475,9 @@ pub struct ExecContext {
     pub spill_limit_bytes: Option<usize>,
     /// Directory for spill files.
     pub spill_dir: PathBuf,
-    /// Hash partitions per materializing sink (power of two; 1 = the
-    /// classic unpartitioned sinks with a serial Combine merge). Defaults
-    /// to `RPT_PARTITION_COUNT` when set.
+    /// Hash partitions per materializing sink (power of two; 1 = one
+    /// partition, merged by a single merge task). Defaults to
+    /// `RPT_PARTITION_COUNT` when set.
     pub partition_count: usize,
     /// Worker-pool size (defaults to `available_parallelism()`).
     pub workers: usize,

@@ -1,10 +1,10 @@
 //! The morsel-driven executor: one worker pool, one task queue,
 //! partition-granular readiness (Leis et al., "Morsel-Driven Parallelism").
 //!
-//! Every pipeline decomposes into *tasks* — source-morsel claims, one merge
-//! task per sink partition, a finalize — and a single pool of
-//! [`ExecContext::workers`] threads drains them all from one FIFO queue, so
-//! the thread count is the pool size whatever the plan's shape.
+//! Every pipeline decomposes into *tasks* — source-morsel claims, a merge
+//! setup, one merge task per sink-state partition, a finish — and a single
+//! pool of [`ExecContext::workers`] threads drains them all from one FIFO
+//! queue, so the thread count is the pool size whatever the plan's shape.
 //!
 //! Readiness is tracked by an **event-count dependency graph** over
 //! partition-granular grains ([`ResourceId::BufferPart`]): a pipeline's
@@ -25,15 +25,14 @@
 //! fan out and only multiset/ulp-level determinism is guaranteed.
 
 use crate::context::ExecContext;
-use crate::operators::{Morsels, PartitionMerger, ResourceId, Resources, Sink};
-use crate::pipeline::{
-    combine_finalize, count_source_chunk, push_through, record_pipeline_rows, PhysicalPipeline,
-};
+use crate::operators::{lock_or_err, Morsels, PartitionMerger, ResourceId, Resources, Sink};
+use crate::pipeline::{count_source_chunk, push_through, record_pipeline_rows, PhysicalPipeline};
 use crate::scheduler::{build_dag, check_acyclic, NodeDeps};
 use rpt_common::{Error, Result};
 use std::collections::{HashMap, VecDeque};
+use std::ops::DerefMut;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// What the executor observed while running a query.
@@ -74,10 +73,11 @@ enum Task {
     Open { pipe: usize, group: usize },
     /// Claim and produce morsels of one group into a thread-local sink.
     Morsel { pipe: usize, group: usize },
-    /// Collect worker states; build the partition merger or run the serial
-    /// Combine + Finalize.
+    /// Collect worker states and build the sink's [`PartitionMerger`] (at
+    /// every partition count: one partition is one `Merge` task).
     MergeSetup { pipe: usize },
-    /// Merge and seal one sink partition (fires that partition's grains).
+    /// Merge and seal one sink-state partition (fires that partition's
+    /// grains).
     Merge { pipe: usize, part: usize },
     /// Prefetch one partition's spilled runs from disk into memory so the
     /// later `Merge` task restores from cache. Pure I/O overlap: it touches
@@ -109,8 +109,6 @@ struct PipeInfo {
     buffers_written: Vec<usize>,
     /// Non-buffer grains (filters, hash tables) fired at completion.
     other_write_grains: Vec<ResourceId>,
-    /// Does the sink merge per-partition?
-    partitioned: bool,
 }
 
 /// Mutable per-pipeline progress, guarded by the scheduler mutex.
@@ -128,6 +126,9 @@ struct PipeState {
     in_flight: usize,
     /// Ordered-chain cursor (`ctx.threads == 1`): next partition to run.
     ordered_next: usize,
+    /// Partitions of the sink state (the merger's task count), set at
+    /// merge setup; `Finish` fires the buffer grains from here on.
+    merge_parts: usize,
     merge_left: usize,
     merge_setup: bool,
     completed: bool,
@@ -175,12 +176,11 @@ enum Done {
         morsels: usize,
     },
     Sunk,
-    SetupPartitioned {
+    Setup {
         parts: usize,
         /// Partitions with spilled runs worth a `SpillIo` prefetch task.
         prefetch: Vec<usize>,
     },
-    SetupSerial,
     MergedPart,
     /// A `SpillIo` task finished after `nanos` of I/O + decode.
     Prefetched {
@@ -206,7 +206,20 @@ struct Engine<'a> {
     cvar: Condvar,
 }
 
+/// Take the scheduler state back from a poisoned mutex only to record
+/// the failure: a set `error` drains every worker and ends the run with it.
+fn recover<G: DerefMut<Target = Sched>>(poisoned: PoisonError<G>) -> G {
+    let mut s = poisoned.into_inner();
+    s.error
+        .get_or_insert_with(|| Error::Exec("scheduler state lock poisoned".into()));
+    s
+}
+
 impl<'a> Engine<'a> {
+    fn lock(&self) -> MutexGuard<'_, Sched> {
+        self.state.lock().unwrap_or_else(recover)
+    }
+
     fn trace(&self, s: &mut Sched, what: &str, task: &Task) {
         if !self.ctx.sched_trace {
             return;
@@ -310,17 +323,16 @@ impl<'a> Engine<'a> {
         }
     }
 
-    /// Mark `pipe` complete and fire its completion grains. `fire_buffers`
-    /// is set for serial finalizes, whose buffer partitions seal all at
-    /// once; partitioned sinks fired them from their merge tasks already.
-    fn complete(&self, s: &mut Sched, pipe: usize, fire_buffers: bool) {
+    /// Mark `pipe` complete after its `Finish` and fire its completion
+    /// grains: the buffer partitions its sink state does not have (a global
+    /// aggregate's merge task published the whole buffer) and the
+    /// non-buffer grains.
+    fn complete(&self, s: &mut Sched, pipe: usize) {
         s.pipes[pipe].completed = true;
         s.completed += 1;
-        if fire_buffers {
-            for &b in &self.info[pipe].buffers_written {
-                for p in 0..self.partitions {
-                    self.fire(s, ResourceId::BufferPart(b, p));
-                }
+        for &b in &self.info[pipe].buffers_written {
+            for p in s.pipes[pipe].merge_parts..self.partitions {
+                self.fire(s, ResourceId::BufferPart(b, p));
             }
         }
         for &g in &self.info[pipe].other_write_grains {
@@ -350,12 +362,9 @@ impl<'a> Engine<'a> {
                 let p = &self.phys[pipe];
                 let run = self.runtimes[pipe].groups[group]
                     .get()
-                    .expect("morsel task before group open");
+                    .ok_or_else(|| Error::Exec("morsel task before group open".into()))?;
                 let mut state = {
-                    let mut idle = self.runtimes[pipe]
-                        .idle_states
-                        .lock()
-                        .expect("idle state lock poisoned");
+                    let mut idle = lock_or_err(&self.runtimes[pipe].idle_states, "idle state")?;
                     match idle.pop() {
                         Some(st) => st,
                         None => p.sink.make(self.ctx)?,
@@ -374,41 +383,27 @@ impl<'a> Engine<'a> {
                         state.sink(out, self.ctx)?;
                     }
                 }
-                self.runtimes[pipe]
-                    .idle_states
-                    .lock()
-                    .expect("idle state lock poisoned")
-                    .push(state);
+                lock_or_err(&self.runtimes[pipe].idle_states, "idle state")?.push(state);
                 Ok(Done::Sunk)
             }
             Task::MergeSetup { pipe } => {
                 let p = &self.phys[pipe];
-                let states = std::mem::take(
-                    &mut *self.runtimes[pipe]
-                        .idle_states
-                        .lock()
-                        .expect("idle state lock poisoned"),
-                );
+                let states = std::mem::take(&mut *lock_or_err(
+                    &self.runtimes[pipe].idle_states,
+                    "idle state",
+                )?);
                 record_pipeline_rows(p, &states, self.ctx);
-                if self.info[pipe].partitioned {
-                    let merger = Arc::new(p.sink.make_merger(states, self.ctx)?);
-                    let parts = merger.partitions();
-                    let prefetch = merger.prefetch_parts();
-                    self.runtimes[pipe]
-                        .merger
-                        .set(merger)
-                        .map_err(|_| Error::Exec("pipeline merger set twice".into()))?;
-                    Ok(Done::SetupPartitioned { parts, prefetch })
-                } else {
-                    combine_finalize(states, self.res)?;
-                    Ok(Done::SetupSerial)
-                }
-            }
-            Task::Merge { pipe, part } => {
+                let merger = Arc::new(p.sink.make_merger(states, self.ctx)?);
+                let parts = merger.partitions();
+                let prefetch = merger.prefetch_parts();
                 self.runtimes[pipe]
                     .merger
-                    .get()
-                    .expect("merge task before setup")
+                    .set(merger)
+                    .map_err(|_| Error::Exec("pipeline merger set twice".into()))?;
+                Ok(Done::Setup { parts, prefetch })
+            }
+            Task::Merge { pipe, part } => {
+                self.merger(pipe)?
                     .merge_partition(part, self.ctx, self.res)?;
                 Ok(Done::MergedPart)
             }
@@ -425,10 +420,7 @@ impl<'a> Engine<'a> {
                 })
             }
             Task::Finish { pipe } => {
-                let merger = self.runtimes[pipe]
-                    .merger
-                    .get()
-                    .expect("finish task before setup");
+                let merger = self.merger(pipe)?;
                 merger.finish(self.ctx, self.res)?;
                 self.ctx.metrics.record_merge(
                     &self.phys[pipe].label,
@@ -440,8 +432,16 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// The merger `MergeSetup` built for `pipe`.
+    fn merger(&self, pipe: usize) -> Result<&Arc<Box<dyn PartitionMerger>>> {
+        self.runtimes[pipe]
+            .merger
+            .get()
+            .ok_or_else(|| Error::Exec("merge/finish task before setup".into()))
+    }
+
     /// Apply a finished task's effects under the lock.
-    fn apply(&self, s: &mut Sched, task: Task, done: Done) {
+    fn apply(&self, s: &mut Sched, task: Task, done: Done) -> Result<()> {
         self.trace(s, "finish", &task);
         match (task, done) {
             (Task::Open { pipe, group }, Done::Opened { morsels }) => {
@@ -476,7 +476,8 @@ impl<'a> Engine<'a> {
                     self.try_start_groups(s, pipe);
                 }
             }
-            (Task::MergeSetup { pipe }, Done::SetupPartitioned { parts, prefetch }) => {
+            (Task::MergeSetup { pipe }, Done::Setup { parts, prefetch }) => {
+                s.pipes[pipe].merge_parts = parts;
                 s.pipes[pipe].merge_left = parts;
                 s.merge_tasks += parts as u64;
                 // Prefetch tasks are enqueued first so workers start the
@@ -489,9 +490,6 @@ impl<'a> Engine<'a> {
                 for part in 0..parts {
                     self.enqueue(s, Task::Merge { pipe, part });
                 }
-            }
-            (Task::MergeSetup { pipe }, Done::SetupSerial) => {
-                self.complete(s, pipe, true);
             }
             (Task::Merge { pipe, part }, Done::MergedPart) => {
                 // Count this partition as sealed *before* firing its seal
@@ -519,10 +517,11 @@ impl<'a> Engine<'a> {
                 }
             }
             (Task::Finish { pipe }, Done::Finished) => {
-                self.complete(s, pipe, false);
+                self.complete(s, pipe);
             }
-            _ => unreachable!("task/result mismatch"),
+            _ => return Err(Error::Exec("scheduler task/result mismatch".into())),
         }
+        Ok(())
     }
 
     fn worker(&self, n: usize) {
@@ -532,14 +531,14 @@ impl<'a> Engine<'a> {
         let t0 = Instant::now();
         self.worker_loop(n);
         let wall = t0.elapsed().as_nanos() as u64;
-        let mut s = self.state.lock().expect("scheduler state poisoned");
+        let mut s = self.lock();
         s.worker_wall_nanos = s.worker_wall_nanos.saturating_add(wall);
     }
 
     fn worker_loop(&self, n: usize) {
         loop {
             let task = {
-                let mut s = self.state.lock().expect("scheduler state poisoned");
+                let mut s = self.lock();
                 loop {
                     if s.error.is_some() || s.completed == n {
                         drop(s);
@@ -553,7 +552,7 @@ impl<'a> Engine<'a> {
                         self.trace(&mut s, "start", &task);
                         break task;
                     }
-                    s = self.cvar.wait(s).expect("scheduler state poisoned");
+                    s = self.cvar.wait(s).unwrap_or_else(recover);
                 }
             };
 
@@ -566,19 +565,14 @@ impl<'a> Engine<'a> {
                     .unwrap_or_else(|_| Err(Error::Exec("scheduler task panicked".into())));
             let busy = t0.elapsed().as_nanos() as u64;
 
-            let mut s = self.state.lock().expect("scheduler state poisoned");
+            let mut s = self.lock();
             s.busy -= 1;
             s.busy_nanos = s.busy_nanos.saturating_add(busy);
             self.ctx
                 .metrics
                 .add(&self.ctx.metrics.sched_busy_nanos, busy);
-            match outcome {
-                Ok(done) => self.apply(&mut s, task, done),
-                Err(e) => {
-                    if s.error.is_none() {
-                        s.error = Some(e);
-                    }
-                }
+            if let Err(e) = outcome.and_then(|done| self.apply(&mut s, task, done)) {
+                s.error.get_or_insert(e);
             }
             drop(s);
             self.cvar.notify_all();
@@ -688,7 +682,6 @@ pub fn run_physical_global(
             source_producers,
             buffers_written,
             other_write_grains,
-            partitioned: p.sink.partitioned_merge(ctx),
         });
         pipes.push(PipeState {
             base_wait,
@@ -699,6 +692,7 @@ pub fn run_physical_global(
             groups_done: 0,
             in_flight: 0,
             ordered_next: 0,
+            merge_parts: 0,
             merge_left: 0,
             merge_setup: false,
             completed: false,
@@ -743,7 +737,7 @@ pub fn run_physical_global(
 
     // Seed the queue with every immediately runnable group.
     let initially_ready = {
-        let mut s = engine.state.lock().expect("scheduler state poisoned");
+        let mut s = engine.lock();
         for pipe in 0..n {
             engine.try_start_groups(&mut s, pipe);
         }
@@ -762,7 +756,7 @@ pub fn run_physical_global(
         engine.worker(n);
     });
 
-    let mut s = engine.state.into_inner().expect("scheduler state poisoned");
+    let mut s = engine.lock();
     if let Some(e) = s.error.take() {
         return Err(e);
     }

@@ -5,14 +5,15 @@
 //!
 //! * queries run as a sequence of **pipelines**; each pipeline has a
 //!   *source* (`GetData`), a chain of streaming *operators* (`Execute`), and
-//!   a *sink* (`Sink`/`Combine`/`Finalize`) that is a pipeline breaker;
+//!   a *sink* that is a pipeline breaker, its per-worker states merged
+//!   once, in Combine/Finalize, by the sink's `PartitionMerger`;
 //! * tuples flow in 2048-row data chunks with selection vectors;
 //! * the two new RPT operators are implemented here: **CreateBF** (a sink
 //!   that buffers chunks and builds Bloom filters, then acts as the source
 //!   of the next pipeline) and **ProbeBF** (a streaming operator that probes
 //!   a Bloom filter and refines the chunk's selection vector);
 //! * morsel-style multi-threaded execution (§5.3) with thread-local sink
-//!   state merged in `Combine`/`Finalize`;
+//!   state, merged by one task per sink partition plus a finish task;
 //! * a work-budget cancellation mechanism standing in for the paper's
 //!   `1000 × t_opt` timeout.
 //!

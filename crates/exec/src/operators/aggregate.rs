@@ -13,9 +13,10 @@
 //!
 //! Global (no-group) aggregates stay single-partition: their "merge" is a
 //! constant-size fold, and the zero-row → one-row output contract needs a
-//! single finalize point.
+//! single finalize point. Their merger runs one task, which publishes the
+//! whole buffer whatever the `Resources`' partition count.
 
-use super::{downcast_sink, PartitionMerger, PartitionSlots, Resources, Sink, SinkFactory};
+use super::{downcast_states, PartitionMerger, PartitionSlots, Resources, Sink, SinkFactory};
 use crate::aggregate::{AggregateState, ChunkKeys};
 use crate::context::ExecContext;
 use crate::expr::AggExpr;
@@ -26,7 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 pub struct AggregateSink {
-    buf_id: usize,
     /// One group table per hash partition (a single entry when
     /// unpartitioned or group-less).
     parts: Vec<AggregateState>,
@@ -101,39 +101,8 @@ impl Sink for AggregateSink {
         Ok(())
     }
 
-    fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
-        let other = downcast_sink::<AggregateSink>(other)?;
-        self.rows = self.rows.saturating_add(other.rows);
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
-            mine.merge(theirs)?;
-        }
-        self.report_residency();
-        Ok(())
-    }
-
     fn rows(&self) -> u64 {
         self.rows
-    }
-
-    fn finalize(self: Box<Self>, res: &Resources) -> Result<()> {
-        let this = *self;
-        if this.parts.len() == 1 {
-            let mut parts = this.parts;
-            let out = parts.remove(0).finalize(&this.output_schema)?;
-            return res.publish_buffer(this.buf_id, vec![out]);
-        }
-        // Serial finalize of a partitioned sink (direct harness use; the
-        // pipeline drivers go through the merger instead).
-        for (p, state) in this.parts.into_iter().enumerate() {
-            let out = state.finalize(&this.output_schema)?;
-            let chunks = if out.num_rows() == 0 {
-                vec![]
-            } else {
-                vec![out]
-            };
-            res.publish_buffer_partition(this.buf_id, p, chunks)?;
-        }
-        Ok(())
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -199,7 +168,6 @@ impl SinkFactory for AggregateFactory {
             .map(|_| self.state(ctx))
             .collect::<Result<Vec<_>>>()?;
         Ok(Box::new(AggregateSink {
-            buf_id: self.buf_id,
             partitioner,
             output_schema: self.output_schema.clone(),
             rows: 0,
@@ -211,25 +179,16 @@ impl SinkFactory for AggregateFactory {
         }))
     }
 
-    fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
-        !self.group_cols.is_empty() && ctx.partition_count > 1
-    }
-
     fn make_merger(
         &self,
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = Vec::with_capacity(states.len());
-        for s in states {
-            workers.push(*downcast_sink::<AggregateSink>(s)?);
-        }
+        let workers = downcast_states::<AggregateSink>(states)?;
         // The states' own layout is authoritative (the factory normalized
-        // `ctx.partition_count` when it built them).
-        let partitions = workers
-            .first()
-            .map(|w| w.parts.len())
-            .ok_or_else(|| Error::Exec("partitioned merge without sink states".into()))?;
+        // `ctx.partition_count`, and kept global aggregates at one, when it
+        // built them).
+        let partitions = workers[0].parts.len();
         let slots =
             PartitionSlots::transpose(workers.into_iter().map(|w| w.parts).collect(), partitions);
         Ok(Box::new(AggregateMerger {
@@ -242,11 +201,12 @@ impl SinkFactory for AggregateFactory {
     }
 }
 
-/// Merge plan of a partitioned [`AggregateSink`]: task `p` merges every
-/// worker's partition-`p` group table, finalizes it (groups sorted by
-/// encoded key within the partition), and seals buffer partition `p` —
-/// making any consumer of that partition runnable immediately. `finish`
-/// has nothing left to publish.
+/// Merge plan of an [`AggregateSink`]: task `p` merges every worker's
+/// partition-`p` group table, finalizes it (groups sorted by encoded key
+/// within the partition), and seals buffer partition `p` — making any
+/// consumer of that partition runnable immediately. A one-partition state
+/// (a global aggregate, or partition count 1) publishes the whole buffer
+/// instead. `finish` has nothing left to publish.
 struct AggregateMerger {
     buf_id: usize,
     output_schema: Schema,
@@ -275,6 +235,9 @@ impl PartitionMerger for AggregateMerger {
         self.max_task_rows
             .fetch_max(merged.num_groups() as u64, Ordering::Relaxed);
         let out = merged.finalize(&self.output_schema)?;
+        if self.partitions == 1 {
+            return res.publish_buffer(self.buf_id, vec![out]);
+        }
         let chunks = if out.num_rows() == 0 {
             vec![]
         } else {

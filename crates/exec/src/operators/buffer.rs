@@ -15,22 +15,19 @@
 //! worker and seals that partition's buffer slot, so no merge task ever
 //! scans the full result.
 
-use super::create_bf::{
-    combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
-};
+use super::create_bf::{insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink};
 use super::{
-    downcast_sink, lock_or_err, record_spill_stats, KeyHashes, PartitionMerger, PartitionSlots,
+    downcast_states, lock_or_err, record_spill_stats, KeyHashes, PartitionMerger, PartitionSlots,
     Resources, Sink, SinkFactory,
 };
-use crate::context::{ExecContext, Metrics};
+use crate::context::ExecContext;
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
 use rpt_storage::{SpillBuffer, SpillStats};
 use std::any::Any;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 
 pub struct BufferSink {
-    buf_id: usize,
     /// One spill buffer per partition (a single entry when unpartitioned).
     parts: Vec<SpillBuffer>,
     partitioner: Partitioner,
@@ -46,8 +43,6 @@ pub struct BufferSink {
     routed: Vec<Vec<u32>>,
     blooms: Vec<BloomBuild>,
     rows: u64,
-    /// Metrics sink for spill accounting on the ctx-less `finalize` path.
-    metrics: Arc<Metrics>,
 }
 
 impl BufferSink {
@@ -101,43 +96,8 @@ impl Sink for BufferSink {
         Ok(())
     }
 
-    fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
-        let other = downcast_sink::<BufferSink>(other)?;
-        for (mine, mut theirs) in self.parts.iter_mut().zip(other.parts) {
-            let chunks = theirs.take_chunks()?;
-            record_spill_stats(&self.metrics, theirs.stats());
-            for c in chunks {
-                mine.push(c)?;
-            }
-        }
-        combine_blooms(&mut self.blooms, &other.blooms)?;
-        self.rows = self.rows.saturating_add(other.rows);
-        Ok(())
-    }
-
     fn rows(&self) -> u64 {
         self.rows
-    }
-
-    fn finalize(self: Box<Self>, res: &Resources) -> Result<()> {
-        let this = *self;
-        if this.parts.len() == 1 {
-            let mut parts = this.parts;
-            let mut buf = parts.remove(0);
-            let chunks = buf.take_chunks()?;
-            record_spill_stats(&this.metrics, buf.stats());
-            res.publish_buffer(this.buf_id, chunks)?;
-        } else {
-            for (p, mut buf) in this.parts.into_iter().enumerate() {
-                let chunks = buf.take_chunks()?;
-                record_spill_stats(&this.metrics, buf.stats());
-                res.publish_buffer_partition(this.buf_id, p, chunks)?;
-            }
-        }
-        for b in this.blooms {
-            b.publish(res)?;
-        }
-        Ok(())
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -182,7 +142,6 @@ impl SinkFactory for BufferSinkFactory {
             })
             .collect();
         Ok(Box::new(BufferSink {
-            buf_id: self.buf_id,
             parts,
             partitioner,
             partition_keys: self.blooms.first().map(|b| b.key_cols.clone()),
@@ -191,12 +150,7 @@ impl SinkFactory for BufferSinkFactory {
             routed: Vec::new(),
             blooms: BloomBuild::from_specs(&self.blooms),
             rows: 0,
-            metrics: ctx.metrics.clone(),
         }))
-    }
-
-    fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
-        ctx.partition_count > 1
     }
 
     fn make_merger(
@@ -204,16 +158,10 @@ impl SinkFactory for BufferSinkFactory {
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = Vec::with_capacity(states.len());
-        for s in states {
-            workers.push(*downcast_sink::<BufferSink>(s)?);
-        }
+        let mut workers = downcast_states::<BufferSink>(states)?;
         // The states' own layout is authoritative (the factory normalized
         // `ctx.partition_count` when it built them).
-        let partitions = workers
-            .first()
-            .map(|w| w.parts.len())
-            .ok_or_else(|| Error::Exec("partitioned merge without sink states".into()))?;
+        let partitions = workers[0].parts.len();
         let blooms: Vec<Vec<BloomBuild>> = workers
             .iter_mut()
             .map(|w| std::mem::take(&mut w.blooms))
@@ -230,7 +178,7 @@ impl SinkFactory for BufferSinkFactory {
     }
 }
 
-/// Merge plan of a partitioned [`BufferSink`]: task `p` concatenates every
+/// Merge plan of a [`BufferSink`]: task `p` concatenates every
 /// worker's partition-`p` run and seals that buffer partition; `finish`
 /// OR-merges and publishes the Bloom filters.
 struct BufferMerger {

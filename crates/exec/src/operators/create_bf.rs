@@ -4,7 +4,8 @@
 //! key columns, sized for this many keys"); a [`BloomBuild`] is one
 //! worker's in-progress filter. Buffer sinks (the canonical CreateBF) and
 //! hash-build sinks (the BloomJoin baseline's build side) both embed a list
-//! of `BloomBuild`s, merge them in `Combine`, and publish in `Finalize`.
+//! of `BloomBuild`s; their mergers' `finish` OR-merges every worker's builds
+//! and publishes the filters ([`merge_publish_blooms`]).
 
 use super::{KeyHashes, Resources};
 use crate::context::ExecContext;
@@ -43,11 +44,6 @@ impl BloomBuild {
 
     pub fn filter_id(&self) -> usize {
         self.spec.filter_id
-    }
-
-    /// Merge another worker's partial filter (same request).
-    pub fn merge(&mut self, other: &BloomBuild) -> Result<()> {
-        self.filter.merge(&other.filter).map_err(Error::Exec)
     }
 
     /// Publish the finished filter.
@@ -140,16 +136,8 @@ fn observe_i64_key_ranges(chunk: &DataChunk, build: &mut BloomBuild) {
     }
 }
 
-/// Merge two parallel lists of partial filters pairwise.
-pub fn combine_blooms(mine: &mut [BloomBuild], other: &[BloomBuild]) -> Result<()> {
-    for (a, b) in mine.iter_mut().zip(other.iter()) {
-        a.merge(b)?;
-    }
-    Ok(())
-}
-
 /// Merge every worker's partial filters and publish the results — the
-/// Finalize half of a *partitioned* CreateBF. Filters are OR-merged in
+/// `finish` half of CreateBF. Filters are OR-merged in
 /// disjoint word ranges on up to `threads` scoped threads
 /// ([`BloomFilter::merge_parallel`]); since OR is commutative and
 /// associative the published bit pattern is identical regardless of worker

@@ -14,11 +14,9 @@
 //! part of the build is never serialized over the full build side and a
 //! probe never knows the build was partitioned.
 
-use super::create_bf::{
-    combine_blooms, insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink,
-};
+use super::create_bf::{insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink};
 use super::{
-    downcast_sink, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, Resources, Sink,
+    downcast_states, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, Resources, Sink,
     SinkFactory,
 };
 use crate::context::ExecContext;
@@ -30,7 +28,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub struct HashBuildSink {
-    ht_id: usize,
     key_cols: Vec<usize>,
     blooms: Vec<BloomBuild>,
     /// Per-partition runs (a single entry when unpartitioned).
@@ -39,7 +36,6 @@ pub struct HashBuildSink {
     /// Scratch of the radix route: per partition, the rows of the chunk
     /// being sunk.
     routed: Vec<Vec<u32>>,
-    schema: Schema,
     rows: u64,
     /// Unevictable governor registration: build rows must stay addressable
     /// in memory, so this only contributes pressure that pushes evictable
@@ -117,35 +113,8 @@ impl Sink for HashBuildSink {
         Ok(())
     }
 
-    fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
-        let other = downcast_sink::<HashBuildSink>(other)?;
-        let taken = other.resident_bytes;
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
-            mine.extend(theirs);
-        }
-        combine_blooms(&mut self.blooms, &other.blooms)?;
-        self.rows = self.rows.saturating_add(other.rows);
-        // The other sink's registration released on drop; adopt its bytes.
-        self.report_residency(taken);
-        Ok(())
-    }
-
     fn rows(&self) -> u64 {
         self.rows
-    }
-
-    fn finalize(mut self: Box<Self>, res: &Resources) -> Result<()> {
-        let parts = self
-            .parts
-            .iter()
-            .map(|run| build_part(run, &self.key_cols, &self.schema))
-            .collect::<Result<Vec<_>>>()?;
-        let table = JoinHashTable::assemble(parts, self.key_cols.clone())?;
-        res.publish_table(self.ht_id, table.governed_by(self.governed.take()))?;
-        for b in self.blooms {
-            b.publish(res)?;
-        }
-        Ok(())
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -180,21 +149,15 @@ impl SinkFactory for HashBuildFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         let partitioner = Partitioner::new(ctx.partition_count);
         Ok(Box::new(HashBuildSink {
-            ht_id: self.ht_id,
             key_cols: self.key_cols.clone(),
             blooms: BloomBuild::from_specs(&self.blooms),
             parts: (0..partitioner.count()).map(|_| Vec::new()).collect(),
             partitioner,
             routed: Vec::new(),
-            schema: self.schema.clone(),
             rows: 0,
             governed: ctx.governor.as_ref().map(|g| g.register(false)),
             resident_bytes: 0,
         }))
-    }
-
-    fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
-        ctx.partition_count > 1
     }
 
     fn make_merger(
@@ -202,16 +165,10 @@ impl SinkFactory for HashBuildFactory {
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = Vec::with_capacity(states.len());
-        for s in states {
-            workers.push(*downcast_sink::<HashBuildSink>(s)?);
-        }
+        let mut workers = downcast_states::<HashBuildSink>(states)?;
         // The states' own layout is authoritative (the factory normalized
         // `ctx.partition_count` when it built them).
-        let partitions = workers
-            .first()
-            .map(|w| w.parts.len())
-            .ok_or_else(|| Error::Exec("partitioned merge without sink states".into()))?;
+        let partitions = workers[0].parts.len();
         let blooms: Vec<Vec<BloomBuild>> = workers
             .iter_mut()
             .map(|w| std::mem::take(&mut w.blooms))
@@ -244,7 +201,7 @@ impl SinkFactory for HashBuildFactory {
     }
 }
 
-/// Merge plan of a partitioned [`HashBuildSink`]: task `p` prepares one
+/// Merge plan of a [`HashBuildSink`]: task `p` prepares one
 /// partition's [`BuildPart`] (concatenate, hash — the per-row work);
 /// `finish` assembles the parts into the one [`JoinHashTable`] (block
 /// appends and the chain links), publishes it, and merges the Bloom

@@ -9,11 +9,12 @@
 //! Execution model (unchanged from §4.1 of the paper's DuckDB substrate):
 //! a pipeline pulls morsels from its [`Source`], pushes them through a
 //! chain of streaming [`Operator`]s, and terminates at a [`Sink`] — one
-//! sink instance per worker thread, merged via `combine` and published via
-//! `finalize`. Cross-pipeline state (materialized buffers, Bloom filters,
-//! join hash tables) lives in [`Resources`]: write-once slots that double
-//! as the *dependency* vocabulary ([`ResourceId`]) the DAG scheduler uses
-//! to decide which pipelines may run concurrently.
+//! sink instance per worker thread, merged and published by the factory's
+//! [`PartitionMerger`] at every partition count. Cross-pipeline state
+//! (materialized buffers, Bloom filters, join hash tables) lives in
+//! [`Resources`]: write-once slots that double as the *dependency*
+//! vocabulary ([`ResourceId`]) the DAG scheduler uses to decide which
+//! pipelines may run concurrently.
 
 pub mod aggregate;
 pub mod buffer;
@@ -127,11 +128,12 @@ impl AccessLog {
 
 /// Write-once shared state produced and consumed by pipelines.
 ///
-/// Every slot is an [`OnceLock`]: producers publish exactly once in their
-/// sink's `finalize` (partitioned sinks publish each buffer partition from
-/// its own merge task), consumers resolve at probe time. The scheduler
-/// guarantees producers complete before consumers start, so a failed
-/// lookup is a planning bug and surfaces as `Error::Exec`.
+/// Every slot is an [`OnceLock`]: producers publish exactly once from
+/// their sink's [`PartitionMerger`] (each buffer partition from the merge
+/// task that merges it, whole resources from `finish`), consumers resolve
+/// at probe time. The scheduler guarantees producers complete before
+/// consumers start, so a failed lookup is a planning bug and surfaces as
+/// `Error::Exec`.
 pub struct Resources {
     partitions: usize,
     buffers: Vec<BufferSlot>,
@@ -275,9 +277,9 @@ impl Resources {
             .ok_or_else(|| Error::Exec(format!("hash table {id} not built")))
     }
 
-    /// Publish a whole buffer at once (unpartitioned sinks; with more than
-    /// one partition slot the chunks land in partition 0 and the remaining
-    /// partitions are sealed empty).
+    /// Publish a whole buffer at once (a global aggregate's one group table,
+    /// a sort's merged output; with more than one partition slot the chunks
+    /// land in partition 0 and the remaining partitions are sealed empty).
     pub fn publish_buffer(&self, id: usize, chunks: Vec<DataChunk>) -> Result<()> {
         self.log_buffer(true, id);
         let slot = self
@@ -387,54 +389,39 @@ pub trait Operator: Send + Sync {
     ) -> Result<Option<DataChunk>>;
 }
 
-/// Per-thread sink state (`Sink` / `Combine` / `Finalize`).
+/// Per-thread sink state (`Sink`); the workers' states are merged and
+/// published by their factory's [`PartitionMerger`].
 pub trait Sink: Send + Any {
     /// Consume one chunk on a worker thread.
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()>;
 
-    /// Merge another worker's state (same concrete type) into this one.
-    fn combine(&mut self, other: Box<dyn Sink>) -> Result<()>;
-
     /// Rows that have entered this sink (for the intermediate-tuple metric).
     fn rows(&self) -> u64;
 
-    /// Publish the merged result into the shared [`Resources`].
-    fn finalize(self: Box<Self>, res: &Resources) -> Result<()>;
-
-    /// Downcast support for [`Sink::combine`].
+    /// Downcast support for [`SinkFactory::make_merger`].
     fn into_any(self: Box<Self>) -> Box<dyn Any>;
 }
 
-/// Builds one [`Sink`] per worker thread. All four materializing sinks (buffer/CreateBF, hash build,
-/// aggregate, sort) opt into the partitioned merge path when
-/// `ctx.partition_count > 1`.
+/// Builds one [`Sink`] per worker thread, and merges the workers' states
+/// through a [`PartitionMerger`] — one protocol for all four materializing
+/// sinks (buffer/CreateBF, hash build, aggregate, sort) at any partition
+/// count, one partition included.
 pub trait SinkFactory: Send + Sync {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>>;
 
-    /// Does this sink write hash-partitioned runs that the driver should
-    /// merge per-partition in parallel via a [`PartitionMerger`]? When
-    /// `false` the driver uses the serial `Combine` + `Finalize` path.
-    fn partitioned_merge(&self, _ctx: &ExecContext) -> bool {
-        false
-    }
-
-    /// Turn the workers' partitioned sink states into a merge plan whose
-    /// per-partition tasks the *caller* schedules (the executor runs them
-    /// on the worker pool that ran the morsels).
+    /// Turn the workers' sink states into a merge plan whose per-partition
+    /// tasks the *caller* schedules (the executor runs them on the worker
+    /// pool that ran the morsels).
     fn make_merger(
         &self,
-        _states: Vec<Box<dyn Sink>>,
-        _ctx: &ExecContext,
-    ) -> Result<Box<dyn PartitionMerger>> {
-        Err(Error::Exec(
-            "sink does not implement a partitioned merge".into(),
-        ))
-    }
+        states: Vec<Box<dyn Sink>>,
+        ctx: &ExecContext,
+    ) -> Result<Box<dyn PartitionMerger>>;
 
-    /// Standalone partitioned merge: build the merger, run every partition
-    /// task on the calling thread, finish, and record merge stats. The
-    /// executor schedules the merger's tasks on its worker pool instead;
-    /// this entry point serves direct sink harnesses (tests, benchmarks).
+    /// Standalone merge: build the merger, run every partition task on the
+    /// calling thread, finish, and record merge stats. The executor
+    /// schedules the merger's tasks on its worker pool instead; this entry
+    /// point serves sink-level test harnesses.
     fn merge_partitioned(
         &self,
         label: &str,
@@ -453,9 +440,9 @@ pub trait SinkFactory: Send + Sync {
     }
 }
 
-/// A partitioned sink's merge plan: one independent task per partition plus
-/// a final publication step, created once every worker's [`Sink`] state has
-/// been collected.
+/// A sink's merge plan: one independent task per partition of the sink
+/// state plus a final publication step, created once every worker's
+/// [`Sink`] state has been collected.
 ///
 /// Contract: `merge_partition(p)` is called exactly once per partition, in
 /// any order, from any thread — each call seals partition `p`'s resources
@@ -463,6 +450,17 @@ pub trait SinkFactory: Send + Sync {
 /// other partition, which is what lets consumers start on `p` immediately.
 /// `finish` runs after *all* partition tasks and publishes the
 /// whole-resource results (Bloom filters, the assembled hash table).
+///
+/// The executor fires each buffer grain `BufferPart(b, p)` exactly once:
+/// when merge task `p` returns, for `p < partitions()`, and when `finish`
+/// returns for the partitions the state does not have. A state may have
+/// fewer partitions than the [`Resources`]: a global aggregate keeps one
+/// group table at any partition count, so its one merge task publishes
+/// the whole buffer ([`Resources::publish_buffer`]) and grains `1..` fire
+/// at `finish`. `SortMerger`'s merge tasks publish nothing — the order
+/// spans partitions, so `finish` publishes the whole buffer — and its
+/// early grains wake nobody, because no pipeline reads a sort sink's
+/// buffer.
 pub trait PartitionMerger: Send + Sync {
     /// Number of partition merge tasks.
     fn partitions(&self) -> usize;
@@ -539,8 +537,7 @@ impl<T> PartitionSlots<T> {
 
 /// Fold one buffer's [`rpt_storage::SpillStats`] into the query's
 /// `spill_*` metrics family. Called wherever a `SpillBuffer` is consumed
-/// (per-partition merge tasks, serial finalizes) so the counters cover
-/// every spill path.
+/// (the merge tasks), so the counters cover every spill path.
 pub(crate) fn record_spill_stats(metrics: &crate::context::Metrics, st: rpt_storage::SpillStats) {
     if st.encoded_bytes_spilled > 0 {
         metrics.add(
@@ -569,12 +566,19 @@ pub(crate) fn lock_or_err<'a, T>(
         .map_err(|_| Error::Exec(format!("{what} lock poisoned")))
 }
 
-/// Downcast `other` to `S` for a `combine`, with a uniform error.
-pub(crate) fn downcast_sink<S: Sink>(other: Box<dyn Sink>) -> Result<Box<S>> {
-    other
-        .into_any()
-        .downcast::<S>()
-        .map_err(|_| Error::Exec("combining mismatched sink states".into()))
+/// Downcast every worker's state to `S` for a merger, with a uniform
+/// error. A merge needs at least one state (the executor always makes one).
+pub(crate) fn downcast_states<S: Sink>(states: Vec<Box<dyn Sink>>) -> Result<Vec<S>> {
+    if states.is_empty() {
+        return Err(Error::Exec("sink merge without worker states".into()));
+    }
+    states
+        .into_iter()
+        .map(|s| match s.into_any().downcast::<S>() {
+            Ok(s) => Ok(*s),
+            Err(_) => Err(Error::Exec("merging mismatched sink states".into())),
+        })
+        .collect()
 }
 
 /// Vectorized key hashes over the logical rows of a chunk, computed

@@ -39,7 +39,7 @@
 //! boundary test and the loser tree all compare these words.
 
 use super::{
-    downcast_sink, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, Resources,
+    downcast_states, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, Resources,
     Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
@@ -527,23 +527,15 @@ impl Run {
 }
 
 pub struct SortSink {
-    buf_id: usize,
     keys: Arc<Vec<SortKey>>,
-    /// `limit + offset`: the most rows any run ever needs to keep.
-    bound: Option<usize>,
-    limit: Option<usize>,
-    offset: usize,
     schema: Schema,
     parts: Vec<Run>,
     next_round_robin: usize,
     rows: u64,
-    /// Owned handle so pruning in `combine`/`finalize` (no ctx there)
-    /// still lands in the query metrics.
-    metrics: Arc<Metrics>,
 }
 
 impl Sink for SortSink {
-    fn sink(&mut self, chunk: DataChunk, _ctx: &ExecContext) -> Result<()> {
+    fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
         self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
         if chunk.is_logically_empty() {
             return Ok(());
@@ -551,53 +543,13 @@ impl Sink for SortSink {
         let p = self.next_round_robin;
         self.next_round_robin = (p + 1) % self.parts.len();
         match &mut self.parts[p] {
-            Run::TopK(run) => run.push(&chunk, &self.keys, &self.schema, &self.metrics),
+            Run::TopK(run) => run.push(&chunk, &self.keys, &self.schema, &ctx.metrics),
             Run::Full(buf) => buf.push(chunk),
         }
     }
 
-    fn combine(&mut self, other: Box<dyn Sink>) -> Result<()> {
-        let other = downcast_sink::<SortSink>(other)?;
-        self.rows = self.rows.saturating_add(other.rows);
-        for (mine, theirs) in self.parts.iter_mut().zip(other.parts) {
-            match (mine, theirs) {
-                (Run::TopK(run), theirs @ Run::TopK(_)) => {
-                    for c in theirs.into_chunks(&self.metrics)? {
-                        run.push(&c, &self.keys, &self.schema, &self.metrics)?;
-                    }
-                }
-                (Run::Full(buf), theirs) => {
-                    for c in theirs.into_chunks(&self.metrics)? {
-                        buf.push(c)?;
-                    }
-                }
-                _ => return Err(Error::Exec("combining mismatched sort run modes".into())),
-            }
-        }
-        Ok(())
-    }
-
     fn rows(&self) -> u64 {
         self.rows
-    }
-
-    /// Serial path (no partitioned merge): sort every partition's run and
-    /// loser-tree merge them into the globally ordered result.
-    fn finalize(self: Box<Self>, res: &Resources) -> Result<()> {
-        let mut sorted = Vec::with_capacity(self.parts.len());
-        let mut total_pruned = 0u64;
-        for run in self.parts {
-            let gathered = concat(&self.schema, run.into_chunks(&self.metrics)?)?;
-            let (run, pruned) = sort_run(&self.keys, &self.schema, &gathered, self.bound)?;
-            total_pruned = total_pruned.saturating_add(pruned);
-            self.metrics
-                .max_update(&self.metrics.sort_max_run_rows, run.chunk.num_rows() as u64);
-            sorted.push(run);
-        }
-        self.metrics
-            .add(&self.metrics.sort_rows_pruned, total_pruned);
-        let out = merge_sorted_runs(&self.keys, &self.schema, sorted, self.offset, self.limit)?;
-        res.publish_buffer(self.buf_id, out)
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -666,21 +618,12 @@ impl SinkFactory for SortSinkFactory {
             })
             .collect();
         Ok(Box::new(SortSink {
-            buf_id: self.buf_id,
             keys: self.keys.clone(),
-            bound,
-            limit: self.limit,
-            offset: self.offset,
             schema: self.schema.clone(),
             parts: runs,
             next_round_robin: 0,
             rows: 0,
-            metrics: ctx.metrics.clone(),
         }))
-    }
-
-    fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
-        ctx.partition_count > 1
     }
 
     fn make_merger(
@@ -688,14 +631,8 @@ impl SinkFactory for SortSinkFactory {
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = Vec::with_capacity(states.len());
-        for s in states {
-            workers.push(*downcast_sink::<SortSink>(s)?);
-        }
-        let partitions = workers
-            .first()
-            .map(|w| w.parts.len())
-            .ok_or_else(|| Error::Exec("partitioned sort merge without sink states".into()))?;
+        let workers = downcast_states::<SortSink>(states)?;
+        let partitions = workers[0].parts.len();
         let slots =
             PartitionSlots::transpose(workers.into_iter().map(|w| w.parts).collect(), partitions);
         Ok(Box::new(SortMerger {
@@ -713,7 +650,7 @@ impl SinkFactory for SortSinkFactory {
     }
 }
 
-/// Merge plan of a partitioned [`SortSink`]: task `p` gathers every
+/// Merge plan of a [`SortSink`]: task `p` gathers every
 /// worker's partition-`p` run and sorts (TopK-prunes) it into one sorted
 /// run; `finish` loser-tree merges the runs, applies `OFFSET`/`LIMIT`, and
 /// publishes the globally ordered buffer. Nothing is published per
@@ -1038,13 +975,9 @@ mod tests {
         for c in chunks {
             sink.sink(c, ctx).expect("sink");
         }
-        if factory.partitioned_merge(ctx) {
-            factory
-                .merge_partitioned("sort", vec![sink], ctx, &res)
-                .expect("merge");
-        } else {
-            sink.finalize(&res).expect("finalize");
-        }
+        factory
+            .merge_partitioned("sort", vec![sink], ctx, &res)
+            .expect("merge");
         let out = res.buffer(0).expect("buffer");
         out.iter().flat_map(|c| c.rows()).collect()
     }

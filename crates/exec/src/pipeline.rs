@@ -14,8 +14,8 @@
 //! a [`PhysicalPipeline`] of trait objects from [`crate::operators`] for
 //! [`crate::global`] to execute. Execution is morsel-driven: workers claim
 //! source chunks from an atomic counter, maintain thread-local sink state
-//! (`Sink`), and merge (`Combine`) and publish (`Finalize`) as tasks of the
-//! same pool.
+//! (`Sink`), and merge and publish it through the sink's `PartitionMerger`
+//! as tasks of the same pool.
 
 use crate::context::ExecContext;
 use crate::expr::{AggExpr, Expr};
@@ -27,7 +27,7 @@ use crate::operators::{
 };
 use crate::scheduler::NodeDeps;
 use rpt_bloom::BloomFilter;
-use rpt_common::{DataChunk, DataType, Error, Result, Schema};
+use rpt_common::{DataChunk, DataType, Result, Schema};
 use rpt_storage::Table;
 use std::sync::Arc;
 
@@ -351,22 +351,6 @@ pub(crate) fn record_pipeline_rows(
     }
     m.record_pipeline(&p.label, rows);
     rows
-}
-
-/// Serial `Combine` + `Finalize` of the collected worker states
-/// (unpartitioned sinks).
-pub(crate) fn combine_finalize(
-    states: Vec<Box<dyn crate::operators::Sink>>,
-    res: &Resources,
-) -> Result<()> {
-    let mut iter = states.into_iter();
-    let mut merged = iter
-        .next()
-        .ok_or_else(|| Error::Exec("pipeline finished without a sink state".into()))?;
-    for s in iter {
-        merged.combine(s)?;
-    }
-    merged.finalize(res)
 }
 
 /// Executor state shared across a query's pipelines: the execution context

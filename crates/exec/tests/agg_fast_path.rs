@@ -93,7 +93,7 @@ fn worker_chunks(keys: &[i64], chunk_size: usize, workers: usize) -> Vec<Vec<Dat
 }
 
 /// Drive the sink the way the pipeline driver does (one state per worker,
-/// then the partitioned merge or serial Combine+Finalize) and return every
+/// then the merge through the sink's partition merger) and return every
 /// published row in partition order.
 fn run(
     factory: &AggregateFactory,
@@ -113,18 +113,9 @@ fn run(
         }
         states.push(s);
     }
-    if factory.partitioned_merge(&ctx) {
-        factory
-            .merge_partitioned("test", states, &ctx, &res)
-            .unwrap();
-    } else {
-        let mut it = states.into_iter();
-        let mut merged = it.next().expect("at least one worker");
-        for s in it {
-            merged.combine(s).unwrap();
-        }
-        merged.finalize(&res).unwrap();
-    }
+    factory
+        .merge_partitioned("test", states, &ctx, &res)
+        .unwrap();
     let rows: Vec<Vec<ScalarValue>> = res
         .buffer(0)
         .unwrap()

@@ -206,16 +206,8 @@ impl Sink for NullSink {
         Ok(())
     }
 
-    fn combine(&mut self, _other: Box<dyn Sink>) -> Result<()> {
-        Ok(())
-    }
-
     fn rows(&self) -> u64 {
         self.rows
-    }
-
-    fn finalize(self: Box<Self>, _res: &Resources) -> Result<()> {
-        Ok(())
     }
 
     fn into_any(self: Box<Self>) -> Box<dyn Any> {
@@ -280,10 +272,6 @@ struct RendezvousFactory {
 impl SinkFactory for RendezvousFactory {
     fn make(&self, _ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         Ok(Box::new(NullSink { rows: 0 }))
-    }
-
-    fn partitioned_merge(&self, _ctx: &ExecContext) -> bool {
-        true
     }
 
     fn make_merger(
@@ -384,10 +372,6 @@ struct GatedMerger {
 impl SinkFactory for GatedAggFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         self.inner.make(ctx)
-    }
-
-    fn partitioned_merge(&self, ctx: &ExecContext) -> bool {
-        self.inner.partitioned_merge(ctx)
     }
 
     fn make_merger(

@@ -39,7 +39,7 @@ fn worker_chunks(keys: &[i64], chunk_size: usize, workers: usize) -> Vec<Vec<Dat
 }
 
 /// Drive a sink the way the pipeline driver does: one state per worker,
-/// then the partitioned parallel merge (or serial Combine + Finalize).
+/// then the merge through the sink's partition merger.
 fn run_sink(
     factory: &dyn SinkFactory,
     ctx: &ExecContext,
@@ -54,16 +54,7 @@ fn run_sink(
         }
         states.push(s);
     }
-    if factory.partitioned_merge(ctx) {
-        factory.merge_partitioned("test", states, ctx, res).unwrap();
-    } else {
-        let mut it = states.into_iter();
-        let mut merged = it.next().expect("at least one worker");
-        for s in it {
-            merged.combine(s).unwrap();
-        }
-        merged.finalize(res).unwrap();
-    }
+    factory.merge_partitioned("test", states, ctx, res).unwrap();
 }
 
 /// Sorted multiset of `(key, val)` rows across chunks.

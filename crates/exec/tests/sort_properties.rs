@@ -126,18 +126,9 @@ fn run_engine(
         }
         states.push(s);
     }
-    if factory.partitioned_merge(ctx) {
-        factory
-            .merge_partitioned("sort", states, ctx, &res)
-            .expect("merge");
-    } else {
-        let mut it = states.into_iter();
-        let mut merged = it.next().expect("at least one worker");
-        for s in it {
-            merged.combine(s).expect("combine");
-        }
-        merged.finalize(&res).expect("finalize");
-    }
+    factory
+        .merge_partitioned("sort", states, ctx, &res)
+        .expect("merge");
     res.buffer(0)
         .expect("buffer")
         .iter()

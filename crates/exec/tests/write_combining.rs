@@ -205,11 +205,7 @@ proptest! {
                     sink.sink(chunk.clone(), &ctx).unwrap();
                 }
                 let resident = gov.resident_bytes();
-                if factory.partitioned_merge(&ctx) {
-                    factory.merge_partitioned("collect", vec![sink], &ctx, &res).unwrap();
-                } else {
-                    sink.finalize(&res).unwrap();
-                }
+                factory.merge_partitioned("collect", vec![sink], &ctx, &res).unwrap();
                 let mut bytes = 0;
                 for (p, want) in want.iter().enumerate() {
                     let stored = res.buffer_partition(0, p).unwrap();
@@ -245,11 +241,7 @@ proptest! {
             for chunk in &chunks {
                 sink.sink(chunk.clone(), &ctx).unwrap();
             }
-            if factory.partitioned_merge(&ctx) {
-                factory.merge_partitioned("build", vec![sink], &ctx, &res).unwrap();
-            } else {
-                sink.finalize(&res).unwrap();
-            }
+            factory.merge_partitioned("build", vec![sink], &ctx, &res).unwrap();
             let table = res.hash_table(0).unwrap();
             let want: Vec<Row> = routed(&chunks, partitions).into_iter().flatten().collect();
             prop_assert_eq!(table.data.rows(), want, "partitions = {}", partitions);

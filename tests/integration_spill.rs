@@ -8,7 +8,7 @@ use rpt_common::hash::hash_i64;
 use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::operators::buffer::{BufferSink, BufferSinkFactory};
-use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, Sink, SinkFactory};
+use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, SinkFactory};
 use rpt_storage::Table;
 use rpt_workloads::{tpch, Workload};
 
@@ -159,10 +159,12 @@ fn spilling_one_partition_keeps_others_resident() {
         }
     }
 
-    // Restore: finalize publishes every partition (spilled chunks are read
+    // Restore: the merge publishes every partition (spilled chunks are read
     // back), and the rebuilt buffer probes like the original rows.
     let res = Resources::with_partitions(1, 1, 0, partitions);
-    sink.finalize(&res).unwrap();
+    factory
+        .merge_partitioned("collect", vec![sink], &ctx, &res)
+        .unwrap();
     let chunks = res.buffer(0).unwrap();
     let total: usize = chunks.iter().map(|c| c.num_rows()).sum();
     assert_eq!(total, 4060);
@@ -382,7 +384,9 @@ fn encoded_spill_at_least_halves_written_bytes() {
         sink.sink(chunk, &ctx).unwrap();
     }
     let res = Resources::new(1, 0, 0);
-    sink.finalize(&res).unwrap();
+    factory
+        .merge_partitioned("collect", vec![sink], &ctx, &res)
+        .unwrap();
     let rows: Vec<Vec<ScalarValue>> = res
         .buffer(0)
         .unwrap()
@@ -403,6 +407,9 @@ fn encoded_spill_at_least_halves_written_bytes() {
         "compression gauge {} below 200 (2x)",
         m.spill_compression_ratio_pct
     );
+    // `merge_partitioned` schedules no prefetch: the merge task restores
+    // the spilled runs synchronously.
+    assert!(m.spill_prefetch_misses >= 1, "no synchronous restore");
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -502,10 +509,11 @@ fn governor_spills_go_to_the_query_spill_dir() {
 
 /// Overlapped spill restore: with one worker the FIFO queue runs every
 /// `SpillIo` prefetch before the merge that consumes it, so every spilled
-/// partition restores from cache (`prefetch_hits`). Serial sinks
-/// (`partition_count = 1`) never prefetch, so they take the synchronous
-/// re-read path (`prefetch_misses`). With a single worker no overlap
-/// nanoseconds can ever be attributed, and both runs return the same rows.
+/// partition restores from cache (`prefetch_hits`) — at partition count 4
+/// and at 1 alike, since every sink merges through its partition merger.
+/// With a single worker no overlap nanoseconds can ever be attributed, and
+/// both runs return the same rows. (The synchronous restore is covered by
+/// the sink-level tests, whose `merge_partitioned` never prefetches.)
 #[test]
 fn spill_prefetch_hits_cache_under_global_scheduler() {
     let w = tpch(0.05, 57);
@@ -525,27 +533,57 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
     );
     // One worker: a prefetch can never run while another task executes.
     assert_eq!(on.metrics.spill_io_overlap_nanos, 0);
-    let serial = db
+    let one = db
         .query(&qd.sql, &base.clone().with_partition_count(1))
         .unwrap();
-    assert_eq!(
-        serial.metrics.spill_prefetch_hits, 0,
-        "a serial sink prefetched"
-    );
     assert!(
-        serial.metrics.spill_prefetch_misses >= 1,
-        "no synchronous restore recorded: {:?}",
-        serial.metrics
+        one.metrics.spill_prefetch_hits >= 1,
+        "one-partition prefetch never hit: {:?}",
+        one.metrics
     );
-    assert_eq!(serial.metrics.spill_io_overlap_nanos, 0);
+    assert_eq!(one.metrics.spill_io_overlap_nanos, 0);
     // Prefetch only changes *where* restore bytes come from, never their
     // content. The partition count changes the float summation order, so
     // float cells compare within a relative tolerance.
     assert_rows_approx_eq(
         &on.sorted_rows(),
-        &serial.sorted_rows(),
-        "q3 prefetched vs serial",
+        &one.sorted_rows(),
+        "q3 at 4 vs 1 partitions",
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The merge reads every worker's spilled runs back once and never spills
+/// them again. With every chunk spilled (1-byte cap, no memory governor, so
+/// a `RPT_MEMORY_BUDGET` in the environment changes nothing) two workers
+/// write and read exactly the spill bytes one worker does: each worker's
+/// run is restored straight into the published buffer, not pushed into
+/// another worker's capped buffer first.
+#[test]
+fn merge_spills_each_row_once() {
+    let w = tpch(0.2, 57);
+    let db = database_for(&w);
+    let dir = std::env::temp_dir().join(format!("rpt_it_spillonce_{}", std::process::id()));
+    for id in ["q3", "q5", "q10", "q18"] {
+        let sql = &w.query(id).unwrap().sql;
+        let spill_bytes = |workers: usize| {
+            let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+                .with_partition_count(1)
+                .with_workers(workers)
+                .with_threads(workers)
+                .with_memory_budget(None)
+                .with_spill(1, &dir);
+            let m = db.query(sql, &opts).unwrap().metrics;
+            (m.spill_bytes_written, m.spill_bytes_read)
+        };
+        let one = spill_bytes(1);
+        assert!(one.0 > 0, "{id}: never spilled");
+        assert_eq!(
+            spill_bytes(2),
+            one,
+            "{id}: (written, read) at 2 workers vs 1"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 

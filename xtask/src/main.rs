@@ -11,6 +11,7 @@
 //!   `crates/exec/src/aggregate.rs` (every GROUP BY and aggregate fold),
 //!   `crates/exec/src/pipeline.rs` and `crates/exec/src/scheduler.rs` (the
 //!   plan's specs, their deps, lowering and the pipeline DAG),
+//!   `crates/exec/src/global.rs` (the task scheduler every query runs on),
 //!   `crates/analyze/src/lib.rs` (the static plan verifier),
 //!   `crates/core/src/planner.rs` (every compiled plan),
 //!   `crates/core/src/robustness.rs` (the paper's robustness factors),
@@ -282,6 +283,7 @@ fn rule_a(root: &Path) -> Vec<Finding> {
         root.join("crates/exec/src/aggregate.rs"),
         root.join("crates/exec/src/pipeline.rs"),
         root.join("crates/exec/src/scheduler.rs"),
+        root.join("crates/exec/src/global.rs"),
         root.join("crates/analyze/src/lib.rs"),
         root.join("crates/core/src/planner.rs"),
         root.join("crates/core/src/robustness.rs"),
