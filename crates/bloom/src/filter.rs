@@ -41,10 +41,6 @@ const BITS_PER_WORD: u32 = 32;
 /// Default false-positive target (Arrow's default, used by the paper).
 pub const DEFAULT_FPR: f64 = 0.02;
 
-/// Filters smaller than this many words (1 MiB) are OR-merged on the
-/// calling thread: spawning a thread costs more than OR-ing them.
-const PARALLEL_MERGE_MIN_WORDS: usize = 1 << 18;
-
 /// A split-block Bloom filter: one cache line per key.
 #[derive(Debug, Clone)]
 pub struct BloomFilter {
@@ -230,8 +226,9 @@ impl BloomFilter {
         self.probe_hash(rpt_common::hash::hash_i64(key))
     }
 
-    /// Merge another filter built with identical geometry: the serial
-    /// fold [`BloomFilter::merge_parallel`] is tested against.
+    /// OR another filter built with identical geometry into this one.
+    /// OR is commutative and associative, so folding a set of partial
+    /// filters in any order yields the same bit pattern.
     pub fn merge(&mut self, other: &BloomFilter) -> Result<(), String> {
         if self.num_blocks != other.num_blocks {
             return Err(format!(
@@ -246,63 +243,6 @@ impl BloomFilter {
         for (pos, r) in other.key_ranges.iter().enumerate() {
             if let Some((lo, hi)) = r {
                 self.observe_key_range_at(pos, *lo, *hi);
-            }
-        }
-        Ok(())
-    }
-
-    /// OR several same-geometry filters into `self`, splitting the word
-    /// array into up to `threads` disjoint ranges merged by scoped worker
-    /// threads (filters under `PARALLEL_MERGE_MIN_WORDS` merge serially).
-    /// Bitwise OR is commutative and associative, so the resulting bit
-    /// pattern is identical to a serial [`BloomFilter::merge`] fold in any
-    /// order — this is what makes the per-partition CreateBF merge
-    /// order-independent.
-    pub fn merge_parallel(
-        &mut self,
-        others: &[&BloomFilter],
-        threads: usize,
-    ) -> Result<(), String> {
-        for o in others {
-            if self.num_blocks != o.num_blocks {
-                return Err(format!(
-                    "cannot merge Bloom filters with different block counts ({} vs {})",
-                    self.num_blocks, o.num_blocks
-                ));
-            }
-        }
-        if others.is_empty() {
-            return Ok(());
-        }
-        let n = self.words.len();
-        if threads <= 1 || n < PARALLEL_MERGE_MIN_WORDS {
-            for o in others {
-                for (a, b) in self.words.iter_mut().zip(o.words.iter()) {
-                    *a |= *b;
-                }
-            }
-        } else {
-            let range_len = n.div_ceil(threads.min(n));
-            std::thread::scope(|scope| {
-                for (i, dst) in self.words.chunks_mut(range_len).enumerate() {
-                    let start = i * range_len;
-                    scope.spawn(move || {
-                        for o in others {
-                            let src = &o.words[start..start + dst.len()];
-                            for (a, &b) in dst.iter_mut().zip(src.iter()) {
-                                *a |= b;
-                            }
-                        }
-                    });
-                }
-            });
-        }
-        self.inserted += others.iter().map(|o| o.inserted).sum::<u64>();
-        for o in others {
-            for (pos, r) in o.key_ranges.iter().enumerate() {
-                if let Some((lo, hi)) = r {
-                    self.observe_key_range_at(pos, *lo, *hi);
-                }
             }
         }
         Ok(())
@@ -551,19 +491,12 @@ mod tests {
     }
 
     /// Regression test for the per-partition CreateBF merge: OR-merging the
-    /// same partial filters in any order — serially in forward or reverse
-    /// order, or via the range-parallel merge — must yield bit-identical
-    /// filters.
+    /// same partial filters in forward or reverse order must yield
+    /// bit-identical filters.
     #[test]
     fn merge_order_independent_bit_patterns() {
-        // One filter the range-parallel merge folds serially, one it splits
-        // across threads.
         for capacity in [4_000usize, 1 << 20] {
             let template = BloomFilter::with_capacity(capacity, 0.02);
-            assert_eq!(
-                template.words().len() >= PARALLEL_MERGE_MIN_WORDS,
-                capacity > 4_000
-            );
             let partials: Vec<BloomFilter> = (0..4)
                 .map(|w| {
                     let mut f = template.empty_clone();
@@ -582,24 +515,13 @@ mod tests {
             for p in partials.iter().rev() {
                 reverse.merge(p).unwrap();
             }
-            let mut parallel = template.empty_clone();
-            let refs: Vec<&BloomFilter> = partials.iter().collect();
-            parallel.merge_parallel(&refs, 4).unwrap();
 
             assert!(forward.words() == reverse.words());
-            assert!(forward.words() == parallel.words());
-            assert_eq!(forward.num_inserted(), parallel.num_inserted());
+            assert_eq!(forward.num_inserted(), reverse.num_inserted());
             for k in 0..4_000i64 {
-                assert!(parallel.probe_i64(k), "false negative for {k}");
+                assert!(forward.probe_i64(k), "false negative for {k}");
             }
         }
-    }
-
-    #[test]
-    fn merge_parallel_rejects_mismatched_geometry() {
-        let mut a = BloomFilter::with_capacity(10, 0.02);
-        let b = BloomFilter::with_capacity(1_000_000, 0.02);
-        assert!(a.merge_parallel(&[&b], 4).is_err());
     }
 
     #[test]
@@ -621,9 +543,6 @@ mod tests {
         b.observe_key_range(100, 200);
         a.merge(&b).unwrap();
         assert_eq!(a.key_range(), Some((-3, 200)));
-        let mut c = BloomFilter::with_capacity(100, 0.02);
-        c.merge_parallel(&[&a, &b], 2).unwrap();
-        assert_eq!(c.key_range(), Some((-3, 200)));
     }
 
     /// Composite keys track one range per key-attribute position and merge
@@ -644,10 +563,6 @@ mod tests {
         assert_eq!(a.key_range_at(0), Some((10, 20)));
         assert_eq!(a.key_range_at(1), Some((-5, 110)), "elementwise widen");
         assert_eq!(a.key_range_at(2), Some((7, 7)), "longer vec extends");
-        let mut c = BloomFilter::with_capacity(100, 0.02);
-        c.merge_parallel(&[&a, &b], 2).unwrap();
-        assert_eq!(c.key_range_at(1), Some((-5, 110)));
-        assert_eq!(c.key_range_at(2), Some((7, 7)));
     }
 
     #[test]

@@ -109,13 +109,6 @@ impl ScalarValue {
             _ => None,
         }
     }
-
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            ScalarValue::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for ScalarValue {

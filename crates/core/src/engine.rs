@@ -88,16 +88,18 @@ pub struct QueryOptions {
     pub partition_count: usize,
     /// Work budget in tuples — the timeout analogue (§5.1's 1000×t_opt).
     pub work_budget: Option<u64>,
-    /// Memory cap for transfer-phase materialization (the "+spill" setup).
+    // Ignored by the engine (the memory governor decides every spill);
+    // only `benchmark/src/workloads.rs:167` assigns it, and the next
+    // `benchmark` PR can drop it.
+    #[doc(hidden)]
     pub spill_limit_bytes: Option<usize>,
-    /// Directory of every spill run, whether the per-buffer cap or the
-    /// memory governor evicted it.
+    /// Directory of every spill run the memory governor evicts.
     pub spill_dir: PathBuf,
     /// Global memory budget shared by *all* materializing sinks of a query
-    /// through one `MemoryGovernor`: when the summed resident bytes cross
-    /// it, the largest evictable sink is told to push its chunks to disk.
-    /// Independent of the per-buffer `spill_limit_bytes` cap. Defaults to
-    /// `RPT_MEMORY_BUDGET` when set, else unlimited.
+    /// through one `MemoryGovernor` — the "+spill" setup of §5.4 and the
+    /// only thing that makes a sink spill: when the summed resident bytes
+    /// cross it, the largest evictable sink is told to push its chunks to
+    /// disk. Defaults to `RPT_MEMORY_BUDGET` when set, else unlimited.
     pub memory_budget_bytes: Option<usize>,
     // Ignored by the engine (spill runs are always block-encoded and
     // always prefetched); only `benchmark/src/workloads.rs:170-171`
@@ -229,8 +231,9 @@ impl QueryOptions {
         self
     }
 
-    pub fn with_spill(mut self, limit: usize, dir: impl Into<PathBuf>) -> Self {
-        self.spill_limit_bytes = Some(limit);
+    /// Set the directory spill runs go to; [`Self::with_memory_budget`]
+    /// sets what makes them spill.
+    pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = dir.into();
         self
     }
@@ -512,7 +515,7 @@ impl Database {
             .with_agg_fast(opts.agg_fast)
             .with_storage_encoding(opts.storage_encoding)
             .with_memory_budget(opts.memory_budget_bytes)
-            .with_spill(opts.spill_limit_bytes, opts.spill_dir.clone())
+            .with_spill_dir(opts.spill_dir.clone())
             .with_verify(opts.plan_verify);
         if let Some(b) = opts.work_budget {
             ctx = ctx.with_budget(b);
@@ -621,9 +624,8 @@ impl Database {
             });
         }
         let attr_order: Vec<usize> = (0..q.num_attrs).collect();
-        let joined = generic_join(&relations, &attr_order, opts.work_budget)?;
+        let joined = generic_join(&relations, &attr_order, &ctx)?;
         metrics.add(&metrics.join_output_rows, joined.num_rows() as u64);
-        ctx.charge(joined.num_rows() as u64)?;
 
         // Epilogue: residuals + aggregation over the joined rows.
         let joined_table = std::sync::Arc::new(rpt_storage::Table::new(

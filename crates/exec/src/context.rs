@@ -1,5 +1,5 @@
-//! Execution context: work budget (timeout analogue), thread count, spill
-//! configuration, and metrics.
+//! Execution context: work budget (timeout analogue), thread count, memory
+//! governor, spill directory, and metrics.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,9 +17,9 @@ pub enum SchedulerKind {
 }
 
 /// Process default for the query-wide memory budget: `RPT_MEMORY_BUDGET`
-/// in bytes (`None` when unset/unparsable — no governor, only the legacy
-/// per-buffer spill caps apply). The forced-spill CI leg sets a tiny value
-/// so every materializing sink spills.
+/// in bytes (`None` when unset/unparsable — no governor, so nothing
+/// spills). The forced-spill CI leg sets a tiny value so every
+/// materializing sink spills.
 pub fn memory_budget_from_env() -> Option<usize> {
     std::env::var("RPT_MEMORY_BUDGET").ok()?.parse().ok()
 }
@@ -427,13 +427,6 @@ pub struct MetricsSummary {
 }
 
 impl MetricsSummary {
-    /// Worker utilization of the last run, in percent. `sched_wall_nanos`
-    /// is already summed over each worker's own thread-lifetime span, so
-    /// the ratio is simply `busy / wall` — an idle worker drags it down
-    /// instead of being hidden behind a single shared clock.
-    pub fn scheduler_utilization_pct(&self) -> u64 {
-        utilization_pct(self.sched_busy_nanos, self.sched_wall_nanos, 1)
-    }
     /// The robustness work metric: tuples processed through stateful
     /// operators. Deterministic, hardware-independent. `scan_rows` is
     /// deliberately excluded: scans are stateless and join-order-invariant,
@@ -470,9 +463,6 @@ pub struct ExecContext {
     /// Number of execution threads (1 = the paper's default single-threaded
     /// setting; 32 reproduces §5.3).
     pub threads: usize,
-    /// Memory cap in bytes for transfer-phase materialization buffers
-    /// (`None` = unbounded). Reproduces the "+spill" configuration.
-    pub spill_limit_bytes: Option<usize>,
     /// Directory for spill files.
     pub spill_dir: PathBuf,
     /// Hash partitions per materializing sink (power of two; 1 = one
@@ -497,8 +487,9 @@ pub struct ExecContext {
     /// Plan-verification mode (defaults from `RPT_PLAN_VERIFY`; debug
     /// builds default to `Strict`). Gates the observed-access shadow log.
     pub verify: VerifyMode,
-    /// Query-wide memory governor all materializing sinks register with
-    /// (`None` = no global budget, only per-buffer caps apply). Built from
+    /// Query-wide memory governor all materializing sinks register with;
+    /// it alone decides which buffer spills, and when (`None` = no budget,
+    /// nothing spills). Reproduces the "+spill" configuration. Built from
     /// `QueryOptions::memory_budget_bytes` / `RPT_MEMORY_BUDGET`.
     pub governor: Option<Arc<rpt_storage::MemoryGovernor>>,
     /// Process-unique query id baked into spill file names (orphan-sweep
@@ -522,7 +513,6 @@ impl ExecContext {
             work_budget: None,
             work_done: Arc::new(AtomicU64::new(0)),
             threads: 1,
-            spill_limit_bytes: None,
             spill_dir: std::env::temp_dir(),
             partition_count: rpt_common::partition_count_from_env(),
             workers: default_worker_count(),
@@ -560,12 +550,6 @@ impl ExecContext {
         self
     }
 
-    /// Enable per-task scheduler lifecycle tracing.
-    pub fn with_sched_trace(mut self) -> Self {
-        self.sched_trace = true;
-        self
-    }
-
     pub fn with_budget(mut self, budget: u64) -> Self {
         self.work_budget = Some(budget);
         self
@@ -576,11 +560,9 @@ impl ExecContext {
         self
     }
 
-    /// Set the per-buffer spill cap (`None` = no cap) and the directory
-    /// every spill run goes to, whichever of the cap or the memory governor
-    /// evicts it.
-    pub fn with_spill(mut self, limit_bytes: Option<usize>, dir: impl Into<PathBuf>) -> Self {
-        self.spill_limit_bytes = limit_bytes;
+    /// Set the directory every spill run goes to; the memory governor
+    /// (see [`Self::with_memory_budget`]) decides what spills.
+    pub fn with_spill_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.spill_dir = dir.into();
         self
     }

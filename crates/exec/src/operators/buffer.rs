@@ -105,8 +105,8 @@ impl Sink for BufferSink {
     }
 }
 
-/// Builds one [`BufferSink`] per worker, splitting the spill cap across
-/// the configured thread count (and, within a worker, across partitions).
+/// Builds one [`BufferSink`] per worker: one governed `SpillBuffer` per
+/// partition, which spills only when the query's memory governor flags it.
 pub struct BufferSinkFactory {
     buf_id: usize,
     schema: Schema,
@@ -126,14 +126,10 @@ impl BufferSinkFactory {
 impl SinkFactory for BufferSinkFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         let partitioner = Partitioner::new(ctx.partition_count);
-        let per_buffer_limit = ctx
-            .spill_limit_bytes
-            .map(|l| (l / ctx.threads / partitioner.count()).max(1))
-            .unwrap_or(usize::MAX);
         let parts = (0..partitioner.count())
             .map(|_| {
                 let mut buf =
-                    SpillBuffer::new(self.schema.clone(), per_buffer_limit, ctx.spill_dir.clone())
+                    SpillBuffer::new(self.schema.clone(), usize::MAX, ctx.spill_dir.clone())
                         .with_file_tag(ctx.query_id);
                 if let Some(gov) = &ctx.governor {
                     buf = buf.with_governor(gov.register(true));
@@ -209,11 +205,11 @@ impl PartitionMerger for BufferMerger {
         res.publish_buffer_partition(self.buf_id, part, chunks)
     }
 
-    fn finish(&self, ctx: &ExecContext, res: &Resources) -> Result<()> {
+    fn finish(&self, _ctx: &ExecContext, res: &Resources) -> Result<()> {
         let blooms = lock_or_err(&self.blooms, "bloom slot")?
             .take()
             .ok_or_else(|| Error::Exec("buffer merge finished twice".into()))?;
-        merge_publish_blooms(blooms, ctx.threads, res)
+        merge_publish_blooms(blooms, res)
     }
 
     fn max_task_rows(&self) -> u64 {

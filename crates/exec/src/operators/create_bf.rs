@@ -137,26 +137,18 @@ fn observe_i64_key_ranges(chunk: &DataChunk, build: &mut BloomBuild) {
 }
 
 /// Merge every worker's partial filters and publish the results — the
-/// `finish` half of CreateBF. Filters are OR-merged in
-/// disjoint word ranges on up to `threads` scoped threads
-/// ([`BloomFilter::merge_parallel`]); since OR is commutative and
-/// associative the published bit pattern is identical regardless of worker
-/// or range order.
-pub fn merge_publish_blooms(
-    mut per_worker: Vec<Vec<BloomBuild>>,
-    threads: usize,
-    res: &Resources,
-) -> Result<()> {
+/// `finish` half of CreateBF, run inside the merger's `Finish` task. OR is
+/// commutative and associative, so the published bit pattern is identical
+/// whatever the worker order.
+pub fn merge_publish_blooms(mut per_worker: Vec<Vec<BloomBuild>>, res: &Resources) -> Result<()> {
     if per_worker.is_empty() {
         return Ok(());
     }
     let mut merged = per_worker.remove(0);
     for (i, build) in merged.iter_mut().enumerate() {
-        let others: Vec<&BloomFilter> = per_worker.iter().map(|w| &w[i].filter).collect();
-        build
-            .filter
-            .merge_parallel(&others, threads)
-            .map_err(Error::Exec)?;
+        for other in &per_worker {
+            build.filter.merge(&other[i].filter).map_err(Error::Exec)?;
+        }
     }
     for build in merged {
         build.publish(res)?;

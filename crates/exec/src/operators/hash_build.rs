@@ -233,7 +233,7 @@ impl PartitionMerger for HashBuildMerger {
         Ok(())
     }
 
-    fn finish(&self, ctx: &ExecContext, res: &Resources) -> Result<()> {
+    fn finish(&self, _ctx: &ExecContext, res: &Resources) -> Result<()> {
         let parts: Vec<BuildPart> = self
             .built
             .iter()
@@ -249,7 +249,7 @@ impl PartitionMerger for HashBuildMerger {
         let blooms = lock_or_err(&self.blooms, "bloom slot")?
             .take()
             .ok_or_else(|| Error::Exec("hash-build merge finished twice".into()))?;
-        merge_publish_blooms(blooms, ctx.threads, res)
+        merge_publish_blooms(blooms, res)
     }
 
     fn max_task_rows(&self) -> u64 {

@@ -508,8 +508,9 @@ fn rows_before(
 enum Run {
     /// TopK mode: a bounded resident run.
     TopK(TopKRun),
-    /// Full-sort mode: raw chunks behind the spill cap (boxed — the
-    /// buffer dwarfs the TopK variant).
+    /// Full-sort mode: raw chunks in a governed spill buffer, evicted when
+    /// the memory governor flags it (boxed — the buffer dwarfs the TopK
+    /// variant).
     Full(Box<SpillBuffer>),
 }
 
@@ -592,10 +593,6 @@ impl SinkFactory for SortSinkFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
         let parts = rpt_common::normalize_partition_count(ctx.partition_count);
         let bound = self.bound();
-        let per_buffer_limit = ctx
-            .spill_limit_bytes
-            .map(|l| (l / ctx.threads.max(1) / parts).max(1))
-            .unwrap_or(usize::MAX);
         let runs = (0..parts)
             .map(|_| match bound {
                 Some(bound) => Run::TopK(TopKRun {
@@ -604,12 +601,9 @@ impl SinkFactory for SortSinkFactory {
                     cut: false,
                 }),
                 None => {
-                    let mut buf = SpillBuffer::new(
-                        self.schema.clone(),
-                        per_buffer_limit,
-                        ctx.spill_dir.clone(),
-                    )
-                    .with_file_tag(ctx.query_id);
+                    let mut buf =
+                        SpillBuffer::new(self.schema.clone(), usize::MAX, ctx.spill_dir.clone())
+                            .with_file_tag(ctx.query_id);
                     if let Some(gov) = &ctx.governor {
                         buf = buf.with_governor(gov.register(true));
                     }

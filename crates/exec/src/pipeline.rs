@@ -1041,7 +1041,9 @@ mod tests {
     fn spill_enabled_buffer_roundtrips() {
         let dir = std::env::temp_dir().join("rpt_exec_spill_test");
         let t = table("t", (0..5000).collect(), (0..5000).collect());
-        let ctx = ExecContext::new().with_spill(Some(1024), &dir); // tiny cap
+        let ctx = ExecContext::new()
+            .with_memory_budget(Some(1024)) // tiny budget
+            .with_spill_dir(&dir);
         let mut exec = Executor::new(ctx, 1, 0, 0);
         let p = collect_pipeline(SourceSpec::full_scan(t), vec![], 0, two_col_schema());
         exec.run_dag(&[p]).unwrap();

@@ -14,6 +14,7 @@
 //! Restriction: join attributes must be `Int64` (true for every workload
 //! key in this repo); payload columns can be any type.
 
+use crate::context::ExecContext;
 use rpt_common::{DataChunk, Error, Result, Vector};
 
 /// One input relation for the generic join.
@@ -111,12 +112,12 @@ impl PreparedRelation {
 /// (every join attribute exactly once). Returns the joined rows: all
 /// relations' payload columns concatenated in relation order.
 ///
-/// `budget` caps the number of emitted rows (the engine's work-budget
-/// analogue); `None` = unlimited.
+/// Every emitted row is charged to `ctx`'s work budget before it is built,
+/// so work earlier pipelines charged counts against the join too.
 pub fn generic_join(
     relations: &[WcojRelation],
     attr_order: &[usize],
-    budget: Option<u64>,
+    ctx: &ExecContext,
 ) -> Result<DataChunk> {
     if relations.is_empty() {
         return Err(Error::Exec("generic_join needs ≥1 relation".into()));
@@ -135,173 +136,130 @@ pub fn generic_join(
         }
     }
 
-    // Per-relation current range (over sorted order) and key depth.
-    let n = prepared.len();
-    let mut ranges: Vec<(usize, usize)> = prepared.iter().map(|p| (0, p.order.len())).collect();
-    let mut depths: Vec<usize> = vec![0; n];
-    let mut emitted = 0u64;
-
     // Quick empty check.
     if prepared.iter().any(|p| p.order.is_empty()) {
         return Ok(DataChunk::new(out_cols));
     }
 
-    generic_join_rec(
-        &prepared,
-        &flats,
+    // Per-relation current range (over sorted order) and key depth.
+    let mut ranges: Vec<(usize, usize)> = prepared.iter().map(|p| (0, p.order.len())).collect();
+    let mut depths: Vec<usize> = vec![0; prepared.len()];
+    let join = GenericJoin {
+        prepared: &prepared,
+        flats: &flats,
         relations,
         attr_order,
-        0,
-        &mut ranges,
-        &mut depths,
-        &mut out_cols,
-        &mut emitted,
-        budget,
-    )?;
+        ctx,
+    };
+    join.level(0, &mut ranges, &mut depths, &mut out_cols)?;
     Ok(DataChunk::new(out_cols))
 }
 
-#[allow(clippy::too_many_arguments)]
-fn generic_join_rec(
-    prepared: &[PreparedRelation],
-    flats: &[DataChunk],
-    relations: &[WcojRelation],
-    attr_order: &[usize],
-    level: usize,
-    ranges: &mut Vec<(usize, usize)>,
-    depths: &mut Vec<usize>,
-    out_cols: &mut [Vector],
-    emitted: &mut u64,
-    budget: Option<u64>,
-) -> Result<()> {
-    if level == attr_order.len() {
-        // All attributes bound: emit the Cartesian product of the
-        // relations' residual ranges (these rows agree on all join keys).
-        emit_ranges(
-            prepared, flats, relations, ranges, out_cols, emitted, budget,
-        )?;
-        return Ok(());
-    }
-    let attr = attr_order[level];
-    // Relations whose next unbound key column carries this attribute.
-    let active: Vec<usize> = prepared
-        .iter()
-        .enumerate()
-        .filter(|(i, p)| depths[*i] < p.attrs.len() && p.attrs[depths[*i]] == attr)
-        .map(|(i, _)| i)
-        .collect();
-    if active.is_empty() {
-        // No relation carries this attribute (shouldn't happen for derived
-        // orders) — skip the level.
-        return generic_join_rec(
-            prepared,
-            flats,
-            relations,
-            attr_order,
-            level + 1,
-            ranges,
-            depths,
-            out_cols,
-            emitted,
-            budget,
-        );
-    }
-
-    // Leapfrog over the smallest active run.
-    let driver = *active
-        .iter()
-        .min_by_key(|&&i| ranges[i].1 - ranges[i].0)
-        .expect("non-empty active set");
-    let (dlo, dhi) = ranges[driver];
-    let ddepth = depths[driver];
-    let mut pos = dlo;
-    while pos < dhi {
-        let v = prepared[driver].key_at(ddepth, pos);
-        let (vlo, vhi) = prepared[driver].equal_range(ddepth, pos, dhi, v);
-        pos = vhi;
-        // Intersect: every active relation must contain v in its run.
-        let saved_ranges = ranges.clone();
-        let saved_depths = depths.clone();
-        let mut ok = true;
-        for &i in &active {
-            let (lo, hi) = ranges[i];
-            let (elo, ehi) = prepared[i].equal_range(depths[i], lo, hi, v);
-            if elo == ehi {
-                ok = false;
-                break;
-            }
-            ranges[i] = (elo, ehi);
-            depths[i] += 1;
-        }
-        if ok {
-            ranges[driver] = (vlo, vhi);
-            generic_join_rec(
-                prepared,
-                flats,
-                relations,
-                attr_order,
-                level + 1,
-                ranges,
-                depths,
-                out_cols,
-                emitted,
-                budget,
-            )?;
-        }
-        *ranges = saved_ranges;
-        *depths = saved_depths;
-    }
-    Ok(())
+/// The inputs every level of the recursion shares.
+struct GenericJoin<'a> {
+    prepared: &'a [PreparedRelation],
+    flats: &'a [DataChunk],
+    relations: &'a [WcojRelation],
+    attr_order: &'a [usize],
+    ctx: &'a ExecContext,
 }
 
-fn emit_ranges(
-    prepared: &[PreparedRelation],
-    flats: &[DataChunk],
-    relations: &[WcojRelation],
-    ranges: &[(usize, usize)],
-    out_cols: &mut [Vector],
-    emitted: &mut u64,
-    budget: Option<u64>,
-) -> Result<()> {
-    // Cartesian product over the per-relation surviving rows.
-    let sizes: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
-    let total: usize = sizes.iter().product();
-    if total == 0 {
-        return Ok(());
-    }
-    *emitted += total as u64;
-    if let Some(b) = budget {
-        if *emitted > b {
-            return Err(Error::BudgetExceeded {
-                processed: *emitted,
-                budget: b,
-            });
+impl GenericJoin<'_> {
+    fn level(
+        &self,
+        level: usize,
+        ranges: &mut Vec<(usize, usize)>,
+        depths: &mut Vec<usize>,
+        out_cols: &mut [Vector],
+    ) -> Result<()> {
+        let Some(&attr) = self.attr_order.get(level) else {
+            // All attributes bound: emit the Cartesian product of the
+            // relations' residual ranges (these rows agree on all join keys).
+            return self.emit_ranges(ranges, out_cols);
+        };
+        // Relations whose next unbound key column carries this attribute.
+        let active: Vec<usize> = self
+            .prepared
+            .iter()
+            .enumerate()
+            .filter(|(i, p)| depths[*i] < p.attrs.len() && p.attrs[depths[*i]] == attr)
+            .map(|(i, _)| i)
+            .collect();
+        if active.is_empty() {
+            // No relation carries this attribute (shouldn't happen for
+            // derived orders) — skip the level.
+            return self.level(level + 1, ranges, depths, out_cols);
         }
-    }
-    let mut idx = vec![0usize; prepared.len()];
-    loop {
-        // Emit one combination.
-        let mut col_off = 0;
-        for (r, rel) in relations.iter().enumerate() {
-            let row = prepared[r].order[ranges[r].0 + idx[r]] as usize;
-            for &c in &rel.payload_cols {
-                let v = flats[r].columns[c].get(row);
-                out_cols[col_off].push(&v)?;
-                col_off += 1;
+
+        // Leapfrog over the smallest active run.
+        let driver = *active
+            .iter()
+            .min_by_key(|&&i| ranges[i].1 - ranges[i].0)
+            .ok_or_else(|| Error::Exec("generic join level has no active relation".into()))?;
+        let (dlo, dhi) = ranges[driver];
+        let ddepth = depths[driver];
+        let mut pos = dlo;
+        while pos < dhi {
+            let v = self.prepared[driver].key_at(ddepth, pos);
+            let (vlo, vhi) = self.prepared[driver].equal_range(ddepth, pos, dhi, v);
+            pos = vhi;
+            // Intersect: every active relation must contain v in its run.
+            let saved_ranges = ranges.clone();
+            let saved_depths = depths.clone();
+            let mut ok = true;
+            for &i in &active {
+                let (lo, hi) = ranges[i];
+                let (elo, ehi) = self.prepared[i].equal_range(depths[i], lo, hi, v);
+                if elo == ehi {
+                    ok = false;
+                    break;
+                }
+                ranges[i] = (elo, ehi);
+                depths[i] += 1;
             }
+            if ok {
+                ranges[driver] = (vlo, vhi);
+                self.level(level + 1, ranges, depths, out_cols)?;
+            }
+            *ranges = saved_ranges;
+            *depths = saved_depths;
         }
-        // Odometer increment.
-        let mut k = 0;
+        Ok(())
+    }
+
+    fn emit_ranges(&self, ranges: &[(usize, usize)], out_cols: &mut [Vector]) -> Result<()> {
+        // Cartesian product over the per-relation surviving rows.
+        let sizes: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
+        let total: usize = sizes.iter().product();
+        if total == 0 {
+            return Ok(());
+        }
+        self.ctx.charge(total as u64)?;
+        let mut idx = vec![0usize; self.prepared.len()];
         loop {
-            if k == prepared.len() {
-                return Ok(());
+            // Emit one combination.
+            let mut col_off = 0;
+            for (r, rel) in self.relations.iter().enumerate() {
+                let row = self.prepared[r].order[ranges[r].0 + idx[r]] as usize;
+                for &c in &rel.payload_cols {
+                    let v = self.flats[r].columns[c].get(row);
+                    out_cols[col_off].push(&v)?;
+                    col_off += 1;
+                }
             }
-            idx[k] += 1;
-            if idx[k] < sizes[k] {
-                break;
+            // Odometer increment.
+            let mut k = 0;
+            loop {
+                if k == self.prepared.len() {
+                    return Ok(());
+                }
+                idx[k] += 1;
+                if idx[k] < sizes[k] {
+                    break;
+                }
+                idx[k] = 0;
+                k += 1;
             }
-            idx[k] = 0;
-            k += 1;
         }
     }
 }
@@ -345,7 +303,7 @@ mod tests {
             vec![],
         );
         let t = rel(vec![col0, col1], vec![(0, 0), (2, 1)], vec![]);
-        let out = generic_join(&[r, s, t], &[0, 1, 2], None).unwrap();
+        let out = generic_join(&[r, s, t], &[0, 1, 2], &ExecContext::new()).unwrap();
         // Triangles i<j<k in K4: C(4,3) = 4.
         assert_eq!(out.num_rows(), 4);
     }
@@ -358,7 +316,7 @@ mod tests {
             vec![1],
         );
         let s = rel(vec![vec![2, 2, 3, 9]], vec![(0, 0)], vec![0]);
-        let out = generic_join(&[r, s], &[0], None).unwrap();
+        let out = generic_join(&[r, s], &[0], &ExecContext::new()).unwrap();
         // key 2: 2 R-rows × 2 S-rows = 4; key 3: 1×1 = 1 → 5 rows.
         assert_eq!(out.num_rows(), 5);
         // Payload columns present: R.v then S.k.
@@ -376,7 +334,7 @@ mod tests {
     fn empty_relation_short_circuits() {
         let r = rel(vec![vec![]], vec![(0, 0)], vec![0]);
         let s = rel(vec![vec![1, 2]], vec![(0, 0)], vec![0]);
-        let out = generic_join(&[r, s], &[0], None).unwrap();
+        let out = generic_join(&[r, s], &[0], &ExecContext::new()).unwrap();
         assert_eq!(out.num_rows(), 0);
     }
 
@@ -384,7 +342,32 @@ mod tests {
     fn budget_enforced_on_blowup() {
         let r = rel(vec![vec![7; 100]], vec![(0, 0)], vec![0]);
         let s = rel(vec![vec![7; 100]], vec![(0, 0)], vec![0]);
-        let err = generic_join(&[r, s], &[0], Some(100)).unwrap_err();
+        let ctx = ExecContext::new().with_budget(100);
+        let err = generic_join(&[r, s], &[0], &ctx).unwrap_err();
+        assert!(err.is_budget());
+    }
+
+    /// The join charges the query's one work budget: a successful join
+    /// leaves exactly its output rows charged.
+    #[test]
+    fn join_charges_its_output_rows() {
+        let r = rel(vec![vec![1, 2, 2, 3]], vec![(0, 0)], vec![0]);
+        let s = rel(vec![vec![2, 2, 3, 9]], vec![(0, 0)], vec![0]);
+        let ctx = ExecContext::new();
+        let out = generic_join(&[r, s], &[0], &ctx).unwrap();
+        assert_eq!(out.num_rows(), 5);
+        assert_eq!(ctx.work_done(), 5);
+    }
+
+    /// Work earlier pipelines charged counts against the join: 100 rows
+    /// fit a budget of 150 on their own, but not after 100 charged before.
+    #[test]
+    fn budget_spent_before_the_join_stops_it() {
+        let r = rel(vec![vec![7; 10]], vec![(0, 0)], vec![0]);
+        let s = rel(vec![vec![7; 10]], vec![(0, 0)], vec![0]);
+        let ctx = ExecContext::new().with_budget(150);
+        ctx.charge(100).unwrap();
+        let err = generic_join(&[r, s], &[0], &ctx).unwrap_err();
         assert!(err.is_budget());
     }
 
@@ -396,7 +379,7 @@ mod tests {
             payload_cols: vec![],
         };
         let s = rel(vec![vec![1]], vec![(0, 0)], vec![]);
-        assert!(generic_join(&[r, s], &[0], None).is_err());
+        assert!(generic_join(&[r, s], &[0], &ExecContext::new()).is_err());
     }
 
     #[test]
@@ -405,7 +388,7 @@ mod tests {
         let r = rel(vec![vec![1], vec![2]], vec![(0, 0), (1, 1)], vec![0, 1]);
         let s = rel(vec![vec![2], vec![3]], vec![(1, 0), (2, 1)], vec![1]);
         let t = rel(vec![vec![1], vec![3]], vec![(0, 0), (2, 1)], vec![]);
-        let out = generic_join(&[r, s, t], &[0, 1, 2], None).unwrap();
+        let out = generic_join(&[r, s, t], &[0, 1, 2], &ExecContext::new()).unwrap();
         assert_eq!(out.num_rows(), 1);
         assert_eq!(
             out.row(0),

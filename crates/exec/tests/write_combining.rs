@@ -181,8 +181,8 @@ proptest! {
 
     /// `BufferSink` with 1 and 8 partitions: every partition stores the
     /// rows routed to it, in order, combined, with the governor seeing
-    /// exactly the stored bytes; a 1-byte spill cap changes none of the
-    /// rows and leaves no file behind.
+    /// exactly the stored bytes; a 1-byte memory budget changes none of
+    /// the rows and leaves no file behind.
     #[test]
     fn buffer_sink_combines_per_partition(
         sizes in proptest::collection::vec(1usize..900, 1..10),
@@ -193,11 +193,11 @@ proptest! {
         for partitions in [1usize, 8] {
             let want = routed(&chunks, partitions);
             let dir = std::env::temp_dir().join(format!("rpt_wc_sink_{seed}_{partitions}"));
-            for spill_cap in [None, Some(1usize)] {
+            for budget in [usize::MAX, 1] {
                 let ctx = ExecContext::new()
                     .with_partitions(partitions)
-                    .with_memory_budget(Some(usize::MAX))
-                    .with_spill(spill_cap, &dir);
+                    .with_memory_budget(Some(budget))
+                    .with_spill_dir(&dir);
                 let gov = ctx.governor.clone().unwrap();
                 let res = Resources::with_partitions(1, 1, 0, partitions);
                 let mut sink = factory.make(&ctx).unwrap();
@@ -211,12 +211,12 @@ proptest! {
                     let stored = res.buffer_partition(0, p).unwrap();
                     let stored: Vec<&DataChunk> = stored.iter().map(|c| c.as_ref()).collect();
                     prop_assert_eq!(&rows_of(stored.iter().copied()), want, "partition {}", p);
-                    if spill_cap.is_none() {
+                    if budget == usize::MAX {
                         assert_combined(&stored)?;
                     }
                     bytes += stored.iter().map(|c| chunk_size_bytes(c)).sum::<usize>();
                 }
-                prop_assert_eq!(resident, if spill_cap.is_none() { bytes } else { 0 });
+                prop_assert_eq!(resident, if budget == usize::MAX { bytes } else { 0 });
                 prop_assert_eq!(res.filter(0).unwrap().num_inserted() > 0, want.iter().any(|p| !p.is_empty()));
                 prop_assert_eq!(spill_files(&dir), 0);
             }

@@ -81,12 +81,6 @@ impl Table {
         Table::new(name, schema, columns)
     }
 
-    /// Build from a materialized chunk (e.g. the output of a reduction).
-    pub fn from_chunk(name: impl Into<String>, schema: Schema, chunk: &DataChunk) -> Result<Self> {
-        let flat = chunk.flattened();
-        Table::new(name, schema, flat.columns)
-    }
-
     pub fn num_rows(&self) -> usize {
         self.num_rows
     }

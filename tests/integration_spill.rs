@@ -1,7 +1,7 @@
-//! The §5.4 "+spill" path: memory-capped (spilling) transfer-phase
-//! buffers and sort runs must not change any query result — including
-//! when the buffers are hash-partitioned and only some partitions
-//! overflow their share of the cap — and must leave no spill file behind.
+//! The §5.4 "+spill" path: a query memory budget that makes the governor
+//! spill transfer-phase buffers and sort runs must not change any query
+//! result — including when the buffers are hash-partitioned and only some
+//! partitions are evicted — and must leave no spill file behind.
 
 use proptest::prelude::*;
 use rpt_common::hash::hash_i64;
@@ -29,11 +29,13 @@ fn spill_limit_does_not_change_results() {
         let unbounded = db
             .query(&qd.sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
             .unwrap_or_else(|e| panic!("{}: {e}", qd.id));
-        // A 64 KiB cap forces nearly every transfer buffer to spill.
+        // A 64 KiB budget forces nearly every transfer buffer to spill.
         let spilled = db
             .query(
                 &qd.sql,
-                &QueryOptions::new(Mode::RobustPredicateTransfer).with_spill(64 * 1024, &dir),
+                &QueryOptions::new(Mode::RobustPredicateTransfer)
+                    .with_memory_budget(Some(64 * 1024))
+                    .with_spill_dir(&dir),
             )
             .unwrap_or_else(|e| panic!("{} (spill): {e}", qd.id));
         assert_eq!(
@@ -46,9 +48,9 @@ fn spill_limit_does_not_change_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Partitioned sinks under a spill cap must not change any query result:
-/// the cap is split across partitions, so some partitions spill while
-/// others stay resident, and the restored buffers feed the join phase.
+/// Partitioned sinks under a memory budget must not change any query
+/// result: the governor evicts the largest partitions while others stay
+/// resident, and the restored buffers feed the join phase.
 #[test]
 fn partitioned_spill_does_not_change_results() {
     let w = tpch(0.05, 54);
@@ -63,7 +65,8 @@ fn partitioned_spill_does_not_change_results() {
                 &qd.sql,
                 &QueryOptions::new(Mode::RobustPredicateTransfer)
                     .with_partition_count(4)
-                    .with_spill(64 * 1024, &dir),
+                    .with_memory_budget(Some(64 * 1024))
+                    .with_spill_dir(&dir),
             )
             .unwrap_or_else(|e| panic!("{} (partitioned spill): {e}", qd.id));
         // Partitioning reorders the chunks feeding float aggregates, so
@@ -97,8 +100,9 @@ fn assert_rows_approx_eq(a: &[Vec<ScalarValue>], b: &[Vec<ScalarValue>], id: &st
 }
 
 /// Drive a partitioned `BufferSink` directly with skewed data so exactly
-/// one partition overflows its share of the cap: that partition spills,
-/// the others stay resident, and the restored buffer probes correctly.
+/// one partition pushes the query over its memory budget: that partition
+/// spills, the others stay resident, and the restored buffer probes
+/// correctly.
 #[test]
 fn spilling_one_partition_keeps_others_resident() {
     let dir = std::env::temp_dir().join(format!("rpt_it_pspill_skew_{}", std::process::id()));
@@ -110,12 +114,17 @@ fn spilling_one_partition_keeps_others_resident() {
         Field::new("v", DataType::Int64),
     ]);
 
-    // 64 KiB cap / 1 thread / 4 partitions = 16 KiB per partition buffer.
-    // The hot partition receives 4000 × 16-byte rows (~62 KiB) and must
-    // spill; the 60 spread rows stay resident everywhere else.
+    // A 16 KiB budget. The 60 spread rows go in first and stay resident;
+    // then the hot partition receives 4000 × 16-byte rows (~62 KiB), so it
+    // is the buffer pushing whenever the budget is crossed, and the
+    // governor evicts it (the largest resident buffer) every time. With
+    // the hot rows first, a spread partition would be evicted instead: a
+    // flagged buffer that stops pushing keeps its bytes counted, so the
+    // governor moves on to the next largest.
     let ctx = ExecContext::new()
         .with_partitions(partitions)
-        .with_spill(Some(64 * 1024), &dir);
+        .with_memory_budget(Some(16 * 1024))
+        .with_spill_dir(&dir);
     let factory = BufferSinkFactory::new(
         0,
         schema,
@@ -127,15 +136,6 @@ fn spilling_one_partition_keeps_others_resident() {
         }],
     );
     let mut sink = factory.make(&ctx).unwrap();
-    for chunk_idx in 0..8 {
-        let keys = vec![hot_key; 500];
-        let vals: Vec<i64> = (0..500).map(|j| chunk_idx * 500 + j).collect();
-        sink.sink(
-            DataChunk::new(vec![Vector::from_i64(keys), Vector::from_i64(vals)]),
-            &ctx,
-        )
-        .unwrap();
-    }
     let spread_keys: Vec<i64> = (100..160).collect();
     let spread_vals: Vec<i64> = (4000..4060).collect();
     sink.sink(
@@ -146,6 +146,15 @@ fn spilling_one_partition_keeps_others_resident() {
         &ctx,
     )
     .unwrap();
+    for chunk_idx in 0..8 {
+        let keys = vec![hot_key; 500];
+        let vals: Vec<i64> = (0..500).map(|j| chunk_idx * 500 + j).collect();
+        sink.sink(
+            DataChunk::new(vec![Vector::from_i64(keys), Vector::from_i64(vals)]),
+            &ctx,
+        )
+        .unwrap();
+    }
 
     let sink = sink
         .into_any()
@@ -193,10 +202,10 @@ fn spilling_one_partition_keeps_others_resident() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Drive the full-sort sink (no LIMIT → spill-capped runs) directly with
-/// skewed chunk sizes so exactly one partition overflows its share of the
-/// cap: that partition spills to disk, the merge still yields exactly
-/// ordered output, and no `rpt_spill_*` file survives the query.
+/// Drive the full-sort sink (no LIMIT → governed spill runs) directly with
+/// skewed chunk sizes so exactly one partition crosses the memory budget:
+/// that partition spills to disk, the merge still yields exactly ordered
+/// output, and no `rpt_spill_*` file survives the query.
 #[test]
 fn sort_spills_one_partition_and_merges_in_order() {
     use rpt_exec::{cmp_scalar_rows, SortKey, SortSinkFactory};
@@ -207,10 +216,11 @@ fn sort_spills_one_partition_and_merges_in_order() {
         Field::new("k", DataType::Int64),
         Field::new("v", DataType::Int64),
     ]);
-    // 32 KiB cap / 1 thread / 4 partitions = 8 KiB per partition run.
+    // A 32 KiB budget, which only the large chunks' partition can cross.
     let ctx = ExecContext::new()
         .with_partitions(partitions)
-        .with_spill(Some(32 * 1024), &dir);
+        .with_memory_budget(Some(32 * 1024))
+        .with_spill_dir(&dir);
     let keys = vec![SortKey {
         col: 0,
         desc: true,
@@ -220,8 +230,8 @@ fn sort_spills_one_partition_and_merges_in_order() {
     let mut sink = factory.make(&ctx).unwrap();
 
     // Chunks are routed round-robin, so every 4th chunk lands in the same
-    // partition. Make those 500 rows (~8 KiB each, overflowing the 8 KiB
-    // share) and the rest 8 rows (resident everywhere else).
+    // partition. Make those 500 rows (~8 KiB each; four of them cross the
+    // budget) and the rest 8 rows (resident everywhere else).
     let mut expected: Vec<Vec<ScalarValue>> = Vec::new();
     let mut next = 0i64;
     for i in 0..16 {
@@ -239,7 +249,7 @@ fn sort_spills_one_partition_and_merges_in_order() {
         .unwrap();
     }
 
-    // Each SpillBuffer opens its own rpt_spill_* file on first overflow:
+    // Each SpillBuffer opens its own rpt_spill_* file on first eviction:
     // exactly one partition's run must have spilled by now.
     let spill_files = |d: &std::path::Path| -> usize {
         std::fs::read_dir(d)
@@ -271,7 +281,7 @@ fn sort_spills_one_partition_and_merges_in_order() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// End-to-end: a full ORDER BY (no LIMIT) under a tiny spill cap returns
+/// End-to-end: a full ORDER BY (no LIMIT) under a tiny memory budget returns
 /// exactly the unbounded run's ordered rows, and leaves no spill files.
 #[test]
 fn sort_under_spill_pressure_end_to_end() {
@@ -291,7 +301,8 @@ fn sort_under_spill_pressure_end_to_end() {
             sql,
             &QueryOptions::new(Mode::RobustPredicateTransfer)
                 .with_partition_count(4)
-                .with_spill(8 * 1024, &dir),
+                .with_memory_budget(Some(8 * 1024))
+                .with_spill_dir(&dir),
         )
         .unwrap();
     // Raw columns, no aggregation: the ordered rows must match exactly.
@@ -301,7 +312,7 @@ fn sort_under_spill_pressure_end_to_end() {
     );
     assert!(
         unbounded.rows.len() > 1000,
-        "query too small to pressure the cap"
+        "query too small to pressure the budget"
     );
     let leftovers = std::fs::read_dir(&dir)
         .map(|it| {
@@ -331,7 +342,8 @@ fn spill_works_multithreaded() {
             &qd.sql,
             &QueryOptions::new(Mode::RobustPredicateTransfer)
                 .with_threads(4)
-                .with_spill(32 * 1024, &dir),
+                .with_memory_budget(Some(32 * 1024))
+                .with_spill_dir(&dir),
         )
         .unwrap();
     // Multi-threaded morsel claiming reorders the chunks feeding q3's float
@@ -370,7 +382,8 @@ fn encoded_spill_at_least_halves_written_bytes() {
     // single-partition layout whatever RPT_PARTITION_COUNT says.
     let ctx = ExecContext::new()
         .with_partitions(1)
-        .with_spill(Some(4 * 1024), &dir);
+        .with_memory_budget(Some(4 * 1024))
+        .with_spill_dir(&dir);
     let factory = BufferSinkFactory::new(0, schema, vec![]);
     let mut sink = factory.make(&ctx).unwrap();
     let mut pushed = Vec::new();
@@ -420,7 +433,9 @@ fn encoded_spill_at_least_halves_written_bytes() {
 fn dropped_sink_mid_query_leaves_no_spill_files() {
     let dir = std::env::temp_dir().join(format!("rpt_it_dropspill_{}", std::process::id()));
     let schema = Schema::new(vec![Field::new("k", DataType::Int64)]);
-    let ctx = ExecContext::new().with_spill(Some(1024), &dir);
+    let ctx = ExecContext::new()
+        .with_memory_budget(Some(1024))
+        .with_spill_dir(&dir);
     let factory = BufferSinkFactory::new(0, schema, vec![]);
     let mut sink = factory.make(&ctx).unwrap();
     for _ in 0..4 {
@@ -441,8 +456,7 @@ fn dropped_sink_mid_query_leaves_no_spill_files() {
 }
 
 /// The query-wide memory governor: a tiny `memory_budget_bytes` makes the
-/// largest resident sink spill even though no per-buffer cap is set, the
-/// query result is unchanged, the eviction counter records it, and no
+/// largest resident sink spill, the query result is unchanged, the eviction counter records it, and no
 /// spill file survives the query.
 #[test]
 fn memory_governor_evicts_across_sinks_without_changing_results() {
@@ -485,8 +499,8 @@ fn memory_governor_evicts_across_sinks_without_changing_results() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Governor-driven spills honour `QueryOptions::spill_dir` without a
-/// per-buffer cap being set: the context carries the directory, and a
+/// Governor-driven spills honour `QueryOptions::spill_dir`: the context
+/// carries the directory, and a
 /// directory that cannot exist (its parent is a regular file) fails the
 /// query instead of the runs quietly landing in `temp_dir()`.
 #[test]
@@ -499,7 +513,6 @@ fn governor_spills_go_to_the_query_spill_dir() {
         .with_partition_count(4)
         .with_memory_budget(Some(1024));
     opts.spill_dir = blocker.join("spill");
-    assert_eq!(opts.spill_limit_bytes, None);
     assert_eq!(db.make_context(&opts).spill_dir, opts.spill_dir);
     let result = db.query(&w.query("q3").unwrap().sql, &opts);
     std::fs::remove_file(&blocker).ok();
@@ -524,7 +537,8 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
         .with_partition_count(4)
         .with_workers(1)
         .with_threads(1)
-        .with_spill(1, &dir);
+        .with_memory_budget(Some(1))
+        .with_spill_dir(&dir);
     let on = db.query(&qd.sql, &base).unwrap();
     assert!(
         on.metrics.spill_prefetch_hits >= 1,
@@ -554,11 +568,11 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
 }
 
 /// The merge reads every worker's spilled runs back once and never spills
-/// them again. With every chunk spilled (1-byte cap, no memory governor, so
-/// a `RPT_MEMORY_BUDGET` in the environment changes nothing) two workers
-/// write and read exactly the spill bytes one worker does: each worker's
-/// run is restored straight into the published buffer, not pushed into
-/// another worker's capped buffer first.
+/// them again. With every chunk spilled (a 1-byte memory budget, which
+/// overrides any `RPT_MEMORY_BUDGET` in the environment) two workers write
+/// and read exactly the spill bytes one worker does: each worker's run is
+/// restored straight into the published buffer, not pushed into another
+/// worker's governed buffer first.
 #[test]
 fn merge_spills_each_row_once() {
     let w = tpch(0.2, 57);
@@ -571,8 +585,8 @@ fn merge_spills_each_row_once() {
                 .with_partition_count(1)
                 .with_workers(workers)
                 .with_threads(workers)
-                .with_memory_budget(None)
-                .with_spill(1, &dir);
+                .with_memory_budget(Some(1))
+                .with_spill_dir(&dir);
             let m = db.query(sql, &opts).unwrap().metrics;
             (m.spill_bytes_written, m.spill_bytes_read)
         };
@@ -645,9 +659,9 @@ proptest! {
                 .with_threads(2)
                 .with_workers(4);
             let resident = db.query(sql, &base).unwrap().sorted_rows();
-            // A 1-byte cap forces every chunk of every buffer to spill.
+            // A 1-byte budget forces every chunk of every buffer to spill.
             let spilled = db
-                .query(sql, &base.clone().with_spill(1, &dir))
+                .query(sql, &base.clone().with_memory_budget(Some(1)).with_spill_dir(&dir))
                 .unwrap()
                 .sorted_rows();
             prop_assert_eq!(&serial, &resident, "resident parts={}", parts);

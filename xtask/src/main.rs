@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — std-only workspace lint (no external deps).
 //!
-//! Four token-scan rules; the first three are scoped to hot execution
+//! Five token-scan rules; the first three are scoped to hot execution
 //! paths where a panic or a silent counter wrap would take down or corrupt
 //! a query:
 //!
@@ -12,6 +12,7 @@
 //!   `crates/exec/src/pipeline.rs` and `crates/exec/src/scheduler.rs` (the
 //!   plan's specs, their deps, lowering and the pipeline DAG),
 //!   `crates/exec/src/global.rs` (the task scheduler every query runs on),
+//!   `crates/exec/src/wcoj.rs` (the Generic Join of the Hybrid mode),
 //!   `crates/analyze/src/lib.rs` (the static plan verifier),
 //!   `crates/core/src/planner.rs` (every compiled plan),
 //!   `crates/core/src/robustness.rs` (the paper's robustness factors),
@@ -36,6 +37,11 @@
 //! * **D (argued unsafe):** the `unsafe` keyword may appear only in
 //!   `crates/bloom/src/filter.rs` (the AVX2 dispatch of the Bloom kernels),
 //!   and only directly under a `// SAFETY:` comment.
+//! * **E (one thread pool):** no `thread::scope`, `thread::spawn` or
+//!   `thread::Builder` in non-test code under `crates/` outside
+//!   `crates/exec/src/global.rs`, whose worker pool is sized by the
+//!   query's worker count; every other piece of parallel work runs as a
+//!   task of that pool, so the thread count is the pool size.
 //!
 //! Findings can be suppressed via `xtask/lint-allow.txt` (`RULE path[:line]`
 //! entries); the file starts — and should stay — empty.
@@ -85,6 +91,7 @@ fn lint(root: PathBuf) -> ExitCode {
     findings.extend(rule_b(&root));
     findings.extend(rule_c(&root));
     findings.extend(rule_d(&root));
+    findings.extend(rule_e(&root));
 
     let mut failed = 0usize;
     for f in &findings {
@@ -284,6 +291,7 @@ fn rule_a(root: &Path) -> Vec<Finding> {
         root.join("crates/exec/src/pipeline.rs"),
         root.join("crates/exec/src/scheduler.rs"),
         root.join("crates/exec/src/global.rs"),
+        root.join("crates/exec/src/wcoj.rs"),
         root.join("crates/analyze/src/lib.rs"),
         root.join("crates/core/src/planner.rs"),
         root.join("crates/core/src/robustness.rs"),
@@ -303,19 +311,30 @@ fn rule_a(root: &Path) -> Vec<Finding> {
 }
 
 fn scan_a(path: &str, text: &str) -> Vec<Finding> {
+    scan_tokens(
+        path,
+        text,
+        'A',
+        &[".unwrap()", ".expect("],
+        "in panic-free code; return a Result instead",
+    )
+}
+
+/// One finding per non-test line and `needles` entry it contains.
+fn scan_tokens(path: &str, text: &str, rule: char, needles: &[&str], why: &str) -> Vec<Finding> {
     let c = classify(text);
     let mut findings = Vec::new();
     for (i, line) in c.code.iter().enumerate() {
         if c.test[i] {
             continue;
         }
-        for needle in [".unwrap()", ".expect("] {
+        for needle in needles {
             if line.contains(needle) {
                 findings.push(Finding {
-                    rule: 'A',
+                    rule,
                     path: path.to_string(),
                     line: i + 1,
-                    message: format!("`{needle}` in panic-free code; return a Result instead"),
+                    message: format!("`{needle}` {why}"),
                 });
             }
         }
@@ -493,6 +512,37 @@ fn scan_d(path: &str, text: &str) -> Vec<Finding> {
     findings
 }
 
+// ---- Rule E: the scheduler's pool is the only source of threads ----
+
+const RULE_E_FILE: &str = "crates/exec/src/global.rs";
+
+fn rule_e(root: &Path) -> Vec<Finding> {
+    let mut files = Vec::new();
+    walk(&root.join("crates"), &mut files);
+    let mut findings = Vec::new();
+    for path in files {
+        let relp = rel(root, &path);
+        if relp == RULE_E_FILE || relp.contains("/tests/") {
+            continue;
+        }
+        let Ok(text) = fs::read_to_string(&path) else {
+            continue;
+        };
+        findings.extend(scan_e(&relp, &text));
+    }
+    findings
+}
+
+fn scan_e(path: &str, text: &str) -> Vec<Finding> {
+    scan_tokens(
+        path,
+        text,
+        'E',
+        &["thread::scope", "thread::spawn", "thread::Builder"],
+        &format!("outside {RULE_E_FILE}; run the work as a scheduler task"),
+    )
+}
+
 /// Field names of `pub struct Metrics` with type `AtomicU64`.
 fn metric_fields(context_rs: &str) -> Vec<String> {
     let mut fields = Vec::new();
@@ -590,6 +640,27 @@ fn add_f64(a: &mut f64, b: f64) { *a += b }
     }
 
     #[test]
+    fn rule_e_catches_a_thread_outside_the_scheduler() {
+        let src = "fn f() {\n    std::thread::scope(|s| {\n        s.spawn(|| ());\n    });\n}\n";
+        let f = scan_e("crates/bloom/src/filter.rs", src);
+        assert_eq!(f.len(), 1);
+        assert_eq!((f[0].rule, f[0].line), ('E', 2));
+    }
+
+    #[test]
+    fn rule_e_skips_test_regions() {
+        let src = "\
+fn f() {} // thread::spawn in a comment is fine
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn t() { std::thread::spawn(|| ()).join().unwrap(); }
+}
+";
+        assert!(scan_e("crates/exec/src/x.rs", src).is_empty());
+    }
+
+    #[test]
     fn metric_fields_parsed() {
         let src = "\
 pub struct Metrics {
@@ -644,6 +715,7 @@ pub struct Metrics {
             .chain(rule_b(&root))
             .chain(rule_c(&root))
             .chain(rule_d(&root))
+            .chain(rule_e(&root))
             .collect();
         let allow = load_allowlist(&root.join("xtask/lint-allow.txt"));
         let active: Vec<&Finding> = findings.iter().filter(|f| !allowed(&allow, f)).collect();
