@@ -1,24 +1,24 @@
 //! # rpt-analyze
 //!
 //! Static plan verifier: proves well-formedness of a compiled
-//! `PhysicalPlan` / `HybridPrelude` *before* a single task is scheduled,
-//! rejecting an unsound plan with a structured diagnostic. It judges the
-//! deps the scheduler will use — [`PipelinePlan::deps`], read off the
-//! specs — so nothing the planner could record can drift from them; the
-//! independent check lives in `R1`/`R2`, which compare those deps with
-//! what execution actually touched.
+//! `PhysicalPlan` (every mode compiles to one) *before* a single task is
+//! scheduled, rejecting an unsound plan with a structured diagnostic. It
+//! judges the deps the scheduler will use — [`PipelinePlan::deps`], read
+//! off the specs — so nothing the planner could record can drift from
+//! them; the independent check lives in `R1`/`R2`, which compare those
+//! deps with what execution actually touched.
 //!
 //! Three rule families (ids are stable and asserted by the mutation
 //! tests):
 //!
 //! * **D — dependency-graph soundness.** `D1` acyclicity, `D2` every read
 //!   grain has a writer, `D3` at most one writing pipeline per grain,
-//!   `D4` no pipeline reads a grain it also writes, `D5` every required
-//!   output buffer is written.
+//!   `D4` no pipeline reads a grain it also writes, `D5` every partition
+//!   of the output buffer is written.
 //! * **S — sink contracts.** `S2` every grain names a buffer, filter or
 //!   hash table the plan allocates, and no partition outside the plan's
 //!   partition count; `S3` every sealed buffer grain has a downstream
-//!   reader or is a required output (no dead seal).
+//!   reader or is the output buffer (no dead seal).
 //! * **R — runtime reconciliation.** After a verify-mode run, the
 //!   executor's observed-access shadow log must be a subset of the
 //!   declared dependencies: `R1` undeclared read, `R2` undeclared write.
@@ -39,13 +39,13 @@ pub enum Rule {
     MultiWriter,
     /// D4: a pipeline reads a grain it also writes.
     SelfReadWrite,
-    /// D5: a required output buffer is not (fully) written.
+    /// D5: the output buffer is not (fully) written.
     OutputUnwritten,
     /// S2: a grain names a resource the plan does not allocate, or a
     /// partition outside the plan's partition count.
     PartitionLayout,
-    /// S3: a sealed buffer grain has no downstream reader and is not a
-    /// required output.
+    /// S3: a sealed buffer grain has no downstream reader and is not the
+    /// output buffer.
     DeadSeal,
     /// R1: execution read a grain the plan never declared as read.
     UndeclaredRead,
@@ -101,18 +101,16 @@ impl fmt::Display for VerifyError {
 }
 
 /// Everything the verifier needs about a compiled plan: its pipelines'
-/// specs and the slots it allocates. Built by `PhysicalPlan::verify` /
-/// `HybridPrelude::verify`, but deliberately plain so tests can build one
-/// around mutated specs.
+/// specs and the slots it allocates. Built by `PhysicalPlan::verify`, but
+/// deliberately plain so tests can build one around mutated specs.
 pub struct PlanFacts<'a> {
     pub pipelines: &'a [PipelinePlan],
     pub num_buffers: usize,
     pub num_filters: usize,
     pub num_tables: usize,
     pub partition_count: usize,
-    /// Buffers the driver reads after the run (the output buffer, or the
-    /// hybrid prelude's per-relation buffers).
-    pub required_buffers: &'a [usize],
+    /// The buffer the driver reads the result from after the run.
+    pub output_buffer: usize,
 }
 
 /// Outcome of a static verification pass.
@@ -222,35 +220,33 @@ pub fn verify_plan(facts: &PlanFacts<'_>) -> VerifyReport {
         }
     }
 
-    // ---- D5: required outputs written ----
-    for &b in facts.required_buffers {
-        for p in 0..pc {
-            rep.check();
-            let g = ResourceId::BufferPart(b, p);
-            if !writers.contains_key(&g) {
-                rep.error(
-                    Rule::OutputUnwritten,
-                    None,
-                    Some(g),
-                    format!("required buffer {b} has unwritten partition {p}"),
-                );
-            }
+    // ---- D5: the output written ----
+    let out = facts.output_buffer;
+    for p in 0..pc {
+        rep.check();
+        let g = ResourceId::BufferPart(out, p);
+        if !writers.contains_key(&g) {
+            rep.error(
+                Rule::OutputUnwritten,
+                None,
+                Some(g),
+                format!("output buffer {out} has unwritten partition {p}"),
+            );
         }
     }
 
     // ---- S3: no dead seals ----
-    let required: BTreeSet<usize> = facts.required_buffers.iter().copied().collect();
     let read_grains: BTreeSet<ResourceId> =
         deps.iter().flat_map(|d| d.reads.iter().copied()).collect();
     for (&g, ws) in &writers {
         if let ResourceId::BufferPart(b, _) = g {
             rep.check();
-            if !required.contains(&b) && !read_grains.contains(&g) {
+            if b != out && !read_grains.contains(&g) {
                 rep.error(
                     Rule::DeadSeal,
                     ws.first().copied(),
                     Some(g),
-                    "sealed grain has no downstream reader and is not a required output",
+                    "sealed grain has no downstream reader and is not the output",
                 );
             }
         }
@@ -381,19 +377,19 @@ mod tests {
         ]
     }
 
-    fn facts<'a>(pipelines: &'a [PipelinePlan], pc: usize, required: &'a [usize]) -> PlanFacts<'a> {
+    fn facts(pipelines: &[PipelinePlan], pc: usize) -> PlanFacts<'_> {
         PlanFacts {
             pipelines,
             num_buffers: 2,
             num_filters: 1,
             num_tables: 1,
             partition_count: pc,
-            required_buffers: required,
+            output_buffer: 1,
         }
     }
 
     fn rules(pipes: &[PipelinePlan]) -> Vec<Rule> {
-        let rep = verify_plan(&facts(pipes, 4, &[1]));
+        let rep = verify_plan(&facts(pipes, 4));
         rep.errors.iter().map(|e| e.rule).collect()
     }
 
@@ -401,7 +397,7 @@ mod tests {
     fn clean_plan_verifies() {
         for pc in [1, 4] {
             let pipes = small_plan();
-            let rep = verify_plan(&facts(&pipes, pc, &[1]));
+            let rep = verify_plan(&facts(&pipes, pc));
             assert!(rep.is_clean(), "pc={pc}: {:?}", rep.errors);
             assert!(rep.checks_run > 0);
         }
@@ -411,9 +407,9 @@ mod tests {
     fn orphaned_output_is_rejected() {
         let pipes = small_plan();
         // Claim the output lives in a buffer nobody writes.
-        let mut f = facts(&pipes, 4, &[1]);
+        let mut f = facts(&pipes, 4);
         f.num_buffers = 3;
-        f.required_buffers = &[2];
+        f.output_buffer = 2;
         let rep = verify_plan(&f);
         assert!(rep.errors.iter().any(|e| e.rule == Rule::OutputUnwritten));
     }
@@ -437,7 +433,7 @@ mod tests {
         // Pipeline 0 now reads buffer 1, which pipeline 2 writes from
         // buffer 0: 0 → 2 → 0.
         pipes[0].source = SourceSpec::Buffer(1);
-        let rep = verify_plan(&facts(&pipes, 4, &[1]));
+        let rep = verify_plan(&facts(&pipes, 4));
         let cycle: Vec<_> = rep
             .errors
             .iter()
@@ -471,7 +467,7 @@ mod tests {
             key_cols: vec![0],
             blooms: vec![],
         };
-        let rep = verify_plan(&facts(&pipes, 4, &[1]));
+        let rep = verify_plan(&facts(&pipes, 4));
         assert!(rep.errors.iter().any(|e| e.rule == Rule::PartitionLayout
             && e.pipeline == Some(1)
             && e.grain == Some(ResourceId::HashTable(7))));

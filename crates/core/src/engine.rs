@@ -33,6 +33,8 @@ pub enum Mode {
     /// The §5.1.3 proposal, implemented: RPT's transfer phase followed by a
     /// **worst-case optimal** (Generic Join) join phase — the strategy for
     /// cyclic queries where binary join plans have no robustness guarantee.
+    /// Generic Join eliminates attributes, not relations, so the join order
+    /// is checked but not used.
     Hybrid,
 }
 
@@ -172,12 +174,12 @@ impl QueryOptions {
             agg_fast: true,
             storage_encoding: true,
             repartition_elide: false,
-            plan_verify: rpt_exec::plan_verify_from_env(),
+            plan_verify: rpt_exec::VerifyMode::from_env(),
         }
     }
 
     /// Set the static plan-verification mode (`Strict` fails the query on
-    /// any violated invariant; `Warn` logs and continues; `Off` skips).
+    /// any violated invariant; `Off` skips the checks).
     pub fn with_plan_verify(mut self, mode: rpt_exec::VerifyMode) -> Self {
         self.plan_verify = mode;
         self
@@ -322,25 +324,20 @@ fn bushy_is_safe(graph: &rpt_graph::QueryGraph, plan: &PlanNode) -> bool {
     walk(graph, plan)
 }
 
-/// Enforce a static-verification report per the context's verify mode:
-/// `Strict` fails the query with every violated rule id, `Warn` logs the
-/// findings and continues. Checks executed are charged to the
+/// Enforce a static-verification report: fail the query with every
+/// violated rule id. Checks executed are charged to the
 /// `verify_checks_run` metric either way.
-fn enforce_verify(ctx: &ExecContext, report: rpt_analyze::VerifyReport, what: &str) -> Result<()> {
+fn enforce_verify(ctx: &ExecContext, report: rpt_analyze::VerifyReport) -> Result<()> {
     ctx.metrics
         .add(&ctx.metrics.verify_checks_run, report.checks_run);
     if report.is_clean() {
         return Ok(());
     }
     let details: Vec<String> = report.errors.iter().map(|e| e.to_string()).collect();
-    let msg = format!("{what} failed static verification: {}", details.join("; "));
-    if ctx.verify.strict() {
-        return Err(Error::Plan(msg));
-    }
-    eprintln!("[rpt-verify] {msg}");
-    ctx.metrics
-        .trace_entry(format!("[verify] {what}"), report.errors.len() as u64);
-    Ok(())
+    Err(Error::Plan(format!(
+        "physical plan failed static verification: {}",
+        details.join("; ")
+    )))
 }
 
 /// Reconcile the executor's observed-access shadow log (present only in
@@ -362,19 +359,10 @@ fn reconcile_run(exec: &Executor, pipelines: &[rpt_exec::PipelinePlan]) -> Resul
         return Ok(());
     }
     let details: Vec<String> = errors.iter().map(|e| e.to_string()).collect();
-    let msg = format!(
+    Err(Error::Exec(format!(
         "execution diverged from declared deps: {}",
         details.join("; ")
-    );
-    if ctx.verify.strict() {
-        return Err(Error::Exec(msg));
-    }
-    eprintln!("[rpt-verify] {msg}");
-    ctx.metrics.trace_entry(
-        "[verify] access reconciliation".to_string(),
-        errors.len() as u64,
-    );
-    Ok(())
+    )))
 }
 
 /// An in-process analytical database with pluggable join execution modes.
@@ -531,7 +519,7 @@ impl Database {
         let (nb, nf, nt) = plan.resource_counts();
         let ctx = ctx.with_partitions(plan.partition_count);
         if ctx.verify.enabled() {
-            enforce_verify(&ctx, plan.verify(), "physical plan")?;
+            enforce_verify(&ctx, plan.verify())?;
         }
         let mut exec = Executor::new(ctx, nb, nf, nt);
         exec.run_dag(&plan.pipelines)?;
@@ -541,9 +529,6 @@ impl Database {
 
     /// Execute a bound query.
     pub fn execute(&self, q: &JoinQuery, opts: &QueryOptions) -> Result<QueryResult> {
-        if opts.mode == Mode::Hybrid {
-            return self.execute_hybrid(q, opts);
-        }
         let order = self.choose_order(q, opts)?;
         let plan: PlanNode = order.plan();
 
@@ -567,87 +552,6 @@ impl Database {
             trace: metrics.trace(),
             wall_time,
             join_order: order,
-            mode: opts.mode,
-        })
-    }
-
-    /// The hybrid path (§5.1.3): transfer phase → worst-case-optimal join →
-    /// residuals + aggregation. The join order is irrelevant — Generic Join
-    /// eliminates attributes, not relations.
-    fn execute_hybrid(&self, q: &JoinQuery, opts: &QueryOptions) -> Result<QueryResult> {
-        use rpt_exec::wcoj::{generic_join, WcojRelation};
-
-        let t0 = Instant::now();
-        let prelude = Planner::new(q, opts).compile_hybrid_prelude()?;
-        let ctx = self
-            .make_context(opts)
-            .with_partitions(prelude.partition_count);
-        if ctx.verify.enabled() {
-            enforce_verify(&ctx, prelude.verify(), "hybrid prelude")?;
-        }
-        let metrics = ctx.metrics.clone();
-        let mut exec = Executor::new(
-            ctx.clone(),
-            prelude.num_buffers,
-            prelude.num_filters,
-            prelude.num_tables,
-        );
-        exec.run_dag(&prelude.pipelines)?;
-        reconcile_run(&exec, &prelude.pipelines)?;
-
-        // Assemble the reduced relations for the generic join.
-        let mut relations = Vec::with_capacity(q.num_relations());
-        for (r, rel) in q.relations.iter().enumerate() {
-            let chunks = exec.buffer(prelude.rel_buffers[r])?;
-            let mut data = rpt_common::DataChunk::empty_like(&rpt_common::Schema::new(
-                rel.needed_cols
-                    .iter()
-                    .map(|&c| rel.table.schema.field(c).clone())
-                    .collect(),
-            ));
-            for c in chunks.iter() {
-                data.append(c)?;
-            }
-            let attr_cols = rel
-                .attr_cols
-                .iter()
-                .map(|(&attr, &col)| {
-                    rel.projected_index(col)
-                        .map(|pos| (attr, pos))
-                        .ok_or_else(|| Error::Plan("join key projected away".into()))
-                })
-                .collect::<Result<_>>()?;
-            relations.push(WcojRelation {
-                data,
-                attr_cols,
-                payload_cols: (0..rel.needed_cols.len()).collect(),
-            });
-        }
-        let attr_order: Vec<usize> = (0..q.num_attrs).collect();
-        let joined = generic_join(&relations, &attr_order, &ctx)?;
-        metrics.add(&metrics.join_output_rows, joined.num_rows() as u64);
-
-        // Epilogue: residuals + aggregation over the joined rows.
-        let joined_table = std::sync::Arc::new(rpt_storage::Table::new(
-            "wcoj_result",
-            prelude.schema.clone(),
-            joined.flattened().columns,
-        )?);
-        let compiled = Planner::new(q, opts).compile_epilogue(joined_table, prelude.layout)?;
-        let exec2 = self.run_plan(&compiled, ctx)?;
-        let wall_time = t0.elapsed();
-        let chunks = exec2.buffer(compiled.output_buffer)?;
-        let mut rows = Vec::new();
-        for c in chunks.iter() {
-            rows.extend(c.rows());
-        }
-        Ok(QueryResult {
-            schema: compiled.output_schema,
-            rows,
-            metrics: metrics.summary(),
-            trace: metrics.trace(),
-            wall_time,
-            join_order: JoinOrder::LeftDeep((0..q.num_relations()).collect()),
             mode: opts.mode,
         })
     }
@@ -796,13 +700,15 @@ mod tests {
     #[test]
     fn invalid_order_rejected() {
         let db = db();
-        let err = db
-            .query(
-                SQL,
-                &QueryOptions::new(Mode::Baseline).with_order(JoinOrder::LeftDeep(vec![0, 1])),
-            )
-            .unwrap_err();
-        assert!(matches!(err, Error::Plan(_)));
+        for mode in Mode::ALL {
+            let err = db
+                .query(
+                    SQL,
+                    &QueryOptions::new(mode).with_order(JoinOrder::LeftDeep(vec![0, 1])),
+                )
+                .unwrap_err();
+            assert!(matches!(err, Error::Plan(_)), "mode {mode:?}");
+        }
     }
 
     #[test]

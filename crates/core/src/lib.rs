@@ -3,7 +3,7 @@
 //! The public API of this reproduction of *"Debunking the Myth of Join
 //! Ordering: Toward Robust SQL Analytics"* (SIGMOD 2025). It glues the
 //! substrates together into an analytical SQL engine with six join
-//! execution modes:
+//! execution modes, each compiled to one physical plan:
 //!
 //! | [`Mode`] | What it does |
 //! |---|---|
@@ -12,7 +12,7 @@
 //! | `PredicateTransfer` | the original PT (CIDR 2024): Small2Large transfer schedule, then the join phase |
 //! | `RobustPredicateTransfer` | **RPT**: LargestRoot transfer schedule (full reduction for α-acyclic queries) + join phase, with the §4.3 pruning optimizations |
 //! | `Yannakakis` | exact hash semi-join reduction over the LargestRoot join tree (the classic algorithm, as an ablation) |
-//! | `Hybrid` | RPT transfer phase + worst-case optimal (Generic) join phase — the paper's §5.1.3 proposal for cyclic queries |
+//! | `Hybrid` | the full LargestRoot Bloom transfer + one worst-case optimal Generic Join pipeline as the join phase (the join order is ignored) — the paper's §5.1.3 proposal for cyclic queries |
 //!
 //! ```no_run
 //! use rpt_core::{Database, Mode, QueryOptions};

@@ -6,7 +6,9 @@
 //! obtain a transfer schedule, inserts `CreateBF`/`ProbeBF` pairs for every
 //! semi-join in the schedule (Figure 5), applies the two pruning
 //! optimizations of §4.3, and then builds the join phase from the chosen
-//! join order over the reduced relations.
+//! join order over the reduced relations — or, for `Mode::Hybrid`, one
+//! Generic Join over all of them. Every mode compiles to one
+//! [`PhysicalPlan`].
 
 use crate::engine::{Mode, QueryOptions};
 use crate::optimizer::PlanNode;
@@ -14,6 +16,7 @@ use crate::query::JoinQuery;
 use rpt_common::{DataType, Error, Field, Result, Schema};
 use rpt_exec::{
     AggExpr, BloomSink, Expr, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey, SourceSpec,
+    WcojInput,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
@@ -78,7 +81,7 @@ impl PhysicalPlan {
             num_filters: self.num_filters,
             num_tables: self.num_tables,
             partition_count: self.partition_count,
-            required_buffers: std::slice::from_ref(&self.output_buffer),
+            output_buffer: self.output_buffer,
         })
     }
 }
@@ -202,22 +205,25 @@ impl<'q> Planner<'q> {
                 };
                 self.run_transfer(&schedule, &mut states, false)?;
             }
-            Mode::Yannakakis => {
+            // Yannakakis reduces exactly; Hybrid transfers Bloom filters
+            // over the same full schedule.
+            Mode::Yannakakis | Mode::Hybrid => {
                 let graph = self.q.graph();
                 let tree = self.rpt_tree(&graph)?;
                 let schedule = TransferSchedule::from_tree(&graph, &tree);
-                self.run_transfer(&schedule, &mut states, true)?;
-            }
-            Mode::Hybrid => {
-                return Err(Error::Plan(
-                    "Hybrid mode is executed via Database::execute, not the binary-join planner"
-                        .into(),
-                ))
+                let exact = self.opts.mode == Mode::Yannakakis;
+                self.run_transfer(&schedule, &mut states, exact)?;
             }
         }
 
-        // 3. Join phase.
-        let mut final_stream = self.compile_join(plan, &mut states)?;
+        // 3. Join phase: hash joins in the plan's order, or Hybrid's
+        // worst-case optimal join, which eliminates attributes, not
+        // relations, and so ignores the order.
+        let mut final_stream = if self.opts.mode == Mode::Hybrid {
+            self.generic_join(&mut states)?
+        } else {
+            self.compile_join(plan, &mut states)?
+        };
 
         // 4. Residual predicates.
         for rp in &self.q.residuals {
@@ -548,6 +554,50 @@ impl<'q> Planner<'q> {
         }
     }
 
+    /// Hybrid's join phase (§5.1.3): materialize every relation whose
+    /// stream still has work, then one Generic Join over all relation
+    /// buffers, eliminating the query's attributes in id order. The stream
+    /// carries the relations' layouts concatenated in relation order.
+    fn generic_join(&mut self, states: &mut [RelState]) -> Result<Stream> {
+        let mut inputs = Vec::with_capacity(states.len());
+        let mut layout = Vec::new();
+        for (r, state) in states.iter_mut().enumerate() {
+            let stream = &mut state.stream;
+            let buf_id = match (&stream.source, stream.ops.is_empty()) {
+                (SourceSpec::Buffer(id), true) => *id,
+                _ => {
+                    let label = format!("materialize {}", self.q.relations[r].binding);
+                    self.materialize(stream, vec![], label)
+                }
+            };
+            let attr_cols = self.q.relations[r]
+                .attr_cols
+                .iter()
+                .map(|(&attr, &col)| {
+                    let pos = stream
+                        .position_of(r, col)
+                        .ok_or_else(|| Error::Plan("join key column was projected away".into()))?;
+                    Ok((attr, pos))
+                })
+                .collect::<Result<_>>()?;
+            inputs.push(WcojInput {
+                buf_id,
+                schema: self.stream_schema(stream),
+                attr_cols,
+            });
+            layout.extend(stream.layout.iter().copied());
+        }
+        Ok(Stream {
+            source: SourceSpec::GenericJoin {
+                inputs,
+                attr_order: (0..self.q.num_attrs).collect(),
+            },
+            ops: vec![],
+            layout,
+            label: "wcoj".into(),
+        })
+    }
+
     /// Append the terminal sort / TopK pipeline when the query orders or
     /// limits its output; otherwise `out_buf` stays the output buffer.
     /// ORDER BY keys are bound to output positions, so the sort reads the
@@ -795,109 +845,6 @@ impl<'q> Planner<'q> {
     }
 }
 
-/// The transfer-phase half of the hybrid (§5.1.3) strategy: pipelines that
-/// reduce every relation with the LargestRoot schedule and materialize each
-/// relation's final state into a buffer, ready for the worst-case-optimal
-/// join phase.
-pub struct HybridPrelude {
-    pub pipelines: Vec<PipelinePlan>,
-    /// Buffer id holding each relation's reduced rows (indexed by relation).
-    pub rel_buffers: Vec<usize>,
-    pub num_buffers: usize,
-    pub num_filters: usize,
-    pub num_tables: usize,
-    /// Hash partitions per materializing sink (see
-    /// [`PhysicalPlan::partition_count`]).
-    pub partition_count: usize,
-    /// Output column provenance after the WCOJ join: `(rel, base col)` in
-    /// relation order.
-    pub layout: Vec<(usize, usize)>,
-    /// Schema matching `layout` (binding-qualified names).
-    pub schema: Schema,
-}
-
-impl HybridPrelude {
-    /// Statically verify the prelude: same rule families as
-    /// [`PhysicalPlan::verify`], with every per-relation buffer treated as
-    /// a required output (the WCOJ phase reads them all).
-    pub fn verify(&self) -> rpt_analyze::VerifyReport {
-        rpt_analyze::verify_plan(&rpt_analyze::PlanFacts {
-            pipelines: &self.pipelines,
-            num_buffers: self.num_buffers,
-            num_filters: self.num_filters,
-            num_tables: self.num_tables,
-            partition_count: self.partition_count,
-            required_buffers: &self.rel_buffers,
-        })
-    }
-}
-
-impl<'q> Planner<'q> {
-    /// Compile the hybrid prelude: base scans → transfer phase →
-    /// per-relation materialization.
-    pub fn compile_hybrid_prelude(mut self) -> Result<HybridPrelude> {
-        let mut states: Vec<RelState> = (0..self.q.num_relations())
-            .map(|r| self.base_stream(r))
-            .collect::<Result<_>>()?;
-        if self.q.num_relations() > 1 {
-            let graph = self.q.graph();
-            let tree = self.rpt_tree(&graph)?;
-            let schedule = TransferSchedule::from_tree(&graph, &tree);
-            self.run_transfer(&schedule, &mut states, false)?;
-        }
-        // Materialize every relation's final state.
-        let mut rel_buffers = Vec::with_capacity(states.len());
-        let mut layout = Vec::new();
-        let mut fields = Vec::new();
-        for (r, state) in states.iter().enumerate() {
-            let mut stream = state.stream.clone();
-            layout.extend(stream.layout.iter().copied());
-            let schema = self.stream_schema(&stream);
-            fields.extend(schema.fields.iter().cloned());
-            match (&stream.source, stream.ops.is_empty()) {
-                (SourceSpec::Buffer(id), true) => rel_buffers.push(*id),
-                _ => {
-                    let label = format!("materialize {}", self.q.relations[r].binding);
-                    rel_buffers.push(self.materialize(&mut stream, vec![], label));
-                }
-            }
-        }
-        Ok(HybridPrelude {
-            pipelines: self.pipelines,
-            rel_buffers,
-            num_buffers: self.num_buffers,
-            num_filters: self.num_filters,
-            num_tables: self.num_tables,
-            partition_count: rpt_common::normalize_partition_count(self.opts.partition_count),
-            layout,
-            schema: Schema::new(fields),
-        })
-    }
-
-    /// Compile the hybrid epilogue: residual predicates + aggregation /
-    /// projection over the WCOJ join result.
-    pub fn compile_epilogue(
-        self,
-        joined: Arc<rpt_storage::Table>,
-        layout: Vec<(usize, usize)>,
-    ) -> Result<PhysicalPlan> {
-        let mut stream = Stream {
-            source: SourceSpec::full_scan(joined),
-            ops: vec![],
-            layout,
-            label: "wcoj".into(),
-        };
-        for rp in &self.q.residuals {
-            let l = stream.layout.clone();
-            let expr = rp
-                .expr
-                .to_exec(&|r, c| l.iter().position(|&(lr, lc)| lr == r && lc == c))?;
-            stream.ops.push(OpSpec::Filter(expr));
-        }
-        self.finish(stream)
-    }
-}
-
 /// Does a left-deep join order start at the tree root and only ever join
 /// tree children of already-joined relations? In that case the forward pass
 /// alone suffices (§4.3's "skip the entire backward pass" optimization):
@@ -973,6 +920,70 @@ mod tests {
                 "reprojection reads missing grain {g:?}: {:?}",
                 reproject.reads
             );
+        }
+    }
+
+    /// A Hybrid plan is one plan: its join phase is exactly one Generic
+    /// Join pipeline, whose inputs are each relation's final buffer in
+    /// relation order, and the plan verifies clean.
+    #[test]
+    fn hybrid_plan_has_one_generic_join_over_final_buffers() {
+        use crate::engine::{Database, Mode, QueryOptions};
+        use rpt_common::{DataType, Field, Vector};
+        use rpt_storage::Table;
+
+        let mut db = Database::new();
+        for (name, a, b) in [("tr", "a", "b"), ("ts", "b", "c"), ("tt", "a", "c")] {
+            let t = Table::new(
+                name,
+                rpt_common::Schema::new(vec![
+                    Field::new(a, DataType::Int64),
+                    Field::new(b, DataType::Int64),
+                ]),
+                vec![
+                    Vector::from_i64((0..50).map(|i| i % 7).collect()),
+                    Vector::from_i64((0..50).map(|i| i % 5).collect()),
+                ],
+            )
+            .unwrap();
+            db.register_table(t);
+        }
+        let sql = "SELECT COUNT(*) FROM tr, ts, tt \
+                   WHERE tr.a = tt.a AND tr.b = ts.b AND ts.c = tt.c AND tr.a < 5";
+        let q = db.bind_sql(sql).unwrap();
+        for pc in [1, 4] {
+            let opts = QueryOptions::new(Mode::Hybrid).with_partition_count(pc);
+            let order = db.choose_order(&q, &opts).unwrap();
+            let plan = Planner::new(&q, &opts).compile(&order.plan()).unwrap();
+            let joins: Vec<(usize, &Vec<WcojInput>)> = plan
+                .pipelines
+                .iter()
+                .enumerate()
+                .filter_map(|(i, p)| match &p.source {
+                    SourceSpec::GenericJoin { inputs, .. } => Some((i, inputs)),
+                    _ => None,
+                })
+                .collect();
+            assert_eq!(joins.len(), 1, "pc={pc}");
+            let (at, inputs) = joins[0];
+            assert_eq!(inputs.len(), q.num_relations());
+            for (r, input) in inputs.iter().enumerate() {
+                // The last pipeline that sinks relation r's rows.
+                let binding = &q.relations[r].binding;
+                let last = plan.pipelines[..at]
+                    .iter()
+                    .rev()
+                    .find(|p| p.label.ends_with(&format!(" {binding}")))
+                    .unwrap();
+                assert!(
+                    matches!(last.sink, SinkSpec::Buffer { buf_id, .. } if buf_id == input.buf_id),
+                    "pc={pc}: {binding} reads buffer {} after `{}`",
+                    input.buf_id,
+                    last.label
+                );
+            }
+            let rep = plan.verify();
+            assert!(rep.is_clean(), "pc={pc}: {:?}", rep.errors);
         }
     }
 

@@ -24,25 +24,24 @@ pub fn memory_budget_from_env() -> Option<usize> {
     std::env::var("RPT_MEMORY_BUDGET").ok()?.parse().ok()
 }
 
-/// How thoroughly plans are verified.
+/// Whether plans are verified.
 ///
 /// `Strict` runs the static plan verifier before execution and the
 /// observed-access reconciliation after execution, failing the query on
-/// any violation.
-/// `Warn` runs the same checks but only reports (stderr + pipeline trace).
-/// `Off` skips everything. Debug builds default to `Strict` (the checks
-/// subsume the old `debug_assert!`s); release builds default to `Off`.
+/// any violation. `Off` skips both. Debug builds default to `Strict` (the
+/// checks subsume the old `debug_assert!`s); release builds default to
+/// `Off`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum VerifyMode {
     Off,
-    Warn,
     Strict,
 }
 
 impl VerifyMode {
-    /// Process default: `RPT_PLAN_VERIFY` (`off` / `warn` / `strict`),
-    /// else `Strict` in debug builds and `Off` in release. An explicit
-    /// `off` is honored even in debug builds.
+    /// Process default: `RPT_PLAN_VERIFY` (`off` / `strict`), else `Strict`
+    /// in debug builds and `Off` in release. An explicit `off` is honored
+    /// even in debug builds; any other value (`warn` included) falls back
+    /// to the build default.
     pub fn from_env() -> VerifyMode {
         VerifyMode::from_setting(std::env::var("RPT_PLAN_VERIFY").ok().as_deref())
     }
@@ -55,7 +54,6 @@ impl VerifyMode {
             {
                 VerifyMode::Off
             }
-            Some(v) if v.eq_ignore_ascii_case("warn") => VerifyMode::Warn,
             Some(v)
                 if v.eq_ignore_ascii_case("strict") || v == "1" || v.eq_ignore_ascii_case("on") =>
             {
@@ -71,20 +69,11 @@ impl VerifyMode {
         }
     }
 
-    /// Should the verifier / checks run at all?
+    /// Should the verifier / checks run (and fail the query on a
+    /// violation)?
     pub fn enabled(self) -> bool {
-        !matches!(self, VerifyMode::Off)
-    }
-
-    /// Should a violation fail the query (vs. only being reported)?
-    pub fn strict(self) -> bool {
         matches!(self, VerifyMode::Strict)
     }
-}
-
-/// Process default for plan verification, see [`VerifyMode::from_env`].
-pub fn plan_verify_from_env() -> VerifyMode {
-    VerifyMode::from_env()
 }
 
 /// Worker utilization as a percentage: busy nanoseconds over wall
@@ -605,14 +594,15 @@ mod tests {
     use super::*;
 
     /// A debug build verifies every plan strictly unless `RPT_PLAN_VERIFY`
-    /// says otherwise, so a plain debug `cargo test` is a strict-verifier
-    /// run of every suite and needs no second run under `strict`.
+    /// says `off`, so a plain debug `cargo test` is a strict-verifier run
+    /// of every suite and needs no second run under `strict`. A value that
+    /// names no mode (`warn` among them) falls back to that default.
     #[cfg(debug_assertions)]
     #[test]
     fn debug_builds_verify_strictly_by_default() {
         assert_eq!(VerifyMode::from_setting(None), VerifyMode::Strict);
         assert_eq!(VerifyMode::from_setting(Some("off")), VerifyMode::Off);
-        assert_eq!(VerifyMode::from_setting(Some("warn")), VerifyMode::Warn);
+        assert_eq!(VerifyMode::from_setting(Some("warn")), VerifyMode::Strict);
         if std::env::var_os("RPT_PLAN_VERIFY").is_none() {
             assert_eq!(ExecContext::new().verify, VerifyMode::Strict);
         }
@@ -663,9 +653,8 @@ mod tests {
 
     #[test]
     fn verify_mode_gates() {
-        assert!(VerifyMode::Strict.enabled() && VerifyMode::Strict.strict());
-        assert!(VerifyMode::Warn.enabled() && !VerifyMode::Warn.strict());
-        assert!(!VerifyMode::Off.enabled() && !VerifyMode::Off.strict());
+        assert!(VerifyMode::Strict.enabled());
+        assert!(!VerifyMode::Off.enabled());
     }
 
     #[test]

@@ -38,8 +38,8 @@ pub mod wcoj;
 
 pub use aggregate::{AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
-    default_worker_count, memory_budget_from_env, plan_verify_from_env, utilization_pct,
-    ExecContext, Metrics, MetricsSummary, SchedulerKind, VerifyMode,
+    default_worker_count, memory_budget_from_env, utilization_pct, ExecContext, Metrics,
+    MetricsSummary, SchedulerKind, VerifyMode,
 };
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
 pub use global::{run_physical_global, GlobalStats};
@@ -52,4 +52,4 @@ pub use pipeline::{
     BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, ScanProbe, SinkSpec, SourceSpec,
 };
 pub use scheduler::NodeDeps;
-pub use wcoj::{generic_join, WcojRelation};
+pub use wcoj::WcojInput;

@@ -335,10 +335,12 @@ impl Resources {
 
 /// Where a pipeline's morsels come from (`GetData`).
 ///
-/// Opening is cheap — it resolves what the stream will cover (which blocks
-/// survive zone-map pruning, which sealed buffer partition) and decodes or
-/// copies nothing. The work happens per morsel, on whichever worker claims
-/// it, so no whole-input chunk list is ever resident.
+/// Opening a scan is cheap — it resolves what the stream will cover (which
+/// blocks survive zone-map pruning, which sealed buffer partition) and
+/// decodes or copies nothing. The work happens per morsel, on whichever
+/// worker claims it, so no whole-input chunk list is ever resident. The
+/// one exception is [`crate::wcoj::GenericJoinScan`], which does its work
+/// in `open`: no output row exists before every input has been joined.
 pub trait Source: Send + Sync {
     /// Open the whole input. `ctx` carries read-path configuration (e.g.
     /// `storage_encoding`) and the metrics sink for scan-side counters.

@@ -26,6 +26,7 @@ use crate::operators::{
     SinkFactory, Source, TableScan,
 };
 use crate::scheduler::NodeDeps;
+use crate::wcoj::{GenericJoinScan, WcojInput};
 use rpt_bloom::BloomFilter;
 use rpt_common::{DataChunk, DataType, Result, Schema};
 use rpt_storage::Table;
@@ -53,6 +54,12 @@ pub enum SourceSpec {
     /// Read the materialized output of an earlier pipeline (e.g. a
     /// `CreateBF` buffer acting as a source).
     Buffer(usize),
+    /// Hybrid's join phase: the Generic Join of every input buffer,
+    /// eliminating attributes in `attr_order` (see [`GenericJoinScan`]).
+    GenericJoin {
+        inputs: Vec<WcojInput>,
+        attr_order: Vec<usize>,
+    },
 }
 
 impl SourceSpec {
@@ -82,6 +89,10 @@ impl SourceSpec {
                 probes.clone(),
             )),
             SourceSpec::Buffer(id) => Box::new(BufferScan::new(*id)),
+            SourceSpec::GenericJoin { inputs, attr_order } => Box::new(GenericJoinScan {
+                inputs: inputs.clone(),
+                attr_order: attr_order.clone(),
+            }),
         }
     }
 }
@@ -268,6 +279,9 @@ impl PipelinePlan {
                 reads.extend(probes.iter().map(|p| ResourceId::Filter(p.filter_id)))
             }
             SourceSpec::Buffer(b) => reads.extend(parts(*b)),
+            SourceSpec::GenericJoin { inputs, .. } => {
+                reads.extend(inputs.iter().flat_map(|i| parts(i.buf_id)))
+            }
         }
         for op in &self.ops {
             match op {
@@ -566,6 +580,24 @@ mod tests {
                     offset: 0,
                 },
             ),
+            // A Generic Join reads every partition of every input buffer.
+            pipeline(
+                SourceSpec::GenericJoin {
+                    inputs: [7, 2]
+                        .map(|buf_id| WcojInput {
+                            buf_id,
+                            schema: two_col_schema(),
+                            attr_cols: vec![(0, 0)],
+                        })
+                        .to_vec(),
+                    attr_order: vec![0],
+                },
+                vec![],
+                SinkSpec::Buffer {
+                    buf_id: 8,
+                    blooms: vec![],
+                },
+            ),
         ];
         for pc in [1, 4] {
             let parts = |b| (0..pc).map(move |p| BufferPart(b, p));
@@ -584,6 +616,7 @@ mod tests {
                 ),
                 (vec![], parts(5).collect()),
                 (parts(5).collect(), parts(6).collect()),
+                (parts(2).chain(parts(7)).collect(), parts(8).collect()),
             ];
             for (p, (reads, writes)) in cases.iter().zip(want) {
                 assert_eq!(p.deps(pc), NodeDeps { reads, writes }, "pc={pc}");

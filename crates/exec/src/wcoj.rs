@@ -13,9 +13,77 @@
 //!
 //! Restriction: join attributes must be `Int64` (true for every workload
 //! key in this repo); payload columns can be any type.
+//!
+//! In a Hybrid plan the join is a pipeline source, [`GenericJoinScan`]
+//! (lowered from `SourceSpec::GenericJoin`): it reads every relation's
+//! transfer-reduced buffer, joins them all when it opens, and streams the
+//! joined rows into the plan's residual filters and output sink.
 
 use crate::context::ExecContext;
-use rpt_common::{DataChunk, Error, Result, Vector};
+use crate::operators::{Morsels, Resources, Source};
+use rpt_common::chunk::VECTOR_SIZE;
+use rpt_common::{DataChunk, Error, Result, Schema, Vector};
+
+/// One input of a [`GenericJoinScan`]: a materialized relation.
+#[derive(Clone)]
+pub struct WcojInput {
+    /// The buffer holding the relation's rows.
+    pub buf_id: usize,
+    /// The buffer's schema; every column is carried into the output.
+    pub schema: Schema,
+    /// `(global_attr_id, column_index)` pairs, as in [`WcojRelation`].
+    pub attr_cols: Vec<(usize, usize)>,
+}
+
+/// The Generic Join as a pipeline source. It does its work in `open`: no
+/// output row exists before every input has been joined. The joined rows,
+/// every input's columns concatenated in input order, then go out as
+/// `VECTOR_SIZE`-row morsels.
+pub struct GenericJoinScan {
+    pub(crate) inputs: Vec<WcojInput>,
+    pub(crate) attr_order: Vec<usize>,
+}
+
+impl Source for GenericJoinScan {
+    fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
+        let relations = self
+            .inputs
+            .iter()
+            .map(|input| {
+                let mut data = DataChunk::empty_like(&input.schema);
+                for c in res.buffer(input.buf_id)?.iter() {
+                    data.append(c)?;
+                }
+                Ok(WcojRelation {
+                    data,
+                    attr_cols: input.attr_cols.clone(),
+                    payload_cols: (0..input.schema.len()).collect(),
+                })
+            })
+            .collect::<Result<Vec<_>>>()?;
+        let joined = generic_join(&relations, &self.attr_order, ctx)?;
+        ctx.metrics
+            .add(&ctx.metrics.join_output_rows, joined.num_rows() as u64);
+        Ok(Box::new(JoinedMorsels(joined)))
+    }
+}
+
+/// The joined rows, one morsel per `VECTOR_SIZE` range.
+struct JoinedMorsels(DataChunk);
+
+impl Morsels for JoinedMorsels {
+    fn count(&self) -> usize {
+        self.0.num_rows().div_ceil(VECTOR_SIZE)
+    }
+
+    fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>> {
+        let start = i * VECTOR_SIZE;
+        let len = VECTOR_SIZE.min(self.0.num_rows() - start);
+        ctx.charge(len as u64)?;
+        let columns = self.0.columns.iter().map(|c| c.slice(start, len)).collect();
+        Ok(Some(DataChunk::new(columns)))
+    }
+}
 
 /// One input relation for the generic join.
 pub struct WcojRelation {

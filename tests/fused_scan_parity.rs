@@ -98,7 +98,9 @@ fn corpus_rpt_plans_probe_base_relations_inside_the_scan() {
                     .filter(|op| matches!(op, OpSpec::ProbeBloom { .. }))
                     .count();
                 match &p.source {
-                    SourceSpec::Buffer(_) => streaming += probe_ops,
+                    SourceSpec::Buffer(_) | SourceSpec::GenericJoin { .. } => {
+                        streaming += probe_ops
+                    }
                     SourceSpec::Scan { probes, .. } => {
                         assert_eq!(probe_ops, 0, "{} {}: {}", w.name, q.id, p.label);
                         resident += probes.len();

@@ -1,8 +1,8 @@
 //! Static plan verifier: positive corpus coverage and negative mutation
 //! coverage.
 //!
-//! Positive: every corpus query's compiled plan verifies clean across
-//! `partition_count {1,8}` (statically) and end-to-end under
+//! Positive: every corpus query's compiled plan verifies clean in every
+//! mode across `partition_count {1,8}` (statically) and end-to-end under
 //! `RPT_PLAN_VERIFY=strict`.
 //!
 //! Negative: single spec mutations of a healthy plan — a dropped filter
@@ -63,15 +63,22 @@ fn compile(db: &Database, sql: &str, o: &QueryOptions) -> PhysicalPlan {
         .expect("corpus query compiles")
 }
 
+/// Every mode compiles each corpus query to one plan that verifies clean.
 #[test]
 fn corpus_plans_verify_clean_static() {
     let db = database_for(&tpch(0.05, 42));
     for sql in CORPUS {
-        for pc in [1usize, 8] {
-            let plan = compile(&db, sql, &opts(pc));
-            let rep = plan.verify();
-            assert!(rep.is_clean(), "pc={pc} sql={sql}: {:?}", rep.errors);
-            assert!(rep.checks_run > 0);
+        for mode in Mode::ALL {
+            for pc in [1usize, 8] {
+                let plan = compile(&db, sql, &QueryOptions { mode, ..opts(pc) });
+                let rep = plan.verify();
+                assert!(
+                    rep.is_clean(),
+                    "{mode:?} pc={pc} sql={sql}: {:?}",
+                    rep.errors
+                );
+                assert!(rep.checks_run > 0);
+            }
         }
     }
 }
@@ -149,7 +156,7 @@ fn scan_probed_filter(plan: &PhysicalPlan) -> (usize, usize) {
         .enumerate()
         .flat_map(|(i, p)| match &p.source {
             SourceSpec::Scan { probes, .. } => probes.iter().map(|pr| (i, pr.filter_id)).collect(),
-            SourceSpec::Buffer(_) => vec![],
+            SourceSpec::Buffer(_) | SourceSpec::GenericJoin { .. } => vec![],
         })
         .find(|&(_, f)| {
             let readers = plan
