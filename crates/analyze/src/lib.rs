@@ -311,7 +311,7 @@ pub fn reconcile_accesses(
 mod tests {
     use super::*;
     use rpt_common::{DataType, Field, Schema};
-    use rpt_exec::{BloomSink, OpSpec, SinkSpec, SourceSpec};
+    use rpt_exec::{BloomSink, FilterShape, OpSpec, SinkSpec, SourceSpec};
     use std::sync::Arc;
 
     fn schema() -> Schema {
@@ -341,8 +341,10 @@ mod tests {
                     blooms: vec![BloomSink {
                         filter_id: 0,
                         key_cols: vec![0],
-                        expected_keys: 3,
-                        fpr: 0.01,
+                        shape: FilterShape::Bloom {
+                            expected_keys: 3,
+                            fpr: 0.01,
+                        },
                     }],
                 },
                 intermediate: true,

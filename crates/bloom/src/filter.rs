@@ -36,13 +36,14 @@ const SALT: [u32; 8] = [
 ];
 
 const WORDS_PER_BLOCK: usize = 8;
-const BITS_PER_WORD: u32 = 32;
+/// Eight `u32` words.
+const BLOCK_BYTES: u64 = 32;
 
 /// Default false-positive target (Arrow's default, used by the paper).
 pub const DEFAULT_FPR: f64 = 0.02;
 
 /// A split-block Bloom filter: one cache line per key.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BloomFilter {
     /// `num_blocks * 8` u32 words; `num_blocks` is a power of two.
     words: Vec<u32>,
@@ -53,34 +54,31 @@ pub struct BloomFilter {
     block_shift: u32,
     num_blocks: u64,
     inserted: u64,
-    /// Per key-attribute position: inclusive `[min, max]` over the *raw*
-    /// `Int64` values inserted at that position of the (possibly composite)
-    /// key, tracked only when the builder observes them. Scans compare
-    /// these against block zone maps: a storage block whose column range is
-    /// disjoint from *any* key position's range cannot contain a true
-    /// semi-join match, so it can be skipped before decode. Index 0 is the
-    /// single-column range that landed in PR 6.
-    key_ranges: Vec<Option<(i64, i64)>>,
 }
 
 impl BloomFilter {
-    /// Create a filter sized for `expected_keys` at false-positive rate
-    /// `fpr`. Blocked filters need a bit more space than the textbook bound;
-    /// we follow Arrow's rule of thumb and size at
-    /// `bits_per_key = -log2(fpr) * 1.5 + 4`, clamped to [8, 40], rounding
-    /// block count up to the next power of two.
-    pub fn with_capacity(expected_keys: usize, fpr: f64) -> Self {
+    /// Bytes of the filter [`BloomFilter::with_capacity`] builds for
+    /// `expected_keys` at false-positive rate `fpr`. Blocked filters need a
+    /// bit more space than the textbook bound; we follow Arrow's rule of
+    /// thumb and size at `bits_per_key = -log2(fpr) * 1.5 + 4`, clamped to
+    /// [8, 40], rounding block count up to the next power of two.
+    pub fn bytes_for(expected_keys: usize, fpr: f64) -> usize {
         let fpr = fpr.clamp(1e-6, 0.5);
         let bits_per_key = (-fpr.log2() * 1.5 + 4.0).clamp(8.0, 40.0);
         let total_bits = (expected_keys.max(1) as f64 * bits_per_key).ceil() as u64;
-        let block_bits = (WORDS_PER_BLOCK as u64) * (BITS_PER_WORD as u64);
-        let num_blocks = total_bits.div_ceil(block_bits).next_power_of_two();
+        let num_blocks = total_bits.div_ceil(BLOCK_BYTES * 8).next_power_of_two();
+        (num_blocks * BLOCK_BYTES) as usize
+    }
+
+    /// Create a filter sized for `expected_keys` at false-positive rate
+    /// `fpr` ([`BloomFilter::bytes_for`]).
+    pub fn with_capacity(expected_keys: usize, fpr: f64) -> Self {
+        let num_blocks = (Self::bytes_for(expected_keys, fpr) as u64) / BLOCK_BYTES;
         BloomFilter {
             words: vec![0u32; (num_blocks as usize) * WORDS_PER_BLOCK],
             block_shift: (64 - num_blocks.trailing_zeros()).min(63),
             num_blocks,
             inserted: 0,
-            key_ranges: Vec::new(),
         }
     }
 
@@ -240,47 +238,12 @@ impl BloomFilter {
             *a |= *b;
         }
         self.inserted += other.inserted;
-        for (pos, r) in other.key_ranges.iter().enumerate() {
-            if let Some((lo, hi)) = r {
-                self.observe_key_range_at(pos, *lo, *hi);
-            }
-        }
         Ok(())
     }
 
     /// Number of keys inserted so far.
     pub fn num_inserted(&self) -> u64 {
         self.inserted
-    }
-
-    /// Widen the tracked key range at position 0 to cover `[min, max]`
-    /// (the single-column form; composite keys use
-    /// [`Self::observe_key_range_at`]).
-    pub fn observe_key_range(&mut self, min: i64, max: i64) {
-        self.observe_key_range_at(0, min, max);
-    }
-
-    /// Widen the tracked range of key-attribute position `pos` to cover
-    /// `[min, max]`.
-    pub fn observe_key_range_at(&mut self, pos: usize, min: i64, max: i64) {
-        if self.key_ranges.len() <= pos {
-            self.key_ranges.resize(pos + 1, None);
-        }
-        self.key_ranges[pos] = Some(match self.key_ranges[pos] {
-            Some((lo, hi)) => (lo.min(min), hi.max(max)),
-            None => (min, max),
-        });
-    }
-
-    /// The inclusive `[min, max]` over inserted raw `Int64` keys at
-    /// position 0, when the builder tracked it.
-    pub fn key_range(&self) -> Option<(i64, i64)> {
-        self.key_range_at(0)
-    }
-
-    /// The tracked key range of key-attribute position `pos`.
-    pub fn key_range_at(&self, pos: usize) -> Option<(i64, i64)> {
-        self.key_ranges.get(pos).copied().flatten()
     }
 
     /// Raw filter words (bit-pattern comparisons in tests and diagnostics).
@@ -311,7 +274,6 @@ impl BloomFilter {
             block_shift: self.block_shift,
             num_blocks: self.num_blocks,
             inserted: 0,
-            key_ranges: Vec::new(),
         }
     }
 }
@@ -532,46 +494,19 @@ mod tests {
     }
 
     #[test]
-    fn key_range_tracks_and_merges() {
-        let mut a = BloomFilter::with_capacity(100, 0.02);
-        assert_eq!(a.key_range(), None);
-        a.observe_key_range(5, 9);
-        a.observe_key_range(-3, 4);
-        assert_eq!(a.key_range(), Some((-3, 9)));
-        let mut b = a.empty_clone();
-        assert_eq!(b.key_range(), None);
-        b.observe_key_range(100, 200);
-        a.merge(&b).unwrap();
-        assert_eq!(a.key_range(), Some((-3, 200)));
-    }
-
-    /// Composite keys track one range per key-attribute position and merge
-    /// them elementwise; position 0 stays the legacy single-column API.
-    #[test]
-    fn multi_position_key_ranges_track_and_merge() {
-        let mut a = BloomFilter::with_capacity(100, 0.02);
-        a.observe_key_range_at(0, 10, 20);
-        a.observe_key_range_at(1, -5, 5);
-        assert_eq!(a.key_range(), Some((10, 20)), "pos 0 == key_range()");
-        assert_eq!(a.key_range_at(1), Some((-5, 5)));
-        assert_eq!(a.key_range_at(2), None, "untracked position");
-        let mut b = a.empty_clone();
-        assert_eq!(b.key_range_at(1), None, "empty_clone resets all ranges");
-        b.observe_key_range_at(1, 100, 110);
-        b.observe_key_range_at(2, 7, 7);
-        a.merge(&b).unwrap();
-        assert_eq!(a.key_range_at(0), Some((10, 20)));
-        assert_eq!(a.key_range_at(1), Some((-5, 110)), "elementwise widen");
-        assert_eq!(a.key_range_at(2), Some((7, 7)), "longer vec extends");
-    }
-
-    #[test]
     fn sizing_scales_with_keys() {
         let small = BloomFilter::with_capacity(100, 0.02);
         let big = BloomFilter::with_capacity(1_000_000, 0.02);
         assert!(big.size_bytes() > small.size_bytes());
         // Power-of-two block count.
         assert!(big.num_blocks().is_power_of_two());
+        for filter in [small, big] {
+            assert_eq!(filter.size_bytes(), filter.num_blocks() as usize * 32);
+        }
+        assert_eq!(
+            BloomFilter::bytes_for(100, 0.02),
+            BloomFilter::with_capacity(100, 0.02).size_bytes()
+        );
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! # rpt-bloom
 //!
-//! Register-blocked Bloom filter, modeled on the Apache Arrow 16.0 filter the
-//! paper uses for its `CreateBF`/`ProbeBF` operators (§4.2), which in turn
-//! follows the cache-efficient *blocked* design of Putze, Sanders & Singler
-//! (SEA 2007, reference \[67\] in the paper).
+//! The filters of the paper's `CreateBF`/`ProbeBF` operators (§4.2): a
+//! register-blocked Bloom filter, and an exact bitmap for dense `Int64`
+//! keys ([`bitmap`]), one of which each transfer edge gets by a plan-time
+//! size rule ([`transfer`]).
 //!
-//! Layout: the filter is an array of 64-byte blocks, each block being eight
+//! The Bloom filter is modeled on the Apache Arrow 16.0 filter the paper
+//! uses, which in turn follows the cache-efficient *blocked* design of
+//! Putze, Sanders & Singler (SEA 2007, reference \[67\] in the paper).
+//! Layout: the filter is an array of 32-byte blocks, each block being eight
 //! 32-bit words. A key sets exactly one bit in each of the eight words of a
 //! single block, so an insert or probe touches one cache line. The word bit
 //! positions are derived from the key hash with eight odd "salt" multipliers
@@ -17,8 +20,12 @@
 //! The default false-positive target is 2%, Arrow's default, as used in the
 //! paper.
 
+pub mod bitmap;
 pub mod filter;
 pub mod selection;
+pub mod transfer;
 
+pub use bitmap::KeyBitmap;
 pub use filter::BloomFilter;
 pub use selection::bitmask_to_selection;
+pub use transfer::{FilterKind, FilterShape, TransferFilter};

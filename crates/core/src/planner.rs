@@ -13,10 +13,10 @@
 use crate::engine::{Mode, QueryOptions};
 use crate::optimizer::PlanNode;
 use crate::query::JoinQuery;
-use rpt_common::{DataType, Error, Field, Result, Schema};
+use rpt_common::{DataType, Error, Field, Result, ScalarValue, Schema};
 use rpt_exec::{
-    AggExpr, BloomSink, Expr, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey, SourceSpec,
-    WcojInput,
+    AggExpr, BloomSink, Expr, FilterShape, OpSpec, PipelinePlan, ScanProbe, SinkSpec, SortKey,
+    SourceSpec, WcojInput,
 };
 use rpt_graph::{
     largest_root, largest_root_randomized, small2large, JoinTree, SemiJoin, TransferSchedule,
@@ -315,6 +315,35 @@ impl<'q> Planner<'q> {
         buf
     }
 
+    /// The shape of a CreateBF from the `source` stream's key (layout
+    /// positions) to the `target`'s, both CreateBF sites' size rule
+    /// ([`FilterShape::choose`]): a key bitmap needs one key attribute,
+    /// `Int64` key columns on both sides, and the source column's catalog
+    /// `[min, max]`. That range is exact for the stream too: predicates,
+    /// semi-joins and joins only remove rows, never create values.
+    fn filter_shape(
+        &self,
+        expected_keys: usize,
+        (source, src_keys): (&Stream, &[usize]),
+        (target, tgt_keys): (&Stream, &[usize]),
+    ) -> FilterShape {
+        let int64 = |stream: &Stream, pos: usize| {
+            let (rel, col) = stream.layout[pos];
+            let r = &self.q.relations[rel];
+            (r.table.schema.field(col).data_type == DataType::Int64).then(|| r.stats.column(col))
+        };
+        let range = match (src_keys, tgt_keys) {
+            ([s], [t]) if int64(target, *t).is_some() => {
+                int64(source, *s).and_then(|stats| match (&stats.min, &stats.max) {
+                    (ScalarValue::Int64(min), ScalarValue::Int64(max)) => Some((*min, *max)),
+                    _ => None,
+                })
+            }
+            _ => None,
+        };
+        FilterShape::choose(expected_keys, self.opts.bloom_fpr, range)
+    }
+
     /// Run a transfer schedule, inserting CreateBF/ProbeBF (or exact hash
     /// semi-joins for Yannakakis) per semi-join.
     fn run_transfer(
@@ -385,7 +414,6 @@ impl<'q> Planner<'q> {
 
         let dir = if forward { "fwd" } else { "bwd" };
         let src_name = self.q.relations[*source].binding.clone();
-        let tgt_name = self.q.relations[*target].binding.clone();
 
         if exact {
             // Yannakakis: materialize the source, build an exact hash table,
@@ -412,27 +440,30 @@ impl<'q> Planner<'q> {
             });
         } else {
             // Predicate Transfer: CreateBF on the source, ProbeBF on the
-            // target. The filter is sized for the *estimated post-filter*
-            // cardinality (an upper bound once earlier semi-joins have
-            // reduced the source further); undersizing only raises the
-            // false-positive rate, never correctness.
+            // target. A Bloom filter is sized for the *estimated
+            // post-filter* cardinality (an upper bound once earlier
+            // semi-joins have reduced the source further); undersizing only
+            // raises the false-positive rate, never correctness.
             let filter_id = self.new_filter();
             let expected = crate::estimator::Estimator::new(self.q)
                 .base_card(*source)
                 .ceil() as usize;
+            let shape = self.filter_shape(
+                expected,
+                (&states[*source].stream, &src_keys),
+                (&states[*target].stream, &tgt_keys),
+            );
             self.materialize(
                 &mut states[*source].stream,
                 vec![BloomSink {
                     filter_id,
                     key_cols: src_keys,
-                    expected_keys: expected,
-                    fpr: self.opts.bloom_fpr,
+                    shape,
                 }],
                 format!("{dir} createbf {src_name}"),
             );
             states[*target].stream.probe_bloom(filter_id, tgt_keys);
         }
-        let _ = tgt_name;
         states[*target].reduced = true;
         Ok(())
     }
@@ -514,11 +545,15 @@ impl<'q> Planner<'q> {
                     // side was chosen by (`with_build_sides`).
                     let expected =
                         self.opts.estimator(self.q).join_card(&build_rels).ceil() as usize;
+                    let shape = self.filter_shape(
+                        expected,
+                        (&build_stream, &build_keys),
+                        (&probe_stream, &probe_keys),
+                    );
                     blooms.push(BloomSink {
                         filter_id,
                         key_cols: build_keys.clone(),
-                        expected_keys: expected,
-                        fpr: self.opts.bloom_fpr,
+                        shape,
                     });
                     probe_bf = Some(filter_id);
                 }

@@ -8,7 +8,7 @@ use rpt_common::{DataType, Field, Schema, Vector};
 use rpt_core::estimator::Estimator;
 use rpt_core::optimizer::optimize_left_deep;
 use rpt_core::{Database, JoinOrder, Mode, PlanNode, Planner, QueryOptions};
-use rpt_exec::SinkSpec;
+use rpt_exec::{FilterShape, SinkSpec};
 use rpt_storage::Table;
 
 fn table(name: &str, columns: Vec<(&str, Vec<i64>)>) -> Table {
@@ -181,11 +181,16 @@ fn build_side_bloom_join_filter_sized_from_build_estimate() {
     assert!(want < 100, "the intermediate is estimated at {want} rows");
 
     let compiled = Planner::new(&q, &o).compile(&plan).unwrap();
+    // Every filter here is a Bloom filter: the size rule finds no key
+    // range whose bitmap is as small.
     let sized: Vec<usize> = compiled
         .pipelines
         .iter()
         .filter_map(|p| match &p.sink {
-            SinkSpec::HashBuild { blooms, .. } => blooms.first().map(|b| b.expected_keys),
+            SinkSpec::HashBuild { blooms, .. } => blooms.first().map(|b| match b.shape {
+                FilterShape::Bloom { expected_keys, .. } => expected_keys,
+                FilterShape::Bitmap { .. } => panic!("a key bitmap: {:?}", b.shape),
+            }),
             _ => None,
         })
         .collect();

@@ -51,5 +51,6 @@ pub use operators::{
 pub use pipeline::{
     BloomSink, Executor, OpSpec, PhysicalPipeline, PipelinePlan, ScanProbe, SinkSpec, SourceSpec,
 };
+pub use rpt_bloom::FilterShape;
 pub use scheduler::NodeDeps;
 pub use wcoj::WcojInput;

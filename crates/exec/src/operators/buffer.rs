@@ -56,7 +56,7 @@ impl Sink for BufferSink {
     fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
         self.rows = self.rows.saturating_add(chunk.num_rows() as u64);
         let mut hashes = KeyHashes::of(&chunk);
-        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
+        insert_into_blooms(&mut hashes, &mut self.blooms, ctx)?;
         if self.partitioner.is_single() {
             return self.parts[0].push(chunk);
         }
@@ -144,7 +144,7 @@ impl SinkFactory for BufferSinkFactory {
             next_round_robin: 0,
             keyless_seeded: false,
             routed: Vec::new(),
-            blooms: BloomBuild::from_specs(&self.blooms),
+            blooms: BloomBuild::from_specs(&self.blooms)?,
             rows: 0,
         }))
     }

@@ -1,44 +1,46 @@
-//! CreateBF (§4.2): the Bloom-building half shared by the sinks.
+//! CreateBF (§4.2): the filter-building half shared by the sinks.
 //!
 //! A [`BloomSink`] is the *request* ("build filter `filter_id` over these
-//! key columns, sized for this many keys"); a [`BloomBuild`] is one
-//! worker's in-progress filter. Buffer sinks (the canonical CreateBF) and
-//! hash-build sinks (the BloomJoin baseline's build side) both embed a list
-//! of `BloomBuild`s; their mergers' `finish` OR-merges every worker's builds
-//! and publishes the filters ([`merge_publish_blooms`]).
+//! key columns, of this shape"); a [`BloomBuild`] is one worker's
+//! in-progress filter, which takes key hashes if it is a Bloom filter and
+//! raw `Int64` keys, unhashed, if it is a key bitmap. Buffer sinks (the
+//! canonical CreateBF) and hash-build sinks (the BloomJoin baseline's build
+//! side) both embed a list of `BloomBuild`s; their mergers' `finish`
+//! OR-merges every worker's builds and publishes the filters
+//! ([`merge_publish_blooms`]).
 
 use super::{KeyHashes, Resources};
 use crate::context::ExecContext;
-use rpt_bloom::BloomFilter;
+use rpt_bloom::{FilterKind, FilterShape, TransferFilter};
 use rpt_common::{ColumnData, DataChunk, Error, Result};
 use std::time::Instant;
 
-/// Request to build one Bloom filter inside a buffering sink.
+/// Request to build one transfer filter inside a buffering sink.
 #[derive(Clone)]
 pub struct BloomSink {
     pub filter_id: usize,
     pub key_cols: Vec<usize>,
-    /// Sizing hint (pre-reduction cardinality of the source).
-    pub expected_keys: usize,
-    pub fpr: f64,
+    /// Bloom filter or key bitmap, and its size; the planner's size rule
+    /// ([`FilterShape::choose`]) picks it.
+    pub shape: FilterShape,
 }
 
-/// One worker's partial Bloom filter for a [`BloomSink`] request.
+/// One worker's partial filter for a [`BloomSink`] request.
 pub struct BloomBuild {
     spec: BloomSink,
-    filter: BloomFilter,
+    filter: TransferFilter,
 }
 
 impl BloomBuild {
-    pub fn new(spec: &BloomSink) -> BloomBuild {
-        BloomBuild {
-            filter: BloomFilter::with_capacity(spec.expected_keys, spec.fpr),
+    pub fn new(spec: &BloomSink) -> Result<BloomBuild> {
+        Ok(BloomBuild {
+            filter: TransferFilter::new(&spec.shape)?,
             spec: spec.clone(),
-        }
+        })
     }
 
     /// Instantiate one build per request.
-    pub fn from_specs(specs: &[BloomSink]) -> Vec<BloomBuild> {
+    pub fn from_specs(specs: &[BloomSink]) -> Result<Vec<BloomBuild>> {
         specs.iter().map(BloomBuild::new).collect()
     }
 
@@ -52,17 +54,18 @@ impl BloomBuild {
     }
 }
 
-/// Insert the key hashes of a chunk into the worker's partial filters
-/// (the `Sink` step of CreateBF / the BloomJoin build side). The hashes
-/// come from — and stay in — `hashes`, so the sink's partition routing on
-/// the same key columns does not hash them again.
+/// Insert the keys of a chunk into the worker's partial filters (the
+/// `Sink` step of CreateBF / the BloomJoin build side). Bloom filters take
+/// the key hashes, which come from — and stay in — `hashes`, so the sink's
+/// partition routing on the same key columns does not hash them again; key
+/// bitmaps take the raw values and hash nothing.
 pub(crate) fn insert_into_blooms(
     hashes: &mut KeyHashes,
     blooms: &mut [BloomBuild],
     ctx: &ExecContext,
-) {
+) -> Result<()> {
     if blooms.is_empty() {
-        return;
+        return Ok(());
     }
     let m = &ctx.metrics;
     let t0 = Instant::now();
@@ -74,24 +77,33 @@ pub(crate) fn insert_into_blooms(
             .iter()
             .filter_map(|&k| chunk.columns[k].validity.as_deref())
             .collect();
-        let keys = hashes.get(&build.spec.key_cols);
         // A key with a NULL in any column matches nothing, so it is never
         // inserted. NULL is read from validity: a composite key's hash is
         // not the sentinel when a later column is valid, and a valid key
         // may hash to the sentinel.
-        if nulls.is_empty() {
-            build.filter.insert_hashes(keys);
-        } else {
-            let valid: Vec<u64> = keys
-                .iter()
-                .enumerate()
-                .filter(|&(i, _)| {
-                    let row = chunk.physical_index(i);
-                    nulls.iter().all(|valid| valid[row])
-                })
-                .map(|(_, &h)| h)
-                .collect();
-            build.filter.insert_hashes(&valid);
+        let valid = |i: &usize| {
+            let row = chunk.physical_index(*i);
+            nulls.iter().all(|valid| valid[row])
+        };
+        match build.filter.kind_mut() {
+            FilterKind::Bloom(bloom) => {
+                let keys = hashes.get(&build.spec.key_cols);
+                if nulls.is_empty() {
+                    bloom.insert_hashes(keys);
+                } else {
+                    let valid: Vec<u64> = (0..keys.len()).filter(valid).map(|i| keys[i]).collect();
+                    bloom.insert_hashes(&valid);
+                }
+            }
+            FilterKind::Bitmap(bitmap) => {
+                let vals = bitmap_keys(chunk, &build.spec.key_cols)?;
+                if chunk.selection.is_none() && nulls.is_empty() {
+                    bitmap.insert_all(vals.iter().copied())?;
+                } else {
+                    let rows = (0..chunk.num_rows()).filter(valid);
+                    bitmap.insert_all(rows.map(|i| vals[chunk.physical_index(i)]))?;
+                }
+            }
         }
         observe_i64_key_ranges(chunk, build);
     }
@@ -100,6 +112,28 @@ pub(crate) fn insert_into_blooms(
         &m.bloom_build_rows,
         chunk.num_rows() as u64 * blooms.len() as u64,
     );
+    Ok(())
+}
+
+/// The flat `Int64` payload of a key bitmap's one key column (indexed by
+/// physical row). Any other key is a planning error: the size rule only
+/// picks a bitmap for one `Int64` key column.
+fn bitmap_keys<'a>(chunk: &'a DataChunk, key_cols: &[usize]) -> Result<&'a [i64]> {
+    let v = match key_cols {
+        [k] => &chunk.columns[*k],
+        _ => {
+            return Err(Error::Exec(format!(
+                "a key bitmap takes one key column, not {}",
+                key_cols.len()
+            )))
+        }
+    };
+    match &v.data {
+        ColumnData::Int64(vals) if !v.is_dict() => Ok(vals),
+        _ => Err(Error::Exec(
+            "a key bitmap's key column is not a flat Int64 column".into(),
+        )),
+    }
 }
 
 /// Track the raw value range of every flat `Int64` key column on the
@@ -147,7 +181,7 @@ pub fn merge_publish_blooms(mut per_worker: Vec<Vec<BloomBuild>>, res: &Resource
     let mut merged = per_worker.remove(0);
     for (i, build) in merged.iter_mut().enumerate() {
         for other in &per_worker {
-            build.filter.merge(&other[i].filter).map_err(Error::Exec)?;
+            build.filter.merge(&other[i].filter)?;
         }
     }
     for build in merged {

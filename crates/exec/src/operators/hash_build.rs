@@ -98,7 +98,7 @@ impl Sink for HashBuildSink {
         let n = chunk.num_rows() as u64;
         // Bloom inserts hash the key columns the radix route reuses below.
         let mut hashes = KeyHashes::of(&chunk);
-        insert_into_blooms(&mut hashes, &mut self.blooms, ctx);
+        insert_into_blooms(&mut hashes, &mut self.blooms, ctx)?;
         ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
         self.report_residency(chunk_size_bytes(&chunk));
         self.rows = self.rows.saturating_add(n);
@@ -150,7 +150,7 @@ impl SinkFactory for HashBuildFactory {
         let partitioner = Partitioner::new(ctx.partition_count);
         Ok(Box::new(HashBuildSink {
             key_cols: self.key_cols.clone(),
-            blooms: BloomBuild::from_specs(&self.blooms),
+            blooms: BloomBuild::from_specs(&self.blooms)?,
             parts: (0..partitioner.count()).map(|_| Vec::new()).collect(),
             partitioner,
             routed: Vec::new(),

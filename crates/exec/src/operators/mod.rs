@@ -11,7 +11,7 @@
 //! chain of streaming [`Operator`]s, and terminates at a [`Sink`] — one
 //! sink instance per worker thread, merged and published by the factory's
 //! [`PartitionMerger`] at every partition count. Cross-pipeline state
-//! (materialized buffers, Bloom filters, join hash tables) lives in
+//! (materialized buffers, transfer filters, join hash tables) lives in
 //! [`Resources`]: write-once slots that double as the *dependency*
 //! vocabulary ([`ResourceId`]) the DAG scheduler uses to decide which
 //! pipelines may run concurrently.
@@ -42,7 +42,7 @@ pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
-use rpt_bloom::BloomFilter;
+use rpt_bloom::TransferFilter;
 use rpt_common::{DataChunk, Error, Result, Vector};
 use std::any::Any;
 use std::collections::BTreeSet;
@@ -61,7 +61,8 @@ pub enum ResourceId {
     /// One sealed hash partition of a materialized chunk buffer (`CreateBF`
     /// output, collect, aggregate and sort sinks).
     BufferPart(usize, usize),
-    /// A Bloom filter built by a CreateBF / BloomJoin build sink.
+    /// A transfer filter (Bloom filter or key bitmap) built by a CreateBF /
+    /// BloomJoin build sink.
     Filter(usize),
     /// A join hash table.
     HashTable(usize),
@@ -137,7 +138,7 @@ impl AccessLog {
 pub struct Resources {
     partitions: usize,
     buffers: Vec<BufferSlot>,
-    filters: Vec<OnceLock<Arc<BloomFilter>>>,
+    filters: Vec<OnceLock<Arc<TransferFilter>>>,
     tables: Vec<OnceLock<Arc<JoinHashTable>>>,
     access_log: Option<AccessLog>,
 }
@@ -261,7 +262,7 @@ impl Resources {
         })
     }
 
-    pub fn filter(&self, id: usize) -> Result<Arc<BloomFilter>> {
+    pub fn filter(&self, id: usize) -> Result<Arc<TransferFilter>> {
         self.log_read(ResourceId::Filter(id));
         self.filters
             .get(id)
@@ -314,7 +315,7 @@ impl Resources {
             .map_err(|_| Error::Exec(format!("buffer {id} partition {part} published twice")))
     }
 
-    pub fn publish_filter(&self, id: usize, filter: BloomFilter) -> Result<()> {
+    pub fn publish_filter(&self, id: usize, filter: TransferFilter) -> Result<()> {
         self.log_write(ResourceId::Filter(id));
         self.filters
             .get(id)
@@ -451,7 +452,7 @@ pub trait SinkFactory: Send + Sync {
 /// (e.g. via [`Resources::publish_buffer_partition`]) without touching any
 /// other partition, which is what lets consumers start on `p` immediately.
 /// `finish` runs after *all* partition tasks and publishes the
-/// whole-resource results (Bloom filters, the assembled hash table).
+/// whole-resource results (transfer filters, the assembled hash table).
 ///
 /// The executor fires each buffer grain `BufferPart(b, p)` exactly once:
 /// when merge task `p` returns, for `p < partitions()`, and when `finish`

@@ -1,5 +1,5 @@
 //! Scan sources: the fused late-materializing table scan (zone-map block
-//! pruning, selection first — predicate, then transferred Bloom filters —
+//! pruning, selection first — predicate, then transferred filters —
 //! and only then decode the rest, for the surviving rows) and buffer
 //! re-scans.
 
@@ -7,7 +7,7 @@ use super::probe_bloom::{probe_selection, ProbeKey};
 use super::{ChunkList, Morsels, Resources, Source};
 use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
-use rpt_bloom::BloomFilter;
+use rpt_bloom::TransferFilter;
 use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{DataChunk, DataType, Result, Vector};
 use rpt_storage::{BlockTable, Table, ZoneMap};
@@ -34,7 +34,7 @@ struct ScanFilter {
     utf8_conjuncts: Vec<(usize, CmpOp, String)>,
 }
 
-/// A transferred Bloom filter probed inside the scan (a scan-resident
+/// A transferred filter probed inside the scan (a scan-resident
 /// ProbeBF): rows whose key misses filter `filter_id` never leave the scan.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ScanProbe {
@@ -44,7 +44,7 @@ pub struct ScanProbe {
 }
 
 /// Scan an in-memory columnar table in `VECTOR_SIZE`-row morsels, with the
-/// relation's predicate, its transferred Bloom filters and its projection
+/// relation's predicate, its transferred filters and its projection
 /// fused in.
 ///
 /// Opening resolves every probe's filter (published before the scan may
@@ -68,7 +68,7 @@ pub struct TableScan {
     filter: Option<ScanFilter>,
     /// Base-table columns emitted, in output order.
     output: Vec<usize>,
-    /// Transferred Bloom filters, probed in this order after the predicate.
+    /// Transferred filters, probed in this order after the predicate.
     /// Every `Int64` key column also prunes: when the published filter
     /// tracked a raw key range at that key position, blocks of all-valid
     /// rows disjoint from it cannot contain a true semi-join match and are
@@ -178,7 +178,7 @@ impl TableScan {
 
 impl Source for TableScan {
     fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>> {
-        let filters: Vec<Arc<BloomFilter>> = self
+        let filters: Vec<Arc<TransferFilter>> = self
             .probes
             .iter()
             .map(|p| res.filter(p.filter_id))
@@ -239,7 +239,7 @@ struct ScanMorsels<'a> {
     scan: &'a TableScan,
     layout: Layout,
     /// The published filter of each of `scan.probes`, resolved at `open`.
-    filters: Vec<Arc<BloomFilter>>,
+    filters: Vec<Arc<TransferFilter>>,
 }
 
 impl ScanMorsels<'_> {
@@ -336,7 +336,7 @@ impl Morsels for ScanMorsels<'_> {
                 }
             };
             let n = sel.as_ref().map_or(rows, Vec::len);
-            let keep = probe_selection(filter, &keys, sel.as_deref(), n, m);
+            let keep = probe_selection(filter, &keys, sel.as_deref(), n, m)?;
             if keep.is_empty() {
                 return Ok(None);
             }

@@ -27,7 +27,7 @@ use crate::operators::{
 };
 use crate::scheduler::NodeDeps;
 use crate::wcoj::{GenericJoinScan, WcojInput};
-use rpt_bloom::BloomFilter;
+use rpt_bloom::TransferFilter;
 use rpt_common::{DataChunk, DataType, Result, Schema};
 use rpt_storage::Table;
 use std::sync::Arc;
@@ -39,7 +39,7 @@ pub use crate::operators::scan::ScanProbe;
 #[derive(Clone)]
 pub enum SourceSpec {
     /// The fused base-relation scan: the relation's pushed-down predicate,
-    /// its transferred Bloom filters and its projection run inside the scan
+    /// its transferred filters and its projection run inside the scan
     /// morsel, selection first (see [`TableScan`]).
     Scan {
         table: Arc<Table>,
@@ -105,7 +105,7 @@ pub enum OpSpec {
     /// Replace the chunk with evaluated expressions (flattens).
     Project(Vec<Expr>),
     /// ProbeBF on a stream that no longer starts at a bare scan: drop rows
-    /// whose key misses the Bloom filter.
+    /// whose key misses the transfer filter.
     ProbeBloom {
         filter_id: usize,
         key_cols: Vec<usize>,
@@ -151,14 +151,14 @@ impl OpSpec {
 #[derive(Clone)]
 pub enum SinkSpec {
     /// Materialize chunks into buffer `buf_id`, building the requested
-    /// Bloom filters along the way (CreateBF). With an empty `blooms` list
+    /// transfer filters along the way (CreateBF). With an empty `blooms` list
     /// this is a plain collect sink.
     Buffer {
         buf_id: usize,
         blooms: Vec<BloomSink>,
     },
     /// Build a join hash table keyed on `key_cols`. `blooms` optionally
-    /// builds Bloom filters over the same stream — this is how the BloomJoin
+    /// builds transfer filters over the same stream — this is how the BloomJoin
     /// baseline (§6.1) attaches a filter to each hash-join build side.
     HashBuild {
         ht_id: usize,
@@ -430,7 +430,7 @@ impl Executor {
         self.res.buffer_rows(id)
     }
 
-    pub fn filter(&self, id: usize) -> Result<Arc<BloomFilter>> {
+    pub fn filter(&self, id: usize) -> Result<Arc<TransferFilter>> {
         self.res.filter(id)
     }
 
@@ -442,6 +442,7 @@ impl Executor {
 mod tests {
     use super::*;
     use crate::expr::CmpOp;
+    use rpt_bloom::FilterShape;
     use rpt_common::{Field, ScalarValue, Vector};
 
     fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<Table> {
@@ -493,8 +494,10 @@ mod tests {
         let bloom = |filter_id| BloomSink {
             filter_id,
             key_cols: vec![0],
-            expected_keys: 2,
-            fpr: 0.02,
+            shape: FilterShape::Bloom {
+                expected_keys: 2,
+                fpr: 0.02,
+            },
         };
         let pipeline = |source, ops, sink| PipelinePlan {
             label: "p".into(),
@@ -711,8 +714,10 @@ mod tests {
                 blooms: vec![BloomSink {
                     filter_id: 0,
                     key_cols: vec![0],
-                    expected_keys: 2,
-                    fpr: 0.02,
+                    shape: FilterShape::Bloom {
+                        expected_keys: 2,
+                        fpr: 0.02,
+                    },
                 }],
             },
             intermediate: true,

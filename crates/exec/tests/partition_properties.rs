@@ -12,8 +12,8 @@ use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::hash_build::HashBuildFactory;
 use rpt_exec::operators::AggregateFactory;
 use rpt_exec::{
-    AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, OpSpec, PipelinePlan, Resources,
-    SinkFactory, SinkSpec, SourceSpec,
+    AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, FilterShape, OpSpec, PipelinePlan,
+    Resources, SinkFactory, SinkSpec, SourceSpec,
 };
 use rpt_storage::Table;
 use std::sync::Arc;
@@ -74,8 +74,10 @@ fn bloom_spec() -> BloomSink {
     BloomSink {
         filter_id: 0,
         key_cols: vec![0],
-        expected_keys: 256,
-        fpr: 0.02,
+        shape: FilterShape::Bloom {
+            expected_keys: 256,
+            fpr: 0.02,
+        },
     }
 }
 
@@ -240,10 +242,11 @@ proptest! {
             }
         }
 
-        // The CreateBF filter is bit-identical regardless of partitioning.
+        // The CreateBF filter (bits and key ranges) is identical regardless
+        // of partitioning.
         let base_filter = base_res.filter(0).unwrap();
         let part_filter = res.filter(0).unwrap();
-        prop_assert_eq!(base_filter.words(), part_filter.words());
+        prop_assert!(base_filter == part_filter, "filters differ");
         prop_assert_eq!(base_filter.num_inserted(), part_filter.num_inserted());
     }
 

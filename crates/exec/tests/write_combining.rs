@@ -12,7 +12,7 @@ use rpt_common::{
 };
 use rpt_exec::operators::buffer::BufferSinkFactory;
 use rpt_exec::operators::hash_build::HashBuildFactory;
-use rpt_exec::{BloomSink, ExecContext, Resources, SinkFactory};
+use rpt_exec::{BloomSink, ExecContext, FilterShape, Resources, SinkFactory};
 use rpt_storage::{chunk_size_bytes, MemoryGovernor, SpillBuffer};
 use std::sync::Arc;
 
@@ -130,8 +130,10 @@ fn bloom() -> BloomSink {
     BloomSink {
         filter_id: 0,
         key_cols: vec![0],
-        expected_keys: 64,
-        fpr: 0.02,
+        shape: FilterShape::Bloom {
+            expected_keys: 64,
+            fpr: 0.02,
+        },
     }
 }
 

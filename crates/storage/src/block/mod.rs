@@ -16,7 +16,7 @@ use crate::encode::{dict_encode_utf8, encode_i64, for_values, rle_runs, EncodedB
 use crate::table::Table;
 use rpt_common::chunk::chunk_ranges;
 use rpt_common::hash::{fold_key_column, hash_bool, hash_bytes, hash_f64, hash_i64};
-use rpt_common::{ColumnData, DataChunk, DataType, Utf8Dict, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Utf8Dict, Vector};
 use std::sync::Arc;
 
 /// One encoded block of one column.
@@ -95,6 +95,42 @@ impl Block {
                 fold_key_column(out, first, hashes, validity, sel)
             }
         }
+    }
+
+    /// Append the `Int64` values of rows `sel` (ascending block-local rows;
+    /// every row when `None`) to `out`, read from the stored form the way
+    /// [`Block::hash_sel_into`] hashes them: FOR unpacks and adds the base,
+    /// RLE reads once per run, raw payloads are copied. A NULL row yields
+    /// whatever its payload holds; callers drop it by validity. A block of
+    /// another type is an `Error::Exec`.
+    pub fn i64_sel_into(&self, sel: Option<&[u32]>, out: &mut Vec<i64>) -> Result<()> {
+        match sel {
+            None => self.i64_rows_into(0..self.len, out),
+            Some(s) => self.i64_rows_into(s.iter().map(|&r| r as usize), out),
+        }
+    }
+
+    /// [`Block::i64_sel_into`] over the block-local rows `rows`.
+    #[inline]
+    fn i64_rows_into(&self, rows: impl Iterator<Item = usize>, out: &mut Vec<i64>) -> Result<()> {
+        match &self.data {
+            EncodedBlock::RawI64(v) => out.extend(rows.map(|r| v[r])),
+            EncodedBlock::RleI64 { values, lengths } => {
+                out.extend(rle_runs(lengths, rows).map(|run| values[run]))
+            }
+            EncodedBlock::ForI64 {
+                base, width, words, ..
+            } => out.extend(for_values(*base, *width, words, rows)),
+            EncodedBlock::RawF64(_)
+            | EncodedBlock::RawUtf8(_)
+            | EncodedBlock::RawBool(_)
+            | EncodedBlock::DictUtf8 { .. } => {
+                return Err(Error::Exec(
+                    "an Int64 key read met a block of another type".into(),
+                ))
+            }
+        }
+        Ok(())
     }
 
     /// Decode rows `sel` (every row when `None`) to a column vector.
@@ -308,6 +344,63 @@ mod tests {
             }
         }
         assert_eq!(row, 100);
+    }
+
+    /// `i64_sel_into` reads what decoding yields, row for row — on raw,
+    /// run-length and FOR blocks (width 0 included, with and without
+    /// NULLs), through every row and through a selection — and refuses a
+    /// block of another type.
+    #[test]
+    fn i64_sel_into_equals_decoded_values() {
+        let nullable = |vals: Vec<i64>, valid: fn(usize) -> bool| {
+            let mut v = Vector::from_i64(vals);
+            v.validity = Some((0..v.len()).map(valid).collect());
+            v
+        };
+        let cases = [
+            (
+                "raw",
+                Vector::from_i64(vec![i64::MIN, 5, i64::MAX, -7, 0, 3, 1]),
+            ),
+            (
+                "rle",
+                Vector::from_i64((0..96).map(|i| i / 32 * 10 - 3).collect()),
+            ),
+            (
+                "for",
+                Vector::from_i64((0..100).map(|i| 1000 + (i * 37) % 91).collect()),
+            ),
+            (
+                "for",
+                nullable((0..100).map(|i| -(i * 13) % 57).collect(), |i| i % 3 != 0),
+            ),
+            ("for-width-0", Vector::from_i64(vec![42, 42, 42])),
+            ("for-width-0", nullable(vec![9; 5], |_| false)),
+        ];
+        for (codec, v) in cases {
+            let block = &BlockColumn::build(&v, 128).blocks[0];
+            let got = match &block.data {
+                EncodedBlock::RawI64(_) => "raw",
+                EncodedBlock::RleI64 { .. } => "rle",
+                EncodedBlock::ForI64 { width: 0, .. } => "for-width-0",
+                EncodedBlock::ForI64 { .. } => "for",
+                other => panic!("not an Int64 codec: {other:?}"),
+            };
+            assert_eq!(got, codec);
+            let ColumnData::Int64(decoded) = block.decode(None).data else {
+                panic!("{codec}: decoded to another type");
+            };
+            let mut all = vec![-1];
+            block.i64_sel_into(None, &mut all).unwrap();
+            assert_eq!(all[1..], decoded[..], "{codec}");
+            let sel: Vec<u32> = (0..v.len() as u32).filter(|r| r % 3 != 1).collect();
+            let mut some = Vec::new();
+            block.i64_sel_into(Some(&sel), &mut some).unwrap();
+            let want: Vec<i64> = sel.iter().map(|&r| decoded[r as usize]).collect();
+            assert_eq!(some, want, "{codec} through a selection");
+        }
+        let utf8 = BlockColumn::build(&Vector::from_utf8(vec!["a".into()]), 128);
+        assert!(utf8.blocks[0].i64_sel_into(None, &mut Vec::new()).is_err());
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! projection inside the scan morsel) must emit exactly the rows — in
 //! order — of a bare scan (`SourceSpec::full_scan`: every column, no
 //! predicate, no probes) → `OpSpec::Filter` → `OpSpec::Project`, under
-//! both storage layouts; and with scan-resident Bloom probes, the rows and
-//! probe counters of the same composition with one `OpSpec::ProbeBloom`
-//! per probe.
+//! both storage layouts; and with scan-resident probes of Bloom filters
+//! and key bitmaps, the rows and probe counters of the same composition
+//! with one `OpSpec::ProbeBloom` per probe.
 
 use proptest::prelude::*;
 use proptest::TestRng;
@@ -15,10 +15,10 @@ use rpt_common::{ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, Planner, QueryOptions};
 use rpt_exec::operators::TableScan;
 use rpt_exec::{
-    BloomSink, CmpOp, ExecContext, Executor, Expr, MetricsSummary, OpSpec, PipelinePlan, ScanProbe,
-    SinkSpec, Source, SourceSpec,
+    BloomSink, CmpOp, ExecContext, Executor, Expr, FilterShape, MetricsSummary, OpSpec,
+    PipelinePlan, ScanProbe, SinkSpec, Source, SourceSpec,
 };
-use rpt_storage::Table;
+use rpt_storage::{ColumnStats, Table};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 use std::sync::Arc;
 
@@ -351,9 +351,31 @@ fn key_table(cols: Vec<Vector>) -> Arc<Table> {
 
 /// A transferred filter for the parity harness: built over all columns of
 /// `keys` (in order), probed on base columns `on` of the scanned table.
+/// `exact` asks for a key bitmap over the one `Int64` key column's value
+/// range in place of a Bloom filter.
 struct Transfer {
     keys: Arc<Table>,
     on: Vec<usize>,
+    exact: bool,
+}
+
+impl Transfer {
+    fn shape(&self) -> FilterShape {
+        let stats = ColumnStats::compute(self.keys.column(0));
+        match (&stats.min, &stats.max) {
+            (ScalarValue::Int64(min), ScalarValue::Int64(max)) if self.exact => {
+                assert_eq!(self.keys.num_columns(), 1, "a key bitmap takes one key");
+                FilterShape::Bitmap {
+                    min: *min,
+                    max: *max,
+                }
+            }
+            _ => FilterShape::Bloom {
+                expected_keys: self.keys.num_rows().max(1),
+                fpr: 0.02,
+            },
+        }
+    }
 }
 
 /// One CreateBF pipeline per transfer: filter `i` (and buffer `i`) from
@@ -371,8 +393,7 @@ fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
                 blooms: vec![BloomSink {
                     filter_id: i,
                     key_cols: (0..t.keys.num_columns()).collect(),
-                    expected_keys: t.keys.num_rows().max(1),
-                    fpr: 0.02,
+                    shape: t.shape(),
                 }],
             },
             intermediate: true,
@@ -521,7 +542,8 @@ proptest! {
     /// Random tables × predicates × projections × one or two transferred
     /// filters over Int64, dictionary-Utf8, flat-Utf8 and composite keys
     /// (NULL keys on both sides; the second probe shares a key column with
-    /// the first; keys may be predicate columns and need not be output).
+    /// the first; keys may be predicate columns and need not be output; a
+    /// single Int64 key gets a Bloom filter or an exact key bitmap).
     #[test]
     fn random_probed_scans_match_the_unfused_composition(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::from_name(&format!("fused-scan-probes-{seed}"));
@@ -542,9 +564,11 @@ proptest! {
         };
         // Keys of a few hundred sampled rows: most blocks keep a handful.
         let picks: Vec<usize> = (0..1 + rng.below(300)).map(|_| rng.below(n as u64) as usize).collect();
+        // A single Int64 key may get an exact key bitmap.
         let mut transfers = vec![Transfer {
             keys: key_table(on.iter().map(|&c| sample(&table, c, &picks)).collect()),
             on: on.clone(),
+            exact: on.len() == 1 && rng.gen_bool(),
         }];
         if rng.gen_bool() {
             // A second filter on the first one's leading key column.
@@ -552,6 +576,7 @@ proptest! {
             transfers.push(Transfer {
                 keys: key_table(vec![sample(&table, on[0], &picks)]),
                 on: vec![on[0]],
+                exact: rng.gen_bool(),
             });
         }
         let what = format!("{filter:?} probes {on:?} x{} -> {columns:?}", transfers.len());
@@ -587,6 +612,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
             wanted.iter().map(|i| format!("key-{i}")).collect(),
         )]),
         on: vec![0],
+        exact: false,
     }];
     let (_, m) = assert_probe_parity(&table, None, &[1], &transfers, "rejected block");
     assert_eq!(m.blocks_pruned, 0, "no key range to prune a Utf8 key by");
@@ -624,7 +650,8 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
     assert_eq!(survivors[1], None, "block 1 holds no wanted key");
 }
 
-/// Keys hashed from every source at once, against the unfused operator:
+/// Keys hashed or read from every source at once, against the unfused
+/// operator:
 /// a composite probe key whose first column is the predicate's (hashed
 /// from the decoded vector) and whose second is still encoded (hashed
 /// from its block), run-length and width-0 frame-of-reference key blocks,
@@ -675,13 +702,18 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
     let transfer = |on: Vec<usize>| Transfer {
         keys: key_table(on.iter().map(|&c| sample(&table, c, &picks)).collect()),
         on,
+        exact: false,
+    };
+    let exact = |on: Vec<usize>| Transfer {
+        exact: true,
+        ..transfer(on)
     };
     let filter = Expr::cmp(
         CmpOp::Lt,
         Expr::col(PRED),
         Expr::lit(ScalarValue::Int64(600)),
     );
-    let cases: [(Option<&Expr>, Vec<Transfer>, Vec<usize>); 4] = [
+    let cases: [(Option<&Expr>, Vec<Transfer>, Vec<usize>); 6] = [
         (
             Some(&filter),
             vec![transfer(vec![PRED, RUNS])],
@@ -697,6 +729,19 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
             None,
             vec![transfer(vec![RUNS, SPARSE])],
             vec![PAYLOAD, SPARSE],
+        ),
+        // Key bitmaps read their keys from RLE and FOR blocks (the
+        // all-NULL width-0 one included) ...
+        (
+            None,
+            vec![exact(vec![SPARSE]), exact(vec![RUNS])],
+            vec![SPARSE, PAYLOAD],
+        ),
+        // ... and from the decoded predicate column.
+        (
+            Some(&filter),
+            vec![exact(vec![PRED]), exact(vec![SPARSE])],
+            vec![SPARSE, PAYLOAD],
         ),
     ];
     for (i, (filter, transfers, columns)) in cases.iter().enumerate() {

@@ -8,7 +8,7 @@ use rpt_common::hash::hash_i64;
 use rpt_common::{DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_exec::operators::buffer::{BufferSink, BufferSinkFactory};
-use rpt_exec::{BloomSink, ExecContext, JoinHashTable, Resources, SinkFactory};
+use rpt_exec::{BloomSink, ExecContext, FilterShape, JoinHashTable, Resources, SinkFactory};
 use rpt_storage::Table;
 use rpt_workloads::{tpch, Workload};
 
@@ -131,8 +131,10 @@ fn spilling_one_partition_keeps_others_resident() {
         vec![BloomSink {
             filter_id: 0,
             key_cols: vec![0],
-            expected_keys: 4096,
-            fpr: 0.02,
+            shape: FilterShape::Bloom {
+                expected_keys: 4096,
+                fpr: 0.02,
+            },
         }],
     );
     let mut sink = factory.make(&ctx).unwrap();

@@ -14,12 +14,13 @@
 //! | `backward_pass_pruning_only_saves_work` | §4.3 backward-pass skip |
 //! | `pruning_reduces_or_equal_work` | §4.3 trivial semi-join pruning |
 //! | `bloom_fpr_sweep_keeps_rows_and_orders_survivors` | filter false positives |
+//! | `key_bitmap_edges_make_rpt_join_like_yannakakis` | §3, RPT with exact semi-joins is Yannakakis |
 //! | `rpt_tolerates_ce_noise_better` | §1–2, estimation error |
 //! | `rpt_speeds_up_tpch` | Table 3's direction, on work |
 //! | `hybrid_stays_below_worst_baseline_order_on_cyclic_queries` | §5.1.3, RPT+WCOJ |
 
 use rpt_core::{random_left_deep, Database, JoinOrder, JoinQuery, Mode, QueryOptions, QueryResult};
-use rpt_workloads::{adversarial, job, tpcds, tpch, Workload};
+use rpt_workloads::{adversarial, dsb, job, tpcds, tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
     let mut db = Database::new();
@@ -230,39 +231,78 @@ fn pruning_reduces_or_equal_work() {
     }
 }
 
-/// Bloom filter FPR sweep on JOB 3a: false positives change which rows
-/// survive the transfer phase, never the result, and more of them survive
-/// the looser the filter.
+/// Bloom filter FPR sweep: false positives change which rows survive the
+/// transfer phase, never the result. On DSB q54, which keeps Bloom edges,
+/// more rows survive the looser the filter; on JOB 3a, whose every edge
+/// carries an exact key bitmap, the survivors do not move with the FPR.
 #[test]
 fn bloom_fpr_sweep_keeps_rows_and_orders_survivors() {
-    let w = job(0.05, 42);
-    let db = database_for(&w);
-    let q = db.bind_sql(&w.query("3a").unwrap().sql).unwrap();
-    let runs: Vec<(f64, QueryResult)> = [0.001, 0.01, 0.02, 0.1, 0.3, 0.49]
-        .into_iter()
-        .map(|fpr| {
-            let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer);
-            opts.bloom_fpr = fpr;
-            (fpr, db.execute(&q, &opts).unwrap())
-        })
-        .collect();
-    let rows = runs[0].1.sorted_rows();
-    for (fpr, r) in &runs {
-        assert_eq!(r.sorted_rows(), rows, "fpr {fpr}");
-    }
-    let survivors: Vec<(f64, u64)> = runs
-        .iter()
-        .map(|(fpr, r)| (*fpr, r.metrics.bloom_probe_out))
-        .collect();
+    let sweep = |w: &Workload, id: &str| -> Vec<(f64, u64)> {
+        let db = database_for(w);
+        let q = db.bind_sql(&w.query(id).unwrap().sql).unwrap();
+        let runs: Vec<(f64, QueryResult)> = [0.001, 0.01, 0.02, 0.1, 0.3, 0.49]
+            .into_iter()
+            .map(|fpr| {
+                let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer);
+                opts.bloom_fpr = fpr;
+                (fpr, db.execute(&q, &opts).unwrap())
+            })
+            .collect();
+        let rows = runs[0].1.sorted_rows();
+        for (fpr, r) in &runs {
+            assert_eq!(r.sorted_rows(), rows, "{id} at fpr {fpr}");
+        }
+        runs.iter()
+            .map(|(fpr, r)| (*fpr, r.metrics.bloom_probe_out))
+            .collect()
+    };
+    let survivors = sweep(&dsb(0.05, 42), "q54");
     assert!(
         survivors.windows(2).all(|p| p[0].1 <= p[1].1),
-        "survivors fell as the FPR rose: {survivors:?}"
+        "q54 survivors fell as the FPR rose: {survivors:?}"
     );
     // The sweep moves the counter at all: the FPR reaches the filters.
     assert!(
         survivors[0].1 < survivors[survivors.len() - 1].1,
         "{survivors:?}"
     );
+    let exact = sweep(&job(0.05, 42), "3a");
+    assert!(
+        exact.iter().all(|s| s.1 == exact[0].1),
+        "3a survivors moved with the FPR: {exact:?}"
+    );
+}
+
+/// §3: RPT is Yannakakis with Bloom filters in place of exact semi-joins,
+/// so where every transfer edge gets an exact key bitmap the join phase
+/// sees what Yannakakis's does. On every acyclic JOB and TPC-H query with
+/// at least two joins, under one fixed random left-deep order, the join
+/// output and probe input counts of RPT equal Yannakakis's.
+#[test]
+fn key_bitmap_edges_make_rpt_join_like_yannakakis() {
+    for w in [job(0.05, 42), tpch(0.05, 42)] {
+        let db = database_for(&w);
+        for qd in w
+            .acyclic_queries()
+            .into_iter()
+            .filter(|qd| qd.num_joins >= 2)
+        {
+            let q = db.bind_sql(&qd.sql).unwrap();
+            let order = JoinOrder::LeftDeep(random_left_deep(&q.graph(), 42));
+            let joins = |mode| {
+                let opts = QueryOptions::new(mode).with_order(order.clone());
+                let m = db.execute(&q, &opts).unwrap().metrics;
+                (m.join_output_rows, m.join_probe_in)
+            };
+            assert_eq!(
+                joins(Mode::RobustPredicateTransfer),
+                joins(Mode::Yannakakis),
+                "{} {}: (join_output_rows, join_probe_in)",
+                w.name,
+                qd.id
+            );
+        }
+    }
 }
 
 /// Corrupting the optimizer's estimates with `exp(σ·z)` noise degrades the

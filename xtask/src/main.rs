@@ -17,13 +17,15 @@
 //!   `crates/core/src/planner.rs` (every compiled plan),
 //!   `crates/core/src/robustness.rs` (the paper's robustness factors),
 //!   `crates/storage/src/block/` or `crates/storage/src/encode.rs` (the
-//!   block codecs and the key-hash kernel every scan probe runs), and
+//!   block codecs and the key-hash kernel every scan probe runs),
 //!   `crates/storage/src/spill.rs` (the spill writer and the decoder every
-//!   restore runs) outside `#[cfg(test)]` modules. Operator code returns
-//!   `Result`; lock poisoning, absent slots, values missing from a
-//!   dictionary and corrupt spill frames are runtime errors, not panics,
-//!   and a codec matches every block variant instead of panicking on the
-//!   ones it does not expect.
+//!   restore runs), and `crates/bloom/src/` (the transfer filters every
+//!   CreateBF fills and every ProbeBF tests, including the key bitmap
+//!   indexed by key offset) outside `#[cfg(test)]` modules. Operator code
+//!   returns `Result`; lock poisoning, absent slots, values missing from a
+//!   dictionary, corrupt spill frames and keys outside a key bitmap's
+//!   range are runtime errors, not panics, and a codec matches every block
+//!   variant instead of panicking on the ones it does not expect.
 //! * **B (checked counters):** no bare `+=` in `crates/exec/src/aggregate.rs`,
 //!   `crates/exec/src/context.rs`, or `crates/exec/src/operators/` outside
 //!   tests. A line is exempt when it visibly routes through a checked/
@@ -300,6 +302,7 @@ fn rule_a(root: &Path) -> Vec<Finding> {
     ];
     walk(&root.join("crates/exec/src/operators"), &mut files);
     walk(&root.join("crates/storage/src/block"), &mut files);
+    walk(&root.join("crates/bloom/src"), &mut files);
     let mut findings = Vec::new();
     for path in files {
         let Ok(text) = fs::read_to_string(&path) else {
