@@ -1,24 +1,27 @@
-//! Buffer sink: materialize chunks (spilling past the memory cap) and
-//! optionally build Bloom filters along the way — the CreateBF operator.
-//! With no Bloom requests this is a plain collect sink.
+//! Buffer sink: collect a pipeline's rows per partition, building transfer
+//! filters along the way. Two factories make it: the CreateBF operator and
+//! plain collect sinks ([`BufferSinkFactory`], which publishes the
+//! partitions as a buffer), and the hash-join build
+//! ([`super::hash_build::HashBuildFactory`], which assembles them into a
+//! table). The sink is the same; only the merge differs.
 //!
-//! Every worker keeps one [`SpillBuffer`] per partition (one in all when
-//! unpartitioned), and the buffer write-combines: rows join its resident
-//! tail chunk while they fit one vector, so the next pipeline reads
-//! vector-sized chunks however small the chunks that arrived here were.
-//! With `partition_count > 1` the rows of a chunk are radix-routed on the
-//! Bloom request's key columns — hashed once, for the filters and the route
-//! — each straight into its partition's tail, with no sub-chunk in between
-//! (keyless collect sinks split their first chunk across partitions, then
-//! route whole chunks round-robin). The driver merges the partitions in
-//! parallel: each merge task concatenates one partition's runs from every
-//! worker and seals that partition's buffer slot, so no merge task ever
-//! scans the full result.
+//! Every worker keeps one governed [`SpillBuffer`] run per partition (one
+//! in all when unpartitioned), and the run write-combines: rows join its
+//! resident tail chunk while they fit one vector, so the next consumer
+//! reads vector-sized chunks however small the chunks that arrived here
+//! were. With `partition_count > 1` the rows of a chunk are radix-routed on
+//! the partition keys (the hash build's keys, else the first filter
+//! request's) — hashed once, for the filters and the route — each straight
+//! into its partition's tail, with no sub-chunk in between (keyless collect
+//! sinks split their first chunk across partitions, then route whole
+//! chunks round-robin). The driver merges the partitions in parallel: each
+//! merge task restores one partition's runs from every worker, so no merge
+//! task ever scans the full result.
 
 use super::create_bf::{insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink};
 use super::{
-    downcast_states, lock_or_err, record_spill_stats, KeyHashes, PartitionMerger, PartitionSlots,
-    Resources, Sink, SinkFactory,
+    downcast_states, governed_run, lock_or_err, restore_runs, KeyHashes, PartitionMerger,
+    PartitionSlots, Resources, Sink, SinkFactory,
 };
 use crate::context::ExecContext;
 use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
@@ -28,8 +31,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 pub struct BufferSink {
-    /// One spill buffer per partition (a single entry when unpartitioned).
-    parts: Vec<SpillBuffer>,
+    /// One run per partition (a single entry when unpartitioned).
+    pub(super) parts: Vec<SpillBuffer>,
     partitioner: Partitioner,
     /// Key columns the rows are radix-routed on; `None` (no key available)
     /// falls back to chunk-granular round-robin routing.
@@ -46,6 +49,47 @@ pub struct BufferSink {
 }
 
 impl BufferSink {
+    /// One worker's state: a [`governed_run`] per partition (`evictable`
+    /// is false for a hash build, whose rows never spill), rows routed on
+    /// `partition_keys`, and `blooms` built as the rows arrive.
+    pub(super) fn new(
+        schema: &Schema,
+        partition_keys: Option<Vec<usize>>,
+        blooms: &[BloomSink],
+        evictable: bool,
+        ctx: &ExecContext,
+    ) -> Result<BufferSink> {
+        let partitioner = Partitioner::new(ctx.partition_count);
+        Ok(BufferSink {
+            parts: (0..partitioner.count())
+                .map(|_| governed_run(schema, evictable, ctx))
+                .collect(),
+            partitioner,
+            partition_keys,
+            next_round_robin: 0,
+            keyless_seeded: false,
+            routed: Vec::new(),
+            blooms: BloomBuild::from_specs(blooms)?,
+            rows: 0,
+        })
+    }
+
+    /// Take the workers' states apart for a merger: the partition count
+    /// (the states' own layout is authoritative — `new` normalized
+    /// `ctx.partition_count`), the runs in partition-major slots and each
+    /// worker's filter builds.
+    pub(super) fn into_slots(
+        workers: Vec<BufferSink>,
+    ) -> (usize, PartitionSlots<SpillBuffer>, Vec<Vec<BloomBuild>>) {
+        let partitions = workers[0].parts.len();
+        let (runs, blooms) = workers.into_iter().map(|w| (w.parts, w.blooms)).unzip();
+        (
+            partitions,
+            PartitionSlots::transpose(runs, partitions),
+            blooms,
+        )
+    }
+
     /// Per-partition spill statistics (partition order).
     pub fn spill_stats(&self) -> Vec<SpillStats> {
         self.parts.iter().map(SpillBuffer::stats).collect()
@@ -105,8 +149,9 @@ impl Sink for BufferSink {
     }
 }
 
-/// Builds one [`BufferSink`] per worker: one governed `SpillBuffer` per
-/// partition, which spills only when the query's memory governor flags it.
+/// Builds one [`BufferSink`] per worker for CreateBF and collect sinks:
+/// its runs are evictable, so they spill when the query's memory governor
+/// flags them.
 pub struct BufferSinkFactory {
     buf_id: usize,
     schema: Schema,
@@ -125,28 +170,9 @@ impl BufferSinkFactory {
 
 impl SinkFactory for BufferSinkFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
-        let partitioner = Partitioner::new(ctx.partition_count);
-        let parts = (0..partitioner.count())
-            .map(|_| {
-                let mut buf =
-                    SpillBuffer::new(self.schema.clone(), usize::MAX, ctx.spill_dir.clone())
-                        .with_file_tag(ctx.query_id);
-                if let Some(gov) = &ctx.governor {
-                    buf = buf.with_governor(gov.register(true));
-                }
-                buf
-            })
-            .collect();
-        Ok(Box::new(BufferSink {
-            parts,
-            partitioner,
-            partition_keys: self.blooms.first().map(|b| b.key_cols.clone()),
-            next_round_robin: 0,
-            keyless_seeded: false,
-            routed: Vec::new(),
-            blooms: BloomBuild::from_specs(&self.blooms)?,
-            rows: 0,
-        }))
+        let keys = self.blooms.first().map(|b| b.key_cols.clone());
+        let sink = BufferSink::new(&self.schema, keys, &self.blooms, true, ctx)?;
+        Ok(Box::new(sink))
     }
 
     fn make_merger(
@@ -154,16 +180,8 @@ impl SinkFactory for BufferSinkFactory {
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = downcast_states::<BufferSink>(states)?;
-        // The states' own layout is authoritative (the factory normalized
-        // `ctx.partition_count` when it built them).
-        let partitions = workers[0].parts.len();
-        let blooms: Vec<Vec<BloomBuild>> = workers
-            .iter_mut()
-            .map(|w| std::mem::take(&mut w.blooms))
-            .collect();
-        let slots =
-            PartitionSlots::transpose(workers.into_iter().map(|w| w.parts).collect(), partitions);
+        let (partitions, slots, blooms) =
+            BufferSink::into_slots(downcast_states::<BufferSink>(states)?);
         Ok(Box::new(BufferMerger {
             buf_id: self.buf_id,
             partitions,
@@ -174,7 +192,7 @@ impl SinkFactory for BufferSinkFactory {
     }
 }
 
-/// Merge plan of a [`BufferSink`]: task `p` concatenates every
+/// Merge plan of a collecting [`BufferSink`]: task `p` restores every
 /// worker's partition-`p` run and seals that buffer partition; `finish`
 /// OR-merges and publishes the Bloom filters.
 struct BufferMerger {
@@ -191,16 +209,8 @@ impl PartitionMerger for BufferMerger {
     }
 
     fn merge_partition(&self, part: usize, ctx: &ExecContext, res: &Resources) -> Result<()> {
-        let mut chunks = Vec::new();
-        let mut rows = 0u64;
-        for mut buf in self.slots.take(part)? {
-            let restored = buf.take_chunks()?;
-            record_spill_stats(&ctx.metrics, buf.stats());
-            for c in restored {
-                rows = rows.saturating_add(c.num_rows() as u64);
-                chunks.push(c);
-            }
-        }
+        let chunks = restore_runs(self.slots.take(part)?, &ctx.metrics)?;
+        let rows = chunks.iter().map(|c| c.num_rows() as u64).sum();
         self.max_task_rows.fetch_max(rows, Ordering::Relaxed);
         res.publish_buffer_partition(self.buf_id, part, chunks)
     }

@@ -1,86 +1,29 @@
-//! Hash-join build sink, optionally building Bloom filters over the same
+//! Hash-join build, optionally building transfer filters over the same
 //! stream — how the BloomJoin baseline (§6.1) attaches a filter to each
 //! hash-join build side.
 //!
-//! Every worker keeps one run of chunks per partition (one run in all when
-//! unpartitioned) and write-combines into it: rows are appended to the
-//! run's tail chunk while they fit one vector, so a run is as many chunks
-//! as its rows need, not as many as arrived. With `partition_count > 1`
-//! the rows of a chunk are radix-routed by key hash, each straight into its
-//! partition's tail. The driver's merge then prepares the partitions in
-//! parallel — task `p` concatenates every worker's partition-`p` run and
-//! hashes its keys into a [`BuildPart`] — and `finish` lays the parts end
-//! to end into the **one** [`JoinHashTable`] probes read, so the expensive
-//! part of the build is never serialized over the full build side and a
-//! probe never knows the build was partitioned.
+//! The sink is the [`BufferSink`] CreateBF uses, routed on the build keys:
+//! every worker write-combines its rows into one governed run per
+//! partition. The runs register with the memory governor as unevictable,
+//! because a table's rows must stay in memory. The merge prepares the
+//! partitions in parallel — task `p` restores every worker's partition-`p`
+//! run and hashes its keys into a [`BuildPart`] — and `finish` lays the
+//! parts end to end into the **one** [`JoinHashTable`] probes read, so the
+//! expensive part of the build is never serialized over the full build side
+//! and a probe never knows the build was partitioned.
 
-use super::create_bf::{insert_into_blooms, merge_publish_blooms, BloomBuild, BloomSink};
+use super::buffer::BufferSink;
+use super::create_bf::{merge_publish_blooms, BloomBuild, BloomSink};
 use super::{
-    downcast_states, lock_or_err, KeyHashes, PartitionMerger, PartitionSlots, Resources, Sink,
+    downcast_states, lock_or_err, restore_runs, PartitionMerger, PartitionSlots, Resources, Sink,
     SinkFactory,
 };
 use crate::context::ExecContext;
 use crate::hash_table::{BuildPart, JoinHashTable};
-use rpt_common::{DataChunk, Error, Partitioner, Result, Schema};
-use rpt_storage::{chunk_size_bytes, GovernedHandle};
-use std::any::Any;
+use rpt_common::{DataChunk, Error, Result, Schema};
+use rpt_storage::{GovernedHandle, SpillBuffer};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
-
-pub struct HashBuildSink {
-    key_cols: Vec<usize>,
-    blooms: Vec<BloomBuild>,
-    /// Per-partition runs (a single entry when unpartitioned).
-    parts: Vec<Vec<DataChunk>>,
-    partitioner: Partitioner,
-    /// Scratch of the radix route: per partition, the rows of the chunk
-    /// being sunk.
-    routed: Vec<Vec<u32>>,
-    rows: u64,
-    /// Unevictable governor registration: build rows must stay addressable
-    /// in memory, so this only contributes pressure that pushes evictable
-    /// buffers to spill earlier. It moves into the published table, which
-    /// keeps that pressure up for as long as probes can read it.
-    governed: Option<GovernedHandle>,
-    resident_bytes: usize,
-}
-
-impl HashBuildSink {
-    fn report_residency(&mut self, added_bytes: usize) {
-        if let Some(h) = &self.governed {
-            self.resident_bytes = self.resident_bytes.saturating_add(added_bytes);
-            h.update(self.resident_bytes);
-        }
-    }
-}
-
-/// Append the logical rows of `chunk` to a run, into its tail chunk while
-/// they fit one vector with it; a chunk that does not fit is flattened and
-/// becomes the next tail.
-fn push_chunk(run: &mut Vec<DataChunk>, mut chunk: DataChunk) -> Result<()> {
-    match run.last_mut() {
-        Some(tail) if tail.has_room_for(chunk.num_rows()) => tail.append(&chunk),
-        _ => {
-            chunk.flatten();
-            run.push(chunk);
-            Ok(())
-        }
-    }
-}
-
-/// [`push_chunk`] for physical rows `rows` of `src`, each copied once.
-fn push_rows(run: &mut Vec<DataChunk>, src: &DataChunk, rows: &[u32]) -> Result<()> {
-    if rows.is_empty() {
-        return Ok(());
-    }
-    match run.last_mut() {
-        Some(tail) if tail.has_room_for(rows.len()) => tail.append_rows(src, rows),
-        _ => {
-            run.push(src.take_rows(rows));
-            Ok(())
-        }
-    }
-}
 
 /// Concatenate one partition's runs and hash its keys; an empty partition
 /// still carries the column arity so probe-side output chunks have the
@@ -93,33 +36,21 @@ fn build_part(chunks: &[DataChunk], key_cols: &[usize], schema: &Schema) -> Resu
     }
 }
 
-impl Sink for HashBuildSink {
-    fn sink(&mut self, chunk: DataChunk, ctx: &ExecContext) -> Result<()> {
-        let n = chunk.num_rows() as u64;
-        // Bloom inserts hash the key columns the radix route reuses below.
-        let mut hashes = KeyHashes::of(&chunk);
-        insert_into_blooms(&mut hashes, &mut self.blooms, ctx)?;
-        ctx.metrics.add(&ctx.metrics.hash_build_rows, n);
-        self.report_residency(chunk_size_bytes(&chunk));
-        self.rows = self.rows.saturating_add(n);
-        if self.partitioner.is_single() {
-            return push_chunk(&mut self.parts[0], chunk);
-        }
-        self.partitioner
-            .bucket_rows(&chunk, hashes.get(&self.key_cols), &mut self.routed);
-        for (run, rows) in self.parts.iter_mut().zip(&self.routed) {
-            push_rows(run, &chunk, rows)?;
-        }
-        Ok(())
+/// Take every run's governor registration and keep one, carrying the sum
+/// of the runs' resident bytes through the merge into the published table;
+/// the others release. (Each is dropped before the kept one grows, so the
+/// bytes are never counted twice.)
+fn hand_over<'a>(runs: impl Iterator<Item = &'a mut SpillBuffer>) -> Option<GovernedHandle> {
+    let mut resident = 0usize;
+    let mut kept = None;
+    for run in runs {
+        resident = resident.saturating_add(run.stats().bytes_in_memory);
+        kept = kept.or(run.take_governor());
     }
-
-    fn rows(&self) -> u64 {
-        self.rows
+    if let Some(h) = &kept {
+        h.update(resident);
     }
-
-    fn into_any(self: Box<Self>) -> Box<dyn Any> {
-        self
-    }
+    kept
 }
 
 pub struct HashBuildFactory {
@@ -147,17 +78,9 @@ impl HashBuildFactory {
 
 impl SinkFactory for HashBuildFactory {
     fn make(&self, ctx: &ExecContext) -> Result<Box<dyn Sink>> {
-        let partitioner = Partitioner::new(ctx.partition_count);
-        Ok(Box::new(HashBuildSink {
-            key_cols: self.key_cols.clone(),
-            blooms: BloomBuild::from_specs(&self.blooms)?,
-            parts: (0..partitioner.count()).map(|_| Vec::new()).collect(),
-            partitioner,
-            routed: Vec::new(),
-            rows: 0,
-            governed: ctx.governor.as_ref().map(|g| g.register(false)),
-            resident_bytes: 0,
-        }))
+        let keys = Some(self.key_cols.clone());
+        let sink = BufferSink::new(&self.schema, keys, &self.blooms, false, ctx)?;
+        Ok(Box::new(sink))
     }
 
     fn make_merger(
@@ -165,28 +88,9 @@ impl SinkFactory for HashBuildFactory {
         states: Vec<Box<dyn Sink>>,
         _ctx: &ExecContext,
     ) -> Result<Box<dyn PartitionMerger>> {
-        let mut workers = downcast_states::<HashBuildSink>(states)?;
-        // The states' own layout is authoritative (the factory normalized
-        // `ctx.partition_count` when it built them).
-        let partitions = workers[0].parts.len();
-        let blooms: Vec<Vec<BloomBuild>> = workers
-            .iter_mut()
-            .map(|w| std::mem::take(&mut w.blooms))
-            .collect();
-        // One registration carries every worker's bytes through the merge
-        // and into the published table; the others release here.
-        let resident = workers
-            .iter()
-            .fold(0usize, |sum, w| sum.saturating_add(w.resident_bytes));
-        let mut governed = None;
-        for w in &mut workers {
-            governed = governed.or(w.governed.take());
-        }
-        if let Some(h) = &governed {
-            h.update(resident);
-        }
-        let slots =
-            PartitionSlots::transpose(workers.into_iter().map(|w| w.parts).collect(), partitions);
+        let mut workers = downcast_states::<BufferSink>(states)?;
+        let governed = hand_over(workers.iter_mut().flat_map(|w| w.parts.iter_mut()));
+        let (partitions, slots, blooms) = BufferSink::into_slots(workers);
         Ok(Box::new(HashBuildMerger {
             ht_id: self.ht_id,
             key_cols: self.key_cols.clone(),
@@ -201,8 +105,8 @@ impl SinkFactory for HashBuildFactory {
     }
 }
 
-/// Merge plan of a [`HashBuildSink`]: task `p` prepares one
-/// partition's [`BuildPart`] (concatenate, hash — the per-row work);
+/// Merge plan of a hash build: task `p` prepares one partition's
+/// [`BuildPart`] (restore, concatenate, hash — the per-row work);
 /// `finish` assembles the parts into the one [`JoinHashTable`] (block
 /// appends and the chain links), publishes it, and merges the Bloom
 /// filters. (The table is only probe-able once complete, so — unlike buffer
@@ -212,7 +116,7 @@ struct HashBuildMerger {
     key_cols: Vec<usize>,
     schema: Schema,
     partitions: usize,
-    slots: PartitionSlots<Vec<DataChunk>>,
+    slots: PartitionSlots<SpillBuffer>,
     built: Vec<Mutex<Option<BuildPart>>>,
     blooms: Mutex<Option<Vec<Vec<BloomBuild>>>>,
     governed: Mutex<Option<GovernedHandle>>,
@@ -224,11 +128,12 @@ impl PartitionMerger for HashBuildMerger {
         self.partitions
     }
 
-    fn merge_partition(&self, part: usize, _ctx: &ExecContext, _res: &Resources) -> Result<()> {
-        let chunks: Vec<DataChunk> = self.slots.take(part)?.into_iter().flatten().collect();
+    fn merge_partition(&self, part: usize, ctx: &ExecContext, _res: &Resources) -> Result<()> {
+        let chunks = restore_runs(self.slots.take(part)?, &ctx.metrics)?;
         let built = build_part(&chunks, &self.key_cols, &self.schema)?;
-        self.max_task_rows
-            .fetch_max(built.num_rows() as u64, Ordering::Relaxed);
+        let rows = built.num_rows() as u64;
+        ctx.metrics.add(&ctx.metrics.hash_build_rows, rows);
+        self.max_task_rows.fetch_max(rows, Ordering::Relaxed);
         *lock_or_err(&self.built[part], "build part slot")? = Some(built);
         Ok(())
     }
@@ -254,50 +159,5 @@ impl PartitionMerger for HashBuildMerger {
 
     fn max_task_rows(&self) -> u64 {
         self.max_task_rows.load(Ordering::Relaxed)
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rpt_common::{Vector, VECTOR_SIZE};
-
-    /// Both ways into a run keep it combined: no two adjacent chunks that
-    /// one vector could hold, rows in arrival order.
-    #[test]
-    fn runs_are_write_combined() {
-        let mut run = Vec::new();
-        let mut want = Vec::new();
-        let mut next = 0i64;
-        for (i, n) in [700usize, 700, 700, 1, VECTOR_SIZE, 30, 30, 2000]
-            .into_iter()
-            .enumerate()
-        {
-            let mut chunk =
-                DataChunk::new(vec![Vector::from_i64((next..next + n as i64).collect())]);
-            next += n as i64;
-            let kept: Vec<u32> = (0..n as u32).filter(|r| r % 3 != 1).collect();
-            want.extend(
-                kept.iter()
-                    .map(|&r| chunk.columns[0].i64_slice()[r as usize]),
-            );
-            if i % 2 == 0 {
-                push_rows(&mut run, &chunk, &kept).unwrap();
-            } else {
-                chunk.set_selection(kept);
-                push_chunk(&mut run, chunk).unwrap();
-            }
-        }
-        let got: Vec<i64> = run
-            .iter()
-            .flat_map(|c| c.columns[0].i64_slice().to_vec())
-            .collect();
-        assert_eq!(got, want);
-        assert!(run
-            .iter()
-            .all(|c| c.selection.is_none() && c.num_rows() <= VECTOR_SIZE));
-        assert!(run
-            .windows(2)
-            .all(|w| w[0].num_rows() + w[1].num_rows() > VECTOR_SIZE));
     }
 }

@@ -32,7 +32,6 @@ pub use aggregate::{AggregateFactory, AggregateSink};
 pub use buffer::BufferSink;
 pub use create_bf::{BloomBuild, BloomSink};
 pub use filter::Filter;
-pub use hash_build::HashBuildSink;
 pub use join_probe::JoinProbe;
 pub use probe_bloom::ProbeBloom;
 pub use project::Project;
@@ -43,7 +42,8 @@ pub use sort::{cmp_scalar_rows, SortKey, SortSink, SortSinkFactory};
 use crate::context::ExecContext;
 use crate::hash_table::JoinHashTable;
 use rpt_bloom::TransferFilter;
-use rpt_common::{DataChunk, Error, Result, Vector};
+use rpt_common::{DataChunk, Error, Result, Schema, Vector};
+use rpt_storage::SpillBuffer;
 use std::any::Any;
 use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex, OnceLock};
@@ -538,10 +538,37 @@ impl<T> PartitionSlots<T> {
     }
 }
 
+/// A sink's run: a [`SpillBuffer`] with no cap of its own, its spill file
+/// tagged with the query id and, under a memory governor, registered as
+/// `evictable` (a spill candidate) or not (a hash build, whose rows must
+/// stay in memory and only add pressure).
+pub(crate) fn governed_run(schema: &Schema, evictable: bool, ctx: &ExecContext) -> SpillBuffer {
+    let run = SpillBuffer::new(schema.clone(), usize::MAX, ctx.spill_dir.clone())
+        .with_file_tag(ctx.query_id);
+    match &ctx.governor {
+        Some(gov) => run.with_governor(gov.register(evictable)),
+        None => run,
+    }
+}
+
+/// Restore `runs` in order and concatenate their chunks, folding each
+/// run's spill statistics into the query's metrics. Every merge consumes
+/// its runs through here, so the `spill_*` counters cover every spill path.
+pub(crate) fn restore_runs(
+    runs: impl IntoIterator<Item = SpillBuffer>,
+    metrics: &crate::context::Metrics,
+) -> Result<Vec<DataChunk>> {
+    let mut chunks = Vec::new();
+    for mut run in runs {
+        chunks.extend(run.take_chunks()?);
+        record_spill_stats(metrics, run.stats());
+    }
+    Ok(chunks)
+}
+
 /// Fold one buffer's [`rpt_storage::SpillStats`] into the query's
-/// `spill_*` metrics family. Called wherever a `SpillBuffer` is consumed
-/// (the merge tasks), so the counters cover every spill path.
-pub(crate) fn record_spill_stats(metrics: &crate::context::Metrics, st: rpt_storage::SpillStats) {
+/// `spill_*` metrics family.
+fn record_spill_stats(metrics: &crate::context::Metrics, st: rpt_storage::SpillStats) {
     if st.encoded_bytes_spilled > 0 {
         metrics.add(
             &metrics.spill_bytes_written,

@@ -39,8 +39,8 @@
 //! boundary test and the loser tree all compare these words.
 
 use super::{
-    downcast_states, lock_or_err, record_spill_stats, PartitionMerger, PartitionSlots, Resources,
-    Sink, SinkFactory,
+    downcast_states, governed_run, lock_or_err, restore_runs, PartitionMerger, PartitionSlots,
+    Resources, Sink, SinkFactory,
 };
 use crate::context::{ExecContext, Metrics};
 use rpt_common::chunk::chunk_ranges;
@@ -518,11 +518,7 @@ impl Run {
     fn into_chunks(self, metrics: &Metrics) -> Result<Vec<DataChunk>> {
         match self {
             Run::TopK(run) => Ok(run.data.into_iter().collect()),
-            Run::Full(mut buf) => {
-                let chunks = buf.take_chunks()?;
-                record_spill_stats(metrics, buf.stats());
-                Ok(chunks)
-            }
+            Run::Full(buf) => restore_runs([*buf], metrics),
         }
     }
 }
@@ -600,15 +596,7 @@ impl SinkFactory for SortSinkFactory {
                     data: None,
                     cut: false,
                 }),
-                None => {
-                    let mut buf =
-                        SpillBuffer::new(self.schema.clone(), usize::MAX, ctx.spill_dir.clone())
-                            .with_file_tag(ctx.query_id);
-                    if let Some(gov) = &ctx.governor {
-                        buf = buf.with_governor(gov.register(true));
-                    }
-                    Run::Full(Box::new(buf))
-                }
+                None => Run::Full(Box::new(governed_run(&self.schema, true, ctx))),
             })
             .collect();
         Ok(Box::new(SortSink {

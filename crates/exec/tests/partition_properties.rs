@@ -337,7 +337,7 @@ proptest! {
         }
     }
 
-    /// Partitioned `HashBuildSink`: the one published table holds the same
+    /// Partitioned hash build: the one published table holds the same
     /// rows as the unpartitioned build's — laid out partition after
     /// partition, each key's rows in one of them — and both hash-join
     /// probes and semi-join probes agree with the unpartitioned baseline.

@@ -5,7 +5,7 @@
 //! describes what is stored.
 
 use proptest::prelude::*;
-use rpt_common::hash::hash_columns;
+use rpt_common::hash::{hash_columns, hash_columns_sel};
 use rpt_common::{
     ColumnData, DataChunk, DataType, Field, Partitioner, ScalarValue, Schema, Utf8Dict, Vector,
     VECTOR_SIZE,
@@ -118,6 +118,29 @@ fn assert_combined(run: &[&DataChunk]) -> Result<(), TestCaseError> {
     Ok(())
 }
 
+/// The bytes the write-combined runs of `chunks` hold when they are routed
+/// on column 0 to `partitions` partitions: a reference route into one
+/// ungoverned buffer per partition.
+fn run_bytes(chunks: &[DataChunk], partitions: usize) -> usize {
+    let partitioner = Partitioner::new(partitions);
+    let mut runs: Vec<SpillBuffer> = (0..partitions)
+        .map(|_| SpillBuffer::unbounded(schema()))
+        .collect();
+    let mut rows = Vec::new();
+    for chunk in chunks {
+        let hashes = hash_columns_sel(
+            &[&chunk.columns[0]],
+            chunk.selection.as_deref(),
+            chunk.num_rows(),
+        );
+        partitioner.bucket_rows(chunk, &hashes, &mut rows);
+        for (run, rows) in runs.iter_mut().zip(&rows) {
+            run.push_rows(chunk, rows).unwrap();
+        }
+    }
+    runs.iter().map(|r| r.stats().bytes_in_memory).sum()
+}
+
 fn spill_files(dir: &std::path::Path) -> usize {
     std::fs::read_dir(dir).map_or(0, |d| {
         d.flatten()
@@ -226,9 +249,12 @@ proptest! {
         }
     }
 
-    /// `HashBuildSink` with 1 and 8 partitions: the one assembled table
+    /// A hash build with 1 and 8 partitions: the one assembled table
     /// stores partition after partition, each the rows routed to it in
-    /// arrival order.
+    /// arrival order. Under a memory governor the runs report exactly the
+    /// bytes they hold — no more for a chunk behind a selection — until the
+    /// table takes their registration over, and a 1-byte budget spills none
+    /// of them: the table keeps its rows and no file is left behind.
     #[test]
     fn hash_build_sink_lays_partitions_in_order(
         sizes in proptest::collection::vec(1usize..900, 1..10),
@@ -237,16 +263,31 @@ proptest! {
         let chunks = stream(&sizes, seed);
         let factory = HashBuildFactory::new(0, vec![0], schema(), vec![]);
         for partitions in [1usize, 8] {
-            let ctx = ExecContext::new().with_partitions(partitions);
-            let res = Resources::with_partitions(0, 0, 1, partitions);
-            let mut sink = factory.make(&ctx).unwrap();
-            for chunk in &chunks {
-                sink.sink(chunk.clone(), &ctx).unwrap();
-            }
-            factory.merge_partitioned("build", vec![sink], &ctx, &res).unwrap();
-            let table = res.hash_table(0).unwrap();
             let want: Vec<Row> = routed(&chunks, partitions).into_iter().flatten().collect();
-            prop_assert_eq!(table.data.rows(), want, "partitions = {}", partitions);
+            let held = run_bytes(&chunks, partitions);
+            let dir = std::env::temp_dir().join(format!("rpt_wc_build_{seed}_{partitions}"));
+            for budget in [None, Some(usize::MAX), Some(1)] {
+                let ctx = ExecContext::new()
+                    .with_partitions(partitions)
+                    .with_memory_budget(budget)
+                    .with_spill_dir(&dir);
+                let res = Resources::with_partitions(0, 0, 1, partitions);
+                let mut sink = factory.make(&ctx).unwrap();
+                for chunk in &chunks {
+                    sink.sink(chunk.clone(), &ctx).unwrap();
+                }
+                if let Some(gov) = &ctx.governor {
+                    prop_assert_eq!(gov.resident_bytes(), held, "budget {:?}", budget);
+                }
+                factory.merge_partitioned("build", vec![sink], &ctx, &res).unwrap();
+                let table = res.hash_table(0).unwrap();
+                prop_assert_eq!(table.data.rows(), want.clone(), "partitions = {}", partitions);
+                if let Some(gov) = &ctx.governor {
+                    prop_assert_eq!(gov.resident_bytes(), table.size_bytes(), "handed to the table");
+                }
+                prop_assert_eq!(spill_files(&dir), 0);
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
     }
 }

@@ -172,6 +172,13 @@ impl SpillBuffer {
         self
     }
 
+    /// Hand the governor registration to a new owner. The buffer reports
+    /// nothing from then on; the registration keeps the bytes last reported
+    /// on it until its new owner updates or drops it.
+    pub fn take_governor(&mut self) -> Option<GovernedHandle> {
+        self.governor.take()
+    }
+
     /// Append the logical rows of a chunk. Write-combining: the rows go
     /// into the resident tail chunk while they fit one vector with it, so
     /// a run never stores two adjacent resident chunks that one vector
