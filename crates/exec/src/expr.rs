@@ -44,6 +44,19 @@ impl CmpOp {
         }
     }
 
+    /// The operator that holds exactly where this one fails, over totally
+    /// ordered operands: `NOT (a OP b)` ⇔ `a OP.negate() b`.
+    fn negate(self) -> CmpOp {
+        match self {
+            CmpOp::Eq => CmpOp::NotEq,
+            CmpOp::NotEq => CmpOp::Eq,
+            CmpOp::Lt => CmpOp::GtEq,
+            CmpOp::LtEq => CmpOp::Gt,
+            CmpOp::Gt => CmpOp::LtEq,
+            CmpOp::GtEq => CmpOp::Lt,
+        }
+    }
+
     /// Does an operand ordering satisfy this operator? `None` (NaN, or
     /// incomparable types) satisfies nothing, `<>` included.
     #[inline]
@@ -635,21 +648,24 @@ fn column(chunk: &DataChunk, col: usize) -> Result<&Vector> {
         .ok_or_else(|| Error::Exec(format!("column {col} out of bounds")))
 }
 
-/// The rows of `rows` whose *physical* row passes `pass`.
+/// The rows of `rows` whose *physical* row passes `pass`, compacted
+/// without a branch on the verdict: every candidate is written at the
+/// cursor, which then advances by the verdict (as `KeyBitmap::probe_sel`
+/// does), so a selectivity near one half costs no mispredictions.
 fn scan_rows(chunk: &DataChunk, rows: Rows<'_>, pass: impl Fn(usize) -> bool) -> Vec<u32> {
-    let mut out = Vec::with_capacity(rows.len());
+    let mut out = vec![0u32; rows.len()];
+    let mut kept = 0;
+    let mut put = |row: u32, phys: usize| {
+        out[kept] = row;
+        kept += pass(phys) as usize;
+    };
     match (rows, chunk.selection.as_deref()) {
-        (Rows::All(n), None) => out.extend((0..n as u32).filter(|&i| pass(i as usize))),
-        (Rows::All(n), Some(sel)) => {
-            out.extend((0..n as u32).filter(|&i| pass(sel[i as usize] as usize)))
-        }
-        (Rows::Some(r), None) => out.extend(r.iter().copied().filter(|&i| pass(i as usize))),
-        (Rows::Some(r), Some(sel)) => out.extend(
-            r.iter()
-                .copied()
-                .filter(|&i| pass(sel[i as usize] as usize)),
-        ),
+        (Rows::All(n), None) => (0..n as u32).for_each(|i| put(i, i as usize)),
+        (Rows::All(n), Some(sel)) => (0..n as u32).for_each(|i| put(i, sel[i as usize] as usize)),
+        (Rows::Some(r), None) => r.iter().for_each(|&i| put(i, i as usize)),
+        (Rows::Some(r), Some(sel)) => r.iter().for_each(|&i| put(i, sel[i as usize] as usize)),
     }
+    out.truncate(kept);
     out
 }
 
@@ -666,6 +682,16 @@ impl ValidRows<'_> {
         match self.valid {
             None => scan_rows(self.chunk, self.rows, pass),
             Some(m) => scan_rows(self.chunk, self.rows, |p| m[p] && pass(p)),
+        }
+    }
+
+    /// [`ValidRows::keep`] for a `pass` that reads any row's payload
+    /// safely: it runs on NULL rows too, so validity joins the verdict
+    /// without a branch.
+    fn keep_any_payload(self, pass: impl Fn(usize) -> bool) -> Vec<u32> {
+        match self.valid {
+            None => scan_rows(self.chunk, self.rows, pass),
+            Some(m) => scan_rows(self.chunk, self.rows, |p| m[p] & pass(p)),
         }
     }
 }
@@ -697,7 +723,18 @@ fn select_leaf(
         }
         (ColumnData::Utf8(vals), None, _) => scan.keep(|p| test.hit(&vals[p]) == want),
         (ColumnData::Int64(vals), None, Test::Cmp(op, ScalarValue::Int64(x))) => {
-            scan.keep(|p| op.holds(vals[p].partial_cmp(x)) == want)
+            // Validity drops NULL rows first and non-NULL Int64 values are
+            // totally ordered, so NOT is exactly the negated operator: the
+            // comparison is picked once, not per row.
+            let x = *x;
+            match if want { *op } else { op.negate() } {
+                CmpOp::Eq => scan.keep_any_payload(|p| vals[p] == x),
+                CmpOp::NotEq => scan.keep_any_payload(|p| vals[p] != x),
+                CmpOp::Lt => scan.keep_any_payload(|p| vals[p] < x),
+                CmpOp::LtEq => scan.keep_any_payload(|p| vals[p] <= x),
+                CmpOp::Gt => scan.keep_any_payload(|p| vals[p] > x),
+                CmpOp::GtEq => scan.keep_any_payload(|p| vals[p] >= x),
+            }
         }
         (ColumnData::Int64(vals), None, Test::Cmp(op, ScalarValue::Float64(x))) => {
             scan.keep(|p| op.holds((vals[p] as f64).partial_cmp(x)) == want)

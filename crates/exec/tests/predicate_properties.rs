@@ -223,3 +223,51 @@ proptest! {
         }
     }
 }
+
+/// The `Int64 column CMP Int64 literal` kernel, exhaustively: every
+/// operator, plain and under `NOT`, literal on either side, against the
+/// extreme literals and a present and an absent value, over a column with
+/// and without NULLs, through an incoming selection and without one.
+/// `select` must return the `eval` oracle's rows; a NULL row is in neither
+/// the plain nor the negated result, and every other row is in exactly one.
+#[test]
+fn int64_compare_arm_equals_eval() {
+    let vals = vec![i64::MIN, -5, 0, 3, 3, 17, i64::MAX, 42, -5, i64::MIN, 3];
+    let n = vals.len();
+    let nulls: Vec<bool> = (0..n).map(|i| i % 4 != 1 && i != 9).collect();
+    let (present, absent) = (3, 4);
+    for validity in [None, Some(nulls)] {
+        for selection in [None, Some(vec![10u32, 0, 3, 3, 6, 1, 9, 5])] {
+            let mut col = Vector::from_i64(vals.clone());
+            col.validity = validity.clone();
+            let mut c = DataChunk::new(vec![col]);
+            let rows: Vec<usize> = match &selection {
+                Some(sel) => {
+                    c.set_selection(sel.clone());
+                    sel.iter().map(|&r| r as usize).collect()
+                }
+                None => (0..n).collect(),
+            };
+            let valid = |k: u32| validity.as_ref().is_none_or(|m| m[rows[k as usize]]);
+            for op in OPS {
+                for x in [i64::MIN, i64::MAX, present, absent] {
+                    let lit = || Expr::lit(ScalarValue::Int64(x));
+                    for plain in [
+                        Expr::cmp(op, Expr::col(0), lit()),
+                        Expr::cmp(op, lit(), Expr::col(0)),
+                    ] {
+                        let negated = Expr::Not(Box::new(plain.clone()));
+                        let hit = Predicate::new(&plain).select(&c).expect("select");
+                        let miss = Predicate::new(&negated).select(&c).expect("select");
+                        assert_eq!(hit, oracle(&plain, &c), "{plain:?} sel={selection:?}");
+                        assert_eq!(miss, oracle(&negated, &c), "{negated:?} sel={selection:?}");
+                        for k in 0..rows.len() as u32 {
+                            let count = hit.contains(&k) as usize + miss.contains(&k) as usize;
+                            assert_eq!(count, valid(k) as usize, "{plain:?} row {k}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+}

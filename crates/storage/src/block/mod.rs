@@ -12,7 +12,7 @@ pub mod zone;
 
 pub use zone::ZoneMap;
 
-use crate::encode::{dict_encode_utf8, encode_i64, for_values, rle_runs, EncodedBlock};
+use crate::encode::{dict_encode_utf8, encode_i64, for_unpack, for_values, rle_runs, EncodedBlock};
 use crate::table::Table;
 use rpt_common::chunk::chunk_ranges;
 use rpt_common::hash::{fold_key_column, hash_bool, hash_bytes, hash_f64, hash_i64};
@@ -34,15 +34,30 @@ impl Block {
     /// rows; every row when `None`) into `out`, as the first key column
     /// (`first`) or a later one — exactly what [`rpt_common::hash::hash_column_into`]
     /// folds from the decoded block, NULL sentinel included, but hashed
-    /// from the stored form: FOR unpacks, adds the base and hashes in one
-    /// loop, RLE hashes once per run, dictionary codes index
+    /// from the stored form: FOR unpacks a whole block 64 rows at a time
+    /// into a stack buffer and hashes each group (selected rows unpack one
+    /// at a time), RLE hashes once per run, dictionary codes index
     /// [`Utf8Dict::hashes`], and raw payloads hash in place. Nothing is
     /// materialized, so a row the caller's filter then drops never has its
     /// key decoded.
     pub fn hash_sel_into(&self, sel: Option<&[u32]>, out: &mut [u64], first: bool) {
-        match sel {
-            None => self.hash_rows_into(0..self.len, None, out, first),
-            Some(s) => self.hash_rows_into(s.iter().map(|&r| r as usize), sel, out, first),
+        match (sel, &self.data) {
+            (
+                None,
+                EncodedBlock::ForI64 {
+                    base, width, words, ..
+                },
+            ) => {
+                let validity = self.validity.as_deref();
+                for_unpack(*base, *width, words, self.len, &mut |row, vals| {
+                    let rows = row..row + vals.len();
+                    let hashes = vals.iter().map(|&v| hash_i64(v));
+                    let mask = validity.map(|m| &m[rows.clone()]);
+                    fold_key_column(&mut out[rows], first, hashes, mask, None)
+                })
+            }
+            (None, _) => self.hash_rows_into(0..self.len, None, out, first),
+            (Some(s), _) => self.hash_rows_into(s.iter().map(|&r| r as usize), sel, out, first),
         }
     }
 
@@ -99,14 +114,27 @@ impl Block {
 
     /// Append the `Int64` values of rows `sel` (ascending block-local rows;
     /// every row when `None`) to `out`, read from the stored form the way
-    /// [`Block::hash_sel_into`] hashes them: FOR unpacks and adds the base,
-    /// RLE reads once per run, raw payloads are copied. A NULL row yields
+    /// [`Block::hash_sel_into`] hashes them: FOR unpacks a whole block 64
+    /// rows at a time (selected rows one at a time) and adds the base, RLE
+    /// reads once per run, raw payloads are copied. A NULL row yields
     /// whatever its payload holds; callers drop it by validity. A block of
     /// another type is an `Error::Exec`.
     pub fn i64_sel_into(&self, sel: Option<&[u32]>, out: &mut Vec<i64>) -> Result<()> {
-        match sel {
-            None => self.i64_rows_into(0..self.len, out),
-            Some(s) => self.i64_rows_into(s.iter().map(|&r| r as usize), out),
+        match (sel, &self.data) {
+            (
+                None,
+                EncodedBlock::ForI64 {
+                    base, width, words, ..
+                },
+            ) => {
+                out.reserve(self.len);
+                for_unpack(*base, *width, words, self.len, &mut |_, vals| {
+                    out.extend_from_slice(vals)
+                });
+                Ok(())
+            }
+            (None, _) => self.i64_rows_into(0..self.len, out),
+            (Some(s), _) => self.i64_rows_into(s.iter().map(|&r| r as usize), out),
         }
     }
 

@@ -74,8 +74,10 @@ impl EncodedBlock {
     /// Decode rows `sel` (ascending block-local indices; every row when
     /// `None`) to a column payload: `Int64` codecs to their values, raw
     /// payloads as stored, and dictionary blocks to their codes as `Int64`
-    /// (the caller attaches the dictionary). FOR unpacks each selected slot
-    /// in place, RLE walks its runs once alongside the selection.
+    /// (the caller attaches the dictionary). FOR unpacks a whole block 64
+    /// rows at a time through [`for_unpack`] and a selection one row at a
+    /// time through [`for_values`]; RLE walks its runs once alongside the
+    /// selection.
     pub fn decode(&self, sel: Option<&[u32]>) -> ColumnData {
         debug_assert!(
             sel.is_none_or(|s| s.windows(2).all(|w| w[0] < w[1])),
@@ -116,7 +118,13 @@ impl EncodedBlock {
                 width,
                 words,
             } => ColumnData::Int64(match sel {
-                None => for_values(*base, *width, words, 0..*len as usize).collect(),
+                None => {
+                    let mut out = Vec::with_capacity(*len as usize);
+                    for_unpack(*base, *width, words, *len as usize, &mut |_, v| {
+                        out.extend_from_slice(v)
+                    });
+                    out
+                }
                 Some(s) => for_values(*base, *width, words, rows(s)).collect(),
             }),
         }
@@ -224,9 +232,10 @@ fn pack_bits(deltas: &[u64], width: u8) -> Vec<u64> {
 }
 
 /// The values at `rows` (ascending block-local indices) of a
-/// frame-of-reference block: the one copy of the unpacking arithmetic,
-/// shared by decoding and key hashing. A width-0 block stores no words; it
-/// reads one zero word instead, so the loop carries no per-row width test.
+/// frame-of-reference block, unpacked one row at a time: the reader of
+/// selected rows, and of whatever [`for_unpack`] leaves outside its whole
+/// 64-row groups. A width-0 block stores no words; it reads one zero word
+/// instead, so the loop carries no per-row width test.
 #[inline]
 pub(crate) fn for_values<'a>(
     base: i64,
@@ -248,6 +257,91 @@ pub(crate) fn for_values<'a>(
         let next = (words[(word + 1).min(last)] << 1) << (63 - off);
         base.wrapping_add((((words[word] >> off) | next) & mask) as i64)
     })
+}
+
+/// Every value of a `len`-row frame-of-reference block, in row order,
+/// handed to `emit` as `(first row, values)` at most 64 values at a time.
+/// 64 values of `width` bits fill exactly `width` words, so each whole
+/// 64-row group unpacks through a kernel compiled for its width, where
+/// every shift and word index is a constant. The rows no whole group
+/// covers (the tail of fewer than 64, and any past the stored words) and
+/// every row of a width-0 block go through [`for_values`]. No allocation:
+/// the values pass through one 64-value stack buffer.
+#[inline]
+pub(crate) fn for_unpack(
+    base: i64,
+    width: u8,
+    words: &[u64],
+    len: usize,
+    emit: &mut dyn FnMut(usize, &[i64]),
+) {
+    let mut buf = [0i64; 64];
+    macro_rules! kernels {
+        ($($w:literal)*) => {
+            match width {
+                $($w => unpack_groups::<$w>(base, words, len / 64, &mut buf, emit),)*
+                _ => 0,
+            }
+        };
+    }
+    let mut row = kernels!(
+        1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32
+        33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60 61
+        62 63
+    );
+    while row < len {
+        let n = (len - row).min(64);
+        for (slot, v) in buf
+            .iter_mut()
+            .zip(for_values(base, width, words, row..row + n))
+        {
+            *slot = v;
+        }
+        emit(row, &buf[..n]);
+        row += n;
+    }
+}
+
+/// Unpack the first `groups` whole 64-row groups of a width-`W` block
+/// through [`unpack64`], as far as `words` holds them; the rows covered.
+fn unpack_groups<const W: usize>(
+    base: i64,
+    words: &[u64],
+    groups: usize,
+    buf: &mut [i64; 64],
+    emit: &mut dyn FnMut(usize, &[i64]),
+) -> usize {
+    let mut row = 0;
+    for src in words.as_chunks::<W>().0.iter().take(groups) {
+        unpack64(base, src, buf);
+        emit(row, buf);
+        row += 64;
+    }
+    row
+}
+
+/// The 64 values packed `W` bits each into the `W` words `src`, one
+/// statement per row: with `W` and the row constant, every word index,
+/// shift and straddle folds away.
+#[inline(always)]
+fn unpack64<const W: usize>(base: i64, src: &[u64; W], out: &mut [i64; 64]) {
+    macro_rules! rows {
+        ($($i:literal)*) => { $(out[$i] = unpack_row::<W>(base, src, $i);)* };
+    }
+    rows!(
+        0 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31
+        32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50 51 52 53 54 55 56 57 58 59 60
+        61 62 63
+    );
+}
+
+/// Row `i` of [`unpack64`], with [`for_values`]'s branch-free straddle;
+/// the group's last word stands in for its (absent) successor.
+#[inline(always)]
+fn unpack_row<const W: usize>(base: i64, src: &[u64; W], i: usize) -> i64 {
+    let (word, off) = (i * W / 64, i * W % 64);
+    let next = (src[(word + 1).min(W - 1)] << 1) << (63 - off);
+    base.wrapping_add((((src[word] >> off) | next) & ((1u64 << W) - 1)) as i64)
 }
 
 /// The run of each of `rows` (ascending block-local indices) of a

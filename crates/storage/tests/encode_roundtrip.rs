@@ -2,11 +2,15 @@
 //! decode cycle must reproduce the original rows exactly (values, NULLs,
 //! and block boundaries), every block's zone map must tightly bound its
 //! valid rows, and decoding a row selection must equal gathering the full
-//! decode.
+//! decode. Whole frame-of-reference blocks, which unpack 64 rows at a
+//! time, must read exactly what their rows read one at a time, at every
+//! bit width.
 
 use proptest::prelude::*;
-use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
-use rpt_storage::{BlockTable, Table};
+use proptest::TestRng;
+use rpt_common::{ColumnData, DataChunk, DataType, Field, ScalarValue, Schema, Vector};
+use rpt_storage::encode::encode_i64;
+use rpt_storage::{Block, BlockColumn, BlockTable, EncodedBlock, SpillBuffer, Table, ZoneMap};
 
 /// Build a nullable vector of the given type from `(valid, seed)` pairs.
 /// The seed is mapped into a domain that exercises the type's codecs:
@@ -157,4 +161,136 @@ fn high_cardinality_utf8_skips_dictionary() {
         "dictionary built past the cardinality cap"
     );
     check_roundtrip(&table, 2048);
+}
+
+/// `deltas` packed `width` bits each, little-endian across words, one bit
+/// at a time: a reference independent of the codec's packer.
+fn pack(deltas: &[u64], width: usize) -> Vec<u64> {
+    let mut words = vec![0u64; (deltas.len() * width).div_ceil(64)];
+    for (i, &d) in deltas.iter().enumerate() {
+        for b in 0..width {
+            let bit = i * width + b;
+            words[bit / 64] |= (d >> b & 1) << (bit % 64);
+        }
+    }
+    words
+}
+
+/// A one-block column of a frame-of-reference block built directly.
+fn for_column(base: i64, width: usize, deltas: &[u64], validity: Option<Vec<bool>>) -> BlockColumn {
+    let data = EncodedBlock::ForI64 {
+        len: deltas.len() as u32,
+        base,
+        width: width as u8,
+        words: pack(deltas, width),
+    };
+    let decoded = Vector {
+        data: data.decode(None),
+        validity: validity.clone(),
+        dict: None,
+    };
+    let block = Block {
+        len: deltas.len(),
+        zone: ZoneMap::compute(&decoded, 0, deltas.len()),
+        validity,
+        data,
+    };
+    BlockColumn {
+        data_type: DataType::Int64,
+        dict: None,
+        blocks: vec![block],
+    }
+}
+
+/// Every whole-block read of a frame-of-reference block (decode, `Int64`
+/// key read, key hash as the first column or a later one) equals the same
+/// read through a selection of every row, which unpacks row by row, and
+/// the values are `base + delta`. Covers every width, lengths around the
+/// 64-row groups, the extreme bases and blocks with and without NULLs.
+#[test]
+fn whole_for_blocks_read_as_their_rows_do() {
+    let mut rng = TestRng::from_name("whole-for-blocks");
+    for width in 0..=63usize {
+        let top = (1u64 << width) - 1;
+        for len in [1usize, 63, 64, 65, 127, 128, 2047, 2048] {
+            for base in [i64::MIN, 0, i64::MAX - top as i64] {
+                // The largest delta pinned at a random row, the rest random.
+                let mut deltas: Vec<u64> = (0..len).map(|_| rng.next_u64() & top).collect();
+                deltas[rng.below(len as u64) as usize] = top;
+                let nulls: Vec<bool> = (0..len).map(|_| rng.below(4) > 0).collect();
+                for validity in [None, Some(nulls)] {
+                    let case = format!(
+                        "width {width} len {len} base {base} nulls {}",
+                        validity.is_some()
+                    );
+                    let col = for_column(base, width, &deltas, validity);
+                    let block = &col.blocks[0];
+                    let all: Vec<u32> = (0..len as u32).collect();
+
+                    let whole = col.decode_block(0);
+                    assert_eq!(whole, col.decode_block_sel(0, &all), "{case}");
+                    let want: Vec<i64> = deltas
+                        .iter()
+                        .map(|&d| base.wrapping_add(d as i64))
+                        .collect();
+                    assert!(
+                        matches!(&whole.data, ColumnData::Int64(v) if *v == want),
+                        "{case}"
+                    );
+
+                    let (mut none, mut some) = (vec![7], vec![7]);
+                    block.i64_sel_into(None, &mut none).unwrap();
+                    block.i64_sel_into(Some(&all), &mut some).unwrap();
+                    assert_eq!(none, some, "{case}");
+                    assert_eq!(none[1..], want[..], "{case}");
+
+                    for first in [true, false] {
+                        let earlier: Vec<u64> = (0..len).map(|_| rng.next_u64()).collect();
+                        let (mut none, mut some) = (earlier.clone(), earlier);
+                        block.hash_sel_into(None, &mut none, first);
+                        block.hash_sel_into(Some(&all), &mut some, first);
+                        assert_eq!(none, some, "{case} first={first}");
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A frame-of-reference spill frame of 65 or 2047 rows (a whole 64-row
+/// group plus a tail) restores row for row, with and without NULLs.
+#[test]
+fn for_spill_frames_roundtrip() {
+    let mut rng = TestRng::from_name("for-spill-frames");
+    let schema = Schema::new(vec![Field::new("x", DataType::Int64)]);
+    for len in [65usize, 2047] {
+        let vals: Vec<i64> = (0..len).map(|_| rng.below(1 << 20) as i64 - 7).collect();
+        let nulls: Vec<bool> = (0..len).map(|_| rng.below(4) > 0).collect();
+        for validity in [None, Some(nulls)] {
+            let mut col = Vector::from_i64(vals.clone());
+            col.validity = validity;
+            assert!(
+                matches!(
+                    encode_i64(&vals, col.validity.as_deref()),
+                    EncodedBlock::ForI64 { .. }
+                ),
+                "the frame must take the FOR codec"
+            );
+            let dir =
+                std::env::temp_dir().join(format!("rpt_for_spill_{}_{len}", std::process::id()));
+            let mut buf = SpillBuffer::new(schema.clone(), 0, &dir);
+            buf.push(DataChunk::new(vec![col.clone()])).unwrap();
+            assert_eq!(buf.stats().chunks_spilled, 1, "len {len}");
+            let restored = buf.into_chunks().unwrap();
+            assert_eq!(restored.len(), 1);
+            for i in 0..len {
+                assert_eq!(
+                    restored[0].columns[0].get(i),
+                    col.get(i),
+                    "len {len} row {i}"
+                );
+            }
+            std::fs::remove_dir_all(&dir).ok();
+        }
+    }
 }
