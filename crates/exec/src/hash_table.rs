@@ -1,11 +1,18 @@
 //! The join hash table: build side of hash joins and exact semi-joins.
 //!
 //! A table is flat and chained, in the style of DuckDB's join hash table:
-//! the build rows sit concatenated in one columnar row store, a
-//! power-of-two directory maps the low bits of a key hash to the first
-//! build row of its chain, and a per-row link leads to the next. Nothing is
-//! allocated per key, so building is three array fills and dropping a table
-//! is four frees.
+//! the build rows sit concatenated in one columnar row store, a directory
+//! maps a key to the first build row of its chain, and a per-row link leads
+//! to the next. Nothing is allocated per key, so building is three array
+//! fills and dropping a table is four frees.
+//!
+//! The directory comes in two kinds, picked per table by a fixed size rule
+//! ([`DirectRange::fit`]). A *hashed* directory is a power of two long and
+//! indexed by the low bits of the key hash. A *direct* one, for a single
+//! plain `Int64` key whose non-NULL build values span a small range
+//! `[min, max]`, is indexed by `key - min`, as DuckDB's perfect hash join
+//! is: a probe hashes nothing and compares nothing, because every chain
+//! holds one key value.
 //!
 //! There is one table per join whatever the sink's partition count. A
 //! partitioned build prepares each partition's rows in parallel — one
@@ -25,17 +32,22 @@ pub struct JoinHashTable {
     /// Flattened build-side rows (all columns).
     pub data: DataChunk,
     pub key_cols: Vec<usize>,
-    /// Directory, a power of two long: `heads[hash & (len - 1)]` is the
-    /// first build row of that slot's chain plus one, 0 when the slot is
-    /// empty. The index comes from the low hash bits; the
-    /// [`rpt_common::Partitioner`]'s bits 48..56 only routed the build.
+    /// Directory: `heads[slot]` is the first build row of that slot's
+    /// chain plus one, 0 when the slot is empty. Hashed, it is a power of
+    /// two long and a key's slot is `hash & (len - 1)` — the low hash bits;
+    /// the [`rpt_common::Partitioner`]'s bits 48..56 only routed the build.
+    /// Direct, the slot is [`DirectRange::slot`].
     heads: Vec<u32>,
+    /// The key range of a direct directory; `None` for a hashed one.
+    direct: Option<DirectRange>,
     /// `next[row]` is the following row of `row`'s chain plus one, 0 at the
     /// end. Chains run in ascending build-row order.
     next: Vec<u32>,
     /// Key hash of every build row: a chain holds every key whose hash
     /// lands in the slot, and comparing hashes first rejects the others
-    /// without touching the key columns (string and composite keys).
+    /// without touching the key columns (string and composite keys). Empty
+    /// for a single plain `Int64` key, which compares the keys themselves
+    /// (or, direct, nothing at all) and frees the hashes once linked.
     hashes: Vec<u64>,
     /// The build sink's unevictable governor registration, held for as
     /// long as the table lives so it keeps exerting memory pressure through
@@ -109,6 +121,86 @@ fn key_validity<'a>(keys: &[&'a Vector]) -> Vec<&'a [bool]> {
     keys.iter().filter_map(|k| k.validity.as_deref()).collect()
 }
 
+/// Slots a direct directory may have beyond the hashed directory's
+/// four-fold: a small table's keys may spread this far and still be
+/// indexed directly.
+const DIRECT_MIN_SLOTS: usize = 1 << 16;
+
+/// The key range of a direct directory: `heads` holds one slot per value
+/// of `[min, max]` and then one more, `last`, that stays empty.
+///
+/// Offsets are taken with wrapping arithmetic, as in
+/// [`rpt_bloom::KeyBitmap`]: `key - min` read as `u64` is the true offset
+/// of every key of the range, past `last` for a key above `max`, and at
+/// least `2^63` for a key below `min`. Clamped to `last`, every key
+/// outside the range lands on the empty slot, without a branch.
+#[derive(Clone, Copy)]
+struct DirectRange {
+    /// `min` as `u64`, so an offset is one wrapping subtraction.
+    min: u64,
+    /// `max - min + 1`: the index of the always-empty slot.
+    last: u64,
+}
+
+impl DirectRange {
+    /// The range of the non-NULL `keys`, when it fits the size rule: at
+    /// most `max(4 × hashed_len, 65 536)` slots, `hashed_len` being the
+    /// length of the hashed directory the table would have otherwise.
+    /// `None` for a hashed table, also when no key is non-NULL.
+    fn fit(keys: &[i64], valid: Option<&[bool]>, hashed_len: usize) -> Option<DirectRange> {
+        let (min, max) = match valid {
+            None => (*keys.iter().min()?, *keys.iter().max()?),
+            Some(valid) => {
+                let mut present = keys.iter().zip(valid).filter(|(_, &v)| v).map(|(&k, _)| k);
+                let first = present.next()?;
+                present.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)))
+            }
+        };
+        // `max - min` as `u64` is exact, even for `[i64::MIN, i64::MAX]`;
+        // one is added only to a span under the limit, so never overflows.
+        let span = (max as u64).wrapping_sub(min as u64);
+        let limit = hashed_len.saturating_mul(4).max(DIRECT_MIN_SLOTS) as u64;
+        (span < limit).then(|| DirectRange {
+            min: min as u64,
+            last: span + 1,
+        })
+    }
+
+    /// Directory length: the range's slots and the empty one.
+    fn len(self) -> usize {
+        self.last as usize + 1
+    }
+
+    /// The directory slot of `key` (see the type's docs).
+    #[inline(always)]
+    fn slot(self, key: i64) -> usize {
+        (key as u64).wrapping_sub(self.min).min(self.last) as usize
+    }
+}
+
+/// Chain the build rows under a directory of `len` slots, row `row` in
+/// slot `slot(row)`, skipping rows with a NULL key: the directory and the
+/// links. Linking in reverse leaves every chain in ascending row order, so
+/// a probe row meets its matches in the order they were built.
+fn link(
+    n: usize,
+    nulls: &[&[bool]],
+    len: usize,
+    slot: impl Fn(usize) -> usize,
+) -> (Vec<u32>, Vec<u32>) {
+    let mut heads = vec![0u32; len];
+    let mut next = vec![0u32; n];
+    for row in (0..n).rev() {
+        if nulls.iter().any(|valid| !valid[row]) {
+            continue;
+        }
+        let head = &mut heads[slot(row)];
+        next[row] = *head;
+        *head = row as u32 + 1;
+    }
+    (heads, next)
+}
+
 /// Equality of one key column between a probe chunk and the build side,
 /// resolved to typed slices once per probe chunk so the candidate loop does
 /// no type or encoding dispatch on the vectors. NULLs are ruled out before
@@ -169,12 +261,13 @@ impl JoinHashTable {
 
     /// Lay `parts` end to end into one table: row stores appended in part
     /// order into columns reserved once, hashes concatenated, one directory
-    /// sized for the total. The first part with rows is moved in, not
-    /// copied, and brings its encodings (dictionaries) with it; a build
-    /// without rows keeps the first part's columns. All rows of a key sit
-    /// in one part and parts stay contiguous and in order, so linking the
-    /// whole store in reverse leaves every chain in ascending build-row
-    /// order exactly as a build over the concatenated input.
+    /// sized for the total — direct when the keys fit
+    /// [`DirectRange::fit`], hashed otherwise. The first part with rows is
+    /// moved in, not copied, and brings its encodings (dictionaries) with
+    /// it; a build without rows keeps the first part's columns. All rows of
+    /// a key sit in one part and parts stay contiguous and in order, so
+    /// linking the whole store in reverse leaves every chain in ascending
+    /// build-row order exactly as a build over the concatenated input.
     pub fn assemble(parts: Vec<BuildPart>, key_cols: Vec<usize>) -> Result<JoinHashTable> {
         let n = total_rows(parts.iter().map(BuildPart::num_rows))?;
         let lead = parts.iter().position(|p| p.num_rows() > 0).unwrap_or(0);
@@ -191,25 +284,37 @@ impl JoinHashTable {
             data.append(&part.data)?;
             hashes.extend_from_slice(&part.hashes);
         }
-        let nulls = key_validity(&key_columns(&data, &key_cols));
+        let keys = key_columns(&data, &key_cols);
+        let nulls = key_validity(&keys);
         // At most half full, and never empty so a probe needs no size check.
-        let mut heads = vec![0u32; (n * 2).next_power_of_two()];
-        let mask = heads.len() - 1;
-        let mut next = vec![0u32; n];
-        // Linking in reverse leaves every chain in ascending row order, so
-        // a probe row meets its matches in the order they were built.
-        for row in (0..n).rev() {
-            if nulls.iter().any(|valid| !valid[row]) {
-                continue;
-            }
-            let head = &mut heads[hashes[row] as usize & mask];
-            next[row] = *head;
-            *head = row as u32 + 1;
+        let hashed_len = (n * 2).next_power_of_two();
+        // A single plain `Int64` key: the only kind a probe compares by
+        // value instead of by stored hash, and the only kind that may be
+        // indexed directly. Dictionary codes stay hashed, because a probe
+        // under another dictionary hashes strings.
+        let int_keys = match keys.as_slice() {
+            [Vector {
+                data: ColumnData::Int64(k),
+                dict: None,
+                ..
+            }] => Some(k.as_slice()),
+            _ => None,
+        };
+        let direct = int_keys.and_then(|k| DirectRange::fit(k, nulls.first().copied(), hashed_len));
+        let (heads, next) = match (int_keys, direct) {
+            (Some(k), Some(range)) => link(n, &nulls, range.len(), |row| range.slot(k[row])),
+            _ => link(n, &nulls, hashed_len, |row| {
+                hashes[row] as usize & (hashed_len - 1)
+            }),
+        };
+        if int_keys.is_some() {
+            hashes = Vec::new();
         }
         Ok(JoinHashTable {
             data,
             key_cols,
             heads,
+            direct,
             next,
             hashes,
             _governed: None,
@@ -230,7 +335,13 @@ impl JoinHashTable {
         self.data.num_rows()
     }
 
-    /// Heap footprint: the row store plus the directory, chains and hashes.
+    /// Is the directory indexed by key offset rather than by key hash?
+    pub fn is_direct(&self) -> bool {
+        self.direct.is_some()
+    }
+
+    /// Heap footprint: the row store plus the directory, chains and hashes
+    /// (none for a single plain `Int64` key).
     pub fn size_bytes(&self) -> usize {
         chunk_size_bytes(&self.data)
             + (self.heads.len() + self.next.len()) * std::mem::size_of::<u32>()
@@ -249,7 +360,8 @@ impl JoinHashTable {
         probe_keys: &[usize],
         on_match: impl FnMut(u32, u32) -> bool,
     ) {
-        if chunk.num_rows() == 0 || self.num_rows() == 0 {
+        let n = chunk.num_rows();
+        if n == 0 || self.num_rows() == 0 {
             return;
         }
         let keys: Vec<&Vector> = probe_keys.iter().map(|&k| &chunk.columns[k]).collect();
@@ -258,27 +370,53 @@ impl JoinHashTable {
             .zip(key_columns(&self.data, &self.key_cols))
             .map(|(p, b)| KeyEq::resolve(p, b))
             .collect();
+        // A key column of another type matches nothing. Past this, a table
+        // keyed on one plain `Int64` column — the tables whose stored
+        // hashes are freed — resolves to `KeyEq::Int64`.
+        if key_eq.iter().any(|k| matches!(k, KeyEq::Never)) {
+            return;
+        }
+        let sel = chunk.selection.as_deref();
+        let nulls = key_validity(&keys);
+        if let ([KeyEq::Int64(probe, _)], Some(range)) = (key_eq.as_slice(), self.direct) {
+            // The key is its slot, and every chain holds that one key
+            // value: nothing to hash, nothing to compare.
+            let all = |_, _, _| true;
+            return match sel {
+                None => {
+                    self.walk_chains(n, sel, &nulls, |row| range.slot(probe[row]), all, on_match)
+                }
+                Some(s) => {
+                    let slot = |row: usize| range.slot(probe[s[row] as usize]);
+                    self.walk_chains(n, sel, &nulls, slot, all, on_match)
+                }
+            };
+        }
+        let hashes = hash_columns_sel(&keys, sel, n);
+        let mask = self.heads.len() - 1;
+        let slot = |row: usize| hashes[row] as usize & mask;
         // The common key — one `Int64` column, or one column of codes into
         // a shared dictionary — compares with no dispatch at all, and as
         // cheaply as the hashes would. Every other key rejects on the build
         // row's stored hash before it touches the key columns.
         match key_eq.as_slice() {
             [KeyEq::Int64(probe, build)] => {
-                self.walk_chains(chunk, &keys, |p, b, _| probe[p] == build[b], on_match)
+                let keys_eq = |_, p: usize, b: usize| probe[p] == build[b];
+                self.walk_chains(n, sel, &nulls, slot, keys_eq, on_match)
             }
-            _ => self.walk_chains(
-                chunk,
-                &keys,
-                |p, b, hash| self.hashes[b] == hash && key_eq.iter().all(|k| k.eq(p, b)),
-                on_match,
-            ),
+            _ => {
+                let keys_eq = |row: usize, p: usize, b: usize| {
+                    self.hashes[b] == hashes[row] && key_eq.iter().all(|k| k.eq(p, b))
+                };
+                self.walk_chains(n, sel, &nulls, slot, keys_eq, on_match)
+            }
         }
     }
 
     /// The one candidate loop of [`Self::probe_each`], compiled once per
-    /// key comparison `keys_eq(physical probe row, build row, probe hash)`.
-    /// Hashes the key columns through the chunk's selection — no gathered
-    /// copy.
+    /// directory slot `slot(logical row)` and key comparison
+    /// `keys_eq(logical row, physical row, build row)` over the `n` logical
+    /// rows of a chunk with selection `sel` and key validity `nulls`.
     ///
     /// Two passes. The first reads every row's chain head and, without a
     /// branch, keeps the rows whose directory slot is occupied together
@@ -288,21 +426,19 @@ impl JoinHashTable {
     #[inline]
     fn walk_chains(
         &self,
-        chunk: &DataChunk,
-        keys: &[&Vector],
-        keys_eq: impl Fn(usize, usize, u64) -> bool,
+        n: usize,
+        sel: Option<&[u32]>,
+        nulls: &[&[bool]],
+        slot: impl Fn(usize) -> usize,
+        keys_eq: impl Fn(usize, usize, usize) -> bool,
         mut on_match: impl FnMut(u32, u32) -> bool,
     ) {
-        let sel = chunk.selection.as_deref();
-        let hashes = hash_columns_sel(keys, sel, chunk.num_rows());
-        let nulls = key_validity(keys);
-        let mask = self.heads.len() - 1;
         // Every row is written at `live`, which advances only past rows
         // with a chain, so the kept `(row, head)` pairs end up in front.
-        let mut candidates = vec![(0u32, 0u32); hashes.len()];
+        let mut candidates = vec![(0u32, 0u32); n];
         let mut live = 0;
-        for (row, &hash) in hashes.iter().enumerate() {
-            let head = self.heads[hash as usize & mask];
+        for row in 0..n {
+            let head = self.heads[slot(row)];
             candidates[live] = (row as u32, head);
             live += usize::from(head != 0);
         }
@@ -312,13 +448,12 @@ impl JoinHashTable {
             if nulls.iter().any(|valid| !valid[probe_row]) {
                 continue;
             }
-            let hash = hashes[row];
             let mut link = head;
             while link != 0 {
                 let build_row = (link - 1) as usize;
                 // `on_match` last: it runs only for a match, and ends the
                 // walk by returning false.
-                if keys_eq(probe_row, build_row, hash) && !on_match(row as u32, link - 1) {
+                if keys_eq(row, probe_row, build_row) && !on_match(row as u32, link - 1) {
                     break;
                 }
                 link = self.next[build_row];
@@ -439,17 +574,22 @@ mod tests {
 
     /// A NULL probe key hashes to the sentinel `u64::MAX`, whose slot is the
     /// directory's last. When a build key shares that slot and equals the
-    /// NULL row's payload, only the validity check keeps them apart.
+    /// NULL row's payload, only the validity check keeps them apart. The
+    /// second build key lies far enough away to keep the table hashed.
     #[test]
     fn null_probe_row_skipped_in_the_sentinel_slot() {
         use rpt_common::hash::hash_i64;
-        let key = (0..).find(|&k| hash_i64(k) & 1 == 1).unwrap();
+        let key = (0..).find(|&k| hash_i64(k) & 3 == 3).unwrap();
         let ht = JoinHashTable::build(
-            &[DataChunk::new(vec![Vector::from_i64(vec![key])])],
+            &[DataChunk::new(vec![Vector::from_i64(vec![
+                key,
+                key + (1 << 40),
+            ])])],
             vec![0],
         )
         .unwrap();
-        assert_eq!(ht.heads.len(), 2);
+        assert!(!ht.is_direct());
+        assert_eq!(ht.heads.len(), 4);
         let mut probe_key = Vector::from_i64(vec![key, key]);
         probe_key.validity = Some(vec![false, true]);
         let probe = DataChunk::new(vec![probe_key]);
@@ -457,6 +597,160 @@ mod tests {
         ht.probe(&probe, &[0], &mut p, &mut b);
         assert_eq!((p, b), (vec![1], vec![0]));
         assert_eq!(ht.semi_probe(&probe, &[0]), vec![1]);
+    }
+
+    /// `(logical probe row, build row)` pairs of a probe of `ht` by `keys`
+    /// (`None` = NULL), checked against the semi-probe.
+    fn probe_pairs(ht: &JoinHashTable, keys: &[Option<i64>]) -> Vec<(u32, u32)> {
+        let mut col = Vector::new_empty(DataType::Int64);
+        for k in keys {
+            col.push(&k.map_or(ScalarValue::Null, ScalarValue::Int64))
+                .unwrap();
+        }
+        let probe = DataChunk::new(vec![col]);
+        let (mut p, mut b) = (vec![], vec![]);
+        ht.probe(&probe, &[0], &mut p, &mut b);
+        let mut semi = p.clone();
+        semi.dedup();
+        assert_eq!(ht.semi_probe(&probe, &[0]), semi);
+        p.into_iter().zip(b).collect()
+    }
+
+    fn int_table(keys: Vec<i64>) -> JoinHashTable {
+        JoinHashTable::build(&[DataChunk::new(vec![Vector::from_i64(keys)])], vec![0]).unwrap()
+    }
+
+    /// The size rule: up to `max(4 × hashed_len, 65 536)` slots of key
+    /// range are indexed directly, one more are hashed. A direct table
+    /// frees its build hashes and counts none of them in its footprint;
+    /// its directory is the range plus the empty slot.
+    #[test]
+    fn direct_directory_size_rule() {
+        for (keys, direct) in [
+            (vec![0, 65_535], true),
+            (vec![0, 65_536], false),
+            (vec![-9, -8, -7], true),
+            ((0..20_000).map(|k| k * 13).collect(), true),
+            ((0..20_000).map(|k| k * 14).collect(), false),
+        ] {
+            let n = keys.len();
+            let (lo, hi) = (keys[0], keys[n - 1]);
+            let ht = int_table(keys);
+            assert_eq!(ht.is_direct(), direct, "[{lo}, {hi}]");
+            let heads = if direct {
+                (hi - lo) as usize + 2
+            } else {
+                (2 * n).next_power_of_two()
+            };
+            assert_eq!(ht.heads.len(), heads);
+            assert!(ht.hashes.is_empty());
+            assert_eq!(
+                ht.size_bytes(),
+                chunk_size_bytes(&ht.data) + (heads + n) * std::mem::size_of::<u32>()
+            );
+            assert_eq!(
+                probe_pairs(&ht, &[Some(hi), Some(lo)]),
+                [(0, n as u32 - 1), (1, 0)]
+            );
+        }
+    }
+
+    /// `{i64::MIN, i64::MAX}` spans the whole domain: its `max - min` is
+    /// `u64::MAX`, one short of overflowing, and the table is hashed.
+    #[test]
+    fn full_domain_build_is_hashed() {
+        let ht = int_table(vec![i64::MAX, i64::MIN]);
+        assert!(!ht.is_direct());
+        assert_eq!(ht.heads.len(), 4);
+        let probe = [Some(i64::MIN), Some(0), Some(i64::MAX), Some(-1), None];
+        assert_eq!(probe_pairs(&ht, &probe), [(0, 1), (2, 0)]);
+    }
+
+    /// Keys one below `min` and one above `max` land on the empty slot,
+    /// also where the offset wraps: at both ends of the `i64` domain and
+    /// for probe keys at the other end.
+    #[test]
+    fn direct_probe_outside_the_range_misses() {
+        for (lo, hi) in [(10, 20), (i64::MIN, i64::MIN + 5), (i64::MAX - 5, i64::MAX)] {
+            let ht = int_table(vec![hi, lo, lo]);
+            assert!(ht.is_direct());
+            let probe = [
+                lo.checked_sub(1),
+                Some(lo),
+                hi.checked_add(1),
+                Some(hi),
+                Some(i64::MIN),
+                Some(i64::MAX),
+                Some(lo.wrapping_add(1)),
+            ];
+            let mut want = vec![(1, 1), (1, 2), (3, 0)];
+            if lo == i64::MIN {
+                want.push((4, 1));
+                want.push((4, 2));
+            }
+            if hi == i64::MAX {
+                want.push((5, 0));
+            }
+            want.sort_unstable();
+            assert_eq!(probe_pairs(&ht, &probe), want, "[{lo}, {hi}]");
+        }
+    }
+
+    /// A NULL probe row whose payload lies in the range reads an occupied
+    /// slot; only the validity check keeps it from matching. A NULL build
+    /// row is never linked and never widens the range.
+    #[test]
+    fn direct_null_rows_never_match() {
+        let mut build = Vector::from_i64(vec![5, i64::MAX, 6]);
+        build.validity = Some(vec![true, false, true]);
+        let ht = JoinHashTable::build(&[DataChunk::new(vec![build])], vec![0]).unwrap();
+        assert!(ht.is_direct());
+        assert_eq!(ht.heads.len(), 3);
+        let mut probe = Vector::from_i64(vec![5, 6, 6, i64::MAX]);
+        probe.validity = Some(vec![false, true, false, true]);
+        let mut sel_probe = DataChunk::new(vec![probe]);
+        let (mut p, mut b) = (vec![], vec![]);
+        ht.probe(&sel_probe, &[0], &mut p, &mut b);
+        assert_eq!((p, b), (vec![1], vec![2]));
+        sel_probe.set_selection(vec![0, 2, 1]);
+        let (mut p, mut b) = (vec![], vec![]);
+        ht.probe(&sel_probe, &[0], &mut p, &mut b);
+        assert_eq!((p, b), (vec![2], vec![2]));
+        assert_eq!(ht.semi_probe(&sel_probe, &[0]), vec![2]);
+    }
+
+    /// All-NULL and empty builds have no key range: hashed, matching
+    /// nothing.
+    #[test]
+    fn all_null_and_empty_builds_are_hashed() {
+        let mut nulls = Vector::from_i64(vec![3, 3]);
+        nulls.validity = Some(vec![false, false]);
+        let empty = DataChunk::new(vec![Vector::from_i64(vec![])]);
+        for chunks in [vec![DataChunk::new(vec![nulls])], vec![empty], vec![]] {
+            let ht = JoinHashTable::build(&chunks, vec![0]).unwrap();
+            assert!(!ht.is_direct());
+            assert!(probe_pairs(&ht, &[Some(3), None, Some(0)]).is_empty());
+        }
+    }
+
+    /// A direct probe reads the slots straight from a plain `Int64` probe
+    /// column; a probe key of another type or encoding matches nothing.
+    #[test]
+    fn direct_probe_by_another_type_matches_nothing() {
+        let ht = int_table(vec![0, 1, 2]);
+        assert!(ht.is_direct());
+        let dict = rpt_common::Utf8Dict::from_values(["a", "b", "c"].map(String::from));
+        for key in [
+            Vector::from_f64(vec![0.0, 1.0]),
+            Vector::from_utf8(vec!["0".into(), "1".into()]),
+            Vector::from_dict_codes(vec![0, 1], None, dict),
+        ] {
+            let probe = DataChunk::new(vec![key]);
+            let (mut p, mut b) = (vec![], vec![]);
+            ht.probe(&probe, &[0], &mut p, &mut b);
+            assert!(p.is_empty() && b.is_empty());
+            assert!(ht.semi_probe(&probe, &[0]).is_empty());
+        }
     }
 
     #[test]
@@ -546,46 +840,59 @@ mod tests {
     /// A table assembled from eight radix partitions of the build side —
     /// each part the partition's rows in arrival order — matches the same
     /// keys as the table built over the unpartitioned input, every probe
-    /// row meeting its matches in the same (build) order.
+    /// row meeting its matches in the same (build) order: with dense keys
+    /// (both tables direct) and with keys spread over the `i64` domain
+    /// (both hashed).
     #[test]
     fn partitioned_probe_matches_unpartitioned() {
         use rpt_common::hash::hash_columns;
         use rpt_common::Partitioner;
 
-        let keys: Vec<i64> = (0..500).map(|i| i % 37).collect();
-        let vals: Vec<i64> = (0..500).collect();
-        let build = DataChunk::new(vec![Vector::from_i64(keys), Vector::from_i64(vals)]);
-        let flat = JoinHashTable::build(std::slice::from_ref(&build), vec![0]).unwrap();
-
-        let partitioner = Partitioner::new(8);
-        let hashes = hash_columns(&[&build.columns[0]], build.num_rows());
-        let mut rows: Vec<Vec<u32>> = vec![Vec::new(); 8];
-        for (row, &h) in hashes.iter().enumerate() {
-            rows[partitioner.of_hash(h)].push(row as u32);
-        }
-        let parts = rows
-            .iter()
-            .map(|r| BuildPart::new(&[build.take_rows(r)], &[0]).unwrap())
-            .collect();
-        let assembled = JoinHashTable::assemble(parts, vec![0]).unwrap();
-        assert_eq!(assembled.num_rows(), flat.num_rows());
-
-        let probe = DataChunk::new(vec![Vector::from_i64((0..60).collect())]);
-        let pairs = |t: &JoinHashTable| -> Vec<(u32, i64)> {
-            let (mut p, mut b) = (vec![], vec![]);
-            t.probe(&probe, &[0], &mut p, &mut b);
-            let vals = t.data.columns[1].take(&b);
-            p.into_iter()
-                .zip(vals.i64_slice().iter().copied())
-                .collect()
+        let spread = |k: i64| match k {
+            0 => i64::MIN,
+            1 => i64::MAX,
+            k => k.wrapping_mul(0x9E37_79B9_7F4A_7C15u64 as i64),
         };
-        // The payload is the row number in the unpartitioned input, so equal
-        // pair lists mean equal matches in equal order.
-        assert_eq!(pairs(&flat), pairs(&assembled));
-        assert_eq!(
-            flat.semi_probe(&probe, &[0]),
-            assembled.semi_probe(&probe, &[0])
-        );
+        for (key_of, direct) in [(&(|k| k) as &dyn Fn(i64) -> i64, true), (&spread, false)] {
+            let keys: Vec<i64> = (0..500).map(|i| key_of(i % 37)).collect();
+            let vals: Vec<i64> = (0..500).collect();
+            let build = DataChunk::new(vec![Vector::from_i64(keys), Vector::from_i64(vals)]);
+            let flat = JoinHashTable::build(std::slice::from_ref(&build), vec![0]).unwrap();
+
+            let partitioner = Partitioner::new(8);
+            let hashes = hash_columns(&[&build.columns[0]], build.num_rows());
+            let mut rows: Vec<Vec<u32>> = vec![Vec::new(); 8];
+            for (row, &h) in hashes.iter().enumerate() {
+                rows[partitioner.of_hash(h)].push(row as u32);
+            }
+            let parts = rows
+                .iter()
+                .map(|r| BuildPart::new(&[build.take_rows(r)], &[0]).unwrap())
+                .collect();
+            let assembled = JoinHashTable::assemble(parts, vec![0]).unwrap();
+            assert_eq!(assembled.num_rows(), flat.num_rows());
+            assert_eq!((flat.is_direct(), assembled.is_direct()), (direct, direct));
+
+            let probe_keys = (-1..60).map(key_of).collect();
+            let probe = DataChunk::new(vec![Vector::from_i64(probe_keys)]);
+            let pairs = |t: &JoinHashTable| -> Vec<(u32, i64)> {
+                let (mut p, mut b) = (vec![], vec![]);
+                t.probe(&probe, &[0], &mut p, &mut b);
+                let vals = t.data.columns[1].take(&b);
+                p.into_iter()
+                    .zip(vals.i64_slice().iter().copied())
+                    .collect()
+            };
+            // The payload is the row number in the unpartitioned input, so
+            // equal pair lists mean equal matches in equal order.
+            let want = pairs(&flat);
+            assert_eq!(want.len(), 500, "every build row matches once");
+            assert_eq!(want, pairs(&assembled));
+            assert_eq!(
+                flat.semi_probe(&probe, &[0]),
+                assembled.semi_probe(&probe, &[0])
+            );
+        }
     }
 
     #[test]

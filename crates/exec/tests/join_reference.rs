@@ -6,7 +6,10 @@
 //! selection vector, builds from several chunks, and small tables probed by
 //! large inputs that mostly miss; and the table an 8-partition
 //! [`HashBuildFactory`] sink and merge assemble from the same chunks must
-//! answer exactly like the single table.
+//! answer exactly like the single table. `Int64` keys come dense, which
+//! builds a direct directory, and spread over the whole `i64` domain,
+//! `i64::MIN` and `i64::MAX` included, which builds a hashed one; every
+//! table is checked to be of the kind its keys call for.
 
 use proptest::prelude::*;
 use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector, VECTOR_SIZE};
@@ -22,14 +25,27 @@ fn keys(raw: &[i64]) -> Vec<Key> {
     raw.iter().map(|&v| (v >= 0).then_some(v)).collect()
 }
 
-/// How a key column is laid out in a [`Vector`]. The string layouts spell
-/// key `v` as `"k{v}"`; the two dictionaries hold the same keys under
-/// different codes.
+/// How a key column is laid out in a [`Vector`]. `Int64` stores key `v`
+/// as `v`; `Spread` as [`spread`]`(v)`. The string layouts spell key `v` as
+/// `"k{v}"`; the two dictionaries hold the same keys under different
+/// codes.
 #[derive(Clone, Copy, Debug)]
 enum Enc {
     Int64,
+    Spread,
     Flat,
     Dict(usize),
+}
+
+/// Key `v` spread over the `i64` domain, one-to-one on the keys the tests
+/// draw: 0 and 1 go to `i64::MIN` and `i64::MAX`, and any two keys lie
+/// more than 2^31 apart, so a table over two distinct keys is hashed.
+fn spread(v: i64) -> i64 {
+    match v {
+        0 => i64::MIN,
+        1 => i64::MAX,
+        v => v * 0x9E37_79B9,
+    }
 }
 
 const STRING_ENCS: [Enc; 3] = [Enc::Flat, Enc::Dict(0), Enc::Dict(1)];
@@ -44,10 +60,14 @@ fn dicts() -> [Arc<Utf8Dict>; 2] {
 
 fn vector(col: &[Key], enc: Enc, dicts: &[Arc<Utf8Dict>; 2]) -> Vector {
     match enc {
-        Enc::Int64 => {
+        Enc::Int64 | Enc::Spread => {
+            let value = |k: i64| match enc {
+                Enc::Spread => spread(k),
+                _ => k,
+            };
             let mut v = Vector::new_empty(DataType::Int64);
             for k in col {
-                v.push(&k.map_or(ScalarValue::Null, ScalarValue::Int64))
+                v.push(&k.map_or(ScalarValue::Null, |k| ScalarValue::Int64(value(k))))
                     .unwrap();
             }
             v
@@ -85,6 +105,20 @@ impl Side {
 
     fn row(&self, i: usize) -> Vec<Key> {
         self.cols.iter().map(|c| c[i]).collect()
+    }
+
+    /// Should a table built over this side index its directory directly?
+    /// Only a single `Int64` key can: dense keys whenever one is non-NULL,
+    /// spread keys when all the non-NULL ones are equal.
+    fn direct(&self) -> bool {
+        let mut present: Vec<i64> = self.cols[0].iter().flatten().copied().collect();
+        present.sort_unstable();
+        present.dedup();
+        match self.encs.as_slice() {
+            [Enc::Int64] => !present.is_empty(),
+            [Enc::Spread] => present.len() == 1,
+            _ => false,
+        }
     }
 
     /// Key columns followed by a payload column holding the row number.
@@ -153,6 +187,7 @@ fn check(
 
     let table = JoinHashTable::build(&build_chunks, key_cols.clone()).unwrap();
     prop_assert_eq!(table.num_rows(), build.rows());
+    prop_assert_eq!(table.is_direct(), build.direct(), "directory kind");
     let (mut p_out, mut b_out) = (vec![], vec![]);
     table.probe(&probe_chunk, &key_cols, &mut p_out, &mut b_out);
     let got: Vec<(u32, u32)> = p_out.iter().copied().zip(b_out.iter().copied()).collect();
@@ -185,6 +220,11 @@ fn check(
         .unwrap();
     let assembled = res.hash_table(0).unwrap();
     prop_assert_eq!(assembled.num_rows(), build.rows());
+    prop_assert_eq!(
+        assembled.is_direct(),
+        build.direct(),
+        "assembled directory kind"
+    );
     prop_assert_eq!(assembled.data.num_columns(), payload + 1);
     let (mut pp_out, mut rows) = (vec![], vec![]);
     assembled.probe(&probe_chunk, &key_cols, &mut pp_out, &mut rows);
@@ -210,18 +250,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(200))]
 
     /// One `Int64` key, NULLs on both sides, few distinct values over up
-    /// to 300 build rows: every chain is long.
+    /// to 300 build rows: every chain is long. Dense keys build a direct
+    /// directory, spread ones a hashed one; probe keys fall below, inside
+    /// and above the build's range.
     #[test]
     fn int64_key_with_nulls_and_long_chains(
         build in proptest::collection::vec(-1i64..4, 0..300),
         probe in proptest::collection::vec(-1i64..6, 0..40),
+        spread in proptest::bool::ANY,
         pieces in 1usize..5,
         use_sel in proptest::bool::ANY,
         mask in 0u64..u64::MAX,
     ) {
         let sel = selection(use_sel, mask, probe.len());
-        let build = Side { cols: vec![keys(&build)], encs: vec![Enc::Int64] };
-        let probe = Side { cols: vec![keys(&probe)], encs: vec![Enc::Int64] };
+        let enc = if spread { Enc::Spread } else { Enc::Int64 };
+        let build = Side { cols: vec![keys(&build)], encs: vec![enc] };
+        let probe = Side { cols: vec![keys(&probe)], encs: vec![enc] };
         check(&build, &probe, pieces, sel)?;
     }
 
@@ -271,17 +315,17 @@ proptest! {
     /// A small table probed by a large input whose keys mostly miss — what
     /// a build side chosen by estimate gives: 1–64 build rows against more
     /// than one vector of probe rows, probed chunk by chunk, with NULLs on
-    /// both sides, as `Int64` or flat string keys.
+    /// both sides, as dense or spread `Int64` keys or flat string keys.
     #[test]
     fn small_build_large_mostly_missing_probe(
         build in proptest::collection::vec(-8i64..256, 1..=64),
         probe in proptest::collection::vec(-100i64..4096, VECTOR_SIZE + 1..3 * VECTOR_SIZE),
-        flat_strings in proptest::bool::ANY,
+        enc in 0usize..3,
         pieces in 1usize..3,
         use_sel in proptest::bool::ANY,
         mask in 0u64..u64::MAX,
     ) {
-        let enc = if flat_strings { Enc::Flat } else { Enc::Int64 };
+        let enc = [Enc::Int64, Enc::Spread, Enc::Flat][enc];
         let build = Side { cols: vec![keys(&build)], encs: vec![enc] };
         for (c, rows) in probe.chunks(VECTOR_SIZE).enumerate() {
             let sel = selection(use_sel, mask.rotate_left(c as u32), rows.len());
