@@ -1,90 +1,58 @@
 //! The exact transfer filter for dense `Int64` keys.
 //!
-//! A [`KeyBitmap`] over `[min, max]` holds one bit per value of the range:
-//! insert sets bit `key − min`, probe tests it. No hash is computed and
-//! nothing collides, so a transfer edge that carries one is an exact
+//! A [`KeyBitmap`] over a [`DenseRange`] holds one bit per value of the
+//! range: insert sets bit `key − min`, probe tests it. No hash is computed
+//! and nothing collides, so a transfer edge that carries one is an exact
 //! semi-join. It is the min/max trick behind DuckDB's perfect hash join,
-//! applied to the transfer phase; the planner picks it by size
-//! ([`crate::FilterShape::choose`]).
+//! applied to the transfer phase; the planner picks it by the range's size
+//! rule ([`crate::FilterShape::choose`]).
 //!
-//! Offsets are taken with wrapping arithmetic: `key.wrapping_sub(min)` read
-//! as `u64` is the true offset for every `key ≥ min` and at least `2^63`
-//! for every `key < min`, so one unsigned comparison against the range
-//! length decides membership of the range even at `i64::MIN` / `i64::MAX`.
-//! Inserts reject keys outside the range, so the padding bits of the last
-//! word stay clear and a probe needs only the word lookup.
+//! The range's wrapping offset is `≥ len` for every key outside it, so one
+//! comparison decides membership even at `i64::MIN` / `i64::MAX`. Inserts
+//! reject keys outside the range, so the padding bits of the last word
+//! stay clear and a probe needs only the word lookup.
 
-use rpt_common::{Error, Result};
+use rpt_common::{DenseRange, Error, Result};
 
-/// An exact membership bitmap over the inclusive key range `[min, max]`.
+/// An exact membership bitmap over a dense key range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct KeyBitmap {
-    min: i64,
-    /// Bits in the range, `max − min + 1`.
-    len: u64,
+    range: DenseRange,
     words: Vec<u64>,
     inserted: u64,
 }
 
 impl KeyBitmap {
-    /// Bits of a bitmap over `[min, max]`, `max − min + 1` computed in
-    /// `i128` so no range overflows; `None` when `max < min` or the count
-    /// does not fit a `u64` (the whole `i64` domain).
-    fn span(min: i64, max: i64) -> Option<u64> {
-        u64::try_from(i128::from(max) - i128::from(min) + 1)
-            .ok()
-            .filter(|&bits| bits > 0)
-    }
-
-    /// Bytes of a bitmap over `[min, max]`: `ceil((max − min + 1) / 64) · 8`,
-    /// or `None` when no bitmap over that range can exist.
-    pub fn bytes_for(min: i64, max: i64) -> Option<usize> {
-        usize::try_from(Self::span(min, max)?.div_ceil(64) * 8).ok()
-    }
-
-    /// An empty bitmap over `[min, max]`. Fails, without allocating, when
-    /// no bitmap over the range can exist or it cannot be allocated.
-    pub fn new(min: i64, max: i64) -> Result<KeyBitmap> {
-        let bad = || Error::Exec(format!("no key bitmap fits the range [{min}, {max}]"));
-        let len = Self::span(min, max).ok_or_else(bad)?;
-        let words = usize::try_from(len.div_ceil(64)).map_err(|_| bad())?;
+    /// An empty bitmap over `range`: `ceil(len / 64)` words. Fails, without
+    /// allocating, when the words cannot be allocated.
+    pub fn new(range: DenseRange) -> Result<KeyBitmap> {
+        let bad = || {
+            Error::Exec(format!(
+                "no key bitmap over [{}, {}] can be allocated",
+                range.min(),
+                range.max()
+            ))
+        };
+        let words = usize::try_from(range.size().div_ceil(64)).map_err(|_| bad())?;
         let mut bits = Vec::new();
         bits.try_reserve_exact(words).map_err(|_| bad())?;
         bits.resize(words, 0);
         Ok(KeyBitmap {
-            min,
-            len,
+            range,
             words: bits,
             inserted: 0,
         })
     }
 
-    /// The range's lower bound.
-    pub fn min(&self) -> i64 {
-        self.min
-    }
-
-    /// The range's upper bound.
-    pub fn max(&self) -> i64 {
-        self.min.wrapping_add((self.len - 1) as i64)
-    }
-
-    /// Offset of `key` from `min`: exact for keys of the range, `≥ len`
-    /// for every other key (module docs).
-    #[inline(always)]
-    fn offset(&self, key: i64) -> u64 {
-        key.wrapping_sub(self.min) as u64
-    }
-
-    /// Insert one key; a key outside `[min, max]` is an error.
+    /// Insert one key; a key outside the range is an error.
     #[inline]
     pub fn insert(&mut self, key: i64) -> Result<()> {
-        let off = self.offset(key);
-        if off >= self.len {
+        let off = self.range.offset(key);
+        if off >= self.range.size() {
             return Err(Error::Exec(format!(
                 "key {key} lies outside the bitmap's range [{}, {}]",
-                self.min,
-                self.max()
+                self.range.min(),
+                self.range.max()
             )));
         }
         self.words[(off / 64) as usize] |= 1 << (off % 64);
@@ -101,7 +69,7 @@ impl KeyBitmap {
     /// Is `key` in the set? Exact: no false positives, no false negatives.
     #[inline(always)]
     pub fn contains(&self, key: i64) -> bool {
-        let off = self.offset(key);
+        let off = self.range.offset(key);
         // An offset past the range lands past the last word or on one of
         // its padding bits, which inserts never set.
         usize::try_from(off / 64)
@@ -140,13 +108,10 @@ impl KeyBitmap {
 
     /// OR a bitmap over the same range into this one.
     pub fn merge(&mut self, other: &KeyBitmap) -> Result<()> {
-        if (self.min, self.len) != (other.min, other.len) {
+        if self.range != other.range {
             return Err(Error::Exec(format!(
-                "cannot merge key bitmaps over different ranges ([{}, {}] vs [{}, {}])",
-                self.min,
-                self.max(),
-                other.min,
-                other.max()
+                "cannot merge key bitmaps over different ranges ({:?} vs {:?})",
+                self.range, other.range
             )));
         }
         for (a, b) in self.words.iter_mut().zip(&other.words) {
@@ -174,13 +139,19 @@ mod tests {
     use proptest::TestRng;
     use std::collections::HashSet;
 
+    /// A bitmap over `[min, max]`, a range of any size.
+    fn bitmap(min: i64, max: i64) -> KeyBitmap {
+        KeyBitmap::new(DenseRange::new(min, max, u64::MAX).unwrap()).unwrap()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(60))]
 
         /// Probing equals `HashSet` membership — with and without an input
         /// selection, for ranges anywhere in `i64` including ones that end
         /// at `i64::MIN` or `i64::MAX`, and for probe keys on, next to and
-        /// far outside the range's ends.
+        /// far outside the range's ends. (`DenseRange`'s own property test
+        /// covers its offsets over the whole domain.)
         #[test]
         fn probe_equals_hash_set_membership(seed in 0u64..u64::MAX) {
             let mut rng = TestRng::from_name(&format!("key-bitmap-{seed}"));
@@ -192,9 +163,7 @@ mod tests {
                 _ => rng.next_u64() as i64 / 2,
             };
             let max = min + (span as i64 - 1);
-            let mut bitmap = KeyBitmap::new(min, max).unwrap();
-            prop_assert_eq!((bitmap.min(), bitmap.max()), (min, max));
-            prop_assert_eq!(bitmap.size_bytes(), KeyBitmap::bytes_for(min, max).unwrap());
+            let mut bitmap = bitmap(min, max);
             let in_range = |rng: &mut TestRng| min + rng.below(span) as i64;
             let inserted: Vec<i64> = (0..rng.below(span.min(500)) + 1).map(|_| in_range(&mut rng)).collect();
             bitmap.insert_all(inserted.iter().copied()).unwrap();
@@ -230,44 +199,45 @@ mod tests {
 
     #[test]
     fn out_of_range_insert_is_an_error() {
-        let mut b = KeyBitmap::new(10, 20).unwrap();
+        let mut b = bitmap(10, 20);
         for bad in [9, 21, i64::MIN, i64::MAX] {
             assert!(matches!(b.insert(bad), Err(Error::Exec(_))), "{bad}");
         }
         assert_eq!(b.num_inserted(), 0);
         assert!(b.insert_all([10, 20, 25]).is_err());
         assert!(b.contains(10) && b.contains(20) && !b.contains(15));
-        let mut top = KeyBitmap::new(i64::MAX, i64::MAX).unwrap();
+        let mut top = bitmap(i64::MAX, i64::MAX);
         top.insert(i64::MAX).unwrap();
         assert!(top.insert(i64::MIN).is_err());
         assert!(top.contains(i64::MAX) && !top.contains(i64::MIN));
     }
 
+    /// A bitmap takes `ceil(len / 64)` words, 8 KiB at the size rule's
+    /// floor; an empty range or the whole domain has no `DenseRange`, so
+    /// no bitmap.
     #[test]
     fn sizes_and_impossible_ranges() {
-        assert_eq!(KeyBitmap::bytes_for(0, 0), Some(8));
-        assert_eq!(KeyBitmap::bytes_for(0, 63), Some(8));
-        assert_eq!(KeyBitmap::bytes_for(0, 64), Some(16));
-        assert_eq!(KeyBitmap::bytes_for(-64, 63), Some(16));
-        assert_eq!(KeyBitmap::bytes_for(i64::MIN, i64::MAX - 1), Some(1 << 61));
-        // 2^64 bits: the length no longer fits a `u64`, so no bitmap exists.
-        assert_eq!(KeyBitmap::bytes_for(i64::MIN, i64::MAX), None);
-        assert_eq!(KeyBitmap::bytes_for(5, 4), None);
-        assert!(KeyBitmap::new(5, 4).is_err());
-        assert!(KeyBitmap::new(i64::MIN, i64::MAX).is_err());
+        let bytes = |min, max| bitmap(min, max).size_bytes();
+        assert_eq!(bytes(0, 0), 8);
+        assert_eq!(bytes(0, 63), 8);
+        assert_eq!(bytes(0, 64), 16);
+        assert_eq!(bytes(-64, 63), 16);
+        assert_eq!(bytes(i64::MAX - 65_535, i64::MAX), 8192);
+        assert!(DenseRange::new(5, 4, u64::MAX).is_none());
+        assert!(DenseRange::new(i64::MIN, i64::MAX, u64::MAX).is_none());
     }
 
     #[test]
     fn merge_ors_bitmaps_of_one_range() {
-        let mut a = KeyBitmap::new(-5, 200).unwrap();
-        let mut b = KeyBitmap::new(-5, 200).unwrap();
+        let mut a = bitmap(-5, 200);
+        let mut b = bitmap(-5, 200);
         a.insert(-5).unwrap();
         b.insert(200).unwrap();
         b.insert(64).unwrap();
         a.merge(&b).unwrap();
         assert!(a.contains(-5) && a.contains(64) && a.contains(200) && !a.contains(0));
         assert_eq!(a.num_inserted(), 3);
-        let other = KeyBitmap::new(-5, 199).unwrap();
+        let other = bitmap(-5, 199);
         assert!(a.merge(&other).is_err());
     }
 }

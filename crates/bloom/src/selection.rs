@@ -35,24 +35,6 @@ pub fn bitmask_to_selection(mask: &[u64], num_rows: usize, out: &mut Vec<u32>) -
     out.len() - before
 }
 
-/// Count set bits over the first `num_rows` positions.
-pub fn count_selected(mask: &[u64], num_rows: usize) -> usize {
-    let mut total = 0usize;
-    for (w, &word_raw) in mask.iter().enumerate() {
-        let remaining = num_rows.saturating_sub(w * 64);
-        if remaining == 0 {
-            break;
-        }
-        let word = if remaining < 64 {
-            word_raw & ((1u64 << remaining) - 1)
-        } else {
-            word_raw
-        };
-        total += word.count_ones() as usize;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -90,16 +72,22 @@ mod tests {
         assert_eq!(out, vec![99, 0]);
     }
 
+    /// The count returned is the popcount of the mask's first `num_rows`
+    /// bits, one per position appended.
     #[test]
     fn count_matches_decode() {
         let mask = vec![0xDEAD_BEEFu64, 0x1234u64];
         let mut out = Vec::new();
         let n = bitmask_to_selection(&mask, 128, &mut out);
-        assert_eq!(n, count_selected(&mask, 128));
         assert_eq!(
-            count_selected(&mask, 64),
-            (0xDEAD_BEEFu64).count_ones() as usize
+            n,
+            (0xDEAD_BEEFu64.count_ones() + 0x1234u64.count_ones()) as usize
         );
+        assert_eq!(n, out.len());
+        out.clear();
+        let n = bitmask_to_selection(&mask, 64, &mut out);
+        assert_eq!(n, 0xDEAD_BEEFu64.count_ones() as usize);
+        assert_eq!(n, out.len());
     }
 
     #[test]

@@ -1,14 +1,16 @@
 //! The filter a CreateBF builds and a ProbeBF tests: a Bloom filter, or an
 //! exact [`KeyBitmap`] where the key is one dense `Int64` column.
 //!
-//! Which kind a filter gets is decided at plan time by a size rule
-//! ([`FilterShape::choose`]), never by a knob: a bitmap whenever the
-//! source column's value range is known and the bitmap over it is no
-//! larger than the Bloom filter it replaces. Both kinds carry the same
-//! per-position key ranges, so either one feeds zone-map pruning.
+//! Which kind a filter gets is decided at plan time by the dense-range size
+//! rule ([`FilterShape::choose`], [`DenseRange`]), never by a knob: a
+//! bitmap whenever the source column's value range is known and holds no
+//! more values than the Bloom filter it replaces has bits, or than the
+//! rule's floor of 64 Ki values (an 8 KiB bitmap) when the Bloom filter is
+//! smaller still. Both kinds carry the same per-position key ranges, so
+//! either one feeds zone-map pruning.
 
 use crate::{BloomFilter, KeyBitmap};
-use rpt_common::{Error, Result};
+use rpt_common::{DenseRange, Error, Result};
 
 /// What a CreateBF allocates, fixed by the planner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,24 +24,21 @@ pub enum FilterShape {
     },
     /// An exact bitmap over the source key column's `[min, max]`, an exact
     /// bound on every key the build can see.
-    Bitmap { min: i64, max: i64 },
+    Bitmap(DenseRange),
 }
 
 impl FilterShape {
     /// The size rule: a bitmap over `range` — the inclusive value range of
-    /// a single `Int64` key, when the planner knows one — if it takes no
-    /// more bytes than the Bloom filter for `expected_keys` at `fpr`;
-    /// that Bloom filter otherwise. A bitmap is thus never larger than the
-    /// filter it replaces.
+    /// a single `Int64` key, when the planner knows one — if the range is
+    /// dense with the bits of the Bloom filter for `expected_keys` at `fpr`
+    /// as its budget; that Bloom filter otherwise. Bloom filters are whole
+    /// 32-byte blocks, so a bitmap within that budget is never larger than
+    /// the filter it replaces, except under the rule's floor.
     pub fn choose(expected_keys: usize, fpr: f64, range: Option<(i64, i64)>) -> FilterShape {
-        let bloom_bytes = BloomFilter::bytes_for(expected_keys, fpr);
-        match range {
-            Some((min, max))
-                if KeyBitmap::bytes_for(min, max).is_some_and(|b| b <= bloom_bytes) =>
-            {
-                FilterShape::Bitmap { min, max }
-            }
-            _ => FilterShape::Bloom { expected_keys, fpr },
+        let bloom_bits = (BloomFilter::bytes_for(expected_keys, fpr) as u64).saturating_mul(8);
+        match range.and_then(|(min, max)| DenseRange::new(min, max, bloom_bits)) {
+            Some(range) => FilterShape::Bitmap(range),
+            None => FilterShape::Bloom { expected_keys, fpr },
         }
     }
 }
@@ -92,7 +91,7 @@ impl TransferFilter {
             FilterShape::Bloom { expected_keys, fpr } => {
                 BloomFilter::with_capacity(expected_keys, fpr).into()
             }
-            FilterShape::Bitmap { min, max } => KeyBitmap::new(min, max)?.into(),
+            FilterShape::Bitmap(range) => KeyBitmap::new(range)?.into(),
         })
     }
 
@@ -165,27 +164,41 @@ impl TransferFilter {
 mod tests {
     use super::*;
 
+    /// The size rule: a bitmap iff the key range holds at most
+    /// `max(Bloom bits, 65 536)` values.
     #[test]
     fn size_rule_picks_the_smaller_filter() {
         let bloom = |n| FilterShape::Bloom {
             expected_keys: n,
             fpr: 0.02,
         };
-        // 1000 keys at 2% take a 2 KiB Bloom filter; a bitmap over 16 384
-        // values takes 2 KiB too, one more word does not fit.
-        assert_eq!(BloomFilter::bytes_for(1000, 0.02), 2048);
-        let fits = (1, 16_384);
+        let bitmap = |min, max| FilterShape::Bitmap(DenseRange::new(min, max, 0).unwrap());
+        // 10 000 keys at 2% take a 16 KiB Bloom filter, the tighter bound:
+        // a bitmap over 131 072 values takes 16 KiB too, one more value
+        // does not fit.
+        assert_eq!(BloomFilter::bytes_for(10_000, 0.02), 16_384);
+        let fits = FilterShape::choose(10_000, 0.02, Some((1, 131_072)));
+        let FilterShape::Bitmap(range) = fits else {
+            panic!("{fits:?}")
+        };
+        assert_eq!((range.min(), range.max()), (1, 131_072));
         assert_eq!(
-            FilterShape::choose(1000, 0.02, Some(fits)),
-            FilterShape::Bitmap {
-                min: 1,
-                max: 16_384
-            }
+            FilterShape::choose(10_000, 0.02, Some((1, 131_073))),
+            bloom(10_000)
+        );
+        // 1000 keys take a 2 KiB Bloom filter, but the floor admits up to
+        // 65 536 values (an 8 KiB bitmap); so does a one-key source, whose
+        // Bloom filter is one 32-byte block.
+        assert_eq!(BloomFilter::bytes_for(1000, 0.02), 2048);
+        assert_eq!(
+            FilterShape::choose(1000, 0.02, Some((1, 65_536))),
+            bitmap(1, 65_536)
         );
         assert_eq!(
-            FilterShape::choose(1000, 0.02, Some((1, 16_385))),
+            FilterShape::choose(1000, 0.02, Some((1, 65_537))),
             bloom(1000)
         );
+        assert_eq!(FilterShape::choose(1, 0.02, Some((7, 7))), bitmap(7, 7));
         assert_eq!(FilterShape::choose(1000, 0.02, None), bloom(1000));
         // Extreme and empty ranges never overflow into a bitmap.
         for range in [(i64::MIN, i64::MAX), (i64::MIN, 0), (3, 2)] {
@@ -199,7 +212,9 @@ mod tests {
     fn both_kinds() -> [TransferFilter; 2] {
         [
             BloomFilter::with_capacity(100, 0.02).into(),
-            KeyBitmap::new(-10, 300).unwrap().into(),
+            KeyBitmap::new(DenseRange::new(-10, 300, 0).unwrap())
+                .unwrap()
+                .into(),
         ]
     }
 

@@ -318,9 +318,12 @@ impl<'q> Planner<'q> {
     /// The shape of a CreateBF from the `source` stream's key (layout
     /// positions) to the `target`'s, both CreateBF sites' size rule
     /// ([`FilterShape::choose`]): a key bitmap needs one key attribute,
-    /// `Int64` key columns on both sides, and the source column's catalog
-    /// `[min, max]`. That range is exact for the stream too: predicates,
-    /// semi-joins and joins only remove rows, never create values.
+    /// `Int64` key columns on both sides, and a source column whose
+    /// catalog `[min, max]` is a dense range with the Bloom filter's bits
+    /// as budget (`rpt_common::DenseRange`; at least 65 536 values, so a
+    /// source of a few keys always gets one). That range is exact for the
+    /// stream too: predicates, semi-joins and joins only remove rows,
+    /// never create values.
     fn filter_shape(
         &self,
         expected_keys: usize,

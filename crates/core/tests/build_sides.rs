@@ -23,31 +23,32 @@ fn table(name: &str, columns: Vec<(&str, Vec<i64>)>) -> Table {
     Table::new(name, Schema::new(fields), vectors).unwrap()
 }
 
+/// Spacing of the key values: every key column spans more than the 65 536
+/// values of the dense-range floor (`rpt_common::dense::DENSE_MIN_SLOTS`),
+/// and these small filters' Bloom budgets are smaller still, so no
+/// transfer filter here becomes a key bitmap.
+const STRIDE: i64 = 64;
+
 /// A chain `a — b — c` where a filter leaves `a` ~20 rows, each `a` row has
 /// two `b` rows and each `b` row two `c` rows; `d` has as many rows as `c`.
 fn db() -> Database {
+    let keys = |n: i64, modulo: i64| (0..n).map(|i| i % modulo * STRIDE).collect();
     let mut db = Database::new();
     db.register_table(table(
         "a",
         vec![
-            ("id", (0..2000).collect()),
+            ("id", keys(2000, 2000)),
             ("v", (0..2000).map(|i| i % 100).collect()),
         ],
     ));
     db.register_table(table(
         "b",
-        vec![
-            ("id", (0..4000).collect()),
-            ("a_id", (0..4000).map(|i| i % 2000).collect()),
-        ],
+        vec![("id", keys(4000, 4000)), ("a_id", keys(4000, 2000))],
     ));
     for name in ["c", "d"] {
         db.register_table(table(
             name,
-            vec![
-                ("id", (0..8000).collect()),
-                ("b_id", (0..8000).map(|i| i % 4000).collect()),
-            ],
+            vec![("id", keys(8000, 8000)), ("b_id", keys(8000, 4000))],
         ));
     }
     db
@@ -181,8 +182,8 @@ fn build_side_bloom_join_filter_sized_from_build_estimate() {
     assert!(want < 100, "the intermediate is estimated at {want} rows");
 
     let compiled = Planner::new(&q, &o).compile(&plan).unwrap();
-    // Every filter here is a Bloom filter: the size rule finds no key
-    // range whose bitmap is as small.
+    // Every filter here is a Bloom filter: every key range is wider than
+    // the dense-range size rule admits (`STRIDE`).
     let sized: Vec<usize> = compiled
         .pipelines
         .iter()

@@ -6,10 +6,10 @@
 //! to the next. Nothing is allocated per key, so building is three array
 //! fills and dropping a table is four frees.
 //!
-//! The directory comes in two kinds, picked per table by a fixed size rule
-//! ([`DirectRange::fit`]). A *hashed* directory is a power of two long and
-//! indexed by the low bits of the key hash. A *direct* one, for a single
-//! plain `Int64` key whose non-NULL build values span a small range
+//! The directory comes in two kinds, picked per table by the dense-range
+//! size rule ([`DenseRange`]). A *hashed* directory is a power of two long
+//! and indexed by the low bits of the key hash. A *direct* one, for a
+//! single plain `Int64` key whose non-NULL build values span a dense range
 //! `[min, max]`, is indexed by `key - min`, as DuckDB's perfect hash join
 //! is: a probe hashes nothing and compares nothing, because every chain
 //! holds one key value.
@@ -22,7 +22,7 @@
 //! partition and gathers matches with one `take` per column.
 
 use rpt_common::hash::hash_columns_sel;
-use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, DenseRange, Error, Result, Vector};
 use rpt_storage::{chunk_size_bytes, GovernedHandle};
 use std::sync::Arc;
 
@@ -36,10 +36,12 @@ pub struct JoinHashTable {
     /// chain plus one, 0 when the slot is empty. Hashed, it is a power of
     /// two long and a key's slot is `hash & (len - 1)` — the low hash bits;
     /// the [`rpt_common::Partitioner`]'s bits 48..56 only routed the build.
-    /// Direct, the slot is [`DirectRange::slot`].
+    /// Direct, it holds one slot per value of the key range and one more,
+    /// always empty, at index `size`: a key's slot is its offset clamped
+    /// onto `size` ([`slot`]), so every key outside the range lands there.
     heads: Vec<u32>,
     /// The key range of a direct directory; `None` for a hashed one.
-    direct: Option<DirectRange>,
+    direct: Option<DenseRange>,
     /// `next[row]` is the following row of `row`'s chain plus one, 0 at the
     /// end. Chains run in ascending build-row order.
     next: Vec<u32>,
@@ -121,61 +123,11 @@ fn key_validity<'a>(keys: &[&'a Vector]) -> Vec<&'a [bool]> {
     keys.iter().filter_map(|k| k.validity.as_deref()).collect()
 }
 
-/// Slots a direct directory may have beyond the hashed directory's
-/// four-fold: a small table's keys may spread this far and still be
-/// indexed directly.
-const DIRECT_MIN_SLOTS: usize = 1 << 16;
-
-/// The key range of a direct directory: `heads` holds one slot per value
-/// of `[min, max]` and then one more, `last`, that stays empty.
-///
-/// Offsets are taken with wrapping arithmetic, as in
-/// [`rpt_bloom::KeyBitmap`]: `key - min` read as `u64` is the true offset
-/// of every key of the range, past `last` for a key above `max`, and at
-/// least `2^63` for a key below `min`. Clamped to `last`, every key
-/// outside the range lands on the empty slot, without a branch.
-#[derive(Clone, Copy)]
-struct DirectRange {
-    /// `min` as `u64`, so an offset is one wrapping subtraction.
-    min: u64,
-    /// `max - min + 1`: the index of the always-empty slot.
-    last: u64,
-}
-
-impl DirectRange {
-    /// The range of the non-NULL `keys`, when it fits the size rule: at
-    /// most `max(4 × hashed_len, 65 536)` slots, `hashed_len` being the
-    /// length of the hashed directory the table would have otherwise.
-    /// `None` for a hashed table, also when no key is non-NULL.
-    fn fit(keys: &[i64], valid: Option<&[bool]>, hashed_len: usize) -> Option<DirectRange> {
-        let (min, max) = match valid {
-            None => (*keys.iter().min()?, *keys.iter().max()?),
-            Some(valid) => {
-                let mut present = keys.iter().zip(valid).filter(|(_, &v)| v).map(|(&k, _)| k);
-                let first = present.next()?;
-                present.fold((first, first), |(lo, hi), k| (lo.min(k), hi.max(k)))
-            }
-        };
-        // `max - min` as `u64` is exact, even for `[i64::MIN, i64::MAX]`;
-        // one is added only to a span under the limit, so never overflows.
-        let span = (max as u64).wrapping_sub(min as u64);
-        let limit = hashed_len.saturating_mul(4).max(DIRECT_MIN_SLOTS) as u64;
-        (span < limit).then(|| DirectRange {
-            min: min as u64,
-            last: span + 1,
-        })
-    }
-
-    /// Directory length: the range's slots and the empty one.
-    fn len(self) -> usize {
-        self.last as usize + 1
-    }
-
-    /// The directory slot of `key` (see the type's docs).
-    #[inline(always)]
-    fn slot(self, key: i64) -> usize {
-        (key as u64).wrapping_sub(self.min).min(self.last) as usize
-    }
+/// The slot of `key` in a direct directory over `range`: its offset, or
+/// the empty slot `size` for every key outside the range, without a branch.
+#[inline(always)]
+fn slot(range: DenseRange, key: i64) -> usize {
+    range.offset(key).min(range.size()) as usize
 }
 
 /// Chain the build rows under a directory of `len` slots, row `row` in
@@ -261,8 +213,9 @@ impl JoinHashTable {
 
     /// Lay `parts` end to end into one table: row stores appended in part
     /// order into columns reserved once, hashes concatenated, one directory
-    /// sized for the total — direct when the keys fit
-    /// [`DirectRange::fit`], hashed otherwise. The first part with rows is
+    /// sized for the total — direct when the keys' range is dense with
+    /// four times the hashed directory's length as its budget
+    /// ([`DenseRange::of`]), hashed otherwise. The first part with rows is
     /// moved in, not copied, and brings its encodings (dictionaries) with
     /// it; a build without rows keeps the first part's columns. All rows of
     /// a key sit in one part and parts stay contiguous and in order, so
@@ -300,9 +253,12 @@ impl JoinHashTable {
             }] => Some(k.as_slice()),
             _ => None,
         };
-        let direct = int_keys.and_then(|k| DirectRange::fit(k, nulls.first().copied(), hashed_len));
+        let budget = (hashed_len as u64).saturating_mul(4);
+        let direct = int_keys.and_then(|k| DenseRange::of(k, nulls.first().copied(), budget));
         let (heads, next) = match (int_keys, direct) {
-            (Some(k), Some(range)) => link(n, &nulls, range.len(), |row| range.slot(k[row])),
+            (Some(k), Some(range)) => link(n, &nulls, range.size() as usize + 1, |row| {
+                slot(range, k[row])
+            }),
             _ => link(n, &nulls, hashed_len, |row| {
                 hashes[row] as usize & (hashed_len - 1)
             }),
@@ -384,11 +340,11 @@ impl JoinHashTable {
             let all = |_, _, _| true;
             return match sel {
                 None => {
-                    self.walk_chains(n, sel, &nulls, |row| range.slot(probe[row]), all, on_match)
+                    self.walk_chains(n, sel, &nulls, |row| slot(range, probe[row]), all, on_match)
                 }
                 Some(s) => {
-                    let slot = |row: usize| range.slot(probe[s[row] as usize]);
-                    self.walk_chains(n, sel, &nulls, slot, all, on_match)
+                    let at = |row: usize| slot(range, probe[s[row] as usize]);
+                    self.walk_chains(n, sel, &nulls, at, all, on_match)
                 }
             };
         }
@@ -655,8 +611,8 @@ mod tests {
         }
     }
 
-    /// `{i64::MIN, i64::MAX}` spans the whole domain: its `max - min` is
-    /// `u64::MAX`, one short of overflowing, and the table is hashed.
+    /// `{i64::MIN, i64::MAX}` spans the whole domain, which no dense range
+    /// holds: the table is hashed and matches both ends.
     #[test]
     fn full_domain_build_is_hashed() {
         let ht = int_table(vec![i64::MAX, i64::MIN]);

@@ -176,7 +176,7 @@ mod tests {
     use super::*;
     use rpt_bloom::{BloomFilter, KeyBitmap};
     use rpt_common::hash::hash_columns_sel;
-    use rpt_common::{DataType, Field, Schema};
+    use rpt_common::{DataType, DenseRange, Field, Schema};
     use rpt_storage::Table;
 
     /// A row with a NULL key column is dropped before the filter is tested
@@ -193,7 +193,7 @@ mod tests {
         bloom.insert_hashes(&hash_columns_sel(&[&a, &b], None, 4));
         // Every payload a NULL row of `a` can carry, decoded or encoded
         // (the encoder pins NULLs to the block minimum), is in the bitmap.
-        let mut bitmap = KeyBitmap::new(1, 4).unwrap();
+        let mut bitmap = KeyBitmap::new(DenseRange::new(1, 4, 0).unwrap()).unwrap();
         bitmap.insert_all(1..=4).unwrap();
         let table = Table::new(
             "t",
@@ -237,7 +237,8 @@ mod tests {
     /// `Int64`, is an execution error, not a panic or a wrong answer.
     #[test]
     fn key_bitmap_rejects_keys_it_cannot_read() {
-        let filter = TransferFilter::from(KeyBitmap::new(0, 10).unwrap());
+        let range = DenseRange::new(0, 10, 0).unwrap();
+        let filter = TransferFilter::from(KeyBitmap::new(range).unwrap());
         let ints = Vector::from_i64(vec![1, 2]);
         let floats = Vector::from_f64(vec![1.0, 2.0]);
         let m = Metrics::default();

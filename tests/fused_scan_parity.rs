@@ -11,7 +11,7 @@
 use proptest::prelude::*;
 use proptest::TestRng;
 use rpt_common::chunk::VECTOR_SIZE;
-use rpt_common::{ScalarValue, Schema, Vector};
+use rpt_common::{DenseRange, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, Planner, QueryOptions};
 use rpt_exec::operators::TableScan;
 use rpt_exec::{
@@ -365,10 +365,7 @@ impl Transfer {
         match (&stats.min, &stats.max) {
             (ScalarValue::Int64(min), ScalarValue::Int64(max)) if self.exact => {
                 assert_eq!(self.keys.num_columns(), 1, "a key bitmap takes one key");
-                FilterShape::Bitmap {
-                    min: *min,
-                    max: *max,
-                }
+                FilterShape::Bitmap(DenseRange::new(*min, *max, u64::MAX).unwrap())
             }
             _ => FilterShape::Bloom {
                 expected_keys: self.keys.num_rows().max(1),
