@@ -8,7 +8,7 @@ use crate::optimizer::{optimize_bushy, optimize_left_deep, with_build_sides, Joi
 use crate::planner::Planner;
 use crate::query::JoinQuery;
 use rpt_common::{Error, Result, ScalarValue, Schema};
-use rpt_exec::{ExecContext, Executor, SchedulerKind};
+use rpt_exec::{ExecContext, Executor, GlobalStats, SchedulerKind};
 use rpt_sql::parse_select;
 use rpt_storage::Table;
 use std::path::PathBuf;
@@ -273,8 +273,9 @@ pub struct QueryResult {
     pub schema: Schema,
     pub rows: Vec<Vec<ScalarValue>>,
     pub metrics: rpt_exec::context::MetricsSummary,
-    /// Per-pipeline (label, rows-into-sink) trace.
-    pub trace: Vec<(String, u64)>,
+    /// What the scheduler observed: task counts, and one record per
+    /// pipeline of the compiled plan (sink rows, merge split).
+    pub sched: GlobalStats,
     pub wall_time: Duration,
     /// The join order actually executed.
     pub join_order: JoinOrder,
@@ -512,19 +513,23 @@ impl Database {
     }
 
     /// Run a compiled [`PhysicalPlan`] on a fresh executor; returns the
-    /// executor holding the published resources. The plan's recorded
-    /// `partition_count` is authoritative for the executor's per-partition
-    /// resource slots.
-    fn run_plan(&self, plan: &crate::planner::PhysicalPlan, ctx: ExecContext) -> Result<Executor> {
+    /// executor holding the published resources and the scheduler's stats.
+    /// The plan's recorded `partition_count` is authoritative for the
+    /// executor's per-partition resource slots.
+    fn run_plan(
+        &self,
+        plan: &crate::planner::PhysicalPlan,
+        ctx: ExecContext,
+    ) -> Result<(Executor, GlobalStats)> {
         let (nb, nf, nt) = plan.resource_counts();
         let ctx = ctx.with_partitions(plan.partition_count);
         if ctx.verify.enabled() {
             enforce_verify(&ctx, plan.verify())?;
         }
         let mut exec = Executor::new(ctx, nb, nf, nt);
-        exec.run_dag(&plan.pipelines)?;
+        let sched = exec.run_dag(&plan.pipelines)?;
         reconcile_run(&exec, &plan.pipelines)?;
-        Ok(exec)
+        Ok((exec, sched))
     }
 
     /// Execute a bound query.
@@ -537,7 +542,7 @@ impl Database {
         let ctx = self.make_context(opts);
         let metrics = ctx.metrics.clone();
         let t0 = Instant::now();
-        let exec = self.run_plan(&compiled, ctx)?;
+        let (exec, sched) = self.run_plan(&compiled, ctx)?;
         let wall_time = t0.elapsed();
 
         let chunks = exec.buffer(compiled.output_buffer)?;
@@ -549,7 +554,7 @@ impl Database {
             schema: compiled.output_schema,
             rows,
             metrics: metrics.summary(),
-            trace: metrics.trace(),
+            sched,
             wall_time,
             join_order: order,
             mode: opts.mode,
@@ -751,19 +756,14 @@ mod tests {
                 )
                 .unwrap();
             assert_eq!(r.sorted_rows(), base.sorted_rows(), "pc={partition_count}");
-            let agg_tasks = r
-                .trace
+            let agg = r
+                .sched
+                .pipelines
                 .iter()
-                .find(|(l, _)| l.starts_with("[merge] aggregate") && l.ends_with("tasks"))
-                .expect("aggregate merge trace entry")
-                .1;
-            assert_eq!(agg_tasks, partition_count as u64);
-            let agg_max = r
-                .trace
-                .iter()
-                .find(|(l, _)| l.starts_with("[merge] aggregate") && l.ends_with("max-task-rows"))
-                .expect("aggregate merge max entry")
-                .1;
+                .find(|p| p.label.starts_with("aggregate"))
+                .expect("an aggregate pipeline");
+            assert_eq!(agg.merge_tasks, partition_count as u64);
+            let agg_max = agg.merge_max_task_rows;
             assert!(agg_max < 10, "merge task covered {agg_max} of 10 groups");
         }
     }

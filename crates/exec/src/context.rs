@@ -4,7 +4,6 @@
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-use std::sync::Mutex;
 
 use rpt_common::{Error, Result};
 
@@ -74,23 +73,6 @@ impl VerifyMode {
     pub fn enabled(self) -> bool {
         matches!(self, VerifyMode::Strict)
     }
-}
-
-/// Worker utilization as a percentage: busy nanoseconds over wall
-/// nanoseconds × pool size, clamped to `[0, 100]`. Division-by-zero safe:
-/// a sub-microsecond query whose wall span rounds to zero reports 100 when
-/// any busy time was recorded (the pool was never observed idle) and 0
-/// otherwise.
-pub fn utilization_pct(busy_nanos: u64, wall_nanos: u64, workers: u64) -> u64 {
-    let denom = wall_nanos.saturating_mul(workers);
-    if denom == 0 {
-        return if busy_nanos > 0 { 100 } else { 0 };
-    }
-    busy_nanos
-        .saturating_mul(100)
-        .checked_div(denom)
-        .unwrap_or(100)
-        .min(100)
 }
 
 /// Number of hardware threads, the default worker-pool size.
@@ -197,8 +179,6 @@ pub struct Metrics {
     /// other worker was busy — the overlapped-I/O win, the way
     /// `sched_overlap_tasks` proves partition overlap.
     pub spill_io_overlap_nanos: AtomicU64,
-    /// Per-pipeline (label, rows-into-sink) trace, for case studies.
-    pub pipeline_trace: Mutex<Vec<(String, u64)>>,
 }
 
 impl Metrics {
@@ -219,120 +199,12 @@ impl Metrics {
         counter.load(Ordering::Relaxed)
     }
 
-    pub fn record_pipeline(&self, label: &str, rows: u64) {
-        self.pipeline_trace
-            .lock()
-            .expect("pipeline trace lock poisoned")
-            .push((label.to_string(), rows));
-    }
-
-    /// Record one partitioned sink merge: how many per-partition tasks ran
-    /// and the largest task's row count. Also feeds the cumulative
-    /// `merge_tasks` / `merge_max_task_rows` counters.
-    pub fn record_merge(&self, label: &str, tasks: u64, max_task_rows: u64) {
+    /// Record one partitioned sink merge into the cumulative
+    /// `merge_tasks` / `merge_max_task_rows` counters: how many
+    /// per-partition tasks ran and the largest task's row count.
+    pub fn record_merge(&self, tasks: u64, max_task_rows: u64) {
         self.add(&self.merge_tasks, tasks);
         self.max_update(&self.merge_max_task_rows, max_task_rows);
-        let mut trace = self
-            .pipeline_trace
-            .lock()
-            .expect("pipeline trace lock poisoned");
-        trace.push((format!("[merge] {label} tasks"), tasks));
-        trace.push((format!("[merge] {label} max-task-rows"), max_task_rows));
-    }
-
-    /// Append one arbitrary `(label, value)` entry to the pipeline trace —
-    /// used by the scheduler (when `ExecContext::sched_trace` is on) for
-    /// per-task lifecycle entries.
-    pub fn trace_entry(&self, label: impl Into<String>, value: u64) {
-        self.pipeline_trace
-            .lock()
-            .expect("pipeline trace lock poisoned")
-            .push((label.into(), value));
-    }
-
-    pub fn trace(&self) -> Vec<(String, u64)> {
-        self.pipeline_trace
-            .lock()
-            .expect("pipeline trace lock poisoned")
-            .clone()
-    }
-
-    /// Record a finished scheduler run: the `sched_*` counters, and the
-    /// `[scheduler] …` trace entries so case studies report extracted
-    /// parallelism alongside per-pipeline rows.
-    pub fn record_scheduler(&self, stats: &crate::global::GlobalStats) {
-        self.add(&self.sched_tasks, stats.tasks);
-        self.add(&self.sched_overlap_tasks, stats.overlap_tasks);
-        self.max_update(&self.sched_max_queue_depth, stats.max_queue_depth as u64);
-        // Per-worker-summed wall: each worker's own thread-lifetime span, so
-        // utilization (`busy / wall`) counts idle workers against the pool.
-        self.add(&self.sched_wall_nanos, stats.worker_wall_nanos);
-        self.max_update(&self.sched_workers, stats.workers as u64);
-        let mut trace = self
-            .pipeline_trace
-            .lock()
-            .expect("pipeline trace lock poisoned");
-        trace.push(("[scheduler] pipelines".to_string(), stats.pipelines as u64));
-        trace.push((
-            "[scheduler] initially-ready".to_string(),
-            stats.initially_ready as u64,
-        ));
-        trace.push((
-            "[scheduler] max-parallel".to_string(),
-            stats.max_parallel as u64,
-        ));
-        trace.push((
-            "[scheduler] merge-tasks".to_string(),
-            self.get(&self.merge_tasks),
-        ));
-        trace.push((
-            "[scheduler] max-merge-task-rows".to_string(),
-            self.get(&self.merge_max_task_rows),
-        ));
-        trace.push((
-            "[agg] fast-path-chunks".to_string(),
-            self.get(&self.agg_fast_path_chunks),
-        ));
-        trace.push((
-            "[agg] generic-chunks".to_string(),
-            self.get(&self.agg_generic_chunks),
-        ));
-        trace.push((
-            "[storage] blocks-pruned".to_string(),
-            self.get(&self.blocks_pruned),
-        ));
-        trace.push((
-            "[storage] blocks-scanned".to_string(),
-            self.get(&self.blocks_scanned),
-        ));
-        trace.push((
-            "[sort] rows-pruned".to_string(),
-            self.get(&self.sort_rows_pruned),
-        ));
-        trace.push((
-            "[sort] merge-task-count".to_string(),
-            self.get(&self.sort_merge_tasks),
-        ));
-        trace.push((
-            "[sort] max-run-rows".to_string(),
-            self.get(&self.sort_max_run_rows),
-        ));
-        trace.push(("[scheduler] workers".to_string(), stats.workers as u64));
-        trace.push(("[scheduler] tasks".to_string(), stats.tasks));
-        trace.push(("[scheduler] morsel-tasks".to_string(), stats.morsel_tasks));
-        trace.push((
-            "[scheduler] merge-task-count".to_string(),
-            stats.merge_tasks,
-        ));
-        trace.push(("[scheduler] overlap-tasks".to_string(), stats.overlap_tasks));
-        trace.push((
-            "[scheduler] max-queue-depth".to_string(),
-            stats.max_queue_depth as u64,
-        ));
-        trace.push((
-            "[scheduler] utilization-pct".to_string(),
-            utilization_pct(stats.busy_nanos, stats.worker_wall_nanos, 1),
-        ));
     }
 
     /// Snapshot of the headline numbers.
@@ -460,11 +332,6 @@ pub struct ExecContext {
     pub partition_count: usize,
     /// Worker-pool size (defaults to `available_parallelism()`).
     pub workers: usize,
-    /// Emit per-task `[scheduler]` lifecycle trace entries
-    /// (enqueue/start/finish with pipeline+partition ids). Defaults from
-    /// `RPT_SCHED_TRACE=1`; meant for debugging hangs, so it is off unless
-    /// asked for.
-    pub sched_trace: bool,
     /// Allow aggregate sinks to take the fixed-width packed-key fast path
     /// when the group key is eligible (default on; `false` forces the
     /// generic encoded-key tables, which only tests use as a reference).
@@ -505,7 +372,6 @@ impl ExecContext {
             spill_dir: std::env::temp_dir(),
             partition_count: rpt_common::partition_count_from_env(),
             workers: default_worker_count(),
-            sched_trace: std::env::var("RPT_SCHED_TRACE").is_ok_and(|v| v == "1"),
             agg_fast: true,
             storage_encoding: true,
             verify: VerifyMode::from_env(),
@@ -629,26 +495,12 @@ mod tests {
         let m = Metrics::new();
         m.add(&m.join_output_rows, 7);
         m.add(&m.join_output_rows, 3);
-        m.record_pipeline("join a⋈b", 10);
+        m.record_merge(8, 40);
+        m.record_merge(1, 12);
         let s = m.summary();
         assert_eq!(s.join_output_rows, 10);
-        assert_eq!(m.trace(), vec![("join a⋈b".to_string(), 10)]);
+        assert_eq!((s.merge_tasks, s.merge_max_task_rows), (9, 40));
         assert_eq!(s.total_work(), 10);
-    }
-
-    #[test]
-    fn utilization_zero_wall_is_safe() {
-        // Sub-microsecond query: wall span rounds to zero but workers did
-        // record busy time — never divide by zero, report saturated.
-        assert_eq!(utilization_pct(1, 0, 4), 100);
-        assert_eq!(utilization_pct(0, 0, 4), 0);
-        // Zero workers behaves like zero wall.
-        assert_eq!(utilization_pct(5, 100, 0), 100);
-        // Overflowing numerator saturates instead of wrapping.
-        assert_eq!(utilization_pct(u64::MAX, 1, 1), 100);
-        // Normal case still exact.
-        assert_eq!(utilization_pct(50, 100, 1), 50);
-        assert_eq!(utilization_pct(50, 100, 2), 25);
     }
 
     #[test]

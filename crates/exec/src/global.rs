@@ -36,10 +36,10 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 /// What the executor observed while running a query.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GlobalStats {
-    /// Number of pipelines executed.
-    pub pipelines: usize,
+    /// One record per pipeline, indexed by plan position.
+    pub pipelines: Vec<PipelineStats>,
     /// Pipelines with at least one runnable task at the start.
     pub initially_ready: usize,
     /// Peak number of workers executing tasks simultaneously.
@@ -48,8 +48,6 @@ pub struct GlobalStats {
     pub tasks: u64,
     /// Morsel tasks among them.
     pub morsel_tasks: u64,
-    /// Per-partition merge tasks among them.
-    pub merge_tasks: u64,
     /// Consumer partition tasks that started while their producer pipeline
     /// had not yet sealed all partitions — the partition-overlap win.
     pub overlap_tasks: u64,
@@ -63,6 +61,22 @@ pub struct GlobalStats {
     pub worker_wall_nanos: u64,
     /// Worker-pool size used.
     pub workers: usize,
+}
+
+/// What one pipeline's sink took in and how its merge split.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PipelineStats {
+    /// The plan's label for the pipeline.
+    pub label: String,
+    /// Whether its sink rows count toward `intermediate_tuples` (every
+    /// pipeline but the final output collect).
+    pub intermediate: bool,
+    /// Rows into the sink, summed over the worker states.
+    pub sink_rows: u64,
+    /// Per-partition merge tasks its sink state ran.
+    pub merge_tasks: u64,
+    /// Rows handled by its largest merge task.
+    pub merge_max_task_rows: u64,
 }
 
 /// One schedulable unit on the task queue.
@@ -158,7 +172,6 @@ struct Sched {
     max_queue_depth: usize,
     tasks: u64,
     morsel_tasks: u64,
-    merge_tasks: u64,
     overlap_tasks: u64,
     /// This run's Σ task nanoseconds (the metrics counter is cumulative
     /// across runs on a shared context).
@@ -166,8 +179,8 @@ struct Sched {
     /// Σ thread-lifetime wall nanoseconds, one contribution per worker.
     worker_wall_nanos: u64,
     error: Option<Error>,
-    /// Monotonic sequence for lifecycle trace entries.
-    seq: u64,
+    /// The per-pipeline records [`GlobalStats::pipelines`] returns.
+    pipelines: Vec<PipelineStats>,
 }
 
 /// Result of executing one task outside the lock.
@@ -180,13 +193,17 @@ enum Done {
         parts: usize,
         /// Partitions with spilled runs worth a `SpillIo` prefetch task.
         prefetch: Vec<usize>,
+        /// Rows the worker states took in.
+        rows: u64,
     },
     MergedPart,
     /// A `SpillIo` task finished after `nanos` of I/O + decode.
     Prefetched {
         nanos: u64,
     },
-    Finished,
+    Finished {
+        max_task_rows: u64,
+    },
 }
 
 struct Engine<'a> {
@@ -220,28 +237,7 @@ impl<'a> Engine<'a> {
         self.state.lock().unwrap_or_else(recover)
     }
 
-    fn trace(&self, s: &mut Sched, what: &str, task: &Task) {
-        if !self.ctx.sched_trace {
-            return;
-        }
-        s.seq += 1;
-        let label = match task {
-            Task::Open { pipe, group } => format!("[scheduler] {what} open p{pipe}/part{group}"),
-            Task::Morsel { pipe, group } => {
-                format!("[scheduler] {what} morsel p{pipe}/part{group}")
-            }
-            Task::MergeSetup { pipe } => format!("[scheduler] {what} merge-setup p{pipe}"),
-            Task::Merge { pipe, part } => format!("[scheduler] {what} merge p{pipe}/part{part}"),
-            Task::SpillIo { pipe, part } => {
-                format!("[scheduler] {what} spill-io p{pipe}/part{part}")
-            }
-            Task::Finish { pipe } => format!("[scheduler] {what} finish p{pipe}"),
-        };
-        self.ctx.metrics.trace_entry(label, s.seq);
-    }
-
     fn enqueue(&self, s: &mut Sched, task: Task) {
-        self.trace(s, "enqueue", &task);
         s.queue.push_back(task);
         s.max_queue_depth = s.max_queue_depth.max(s.queue.len());
     }
@@ -392,7 +388,7 @@ impl<'a> Engine<'a> {
                     &self.runtimes[pipe].idle_states,
                     "idle state",
                 )?);
-                record_pipeline_rows(p, &states, self.ctx);
+                let rows = record_pipeline_rows(p, &states, self.ctx);
                 let merger = Arc::new(p.sink.make_merger(states, self.ctx)?);
                 let parts = merger.partitions();
                 let prefetch = merger.prefetch_parts();
@@ -400,7 +396,11 @@ impl<'a> Engine<'a> {
                     .merger
                     .set(merger)
                     .map_err(|_| Error::Exec("pipeline merger set twice".into()))?;
-                Ok(Done::Setup { parts, prefetch })
+                Ok(Done::Setup {
+                    parts,
+                    prefetch,
+                    rows,
+                })
             }
             Task::Merge { pipe, part } => {
                 self.merger(pipe)?
@@ -422,12 +422,11 @@ impl<'a> Engine<'a> {
             Task::Finish { pipe } => {
                 let merger = self.merger(pipe)?;
                 merger.finish(self.ctx, self.res)?;
-                self.ctx.metrics.record_merge(
-                    &self.phys[pipe].label,
-                    merger.partitions() as u64,
-                    merger.max_task_rows(),
-                );
-                Ok(Done::Finished)
+                let max_task_rows = merger.max_task_rows();
+                self.ctx
+                    .metrics
+                    .record_merge(merger.partitions() as u64, max_task_rows);
+                Ok(Done::Finished { max_task_rows })
             }
         }
     }
@@ -442,7 +441,6 @@ impl<'a> Engine<'a> {
 
     /// Apply a finished task's effects under the lock.
     fn apply(&self, s: &mut Sched, task: Task, done: Done) -> Result<()> {
-        self.trace(s, "finish", &task);
         match (task, done) {
             (Task::Open { pipe, group }, Done::Opened { morsels }) => {
                 let fan = if self.ordered {
@@ -476,10 +474,17 @@ impl<'a> Engine<'a> {
                     self.try_start_groups(s, pipe);
                 }
             }
-            (Task::MergeSetup { pipe }, Done::Setup { parts, prefetch }) => {
+            (
+                Task::MergeSetup { pipe },
+                Done::Setup {
+                    parts,
+                    prefetch,
+                    rows,
+                },
+            ) => {
                 s.pipes[pipe].merge_parts = parts;
                 s.pipes[pipe].merge_left = parts;
-                s.merge_tasks += parts as u64;
+                s.pipelines[pipe].sink_rows = rows;
                 // Prefetch tasks are enqueued first so workers start the
                 // spill reads before the merges that consume them; they
                 // never gate completion (a prefetch racing its merge
@@ -516,7 +521,10 @@ impl<'a> Engine<'a> {
                     m.add(&m.spill_io_overlap_nanos, nanos);
                 }
             }
-            (Task::Finish { pipe }, Done::Finished) => {
+            (Task::Finish { pipe }, Done::Finished { max_task_rows }) => {
+                let stats = &mut s.pipelines[pipe];
+                stats.merge_tasks = s.pipes[pipe].merge_parts as u64;
+                stats.merge_max_task_rows = max_task_rows;
                 self.complete(s, pipe);
             }
             _ => return Err(Error::Exec("scheduler task/result mismatch".into())),
@@ -549,7 +557,6 @@ impl<'a> Engine<'a> {
                         s.busy += 1;
                         s.max_parallel = s.max_parallel.max(s.busy);
                         s.tasks += 1;
-                        self.trace(&mut s, "start", &task);
                         break task;
                     }
                     s = self.cvar.wait(s).unwrap_or_else(recover);
@@ -725,12 +732,18 @@ pub fn run_physical_global(
             max_queue_depth: 0,
             tasks: 0,
             morsel_tasks: 0,
-            merge_tasks: 0,
             overlap_tasks: 0,
             busy_nanos: 0,
             worker_wall_nanos: 0,
             error: None,
-            seq: 0,
+            pipelines: phys
+                .iter()
+                .map(|p| PipelineStats {
+                    label: p.label.clone(),
+                    intermediate: p.intermediate,
+                    ..PipelineStats::default()
+                })
+                .collect(),
         }),
         cvar: Condvar::new(),
     };
@@ -762,12 +775,11 @@ pub fn run_physical_global(
     }
     debug_assert_eq!(s.completed, n);
     Ok(GlobalStats {
-        pipelines: n,
+        pipelines: std::mem::take(&mut s.pipelines),
         initially_ready,
         max_parallel: s.max_parallel,
         tasks: s.tasks,
         morsel_tasks: s.morsel_tasks,
-        merge_tasks: s.merge_tasks,
         overlap_tasks: s.overlap_tasks,
         max_queue_depth: s.max_queue_depth,
         busy_nanos: s.busy_nanos,

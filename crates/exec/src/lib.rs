@@ -38,11 +38,11 @@ pub mod wcoj;
 
 pub use aggregate::{AggregateState, ChunkKeys, KeyLayout};
 pub use context::{
-    default_worker_count, memory_budget_from_env, utilization_pct, ExecContext, Metrics,
-    MetricsSummary, SchedulerKind, VerifyMode,
+    default_worker_count, memory_budget_from_env, ExecContext, Metrics, MetricsSummary,
+    SchedulerKind, VerifyMode,
 };
 pub use expr::{AggExpr, AggFunc, ArithOp, CmpOp, Expr, Predicate};
-pub use global::{run_physical_global, GlobalStats};
+pub use global::{run_physical_global, GlobalStats, PipelineStats};
 pub use hash_table::{BuildPart, JoinHashTable};
 pub use operators::{
     cmp_scalar_rows, AccessLog, ChunkList, Morsels, Operator, PartitionMerger, ResourceId,

@@ -427,7 +427,6 @@ pub trait SinkFactory: Send + Sync {
     /// point serves sink-level test harnesses.
     fn merge_partitioned(
         &self,
-        label: &str,
         states: Vec<Box<dyn Sink>>,
         ctx: &ExecContext,
         res: &Resources,
@@ -438,7 +437,7 @@ pub trait SinkFactory: Send + Sync {
         }
         merger.finish(ctx, res)?;
         ctx.metrics
-            .record_merge(label, merger.partitions() as u64, merger.max_task_rows());
+            .record_merge(merger.partitions() as u64, merger.max_task_rows());
         Ok(())
     }
 }

@@ -209,12 +209,6 @@ impl Source for TableScan {
             .collect();
         let pruned = (enc.num_blocks() - blocks.len()) as u64;
         ctx.metrics.add(&ctx.metrics.blocks_pruned, pruned);
-        if pruned > 0 {
-            ctx.metrics.trace_entry(
-                format!("[storage] scan {} blocks-pruned", self.table.name),
-                pruned,
-            );
-        }
         Ok(Box::new(ScanMorsels {
             scan: self,
             layout: Layout::Blocks { enc, blocks },

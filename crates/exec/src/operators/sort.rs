@@ -681,7 +681,7 @@ impl PartitionMerger for SortMerger {
         Ok(())
     }
 
-    fn finish(&self, ctx: &ExecContext, res: &Resources) -> Result<()> {
+    fn finish(&self, _ctx: &ExecContext, res: &Resources) -> Result<()> {
         let mut runs = Vec::with_capacity(self.partitions);
         for (p, slot) in self.sorted.iter().enumerate() {
             runs.push(
@@ -691,8 +691,6 @@ impl PartitionMerger for SortMerger {
             );
         }
         let out = merge_sorted_runs(&self.keys, &self.schema, runs, self.offset, self.limit)?;
-        ctx.metrics
-            .trace_entry("[sort] partitions", self.partitions as u64);
         res.publish_buffer(self.buf_id, out)
     }
 
@@ -958,7 +956,7 @@ mod tests {
             sink.sink(c, ctx).expect("sink");
         }
         factory
-            .merge_partitioned("sort", vec![sink], ctx, &res)
+            .merge_partitioned(vec![sink], ctx, &res)
             .expect("merge");
         let out = res.buffer(0).expect("buffer");
         out.iter().flat_map(|c| c.rows()).collect()

@@ -243,7 +243,7 @@ impl SinkSpec {
 /// One pipeline: source → ops → sink.
 #[derive(Clone)]
 pub struct PipelinePlan {
-    /// Human-readable label (shows up in the metrics trace / case studies).
+    /// Human-readable label (shows up in `PipelineStats::label` / case studies).
     pub label: String,
     pub source: SourceSpec,
     pub ops: Vec<OpSpec>,
@@ -363,7 +363,6 @@ pub(crate) fn record_pipeline_rows(
     } else {
         m.add(&m.output_rows, rows);
     }
-    m.record_pipeline(&p.label, rows);
     rows
 }
 
@@ -408,7 +407,14 @@ impl Executor {
         let deps: Vec<NodeDeps> = pipelines.iter().map(|p| p.deps(partitions)).collect();
         let phys: Vec<PhysicalPipeline> = pipelines.iter().map(PipelinePlan::lower).collect();
         let stats = crate::global::run_physical_global(&phys, &deps, &self.ctx, &self.res)?;
-        self.ctx.metrics.record_scheduler(&stats);
+        let m = &self.ctx.metrics;
+        m.add(&m.sched_tasks, stats.tasks);
+        m.add(&m.sched_overlap_tasks, stats.overlap_tasks);
+        m.max_update(&m.sched_max_queue_depth, stats.max_queue_depth as u64);
+        // Per-worker-summed wall: each worker's own thread-lifetime span, so
+        // utilization (`busy / wall`) counts idle workers against the pool.
+        m.add(&m.sched_wall_nanos, stats.worker_wall_nanos);
+        m.max_update(&m.sched_workers, stats.workers as u64);
         Ok(stats)
     }
 
@@ -951,7 +957,7 @@ mod tests {
                     Field::new("bv", DataType::Int64),
                 ]),
             );
-            exec.run_dag(&[p1, p2]).unwrap();
+            let stats = exec.run_dag(&[p1, p2]).unwrap();
             let mut rows: Vec<Vec<ScalarValue>> = exec
                 .buffer(0)
                 .unwrap()
@@ -959,11 +965,11 @@ mod tests {
                 .flat_map(|c| c.rows())
                 .collect();
             rows.sort_by_key(|r| (r[0].as_i64(), r[1].as_i64(), r[2].as_i64()));
-            (rows, exec)
+            (rows, exec, stats)
         };
-        let (base, _) = run(1, 1);
+        let (base, _, _) = run(1, 1);
         for (partitions, threads) in [(2, 1), (8, 1), (8, 4)] {
-            let (rows, exec) = run(partitions, threads);
+            let (rows, exec, stats) = run(partitions, threads);
             assert_eq!(rows, base, "partitions={partitions} threads={threads}");
             // One table holds every build row, a key's rows still in build
             // order (here: one row per key, so the payload names the key).
@@ -981,11 +987,9 @@ mod tests {
             let s = exec.ctx.metrics.summary();
             assert_eq!(s.merge_tasks, 2 * partitions as u64, "{s:?}");
             assert!(s.merge_max_task_rows < 250, "{s:?}");
-            let trace = exec.ctx.metrics.trace();
-            let build_max = trace
-                .iter()
-                .find(|(l, _)| l == "[merge] build max-task-rows");
-            assert!(build_max.is_some_and(|&(_, rows)| rows < 100), "{trace:?}");
+            let build = &stats.pipelines[0];
+            assert_eq!((build.label.as_str(), build.sink_rows), ("build", 100));
+            assert!(build.merge_max_task_rows < 100, "{build:?}");
         }
     }
 

@@ -113,9 +113,7 @@ fn run(
         }
         states.push(s);
     }
-    factory
-        .merge_partitioned("test", states, &ctx, &res)
-        .unwrap();
+    factory.merge_partitioned(states, &ctx, &res).unwrap();
     let rows: Vec<Vec<ScalarValue>> = res
         .buffer(0)
         .unwrap()

@@ -215,9 +215,7 @@ fn check(
     for chunk in &build_chunks {
         sink.sink(chunk.clone(), &ctx).unwrap();
     }
-    factory
-        .merge_partitioned("build", vec![sink], &ctx, &res)
-        .unwrap();
+    factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
     let assembled = res.hash_table(0).unwrap();
     prop_assert_eq!(assembled.num_rows(), build.rows());
     prop_assert_eq!(

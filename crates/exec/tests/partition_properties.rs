@@ -54,7 +54,7 @@ fn run_sink(
         }
         states.push(s);
     }
-    factory.merge_partitioned("test", states, ctx, res).unwrap();
+    factory.merge_partitioned(states, ctx, res).unwrap();
 }
 
 /// Sorted multiset of `(key, val)` rows across chunks.

@@ -126,9 +126,7 @@ fn run_engine(
         }
         states.push(s);
     }
-    factory
-        .merge_partitioned("sort", states, ctx, &res)
-        .expect("merge");
+    factory.merge_partitioned(states, ctx, &res).expect("merge");
     res.buffer(0)
         .expect("buffer")
         .iter()

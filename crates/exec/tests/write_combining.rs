@@ -230,7 +230,7 @@ proptest! {
                     sink.sink(chunk.clone(), &ctx).unwrap();
                 }
                 let resident = gov.resident_bytes();
-                factory.merge_partitioned("collect", vec![sink], &ctx, &res).unwrap();
+                factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
                 let mut bytes = 0;
                 for (p, want) in want.iter().enumerate() {
                     let stored = res.buffer_partition(0, p).unwrap();
@@ -279,7 +279,7 @@ proptest! {
                 if let Some(gov) = &ctx.governor {
                     prop_assert_eq!(gov.resident_bytes(), held, "budget {:?}", budget);
                 }
-                factory.merge_partitioned("build", vec![sink], &ctx, &res).unwrap();
+                factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
                 let table = res.hash_table(0).unwrap();
                 prop_assert_eq!(table.data.rows(), want.clone(), "partitions = {}", partitions);
                 if let Some(gov) = &ctx.governor {

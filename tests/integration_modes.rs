@@ -357,9 +357,9 @@ fn partition_parallelism_parity_matrix() {
 /// no sink merge runs on a single thread over the full result. Every sink
 /// must report one merge task per partition, and for pipelines with enough
 /// rows to spread, the largest merge task must stay strictly below the
-/// pipeline's total. The one exemption is single-partition by design: the
-/// query has no GROUP BY, so its aggregate keeps one group table and merges
-/// in one task.
+/// pipeline's total. Two exemptions: the query has no GROUP BY, so its
+/// aggregate keeps one group table and merges in one task; and a pipeline
+/// whose rows all carry one partition key can only fill one partition.
 #[test]
 fn sink_merges_never_cover_the_full_result() {
     let db = chain_db();
@@ -372,56 +372,47 @@ fn sink_merges_never_cover_the_full_result() {
                 .with_threads(2),
         )
         .unwrap();
-    // Scheduler-level stats: merges happened and none spanned a full
-    // pipeline result (the largest pipeline feeds 200 rows into its sink).
-    let stat = |name: &str| {
-        r.trace
-            .iter()
-            .find(|(l, _)| l == name)
-            .unwrap_or_else(|| panic!("{name} missing from trace {:?}", r.trace))
-            .1
-    };
-    assert!(stat("[scheduler] merge-tasks") >= partitions);
-    assert_eq!(r.metrics.merge_tasks, stat("[scheduler] merge-tasks"));
+    // Scheduler-level stats: merges happened, and the per-pipeline records
+    // account for every merge task the counter saw.
+    let merge_tasks: u64 = r.sched.pipelines.iter().map(|p| p.merge_tasks).sum();
+    assert!(merge_tasks >= partitions);
+    assert_eq!(r.metrics.merge_tasks, merge_tasks);
 
     // Per-pipeline: every partitioned merge ran `partitions` tasks, and no
-    // merge task covered a pipeline's full row count (checked where the
-    // hash spread is statistically certain: ≥ 8 rows into the sink).
-    let pipeline_rows: Vec<(&str, u64)> = r
-        .trace
-        .iter()
-        .filter(|(l, _)| !l.starts_with('['))
-        .map(|(l, n)| (l.as_str(), *n))
-        .collect();
+    // merge task covered a pipeline's full row count where the hash spread
+    // is statistically certain: ≥ 8 rows into the sink, over more than one
+    // partition key. One backward pipeline has a single key: it partitions
+    // the reduced `b` on `b.j`, and every `b` row left by `a.v = 2`
+    // (k ≡ 2 mod 5, so j ∈ {2, 7, 12, 17}) and `c.tag = 't1'`
+    // (j ∈ {1, 4, 7, …}) has j = 7, so its rows share one partition.
     let mut checked = 0;
     let mut global_aggs = 0;
-    for (label, rows) in pipeline_rows {
-        let tasks = r
-            .trace
-            .iter()
-            .find(|(l, _)| l == &format!("[merge] {label} tasks"))
-            .map(|&(_, n)| n);
-        let max_task = r
-            .trace
-            .iter()
-            .find(|(l, _)| l == &format!("[merge] {label} max-task-rows"))
-            .map(|&(_, n)| n);
-        if let (Some(tasks), Some(max_task)) = (tasks, max_task) {
-            if label.starts_with("aggregate ") {
-                assert_eq!(tasks, 1, "{label}: a global aggregate merges in one task");
-                global_aggs += 1;
-                continue;
-            }
-            assert_eq!(tasks, partitions, "{label}");
-            if rows >= 8 {
-                assert!(
-                    max_task < rows,
-                    "{label}: merge task covered {max_task} of {rows} rows"
-                );
+    let mut one_key = Vec::new();
+    for p in &r.sched.pipelines {
+        let (label, rows, max_task) = (&p.label, p.sink_rows, p.merge_max_task_rows);
+        if label.starts_with("aggregate ") {
+            assert_eq!(
+                p.merge_tasks, 1,
+                "{label}: a global aggregate merges in one task"
+            );
+            global_aggs += 1;
+            continue;
+        }
+        assert_eq!(p.merge_tasks, partitions, "{label}");
+        if rows >= 8 {
+            if max_task < rows {
                 checked += 1;
+            } else {
+                one_key.push(label.as_str());
             }
         }
     }
+    assert_eq!(
+        one_key,
+        ["bwd createbf b"],
+        "only the b.j-partitioned pipeline may hold one key: {:#?}",
+        r.sched.pipelines
+    );
     assert!(checked >= 2, "expected ≥2 spread-checked sink merges");
     assert_eq!(global_aggs, 1, "CHAIN_SQL has one GROUP-BY-less aggregate");
 }
@@ -466,13 +457,12 @@ fn worker_partition_matrix_agrees_with_serial_run() {
                         "{mode:?} pc={partition_count} w={workers} totals differ on {sql}"
                     );
                     // The scheduler reported its task accounting.
-                    for stat in ["[scheduler] pipelines", "[scheduler] tasks"] {
-                        assert!(
-                            r.trace.iter().any(|(l, _)| l == stat),
-                            "{stat} missing from trace: {:?}",
-                            r.trace
-                        );
-                    }
+                    assert!(
+                        !r.sched.pipelines.is_empty() && r.sched.tasks > 0,
+                        "{mode:?} pc={partition_count} w={workers}: {:?}",
+                        r.sched
+                    );
+                    assert_eq!(r.sched.tasks, r.metrics.sched_tasks);
                 }
             }
         }
@@ -530,19 +520,14 @@ fn groupby_partition_worker_matrix() {
                 if partition_count > 1 {
                     // The GROUP BY merge ran one task per partition and no
                     // task saw all 20 groups.
-                    let merge_stat = |suffix: &str| {
-                        r.trace
-                            .iter()
-                            .find(|(l, _)| {
-                                l.starts_with("[merge] aggregate") && l.ends_with(suffix)
-                            })
-                            .unwrap_or_else(|| {
-                                panic!("{at}: no aggregate merge {suffix} in trace {:?}", r.trace)
-                            })
-                            .1
-                    };
-                    assert_eq!(merge_stat("tasks"), partition_count as u64);
-                    let agg_max = merge_stat("max-task-rows");
+                    let agg = r
+                        .sched
+                        .pipelines
+                        .iter()
+                        .find(|p| p.label.starts_with("aggregate"))
+                        .unwrap_or_else(|| panic!("{at}: no aggregate pipeline in {:?}", r.sched));
+                    assert_eq!(agg.merge_tasks, partition_count as u64);
+                    let agg_max = agg.merge_max_task_rows;
                     assert!(
                         agg_max < groups,
                         "{at}: an aggregate merge task covered {agg_max} of {groups} groups"
@@ -587,14 +572,6 @@ fn agg_fast_path_engages_and_is_byte_identical() {
         assert_eq!(
             fast.rows, generic.rows,
             "pc={partition_count}: paths are not byte-identical"
-        );
-        // The metrics land in the trace for case studies.
-        assert!(
-            fast.trace
-                .iter()
-                .any(|(l, v)| l == "[agg] fast-path-chunks" && *v > 0),
-            "trace missing fast-path chunks: {:?}",
-            fast.trace
         );
     }
 }
@@ -653,15 +630,9 @@ fn transfer_pass_exposes_parallelism() {
     let db = chain_db();
     let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
     let r = db.query(CHAIN_SQL, &opts).unwrap();
-    let ready = r
-        .trace
-        .iter()
-        .find(|(l, _)| l == "[scheduler] initially-ready")
-        .map(|&(_, v)| v)
-        .unwrap();
     assert!(
-        ready > 1,
-        "expected >1 initially-ready pipelines, trace: {:?}",
-        r.trace
+        r.sched.initially_ready > 1,
+        "expected >1 initially-ready pipelines: {:?}",
+        r.sched
     );
 }

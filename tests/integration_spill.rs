@@ -173,9 +173,7 @@ fn spilling_one_partition_keeps_others_resident() {
     // Restore: the merge publishes every partition (spilled chunks are read
     // back), and the rebuilt buffer probes like the original rows.
     let res = Resources::with_partitions(1, 1, 0, partitions);
-    factory
-        .merge_partitioned("collect", vec![sink], &ctx, &res)
-        .unwrap();
+    factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
     let chunks = res.buffer(0).unwrap();
     let total: usize = chunks.iter().map(|c| c.num_rows()).sum();
     assert_eq!(total, 4060);
@@ -268,9 +266,7 @@ fn sort_spills_one_partition_and_merges_in_order() {
     assert_eq!(spill_files(&dir), 1, "exactly one partition should spill");
 
     let res = Resources::new(1, 0, 0);
-    factory
-        .merge_partitioned("sort", vec![sink], &ctx, &res)
-        .unwrap();
+    factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
     let rows: Vec<Vec<ScalarValue>> = res
         .buffer(0)
         .unwrap()
@@ -399,9 +395,7 @@ fn encoded_spill_at_least_halves_written_bytes() {
         sink.sink(chunk, &ctx).unwrap();
     }
     let res = Resources::new(1, 0, 0);
-    factory
-        .merge_partitioned("collect", vec![sink], &ctx, &res)
-        .unwrap();
+    factory.merge_partitioned(vec![sink], &ctx, &res).unwrap();
     let rows: Vec<Vec<ScalarValue>> = res
         .buffer(0)
         .unwrap()

@@ -32,12 +32,7 @@ fn eight_partitions_hand_out_no_more_chunks_than_one_plus_their_tails() {
             let one = run(&db, &q.sql, 1);
             let eight = run(&db, &q.sql, 8);
             assert_eq!(one.sorted_rows().len(), eight.sorted_rows().len());
-            let pipelines = eight
-                .trace
-                .iter()
-                .find(|(label, _)| label == "[scheduler] pipelines")
-                .map(|&(_, n)| n)
-                .expect("the scheduler records its pipeline count");
+            let pipelines = eight.sched.pipelines.len() as u64;
             let (c1, c8) = (one.metrics.source_chunks, eight.metrics.source_chunks);
             assert!(c1 > 0, "{} {}: no source chunk counted", w.name, q.id);
             assert!(

@@ -64,15 +64,8 @@ fn literal_range_scan_prunes_blocks() {
     assert_eq!(on.scalar_i64(), Some(1000));
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     // Only the first block intersects [0, 1000); all others prune.
-    assert_eq!(on.metrics.blocks_scanned, 1, "trace: {:?}", on.trace);
+    assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, total_blocks - 1);
-    assert!(
-        on.trace
-            .iter()
-            .any(|(l, v)| l.starts_with("[storage]") && *v > 0),
-        "trace missing [storage] pruning entry: {:?}",
-        on.trace
-    );
 
     let off = db.query(sql, &opts(Mode::Baseline, false)).unwrap();
     assert_eq!(off.scalar_i64(), Some(1000));
@@ -97,9 +90,9 @@ fn transferred_bloom_range_prunes_fact_blocks() {
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     assert!(
         rpt.metrics.blocks_pruned >= total_blocks - 2,
-        "expected most of {total_blocks} fact blocks pruned, got {} (trace: {:?})",
+        "expected most of {total_blocks} fact blocks pruned, got {} ({:?})",
         rpt.metrics.blocks_pruned,
-        rpt.trace
+        rpt.metrics
     );
 
     // Same query without predicate transfer: no Bloom filter exists, so
@@ -149,14 +142,14 @@ fn utf8_dict_literal_scan_prunes_blocks() {
     let eq = "SELECT COUNT(*) FROM cat WHERE cat.grp = 's2'";
     let on = db.query(eq, &opts(Mode::Baseline, true)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
-    assert_eq!(on.metrics.blocks_scanned, 1, "trace: {:?}", on.trace);
+    assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
 
     // Range below 's1': only block 0 ("s0") can hold a match.
     let lt = "SELECT COUNT(*) FROM cat WHERE cat.grp < 's1'";
     let on = db.query(lt, &opts(Mode::Baseline, true)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
-    assert_eq!(on.metrics.blocks_scanned, 1, "trace: {:?}", on.trace);
+    assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
 
     // A literal outside the dictionary can match no row anywhere: every
@@ -164,7 +157,7 @@ fn utf8_dict_literal_scan_prunes_blocks() {
     let absent = "SELECT COUNT(*) FROM cat WHERE cat.grp = 'zzz'";
     let on = db.query(absent, &opts(Mode::Baseline, true)).unwrap();
     assert_eq!(on.scalar_i64(), Some(0));
-    assert_eq!(on.metrics.blocks_scanned, 0, "trace: {:?}", on.trace);
+    assert_eq!(on.metrics.blocks_scanned, 0, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64);
 
     // The raw layout agrees on rows and records no block metrics.
@@ -291,9 +284,9 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     assert!(
         rpt.metrics.blocks_pruned >= total_blocks - 2,
-        "expected most of {total_blocks} fact blocks pruned via key position 1, got {} (trace: {:?})",
+        "expected most of {total_blocks} fact blocks pruned via key position 1, got {} ({:?})",
         rpt.metrics.blocks_pruned,
-        rpt.trace
+        rpt.metrics
     );
     // The raw layout and the baseline agree on the result.
     let off = db

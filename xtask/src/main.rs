@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — std-only workspace lint (no external deps).
 //!
-//! Five token-scan rules; the first three are scoped to hot execution
+//! Six token-scan rules; the first three are scoped to hot execution
 //! paths where a panic or a silent counter wrap would take down or corrupt
 //! a query:
 //!
@@ -44,6 +44,12 @@
 //!   `crates/exec/src/global.rs`, whose worker pool is sized by the
 //!   query's worker count; every other piece of parallel work runs as a
 //!   task of that pool, so the thread count is the pool size.
+//! * **F (one place per knob):** a non-test `env::var("RPT_…")` read under
+//!   `crates/` names one of the three `RPT_*` knobs, inside the one
+//!   function that reads it: `RPT_PARTITION_COUNT` in
+//!   `partition_count_from_env`, `RPT_MEMORY_BUDGET` in
+//!   `memory_budget_from_env`, `RPT_PLAN_VERIFY` in `VerifyMode::from_env`.
+//!   Every other setting is a `QueryOptions` / `ExecContext` field.
 //!
 //! Findings can be suppressed via `xtask/lint-allow.txt` (`RULE path[:line]`
 //! entries); the file starts — and should stay — empty.
@@ -94,6 +100,7 @@ fn lint(root: PathBuf) -> ExitCode {
     findings.extend(rule_c(&root));
     findings.extend(rule_d(&root));
     findings.extend(rule_e(&root));
+    findings.extend(rule_f(&root));
 
     let mut failed = 0usize;
     for f in &findings {
@@ -546,6 +553,121 @@ fn scan_e(path: &str, text: &str) -> Vec<Finding> {
     )
 }
 
+// ---- Rule F: each env knob is read in one function ----
+
+/// The `RPT_*` knobs and the function that alone reads each.
+const RULE_F_KNOBS: &[(&str, &str)] = &[
+    ("RPT_PARTITION_COUNT", "partition_count_from_env"),
+    ("RPT_MEMORY_BUDGET", "memory_budget_from_env"),
+    ("RPT_PLAN_VERIFY", "VerifyMode::from_env"),
+];
+
+fn rule_f(root: &Path) -> Vec<Finding> {
+    let mut files = Vec::new();
+    walk(&root.join("crates"), &mut files);
+    let mut findings = Vec::new();
+    for path in files {
+        let relp = rel(root, &path);
+        if relp.contains("/tests/") {
+            continue;
+        }
+        let Ok(text) = fs::read_to_string(&path) else {
+            continue;
+        };
+        findings.extend(scan_f(&relp, &text));
+    }
+    findings
+}
+
+fn scan_f(path: &str, text: &str) -> Vec<Finding> {
+    let c = classify(text);
+    // String contents are stripped from `c.code`, so the variable name is
+    // the first string literal after `env::var` in the raw text: on the
+    // call's line, or on the next one where rustfmt broke the call.
+    let raw: Vec<&str> = text.lines().collect();
+    let mut findings = Vec::new();
+    let mut depth = 0i64;
+    let mut impl_ty: Option<String> = None;
+    let mut func = String::new();
+    for (i, line) in c.code.iter().enumerate() {
+        let t = line.trim_start();
+        if depth == 0 && t.starts_with("impl") {
+            impl_ty = impl_type(t);
+        }
+        if let Some(name) = fn_name(t) {
+            func = match (&impl_ty, depth) {
+                (Some(ty), d) if d > 0 => format!("{ty}::{name}"),
+                _ => name,
+            };
+        }
+        depth += line.matches('{').count() as i64 - line.matches('}').count() as i64;
+        if depth <= 0 {
+            depth = 0;
+            impl_ty = None;
+        }
+        if c.test[i] || !line.contains("env::var") {
+            continue;
+        }
+        let Some(call) = raw.get(i).and_then(|l| l.split_once("env::var")) else {
+            continue;
+        };
+        let arg = match call.1.split_once('"') {
+            Some((_, rest)) => rest,
+            None => match raw.get(i + 1).and_then(|l| l.split_once('"')) {
+                Some((_, rest)) => rest,
+                None => continue,
+            },
+        };
+        let Some(knob) = arg.split('"').next().filter(|v| v.starts_with("RPT_")) else {
+            continue;
+        };
+        let message = match RULE_F_KNOBS.iter().find(|(k, _)| *k == knob) {
+            None => format!("`{knob}` is not a knob; make it a `QueryOptions` field"),
+            Some((_, reader)) if *reader != func => {
+                format!("`{knob}` read in `{func}`; only `{reader}` reads it")
+            }
+            Some(_) => continue,
+        };
+        findings.push(Finding {
+            rule: 'F',
+            path: path.to_string(),
+            line: i + 1,
+            message,
+        });
+    }
+    findings
+}
+
+/// The self type of an `impl` header (`impl<T> Trait for Ty<T> {` → `Ty`).
+fn impl_type(header: &str) -> Option<String> {
+    let mut rest = header.strip_prefix("impl")?;
+    if rest.starts_with('<') {
+        rest = &rest[rest.find('>')? + 1..];
+    }
+    if let Some((_, ty)) = rest.split_once(" for ") {
+        rest = ty;
+    }
+    let name: String = rest
+        .trim_start()
+        .chars()
+        .take_while(|ch| ch.is_alphanumeric() || *ch == '_')
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
+/// The name a `fn` item on this line declares, if any.
+fn fn_name(line: &str) -> Option<String> {
+    let at = line.find("fn ")?;
+    if at > 0 && !line[..at].ends_with(' ') {
+        return None;
+    }
+    let name: String = line[at + 3..]
+        .chars()
+        .take_while(|ch| ch.is_alphanumeric() || *ch == '_')
+        .collect();
+    (!name.is_empty()).then_some(name)
+}
+
 /// Field names of `pub struct Metrics` with type `AtomicU64`.
 fn metric_fields(context_rs: &str) -> Vec<String> {
     let mut fields = Vec::new();
@@ -664,6 +786,56 @@ mod tests {
     }
 
     #[test]
+    fn rule_f_allows_each_knob_in_its_reader_only() {
+        let src = "\
+pub fn memory_budget_from_env() -> Option<usize> {
+    std::env::var(\"RPT_MEMORY_BUDGET\").ok()?.parse().ok()
+}
+impl VerifyMode {
+    pub fn from_env() -> VerifyMode {
+        VerifyMode::from_setting(std::env::var(\"RPT_PLAN_VERIFY\").ok().as_deref())
+    }
+}
+impl ExecContext {
+    pub fn new() -> Self {
+        let trace = std::env::var(\"RPT_SCHED_TRACE\").is_ok();
+        let budget = std::env::var(\"RPT_MEMORY_BUDGET\").ok();
+        // std::env::var(\"RPT_IN_A_COMMENT\")
+    }
+    pub fn from_env() -> Self {
+        std::env::var(
+            \"RPT_PLAN_VERIFY\",
+        )
+    }
+}
+#[cfg(test)]
+mod tests {
+    fn t() { std::env::var_os(\"RPT_ANYTHING\"); }
+}
+";
+        let f = scan_f("crates/exec/src/context.rs", src);
+        let got: Vec<(usize, &str)> = f.iter().map(|f| (f.line, f.message.as_str())).collect();
+        assert_eq!(
+            got,
+            [
+                (
+                    11,
+                    "`RPT_SCHED_TRACE` is not a knob; make it a `QueryOptions` field"
+                ),
+                (
+                    12,
+                    "`RPT_MEMORY_BUDGET` read in `ExecContext::new`; only `memory_budget_from_env` reads it"
+                ),
+                (
+                    16,
+                    "`RPT_PLAN_VERIFY` read in `ExecContext::from_env`; only `VerifyMode::from_env` reads it"
+                ),
+            ]
+        );
+        assert!(f.iter().all(|f| f.rule == 'F'));
+    }
+
+    #[test]
     fn metric_fields_parsed() {
         let src = "\
 pub struct Metrics {
@@ -719,6 +891,7 @@ pub struct Metrics {
             .chain(rule_c(&root))
             .chain(rule_d(&root))
             .chain(rule_e(&root))
+            .chain(rule_f(&root))
             .collect();
         let allow = load_allowlist(&root.join("xtask/lint-allow.txt"));
         let active: Vec<&Finding> = findings.iter().filter(|f| !allowed(&allow, f)).collect();
