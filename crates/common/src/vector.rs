@@ -242,28 +242,24 @@ impl Vector {
     /// Gather rows by index into a new flat vector (used to apply selection
     /// vectors and to materialize hash-join matches).
     pub fn take(&self, indices: &[u32]) -> Vector {
-        self.take_from(0, indices)
-    }
-
-    /// [`Vector::take`] with every index shifted by `offset`: gathers rows
-    /// `offset + indices[k]`, so a block-local selection reads straight out
-    /// of a whole-table column.
-    pub fn take_from(&self, offset: usize, indices: &[u32]) -> Vector {
-        let at = |i: &u32| offset + *i as usize;
         let data = match &self.data {
-            ColumnData::Int64(v) => ColumnData::Int64(indices.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::Int64(v) => {
+                ColumnData::Int64(indices.iter().map(|i| v[*i as usize]).collect())
+            }
             ColumnData::Float64(v) => {
-                ColumnData::Float64(indices.iter().map(|i| v[at(i)]).collect())
+                ColumnData::Float64(indices.iter().map(|i| v[*i as usize]).collect())
             }
             ColumnData::Utf8(v) => {
-                ColumnData::Utf8(indices.iter().map(|i| v[at(i)].clone()).collect())
+                ColumnData::Utf8(indices.iter().map(|i| v[*i as usize].clone()).collect())
             }
-            ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|i| v[at(i)]).collect()),
+            ColumnData::Bool(v) => {
+                ColumnData::Bool(indices.iter().map(|i| v[*i as usize]).collect())
+            }
         };
         let validity = self
             .validity
             .as_ref()
-            .map(|m| indices.iter().map(|i| m[at(i)]).collect());
+            .map(|m| indices.iter().map(|i| m[*i as usize]).collect());
         Vector {
             data,
             validity,

@@ -68,8 +68,8 @@ pub struct QueryOptions {
     pub join_order: Option<JoinOrder>,
     /// When the optimizer chooses: bushy (greedy) instead of left-deep DP.
     pub bushy_optimizer: bool,
-    // Ignored by the engine; only `benchmark/src/workloads.rs:6,162`
-    // assigns it, and the next `benchmark` PR can drop it.
+    // Ignored by the engine; only the benchmark's `Spec::options` assigns
+    // it, and the next `benchmark` change can drop it.
     #[doc(hidden)]
     pub scheduler: SchedulerKind,
     /// Worker-pool size; `None` (default) sizes the pool to
@@ -91,8 +91,8 @@ pub struct QueryOptions {
     /// Work budget in tuples — the timeout analogue (§5.1's 1000×t_opt).
     pub work_budget: Option<u64>,
     // Ignored by the engine (the memory governor decides every spill);
-    // only `benchmark/src/workloads.rs:167` assigns it, and the next
-    // `benchmark` PR can drop it.
+    // only the benchmark's `Spec::options` assigns it, and the next
+    // `benchmark` change can drop it.
     #[doc(hidden)]
     pub spill_limit_bytes: Option<usize>,
     /// Directory of every spill run the memory governor evicts.
@@ -104,8 +104,8 @@ pub struct QueryOptions {
     /// disk. Defaults to `RPT_MEMORY_BUDGET` when set, else unlimited.
     pub memory_budget_bytes: Option<usize>,
     // Ignored by the engine (spill runs are always block-encoded and
-    // always prefetched); only `benchmark/src/workloads.rs:170-171`
-    // assigns them, and the next `benchmark` PR can drop both.
+    // always prefetched); only the benchmark's `Spec::options` assigns
+    // them, and the next `benchmark` change can drop both.
     #[doc(hidden)]
     pub spill_encoding: bool,
     #[doc(hidden)]
@@ -127,18 +127,16 @@ pub struct QueryOptions {
     /// chosen left-deep order with SafeSubjoin and repair unsafe orders by
     /// falling back to the (always safe) Yannakakis bottom-up tree order.
     pub enforce_safe_orders: bool,
-    /// Let aggregate sinks use the fixed-width packed-key group tables
-    /// when the group key is eligible (all `Int64`/`Bool` columns).
-    /// Default on; the generic encoded-key path is always the fallback,
-    /// and `false` forces it, which only tests do, as their reference.
+    // Ignored by the engine (an eligible group key always takes the
+    // fixed-width tables, and scans always read the block-encoded form);
+    // only the benchmark's `Spec::options` assigns them, and the next
+    // `benchmark` change can drop both.
+    #[doc(hidden)]
     pub agg_fast: bool,
-    /// Scan base tables through the block-based encoded layout (zone-map
-    /// block pruning + dictionary-coded `Utf8` columns) instead of the raw
-    /// vector layout. Default on; `false` scans the raw layout, which only
-    /// tests do, as their reference. Results are identical either way.
+    #[doc(hidden)]
     pub storage_encoding: bool,
-    // Ignored by the engine; only `benchmark/src/workloads.rs:174` assigns
-    // it, and the next `benchmark` PR can drop it.
+    // Ignored by the engine; only the benchmark's `Spec::options` assigns
+    // it, and the next `benchmark` change can drop it.
     #[doc(hidden)]
     pub repartition_elide: bool,
     /// Static plan verification mode (see `rpt_analyze`): every compiled
@@ -182,20 +180,6 @@ impl QueryOptions {
     /// any violated invariant; `Off` skips the checks).
     pub fn with_plan_verify(mut self, mode: rpt_exec::VerifyMode) -> Self {
         self.plan_verify = mode;
-        self
-    }
-
-    /// Enable or disable the block-encoded storage scan path (zone-map
-    /// pruning + dictionary-coded strings; `false` scans the raw layout).
-    pub fn with_storage_encoding(mut self, storage_encoding: bool) -> Self {
-        self.storage_encoding = storage_encoding;
-        self
-    }
-
-    /// Enable or disable the fixed-width aggregation fast path (the
-    /// eligibility rule still applies; `false` forces the generic tables).
-    pub fn with_agg_fast(mut self, agg_fast: bool) -> Self {
-        self.agg_fast = agg_fast;
         self
     }
 
@@ -501,8 +485,6 @@ impl Database {
             .with_threads(opts.threads)
             .with_partitions(opts.partition_count)
             .with_workers(workers)
-            .with_agg_fast(opts.agg_fast)
-            .with_storage_encoding(opts.storage_encoding)
             .with_memory_budget(opts.memory_budget_bytes)
             .with_spill_dir(opts.spill_dir.clone())
             .with_verify(opts.plan_verify);

@@ -415,18 +415,23 @@ impl<'q> Planner<'q> {
             })
             .collect::<Result<_>>()?;
 
+        // `{dir} {step} {source} -> {target}`: a plan transfers along one
+        // edge once per direction, so the label names one pipeline.
         let dir = if forward { "fwd" } else { "bwd" };
-        let src_name = self.q.relations[*source].binding.clone();
+        let edge = format!(
+            "{} -> {}",
+            self.q.relations[*source].binding, self.q.relations[*target].binding
+        );
 
         if exact {
             // Yannakakis: materialize the source, build an exact hash table,
             // semi-probe the target.
             let src_stream = &mut states[*source].stream;
-            let buf = self.materialize(src_stream, vec![], format!("{dir} materialize {src_name}"));
+            let buf = self.materialize(src_stream, vec![], format!("{dir} materialize {edge}"));
             let schema = self.stream_schema(src_stream);
             let ht = self.new_table();
             self.pipelines.push(PipelinePlan {
-                label: format!("{dir} semibuild {src_name}"),
+                label: format!("{dir} semibuild {edge}"),
                 source: SourceSpec::Buffer(buf),
                 ops: vec![],
                 sink: SinkSpec::HashBuild {
@@ -463,7 +468,7 @@ impl<'q> Planner<'q> {
                     key_cols: src_keys,
                     shape,
                 }],
-                format!("{dir} createbf {src_name}"),
+                format!("{dir} createbf {edge}"),
             );
             states[*target].stream.probe_bloom(filter_id, tgt_keys);
         }
@@ -722,20 +727,17 @@ impl<'q> Planner<'q> {
                 agg_schema_fields.push(Field::new(a.alias.clone(), a.output_type(&input_types)?));
             }
             let agg_schema = Schema::new(agg_schema_fields);
-            // Dictionary-coded `Utf8` group keys: when the storage layer
-            // runs in encoded mode, attach the base table's dictionary for
-            // every string group column so the aggregate can pack 32-bit
-            // codes into the fixed-width fast-path key instead of falling
-            // back to the generic encoded-key table. Attached per *input
-            // column* (the sink indexes by group column position).
+            // Dictionary-coded `Utf8` group keys: attach the base table's
+            // dictionary for every string group column so the aggregate can
+            // pack 32-bit codes into the fixed-width fast-path key instead
+            // of falling back to the generic encoded-key table. Attached per
+            // *input column* (the sink indexes by group column position).
             let mut key_dicts: Vec<Option<Arc<rpt_common::Utf8Dict>>> = vec![None; layout.len()];
-            if self.opts.storage_encoding {
-                for &g in &group_cols {
-                    let (r, c) = layout[g];
-                    let rel = &self.q.relations[r];
-                    if rel.table.schema.field(c).data_type == DataType::Utf8 {
-                        key_dicts[g] = rel.table.dict(c);
-                    }
+            for &g in &group_cols {
+                let (r, c) = layout[g];
+                let rel = &self.q.relations[r];
+                if rel.table.schema.field(c).data_type == DataType::Utf8 {
+                    key_dicts[g] = rel.table.dict(c);
                 }
             }
             let agg_buf = self.new_buffer();
@@ -1008,10 +1010,14 @@ mod tests {
             for (r, input) in inputs.iter().enumerate() {
                 // The last pipeline that sinks relation r's rows.
                 let binding = &q.relations[r].binding;
+                let sinks_rel = |label: &str| {
+                    label == format!("materialize {binding}")
+                        || label.contains(&format!(" {binding} -> "))
+                };
                 let last = plan.pipelines[..at]
                     .iter()
                     .rev()
-                    .find(|p| p.label.ends_with(&format!(" {binding}")))
+                    .find(|p| sinks_rel(&p.label))
                     .unwrap();
                 assert!(
                     matches!(last.sink, SinkSpec::Buffer { buf_id, .. } if buf_id == input.buf_id),

@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use rpt_common::{Error, Result};
 
-// Only `benchmark/src/workloads.rs:6,162` reads this (it assigns
-// `QueryOptions::scheduler`); the next `benchmark` PR can drop both.
+// Only the benchmark's `Spec::options` names this (it assigns
+// `QueryOptions::scheduler`); the next `benchmark` change can drop both.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SchedulerKind {
@@ -332,14 +332,6 @@ pub struct ExecContext {
     pub partition_count: usize,
     /// Worker-pool size (defaults to `available_parallelism()`).
     pub workers: usize,
-    /// Allow aggregate sinks to take the fixed-width packed-key fast path
-    /// when the group key is eligible (default on; `false` forces the
-    /// generic encoded-key tables, which only tests use as a reference).
-    pub agg_fast: bool,
-    /// Serve table scans from the block-encoded layout (zone-map pruning,
-    /// dictionary-backed string vectors). Default on; `false` scans the
-    /// raw flat layout, which only tests use as a reference.
-    pub storage_encoding: bool,
     /// Plan-verification mode (defaults from `RPT_PLAN_VERIFY`; debug
     /// builds default to `Strict`). Gates the observed-access shadow log.
     pub verify: VerifyMode,
@@ -372,8 +364,6 @@ impl ExecContext {
             spill_dir: std::env::temp_dir(),
             partition_count: rpt_common::partition_count_from_env(),
             workers: default_worker_count(),
-            agg_fast: true,
-            storage_encoding: true,
             verify: VerifyMode::from_env(),
             governor: memory_budget_from_env()
                 .map(|b| Arc::new(rpt_storage::MemoryGovernor::new(b))),
@@ -384,18 +374,6 @@ impl ExecContext {
     /// Set the plan-verification mode.
     pub fn with_verify(mut self, verify: VerifyMode) -> Self {
         self.verify = verify;
-        self
-    }
-
-    /// Enable or disable the fixed-width aggregation fast path.
-    pub fn with_agg_fast(mut self, agg_fast: bool) -> Self {
-        self.agg_fast = agg_fast;
-        self
-    }
-
-    /// Enable or disable the block-encoded storage read path.
-    pub fn with_storage_encoding(mut self, on: bool) -> Self {
-        self.storage_encoding = on;
         self
     }
 

@@ -141,17 +141,16 @@ impl AggregateFactory {
     }
 
     /// One per-partition group table. The table implementation is chosen
-    /// here, at sink construction: the fixed-key fast path when the
-    /// context allows it (`ctx.agg_fast`, default on; tests turn it off
-    /// to reach the generic tables) *and* every group column is fixed-width — `Int64`,
-    /// `Bool`, or a `Utf8` column with a planner-attached dictionary
-    /// packing its codes — else the generic encoded-key table.
-    fn state(&self, ctx: &ExecContext) -> Result<AggregateState> {
+    /// here, at sink construction: the fixed-key fast path when every group
+    /// column is fixed-width — `Int64`, `Bool`, or a `Utf8` column with a
+    /// planner-attached dictionary packing its codes — else the generic
+    /// encoded-key table.
+    fn state(&self) -> Result<AggregateState> {
         AggregateState::with_fast_path_dicts(
             self.group_cols.clone(),
             self.aggs.clone(),
             &self.input_types,
-            ctx.agg_fast,
+            true,
             &self.key_dicts,
         )
     }
@@ -165,7 +164,7 @@ impl SinkFactory for AggregateFactory {
             Partitioner::new(ctx.partition_count)
         };
         let parts = (0..partitioner.count())
-            .map(|_| self.state(ctx))
+            .map(|_| self.state())
             .collect::<Result<Vec<_>>>()?;
         Ok(Box::new(AggregateSink {
             partitioner,

@@ -343,8 +343,8 @@ impl Resources {
 /// one exception is [`crate::wcoj::GenericJoinScan`], which does its work
 /// in `open`: no output row exists before every input has been joined.
 pub trait Source: Send + Sync {
-    /// Open the whole input. `ctx` carries read-path configuration (e.g.
-    /// `storage_encoding`) and the metrics sink for scan-side counters.
+    /// Open the whole input. `ctx` carries the metrics sink for scan-side
+    /// counters.
     fn open<'a>(&'a self, ctx: &ExecContext, res: &Resources) -> Result<Box<dyn Morsels + 'a>>;
 
     /// The buffer this source can read partition-by-partition, if any.

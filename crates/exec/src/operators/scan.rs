@@ -8,7 +8,6 @@ use super::{ChunkList, Morsels, Resources, Source};
 use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
 use rpt_bloom::TransferFilter;
-use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{DataChunk, DataType, Result, Vector};
 use rpt_storage::{BlockTable, Table, ZoneMap};
 use std::collections::BTreeSet;
@@ -43,7 +42,7 @@ pub struct ScanProbe {
     pub key_cols: Vec<usize>,
 }
 
-/// Scan an in-memory columnar table in `VECTOR_SIZE`-row morsels, with the
+/// Scan a table's block-encoded form one block per morsel, with the
 /// relation's predicate, its transferred filters and its projection
 /// fused in.
 ///
@@ -58,11 +57,9 @@ pub struct ScanProbe {
 /// only then decodes the remaining output columns, key columns included,
 /// for the selected rows, into a flat chunk in `output` order.
 ///
-/// With `ctx.storage_encoding` on, columns come from the table's
-/// block-encoded form (dictionary-coded `Utf8` columns as dictionary-backed
-/// vectors); with it off the raw flat layout is sliced and gathered in the
-/// same filter-first order, unpruned, and key columns are decoded before
-/// they are hashed.
+/// Columns come from the table's block-encoded form (dictionary-coded
+/// `Utf8` columns as dictionary-backed vectors); the raw vectors of the
+/// [`Table`] are never read here.
 pub struct TableScan {
     table: Arc<Table>,
     filter: Option<ScanFilter>,
@@ -183,13 +180,6 @@ impl Source for TableScan {
             .iter()
             .map(|p| res.filter(p.filter_id))
             .collect::<Result<_>>()?;
-        if !ctx.storage_encoding {
-            return Ok(Box::new(ScanMorsels {
-                scan: self,
-                layout: Layout::Flat,
-                filters,
-            }));
-        }
         let enc = self.table.encoded();
         // `(col, lo, hi)`: the raw key range each filter tracked, per
         // `Int64` key column.
@@ -211,76 +201,45 @@ impl Source for TableScan {
         ctx.metrics.add(&ctx.metrics.blocks_pruned, pruned);
         Ok(Box::new(ScanMorsels {
             scan: self,
-            layout: Layout::Blocks { enc, blocks },
+            enc,
+            blocks,
             filters,
         }))
     }
 }
 
-/// Where an opened scan reads its columns from.
-enum Layout {
-    /// The block-encoded form; morsel `i` is block `blocks[i]` (the blocks
-    /// zone-map pruning left).
-    Blocks {
-        enc: Arc<BlockTable>,
-        blocks: Vec<usize>,
-    },
-    /// The raw flat columns; morsel `i` is the `i`-th `VECTOR_SIZE` range.
-    Flat,
-}
-
+/// An opened scan: morsel `i` is block `blocks[i]` of `enc` (the blocks
+/// zone-map pruning left).
 struct ScanMorsels<'a> {
     scan: &'a TableScan,
-    layout: Layout,
+    enc: Arc<BlockTable>,
+    blocks: Vec<usize>,
     /// The published filter of each of `scan.probes`, resolved at `open`.
     filters: Vec<Arc<TransferFilter>>,
 }
 
 impl ScanMorsels<'_> {
-    /// `(first table row, row count)` of morsel `i`.
-    fn range(&self, i: usize) -> (usize, usize) {
-        let (block, block_rows) = match &self.layout {
-            Layout::Blocks { enc, blocks } => (blocks[i], enc.block_rows),
-            Layout::Flat => (i, VECTOR_SIZE),
-        };
-        let start = block * block_rows;
-        (start, block_rows.min(self.scan.table.num_rows() - start))
-    }
-
     /// Column `col` of morsel `i`: every row, or the block-local rows `sel`.
     fn column(&self, col: usize, i: usize, sel: Option<&[u32]>) -> Vector {
-        match (&self.layout, sel) {
-            (Layout::Blocks { enc, blocks }, None) => enc.columns[col].decode_block(blocks[i]),
-            (Layout::Blocks { enc, blocks }, Some(sel)) => {
-                enc.columns[col].decode_block_sel(blocks[i], sel)
-            }
-            (Layout::Flat, None) => {
-                let (start, len) = self.range(i);
-                self.scan.table.column(col).slice(start, len)
-            }
-            (Layout::Flat, Some(sel)) => {
-                self.scan.table.column(col).take_from(self.range(i).0, sel)
-            }
+        match sel {
+            None => self.enc.columns[col].decode_block(self.blocks[i]),
+            Some(sel) => self.enc.columns[col].decode_block_sel(self.blocks[i], sel),
         }
     }
 }
 
 impl Morsels for ScanMorsels<'_> {
     fn count(&self) -> usize {
-        match &self.layout {
-            Layout::Blocks { blocks, .. } => blocks.len(),
-            Layout::Flat => self.scan.table.num_rows().div_ceil(VECTOR_SIZE),
-        }
+        self.blocks.len()
     }
 
     fn morsel(&self, i: usize, ctx: &ExecContext) -> Result<Option<DataChunk>> {
-        let rows = self.range(i).1;
+        let start = self.blocks[i] * self.enc.block_rows;
+        let rows = self.enc.block_rows.min(self.scan.table.num_rows() - start);
         ctx.charge(rows as u64)?;
         let m = &ctx.metrics;
         m.add(&m.scan_rows, rows as u64);
-        if matches!(self.layout, Layout::Blocks { .. }) {
-            m.add(&m.blocks_scanned, 1);
-        }
+        m.add(&m.blocks_scanned, 1);
 
         // Selection phase. `decoded` holds the whole-morsel columns decoded
         // so far, by base column; `sel` (morsel-local rows, `None` = all)
@@ -300,35 +259,15 @@ impl Morsels for ScanMorsels<'_> {
         }
         for (probe, filter) in self.scan.probes.iter().zip(&self.filters) {
             // A key column the predicate decoded hashes from that vector;
-            // the encoded layout hashes every other one from its block,
-            // decoding nothing. The raw layout decodes it first, keeping it
-            // for later probes and the output.
-            let keys: Vec<ProbeKey> = match &self.layout {
-                Layout::Blocks { enc, blocks } => probe
-                    .key_cols
-                    .iter()
-                    .map(|&c| match decoded.iter().find(|(d, _)| *d == c) {
-                        Some((_, v)) => ProbeKey::Vector(v),
-                        None => ProbeKey::Block(&enc.columns[c].blocks[blocks[i]]),
-                    })
-                    .collect(),
-                Layout::Flat => {
-                    let at: Vec<usize> = probe
-                        .key_cols
-                        .iter()
-                        .map(|&c| {
-                            let at = decoded.iter().position(|(d, _)| *d == c);
-                            at.unwrap_or_else(|| {
-                                decoded.push((c, self.column(c, i, None)));
-                                decoded.len() - 1
-                            })
-                        })
-                        .collect();
-                    at.iter()
-                        .map(|&k| ProbeKey::Vector(&decoded[k].1))
-                        .collect()
-                }
-            };
+            // every other one hashes from its block, decoding nothing.
+            let keys: Vec<ProbeKey> = probe
+                .key_cols
+                .iter()
+                .map(|&c| match decoded.iter().find(|(d, _)| *d == c) {
+                    Some((_, v)) => ProbeKey::Vector(v),
+                    None => ProbeKey::Block(&self.enc.columns[c].blocks[self.blocks[i]]),
+                })
+                .collect();
             let n = sel.as_ref().map_or(rows, Vec::len);
             let keep = probe_selection(filter, &keys, sel.as_deref(), n, m)?;
             if keep.is_empty() {

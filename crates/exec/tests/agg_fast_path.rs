@@ -1,15 +1,18 @@
 //! Property tests for the type-specialized aggregation fast path: the
 //! fixed-key (packed `u64`/`u128`) group tables must be *byte-identical* to
 //! the generic encoded-key tables over random `Int64`/`Bool` keys with
-//! NULLs, at every partition count × worker count, including the `i64`
-//! extremes — and the metrics must show which path ran. Every aggregate
-//! function over every input type must also match a row-at-a-time
-//! reference fold written here, on the group-less, fast and generic tables.
+//! NULLs, checked on `AggregateState`s fed per worker and merged, including
+//! the `i64` extremes. Through the aggregate sink, which takes the fast
+//! path on every eligible key, at every partition count × worker count,
+//! the rows must equal a row-at-a-time reference fold written here and the
+//! metrics must show the fast path ran. Every aggregate function over
+//! every input type must also match that fold, on the group-less, fast and
+//! generic tables.
 
 use proptest::prelude::*;
 use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector};
 use rpt_exec::operators::AggregateFactory;
-use rpt_exec::{AggExpr, AggFunc, ExecContext, Expr, Resources, SinkFactory};
+use rpt_exec::{AggExpr, AggFunc, AggregateState, ExecContext, Expr, Resources, SinkFactory};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -25,34 +28,42 @@ fn out_schema() -> Schema {
     ])
 }
 
+/// The `(key, flag, value)` chunks' column types.
+const TYPES: [DataType; 3] = [DataType::Int64, DataType::Bool, DataType::Int64];
+
+/// COUNT(*), SUM, MIN, MAX and AVG of the value, grouped by key and flag.
+fn factory_aggs() -> Vec<AggExpr> {
+    vec![
+        AggExpr::count_star("c"),
+        AggExpr {
+            func: AggFunc::Sum,
+            input: Some(Expr::col(2)),
+            alias: "s".into(),
+        },
+        AggExpr {
+            func: AggFunc::Min,
+            input: Some(Expr::col(2)),
+            alias: "mn".into(),
+        },
+        AggExpr {
+            func: AggFunc::Max,
+            input: Some(Expr::col(2)),
+            alias: "mx".into(),
+        },
+        AggExpr {
+            func: AggFunc::Avg,
+            input: Some(Expr::col(2)),
+            alias: "av".into(),
+        },
+    ]
+}
+
 fn factory() -> AggregateFactory {
     AggregateFactory::new(
         0,
         vec![0, 1],
-        vec![
-            AggExpr::count_star("c"),
-            AggExpr {
-                func: AggFunc::Sum,
-                input: Some(Expr::col(2)),
-                alias: "s".into(),
-            },
-            AggExpr {
-                func: AggFunc::Min,
-                input: Some(Expr::col(2)),
-                alias: "mn".into(),
-            },
-            AggExpr {
-                func: AggFunc::Max,
-                input: Some(Expr::col(2)),
-                alias: "mx".into(),
-            },
-            AggExpr {
-                func: AggFunc::Avg,
-                input: Some(Expr::col(2)),
-                alias: "av".into(),
-            },
-        ],
-        vec![DataType::Int64, DataType::Bool, DataType::Int64],
+        factory_aggs(),
+        TYPES.to_vec(),
         out_schema(),
         vec![],
     )
@@ -97,13 +108,10 @@ fn worker_chunks(keys: &[i64], chunk_size: usize, workers: usize) -> Vec<Vec<Dat
 /// published row in partition order.
 fn run(
     factory: &AggregateFactory,
-    fast: bool,
     partitions: usize,
     per_worker: Vec<Vec<DataChunk>>,
 ) -> (Vec<Vec<ScalarValue>>, ExecContext) {
-    let ctx = ExecContext::new()
-        .with_partitions(partitions)
-        .with_agg_fast(fast);
+    let ctx = ExecContext::new().with_partitions(partitions);
     let res = Resources::with_partitions(1, 0, 0, partitions);
     let mut states = Vec::new();
     for chunks in per_worker {
@@ -123,13 +131,55 @@ fn run(
     (rows, ctx)
 }
 
+/// The fast (`fast`) or generic group tables of the `(key, flag)` chunks:
+/// one `AggregateState` per worker, merged into the first, finalized.
+fn state_rows(fast: bool, per_worker: Vec<Vec<DataChunk>>) -> Vec<Vec<ScalarValue>> {
+    let mut states = per_worker.into_iter().map(|chunks| {
+        let mut st =
+            AggregateState::with_fast_path(vec![0, 1], factory_aggs(), &TYPES, fast).unwrap();
+        assert_eq!(st.is_fast(), fast);
+        for c in &chunks {
+            st.update(c).unwrap();
+        }
+        st
+    });
+    let mut first = states.next().unwrap();
+    for st in states {
+        first.merge(st).unwrap();
+    }
+    first.finalize(&out_schema()).unwrap().rows()
+}
+
+/// The sink's rows for the `(key, flag)` chunks equal the reference fold,
+/// and only the fast tables consumed chunks.
+fn assert_sink_matches_reference(
+    keys: &[i64],
+    chunk_size: usize,
+    partitions: usize,
+    workers: usize,
+) {
+    let per_worker = worker_chunks(keys, chunk_size, workers);
+    let all: Vec<DataChunk> = per_worker.iter().flatten().cloned().collect();
+    let want = reference_fold(&[0, 1], &factory_aggs(), &TYPES, &all);
+    let (got, ctx) = run(&factory(), partitions, per_worker);
+    assert_eq!(keyed(got, 2), want, "pc={partitions} w={workers}");
+    let m = ctx.metrics.summary();
+    assert!(
+        m.agg_fast_path_chunks > 0 && m.agg_generic_chunks == 0,
+        "counted fast={} generic={}",
+        m.agg_fast_path_chunks,
+        m.agg_generic_chunks
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// The fast path must be *byte-identical* to the generic path: same
     /// rows in the same order (identical routing hashes → identical
-    /// partition contents → identical encoded-key sort), across random
-    /// partition counts and worker counts, with NULLs in keys and values.
+    /// encoded-key sort) from per-worker states merged together, with
+    /// NULLs in keys and values; and the sink's rows, at random partition
+    /// and worker counts, equal the reference fold.
     #[test]
     fn fast_path_is_byte_identical_to_generic(
         keys in proptest::collection::vec(-40i64..40, 1..150),
@@ -137,23 +187,17 @@ proptest! {
         pc_exp in 0u32..4,
         workers in 1usize..4,
     ) {
-        let partitions = 1usize << pc_exp;
-        let (generic, gctx) = run(&factory(), false, partitions, worker_chunks(&keys, chunk_size, workers));
-        let (fast, fctx) = run(&factory(), true, partitions, worker_chunks(&keys, chunk_size, workers));
+        let generic = state_rows(false, worker_chunks(&keys, chunk_size, workers));
+        let fast = state_rows(true, worker_chunks(&keys, chunk_size, workers));
         prop_assert_eq!(&generic, &fast, "fast vs generic rows differ");
         prop_assert!(!generic.is_empty());
-
-        // The metrics record which table implementation consumed chunks.
-        let (g, f) = (gctx.metrics.summary(), fctx.metrics.summary());
-        prop_assert!(g.agg_generic_chunks > 0 && g.agg_fast_path_chunks == 0,
-            "generic run counted fast={} generic={}", g.agg_fast_path_chunks, g.agg_generic_chunks);
-        prop_assert!(f.agg_fast_path_chunks > 0 && f.agg_generic_chunks == 0,
-            "fast run counted fast={} generic={}", f.agg_fast_path_chunks, f.agg_generic_chunks);
+        assert_sink_matches_reference(&keys, chunk_size, 1usize << pc_exp, workers);
     }
 }
 
 /// The `i64` extremes pack, group, and finalize identically on both paths
-/// (MIN/MAX/−1/0 exercise every bit of the 64-bit value field).
+/// (MIN/MAX/−1/0 exercise every bit of the 64-bit value field), and the
+/// sink groups them as the reference fold does.
 #[test]
 fn extreme_keys_are_byte_identical() {
     let keys = vec![
@@ -168,63 +212,56 @@ fn extreme_keys_are_byte_identical() {
         i64::MIN + 1,
         0,
     ];
-    for partitions in [1usize, 2, 8] {
-        for workers in [1usize, 2] {
-            let (generic, _) = run(
-                &factory(),
-                false,
-                partitions,
-                worker_chunks(&keys, 3, workers),
-            );
-            let (fast, _) = run(
-                &factory(),
-                true,
-                partitions,
-                worker_chunks(&keys, 3, workers),
-            );
-            assert_eq!(generic, fast, "pc={partitions} w={workers}");
+    for workers in [1usize, 2] {
+        let generic = state_rows(false, worker_chunks(&keys, 3, workers));
+        let fast = state_rows(true, worker_chunks(&keys, 3, workers));
+        assert_eq!(generic, fast, "w={workers}");
+        for partitions in [1usize, 2, 8] {
+            assert_sink_matches_reference(&keys, 3, partitions, workers);
         }
     }
 }
 
 /// SUM overflow at `i64::MAX` is an `Error::Exec` through the sink on the
-/// fast path too (checked adds survive the columnar accumulators).
+/// fast path (checked adds survive the columnar accumulators), and in the
+/// generic tables of an `AggregateState`.
 #[test]
 fn fast_path_sink_surfaces_sum_overflow() {
-    for fast in [false, true] {
-        let factory = AggregateFactory::new(
-            0,
-            vec![0],
-            vec![AggExpr {
-                func: AggFunc::Sum,
-                input: Some(Expr::col(1)),
-                alias: "s".into(),
-            }],
-            vec![DataType::Int64, DataType::Int64],
-            Schema::new(vec![
-                Field::new("k", DataType::Int64),
-                Field::new("s", DataType::Int64),
-            ]),
-            vec![],
-        );
-        let ctx = ExecContext::new().with_agg_fast(fast);
-        let mut sink = factory.make(&ctx).unwrap();
-        sink.sink(
-            DataChunk::new(vec![
-                Vector::from_i64(vec![3, 3]),
-                Vector::from_i64(vec![i64::MAX, 0]),
-            ]),
-            &ctx,
-        )
-        .unwrap();
-        let err = sink
-            .sink(
-                DataChunk::new(vec![Vector::from_i64(vec![3]), Vector::from_i64(vec![1])]),
-                &ctx,
-            )
-            .unwrap_err();
-        assert!(err.to_string().contains("SUM"), "fast={fast}: {err}");
-    }
+    let aggs = vec![AggExpr {
+        func: AggFunc::Sum,
+        input: Some(Expr::col(1)),
+        alias: "s".into(),
+    }];
+    let types = vec![DataType::Int64, DataType::Int64];
+    let first = DataChunk::new(vec![
+        Vector::from_i64(vec![3, 3]),
+        Vector::from_i64(vec![i64::MAX, 0]),
+    ]);
+    let second = DataChunk::new(vec![Vector::from_i64(vec![3]), Vector::from_i64(vec![1])]);
+
+    let factory = AggregateFactory::new(
+        0,
+        vec![0],
+        aggs.clone(),
+        types.clone(),
+        Schema::new(vec![
+            Field::new("k", DataType::Int64),
+            Field::new("s", DataType::Int64),
+        ]),
+        vec![],
+    );
+    let ctx = ExecContext::new();
+    let mut sink = factory.make(&ctx).unwrap();
+    sink.sink(first.clone(), &ctx).unwrap();
+    let err = sink.sink(second.clone(), &ctx).unwrap_err();
+    assert!(err.to_string().contains("SUM"), "sink: {err}");
+    assert!(ctx.metrics.summary().agg_fast_path_chunks > 0);
+
+    let mut generic = AggregateState::with_fast_path(vec![0], aggs, &types, false).unwrap();
+    assert!(!generic.is_fast());
+    generic.update(&first).unwrap();
+    let err = generic.update(&second).unwrap_err();
+    assert!(err.to_string().contains("SUM"), "generic: {err}");
 }
 
 /// SUM overflow without GROUP BY is an `Error::Exec` too: the group-less
@@ -427,6 +464,49 @@ fn key_of(values: impl Iterator<Item = ScalarValue>) -> Vec<Option<i64>> {
     values.map(|v| v.as_i64()).collect()
 }
 
+/// Result rows keyed by their first `ng` (group) columns.
+fn keyed(rows: Vec<Vec<ScalarValue>>, ng: usize) -> BTreeMap<Vec<Option<i64>>, Vec<ScalarValue>> {
+    rows.into_iter()
+        .map(|row| (key_of(row[..ng].iter().cloned()), row[ng..].to_vec()))
+        .collect()
+}
+
+/// `aggs` over the logical rows of `chunks`, one row at a time, grouped by
+/// `group_cols` (one group over no rows without GROUP BY).
+fn reference_fold(
+    group_cols: &[usize],
+    aggs: &[AggExpr],
+    types: &[DataType],
+    chunks: &[DataChunk],
+) -> BTreeMap<Vec<Option<i64>>, Vec<ScalarValue>> {
+    let mut want: BTreeMap<Vec<Option<i64>>, Vec<RefAcc>> = BTreeMap::new();
+    let fresh = || {
+        aggs.iter()
+            .map(|a| RefAcc::new(a, types))
+            .collect::<Vec<_>>()
+    };
+    if group_cols.is_empty() {
+        want.insert(vec![], fresh());
+    }
+    for c in chunks {
+        for r in 0..c.num_rows() {
+            let accs = want
+                .entry(key_of(group_cols.iter().map(|&g| c.value(g, r))))
+                .or_insert_with(fresh);
+            for (acc, a) in accs.iter_mut().zip(aggs) {
+                let input = a.input.as_ref().map(|e| match e {
+                    Expr::Column(col) => c.value(*col, r),
+                    _ => unreachable!("reference aggregates read columns"),
+                });
+                acc.fold(input.as_ref());
+            }
+        }
+    }
+    want.into_iter()
+        .map(|(k, accs)| (k, accs.iter().map(RefAcc::result).collect()))
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
@@ -445,33 +525,14 @@ proptest! {
         let dict = Utf8Dict::from_values(WORDS);
         let chunks = reference_chunks(&rows, chunk_size, &dict);
         let sunk = chunks.iter().any(|c| c.num_rows() > 0);
-        let (group_cols, fast) = match table {
-            0 => (vec![], false),
-            1 => (vec![KEY_A], true),
-            _ => (vec![KEY_A, KEY_B], true),
+        let group_cols = match table {
+            0 => vec![],
+            1 => vec![KEY_A],
+            _ => vec![KEY_A, KEY_B],
         };
         let types = input_types();
         let aggs = reference_aggs();
-
-        let mut want: BTreeMap<Vec<Option<i64>>, Vec<RefAcc>> = BTreeMap::new();
-        let fresh = || aggs.iter().map(|a| RefAcc::new(a, &types)).collect::<Vec<_>>();
-        if group_cols.is_empty() {
-            want.insert(vec![], fresh());
-        }
-        for c in &chunks {
-            for r in 0..c.num_rows() {
-                let accs = want
-                    .entry(key_of(group_cols.iter().map(|&g| c.value(g, r))))
-                    .or_insert_with(fresh);
-                for (acc, a) in accs.iter_mut().zip(&aggs) {
-                    let input = a.input.as_ref().map(|e| match e {
-                        Expr::Column(col) => c.value(*col, r),
-                        _ => unreachable!("reference aggregates read columns"),
-                    });
-                    acc.fold(input.as_ref());
-                }
-            }
-        }
+        let want = reference_fold(&group_cols, &aggs, &types, &chunks);
 
         let mut fields: Vec<Field> = group_cols
             .iter()
@@ -486,16 +547,8 @@ proptest! {
             Schema::new(fields),
             vec![],
         );
-        let (got, ctx) = run(&factory, fast, partitions, vec![chunks]);
-        let ng = group_cols.len();
-        let got: BTreeMap<Vec<Option<i64>>, Vec<ScalarValue>> = got
-            .into_iter()
-            .map(|row| (key_of(row[..ng].iter().cloned()), row[ng..].to_vec()))
-            .collect();
-        let want: BTreeMap<Vec<Option<i64>>, Vec<ScalarValue>> = want
-            .into_iter()
-            .map(|(k, accs)| (k, accs.iter().map(RefAcc::result).collect()))
-            .collect();
+        let (got, ctx) = run(&factory, partitions, vec![chunks]);
+        let got = keyed(got, group_cols.len());
         prop_assert_eq!(&got, &want, "table {}, {} partitions", table, partitions);
 
         let m = ctx.metrics.summary();

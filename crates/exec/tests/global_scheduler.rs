@@ -689,8 +689,7 @@ fn scan_morsels_decode_concurrently_and_open_decodes_nothing() {
     let ctx = ExecContext::new()
         .with_threads(2)
         .with_workers(2)
-        .with_partitions(1)
-        .with_storage_encoding(true);
+        .with_partitions(1);
     let res = Resources::with_partitions(1, 0, 0, 1);
     let t = table("t", (0..n).collect(), (0..n).map(|v| v % 10).collect());
     let keep_high = Expr::cmp(CmpOp::Gt, Expr::col(1), Expr::lit(ScalarValue::Int64(4)));

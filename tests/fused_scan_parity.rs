@@ -1,17 +1,24 @@
 //! Parity of the fused late-materializing scan with the composition it
-//! replaced: for random tables × predicates × projections, and for every
-//! base relation of every corpus query, `SourceSpec::Scan` (filter and
-//! projection inside the scan morsel) must emit exactly the rows — in
-//! order — of a bare scan (`SourceSpec::full_scan`: every column, no
-//! predicate, no probes) → `OpSpec::Filter` → `OpSpec::Project`, under
-//! both storage layouts; and with scan-resident probes of Bloom filters
-//! and key bitmaps, the rows and probe counters of the same composition
-//! with one `OpSpec::ProbeBloom` per probe.
+//! replaced and with the oracle: for random tables × predicates ×
+//! projections, and for every base relation of every corpus query,
+//! `SourceSpec::Scan` (filter and projection inside the scan morsel) must
+//! emit exactly the rows — in order — of a bare scan
+//! (`SourceSpec::full_scan`: every column, no predicate, no probes) →
+//! `OpSpec::Filter` → `OpSpec::Project`, and of the oracle's
+//! single-relation filter over the table's raw columns (`tests/oracle/`).
+//! With scan-resident probes of Bloom filters and key bitmaps, it must
+//! emit the rows and probe counters of the same composition with one
+//! `OpSpec::ProbeBloom` per probe, every row of the oracle's exact
+//! semi-join, and only rows the oracle's filter keeps — exactly the
+//! semi-join when every probe is a key bitmap.
+
+mod oracle;
 
 use proptest::prelude::*;
 use proptest::TestRng;
 use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{DenseRange, ScalarValue, Schema, Vector};
+use rpt_core::query::RExpr;
 use rpt_core::{Database, Mode, Planner, QueryOptions};
 use rpt_exec::operators::TableScan;
 use rpt_exec::{
@@ -20,23 +27,37 @@ use rpt_exec::{
 };
 use rpt_storage::{ColumnStats, Table};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 type Rows = Vec<Vec<ScalarValue>>;
 
 /// `source → ops → collect` with no transferred filter.
-fn collect(
-    source: SourceSpec,
-    ops: Vec<OpSpec>,
-    schema: Schema,
-    encoded: bool,
-) -> (Rows, MetricsSummary) {
-    collect_probed(&[], source, ops, schema, encoded)
+fn collect(source: SourceSpec, ops: Vec<OpSpec>, schema: Schema) -> (Rows, MetricsSummary) {
+    collect_probed(&[], source, ops, schema)
 }
 
-/// Fused scan vs the unfused reference composition, both layouts.
-fn assert_parity(table: &Arc<Table>, filter: Option<&Expr>, columns: &[usize], what: &str) {
-    assert_probe_parity(table, filter, columns, &[], what);
+/// Fused scan vs the unfused reference composition and the oracle, for a
+/// filter over relation 0.
+fn assert_parity(table: &Arc<Table>, filter: Option<&RExpr>, columns: &[usize], what: &str) {
+    assert_probe_parity(table, filter.map(|f| (f, 0)), columns, &[], what);
+}
+
+/// `RExpr` builders over relation 0.
+fn col(c: usize) -> RExpr {
+    RExpr::Col { rel: 0, col: c }
+}
+
+fn lit(v: ScalarValue) -> RExpr {
+    RExpr::Lit(v)
+}
+
+fn cmp(op: CmpOp, left: RExpr, right: RExpr) -> RExpr {
+    RExpr::Cmp {
+        op,
+        left: Box::new(left),
+        right: Box::new(right),
+    }
 }
 
 fn database_for(w: &Workload) -> Database {
@@ -57,14 +78,11 @@ fn corpus_base_relations_scan_identically() {
         for q in &w.queries {
             let bound = db.bind_sql(&q.sql).expect("corpus query binds");
             for (r, rel) in bound.relations.iter().enumerate() {
-                let filter = rel.filter.as_ref().map(|f| {
-                    f.to_exec(&|fr, fc| (fr == r).then_some(fc))
-                        .expect("single-relation filter lowers")
-                });
-                assert_parity(
+                assert_probe_parity(
                     &rel.table,
-                    filter.as_ref(),
+                    rel.filter.as_ref().map(|f| (f, r)),
                     &rel.needed_cols,
+                    &[],
                     &format!("{} {} {}", w.name, q.id, rel.binding),
                 );
                 relations += 1;
@@ -170,7 +188,7 @@ fn random_table(rng: &mut TestRng) -> Arc<Table> {
     Arc::new(Table::new("t", schema, columns).expect("valid table"))
 }
 
-fn random_leaf(rng: &mut TestRng, rows: i64) -> Expr {
+fn random_leaf(rng: &mut TestRng, rows: i64) -> RExpr {
     let ops = [
         CmpOp::Eq,
         CmpOp::NotEq,
@@ -180,66 +198,59 @@ fn random_leaf(rng: &mut TestRng, rows: i64) -> Expr {
         CmpOp::GtEq,
     ];
     let op = ops[rng.below(6) as usize];
-    let word = || Box::new(Expr::col(WORD));
+    let word = || Box::new(col(WORD));
     let pattern = ["ring", "ing", "r", "absent"][rng.below(4) as usize].to_string();
     match rng.below(10) {
         // Column-free: one verdict for every row of every block.
-        9 => Expr::cmp(
+        9 => cmp(
             op,
-            Expr::lit(ScalarValue::Int64(rng.below(3) as i64)),
-            Expr::lit(ScalarValue::Int64(1)),
+            lit(ScalarValue::Int64(rng.below(3) as i64)),
+            lit(ScalarValue::Int64(1)),
         ),
-        0 => Expr::cmp(
+        0 => cmp(
             op,
-            Expr::col(CLUSTERED),
-            Expr::lit(ScalarValue::Int64(rng.below(rows as u64) as i64)),
+            col(CLUSTERED),
+            lit(ScalarValue::Int64(rng.below(rows as u64) as i64)),
         ),
-        1 => Expr::cmp(
+        1 => cmp(op, col(SMALL), lit(ScalarValue::Int64(rng.below(8) as i64))),
+        2 => cmp(
             op,
-            Expr::col(SMALL),
-            Expr::lit(ScalarValue::Int64(rng.below(8) as i64)),
+            col(FLOAT),
+            lit(ScalarValue::Float64(rng.below(100) as f64 / 4.0)),
         ),
-        2 => Expr::cmp(
-            op,
-            Expr::col(FLOAT),
-            Expr::lit(ScalarValue::Float64(rng.below(100) as f64 / 4.0)),
-        ),
-        3 => Expr::cmp(op, Expr::col(WORD), Expr::lit(ScalarValue::Utf8(pattern))),
-        4 => Expr::InList {
-            expr: Box::new(Expr::col(SMALL)),
+        3 => cmp(op, col(WORD), lit(ScalarValue::Utf8(pattern))),
+        4 => RExpr::InList {
+            expr: Box::new(col(SMALL)),
             list: (0..rng.below(4))
                 .map(|_| ScalarValue::Int64(rng.below(8) as i64))
                 .collect(),
         },
-        5 => Expr::EndsWith {
+        5 => RExpr::EndsWith {
             expr: word(),
             pattern,
         },
-        6 => Expr::Contains {
+        6 => RExpr::Contains {
             expr: word(),
             pattern,
         },
-        7 => Expr::eq(
-            Expr::col(FLAG),
-            Expr::lit(ScalarValue::Bool(rng.gen_bool())),
-        ),
-        _ => Expr::IsNull(Box::new(Expr::col(rng.below(NUM_COLS as u64) as usize))),
+        7 => cmp(CmpOp::Eq, col(FLAG), lit(ScalarValue::Bool(rng.gen_bool()))),
+        _ => RExpr::IsNull(Box::new(col(rng.below(NUM_COLS as u64) as usize))),
     }
 }
 
-fn random_filter(rng: &mut TestRng, rows: i64, depth: u32) -> Expr {
+fn random_filter(rng: &mut TestRng, rows: i64, depth: u32) -> RExpr {
     if depth == 0 || rng.below(3) == 0 {
         return random_leaf(rng, rows);
     }
-    let parts = |rng: &mut TestRng| -> Vec<Expr> {
+    let parts = |rng: &mut TestRng| -> Vec<RExpr> {
         (0..1 + rng.below(3))
             .map(|_| random_filter(rng, rows, depth - 1))
             .collect()
     };
     match rng.below(3) {
-        0 => Expr::And(parts(rng)),
-        1 => Expr::Or(parts(rng)),
-        _ => Expr::Not(Box::new(random_filter(rng, rows, depth - 1))),
+        0 => RExpr::And(parts(rng)),
+        1 => RExpr::Or(parts(rng)),
+        _ => RExpr::Not(Box::new(random_filter(rng, rows, depth - 1))),
     }
 }
 
@@ -269,14 +280,14 @@ proptest! {
 fn constant_filters_keep_or_drop_every_row() {
     let mut rng = TestRng::from_name("fused-scan-constant");
     let table = random_table(&mut rng);
-    let one = || Expr::lit(ScalarValue::Int64(1));
-    let holds = Expr::eq(one(), one());
-    let fails = Expr::cmp(CmpOp::Lt, one(), one());
+    let one = || lit(ScalarValue::Int64(1));
+    let holds = cmp(CmpOp::Eq, one(), one());
+    let fails = cmp(CmpOp::Lt, one(), one());
     for filter in [
         holds.clone(),
         fails.clone(),
-        Expr::Or(vec![fails, holds.clone()]),
-        Expr::Not(Box::new(holds)),
+        RExpr::Or(vec![fails, holds.clone()]),
+        RExpr::Not(Box::new(holds)),
     ] {
         let what = format!("{filter:?}");
         assert_parity(&table, Some(&filter), &[WORD, SMALL], &what);
@@ -312,17 +323,17 @@ fn unprunable_block_with_no_survivors_is_skipped_after_the_filter() {
         )
         .expect("valid table"),
     );
-    let filter = Expr::eq(Expr::col(0), Expr::lit(ScalarValue::Int64(50)));
+    let filter = cmp(CmpOp::Eq, col(0), lit(ScalarValue::Int64(50)));
     assert_parity(&table, Some(&filter), &[1], "straddled literal");
 
     let fused = SourceSpec::Scan {
         table: table.clone(),
-        filter: Some(filter),
+        filter: Some(lower(&filter, 0)),
         columns: vec![1],
         probes: vec![],
     };
     let schema = Schema::new(vec![table.schema.field(1).clone()]);
-    let (rows, m) = collect(fused, vec![], schema, true);
+    let (rows, m) = collect(fused, vec![], schema);
     assert_eq!(
         rows,
         vec![
@@ -399,11 +410,8 @@ fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
         .collect()
 }
 
-fn probe_ctx(encoded: bool) -> ExecContext {
-    ExecContext::new()
-        .with_threads(1)
-        .with_partitions(1)
-        .with_storage_encoding(encoded)
+fn probe_ctx() -> ExecContext {
+    ExecContext::new().with_threads(1).with_partitions(1)
 }
 
 /// Build the filters of `transfers`, then run `source → ops → collect`,
@@ -414,10 +422,9 @@ fn collect_probed(
     source: SourceSpec,
     ops: Vec<OpSpec>,
     schema: Schema,
-    encoded: bool,
 ) -> (Rows, MetricsSummary) {
     let out = transfers.len();
-    let mut exec = Executor::new(probe_ctx(encoded), out + 1, out, 0);
+    let mut exec = Executor::new(probe_ctx(), out + 1, out, 0);
     let mut plans = createbf_plans(transfers);
     plans.push(PipelinePlan {
         label: "collect".into(),
@@ -440,13 +447,30 @@ fn collect_probed(
     (rows, exec.ctx.metrics.summary())
 }
 
+/// The engine expression of a filter over relation `rel`, its columns
+/// the base table's.
+fn lower(filter: &RExpr, rel: usize) -> Expr {
+    filter
+        .to_exec(&|r, c| (r == rel).then_some(c))
+        .expect("single-relation filter lowers")
+}
+
+/// Is `part` an in-order subsequence of `whole`?
+fn subsequence(part: &[Vec<ScalarValue>], whole: &[Vec<ScalarValue>]) -> bool {
+    let mut rest = whole.iter();
+    part.iter().all(|p| rest.any(|w| w == p))
+}
+
 /// A scan with resident probes vs `Table` → `Filter` → `ProbeBloom`… →
 /// `Project`: the same rows in the same order and the same probe
-/// counters, under both layouts. Returns the encoded run's rows and
-/// metrics.
+/// counters. Against the oracle over the raw columns (`filter` is relation
+/// `rel`'s): every row of the exact semi-join with every transfer's keys
+/// (a NULL key matches nothing), only rows the filter keeps, in table
+/// order, and exactly the semi-join when every transfer is a key bitmap.
+/// Returns the fused scan's rows and metrics.
 fn assert_probe_parity(
     table: &Arc<Table>,
-    filter: Option<&Expr>,
+    filter: Option<(&RExpr, usize)>,
     columns: &[usize],
     transfers: &[Transfer],
     what: &str,
@@ -457,10 +481,8 @@ fn assert_probe_parity(
             .map(|&c| table.schema.field(c).clone())
             .collect(),
     );
-    let mut reference_ops: Vec<OpSpec> = filter
-        .iter()
-        .map(|f| OpSpec::Filter((*f).clone()))
-        .collect();
+    let exec_filter = filter.map(|(f, rel)| lower(f, rel));
+    let mut reference_ops: Vec<OpSpec> = exec_filter.iter().cloned().map(OpSpec::Filter).collect();
     reference_ops.extend(
         transfers
             .iter()
@@ -473,41 +495,80 @@ fn assert_probe_parity(
     reference_ops.push(OpSpec::Project(
         columns.iter().map(|&c| Expr::Column(c)).collect(),
     ));
-    let mut encoded_run = None;
-    for encoded in [true, false] {
-        let fused = SourceSpec::Scan {
-            table: table.clone(),
-            filter: filter.cloned(),
-            columns: columns.to_vec(),
-            probes: transfers
-                .iter()
-                .enumerate()
-                .map(|(i, t)| ScanProbe {
-                    filter_id: i,
-                    key_cols: t.on.clone(),
+    let fused = SourceSpec::Scan {
+        table: table.clone(),
+        filter: exec_filter,
+        columns: columns.to_vec(),
+        probes: transfers
+            .iter()
+            .enumerate()
+            .map(|(i, t)| ScanProbe {
+                filter_id: i,
+                key_cols: t.on.clone(),
+            })
+            .collect(),
+    };
+    let (got, gm) = collect_probed(transfers, fused, vec![], schema.clone());
+    let (want, wm) = collect_probed(
+        transfers,
+        SourceSpec::full_scan(table.clone()),
+        reference_ops,
+        schema,
+    );
+    assert_eq!(got.len(), want.len(), "{what}: row count");
+    assert!(got == want, "{what}: rows differ");
+    assert_eq!(
+        (gm.bloom_probe_in, gm.bloom_probe_out),
+        (wm.bloom_probe_in, wm.bloom_probe_out),
+        "{what}: probe counters"
+    );
+
+    let (rel, f) = filter.map_or((0, None), |(f, rel)| (rel, Some(f)));
+    let all: Vec<usize> = (0..table.num_columns()).collect();
+    let passing = oracle::filter_table(table, f, rel, &all).expect("oracle filter");
+    // Each transfer's build keys, by their `Debug` form.
+    let key_sets: Vec<HashSet<String>> = transfers
+        .iter()
+        .map(|t| {
+            (0..t.keys.num_rows())
+                .map(|r| {
+                    let key: Vec<ScalarValue> = (0..t.keys.num_columns())
+                        .map(|c| t.keys.column(c).get(r))
+                        .collect();
+                    format!("{key:?}")
                 })
-                .collect(),
-        };
-        let (got, gm) = collect_probed(transfers, fused, vec![], schema.clone(), encoded);
-        let (want, wm) = collect_probed(
-            transfers,
-            SourceSpec::full_scan(table.clone()),
-            reference_ops.clone(),
-            schema.clone(),
-            encoded,
+                .collect()
+        })
+        .collect();
+    let in_every_filter = |row: &Vec<ScalarValue>| {
+        transfers.iter().zip(&key_sets).all(|(t, keys)| {
+            let key: Vec<ScalarValue> = t.on.iter().map(|&c| row[c].clone()).collect();
+            !key.contains(&ScalarValue::Null) && keys.contains(&format!("{key:?}"))
+        })
+    };
+    let project = |rows: Vec<&Vec<ScalarValue>>| -> Rows {
+        rows.into_iter()
+            .map(|r| columns.iter().map(|&c| r[c].clone()).collect())
+            .collect()
+    };
+    let semi_join = project(passing.iter().filter(|r| in_every_filter(r)).collect());
+    let kept = project(passing.iter().collect());
+    if transfers
+        .iter()
+        .all(|t| matches!(t.shape(), FilterShape::Bitmap(_)))
+    {
+        assert!(got == semi_join, "{what}: rows differ from the oracle");
+    } else {
+        assert!(
+            subsequence(&semi_join, &got),
+            "{what}: a matching row is missing"
         );
-        assert_eq!(got.len(), want.len(), "{what} encoded={encoded}: row count");
-        assert!(got == want, "{what} encoded={encoded}: rows differ");
-        assert_eq!(
-            (gm.bloom_probe_in, gm.bloom_probe_out),
-            (wm.bloom_probe_in, wm.bloom_probe_out),
-            "{what} encoded={encoded}: probe counters"
+        assert!(
+            subsequence(&got, &kept),
+            "{what}: a row the filter drops is emitted"
         );
-        if encoded {
-            encoded_run = Some((got, gm));
-        }
     }
-    encoded_run.expect("encoded leg ran")
+    (got, gm)
 }
 
 /// Column `col` of `table`, rows `rows` (NULLs included), as a key column.
@@ -577,7 +638,7 @@ proptest! {
             });
         }
         let what = format!("{filter:?} probes {on:?} x{} -> {columns:?}", transfers.len());
-        let (_, m) = assert_probe_parity(&table, filter.as_ref(), &columns, &transfers, &what);
+        let (_, m) = assert_probe_parity(&table, filter.as_ref().map(|f| (f, 0)), &columns, &transfers, &what);
         prop_assert!(m.bloom_probe_out <= m.bloom_probe_in);
     }
 }
@@ -620,7 +681,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
     assert_eq!(m.output_rows, m.bloom_probe_out);
 
     // The same rejection seen at the source: morsel 1 yields no chunk.
-    let mut exec = Executor::new(probe_ctx(true), 1, 1, 0);
+    let mut exec = Executor::new(probe_ctx(), 1, 1, 0);
     exec.run_dag(&createbf_plans(&transfers))
         .expect("createbf runs");
     let scan = TableScan::fused(
@@ -705,12 +766,8 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
         exact: true,
         ..transfer(on)
     };
-    let filter = Expr::cmp(
-        CmpOp::Lt,
-        Expr::col(PRED),
-        Expr::lit(ScalarValue::Int64(600)),
-    );
-    let cases: [(Option<&Expr>, Vec<Transfer>, Vec<usize>); 6] = [
+    let filter = cmp(CmpOp::Lt, col(PRED), lit(ScalarValue::Int64(600)));
+    let cases: [(Option<&RExpr>, Vec<Transfer>, Vec<usize>); 6] = [
         (
             Some(&filter),
             vec![transfer(vec![PRED, RUNS])],
@@ -743,7 +800,8 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
     ];
     for (i, (filter, transfers, columns)) in cases.iter().enumerate() {
         let what = format!("case {i}");
-        let (rows, m) = assert_probe_parity(&table, *filter, columns, transfers, &what);
+        let (rows, m) =
+            assert_probe_parity(&table, filter.map(|f| (f, 0)), columns, transfers, &what);
         assert!(m.bloom_probe_out > 0, "{what}: {m:?}");
         if let Some(at) = columns.iter().position(|&c| c == SPARSE) {
             assert!(

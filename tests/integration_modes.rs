@@ -7,6 +7,8 @@
 //! baseline's result (the engine-level statement of "join ordering does not
 //! affect correctness, only cost").
 
+mod oracle;
+
 use proptest::prelude::*;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
 use rpt_core::{random_left_deep, Database, JoinOrder, Mode, QueryOptions};
@@ -409,7 +411,7 @@ fn sink_merges_never_cover_the_full_result() {
     }
     assert_eq!(
         one_key,
-        ["bwd createbf b"],
+        ["bwd createbf b -> c"],
         "only the b.j-partitioned pipeline may hold one key: {:#?}",
         r.sched.pipelines
     );
@@ -470,154 +472,135 @@ fn worker_partition_matrix_agrees_with_serial_run() {
 }
 
 /// GROUP BY matrix (the aggregate-sink acceptance check): a grouped
-/// aggregation returns the groups of its serial run (`workers = 1`,
-/// `threads = 1`, `partition_count = 1`) at every
-/// `partition_count {1,2,8} × workers {1,2,8}` point, and with
+/// aggregation returns the oracle's groups at every
+/// `partition_count {1,2,8} × workers {1,2,8}` point through the
+/// fixed-width group tables (its key is one `Int64`), and with
 /// `partition_count > 1` its merge runs as per-partition tasks, none of
 /// which covers the full group set.
 #[test]
 fn groupby_partition_worker_matrix() {
     let db = chain_db();
-    let baseline = db
-        .query(
-            GROUP_BY_SQL,
-            &QueryOptions::new(Mode::RobustPredicateTransfer)
-                .with_partition_count(1)
-                .with_workers(1),
-        )
-        .unwrap();
-    let groups = baseline.rows.len() as u64;
+    let expected = oracle::answer(&db, GROUP_BY_SQL);
+    let groups = expected.rows().len() as u64;
     assert_eq!(groups, 20, "20 distinct b.j groups");
     for partition_count in [1usize, 2, 8] {
         for workers in [1usize, 2, 8] {
-            for agg_fast in [true, false] {
-                let at = format!("pc={partition_count} w={workers} fast={agg_fast}");
-                let r = db
-                    .query(
-                        GROUP_BY_SQL,
-                        &QueryOptions::new(Mode::RobustPredicateTransfer)
-                            .with_partition_count(partition_count)
-                            .with_workers(workers)
-                            .with_agg_fast(agg_fast),
-                    )
-                    .unwrap_or_else(|e| panic!("{at} failed: {e}"));
-                assert_eq!(r.sorted_rows(), baseline.sorted_rows(), "{at} differs");
-                // The GROUP BY key is a single Int64, so the requested
-                // group-table path is the one that actually consumed chunks.
-                let (fast, generic) =
-                    (r.metrics.agg_fast_path_chunks, r.metrics.agg_generic_chunks);
-                if agg_fast {
-                    assert!(
-                        fast > 0 && generic == 0,
-                        "{at}: expected fast path, fast={fast} generic={generic}"
-                    );
-                } else {
-                    assert!(
-                        generic > 0 && fast == 0,
-                        "{at}: expected generic path, fast={fast} generic={generic}"
-                    );
-                }
-                if partition_count > 1 {
-                    // The GROUP BY merge ran one task per partition and no
-                    // task saw all 20 groups.
-                    let agg = r
-                        .sched
-                        .pipelines
-                        .iter()
-                        .find(|p| p.label.starts_with("aggregate"))
-                        .unwrap_or_else(|| panic!("{at}: no aggregate pipeline in {:?}", r.sched));
-                    assert_eq!(agg.merge_tasks, partition_count as u64);
-                    let agg_max = agg.merge_max_task_rows;
-                    assert!(
-                        agg_max < groups,
-                        "{at}: an aggregate merge task covered {agg_max} of {groups} groups"
-                    );
-                }
+            let at = format!("pc={partition_count} w={workers}");
+            let r = db
+                .query(
+                    GROUP_BY_SQL,
+                    &QueryOptions::new(Mode::RobustPredicateTransfer)
+                        .with_partition_count(partition_count)
+                        .with_workers(workers),
+                )
+                .unwrap_or_else(|e| panic!("{at} failed: {e}"));
+            expected.check(&r.rows, &at);
+            let (fast, generic) = (r.metrics.agg_fast_path_chunks, r.metrics.agg_generic_chunks);
+            assert!(
+                fast > 0 && generic == 0,
+                "{at}: expected fast path, fast={fast} generic={generic}"
+            );
+            if partition_count > 1 {
+                // The GROUP BY merge ran one task per partition and no
+                // task saw all 20 groups.
+                let agg = r
+                    .sched
+                    .pipelines
+                    .iter()
+                    .find(|p| p.label.starts_with("aggregate"))
+                    .unwrap_or_else(|| panic!("{at}: no aggregate pipeline in {:?}", r.sched));
+                assert_eq!(agg.merge_tasks, partition_count as u64);
+                let agg_max = agg.merge_max_task_rows;
+                assert!(
+                    agg_max < groups,
+                    "{at}: an aggregate merge task covered {agg_max} of {groups} groups"
+                );
             }
         }
     }
 }
 
 /// The fast-path acceptance check: on an all-`Int64` GROUP BY the fixed-key
-/// tables engage automatically (`agg_fast_path_chunks > 0`), and with
-/// `threads == 1` the output rows are *byte-identical* — same rows, same
-/// order, exact values — between the fast and generic paths at every
-/// partition count.
+/// tables engage automatically (`agg_fast_path_chunks > 0`, no generic
+/// chunk) and return the oracle's rows at every partition count. Byte
+/// identity with the generic tables is pinned at the `AggregateState`
+/// level (`aggregate::tests::fast_and_generic_tables_are_byte_identical`).
 #[test]
-fn agg_fast_path_engages_and_is_byte_identical() {
+fn agg_fast_path_engages_and_equals_the_oracle() {
     let db = chain_db();
+    let expected = oracle::answer(&db, GROUP_BY_SQL);
     for partition_count in [1usize, 8] {
-        let opts = |fast: bool| {
-            QueryOptions::new(Mode::RobustPredicateTransfer)
-                .with_partition_count(partition_count)
-                .with_agg_fast(fast)
-        };
-        let fast = db.query(GROUP_BY_SQL, &opts(true)).unwrap();
-        let generic = db.query(GROUP_BY_SQL, &opts(false)).unwrap();
+        let opts =
+            QueryOptions::new(Mode::RobustPredicateTransfer).with_partition_count(partition_count);
+        let fast = db.query(GROUP_BY_SQL, &opts).unwrap();
         assert!(
             fast.metrics.agg_fast_path_chunks > 0,
             "pc={partition_count}: fast path did not engage"
         );
         assert_eq!(fast.metrics.agg_generic_chunks, 0, "pc={partition_count}");
-        assert!(
-            generic.metrics.agg_generic_chunks > 0,
-            "pc={partition_count}"
-        );
-        assert_eq!(
-            generic.metrics.agg_fast_path_chunks, 0,
-            "pc={partition_count}"
-        );
-        // Unsorted, exact comparison: identical routing hashes → identical
-        // partition contents → identical encoded-key order and values.
-        assert_eq!(
-            fast.rows, generic.rows,
-            "pc={partition_count}: paths are not byte-identical"
-        );
+        expected.check(&fast.rows, &format!("pc={partition_count}"));
     }
 }
 
 /// A `Utf8` GROUP BY key packs into the fixed-width fast path when the
 /// block storage layer dictionary-encodes the column (32-bit codes), and
-/// falls back to the generic tables when encoded storage is off — with
-/// identical results either way, across partition counts.
+/// takes the generic tables when the column has more than
+/// `DICT_MAX_DISTINCT` distinct values and so no dictionary — with the
+/// oracle's rows either way, across partition counts.
 #[test]
-fn utf8_group_key_fast_path_follows_storage_encoding() {
-    let db = chain_db();
-    let sql = "SELECT c.tag, COUNT(*) AS n FROM b, c WHERE b.j = c.j GROUP BY c.tag";
-    let mut baseline: Option<Vec<Vec<ScalarValue>>> = None;
-    for partition_count in [1usize, 8] {
-        for encoded in [true, false] {
+fn utf8_group_key_fast_path_follows_dictionary_encoding() {
+    let mut db = chain_db();
+    // `w.name` has one more distinct value than a dictionary may hold;
+    // three of them appear twice.
+    let wide = rpt_storage::encode::DICT_MAX_DISTINCT + 1;
+    let rows = wide + 3;
+    db.register_table(table(
+        "w",
+        vec![
+            (
+                "name",
+                Vector::from_utf8((0..rows).map(|i| format!("n{}", i % wide)).collect()),
+            ),
+            (
+                "j",
+                Vector::from_i64((0..rows as i64).map(|i| i % 20).collect()),
+            ),
+        ],
+    ));
+    let entry = |name: &str| db.catalog().get(name).unwrap().table.clone();
+    assert!(entry("c").dict(1).is_some(), "c.tag is dictionary-coded");
+    assert!(
+        entry("w").dict(0).is_none(),
+        "w.name is stored as flat strings"
+    );
+    let cases = [
+        ("SELECT c.tag, COUNT(*) AS n FROM b, c WHERE b.j = c.j GROUP BY c.tag", true),
+        ("SELECT w.name, COUNT(*) AS n FROM w, c WHERE w.j = c.j AND c.tag = 't1' GROUP BY w.name", false),
+    ];
+    for (sql, coded) in cases {
+        let expected = oracle::answer(&db, sql);
+        for partition_count in [1usize, 8] {
+            let at = format!("pc={partition_count}: {sql}");
             let r = db
                 .query(
                     sql,
                     &QueryOptions::new(Mode::RobustPredicateTransfer)
-                        .with_partition_count(partition_count)
-                        .with_agg_fast(true)
-                        .with_storage_encoding(encoded),
+                        .with_partition_count(partition_count),
                 )
                 .unwrap();
-            if encoded {
+            let (fast, generic) = (r.metrics.agg_fast_path_chunks, r.metrics.agg_generic_chunks);
+            if coded {
                 assert!(
-                    r.metrics.agg_fast_path_chunks > 0,
-                    "pc={partition_count}: dictionary-coded Utf8 key must take the fast path"
+                    fast > 0 && generic == 0,
+                    "{at}: fast={fast} generic={generic}"
                 );
-                assert_eq!(r.metrics.agg_generic_chunks, 0, "pc={partition_count}");
             } else {
-                assert_eq!(
-                    r.metrics.agg_fast_path_chunks, 0,
-                    "pc={partition_count}: raw-layout Utf8 key must not take the fast path"
+                assert!(
+                    fast == 0 && generic > 0,
+                    "{at}: fast={fast} generic={generic}"
                 );
-                assert!(r.metrics.agg_generic_chunks > 0, "pc={partition_count}");
             }
-            assert_eq!(r.rows.len(), 3, "three distinct tags");
-            match &baseline {
-                None => baseline = Some(r.sorted_rows()),
-                Some(b) => assert_eq!(
-                    &r.sorted_rows(),
-                    b,
-                    "pc={partition_count} encoded={encoded}"
-                ),
-            }
+            expected.check(&r.rows, &at);
         }
     }
 }

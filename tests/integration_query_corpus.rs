@@ -1,47 +1,30 @@
 //! Differential query corpus: ~20 full queries (filters, multi-way joins,
 //! GROUP BY, ORDER BY / LIMIT / OFFSET) over the TPC-H, TPC-DS, JOB, and
-//! DSB generators, each executed through every
-//! `partition_count {1,8} × agg_fast {on,off} × storage_encoding
-//! {on,off}` leg and compared — in exact row order — against a naive
-//! single-threaded reference: the unordered query run at
-//! `Baseline / threads=1 / partition_count=1`, gathered into rows, sorted
-//! with `sort_unstable_by` under the engine's published total-order
-//! comparator ([`rpt_exec::cmp_scalar_rows`]), then sliced by
-//! OFFSET/LIMIT. Only float aggregate cells are compared with a relative
-//! tolerance (summation order shifts the last ulps across join orders);
-//! everything else must match exactly, including position.
+//! DSB generators, each executed under RPT at `partition_count {1, 8}`
+//! (two threads, four workers) and compared — in exact row order — with
+//! the row-at-a-time oracle (`tests/oracle/`), which shares only the
+//! parser and binder with the engine. Only float cells are compared with
+//! a relative tolerance (summation order shifts the last ulps across join
+//! orders), and a near-tie on a float key may reorder rows; everything
+//! else must match exactly, including position.
 
-use rpt_common::ScalarValue;
+mod oracle;
+
 use rpt_core::{Database, Mode, QueryOptions};
-use rpt_exec::{cmp_scalar_rows, SortKey};
+use rpt_storage::Table;
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 
-/// One corpus entry: the unordered query body, the ordering suffix the
-/// engine executes, and the same ordering bound to output positions
-/// (`(output_pos, desc, nulls_first)`) for the reference sort.
+/// One corpus entry: the unordered query body and the ordering suffix the
+/// engine executes.
 struct CorpusQuery {
     id: &'static str,
     base: &'static str,
     suffix: &'static str,
-    keys: &'static [(usize, bool, bool)],
-    limit: Option<usize>,
-    offset: usize,
 }
 
 impl CorpusQuery {
     fn sql(&self) -> String {
         format!("{} {}", self.base, self.suffix)
-    }
-
-    fn sort_keys(&self) -> Vec<SortKey> {
-        self.keys
-            .iter()
-            .map(|&(col, desc, nulls_first)| SortKey {
-                col,
-                desc,
-                nulls_first,
-            })
-            .collect()
     }
 }
 
@@ -51,18 +34,12 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
         base: "SELECT o.o_orderkey, o.o_totalprice FROM orders o \
                WHERE o.o_totalprice > 200000",
         suffix: "ORDER BY 2 DESC LIMIT 15 OFFSET 2",
-        keys: &[(1, true, true)],
-        limit: Some(15),
-        offset: 2,
     },
     CorpusQuery {
         id: "h_lineitem_ship",
         base: "SELECT l.l_orderkey, l.l_quantity, l.l_shipdate FROM lineitem l \
                WHERE l.l_shipdate < 300",
         suffix: "ORDER BY 3 DESC NULLS FIRST, 1 NULLS LAST LIMIT 20",
-        keys: &[(2, true, true), (0, false, false)],
-        limit: Some(20),
-        offset: 0,
     },
     CorpusQuery {
         id: "h_mkt_revenue",
@@ -71,18 +48,12 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
                WHERE c.c_custkey = o.o_custkey AND l.l_orderkey = o.o_orderkey \
                  AND o.o_orderdate < 1200 GROUP BY c.c_mktsegment",
         suffix: "ORDER BY revenue DESC LIMIT 3",
-        keys: &[(2, true, true)],
-        limit: Some(3),
-        offset: 0,
     },
     CorpusQuery {
         id: "h_nation_suppliers",
         base: "SELECT n.n_name, COUNT(*) AS cnt FROM supplier s, nation n \
                WHERE s.s_nationkey = n.n_nationkey GROUP BY n.n_name",
         suffix: "ORDER BY n.n_name",
-        keys: &[(0, false, false)],
-        limit: None,
-        offset: 0,
     },
     CorpusQuery {
         id: "h_returns_by_nation",
@@ -92,9 +63,6 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
                  AND c.c_nationkey = n.n_nationkey AND l.l_returnflag = 'R' \
                GROUP BY n.n_name",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 5",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(5),
-        offset: 0,
     },
     CorpusQuery {
         id: "h_parts_by_size",
@@ -102,9 +70,6 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
                WHERE p.p_partkey = ps.ps_partkey AND p.p_size < 26 \
                GROUP BY p.p_size, p.p_type",
         suffix: "ORDER BY 1, 2 LIMIT 25",
-        keys: &[(0, false, false), (1, false, false)],
-        limit: Some(25),
-        offset: 0,
     },
     CorpusQuery {
         id: "h_brand_counts",
@@ -113,9 +78,15 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
                WHERE p.p_partkey = ps.ps_partkey AND s.s_suppkey = ps.ps_suppkey \
                  AND p.p_brand <> 'Brand#45' GROUP BY p.p_brand, p.p_type",
         suffix: "ORDER BY 3 DESC, 1 ASC, 2 ASC LIMIT 10",
-        keys: &[(2, true, true), (0, false, false), (1, false, false)],
-        limit: Some(10),
-        offset: 0,
+    },
+    CorpusQuery {
+        id: "h_supply_cost_range",
+        base: "SELECT p.p_size, MIN(ps.ps_supplycost) AS lo, MAX(ps.ps_supplycost) AS hi, \
+                 AVG(ps.ps_availqty) AS qty, COUNT(p.p_brand) AS brands \
+               FROM part p, partsupp ps \
+               WHERE p.p_partkey = ps.ps_partkey AND ps.ps_availqty > 100 \
+               GROUP BY p.p_size",
+        suffix: "ORDER BY 2, 1 LIMIT 12",
     },
     CorpusQuery {
         id: "h_priority_counts",
@@ -123,11 +94,71 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
                WHERE o.o_orderkey = l.l_orderkey AND o.o_orderdate BETWEEN 100 AND 1500 \
                GROUP BY o.o_orderpriority",
         suffix: "ORDER BY 1",
-        keys: &[(0, false, false)],
-        limit: None,
-        offset: 0,
     },
 ];
+
+/// Over the TPC-H tables with NULLs in every column (`with_nulls`): NULL
+/// filter operands under `NOT`, `<>` and `IN`, NULL single and composite
+/// join keys, a NULL group, and NULL aggregate inputs.
+const TPCH_NULL_QUERIES: &[CorpusQuery] = &[
+    CorpusQuery {
+        id: "n_priority_aggregates",
+        base: "SELECT o.o_orderpriority, COUNT(*) AS n, COUNT(o.o_totalprice) AS priced, \
+                 SUM(o.o_totalprice) AS total, MIN(o.o_orderdate) AS earliest, \
+                 MAX(o.o_custkey) AS last_cust \
+               FROM orders o WHERE o.o_orderdate < 1200 GROUP BY o.o_orderpriority",
+        suffix: "ORDER BY 1 NULLS FIRST",
+    },
+    CorpusQuery {
+        id: "n_not_date",
+        base: "SELECT c.c_mktsegment, COUNT(*) AS n FROM customer c, orders o \
+               WHERE c.c_custkey = o.o_custkey AND NOT (o.o_orderdate < 600) \
+               GROUP BY c.c_mktsegment",
+        suffix: "ORDER BY 2 DESC, 1",
+    },
+    CorpusQuery {
+        id: "n_urgent_lines",
+        base: "SELECT l.l_orderkey, l.l_quantity, o.o_orderpriority FROM lineitem l, orders o \
+               WHERE l.l_orderkey = o.o_orderkey AND l.l_quantity <> 10 \
+                 AND o.o_orderpriority IN ('1-URGENT', '2-HIGH')",
+        suffix: "ORDER BY 1 DESC NULLS FIRST, 2 LIMIT 20",
+    },
+    CorpusQuery {
+        id: "n_composite_supply",
+        base: "SELECT ps.ps_suppkey, COUNT(*) AS n, SUM(l.l_quantity) AS qty \
+               FROM lineitem l, partsupp ps \
+               WHERE l.l_partkey = ps.ps_partkey AND l.l_suppkey = ps.ps_suppkey \
+                 AND NOT (l.l_returnflag = 'R') GROUP BY ps.ps_suppkey",
+        suffix: "ORDER BY 2 DESC, 1 LIMIT 10",
+    },
+    CorpusQuery {
+        id: "n_brass_or_unsized",
+        base: "SELECT p.p_type, COUNT(*) AS n, AVG(p.p_retailprice) AS price FROM part p \
+               WHERE p.p_type LIKE '%BRASS' OR p.p_size IS NULL GROUP BY p.p_type",
+        suffix: "ORDER BY 1",
+    },
+];
+
+/// `w`'s tables with NULLs: in column `c`, row `i` is NULL when `i` is a
+/// multiple of `7 + c`, so every filter column, join key, group key and
+/// aggregate input holds some, at rows that differ between columns.
+fn with_nulls(w: &Workload) -> Database {
+    let mut db = Database::new();
+    for t in &w.tables {
+        let columns = t
+            .columns
+            .iter()
+            .enumerate()
+            .map(|(c, v)| {
+                let mut v = v.clone();
+                v.validity = Some((0..v.len()).map(|i| i % (7 + c) != 0).collect());
+                v
+            })
+            .collect();
+        db.register_table(Table::new(t.name.clone(), t.schema.clone(), columns).unwrap());
+    }
+    db
+}
 
 const TPCDS_QUERIES: &[CorpusQuery] = &[
     CorpusQuery {
@@ -137,9 +168,6 @@ const TPCDS_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND ss.ss_item_sk = i.i_item_sk \
                  AND d.d_moy = 11 GROUP BY d.d_year",
         suffix: "ORDER BY 1 LIMIT 8",
-        keys: &[(0, false, false)],
-        limit: Some(8),
-        offset: 0,
     },
     CorpusQuery {
         id: "ds_brand_counts",
@@ -148,9 +176,6 @@ const TPCDS_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND ss.ss_item_sk = i.i_item_sk \
                  AND d.d_moy = 12 GROUP BY d.d_year, i.i_brand",
         suffix: "ORDER BY 3 DESC, 2, 1 LIMIT 12",
-        keys: &[(2, true, true), (1, false, false), (0, false, false)],
-        limit: Some(12),
-        offset: 0,
     },
     CorpusQuery {
         id: "ds_brand_topk_offset",
@@ -159,9 +184,6 @@ const TPCDS_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND ss.ss_item_sk = i.i_item_sk \
                  AND d.d_moy = 11 GROUP BY i.i_brand",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 7 OFFSET 3",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(7),
-        offset: 3,
     },
     CorpusQuery {
         id: "ds_category_sort",
@@ -170,9 +192,6 @@ const TPCDS_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND ss.ss_item_sk = i.i_item_sk \
                  AND d.d_year = 2000 GROUP BY i.i_category",
         suffix: "ORDER BY i.i_category",
-        keys: &[(0, false, false)],
-        limit: None,
-        offset: 0,
     },
     CorpusQuery {
         id: "ds_state_counts",
@@ -182,9 +201,6 @@ const TPCDS_QUERIES: &[CorpusQuery] = &[
                  AND ss.ss_addr_sk = ca.ca_address_sk AND d.d_year = 1999 \
                GROUP BY ca.ca_state",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 6",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(6),
-        offset: 0,
     },
 ];
 
@@ -196,9 +212,6 @@ const JOB_QUERIES: &[CorpusQuery] = &[
                WHERE t.id = mk.movie_id AND mk.keyword_id = k.id \
                  AND k.keyword LIKE '%sequel%' GROUP BY t.production_year",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 10",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(10),
-        offset: 0,
     },
     CorpusQuery {
         id: "job_country_counts",
@@ -207,9 +220,6 @@ const JOB_QUERIES: &[CorpusQuery] = &[
                WHERE cn.id = mc.company_id AND mc.movie_id = t.id \
                  AND t.production_year > 1990 GROUP BY cn.country_code",
         suffix: "ORDER BY 1 LIMIT 5",
-        keys: &[(0, false, false)],
-        limit: Some(5),
-        offset: 0,
     },
     CorpusQuery {
         id: "job_info_counts",
@@ -218,9 +228,6 @@ const JOB_QUERIES: &[CorpusQuery] = &[
                WHERE mi.movie_id = t.id AND mi.info_type_id = it.id \
                  AND t.production_year BETWEEN 1950 AND 2000 GROUP BY mi.info",
         suffix: "ORDER BY 2 DESC, 1 ASC LIMIT 8",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(8),
-        offset: 0,
     },
     CorpusQuery {
         id: "job_titles_plain",
@@ -229,9 +236,6 @@ const JOB_QUERIES: &[CorpusQuery] = &[
                WHERE t.id = mk.movie_id AND mk.keyword_id = k.id \
                  AND k.keyword = 'character-name-in-title'",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 15",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(15),
-        offset: 0,
     },
 ];
 
@@ -242,9 +246,6 @@ const DSB_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND d.d_moy = 4 \
                GROUP BY d.d_year",
         suffix: "ORDER BY 1 DESC LIMIT 5",
-        keys: &[(0, true, true)],
-        limit: Some(5),
-        offset: 0,
     },
     CorpusQuery {
         id: "dsb_brand_qty",
@@ -253,9 +254,6 @@ const DSB_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_item_sk = i.i_item_sk AND ss.ss_sold_date_sk = d.d_date_sk \
                  AND d.d_year = 2000 GROUP BY i.i_brand",
         suffix: "ORDER BY 3 DESC, 1 LIMIT 10",
-        keys: &[(2, true, true), (0, false, false)],
-        limit: Some(10),
-        offset: 0,
     },
     CorpusQuery {
         id: "dsb_dep_counts",
@@ -263,9 +261,6 @@ const DSB_QUERIES: &[CorpusQuery] = &[
                FROM store_sales ss, household_demographics hd \
                WHERE ss.ss_hdemo_sk = hd.hd_demo_sk GROUP BY hd.hd_dep_count",
         suffix: "ORDER BY 1 LIMIT 12",
-        keys: &[(0, false, false)],
-        limit: Some(12),
-        offset: 0,
     },
     CorpusQuery {
         id: "dsb_sales_scan",
@@ -274,9 +269,6 @@ const DSB_QUERIES: &[CorpusQuery] = &[
                WHERE ss.ss_sold_date_sk = d.d_date_sk AND d.d_moy = 1 \
                  AND ss.ss_quantity > 95",
         suffix: "ORDER BY 2 DESC, 1 LIMIT 25 OFFSET 5",
-        keys: &[(1, true, true), (0, false, false)],
-        limit: Some(25),
-        offset: 5,
     },
 ];
 
@@ -288,89 +280,37 @@ fn database_for(w: &Workload) -> Database {
     db
 }
 
-/// Exact positional equality; float cells get a relative tolerance
-/// (aggregate sums differ in the last ulps across join orders).
-fn cell_matches(a: &ScalarValue, b: &ScalarValue) -> bool {
-    match (a, b) {
-        (ScalarValue::Float64(x), ScalarValue::Float64(y)) => {
-            (x - y).abs() <= 1e-9 * x.abs().max(y.abs()).max(1.0)
-        }
-        _ => a == b,
-    }
-}
-
-fn assert_rows_match(expected: &[Vec<ScalarValue>], got: &[Vec<ScalarValue>], what: &str) {
-    assert_eq!(expected.len(), got.len(), "{what}: row count");
-    for (i, (e, g)) in expected.iter().zip(got).enumerate() {
-        assert_eq!(e.len(), g.len(), "{what}: row {i} width");
-        for (c, (ev, gv)) in e.iter().zip(g).enumerate() {
-            assert!(
-                cell_matches(ev, gv),
-                "{what}: row {i} col {c}: expected {ev:?}, got {gv:?}\nexpected rows: {expected:?}\ngot rows: {got:?}"
-            );
-        }
-    }
-}
-
-/// The naive reference: unordered query at Baseline / threads=1 /
-/// partition_count=1, rows sorted with `sort_unstable_by` under the same
-/// total order the engine publishes, then OFFSET/LIMIT applied by slicing.
-fn reference_rows(db: &Database, q: &CorpusQuery) -> Vec<Vec<ScalarValue>> {
-    let opts = QueryOptions::new(Mode::Baseline)
-        .with_threads(1)
-        .with_partition_count(1);
-    let mut rows = db
-        .query(q.base, &opts)
-        .unwrap_or_else(|e| panic!("{}: reference failed: {e}", q.id))
-        .rows;
-    let keys = q.sort_keys();
-    rows.sort_unstable_by(|a, b| cmp_scalar_rows(&keys, a, b));
-    let lo = q.offset.min(rows.len());
-    let hi = q
-        .limit
-        .map(|l| lo.saturating_add(l).min(rows.len()))
-        .unwrap_or(rows.len());
-    rows[lo..hi].to_vec()
-}
-
 fn check_corpus(w: &Workload, corpus: &[CorpusQuery]) {
-    let db = database_for(w);
+    check_queries(&database_for(w), w.name, corpus);
+}
+
+fn check_queries(db: &Database, name: &str, corpus: &[CorpusQuery]) {
     for q in corpus {
-        let expected = reference_rows(&db, q);
+        let sql = q.sql();
+        let expected = oracle::answer(db, &sql);
         assert!(
-            q.limit.is_none() || !expected.is_empty(),
-            "{} {}: degenerate corpus query (empty reference)",
-            w.name,
+            expected.limit.is_none() || !expected.rows().is_empty(),
+            "{name} {}: degenerate corpus query (empty oracle answer)",
             q.id
         );
-        let sql = q.sql();
         for parts in [1usize, 8] {
-            for agg_fast in [true, false] {
-                for storage in [true, false] {
-                    let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
-                        .with_partition_count(parts)
-                        .with_threads(2)
-                        .with_workers(4)
-                        .with_agg_fast(agg_fast)
-                        .with_storage_encoding(storage);
-                    let leg = format!(
-                        "{} {} [parts={parts} agg_fast={agg_fast} storage={storage}]",
-                        w.name, q.id
-                    );
-                    let r = db
-                        .query(&sql, &opts)
-                        .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
-                    assert_rows_match(&expected, &r.rows, &leg);
-                    // The TopK bound: no sort run may retain more than
-                    // limit + offset rows.
-                    if let Some(limit) = q.limit {
-                        assert!(
-                            r.metrics.sort_max_run_rows <= (limit + q.offset) as u64,
-                            "{leg}: sort run exceeded the TopK bound: {:?}",
-                            r.metrics
-                        );
-                    }
-                }
+            let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
+                .with_partition_count(parts)
+                .with_threads(2)
+                .with_workers(4);
+            let leg = format!("{name} {} [parts={parts}]", q.id);
+            let r = db
+                .query(&sql, &opts)
+                .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
+            expected.check(&r.rows, &leg);
+            // The TopK bound: no sort run may retain more than
+            // limit + offset rows.
+            if let Some(limit) = expected.limit {
+                assert!(
+                    r.metrics.sort_max_run_rows <= (limit + expected.offset) as u64,
+                    "{leg}: sort run exceeded the TopK bound: {:?}",
+                    r.metrics
+                );
             }
         }
     }
@@ -379,6 +319,15 @@ fn check_corpus(w: &Workload, corpus: &[CorpusQuery]) {
 #[test]
 fn tpch_corpus_all_legs() {
     check_corpus(&tpch(0.05, 42), TPCH_QUERIES);
+}
+
+#[test]
+fn tpch_corpus_with_nulls_all_legs() {
+    check_queries(
+        &with_nulls(&tpch(0.05, 42)),
+        "TPC-H+NULLs",
+        TPCH_NULL_QUERIES,
+    );
 }
 
 #[test]
@@ -398,7 +347,11 @@ fn dsb_corpus_all_legs() {
 
 #[test]
 fn corpus_covers_twenty_queries_and_topk_prunes() {
-    let total = TPCH_QUERIES.len() + TPCDS_QUERIES.len() + JOB_QUERIES.len() + DSB_QUERIES.len();
+    let total = TPCH_QUERIES.len()
+        + TPCH_NULL_QUERIES.len()
+        + TPCDS_QUERIES.len()
+        + JOB_QUERIES.len()
+        + DSB_QUERIES.len();
     assert!(total >= 20, "corpus shrank to {total} queries");
     // A wide-input TopK query must actually discard rows before the merge
     // (the sink never holds a full sort of its input).
@@ -441,7 +394,7 @@ fn single_thread_single_partition_is_bit_deterministic() {
 /// 1 KiB query-wide memory budget (the governor pushes every materializing
 /// sink to disk — asserted, so the leak scan below is known to cover a
 /// directory that was written to) across partition counts, still matching
-/// the naive reference row-for-row — and no spill file survives any query.
+/// the oracle row-for-row — and no spill file survives any query.
 #[test]
 fn tpch_corpus_under_tiny_memory_budget() {
     let w = tpch(0.05, 42);
@@ -450,8 +403,8 @@ fn tpch_corpus_under_tiny_memory_budget() {
     std::fs::create_dir_all(&dir).unwrap();
     let mut evictions = 0;
     for q in TPCH_QUERIES {
-        let expected = reference_rows(&db, q);
         let sql = q.sql();
+        let expected = oracle::answer(&db, &sql);
         for parts in [1usize, 8] {
             let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
                 .with_partition_count(parts)
@@ -463,7 +416,7 @@ fn tpch_corpus_under_tiny_memory_budget() {
             let r = db
                 .query(&sql, &opts)
                 .unwrap_or_else(|e| panic!("{leg}: query failed: {e}"));
-            assert_rows_match(&expected, &r.rows, &leg);
+            expected.check(&r.rows, &leg);
             evictions += r.metrics.spill_victim_evictions;
         }
     }

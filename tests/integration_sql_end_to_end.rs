@@ -2,8 +2,11 @@
 //! dialect exercised through parse → bind → optimize → plan → execute,
 //! verified against hand-computed answers.
 
+mod oracle;
+
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
+use rpt_storage::encode::DICT_MAX_DISTINCT;
 use rpt_storage::Table;
 
 fn db() -> Database {
@@ -265,21 +268,27 @@ fn case_insensitive_keywords() {
 
 /// `pet(id, kind, legs)` with NULLs in both predicate columns (row 2) and
 /// the strings `'ringer'` / `'ring'` / `'sing'` that tell a suffix match
-/// from a substring match.
-fn db_with_nulls() -> Database {
+/// from a substring match. With `flat`, rows `4..` add more than
+/// [`DICT_MAX_DISTINCT`] distinct kinds, so `kind` is stored as flat
+/// strings instead of dictionary codes and the scan runs the flat string
+/// kernels.
+fn db_with_nulls(flat: bool) -> Database {
     let mut db = Database::new();
+    let padding = if flat { DICT_MAX_DISTINCT + 1 } else { 0 };
+    let pads = (0..padding).map(|i| (Some(format!("pad-{i}")), Some(i as i64 % 7)));
     let rows: Vec<Vec<ScalarValue>> = [
-        (Some("ringer"), Some(4)),
-        (Some("ring"), Some(5)),
+        (Some("ringer".to_string()), Some(4)),
+        (Some("ring".to_string()), Some(5)),
         (None, None),
-        (Some("sing"), Some(2)),
+        (Some("sing".to_string()), Some(2)),
     ]
     .into_iter()
+    .chain(pads)
     .enumerate()
     .map(|(id, (kind, legs))| {
         vec![
             ScalarValue::Int64(id as i64),
-            kind.map_or(ScalarValue::Null, |k| ScalarValue::Utf8(k.into())),
+            kind.map_or(ScalarValue::Null, ScalarValue::Utf8),
             legs.map_or(ScalarValue::Null, ScalarValue::Int64),
         ]
     })
@@ -299,33 +308,48 @@ fn db_with_nulls() -> Database {
     db
 }
 
-fn ids(db: &Database, predicate: &str, storage_encoding: bool) -> Vec<i64> {
+/// The ids below 4 (the hand-built rows) that `predicate` keeps; the whole
+/// result, padding rows included, must be the oracle's.
+fn ids(db: &Database, predicate: &str) -> Vec<i64> {
     let sql = format!("SELECT pet.id FROM pet WHERE {predicate} ORDER BY 1");
-    let opts =
-        QueryOptions::new(Mode::RobustPredicateTransfer).with_storage_encoding(storage_encoding);
-    db.query(&sql, &opts)
+    let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
+    let rows = db
+        .query(&sql, &opts)
         .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"))
-        .rows
-        .iter()
+        .rows;
+    oracle::answer(db, &sql).check(&rows, &sql);
+    rows.iter()
         .map(|r| r[0].as_i64().expect("id"))
+        .filter(|&id| id < 4)
         .collect()
 }
 
+/// The `pet` tables of both string forms, with `kind`'s dictionary
+/// asserted present or absent.
+fn pet_dbs() -> [Database; 2] {
+    [false, true].map(|flat| {
+        let db = db_with_nulls(flat);
+        let pet = &db.catalog().get("pet").expect("pet registered").table;
+        assert_eq!(pet.dict(1).is_none(), flat, "flat={flat}");
+        db
+    })
+}
+
 /// Three-valued logic under NOT: a NULL operand makes `NOT IN`, `NOT LIKE`
-/// and `NOT (x = 5)` UNKNOWN, so the row is dropped — under both storage
-/// layouts (dictionary and flat string kernels).
+/// and `NOT (x = 5)` UNKNOWN, so the row is dropped — over a
+/// dictionary-coded and a flat string column.
 #[test]
 fn not_over_null_drops_the_row() {
-    let db = db_with_nulls();
-    for encoded in [true, false] {
-        assert_eq!(ids(&db, "pet.legs NOT IN (5)", encoded), vec![0, 3]);
-        assert_eq!(ids(&db, "NOT (pet.legs = 5)", encoded), vec![0, 3]);
-        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ring%'", encoded), vec![3]);
-        assert_eq!(ids(&db, "pet.kind NOT IN ('sing')", encoded), vec![0, 1]);
+    for db in pet_dbs() {
+        let ids = |p: &str| ids(&db, p);
+        assert_eq!(ids("pet.legs NOT IN (5)"), vec![0, 3]);
+        assert_eq!(ids("NOT (pet.legs = 5)"), vec![0, 3]);
+        assert_eq!(ids("pet.kind NOT LIKE '%ring%'"), vec![3]);
+        assert_eq!(ids("pet.kind NOT IN ('sing')"), vec![0, 1]);
         // The positive forms and IS NULL were right before and stay right.
-        assert_eq!(ids(&db, "pet.legs IN (5)", encoded), vec![1]);
-        assert_eq!(ids(&db, "pet.kind IS NULL", encoded), vec![2]);
-        assert_eq!(ids(&db, "NOT (pet.kind IS NULL)", encoded), vec![0, 1, 3]);
+        assert_eq!(ids("pet.legs IN (5)"), vec![1]);
+        assert_eq!(ids("pet.kind IS NULL"), vec![2]);
+        assert_eq!(ids("NOT (pet.kind IS NULL)"), vec![0, 1, 3]);
     }
 }
 
@@ -333,10 +357,9 @@ fn not_over_null_drops_the_row() {
 /// end with it.
 #[test]
 fn like_suffix_pattern_is_a_suffix_match() {
-    let db = db_with_nulls();
-    for encoded in [true, false] {
-        assert_eq!(ids(&db, "pet.kind LIKE '%ing'", encoded), vec![1, 3]);
-        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ing'", encoded), vec![0]);
+    for db in pet_dbs() {
+        assert_eq!(ids(&db, "pet.kind LIKE '%ing'"), vec![1, 3]);
+        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ing'"), vec![0]);
     }
 }
 
@@ -344,39 +367,47 @@ fn like_suffix_pattern_is_a_suffix_match() {
 /// to decode for it; it must still hold (or fail) for every row.
 #[test]
 fn constant_predicates_keep_or_drop_every_row() {
-    let db = db_with_nulls();
-    for encoded in [true, false] {
-        assert_eq!(ids(&db, "1 = 1", encoded), vec![0, 1, 2, 3]);
-        assert_eq!(ids(&db, "1 = 0 OR 2 = 2", encoded), vec![0, 1, 2, 3]);
-        assert_eq!(ids(&db, "1 = 1 AND pet.legs < 5", encoded), vec![0, 3]);
-        assert_eq!(ids(&db, "1 = 0", encoded), Vec::<i64>::new());
-        assert_eq!(ids(&db, "NOT (1 = 1)", encoded), Vec::<i64>::new());
-    }
+    let db = db_with_nulls(false);
+    assert_eq!(ids(&db, "1 = 1"), vec![0, 1, 2, 3]);
+    assert_eq!(ids(&db, "1 = 0 OR 2 = 2"), vec![0, 1, 2, 3]);
+    assert_eq!(ids(&db, "1 = 1 AND pet.legs < 5"), vec![0, 3]);
+    assert_eq!(ids(&db, "1 = 0"), Vec::<i64>::new());
+    assert_eq!(ids(&db, "NOT (1 = 1)"), Vec::<i64>::new());
 }
 
-/// `r(a, b)` and `s(a, b)`, 4 000 rows each: `b` takes every value in
+/// `r(a, b)` and `s(a, b)`, `n` rows each: `b` takes every value in
 /// both, `a` is NULL everywhere, or valid everywhere when `a_valid`.
-fn db_composite_keys(a_valid: bool) -> Database {
-    let n = 4_000;
+/// `b` is `Int64` with 4 000 rows, or with `flat` a string column of more
+/// than [`DICT_MAX_DISTINCT`] distinct values, stored without a
+/// dictionary.
+fn db_composite_keys(a_valid: bool, flat: bool) -> (Database, usize) {
+    let n = if flat { DICT_MAX_DISTINCT + 1 } else { 4_000 };
     let mut db = Database::new();
     for name in ["r", "s"] {
-        let mut a = Vector::from_i64((0..n).map(|i| i % 7).collect());
+        let mut a = Vector::from_i64((0..n as i64).map(|i| i % 7).collect());
         if !a_valid {
-            a.validity = Some(vec![false; n as usize]);
+            a.validity = Some(vec![false; n]);
         }
-        db.register_table(
-            Table::new(
-                name,
-                Schema::new(vec![
-                    Field::new("a", DataType::Int64),
-                    Field::new("b", DataType::Int64),
-                ]),
-                vec![a, Vector::from_i64((0..n).collect())],
-            )
-            .expect("valid key table"),
-        );
+        let b = if flat {
+            Vector::from_utf8((0..n).map(|i| format!("b{i}")).collect())
+        } else {
+            Vector::from_i64((0..n as i64).collect())
+        };
+        let table = Table::new(
+            name,
+            Schema::new(vec![
+                Field::new("a", DataType::Int64),
+                Field::new("b", b.data_type()),
+            ]),
+            vec![a, b],
+        )
+        .expect("valid key table");
+        if flat {
+            assert!(table.dict(1).is_none(), "`b` is stored as flat strings");
+        }
+        db.register_table(table);
     }
-    db
+    (db, n)
 }
 
 /// A key with a NULL in any column matches nothing, so no transferred
@@ -390,23 +421,23 @@ fn null_composite_join_keys_never_pass_a_transferred_filter() {
     let join = "SELECT r.b FROM r, s WHERE r.a = s.a AND r.b = s.b";
     let swapped = "SELECT r.b FROM r, s WHERE r.b = s.b AND r.a = s.a";
     let single = "SELECT r.b FROM r, s WHERE r.a = s.a";
-    for encoded in [true, false] {
-        let opts = QueryOptions::new(Mode::RobustPredicateTransfer).with_storage_encoding(encoded);
-        let db = db_composite_keys(false);
+    let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
+    for flat in [false, true] {
+        let (db, _) = db_composite_keys(false, flat);
         for sql in [join, swapped, single] {
             let r = db
                 .query(sql, &opts)
                 .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"));
             let m = &r.metrics;
             assert!(r.rows.is_empty(), "{sql}");
-            assert!(m.bloom_probe_in > 0, "{sql} encoded={encoded}: {m:?}");
-            assert_eq!(m.bloom_probe_out, 0, "{sql} encoded={encoded}: {m:?}");
-            assert_eq!(m.join_probe_in, 0, "{sql} encoded={encoded}: {m:?}");
+            assert!(m.bloom_probe_in > 0, "{sql} flat={flat}: {m:?}");
+            assert_eq!(m.bloom_probe_out, 0, "{sql} flat={flat}: {m:?}");
+            assert_eq!(m.join_probe_in, 0, "{sql} flat={flat}: {m:?}");
         }
         // The same join with `a` valid keeps every row.
-        let r = db_composite_keys(true)
-            .query(join, &opts)
-            .expect("join runs");
-        assert_eq!(r.rows.len(), 4_000);
+        let (db, n) = db_composite_keys(true, flat);
+        let r = db.query(join, &opts).expect("join runs");
+        assert_eq!(r.rows.len(), n, "flat={flat}");
+        oracle::answer(&db, join).check(&r.rows, join);
     }
 }

@@ -1,10 +1,13 @@
 //! The scheduler's typed run record (`QueryResult::sched`) agrees with the
 //! flat counters it sits beside: one `PipelineStats` per compiled pipeline,
 //! whose sink rows and merge splits add up to `intermediate_tuples`,
-//! `output_rows`, `merge_tasks` and `merge_max_task_rows`.
+//! `output_rows`, `merge_tasks` and `merge_max_task_rows`. Every
+//! pipeline of every compiled plan has its own label, so a lookup by label
+//! finds one pipeline.
 
 use rpt_core::{Database, Mode, Planner, QueryOptions};
-use rpt_workloads::{job, tpch};
+use rpt_workloads::{dsb, job, tpcds, tpch};
+use std::collections::BTreeSet;
 
 #[test]
 fn per_pipeline_record_adds_up_to_the_counters() {
@@ -44,4 +47,37 @@ fn per_pipeline_record_adds_up_to_the_counters() {
             }
         }
     }
+}
+
+#[test]
+fn pipeline_labels_are_unique_in_every_plan() {
+    let mut plans = 0;
+    for w in [
+        tpch(0.02, 42),
+        job(0.02, 42),
+        tpcds(0.02, 42),
+        dsb(0.02, 42),
+    ] {
+        let mut db = Database::new();
+        for t in &w.tables {
+            db.register_table(t.clone());
+        }
+        for q in &w.queries {
+            let bound = db.bind_sql(&q.sql).unwrap();
+            for mode in Mode::ALL {
+                for partitions in [1usize, 8] {
+                    let at = format!("{} {} {mode:?} pc={partitions}", w.name, q.id);
+                    let opts = QueryOptions::new(mode).with_partition_count(partitions);
+                    let order = db.choose_order(&bound, &opts).unwrap();
+                    let plan = Planner::new(&bound, &opts).compile(&order.plan()).unwrap();
+                    let mut seen = BTreeSet::new();
+                    for p in &plan.pipelines {
+                        assert!(seen.insert(&p.label), "{at}: two pipelines `{}`", p.label);
+                    }
+                    plans += 1;
+                }
+            }
+        }
+    }
+    assert_eq!(plans, 64 * Mode::ALL.len() * 2);
 }

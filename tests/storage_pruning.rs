@@ -1,8 +1,10 @@
 //! End-to-end tests for the block-encoded storage scan path: zone-map
 //! pruning driven by pushed-down literal predicates and by transferred
 //! Bloom key ranges must skip blocks (observable in the metrics) while
-//! producing results identical to the raw-layout scan, across modes and
-//! partition counts.
+//! producing the rows of the oracle (`tests/oracle/`), which reads the
+//! tables' raw columns, across modes and partition counts.
+
+mod oracle;
 
 use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
@@ -49,28 +51,19 @@ fn db() -> Database {
     db
 }
 
-fn opts(mode: Mode, encoded: bool) -> QueryOptions {
-    QueryOptions::new(mode).with_storage_encoding(encoded)
-}
-
 /// A selective `Int64 col < literal` scan prunes every block whose zone
-/// range lies past the literal — and the raw-layout scan agrees on rows
-/// while recording no block metrics at all.
+/// range lies past the literal — and agrees with the oracle on rows.
 #[test]
 fn literal_range_scan_prunes_blocks() {
     let db = db();
     let sql = "SELECT COUNT(*) FROM fact WHERE fact.fk < 1000";
-    let on = db.query(sql, &opts(Mode::Baseline, true)).unwrap();
+    let on = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(1000));
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     // Only the first block intersects [0, 1000); all others prune.
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, total_blocks - 1);
-
-    let off = db.query(sql, &opts(Mode::Baseline, false)).unwrap();
-    assert_eq!(off.scalar_i64(), Some(1000));
-    assert_eq!(off.metrics.blocks_scanned, 0);
-    assert_eq!(off.metrics.blocks_pruned, 0);
+    oracle::answer(&db, sql).check(&on.rows, sql);
 }
 
 /// Predicate transfer plants a Bloom filter on the dim side; the fact scan
@@ -83,7 +76,7 @@ fn transferred_bloom_range_prunes_fact_blocks() {
     let sql = "SELECT COUNT(*) FROM fact, dim \
                WHERE fact.fk = dim.id AND dim.flag = 1";
     let rpt = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, true))
+        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
         .unwrap();
     assert_eq!(rpt.scalar_i64(), Some(50));
     // The 50-key band covers one (maybe two) fact blocks; the rest prune.
@@ -97,16 +90,13 @@ fn transferred_bloom_range_prunes_fact_blocks() {
 
     // Same query without predicate transfer: no Bloom filter exists, so
     // every fact block must be scanned.
-    let base = db.query(sql, &opts(Mode::Baseline, true)).unwrap();
+    let base = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(base.scalar_i64(), Some(50));
     assert_eq!(base.metrics.blocks_pruned, 0);
     assert!(base.metrics.blocks_scanned >= total_blocks);
 
-    // And the raw layout agrees on the result.
-    let off = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, false))
-        .unwrap();
-    assert_eq!(off.scalar_i64(), Some(50));
+    // And the oracle agrees on the result.
+    oracle::answer(&db, sql).check(&rpt.rows, sql);
 }
 
 /// Utf8 zone-map pruning through the sorted shared dictionary: `cat.grp`
@@ -114,7 +104,7 @@ fn transferred_bloom_range_prunes_fact_blocks() {
 /// literal comparison rules out every non-intersecting block — dict codes
 /// are assigned in lexicographic order, making the zone's string bounds
 /// exactly the stored code bounds. A `=` literal absent from the
-/// dictionary prunes *every* block, and the raw layout agrees on rows
+/// dictionary prunes *every* block, and the oracle agrees on rows
 /// throughout.
 #[test]
 fn utf8_dict_literal_scan_prunes_blocks() {
@@ -140,14 +130,14 @@ fn utf8_dict_literal_scan_prunes_blocks() {
 
     // Equality on one block's string: the other three blocks prune.
     let eq = "SELECT COUNT(*) FROM cat WHERE cat.grp = 's2'";
-    let on = db.query(eq, &opts(Mode::Baseline, true)).unwrap();
+    let on = db.query(eq, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
 
     // Range below 's1': only block 0 ("s0") can hold a match.
     let lt = "SELECT COUNT(*) FROM cat WHERE cat.grp < 's1'";
-    let on = db.query(lt, &opts(Mode::Baseline, true)).unwrap();
+    let on = db.query(lt, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
@@ -155,25 +145,24 @@ fn utf8_dict_literal_scan_prunes_blocks() {
     // A literal outside the dictionary can match no row anywhere: every
     // block prunes without decoding a thing.
     let absent = "SELECT COUNT(*) FROM cat WHERE cat.grp = 'zzz'";
-    let on = db.query(absent, &opts(Mode::Baseline, true)).unwrap();
+    let on = db
+        .query(absent, &QueryOptions::new(Mode::Baseline))
+        .unwrap();
     assert_eq!(on.scalar_i64(), Some(0));
     assert_eq!(on.metrics.blocks_scanned, 0, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64);
 
-    // The raw layout agrees on rows and records no block metrics.
+    // The oracle agrees on rows.
     for sql in [eq, lt, absent] {
-        let off = db.query(sql, &opts(Mode::Baseline, false)).unwrap();
-        let on = db.query(sql, &opts(Mode::Baseline, true)).unwrap();
-        assert_eq!(on.rows, off.rows, "{sql}");
-        assert_eq!(off.metrics.blocks_scanned, 0);
-        assert_eq!(off.metrics.blocks_pruned, 0);
+        let on = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
+        oracle::answer(&db, sql).check(&on.rows, sql);
     }
 }
 
 /// NULL join keys must survive pruning decisions: a block containing NULL
 /// keys can never be Bloom-range-pruned (the probe keeps NULL rows only as
 /// hash false positives, but literal semantics must not change), and
-/// results stay identical to the raw layout.
+/// results stay the oracle's.
 #[test]
 fn null_keys_not_mispruned() {
     let mut db = Database::new();
@@ -200,23 +189,19 @@ fn null_keys_not_mispruned() {
     ));
     let sql = "SELECT COUNT(*) FROM f, d WHERE f.fk = d.id AND d.flag = 1";
     let on = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, true))
+        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
         .unwrap();
-    let off = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, false))
-        .unwrap();
-    assert_eq!(on.rows, off.rows);
+    oracle::answer(&db, sql).check(&on.rows, sql);
     // One match per dim id, except ids whose fact row was NULLed out
     // (multiples of 97).
     let expect = (100..160).filter(|i| i % 97 != 0).count() as i64;
     assert_eq!(on.scalar_i64(), Some(expect));
 }
 
-/// Full parity sweep: encoded and raw scans return byte-identical sorted
-/// rows for filters, joins, and string GROUP BYs, across execution modes
-/// and partition counts.
+/// Full parity sweep: scans return the oracle's rows for filters, joins,
+/// and string GROUP BYs, across execution modes and partition counts.
 #[test]
-fn encoded_and_raw_scans_agree() {
+fn scans_agree_with_the_oracle() {
     let db = db();
     let queries = [
         "SELECT COUNT(*) FROM fact WHERE fact.fk >= 39000 AND fact.val < 7",
@@ -226,19 +211,13 @@ fn encoded_and_raw_scans_agree() {
         "SELECT dim.name, dim.id FROM dim WHERE dim.id < 10010",
     ];
     for sql in queries {
+        let expected = oracle::answer(&db, sql);
         for mode in [Mode::Baseline, Mode::RobustPredicateTransfer] {
             for pc in [1usize, 8] {
                 let on = db
-                    .query(sql, &opts(mode, true).with_partition_count(pc))
+                    .query(sql, &QueryOptions::new(mode).with_partition_count(pc))
                     .unwrap();
-                let off = db
-                    .query(sql, &opts(mode, false).with_partition_count(pc))
-                    .unwrap();
-                assert_eq!(
-                    on.sorted_rows(),
-                    off.sorted_rows(),
-                    "{mode:?} pc={pc}: {sql}"
-                );
+                expected.check(&on.rows, &format!("{mode:?} pc={pc}: {sql}"));
             }
         }
     }
@@ -278,7 +257,7 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
     let sql = "SELECT COUNT(*) FROM fact2, dim2 \
                WHERE fact2.a = dim2.x AND fact2.b = dim2.y AND dim2.flag = 1";
     let rpt = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, true))
+        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
         .unwrap();
     assert_eq!(rpt.scalar_i64(), Some(50));
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
@@ -288,12 +267,9 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
         rpt.metrics.blocks_pruned,
         rpt.metrics
     );
-    // The raw layout and the baseline agree on the result.
-    let off = db
-        .query(sql, &opts(Mode::RobustPredicateTransfer, false))
-        .unwrap();
-    assert_eq!(off.scalar_i64(), Some(50));
-    let base = db.query(sql, &opts(Mode::Baseline, true)).unwrap();
+    // The oracle and the baseline agree on the result.
+    oracle::answer(&db, sql).check(&rpt.rows, sql);
+    let base = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(base.scalar_i64(), Some(50));
     assert_eq!(base.metrics.blocks_pruned, 0);
 }

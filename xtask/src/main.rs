@@ -1,6 +1,6 @@
 //! `cargo xtask lint` — std-only workspace lint (no external deps).
 //!
-//! Six token-scan rules; the first three are scoped to hot execution
+//! Seven token-scan rules; the first three are scoped to hot execution
 //! paths where a panic or a silent counter wrap would take down or corrupt
 //! a query:
 //!
@@ -50,6 +50,14 @@
 //!   `partition_count_from_env`, `RPT_MEMORY_BUDGET` in
 //!   `memory_budget_from_env`, `RPT_PLAN_VERIFY` in `VerifyMode::from_env`.
 //!   Every other setting is a `QueryOptions` / `ExecContext` field.
+//! * **G (an independent oracle):** under `tests/oracle/`, the test oracle
+//!   names nothing from `rpt_exec` but the plain operator enums `CmpOp`,
+//!   `ArithOp` and `AggFunc`, and the identifiers `Expr`, `Predicate`,
+//!   `cmp_scalar_rows` and `SortKey` (the engine's expressions, predicate
+//!   kernels and sort order) do not appear at all (the binder's output
+//!   variant `OutputKind::Expr` aside), so the oracle shares
+//!   only the parser, the binder and the tables' raw vectors with the
+//!   engine it checks.
 //!
 //! Findings can be suppressed via `xtask/lint-allow.txt` (`RULE path[:line]`
 //! entries); the file starts — and should stay — empty.
@@ -101,6 +109,7 @@ fn lint(root: PathBuf) -> ExitCode {
     findings.extend(rule_d(&root));
     findings.extend(rule_e(&root));
     findings.extend(rule_f(&root));
+    findings.extend(rule_g(&root));
 
     let mut failed = 0usize;
     for f in &findings {
@@ -694,6 +703,91 @@ fn metric_fields(context_rs: &str) -> Vec<String> {
     fields
 }
 
+// ---- Rule G: the test oracle shares no evaluation code with the engine ----
+
+const RULE_G_DIR: &str = "tests/oracle";
+/// The only items the oracle may name from `rpt_exec`.
+const RULE_G_ALLOWED: &[&str] = &["CmpOp", "ArithOp", "AggFunc"];
+/// Engine evaluation code the oracle may not name, by any path: the
+/// expression and predicate types, the row comparator and sort keys, the
+/// binder's lowering into engine expressions, and the planner and
+/// executor that `rpt_core` re-exports.
+const RULE_G_BANNED: &[&str] = &[
+    "Expr",
+    "Predicate",
+    "cmp_scalar_rows",
+    "SortKey",
+    "to_exec",
+    "execute",
+    "Planner",
+    "PhysicalPlan",
+];
+
+fn rule_g(root: &Path) -> Vec<Finding> {
+    let mut files = Vec::new();
+    walk(&root.join(RULE_G_DIR), &mut files);
+    let mut findings = Vec::new();
+    for path in files {
+        let Ok(text) = fs::read_to_string(&path) else {
+            continue;
+        };
+        findings.extend(scan_g(&rel(root, &path), &text));
+    }
+    findings
+}
+
+fn scan_g(path: &str, text: &str) -> Vec<Finding> {
+    // Test regions count too: the whole oracle is test code.
+    let code = strip_comments(text);
+    let mut findings = Vec::new();
+    let mut find = |at: usize, message: String| {
+        findings.push(Finding {
+            rule: 'G',
+            path: path.to_string(),
+            line: code[..at].matches('\n').count() + 1,
+            message,
+        });
+    };
+    let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+    let mut at = 0;
+    for word in code.split(|c: char| !is_ident(c)) {
+        if RULE_G_BANNED.contains(&word) && !code[..at].ends_with("OutputKind::") {
+            find(at, format!("`{word}` is engine evaluation code"));
+        }
+        if word == "rpt_exec" {
+            // The names imported or used through this path: one segment,
+            // or every entry of a `{...}` group (a nested path by its first
+            // segment).
+            let rest = &code[at + word.len()..];
+            let names: Vec<&str> = match rest.strip_prefix("::") {
+                Some(group) if group.starts_with('{') => group[1..]
+                    .split('}')
+                    .next()
+                    .unwrap_or("")
+                    .split(',')
+                    .map(|n| n.trim().split("::").next().unwrap_or("").trim())
+                    .filter(|n| !n.is_empty())
+                    .collect(),
+                Some(path) => vec![path.split(|c: char| !is_ident(c)).next().unwrap_or("")],
+                None => vec![""],
+            };
+            for name in names {
+                if !RULE_G_ALLOWED.contains(&name) {
+                    find(
+                        at,
+                        format!(
+                            "`rpt_exec::{name}`: the oracle names only {}",
+                            RULE_G_ALLOWED.join(", ")
+                        ),
+                    );
+                }
+            }
+        }
+        at += word.len() + 1;
+    }
+    findings
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -783,6 +877,48 @@ mod tests {
 }
 ";
         assert!(scan_e("crates/exec/src/x.rs", src).is_empty());
+    }
+
+    #[test]
+    fn rule_g_keeps_the_oracle_to_the_operator_enums() {
+        let clean = "\
+use rpt_exec::{AggFunc, ArithOp, CmpOp};
+fn f(e: &RExpr, op: rpt_exec::CmpOp) {} // an Expr in a comment is fine
+const S: &str = \"SortKey\";
+fn g(k: &OutputKind) -> bool { matches!(k, OutputKind::Expr(_)) }
+";
+        assert!(scan_g("tests/oracle/mod.rs", clean).is_empty());
+        let seeded = "\
+use rpt_exec::{
+    CmpOp,
+    Expr,
+};
+use rpt_exec::operators::sort;
+fn f(p: &Predicate) {}
+fn g() { rpt_exec::cmp_scalar_rows(&[], &[], &[]); }
+use rpt_exec as exec;
+fn h(e: &RExpr, db: &Database) { let x = e.to_exec(&|_, c| Some(c)); db.execute(&q, &o); }
+use rpt_core::{Planner, PhysicalPlan};
+";
+        let f = scan_g("tests/oracle/mod.rs", seeded);
+        let got: Vec<(usize, char)> = f.iter().map(|f| (f.line, f.rule)).collect();
+        assert_eq!(
+            got,
+            [
+                (1, 'G'),  // `Expr` in the group
+                (3, 'G'),  // `Expr` itself
+                (5, 'G'),  // `operators`
+                (6, 'G'),  // `Predicate`
+                (7, 'G'),  // `rpt_exec::cmp_scalar_rows`
+                (7, 'G'),  // `cmp_scalar_rows` itself
+                (8, 'G'),  // a renamed path
+                (9, 'G'),  // the binder's lowering into engine expressions
+                (9, 'G'),  // the executor
+                (10, 'G'), // the planner
+                (10, 'G'), // its plans
+            ],
+            "{f:#?}"
+        );
     }
 
     #[test]
@@ -892,6 +1028,7 @@ pub struct Metrics {
             .chain(rule_d(&root))
             .chain(rule_e(&root))
             .chain(rule_f(&root))
+            .chain(rule_g(&root))
             .collect();
         let allow = load_allowlist(&root.join("xtask/lint-allow.txt"));
         let active: Vec<&Finding> = findings.iter().filter(|f| !allowed(&allow, f)).collect();
