@@ -104,7 +104,7 @@ pub struct QueryOptions {
     /// disk. Defaults to `RPT_MEMORY_BUDGET` when set, else unlimited.
     pub memory_budget_bytes: Option<usize>,
     // Ignored by the engine (spill runs are always block-encoded and
-    // always prefetched); only the benchmark's `Spec::options` assigns
+    // never prefetched); only the benchmark's `Spec::options` assigns
     // them, and the next `benchmark` change can drop both.
     #[doc(hidden)]
     pub spill_encoding: bool,

@@ -169,16 +169,8 @@ pub struct Metrics {
     /// Running-maximum gauge: decoded (logical) spill bytes × 100 over
     /// encoded spill bytes — 200 means the block codecs halved the spill.
     pub spill_compression_ratio_pct: AtomicU64,
-    /// Spilled-run restores served from a completed SpillIo prefetch.
-    pub spill_prefetch_hits: AtomicU64,
-    /// Spilled-run restores that read the file synchronously.
-    pub spill_prefetch_misses: AtomicU64,
     /// Whole-buffer evictions requested by the memory governor.
     pub spill_victim_evictions: AtomicU64,
-    /// Nanoseconds of SpillIo prefetch work that ran while at least one
-    /// other worker was busy — the overlapped-I/O win, the way
-    /// `sched_overlap_tasks` proves partition overlap.
-    pub spill_io_overlap_nanos: AtomicU64,
 }
 
 impl Metrics {
@@ -240,10 +232,9 @@ impl Metrics {
             spill_bytes_written: self.spill_bytes_written.load(Ordering::Relaxed),
             spill_bytes_read: self.spill_bytes_read.load(Ordering::Relaxed),
             spill_compression_ratio_pct: self.spill_compression_ratio_pct.load(Ordering::Relaxed),
-            spill_prefetch_hits: self.spill_prefetch_hits.load(Ordering::Relaxed),
-            spill_prefetch_misses: self.spill_prefetch_misses.load(Ordering::Relaxed),
+            spill_prefetch_hits: 0,
+            spill_prefetch_misses: 0,
             spill_victim_evictions: self.spill_victim_evictions.load(Ordering::Relaxed),
-            spill_io_overlap_nanos: self.spill_io_overlap_nanos.load(Ordering::Relaxed),
         }
     }
 }
@@ -281,10 +272,14 @@ pub struct MetricsSummary {
     pub spill_bytes_written: u64,
     pub spill_bytes_read: u64,
     pub spill_compression_ratio_pct: u64,
-    pub spill_prefetch_hits: u64,
-    pub spill_prefetch_misses: u64,
     pub spill_victim_evictions: u64,
-    pub spill_io_overlap_nanos: u64,
+    // Always 0: a spilled run is restored only by its merge task, never
+    // prefetched. Only the benchmark reads them, and the next `benchmark`
+    // change can drop both.
+    #[doc(hidden)]
+    pub spill_prefetch_hits: u64,
+    #[doc(hidden)]
+    pub spill_prefetch_misses: u64,
 }
 
 impl MetricsSummary {

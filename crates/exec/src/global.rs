@@ -93,11 +93,6 @@ enum Task {
     /// Merge and seal one sink-state partition (fires that partition's
     /// grains).
     Merge { pipe: usize, part: usize },
-    /// Prefetch one partition's spilled runs from disk into memory so the
-    /// later `Merge` task restores from cache. Pure I/O overlap: it touches
-    /// no resource grains (the slot mutex serializes it against the merge)
-    /// and never gates completion.
-    SpillIo { pipe: usize, part: usize },
     /// Publish whole-resource results after all partition merges.
     Finish { pipe: usize },
 }
@@ -191,16 +186,10 @@ enum Done {
     Sunk,
     Setup {
         parts: usize,
-        /// Partitions with spilled runs worth a `SpillIo` prefetch task.
-        prefetch: Vec<usize>,
         /// Rows the worker states took in.
         rows: u64,
     },
     MergedPart,
-    /// A `SpillIo` task finished after `nanos` of I/O + decode.
-    Prefetched {
-        nanos: u64,
-    },
     Finished {
         max_task_rows: u64,
     },
@@ -391,33 +380,16 @@ impl<'a> Engine<'a> {
                 let rows = record_pipeline_rows(p, &states, self.ctx);
                 let merger = Arc::new(p.sink.make_merger(states, self.ctx)?);
                 let parts = merger.partitions();
-                let prefetch = merger.prefetch_parts();
                 self.runtimes[pipe]
                     .merger
                     .set(merger)
                     .map_err(|_| Error::Exec("pipeline merger set twice".into()))?;
-                Ok(Done::Setup {
-                    parts,
-                    prefetch,
-                    rows,
-                })
+                Ok(Done::Setup { parts, rows })
             }
             Task::Merge { pipe, part } => {
                 self.merger(pipe)?
                     .merge_partition(part, self.ctx, self.res)?;
                 Ok(Done::MergedPart)
-            }
-            Task::SpillIo { pipe, part } => {
-                let t0 = Instant::now();
-                // The merger always exists here (SpillIo tasks are enqueued
-                // after it is set); the prefetch itself is a no-op if the
-                // merge already took the slot.
-                if let Some(merger) = self.runtimes[pipe].merger.get() {
-                    merger.prefetch_partition(part, self.ctx)?;
-                }
-                Ok(Done::Prefetched {
-                    nanos: t0.elapsed().as_nanos() as u64,
-                })
             }
             Task::Finish { pipe } => {
                 let merger = self.merger(pipe)?;
@@ -474,24 +446,10 @@ impl<'a> Engine<'a> {
                     self.try_start_groups(s, pipe);
                 }
             }
-            (
-                Task::MergeSetup { pipe },
-                Done::Setup {
-                    parts,
-                    prefetch,
-                    rows,
-                },
-            ) => {
+            (Task::MergeSetup { pipe }, Done::Setup { parts, rows }) => {
                 s.pipes[pipe].merge_parts = parts;
                 s.pipes[pipe].merge_left = parts;
                 s.pipelines[pipe].sink_rows = rows;
-                // Prefetch tasks are enqueued first so workers start the
-                // spill reads before the merges that consume them; they
-                // never gate completion (a prefetch racing its merge
-                // degrades to a no-op on the taken slot).
-                for part in prefetch {
-                    self.enqueue(s, Task::SpillIo { pipe, part });
-                }
                 for part in 0..parts {
                     self.enqueue(s, Task::Merge { pipe, part });
                 }
@@ -509,16 +467,6 @@ impl<'a> Engine<'a> {
                 }
                 if s.pipes[pipe].merge_left == 0 {
                     self.enqueue(s, Task::Finish { pipe });
-                }
-            }
-            (Task::SpillIo { .. }, Done::Prefetched { nanos }) => {
-                // The worker decremented its own busy count before apply,
-                // so `busy >= 1` means at least one *other* worker executed
-                // a task while this prefetch ran — genuinely overlapped
-                // spill I/O.
-                if s.busy >= 1 {
-                    let m = &self.ctx.metrics;
-                    m.add(&m.spill_io_overlap_nanos, nanos);
                 }
             }
             (Task::Finish { pipe }, Done::Finished { max_task_rows }) => {

@@ -225,26 +225,4 @@ impl PartitionMerger for BufferMerger {
     fn max_task_rows(&self) -> u64 {
         self.max_task_rows.load(Ordering::Relaxed)
     }
-
-    fn prefetch_parts(&self) -> Vec<usize> {
-        (0..self.partitions)
-            .filter(|&p| {
-                let mut any = false;
-                let _ = self.slots.with_slot(p, |bufs| {
-                    any = bufs.iter().any(SpillBuffer::has_spilled);
-                    Ok(())
-                });
-                any
-            })
-            .collect()
-    }
-
-    fn prefetch_partition(&self, part: usize, _ctx: &ExecContext) -> Result<()> {
-        self.slots.with_slot(part, |bufs| {
-            for b in bufs.iter_mut() {
-                b.prefetch()?;
-            }
-            Ok(())
-        })
-    }
 }

@@ -475,21 +475,6 @@ pub trait PartitionMerger: Send + Sync {
 
     /// Rows handled by the largest partition task so far.
     fn max_task_rows(&self) -> u64;
-
-    /// Partitions whose sink states hold spilled runs worth prefetching on
-    /// a `SpillIo` pool task before [`Self::merge_partition`] runs. The
-    /// default (no spill awareness) schedules no prefetch tasks.
-    fn prefetch_parts(&self) -> Vec<usize> {
-        Vec::new()
-    }
-
-    /// Read+decode partition `part`'s spilled runs ahead of its merge (the
-    /// `SpillIo` task body). Must be safe to race with `merge_partition`:
-    /// whichever takes the partition slot first wins, the loser no-ops.
-    fn prefetch_partition(&self, part: usize, ctx: &ExecContext) -> Result<()> {
-        let _ = (part, ctx);
-        Ok(())
-    }
 }
 
 /// Per-partition payloads handed to the parallel merge tasks: slot `p`
@@ -519,21 +504,6 @@ impl<T> PartitionSlots<T> {
         lock_or_err(&self.0[p], "partition slot")?
             .take()
             .ok_or_else(|| Error::Exec(format!("partition {p} payload taken twice")))
-    }
-
-    /// Run `f` over partition `p`'s payloads *in place* while holding the
-    /// slot lock (the SpillIo prefetch path). A no-op when the slot was
-    /// already taken by its merge task — the benign prefetch/merge race.
-    pub(crate) fn with_slot(
-        &self,
-        p: usize,
-        f: impl FnOnce(&mut Vec<T>) -> Result<()>,
-    ) -> Result<()> {
-        let mut guard = lock_or_err(&self.0[p], "partition slot")?;
-        match guard.as_mut() {
-            Some(v) => f(v),
-            None => Ok(()),
-        }
     }
 }
 
@@ -580,8 +550,6 @@ fn record_spill_stats(metrics: &crate::context::Metrics, st: rpt_storage::SpillS
         );
     }
     metrics.add(&metrics.spill_bytes_read, st.bytes_read as u64);
-    metrics.add(&metrics.spill_prefetch_hits, st.prefetch_hits as u64);
-    metrics.add(&metrics.spill_prefetch_misses, st.prefetch_misses as u64);
     metrics.add(&metrics.spill_victim_evictions, st.victim_evictions as u64);
 }
 

@@ -697,32 +697,6 @@ impl PartitionMerger for SortMerger {
     fn max_task_rows(&self) -> u64 {
         self.max_task_rows.load(Ordering::Relaxed)
     }
-
-    fn prefetch_parts(&self) -> Vec<usize> {
-        (0..self.partitions)
-            .filter(|&p| {
-                let mut any = false;
-                let _ = self.slots.with_slot(p, |runs| {
-                    any = runs
-                        .iter()
-                        .any(|r| matches!(r, Run::Full(b) if b.has_spilled()));
-                    Ok(())
-                });
-                any
-            })
-            .collect()
-    }
-
-    fn prefetch_partition(&self, part: usize, _ctx: &ExecContext) -> Result<()> {
-        self.slots.with_slot(part, |runs| {
-            for r in runs.iter_mut() {
-                if let Run::Full(b) = r {
-                    b.prefetch()?;
-                }
-            }
-            Ok(())
-        })
-    }
 }
 
 /// A classic array loser tree over `k` sorted runs: `tree[0]` is the

@@ -48,10 +48,6 @@ impl MemoryGovernor {
         }
     }
 
-    pub fn budget_bytes(&self) -> usize {
-        self.budget
-    }
-
     /// Victim flags raised so far (drives `spill_victim_evictions`).
     pub fn evictions(&self) -> u64 {
         self.evictions.load(Ordering::Relaxed)
@@ -158,10 +154,6 @@ impl GovernedHandle {
     /// Poll for a victim flag without changing reported residency.
     pub fn take_request(&self) -> bool {
         self.gov.take_request(self.id)
-    }
-
-    pub fn governor(&self) -> &Arc<MemoryGovernor> {
-        &self.gov
     }
 }
 

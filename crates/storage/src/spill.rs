@@ -75,10 +75,6 @@ pub struct SpillStats {
     pub encoded_bytes_spilled: usize,
     /// Bytes read back from the spill file.
     pub bytes_read: usize,
-    /// Restores served from a completed prefetch (once per file restore).
-    pub prefetch_hits: usize,
-    /// Restores that had to read the file synchronously.
-    pub prefetch_misses: usize,
     /// Governor-requested whole-buffer evictions serviced.
     pub victim_evictions: usize,
 }
@@ -113,8 +109,6 @@ pub struct SpillBuffer {
     dicts: Vec<Option<Arc<Utf8Dict>>>,
     /// Per spilled chunk, in sequence order.
     frames: Vec<Frame>,
-    /// Decoded chunks read ahead of the merge by a SpillIo pool task.
-    prefetched: Option<Vec<DataChunk>>,
     spill_path: Option<PathBuf>,
     spill_writer: Option<BufWriter<File>>,
     stats: SpillStats,
@@ -137,7 +131,6 @@ impl SpillBuffer {
             order: Vec::new(),
             dicts: vec![None; ncols],
             frames: Vec::new(),
-            prefetched: None,
             spill_path: None,
             spill_writer: None,
             stats: SpillStats::default(),
@@ -320,15 +313,6 @@ impl SpillBuffer {
             self.spill_path = Some(path);
             self.spill_writer = Some(BufWriter::new(file));
         }
-        if self.spill_writer.is_none() {
-            // Writer was closed by a prefetch; reopen for appending.
-            let path = self
-                .spill_path
-                .as_ref()
-                .ok_or_else(|| Error::Exec("spill path missing".into()))?;
-            let file = std::fs::OpenOptions::new().append(true).open(path)?;
-            self.spill_writer = Some(BufWriter::new(file));
-        }
         let frame = self.encode_chunk(chunk)?;
         let w = self
             .spill_writer
@@ -349,29 +333,6 @@ impl SpillBuffer {
 
     pub fn stats(&self) -> SpillStats {
         self.stats
-    }
-
-    pub fn total_chunks(&self) -> usize {
-        self.stats.chunks_in_memory + self.stats.chunks_spilled
-    }
-
-    /// Has any chunk gone to disk (i.e. would a restore touch the file)?
-    pub fn has_spilled(&self) -> bool {
-        self.stats.chunks_spilled > 0
-    }
-
-    /// Read and decode the spilled run ahead of the restore (the SpillIo
-    /// pool-task body). Idempotent; a later [`Self::take_chunks`] consumes
-    /// the cache and counts a prefetch hit. Safe to race with the merge
-    /// task: whoever takes the buffer first wins, the other no-ops.
-    pub fn prefetch(&mut self) -> Result<()> {
-        if self.stats.chunks_spilled == 0 || self.prefetched.is_some() {
-            return Ok(());
-        }
-        self.flush_writer()?;
-        let chunks = self.read_spilled()?;
-        self.prefetched = Some(chunks);
-        Ok(())
     }
 
     fn flush_writer(&mut self) -> Result<()> {
@@ -416,25 +377,13 @@ impl SpillBuffer {
 
     /// Finish writing and return all chunks in **insertion order**: the
     /// restore interleaves spilled and resident chunks exactly as pushed,
-    /// so a forced-spill run is row-identical to a resident one. Consumes
-    /// the prefetch cache when one covers the whole file (a prefetch hit);
-    /// otherwise reads the file synchronously (a miss). Removes the spill
-    /// file. The backward pass and join phase re-scan through this.
+    /// so a forced-spill run is row-identical to a resident one. Reads the
+    /// spill file back, then removes it. The backward pass and join phase
+    /// re-scan through this.
     pub fn take_chunks(&mut self) -> Result<Vec<DataChunk>> {
         let spilled: Vec<DataChunk> = if self.stats.chunks_spilled > 0 {
-            match self.prefetched.take() {
-                Some(cache) if cache.len() == self.stats.chunks_spilled => {
-                    self.stats.prefetch_hits += 1;
-                    cache
-                }
-                _ => {
-                    // No prefetch, or the cache went stale (more chunks
-                    // spilled after it was built): synchronous re-read.
-                    self.stats.prefetch_misses += 1;
-                    self.flush_writer()?;
-                    self.read_spilled()?
-                }
-            }
+            self.flush_writer()?;
+            self.read_spilled()?
         } else {
             Vec::new()
         };
@@ -860,7 +809,10 @@ mod tests {
         assert_eq!(st.chunks_in_memory, 1);
         assert_eq!(st.chunks_spilled, 2);
         assert!(st.bytes_spilled >= 24);
-        let chunks = b.into_chunks().unwrap();
+        let chunks = b.take_chunks().unwrap();
+        // The restore read back every frame it wrote.
+        assert!(b.stats().bytes_read > 0);
+        assert_eq!(b.stats().bytes_read, st.encoded_bytes_spilled);
         // Insertion order: [1,2] resident, then the two spilled chunks.
         let all: Vec<i64> = chunks
             .iter()
@@ -874,7 +826,6 @@ mod tests {
     fn empty_chunks_skipped() {
         let mut b = SpillBuffer::unbounded(schema());
         b.push(chunk(vec![])).unwrap();
-        assert_eq!(b.total_chunks(), 0);
         assert!(b.into_chunks().unwrap().is_empty());
     }
 
@@ -1099,42 +1050,22 @@ mod tests {
             drop(b);
             assert!(!path.exists(), "{what}: spill file leaked");
         }
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn prefetch_hit_and_miss_accounting() {
-        let dir = std::env::temp_dir().join("rpt_spill_prefetch");
-        // Miss: restore without a prefetch.
-        let mut b = SpillBuffer::new(schema(), 0, &dir);
-        b.push(chunk(vec![1, 2])).unwrap();
-        let _ = b.take_chunks().unwrap();
-        assert_eq!(b.stats().prefetch_misses, 1);
-        assert_eq!(b.stats().prefetch_hits, 0);
-        assert!(b.stats().bytes_read > 0);
-        // Hit: prefetch, then restore from the cache.
-        let mut b = SpillBuffer::new(schema(), 0, &dir);
-        b.push(chunk(vec![3, 4])).unwrap();
-        b.prefetch().unwrap();
-        b.prefetch().unwrap(); // idempotent
-        let chunks = b.take_chunks().unwrap();
-        assert_eq!(chunks[0].value(0, 1), ScalarValue::Int64(4));
-        assert_eq!(b.stats().prefetch_hits, 1);
-        assert_eq!(b.stats().prefetch_misses, 0);
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
-    fn stale_prefetch_cache_is_discarded() {
-        let dir = std::env::temp_dir().join("rpt_spill_stale");
-        let mut b = SpillBuffer::new(schema(), 0, &dir);
-        b.push(chunk(vec![1])).unwrap();
-        b.prefetch().unwrap();
-        b.push(chunk(vec![2])).unwrap(); // spills after the prefetch
-        let chunks = b.take_chunks().unwrap();
-        assert_eq!(chunks.len(), 2);
-        assert_eq!(chunks[1].value(0, 0), ScalarValue::Int64(2));
-        assert_eq!(b.stats().prefetch_misses, 1, "stale cache re-read");
+        // A file cut short — mid-frame, or to nothing — fails the restore
+        // with the reader's I/O error.
+        for (what, keep) in [("mid-frame", 9), ("empty", 0)] {
+            let mut b = SpillBuffer::new(schema(), 0, &dir);
+            b.push(chunk((0..64).collect())).unwrap();
+            b.flush_writer().unwrap();
+            let path = b.spill_path.clone().unwrap();
+            let file = std::fs::OpenOptions::new().write(true).open(&path).unwrap();
+            assert!(b.frames[0].bytes > keep, "{what}: cut inside the frame");
+            file.set_len(keep as u64).unwrap();
+            drop(file);
+            let got = b.take_chunks();
+            assert!(matches!(got, Err(Error::Io(_))), "{what}: {got:?}");
+            drop(b);
+            assert!(!path.exists(), "{what}: spill file leaked");
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

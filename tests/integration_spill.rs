@@ -416,9 +416,12 @@ fn encoded_spill_at_least_halves_written_bytes() {
         "compression gauge {} below 200 (2x)",
         m.spill_compression_ratio_pct
     );
-    // `merge_partitioned` schedules no prefetch: the merge task restores
-    // the spilled runs synchronously.
-    assert!(m.spill_prefetch_misses >= 1, "no synchronous restore");
+    // The merge restores each spilled run once, so it reads back exactly
+    // the bytes that were written.
+    assert_eq!(
+        m.spill_bytes_read, m.spill_bytes_written,
+        "restore read a different byte count than was spilled"
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -516,18 +519,16 @@ fn governor_spills_go_to_the_query_spill_dir() {
     assert!(!err.is_budget(), "unexpected error kind: {err}");
 }
 
-/// Overlapped spill restore: with one worker the FIFO queue runs every
-/// `SpillIo` prefetch before the merge that consumes it, so every spilled
-/// partition restores from cache (`prefetch_hits`) — at partition count 4
-/// and at 1 alike, since every sink merges through its partition merger.
-/// With a single worker no overlap nanoseconds can ever be attributed, and
-/// both runs return the same rows. (The synchronous restore is covered by
-/// the sink-level tests, whose `merge_partitioned` never prefetches.)
+/// Under the global scheduler each partition's merge task restores its
+/// own spilled runs: with one worker and a 1-byte budget every sink
+/// spills, and the merges read every spilled byte back — at partition
+/// count 4 and at 1 alike, since every sink merges through its partition
+/// merger. Both runs return the same rows.
 #[test]
-fn spill_prefetch_hits_cache_under_global_scheduler() {
+fn merge_tasks_restore_spilled_runs_under_global_scheduler() {
     let w = tpch(0.05, 57);
     let db = database_for(&w);
-    let dir = std::env::temp_dir().join(format!("rpt_it_prefspill_{}", std::process::id()));
+    let dir = std::env::temp_dir().join(format!("rpt_it_mergespill_{}", std::process::id()));
     let qd = w.query("q3").unwrap();
     let base = QueryOptions::new(Mode::RobustPredicateTransfer)
         .with_partition_count(4)
@@ -536,25 +537,24 @@ fn spill_prefetch_hits_cache_under_global_scheduler() {
         .with_memory_budget(Some(1))
         .with_spill_dir(&dir);
     let on = db.query(&qd.sql, &base).unwrap();
-    assert!(
-        on.metrics.spill_prefetch_hits >= 1,
-        "prefetch never hit: {:?}",
-        on.metrics
-    );
-    // One worker: a prefetch can never run while another task executes.
-    assert_eq!(on.metrics.spill_io_overlap_nanos, 0);
     let one = db
         .query(&qd.sql, &base.clone().with_partition_count(1))
         .unwrap();
-    assert!(
-        one.metrics.spill_prefetch_hits >= 1,
-        "one-partition prefetch never hit: {:?}",
-        one.metrics
-    );
-    assert_eq!(one.metrics.spill_io_overlap_nanos, 0);
-    // Prefetch only changes *where* restore bytes come from, never their
-    // content. The partition count changes the float summation order, so
-    // float cells compare within a relative tolerance.
+    for (parts, r) in [(4, &on), (1, &one)] {
+        let m = &r.metrics;
+        assert!(
+            m.spill_bytes_written > 0,
+            "{parts} partitions: never spilled"
+        );
+        assert!(
+            m.spill_bytes_read >= m.spill_bytes_written,
+            "{parts} partitions: restore read {} < wrote {}",
+            m.spill_bytes_read,
+            m.spill_bytes_written
+        );
+    }
+    // The partition count changes the float summation order, so float
+    // cells compare within a relative tolerance.
     assert_rows_approx_eq(
         &on.sorted_rows(),
         &one.sorted_rows(),
