@@ -46,27 +46,6 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// Assemble the IR.
-    fn assemble(
-        pipelines: Vec<PipelinePlan>,
-        num_buffers: usize,
-        num_filters: usize,
-        num_tables: usize,
-        partition_count: usize,
-        output_buffer: usize,
-        output_schema: Schema,
-    ) -> PhysicalPlan {
-        PhysicalPlan {
-            pipelines,
-            num_buffers,
-            num_filters,
-            num_tables,
-            partition_count: rpt_common::normalize_partition_count(partition_count),
-            output_buffer,
-            output_schema,
-        }
-    }
-
     /// `(buffers, filters, hash tables)` slot counts for the executor.
     pub fn resource_counts(&self) -> (usize, usize, usize) {
         (self.num_buffers, self.num_filters, self.num_tables)
@@ -295,14 +274,38 @@ impl<'q> Planner<'q> {
         )
     }
 
-    /// Materialize a stream into a new buffer, optionally building Bloom
+    /// Materialize a stream into a buffer, optionally building Bloom
     /// filters — this is the CreateBF operator (sink half). `stream` then
-    /// reads that buffer; returns its id.
-    fn materialize(&mut self, stream: &mut Stream, blooms: Vec<BloomSink>, label: String) -> usize {
+    /// reads that buffer; returns its id. A stream that already is a bare
+    /// buffer is not copied again: its filters join the pipeline that wrote
+    /// the buffer, whose label gains `, {name}` per filter request.
+    fn materialize(
+        &mut self,
+        stream: &mut Stream,
+        mut blooms: Vec<BloomSink>,
+        step: &str,
+        name: &str,
+    ) -> usize {
+        if let (SourceSpec::Buffer(buf), true) = (&stream.source, stream.ops.is_empty()) {
+            let buf = *buf;
+            let writer = self.pipelines.iter_mut().find_map(|p| match &mut p.sink {
+                SinkSpec::Buffer { buf_id, blooms } if *buf_id == buf => {
+                    Some((&mut p.label, blooms))
+                }
+                _ => None,
+            });
+            if let Some((label, built)) = writer {
+                if !blooms.is_empty() {
+                    label.push_str(&format!(", {name}"));
+                    built.append(&mut blooms);
+                }
+                return buf;
+            }
+        }
         let buf = self.new_buffer();
         let schema = self.stream_schema(stream);
         self.pipelines.push(PipelinePlan {
-            label,
+            label: format!("{step} {name}"),
             source: std::mem::replace(&mut stream.source, SourceSpec::Buffer(buf)),
             ops: std::mem::take(&mut stream.ops),
             sink: SinkSpec::Buffer {
@@ -363,6 +366,22 @@ impl<'q> Planner<'q> {
         Ok(())
     }
 
+    /// Layout positions in `stream` of relation `rel`'s columns for `attrs`.
+    fn key_positions(&self, stream: &Stream, rel: usize, attrs: &[usize]) -> Result<Vec<usize>> {
+        attrs
+            .iter()
+            .map(|a| {
+                let col = *self.q.relations[rel]
+                    .attr_cols
+                    .get(a)
+                    .ok_or_else(|| Error::Plan(format!("relation lacks attr {a}")))?;
+                stream
+                    .position_of(rel, col)
+                    .ok_or_else(|| Error::Plan("join key column was projected away".into()))
+            })
+            .collect()
+    }
+
     fn transfer_step(
         &mut self,
         sj: &SemiJoin,
@@ -387,36 +406,12 @@ impl<'q> Planner<'q> {
             return Ok(());
         }
 
-        // Key columns of the source, by layout position.
-        let src_keys: Vec<usize> = attrs
-            .iter()
-            .map(|a| {
-                let col = *self.q.relations[*source]
-                    .attr_cols
-                    .get(a)
-                    .ok_or_else(|| Error::Plan(format!("relation lacks attr {a}")))?;
-                states[*source]
-                    .stream
-                    .position_of(*source, col)
-                    .ok_or_else(|| Error::Plan("join key column was projected away".into()))
-            })
-            .collect::<Result<_>>()?;
-        let tgt_keys: Vec<usize> = attrs
-            .iter()
-            .map(|a| {
-                let col = *self.q.relations[*target]
-                    .attr_cols
-                    .get(a)
-                    .ok_or_else(|| Error::Plan(format!("relation lacks attr {a}")))?;
-                states[*target]
-                    .stream
-                    .position_of(*target, col)
-                    .ok_or_else(|| Error::Plan("join key column was projected away".into()))
-            })
-            .collect::<Result<_>>()?;
+        let src_keys = self.key_positions(&states[*source].stream, *source, attrs)?;
+        let tgt_keys = self.key_positions(&states[*target].stream, *target, attrs)?;
 
         // `{dir} {step} {source} -> {target}`: a plan transfers along one
-        // edge once per direction, so the label names one pipeline.
+        // edge once per direction, so the label names one pipeline (a
+        // CreateBF that joins an earlier pipeline appends its edge there).
         let dir = if forward { "fwd" } else { "bwd" };
         let edge = format!(
             "{} -> {}",
@@ -427,7 +422,7 @@ impl<'q> Planner<'q> {
             // Yannakakis: materialize the source, build an exact hash table,
             // semi-probe the target.
             let src_stream = &mut states[*source].stream;
-            let buf = self.materialize(src_stream, vec![], format!("{dir} materialize {edge}"));
+            let buf = self.materialize(src_stream, vec![], &format!("{dir} materialize"), &edge);
             let schema = self.stream_schema(src_stream);
             let ht = self.new_table();
             self.pipelines.push(PipelinePlan {
@@ -468,7 +463,8 @@ impl<'q> Planner<'q> {
                     key_cols: src_keys,
                     shape,
                 }],
-                format!("{dir} createbf {edge}"),
+                &format!("{dir} createbf"),
+                &edge,
             );
             states[*target].stream.probe_bloom(filter_id, tgt_keys);
         }
@@ -606,13 +602,8 @@ impl<'q> Planner<'q> {
         let mut layout = Vec::new();
         for (r, state) in states.iter_mut().enumerate() {
             let stream = &mut state.stream;
-            let buf_id = match (&stream.source, stream.ops.is_empty()) {
-                (SourceSpec::Buffer(id), true) => *id,
-                _ => {
-                    let label = format!("materialize {}", self.q.relations[r].binding);
-                    self.materialize(stream, vec![], label)
-                }
-            };
+            let buf_id =
+                self.materialize(stream, vec![], "materialize", &self.q.relations[r].binding);
             let attr_cols = self.q.relations[r]
                 .attr_cols
                 .iter()
@@ -641,41 +632,50 @@ impl<'q> Planner<'q> {
         })
     }
 
-    /// Append the terminal sort / TopK pipeline when the query orders or
-    /// limits its output; otherwise `out_buf` stays the output buffer.
-    /// ORDER BY keys are bound to output positions, so the sort reads the
-    /// projected buffer as-is. `LIMIT` without `ORDER BY` still runs the
-    /// sort sink (keys empty ⇒ the total-order tie-break alone), which
-    /// pins a deterministic row choice across worker and partition counts.
-    fn finish_order_by(&mut self, out_buf: usize, out_schema: &Schema) -> usize {
-        if self.q.order_by.is_empty() && self.q.limit.is_none() && self.q.offset.is_none() {
-            return out_buf;
+    /// The plan whose output buffer `out_buf` has schema `schema`, after a
+    /// terminal sort / TopK pipeline when the query orders or limits its
+    /// output. ORDER BY keys are bound to output positions, so the sort
+    /// reads the projected buffer as-is. `LIMIT` without `ORDER BY` still
+    /// runs the sort sink (keys empty ⇒ the total-order tie-break alone),
+    /// which pins a deterministic row choice across worker and partition
+    /// counts.
+    fn assemble(mut self, mut out_buf: usize, schema: Schema) -> PhysicalPlan {
+        if !self.q.order_by.is_empty() || self.q.limit.is_some() || self.q.offset.is_some() {
+            let keys: Vec<SortKey> = self
+                .q
+                .order_by
+                .iter()
+                .map(|k| SortKey {
+                    col: k.output_pos,
+                    desc: k.desc,
+                    nulls_first: k.nulls_first,
+                })
+                .collect();
+            let sort_buf = self.new_buffer();
+            self.pipelines.push(PipelinePlan {
+                label: "sort output".into(),
+                source: SourceSpec::Buffer(out_buf),
+                ops: vec![],
+                sink: SinkSpec::Sort {
+                    buf_id: sort_buf,
+                    keys,
+                    limit: self.q.limit,
+                    offset: self.q.offset.unwrap_or(0),
+                },
+                intermediate: false,
+                sink_schema: schema.clone(),
+            });
+            out_buf = sort_buf;
         }
-        let keys: Vec<SortKey> = self
-            .q
-            .order_by
-            .iter()
-            .map(|k| SortKey {
-                col: k.output_pos,
-                desc: k.desc,
-                nulls_first: k.nulls_first,
-            })
-            .collect();
-        let sort_buf = self.new_buffer();
-        self.pipelines.push(PipelinePlan {
-            label: "sort output".into(),
-            source: SourceSpec::Buffer(out_buf),
-            ops: vec![],
-            sink: SinkSpec::Sort {
-                buf_id: sort_buf,
-                keys,
-                limit: self.q.limit,
-                offset: self.q.offset.unwrap_or(0),
-            },
-            intermediate: false,
-            sink_schema: out_schema.clone(),
-        });
-        sort_buf
+        PhysicalPlan {
+            pipelines: self.pipelines,
+            num_buffers: self.num_buffers,
+            num_filters: self.num_filters,
+            num_tables: self.num_tables,
+            partition_count: rpt_common::normalize_partition_count(self.opts.partition_count),
+            output_buffer: out_buf,
+            output_schema: schema,
+        }
     }
 
     /// Terminate the final stream: aggregation or projection (then the
@@ -803,16 +803,7 @@ impl<'q> Planner<'q> {
             }
             let identity = projection.iter().copied().eq(0..agg_schema.len());
             if identity {
-                let final_buf = self.finish_order_by(agg_buf, &agg_schema);
-                return Ok(PhysicalPlan::assemble(
-                    self.pipelines,
-                    self.num_buffers,
-                    self.num_filters,
-                    self.num_tables,
-                    self.opts.partition_count,
-                    final_buf,
-                    agg_schema,
-                ));
+                return Ok(self.assemble(agg_buf, agg_schema));
             }
             let out_buf = self.new_buffer();
             let out_schema = Schema::new(out_fields);
@@ -829,16 +820,7 @@ impl<'q> Planner<'q> {
                 intermediate: false,
                 sink_schema: out_schema.clone(),
             });
-            let final_buf = self.finish_order_by(out_buf, &out_schema);
-            Ok(PhysicalPlan::assemble(
-                self.pipelines,
-                self.num_buffers,
-                self.num_filters,
-                self.num_tables,
-                self.opts.partition_count,
-                final_buf,
-                out_schema,
-            ))
+            Ok(self.assemble(out_buf, out_schema))
         } else {
             // Plain projection.
             let mut exprs = Vec::with_capacity(self.q.output.len());
@@ -871,16 +853,7 @@ impl<'q> Planner<'q> {
                 intermediate: false,
                 sink_schema: out_schema.clone(),
             });
-            let final_buf = self.finish_order_by(out_buf, &out_schema);
-            Ok(PhysicalPlan::assemble(
-                self.pipelines,
-                self.num_buffers,
-                self.num_filters,
-                self.num_tables,
-                self.opts.partition_count,
-                final_buf,
-                out_schema,
-            ))
+            Ok(self.assemble(out_buf, out_schema))
         }
     }
 }

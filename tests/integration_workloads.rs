@@ -2,7 +2,7 @@
 //! identical results across all execution modes and several join orders.
 
 use rpt_core::{Database, JoinQuery, Mode, Planner, QueryOptions};
-use rpt_exec::SinkSpec;
+use rpt_exec::{SinkSpec, SourceSpec};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 
 fn database_for(w: &Workload) -> Database {
@@ -198,6 +198,50 @@ fn transfer_schedule_pipelines_have_expected_shape() {
     let r = db.execute(&q, &opts).unwrap();
     let r2 = db.execute(&q, &pruned).unwrap();
     assert_eq!(r.sorted_rows(), r2.sorted_rows());
+}
+
+/// A reduced relation is buffered once: under every transfer mode, at
+/// partition counts 1 and 8, no compiled plan of the four generators'
+/// queries has a pure-copy pipeline (a buffer read through no operator into
+/// another buffer). A second CreateBF or materialize on a relation whose
+/// stream is already a bare buffer joins the pipeline that wrote it.
+#[test]
+fn no_plan_copies_a_buffer() {
+    for w in [
+        tpch(0.02, 42),
+        job(0.02, 42),
+        tpcds(0.02, 42),
+        dsb(0.02, 42),
+    ] {
+        let db = database_for(&w);
+        for qd in &w.queries {
+            let q = db.bind_sql(&qd.sql).unwrap();
+            for mode in [
+                Mode::PredicateTransfer,
+                Mode::RobustPredicateTransfer,
+                Mode::Yannakakis,
+                Mode::Hybrid,
+            ] {
+                for partitions in [1, 8] {
+                    let opts = QueryOptions::new(mode).with_partition_count(partitions);
+                    let order = db.choose_order(&q, &opts).unwrap();
+                    let plan = Planner::new(&q, &opts).compile(&order.plan()).unwrap();
+                    for p in &plan.pipelines {
+                        assert!(
+                            !matches!(
+                                (&p.source, p.ops.is_empty(), &p.sink),
+                                (SourceSpec::Buffer(_), true, SinkSpec::Buffer { .. })
+                            ),
+                            "{} {} {mode:?} pc={partitions}: `{}` copies a buffer",
+                            w.name,
+                            qd.id,
+                            p.label
+                        );
+                    }
+                }
+            }
+        }
+    }
 }
 
 #[test]
