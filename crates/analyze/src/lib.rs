@@ -318,14 +318,14 @@ mod tests {
         Schema::new(vec![Field::new("k", DataType::Int64)])
     }
 
-    fn table() -> Arc<rpt_storage::Table> {
+    fn table() -> Arc<rpt_storage::StoredTable> {
         let t = rpt_storage::Table::new(
             "t",
             schema(),
             vec![rpt_common::Vector::from_i64(vec![1, 2, 3])],
         )
         .expect("valid fixture table");
-        Arc::new(t)
+        Arc::new(rpt_storage::StoredTable::new(t))
     }
 
     /// scan → keyed CreateBF buffer 0; buffer 0 → hash-build table 0 on

@@ -348,7 +348,7 @@ fn split_conjuncts<'a>(e: &'a AstExpr, out: &mut Vec<&'a AstExpr>) {
 
 struct ColumnResolver {
     bindings: BTreeMap<String, usize>,
-    tables: Vec<std::sync::Arc<rpt_storage::Table>>,
+    tables: Vec<std::sync::Arc<rpt_storage::StoredTable>>,
 }
 
 impl ColumnResolver {

@@ -1,15 +1,15 @@
 //! Table catalog with per-table statistics.
 
 use rpt_common::{Error, Result};
-use rpt_storage::{Table, TableStats};
+use rpt_storage::{StoredTable, Table, TableStats};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A registered table plus its statistics (computed once at registration,
-/// like `ANALYZE`).
+/// A registered table, block-encoded, plus its statistics (both computed
+/// once at registration, like `ANALYZE`).
 #[derive(Clone)]
 pub struct CatalogEntry {
-    pub table: Arc<Table>,
+    pub table: Arc<StoredTable>,
     pub stats: Arc<TableStats>,
 }
 
@@ -24,16 +24,13 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register (or replace) a table; computes statistics eagerly.
+    /// Register (or replace) a table: compute its statistics and its block
+    /// encoding from the raw columns, then drop them.
     pub fn register(&mut self, table: Table) {
         let stats = Arc::new(TableStats::compute(&table));
-        self.tables.insert(
-            table.name.clone(),
-            CatalogEntry {
-                table: Arc::new(table),
-                stats,
-            },
-        );
+        let table = Arc::new(StoredTable::new(table));
+        self.tables
+            .insert(table.name.clone(), CatalogEntry { table, stats });
     }
 
     pub fn get(&self, name: &str) -> Result<&CatalogEntry> {
@@ -64,7 +61,8 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_common::{DataType, Field, Schema, Vector};
+    use rpt_common::{DataType, Field, Schema, Vector, VECTOR_SIZE};
+    use rpt_storage::BlockTable;
 
     fn t(name: &str) -> Table {
         Table::new(
@@ -84,6 +82,11 @@ mod tests {
         let e = c.get("orders").unwrap();
         assert_eq!(e.table.num_rows(), 3);
         assert_eq!(e.stats.num_rows, 3);
+        // Registration is where the encoding happens.
+        assert_eq!(
+            *e.table.encoded(),
+            BlockTable::build(&t("orders"), VECTOR_SIZE)
+        );
         assert!(c.get("nope").is_err());
     }
 
@@ -97,8 +100,13 @@ mod tests {
             vec![Vector::from_i64(vec![1, 2, 3, 4, 5])],
         )
         .unwrap();
+        let blocks = BlockTable::build(&bigger, VECTOR_SIZE);
         c.register(bigger);
-        assert_eq!(c.get("x").unwrap().stats.num_rows, 5);
+        let e = c.get("x").unwrap();
+        assert_eq!(e.stats.num_rows, 5);
+        // The blocks follow the stats to the replacement.
+        assert_eq!(*e.table.encoded(), blocks);
+        assert_eq!(e.table.num_rows() as u64, e.stats.num_rows);
         assert_eq!(c.len(), 1);
     }
 

@@ -737,7 +737,7 @@ impl<'q> Planner<'q> {
                 let (r, c) = layout[g];
                 let rel = &self.q.relations[r];
                 if rel.table.schema.field(c).data_type == DataType::Utf8 {
-                    key_dicts[g] = rel.table.dict(c);
+                    key_dicts[g] = rel.table.encoded().columns[c].dict.clone();
                 }
             }
             let agg_buf = self.new_buffer();

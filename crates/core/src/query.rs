@@ -4,7 +4,7 @@
 use rpt_common::{Error, Result, ScalarValue};
 use rpt_exec::{AggFunc, ArithOp, CmpOp, Expr};
 use rpt_graph::{AttrId, QueryGraph, Relation};
-use rpt_storage::{Table, TableStats};
+use rpt_storage::{StoredTable, TableStats};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -141,7 +141,7 @@ impl RExpr {
 pub struct BoundRelation {
     /// Alias the query refers to this relation by.
     pub binding: String,
-    pub table: Arc<Table>,
+    pub table: Arc<StoredTable>,
     pub stats: Arc<TableStats>,
     /// Conjunction of single-relation predicates (column indices refer to
     /// the *base table*).
@@ -283,7 +283,7 @@ mod tests {
     use rpt_common::{DataType, Field, Schema, Vector};
 
     fn rel(binding: &str, rows: Vec<i64>, attrs: &[(AttrId, usize)]) -> BoundRelation {
-        let table = Table::new(
+        let table = rpt_storage::Table::new(
             binding,
             Schema::new(vec![
                 Field::new("id", DataType::Int64),
@@ -295,7 +295,7 @@ mod tests {
         let stats = Arc::new(TableStats::compute(&table));
         BoundRelation {
             binding: binding.into(),
-            table: Arc::new(table),
+            table: Arc::new(StoredTable::new(table)),
             stats,
             filter: None,
             attr_cols: attrs.iter().copied().collect(),

@@ -176,8 +176,8 @@ mod tests {
     use super::*;
     use rpt_bloom::{BloomFilter, KeyBitmap};
     use rpt_common::hash::hash_columns_sel;
-    use rpt_common::{DataType, DenseRange, Field, Schema};
-    use rpt_storage::Table;
+    use rpt_common::{DataType, DenseRange, Field, Schema, VECTOR_SIZE};
+    use rpt_storage::{BlockTable, Table};
 
     /// A row with a NULL key column is dropped before the filter is tested
     /// even when the filter holds what the row's key reads as — the hash
@@ -204,7 +204,7 @@ mod tests {
             vec![a.clone(), b.clone()],
         )
         .expect("valid table");
-        let enc = table.encoded();
+        let enc = BlockTable::build(&table, VECTOR_SIZE);
         let m = Metrics::default();
         let block = |c: usize| ProbeKey::Block(&enc.columns[c].blocks[0]);
         let cases = [

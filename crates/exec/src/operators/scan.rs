@@ -9,7 +9,7 @@ use crate::context::ExecContext;
 use crate::expr::{prunable_conjuncts, prunable_utf8_conjuncts, CmpOp, Expr, Predicate};
 use rpt_bloom::TransferFilter;
 use rpt_common::{DataChunk, DataType, Result, Vector};
-use rpt_storage::{BlockTable, Table, ZoneMap};
+use rpt_storage::{BlockTable, StoredTable, ZoneMap};
 use std::collections::BTreeSet;
 use std::sync::Arc;
 
@@ -58,10 +58,10 @@ pub struct ScanProbe {
 /// for the selected rows, into a flat chunk in `output` order.
 ///
 /// Columns come from the table's block-encoded form (dictionary-coded
-/// `Utf8` columns as dictionary-backed vectors); the raw vectors of the
-/// [`Table`] are never read here.
+/// `Utf8` columns as dictionary-backed vectors), the only form a
+/// [`StoredTable`] keeps.
 pub struct TableScan {
-    table: Arc<Table>,
+    table: Arc<StoredTable>,
     filter: Option<ScanFilter>,
     /// Base-table columns emitted, in output order.
     output: Vec<usize>,
@@ -78,7 +78,7 @@ impl TableScan {
     /// The rows passing `filter` (over base-table column indices) and every
     /// filter of `probes`, projected to `output`.
     pub fn fused(
-        table: Arc<Table>,
+        table: Arc<StoredTable>,
         filter: Option<&Expr>,
         output: Vec<usize>,
         probes: Vec<ScanProbe>,
@@ -195,7 +195,7 @@ impl Source for TableScan {
             }
         }
         let blocks: Vec<usize> = (0..enc.num_blocks())
-            .filter(|&b| !self.block_pruned(&enc, b, &bloom_ranges))
+            .filter(|&b| !self.block_pruned(enc, b, &bloom_ranges))
             .collect();
         let pruned = (enc.num_blocks() - blocks.len()) as u64;
         ctx.metrics.add(&ctx.metrics.blocks_pruned, pruned);
@@ -212,7 +212,7 @@ impl Source for TableScan {
 /// zone-map pruning left).
 struct ScanMorsels<'a> {
     scan: &'a TableScan,
-    enc: Arc<BlockTable>,
+    enc: &'a BlockTable,
     blocks: Vec<usize>,
     /// The published filter of each of `scan.probes`, resolved at `open`.
     filters: Vec<Arc<TransferFilter>>,

@@ -29,7 +29,7 @@ use crate::scheduler::NodeDeps;
 use crate::wcoj::{GenericJoinScan, WcojInput};
 use rpt_bloom::TransferFilter;
 use rpt_common::{DataChunk, DataType, Result, Schema};
-use rpt_storage::Table;
+use rpt_storage::StoredTable;
 use std::sync::Arc;
 
 pub use crate::operators::create_bf::BloomSink;
@@ -42,7 +42,7 @@ pub enum SourceSpec {
     /// its transferred filters and its projection run inside the scan
     /// morsel, selection first (see [`TableScan`]).
     Scan {
-        table: Arc<Table>,
+        table: Arc<StoredTable>,
         /// Pushed-down predicate over base-table column indices.
         filter: Option<Expr>,
         /// Base-table columns emitted, in output order.
@@ -65,9 +65,9 @@ pub enum SourceSpec {
 impl SourceSpec {
     /// Every column of every row of `table`: a scan with no predicate and
     /// no probes.
-    pub fn full_scan(table: Arc<Table>) -> SourceSpec {
+    pub fn full_scan(table: Arc<StoredTable>) -> SourceSpec {
         SourceSpec::Scan {
-            columns: (0..table.num_columns()).collect(),
+            columns: (0..table.schema.len()).collect(),
             table,
             filter: None,
             probes: Vec::new(),
@@ -451,9 +451,9 @@ mod tests {
     use rpt_bloom::FilterShape;
     use rpt_common::{Field, ScalarValue, Vector};
 
-    fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<Table> {
-        Arc::new(
-            Table::new(
+    fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<StoredTable> {
+        Arc::new(StoredTable::new(
+            rpt_storage::Table::new(
                 name,
                 Schema::new(vec![
                     Field::new("id", DataType::Int64),
@@ -462,7 +462,7 @@ mod tests {
                 vec![Vector::from_i64(ids), Vector::from_i64(vals)],
             )
             .unwrap(),
-        )
+        ))
     }
 
     fn collect_pipeline(
@@ -886,7 +886,7 @@ mod tests {
         let vals: Vec<i64> = (0..20_000).collect();
         let t1 = table("t", ids.clone(), vals.clone());
         let t4 = table("t", ids, vals);
-        let run = |t: Arc<Table>, threads: usize| -> i64 {
+        let run = |t: Arc<StoredTable>, threads: usize| -> i64 {
             let mut exec = Executor::new(ExecContext::new().with_threads(threads), 1, 0, 0);
             let p = PipelinePlan {
                 label: "agg".into(),

@@ -17,13 +17,13 @@ use rpt_exec::{
     PartitionMerger, PhysicalPipeline, PipelinePlan, ResourceId, Resources, Sink, SinkFactory,
     SinkSpec, Source, SourceSpec,
 };
-use rpt_storage::Table;
+use rpt_storage::{StoredTable, Table};
 use std::any::Any;
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Duration;
 
-fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<Table> {
-    Arc::new(
+fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<StoredTable> {
+    Arc::new(StoredTable::new(
         Table::new(
             name,
             Schema::new(vec![
@@ -33,7 +33,7 @@ fn table(name: &str, ids: Vec<i64>, vals: Vec<i64>) -> Arc<Table> {
             vec![Vector::from_i64(ids), Vector::from_i64(vals)],
         )
         .unwrap(),
-    )
+    ))
 }
 
 fn two_col_schema() -> Schema {

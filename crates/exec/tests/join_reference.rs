@@ -10,6 +10,13 @@
 //! builds a direct directory, and spread over the whole `i64` domain,
 //! `i64::MIN` and `i64::MAX` included, which builds a hashed one; every
 //! table is checked to be of the kind its keys call for.
+//!
+//! The reference is a nested loop of its own rather than the repo-level
+//! test oracle (`tests/oracle/`): the oracle evaluates bound SQL over
+//! whole tables and returns result rows, so it cannot see what these
+//! tests pin below SQL — the (probe row, build row) pair order, probe
+//! chunks behind a selection vector, and the build table a partitioned
+//! sink assembles from its chunks.
 
 use proptest::prelude::*;
 use rpt_common::{DataChunk, DataType, Field, ScalarValue, Schema, Utf8Dict, Vector, VECTOR_SIZE};

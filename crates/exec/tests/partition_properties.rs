@@ -15,7 +15,7 @@ use rpt_exec::{
     AggExpr, AggFunc, BloomSink, ExecContext, Executor, Expr, FilterShape, OpSpec, PipelinePlan,
     Resources, SinkFactory, SinkSpec, SourceSpec,
 };
-use rpt_storage::Table;
+use rpt_storage::{StoredTable, Table};
 use std::sync::Arc;
 
 fn schema() -> Schema {
@@ -94,7 +94,7 @@ fn agg_schema() -> Schema {
 /// a grouped aggregate consuming it on the same key, and a keyed CreateBF
 /// over the aggregate's output.
 fn keyed_dag_pipelines(keys: &[i64]) -> Vec<PipelinePlan> {
-    let t = Arc::new(
+    let t = Arc::new(StoredTable::new(
         Table::new(
             "t",
             schema(),
@@ -104,7 +104,7 @@ fn keyed_dag_pipelines(keys: &[i64]) -> Vec<PipelinePlan> {
             ],
         )
         .unwrap(),
-    );
+    ));
     let bloom = |filter_id: usize| BloomSink {
         filter_id,
         ..bloom_spec()

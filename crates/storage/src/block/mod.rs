@@ -14,9 +14,9 @@ pub use zone::ZoneMap;
 
 use crate::encode::{dict_encode_utf8, encode_i64, for_unpack, for_values, rle_runs, EncodedBlock};
 use crate::table::Table;
-use rpt_common::chunk::chunk_ranges;
+use rpt_common::chunk::{chunk_ranges, VECTOR_SIZE};
 use rpt_common::hash::{fold_key_column, hash_bool, hash_bytes, hash_f64, hash_i64};
-use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Utf8Dict, Vector};
+use rpt_common::{ColumnData, DataChunk, DataType, Error, Result, Schema, Utf8Dict, Vector};
 use std::sync::Arc;
 
 /// One encoded block of one column.
@@ -297,6 +297,38 @@ impl BlockTable {
             .iter()
             .map(|c| c.blocks.iter().map(|b| b.data.size_bytes()).sum::<usize>())
             .sum()
+    }
+}
+
+/// A table as the engine holds it once registered: its name, its schema
+/// and its block-encoded columns, which every scan reads. The raw
+/// [`Table`] it is built from is not kept.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StoredTable {
+    pub name: String,
+    pub schema: Schema,
+    blocks: BlockTable,
+}
+
+impl StoredTable {
+    /// Encode `table` in [`VECTOR_SIZE`]-row blocks, so one block is one
+    /// scan chunk, and drop its raw columns.
+    pub fn new(table: Table) -> StoredTable {
+        let blocks = BlockTable::build(&table, VECTOR_SIZE);
+        StoredTable {
+            name: table.name,
+            schema: table.schema,
+            blocks,
+        }
+    }
+
+    /// The block-encoded columns.
+    pub fn encoded(&self) -> &BlockTable {
+        &self.blocks
+    }
+
+    pub fn num_rows(&self) -> usize {
+        self.blocks.num_rows()
     }
 }
 

@@ -1,21 +1,18 @@
 //! In-memory columnar tables.
 
-use crate::block::BlockTable;
 use rpt_common::chunk::{chunk_ranges, DataChunk, VECTOR_SIZE};
-use rpt_common::{Error, Result, ScalarValue, Schema, Utf8Dict, Vector};
-use std::sync::{Arc, OnceLock};
+use rpt_common::{Error, Result, ScalarValue, Schema, Vector};
 
-/// An immutable, fully materialized columnar table.
+/// An immutable, fully materialized columnar table in raw vectors: what
+/// the generators produce, and what statistics and the block encoding are
+/// computed from. Registration encodes it into a
+/// [`StoredTable`](crate::StoredTable) and drops it.
 #[derive(Debug, Clone)]
 pub struct Table {
     pub name: String,
     pub schema: Schema,
     pub columns: Vec<Vector>,
     num_rows: usize,
-    /// Lazily built block-encoded form (zone maps + codecs), shared by all
-    /// scans of this table. Built at `VECTOR_SIZE` block granularity so one
-    /// block is one scan chunk.
-    encoded: OnceLock<Arc<BlockTable>>,
 }
 
 impl Table {
@@ -51,7 +48,6 @@ impl Table {
             schema,
             columns,
             num_rows,
-            encoded: OnceLock::new(),
         })
     }
 
@@ -110,24 +106,6 @@ impl Table {
     /// Default-sized chunks.
     pub fn default_chunks(&self) -> Vec<DataChunk> {
         self.chunks(VECTOR_SIZE)
-    }
-
-    /// The whole table as one chunk.
-    pub fn as_chunk(&self) -> DataChunk {
-        DataChunk::new(self.columns.clone())
-    }
-
-    /// The block-encoded form of this table (built on first use, cached).
-    pub fn encoded(&self) -> Arc<BlockTable> {
-        self.encoded
-            .get_or_init(|| Arc::new(BlockTable::build(self, VECTOR_SIZE)))
-            .clone()
-    }
-
-    /// The shared dictionary for column `col`, when the encoded form
-    /// dictionary-codes it (builds the encoding on first use).
-    pub fn dict(&self, col: usize) -> Option<Arc<Utf8Dict>> {
-        self.encoded().columns[col].dict.clone()
     }
 
     /// Approximate in-memory footprint in bytes.
@@ -292,7 +270,8 @@ mod tests {
             vec![Vector::from_i64(vec![])],
         )
         .unwrap();
+        assert_eq!(t.num_rows(), 0);
         assert!(t.chunks(4).is_empty());
-        assert_eq!(t.as_chunk().num_rows(), 0);
+        assert!(t.default_chunks().is_empty());
     }
 }

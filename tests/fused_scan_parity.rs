@@ -25,7 +25,7 @@ use rpt_exec::{
     BloomSink, CmpOp, ExecContext, Executor, Expr, FilterShape, MetricsSummary, OpSpec,
     PipelinePlan, ScanProbe, SinkSpec, Source, SourceSpec,
 };
-use rpt_storage::{ColumnStats, Table};
+use rpt_storage::{ColumnStats, StoredTable, Table};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -37,10 +37,16 @@ fn collect(source: SourceSpec, ops: Vec<OpSpec>, schema: Schema) -> (Rows, Metri
     collect_probed(&[], source, ops, schema)
 }
 
+/// The form of `table` that registration keeps and scans read.
+fn stored(table: &Table) -> Arc<StoredTable> {
+    Arc::new(StoredTable::new(table.clone()))
+}
+
 /// Fused scan vs the unfused reference composition and the oracle, for a
 /// filter over relation 0.
-fn assert_parity(table: &Arc<Table>, filter: Option<&RExpr>, columns: &[usize], what: &str) {
-    assert_probe_parity(table, filter.map(|f| (f, 0)), columns, &[], what);
+fn assert_parity(table: &Table, filter: Option<&RExpr>, columns: &[usize], what: &str) {
+    let scanned = stored(table);
+    assert_probe_parity(table, &scanned, filter.map(|f| (f, 0)), columns, &[], what);
 }
 
 /// `RExpr` builders over relation 0.
@@ -78,7 +84,9 @@ fn corpus_base_relations_scan_identically() {
         for q in &w.queries {
             let bound = db.bind_sql(&q.sql).expect("corpus query binds");
             for (r, rel) in bound.relations.iter().enumerate() {
+                let raw = w.tables.iter().find(|t| t.name == rel.table.name);
                 assert_probe_parity(
+                    raw.expect("a generated table"),
                     &rel.table,
                     rel.filter.as_ref().map(|f| (f, r)),
                     &rel.needed_cols,
@@ -154,7 +162,7 @@ fn nullable(mut v: Vector, rng: &mut TestRng) -> Vector {
 /// A few blocks of rows: a clustered key (tight zone maps, so literal
 /// conjuncts prune), low-cardinality ints (RLE / FOR), floats, dictionary
 /// strings, bools — each randomly nullable.
-fn random_table(rng: &mut TestRng) -> Arc<Table> {
+fn random_table(rng: &mut TestRng) -> Table {
     let n = VECTOR_SIZE * 2 + rng.below(VECTOR_SIZE as u64) as usize;
     let cols = vec![
         ("clustered", Vector::from_i64((0..n as i64).collect())),
@@ -185,7 +193,7 @@ fn random_table(rng: &mut TestRng) -> Arc<Table> {
             .collect(),
     );
     let columns = cols.into_iter().map(|(_, v)| nullable(v, rng)).collect();
-    Arc::new(Table::new("t", schema, columns).expect("valid table"))
+    Table::new("t", schema, columns).expect("valid table")
 }
 
 fn random_leaf(rng: &mut TestRng, rows: i64) -> RExpr {
@@ -309,25 +317,23 @@ fn unprunable_block_with_no_survivors_is_skipped_after_the_filter() {
             i => [0, 100][i % 2],
         })
         .collect();
-    let table = Arc::new(
-        Table::new(
-            "t",
-            Schema::new(vec![
-                rpt_common::Field::new("x", rpt_common::DataType::Int64),
-                rpt_common::Field::new("payload", rpt_common::DataType::Utf8),
-            ]),
-            vec![
-                Vector::from_i64(x),
-                Vector::from_utf8((0..n).map(|i| format!("row-{i}")).collect()),
-            ],
-        )
-        .expect("valid table"),
-    );
+    let table = Table::new(
+        "t",
+        Schema::new(vec![
+            rpt_common::Field::new("x", rpt_common::DataType::Int64),
+            rpt_common::Field::new("payload", rpt_common::DataType::Utf8),
+        ]),
+        vec![
+            Vector::from_i64(x),
+            Vector::from_utf8((0..n).map(|i| format!("row-{i}")).collect()),
+        ],
+    )
+    .expect("valid table");
     let filter = cmp(CmpOp::Eq, col(0), lit(ScalarValue::Int64(50)));
     assert_parity(&table, Some(&filter), &[1], "straddled literal");
 
     let fused = SourceSpec::Scan {
-        table: table.clone(),
+        table: stored(&table),
         filter: Some(lower(&filter, 0)),
         columns: vec![1],
         probes: vec![],
@@ -350,14 +356,14 @@ fn unprunable_block_with_no_survivors_is_skipped_after_the_filter() {
 // ---- Scan-resident Bloom probes ----
 
 /// The build side of a transfer: a table of the probe keys to keep.
-fn key_table(cols: Vec<Vector>) -> Arc<Table> {
+fn key_table(cols: Vec<Vector>) -> Table {
     let schema = Schema::new(
         cols.iter()
             .enumerate()
             .map(|(i, v)| rpt_common::Field::new(format!("k{i}"), v.data_type()))
             .collect(),
     );
-    Arc::new(Table::new("keys", schema, cols).expect("valid key table"))
+    Table::new("keys", schema, cols).expect("valid key table")
 }
 
 /// A transferred filter for the parity harness: built over all columns of
@@ -365,7 +371,7 @@ fn key_table(cols: Vec<Vector>) -> Arc<Table> {
 /// `exact` asks for a key bitmap over the one `Int64` key column's value
 /// range in place of a Bloom filter.
 struct Transfer {
-    keys: Arc<Table>,
+    keys: Table,
     on: Vec<usize>,
     exact: bool,
 }
@@ -394,7 +400,7 @@ fn createbf_plans(transfers: &[Transfer]) -> Vec<PipelinePlan> {
         .enumerate()
         .map(|(i, t)| PipelinePlan {
             label: format!("createbf {i}"),
-            source: SourceSpec::full_scan(t.keys.clone()),
+            source: SourceSpec::full_scan(stored(&t.keys)),
             ops: vec![],
             sink: SinkSpec::Buffer {
                 buf_id: i,
@@ -461,15 +467,17 @@ fn subsequence(part: &[Vec<ScalarValue>], whole: &[Vec<ScalarValue>]) -> bool {
     part.iter().all(|p| rest.any(|w| w == p))
 }
 
-/// A scan with resident probes vs `Table` → `Filter` → `ProbeBloom`… →
-/// `Project`: the same rows in the same order and the same probe
-/// counters. Against the oracle over the raw columns (`filter` is relation
-/// `rel`'s): every row of the exact semi-join with every transfer's keys
-/// (a NULL key matches nothing), only rows the filter keeps, in table
-/// order, and exactly the semi-join when every transfer is a key bitmap.
-/// Returns the fused scan's rows and metrics.
+/// A scan of `table` with resident probes vs `Table` → `Filter` →
+/// `ProbeBloom`… → `Project`: the same rows in the same order and the
+/// same probe counters. Against the oracle over `raw`, the columns `table`
+/// was encoded from (`filter` is relation `rel`'s): every row of the exact
+/// semi-join with every transfer's keys (a NULL key matches nothing), only
+/// rows the filter keeps, in table order, and exactly the semi-join when
+/// every transfer is a key bitmap. Returns the fused scan's rows and
+/// metrics.
 fn assert_probe_parity(
-    table: &Arc<Table>,
+    raw: &Table,
+    table: &Arc<StoredTable>,
     filter: Option<(&RExpr, usize)>,
     columns: &[usize],
     transfers: &[Transfer],
@@ -524,8 +532,8 @@ fn assert_probe_parity(
     );
 
     let (rel, f) = filter.map_or((0, None), |(f, rel)| (rel, Some(f)));
-    let all: Vec<usize> = (0..table.num_columns()).collect();
-    let passing = oracle::filter_table(table, f, rel, &all).expect("oracle filter");
+    let all: Vec<usize> = (0..raw.num_columns()).collect();
+    let passing = oracle::filter_table(raw, f, rel, &all).expect("oracle filter");
     // Each transfer's build keys, by their `Debug` form.
     let key_sets: Vec<HashSet<String>> = transfers
         .iter()
@@ -582,7 +590,7 @@ fn sample(table: &Table, col: usize, rows: &[usize]) -> Vector {
 /// the two legs of every case cover both forms.
 const TAG: usize = NUM_COLS;
 
-fn with_tag_column(t: &Table, rng: &mut TestRng) -> Arc<Table> {
+fn with_tag_column(t: &Table, rng: &mut TestRng) -> Table {
     let n = t.num_rows();
     let mut fields = t.schema.fields.clone();
     fields.push(rpt_common::Field::new("tag", rpt_common::DataType::Utf8));
@@ -591,7 +599,7 @@ fn with_tag_column(t: &Table, rng: &mut TestRng) -> Arc<Table> {
         Vector::from_utf8((0..n).map(|i| format!("tag-{i}")).collect()),
         rng,
     ));
-    Arc::new(Table::new("t", Schema::new(fields), columns).expect("valid table"))
+    Table::new("t", Schema::new(fields), columns).expect("valid table")
 }
 
 proptest! {
@@ -638,7 +646,7 @@ proptest! {
             });
         }
         let what = format!("{filter:?} probes {on:?} x{} -> {columns:?}", transfers.len());
-        let (_, m) = assert_probe_parity(&table, filter.as_ref().map(|f| (f, 0)), &columns, &transfers, &what);
+        let (_, m) = assert_probe_parity(&table, &stored(&table), filter.as_ref().map(|f| (f, 0)), &columns, &transfers, &what);
         prop_assert!(m.bloom_probe_out <= m.bloom_probe_in);
     }
 }
@@ -649,20 +657,19 @@ proptest! {
 #[test]
 fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
     let n = VECTOR_SIZE * 3;
-    let table = Arc::new(
-        Table::new(
-            "t",
-            Schema::new(vec![
-                rpt_common::Field::new("k", rpt_common::DataType::Utf8),
-                rpt_common::Field::new("payload", rpt_common::DataType::Int64),
-            ]),
-            vec![
-                Vector::from_utf8((0..n).map(|i| format!("key-{i}")).collect()),
-                Vector::from_i64((0..n as i64).collect()),
-            ],
-        )
-        .expect("valid table"),
-    );
+    let table = Table::new(
+        "t",
+        Schema::new(vec![
+            rpt_common::Field::new("k", rpt_common::DataType::Utf8),
+            rpt_common::Field::new("payload", rpt_common::DataType::Int64),
+        ]),
+        vec![
+            Vector::from_utf8((0..n).map(|i| format!("key-{i}")).collect()),
+            Vector::from_i64((0..n as i64).collect()),
+        ],
+    )
+    .expect("valid table");
+    let scanned = stored(&table);
     // One surviving key in block 0, one in block 2, none in block 1.
     let wanted = [7, n - 3];
     let transfers = [Transfer {
@@ -672,7 +679,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
         on: vec![0],
         exact: false,
     }];
-    let (_, m) = assert_probe_parity(&table, None, &[1], &transfers, "rejected block");
+    let (_, m) = assert_probe_parity(&table, &scanned, None, &[1], &transfers, "rejected block");
     assert_eq!(m.blocks_pruned, 0, "no key range to prune a Utf8 key by");
     assert_eq!(m.blocks_scanned, 3 + 1, "every block of `t`, one of `keys`");
     assert_eq!(m.bloom_probe_in, n as u64);
@@ -685,7 +692,7 @@ fn block_rejected_by_a_resident_probe_is_skipped_before_output_decode() {
     exec.run_dag(&createbf_plans(&transfers))
         .expect("createbf runs");
     let scan = TableScan::fused(
-        table,
+        scanned,
         None,
         vec![1],
         vec![ScanProbe {
@@ -727,25 +734,24 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
     // every fifth row.
     sparse.validity = Some((0..n).map(|i| i / VECTOR_SIZE != 1 && i % 5 != 0).collect());
     let field = |name: &str, t| rpt_common::Field::new(name, t);
-    let table = Arc::new(
-        Table::new(
-            "t",
-            Schema::new(vec![
-                field("pred", rpt_common::DataType::Int64),
-                field("runs", rpt_common::DataType::Int64),
-                field("sparse", rpt_common::DataType::Int64),
-                field("payload", rpt_common::DataType::Utf8),
-            ]),
-            vec![
-                Vector::from_i64((0..n as i64).map(|i| (i * 37) % 1000).collect()),
-                Vector::from_i64((0..n as i64).map(|i| i / 16 % 50).collect()),
-                sparse,
-                Vector::from_utf8((0..n).map(|i| format!("row-{i}")).collect()),
-            ],
-        )
-        .expect("valid table"),
-    );
-    let enc = table.encoded();
+    let table = Table::new(
+        "t",
+        Schema::new(vec![
+            field("pred", rpt_common::DataType::Int64),
+            field("runs", rpt_common::DataType::Int64),
+            field("sparse", rpt_common::DataType::Int64),
+            field("payload", rpt_common::DataType::Utf8),
+        ]),
+        vec![
+            Vector::from_i64((0..n as i64).map(|i| (i * 37) % 1000).collect()),
+            Vector::from_i64((0..n as i64).map(|i| i / 16 % 50).collect()),
+            sparse,
+            Vector::from_utf8((0..n).map(|i| format!("row-{i}")).collect()),
+        ],
+    )
+    .expect("valid table");
+    let scanned = stored(&table);
+    let enc = scanned.encoded();
     assert!(enc.columns[RUNS]
         .blocks
         .iter()
@@ -800,8 +806,14 @@ fn mixed_key_sources_probe_like_the_unfused_composition() {
     ];
     for (i, (filter, transfers, columns)) in cases.iter().enumerate() {
         let what = format!("case {i}");
-        let (rows, m) =
-            assert_probe_parity(&table, filter.map(|f| (f, 0)), columns, transfers, &what);
+        let (rows, m) = assert_probe_parity(
+            &table,
+            &scanned,
+            filter.map(|f| (f, 0)),
+            columns,
+            transfers,
+            &what,
+        );
         assert!(m.bloom_probe_out > 0, "{what}: {m:?}");
         if let Some(at) = columns.iter().position(|&c| c == SPARSE) {
             assert!(

@@ -9,6 +9,7 @@
 
 mod oracle;
 
+use oracle::Fixture;
 use proptest::prelude::*;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
 use rpt_core::{random_left_deep, Database, JoinOrder, Mode, QueryOptions};
@@ -46,33 +47,37 @@ fn assert_modes_agree(db: &Database, sql: &str) {
 const CHAIN_SQL: &str = "SELECT COUNT(*) FROM a, b, c \
                          WHERE a.k = b.k AND b.j = c.j AND a.v = 2 AND c.tag = 't1'";
 
+fn chain() -> Fixture {
+    Fixture::new(vec![
+        table(
+            "a",
+            vec![
+                ("k", Vector::from_i64((0..50).collect())),
+                ("v", Vector::from_i64((0..50).map(|i| i % 5).collect())),
+            ],
+        ),
+        table(
+            "b",
+            vec![
+                ("k", Vector::from_i64((0..200).map(|i| i % 50).collect())),
+                ("j", Vector::from_i64((0..200).map(|i| i % 20).collect())),
+            ],
+        ),
+        table(
+            "c",
+            vec![
+                ("j", Vector::from_i64((0..20).collect())),
+                (
+                    "tag",
+                    Vector::from_utf8((0..20).map(|i| format!("t{}", i % 3)).collect()),
+                ),
+            ],
+        ),
+    ])
+}
+
 fn chain_db() -> Database {
-    let mut db = Database::new();
-    db.register_table(table(
-        "a",
-        vec![
-            ("k", Vector::from_i64((0..50).collect())),
-            ("v", Vector::from_i64((0..50).map(|i| i % 5).collect())),
-        ],
-    ));
-    db.register_table(table(
-        "b",
-        vec![
-            ("k", Vector::from_i64((0..200).map(|i| i % 50).collect())),
-            ("j", Vector::from_i64((0..200).map(|i| i % 20).collect())),
-        ],
-    ));
-    db.register_table(table(
-        "c",
-        vec![
-            ("j", Vector::from_i64((0..20).collect())),
-            (
-                "tag",
-                Vector::from_utf8((0..20).map(|i| format!("t{}", i % 3)).collect()),
-            ),
-        ],
-    ));
-    db
+    chain().db
 }
 
 #[test]
@@ -490,8 +495,8 @@ fn worker_partition_matrix_agrees_with_serial_run() {
 /// which covers the full group set.
 #[test]
 fn groupby_partition_worker_matrix() {
-    let db = chain_db();
-    let expected = oracle::answer(&db, GROUP_BY_SQL);
+    let chain = chain();
+    let (db, expected) = (&chain.db, chain.answer(GROUP_BY_SQL));
     let groups = expected.rows().len() as u64;
     assert_eq!(groups, 20, "20 distinct b.j groups");
     for partition_count in [1usize, 2, 8] {
@@ -538,8 +543,8 @@ fn groupby_partition_worker_matrix() {
 /// level (`aggregate::tests::fast_and_generic_tables_are_byte_identical`).
 #[test]
 fn agg_fast_path_engages_and_equals_the_oracle() {
-    let db = chain_db();
-    let expected = oracle::answer(&db, GROUP_BY_SQL);
+    let chain = chain();
+    let (db, expected) = (&chain.db, chain.answer(GROUP_BY_SQL));
     for partition_count in [1usize, 8] {
         let opts =
             QueryOptions::new(Mode::RobustPredicateTransfer).with_partition_count(partition_count);
@@ -560,12 +565,12 @@ fn agg_fast_path_engages_and_equals_the_oracle() {
 /// oracle's rows either way, across partition counts.
 #[test]
 fn utf8_group_key_fast_path_follows_dictionary_encoding() {
-    let mut db = chain_db();
+    let mut chain = chain();
     // `w.name` has one more distinct value than a dictionary may hold;
     // three of them appear twice.
     let wide = rpt_storage::encode::DICT_MAX_DISTINCT + 1;
     let rows = wide + 3;
-    db.register_table(table(
+    chain.register(table(
         "w",
         vec![
             (
@@ -578,18 +583,19 @@ fn utf8_group_key_fast_path_follows_dictionary_encoding() {
             ),
         ],
     ));
-    let entry = |name: &str| db.catalog().get(name).unwrap().table.clone();
-    assert!(entry("c").dict(1).is_some(), "c.tag is dictionary-coded");
-    assert!(
-        entry("w").dict(0).is_none(),
-        "w.name is stored as flat strings"
-    );
+    let db = &chain.db;
+    let dict = |name: &str, col: usize| {
+        let table = &db.catalog().get(name).unwrap().table;
+        table.encoded().columns[col].dict.clone()
+    };
+    assert!(dict("c", 1).is_some(), "c.tag is dictionary-coded");
+    assert!(dict("w", 0).is_none(), "w.name is stored as flat strings");
     let cases = [
         ("SELECT c.tag, COUNT(*) AS n FROM b, c WHERE b.j = c.j GROUP BY c.tag", true),
         ("SELECT w.name, COUNT(*) AS n FROM w, c WHERE w.j = c.j AND c.tag = 't1' GROUP BY w.name", false),
     ];
     for (sql, coded) in cases {
-        let expected = oracle::answer(&db, sql);
+        let expected = chain.answer(sql);
         for partition_count in [1usize, 8] {
             let at = format!("pc={partition_count}: {sql}");
             let r = db

@@ -142,22 +142,23 @@ const TPCH_NULL_QUERIES: &[CorpusQuery] = &[
 /// `w`'s tables with NULLs: in column `c`, row `i` is NULL when `i` is a
 /// multiple of `7 + c`, so every filter column, join key, group key and
 /// aggregate input holds some, at rows that differ between columns.
-fn with_nulls(w: &Workload) -> Database {
-    let mut db = Database::new();
-    for t in &w.tables {
-        let columns = t
-            .columns
-            .iter()
-            .enumerate()
-            .map(|(c, v)| {
-                let mut v = v.clone();
-                v.validity = Some((0..v.len()).map(|i| i % (7 + c) != 0).collect());
-                v
-            })
-            .collect();
-        db.register_table(Table::new(t.name.clone(), t.schema.clone(), columns).unwrap());
-    }
-    db
+fn with_nulls(w: &Workload) -> Vec<Table> {
+    w.tables
+        .iter()
+        .map(|t| {
+            let columns = t
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(c, v)| {
+                    let mut v = v.clone();
+                    v.validity = Some((0..v.len()).map(|i| i % (7 + c) != 0).collect());
+                    v
+                })
+                .collect();
+            Table::new(t.name.clone(), t.schema.clone(), columns).unwrap()
+        })
+        .collect()
 }
 
 const TPCDS_QUERIES: &[CorpusQuery] = &[
@@ -272,22 +273,24 @@ const DSB_QUERIES: &[CorpusQuery] = &[
     },
 ];
 
-fn database_for(w: &Workload) -> Database {
+fn database_for(tables: &[Table]) -> Database {
     let mut db = Database::new();
-    for t in &w.tables {
+    for t in tables {
         db.register_table(t.clone());
     }
     db
 }
 
 fn check_corpus(w: &Workload, corpus: &[CorpusQuery]) {
-    check_queries(&database_for(w), w.name, corpus);
+    check_queries(&w.tables, w.name, corpus);
 }
 
-fn check_queries(db: &Database, name: &str, corpus: &[CorpusQuery]) {
+/// Every query of `corpus` over `tables` in every leg equals the oracle.
+fn check_queries(tables: &[Table], name: &str, corpus: &[CorpusQuery]) {
+    let db = database_for(tables);
     for q in corpus {
         let sql = q.sql();
-        let expected = oracle::answer(db, &sql);
+        let expected = oracle::answer(&db, tables, &sql);
         assert!(
             expected.limit.is_none() || !expected.rows().is_empty(),
             "{name} {}: degenerate corpus query (empty oracle answer)",
@@ -356,7 +359,7 @@ fn corpus_covers_twenty_queries_and_topk_prunes() {
     // A wide-input TopK query must actually discard rows before the merge
     // (the sink never holds a full sort of its input).
     let w = tpch(0.05, 42);
-    let db = database_for(&w);
+    let db = database_for(&w.tables);
     let q = &TPCH_QUERIES[1]; // h_lineitem_ship: 3k lineitems, LIMIT 20
     let r = db
         .query(
@@ -378,7 +381,7 @@ fn corpus_covers_twenty_queries_and_topk_prunes() {
 #[test]
 fn single_thread_single_partition_is_bit_deterministic() {
     let w = tpch(0.05, 42);
-    let db = database_for(&w);
+    let db = database_for(&w.tables);
     for q in &TPCH_QUERIES[..3] {
         let opts = QueryOptions::new(Mode::RobustPredicateTransfer)
             .with_threads(1)
@@ -398,13 +401,13 @@ fn single_thread_single_partition_is_bit_deterministic() {
 #[test]
 fn tpch_corpus_under_tiny_memory_budget() {
     let w = tpch(0.05, 42);
-    let db = database_for(&w);
+    let db = database_for(&w.tables);
     let dir = std::env::temp_dir().join(format!("rpt_corpus_budget_{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let mut evictions = 0;
     for q in TPCH_QUERIES {
         let sql = q.sql();
-        let expected = oracle::answer(&db, &sql);
+        let expected = oracle::answer(&db, &w.tables, &sql);
         for parts in [1usize, 8] {
             let mut opts = QueryOptions::new(Mode::RobustPredicateTransfer)
                 .with_partition_count(parts)

@@ -4,6 +4,7 @@
 
 mod oracle;
 
+use oracle::Fixture;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
 use rpt_core::{Database, Mode, QueryOptions};
 use rpt_storage::encode::DICT_MAX_DISTINCT;
@@ -272,8 +273,7 @@ fn case_insensitive_keywords() {
 /// [`DICT_MAX_DISTINCT`] distinct kinds, so `kind` is stored as flat
 /// strings instead of dictionary codes and the scan runs the flat string
 /// kernels.
-fn db_with_nulls(flat: bool) -> Database {
-    let mut db = Database::new();
+fn db_with_nulls(flat: bool) -> Fixture {
     let padding = if flat { DICT_MAX_DISTINCT + 1 } else { 0 };
     let pads = (0..padding).map(|i| (Some(format!("pad-{i}")), Some(i as i64 % 7)));
     let rows: Vec<Vec<ScalarValue>> = [
@@ -293,31 +293,28 @@ fn db_with_nulls(flat: bool) -> Database {
         ]
     })
     .collect();
-    db.register_table(
-        Table::from_rows(
-            "pet",
-            Schema::new(vec![
-                Field::new("id", DataType::Int64),
-                Field::new("kind", DataType::Utf8),
-                Field::new("legs", DataType::Int64),
-            ]),
-            &rows,
-        )
-        .expect("valid pet table"),
-    );
-    db
+    Fixture::new(vec![Table::from_rows(
+        "pet",
+        Schema::new(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("kind", DataType::Utf8),
+            Field::new("legs", DataType::Int64),
+        ]),
+        &rows,
+    )
+    .expect("valid pet table")])
 }
 
 /// The ids below 4 (the hand-built rows) that `predicate` keeps; the whole
 /// result, padding rows included, must be the oracle's.
-fn ids(db: &Database, predicate: &str) -> Vec<i64> {
+fn ids(f: &Fixture, predicate: &str) -> Vec<i64> {
     let sql = format!("SELECT pet.id FROM pet WHERE {predicate} ORDER BY 1");
     let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
-    let rows = db
-        .query(&sql, &opts)
-        .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"))
-        .rows;
-    oracle::answer(db, &sql).check(&rows, &sql);
+    let rows =
+        f.db.query(&sql, &opts)
+            .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"))
+            .rows;
+    f.answer(&sql).check(&rows, &sql);
     rows.iter()
         .map(|r| r[0].as_i64().expect("id"))
         .filter(|&id| id < 4)
@@ -326,13 +323,18 @@ fn ids(db: &Database, predicate: &str) -> Vec<i64> {
 
 /// The `pet` tables of both string forms, with `kind`'s dictionary
 /// asserted present or absent.
-fn pet_dbs() -> [Database; 2] {
+fn pet_dbs() -> [Fixture; 2] {
     [false, true].map(|flat| {
-        let db = db_with_nulls(flat);
-        let pet = &db.catalog().get("pet").expect("pet registered").table;
-        assert_eq!(pet.dict(1).is_none(), flat, "flat={flat}");
-        db
+        let f = db_with_nulls(flat);
+        assert_eq!(is_flat(&f.db, "pet", 1), flat, "flat={flat}");
+        f
     })
+}
+
+/// Is column `col` of table `name` stored without a dictionary?
+fn is_flat(db: &Database, name: &str, col: usize) -> bool {
+    let table = &db.catalog().get(name).expect("table registered").table;
+    table.encoded().columns[col].dict.is_none()
 }
 
 /// Three-valued logic under NOT: a NULL operand makes `NOT IN`, `NOT LIKE`
@@ -340,8 +342,8 @@ fn pet_dbs() -> [Database; 2] {
 /// dictionary-coded and a flat string column.
 #[test]
 fn not_over_null_drops_the_row() {
-    for db in pet_dbs() {
-        let ids = |p: &str| ids(&db, p);
+    for f in pet_dbs() {
+        let ids = |p: &str| ids(&f, p);
         assert_eq!(ids("pet.legs NOT IN (5)"), vec![0, 3]);
         assert_eq!(ids("NOT (pet.legs = 5)"), vec![0, 3]);
         assert_eq!(ids("pet.kind NOT LIKE '%ring%'"), vec![3]);
@@ -357,9 +359,9 @@ fn not_over_null_drops_the_row() {
 /// end with it.
 #[test]
 fn like_suffix_pattern_is_a_suffix_match() {
-    for db in pet_dbs() {
-        assert_eq!(ids(&db, "pet.kind LIKE '%ing'"), vec![1, 3]);
-        assert_eq!(ids(&db, "pet.kind NOT LIKE '%ing'"), vec![0]);
+    for f in pet_dbs() {
+        assert_eq!(ids(&f, "pet.kind LIKE '%ing'"), vec![1, 3]);
+        assert_eq!(ids(&f, "pet.kind NOT LIKE '%ing'"), vec![0]);
     }
 }
 
@@ -380,9 +382,9 @@ fn constant_predicates_keep_or_drop_every_row() {
 /// `b` is `Int64` with 4 000 rows, or with `flat` a string column of more
 /// than [`DICT_MAX_DISTINCT`] distinct values, stored without a
 /// dictionary.
-fn db_composite_keys(a_valid: bool, flat: bool) -> (Database, usize) {
+fn db_composite_keys(a_valid: bool, flat: bool) -> (Fixture, usize) {
     let n = if flat { DICT_MAX_DISTINCT + 1 } else { 4_000 };
-    let mut db = Database::new();
+    let mut f = Fixture::new(Vec::new());
     for name in ["r", "s"] {
         let mut a = Vector::from_i64((0..n as i64).map(|i| i % 7).collect());
         if !a_valid {
@@ -402,12 +404,12 @@ fn db_composite_keys(a_valid: bool, flat: bool) -> (Database, usize) {
             vec![a, b],
         )
         .expect("valid key table");
+        f.register(table);
         if flat {
-            assert!(table.dict(1).is_none(), "`b` is stored as flat strings");
+            assert!(is_flat(&f.db, name, 1), "`b` is stored as flat strings");
         }
-        db.register_table(table);
     }
-    (db, n)
+    (f, n)
 }
 
 /// A key with a NULL in any column matches nothing, so no transferred
@@ -423,11 +425,11 @@ fn null_composite_join_keys_never_pass_a_transferred_filter() {
     let single = "SELECT r.b FROM r, s WHERE r.a = s.a";
     let opts = QueryOptions::new(Mode::RobustPredicateTransfer);
     for flat in [false, true] {
-        let (db, _) = db_composite_keys(false, flat);
+        let (f, _) = db_composite_keys(false, flat);
         for sql in [join, swapped, single] {
-            let r = db
-                .query(sql, &opts)
-                .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"));
+            let r =
+                f.db.query(sql, &opts)
+                    .unwrap_or_else(|e| panic!("query failed: {e}\n{sql}"));
             let m = &r.metrics;
             assert!(r.rows.is_empty(), "{sql}");
             assert!(m.bloom_probe_in > 0, "{sql} flat={flat}: {m:?}");
@@ -435,9 +437,9 @@ fn null_composite_join_keys_never_pass_a_transferred_filter() {
             assert_eq!(m.join_probe_in, 0, "{sql} flat={flat}: {m:?}");
         }
         // The same join with `a` valid keeps every row.
-        let (db, n) = db_composite_keys(true, flat);
-        let r = db.query(join, &opts).expect("join runs");
+        let (f, n) = db_composite_keys(true, flat);
+        let r = f.db.query(join, &opts).expect("join runs");
         assert_eq!(r.rows.len(), n, "flat={flat}");
-        oracle::answer(&db, join).check(&r.rows, join);
+        f.answer(join).check(&r.rows, join);
     }
 }

@@ -3,9 +3,11 @@
 //!
 //! It shares only the parser and binder with the engine. It reads the
 //! `JoinQuery` that `Database::bind_sql` returns and the raw input vectors
-//! of each base `Table` (`Table::column(c).get(row)`), and evaluates the
-//! query one `ScalarValue` row at a time, in SQL's clause order (KipSQL's
-//! `bind_query` → `bind_select` → `bind_limit`):
+//! of each base `Table` (`Table::column(c).get(row)`), which the test hands
+//! it: registration keeps only the block-encoded form, and the oracle
+//! never reads that. It evaluates the query one `ScalarValue` row at a
+//! time, in SQL's clause order (KipSQL's `bind_query` → `bind_select` →
+//! `bind_limit`):
 //!
 //! 1. each relation's pushed-down `filter`, in three-valued logic;
 //! 2. the equi-joins over attribute classes, where a NULL key never
@@ -15,9 +17,9 @@
 //! 4. GROUP BY and the aggregates;
 //! 5. the output items, ORDER BY, then OFFSET / LIMIT.
 //!
-//! No engine expression, predicate kernel, comparator, sort, aggregate or
-//! hash table is used; `cargo xtask lint` rule G keeps it that way. From
-//! `rpt_exec` only the plain operator enums are named.
+//! No engine expression, predicate kernel, comparator, sort, aggregate,
+//! hash table or block codec is used; `cargo xtask lint` rule G keeps it
+//! that way. From `rpt_exec` only the plain operator enums are named.
 //!
 //! The scalar rules are the ones the engine documents:
 //!
@@ -41,7 +43,7 @@
 #![allow(dead_code)] // each test binary uses its own part of the oracle
 
 use rpt_common::{DataType, Error, Result, ScalarValue};
-use rpt_core::query::{BoundOrderKey, JoinQuery, OutputKind, RExpr};
+use rpt_core::query::{BoundOrderKey, BoundRelation, JoinQuery, OutputKind, RExpr};
 use rpt_core::Database;
 use rpt_exec::{AggFunc, ArithOp, CmpOp};
 use rpt_storage::Table;
@@ -61,18 +63,49 @@ pub struct Answer {
     pub limit: Option<usize>,
 }
 
-/// Bind `sql` and evaluate it.
-pub fn answer(db: &Database, sql: &str) -> Answer {
+/// A database and the raw tables registered in it, which the oracle reads.
+pub struct Fixture {
+    pub db: Database,
+    pub tables: Vec<Table>,
+}
+
+impl Fixture {
+    /// A new database with a copy of each of `tables` registered.
+    pub fn new(tables: Vec<Table>) -> Fixture {
+        let mut db = Database::new();
+        for t in &tables {
+            db.register_table(t.clone());
+        }
+        Fixture { db, tables }
+    }
+
+    /// Register (or replace) one more table.
+    pub fn register(&mut self, table: Table) {
+        self.tables.retain(|t| t.name != table.name);
+        self.db.register_table(table.clone());
+        self.tables.push(table);
+    }
+
+    /// The oracle's answer to `sql`.
+    pub fn answer(&self, sql: &str) -> Answer {
+        answer(&self.db, &self.tables, sql)
+    }
+}
+
+/// Bind `sql` against `db` and evaluate it over `tables`, the raw tables
+/// registered in `db`.
+pub fn answer(db: &Database, tables: &[Table], sql: &str) -> Answer {
     let q = db
         .bind_sql(sql)
         .unwrap_or_else(|e| panic!("oracle: binding failed: {e}\n{sql}"));
-    eval(&q).unwrap_or_else(|e| panic!("oracle: evaluation failed: {e}\n{sql}"))
+    eval(&q, tables).unwrap_or_else(|e| panic!("oracle: evaluation failed: {e}\n{sql}"))
 }
 
-/// Evaluate a bound query.
-pub fn eval(q: &JoinQuery) -> Result<Answer> {
+/// Evaluate a bound query over `tables`: the raw form of every table it
+/// reads, found by name.
+pub fn eval(q: &JoinQuery, tables: &[Table]) -> Result<Answer> {
     let inputs = (0..q.relations.len())
-        .map(|r| filtered_rows(q, r))
+        .map(|r| filtered_rows(q, r, raw_table(tables, &q.relations[r])?))
         .collect::<Result<Vec<_>>>()?;
     let mut kept = Vec::new();
     for t in join(q, &inputs) {
@@ -130,6 +163,24 @@ pub fn filter_table(
 
 // ---- step 1: per-relation filters ----
 
+/// The table of `tables` that relation `rel` was bound to. Its row count
+/// must be the registered one, so a test cannot hand over a stale table.
+fn raw_table<'t>(tables: &'t [Table], rel: &BoundRelation) -> Result<&'t Table> {
+    let name = &rel.table.name;
+    let table = tables
+        .iter()
+        .find(|t| &t.name == name)
+        .ok_or_else(|| Error::Bind(format!("oracle: no raw input for table `{name}`")))?;
+    if table.num_rows() as u64 != rel.stats.num_rows {
+        return Err(Error::Bind(format!(
+            "oracle: raw `{name}` has {} rows, the registered one {}",
+            table.num_rows(),
+            rel.stats.num_rows
+        )));
+    }
+    Ok(table)
+}
+
 /// The rows of `table` that pass `filter` (over relation `rel`), in table
 /// order, with the values of the columns `read` and NULL in every other
 /// cell.
@@ -154,9 +205,9 @@ fn passing_rows(
     Ok(out)
 }
 
-/// Relation `r`'s rows that pass its filter, with every column the query
-/// reads of it.
-fn filtered_rows(q: &JoinQuery, r: usize) -> Result<Vec<Row>> {
+/// Relation `r`'s rows of `table` that pass its filter, with every column
+/// the query reads of it.
+fn filtered_rows(q: &JoinQuery, r: usize, table: &Table) -> Result<Vec<Row>> {
     let rel = &q.relations[r];
     let mut used = BTreeSet::new();
     let mut exprs: Vec<&RExpr> = rel.filter.iter().collect();
@@ -177,7 +228,7 @@ fn filtered_rows(q: &JoinQuery, r: usize) -> Result<Vec<Row>> {
             .map(|&(_, c)| c),
     );
     let used: Vec<usize> = used.into_iter().collect();
-    passing_rows(&rel.table, rel.filter.as_ref(), r, &used)
+    passing_rows(table, rel.filter.as_ref(), r, &used)
 }
 
 /// The columns of relation `r` that `e` reads.

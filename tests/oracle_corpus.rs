@@ -23,7 +23,8 @@ fn check_workload(w: &Workload) -> usize {
         let bound = db
             .bind_sql(&q.sql)
             .unwrap_or_else(|e| panic!("{}: {e}", q.id));
-        let expected = oracle::eval(&bound).unwrap_or_else(|e| panic!("{} oracle: {e}", q.id));
+        let expected =
+            oracle::eval(&bound, &w.tables).unwrap_or_else(|e| panic!("{} oracle: {e}", q.id));
         for mode in Mode::ALL {
             for partitions in [1usize, 8] {
                 let at = format!("{} {} {mode:?} pc={partitions}", w.name, q.id);

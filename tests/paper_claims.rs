@@ -171,7 +171,7 @@ fn fig13_random_largest_root_trees() {
             let rpt = QueryOptions::new(Mode::RobustPredicateTransfer);
             let order = db.choose_order(&q, &rpt).unwrap();
             let rpt = rpt.with_order(order);
-            let want = oracle::answer(&db, &qd.sql);
+            let want = oracle::answer(&db, &w.tables, &qd.sql);
             let base = db.execute(&q, &rpt).unwrap();
             want.check(&base.rows, &format!("{} {}", w.name, qd.id));
             for tree in 0..10 {
@@ -209,7 +209,7 @@ fn backward_pass_pruning_only_saves_work() {
         let mut off = aligned.clone();
         off.prune_backward = false;
         let off = db.execute(&q, &off).unwrap();
-        let want = oracle::answer(&db, &qd.sql);
+        let want = oracle::answer(&db, &w.tables, &qd.sql);
         want.check(&on.rows, &format!("{} backward pass skipped", qd.id));
         want.check(&off.rows, &format!("{} backward pass run", qd.id));
         assert!(
@@ -260,7 +260,7 @@ fn bloom_fpr_sweep_keeps_rows_and_orders_survivors() {
                 (fpr, db.execute(&q, &opts).unwrap())
             })
             .collect();
-        let want = oracle::answer(&db, &w.query(id).unwrap().sql);
+        let want = oracle::answer(&db, &w.tables, &w.query(id).unwrap().sql);
         for (fpr, r) in &runs {
             want.check(&r.rows, &format!("{id} at fpr {fpr}"));
         }

@@ -6,9 +6,10 @@
 
 mod oracle;
 
+use oracle::Fixture;
 use rpt_common::chunk::VECTOR_SIZE;
 use rpt_common::{DataType, Field, ScalarValue, Schema, Vector};
-use rpt_core::{Database, Mode, QueryOptions};
+use rpt_core::{Mode, QueryOptions};
 use rpt_storage::Table;
 
 fn table(name: &str, cols: Vec<(&str, Vector)>) -> Table {
@@ -25,9 +26,9 @@ const FACT_ROWS: i64 = 40_000;
 /// `fact.fk` is clustered (row i has fk = i), so zone maps are tight and a
 /// selective range or key-range predicate can rule out most blocks.
 /// `dim` holds a narrow id band in the middle of the fact's key space.
-fn db() -> Database {
-    let mut db = Database::new();
-    db.register_table(table(
+fn fixture() -> Fixture {
+    let mut f = Fixture::new(Vec::new());
+    f.register(table(
         "fact",
         vec![
             ("fk", Vector::from_i64((0..FACT_ROWS).collect())),
@@ -37,7 +38,7 @@ fn db() -> Database {
             ),
         ],
     ));
-    db.register_table(table(
+    f.register(table(
         "dim",
         vec![
             ("id", Vector::from_i64((10_000..10_050).collect())),
@@ -48,22 +49,22 @@ fn db() -> Database {
             ),
         ],
     ));
-    db
+    f
 }
 
 /// A selective `Int64 col < literal` scan prunes every block whose zone
 /// range lies past the literal — and agrees with the oracle on rows.
 #[test]
 fn literal_range_scan_prunes_blocks() {
-    let db = db();
+    let f = fixture();
     let sql = "SELECT COUNT(*) FROM fact WHERE fact.fk < 1000";
-    let on = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
+    let on = f.db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(1000));
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     // Only the first block intersects [0, 1000); all others prune.
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, total_blocks - 1);
-    oracle::answer(&db, sql).check(&on.rows, sql);
+    f.answer(sql).check(&on.rows, sql);
 }
 
 /// Predicate transfer plants a Bloom filter on the dim side; the fact scan
@@ -72,12 +73,12 @@ fn literal_range_scan_prunes_blocks() {
 /// base filter on the fact at all.
 #[test]
 fn transferred_bloom_range_prunes_fact_blocks() {
-    let db = db();
+    let f = fixture();
     let sql = "SELECT COUNT(*) FROM fact, dim \
                WHERE fact.fk = dim.id AND dim.flag = 1";
-    let rpt = db
-        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
-        .unwrap();
+    let rpt =
+        f.db.query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
+            .unwrap();
     assert_eq!(rpt.scalar_i64(), Some(50));
     // The 50-key band covers one (maybe two) fact blocks; the rest prune.
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
@@ -90,13 +91,13 @@ fn transferred_bloom_range_prunes_fact_blocks() {
 
     // Same query without predicate transfer: no Bloom filter exists, so
     // every fact block must be scanned.
-    let base = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
+    let base = f.db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(base.scalar_i64(), Some(50));
     assert_eq!(base.metrics.blocks_pruned, 0);
     assert!(base.metrics.blocks_scanned >= total_blocks);
 
     // And the oracle agrees on the result.
-    oracle::answer(&db, sql).check(&rpt.rows, sql);
+    f.answer(sql).check(&rpt.rows, sql);
 }
 
 /// Utf8 zone-map pruning through the sorted shared dictionary: `cat.grp`
@@ -109,8 +110,8 @@ fn transferred_bloom_range_prunes_fact_blocks() {
 #[test]
 fn utf8_dict_literal_scan_prunes_blocks() {
     let blocks = 4usize;
-    let mut db = Database::new();
-    db.register_table(table(
+    let mut f = Fixture::new(Vec::new());
+    f.register(table(
         "cat",
         vec![
             (
@@ -130,14 +131,14 @@ fn utf8_dict_literal_scan_prunes_blocks() {
 
     // Equality on one block's string: the other three blocks prune.
     let eq = "SELECT COUNT(*) FROM cat WHERE cat.grp = 's2'";
-    let on = db.query(eq, &QueryOptions::new(Mode::Baseline)).unwrap();
+    let on = f.db.query(eq, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
 
     // Range below 's1': only block 0 ("s0") can hold a match.
     let lt = "SELECT COUNT(*) FROM cat WHERE cat.grp < 's1'";
-    let on = db.query(lt, &QueryOptions::new(Mode::Baseline)).unwrap();
+    let on = f.db.query(lt, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(on.scalar_i64(), Some(VECTOR_SIZE as i64));
     assert_eq!(on.metrics.blocks_scanned, 1, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64 - 1);
@@ -145,17 +146,17 @@ fn utf8_dict_literal_scan_prunes_blocks() {
     // A literal outside the dictionary can match no row anywhere: every
     // block prunes without decoding a thing.
     let absent = "SELECT COUNT(*) FROM cat WHERE cat.grp = 'zzz'";
-    let on = db
-        .query(absent, &QueryOptions::new(Mode::Baseline))
-        .unwrap();
+    let on =
+        f.db.query(absent, &QueryOptions::new(Mode::Baseline))
+            .unwrap();
     assert_eq!(on.scalar_i64(), Some(0));
     assert_eq!(on.metrics.blocks_scanned, 0, "{:?}", on.metrics);
     assert_eq!(on.metrics.blocks_pruned, blocks as u64);
 
     // The oracle agrees on rows.
     for sql in [eq, lt, absent] {
-        let on = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
-        oracle::answer(&db, sql).check(&on.rows, sql);
+        let on = f.db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
+        f.answer(sql).check(&on.rows, sql);
     }
 }
 
@@ -165,7 +166,7 @@ fn utf8_dict_literal_scan_prunes_blocks() {
 /// results stay the oracle's.
 #[test]
 fn null_keys_not_mispruned() {
-    let mut db = Database::new();
+    let mut f = Fixture::new(Vec::new());
     // fk: NULLs sprinkled through a clustered key column.
     let mut fk = Vector::new_empty(DataType::Int64);
     for i in 0..6000i64 {
@@ -176,11 +177,11 @@ fn null_keys_not_mispruned() {
         }
     }
     let n = 6000usize;
-    db.register_table(table(
+    f.register(table(
         "f",
         vec![("fk", fk), ("v", Vector::from_i64((0..n as i64).collect()))],
     ));
-    db.register_table(table(
+    f.register(table(
         "d",
         vec![
             ("id", Vector::from_i64((100..160).collect())),
@@ -188,10 +189,10 @@ fn null_keys_not_mispruned() {
         ],
     ));
     let sql = "SELECT COUNT(*) FROM f, d WHERE f.fk = d.id AND d.flag = 1";
-    let on = db
-        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
-        .unwrap();
-    oracle::answer(&db, sql).check(&on.rows, sql);
+    let on =
+        f.db.query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
+            .unwrap();
+    f.answer(sql).check(&on.rows, sql);
     // One match per dim id, except ids whose fact row was NULLed out
     // (multiples of 97).
     let expect = (100..160).filter(|i| i % 97 != 0).count() as i64;
@@ -202,7 +203,7 @@ fn null_keys_not_mispruned() {
 /// and string GROUP BYs, across execution modes and partition counts.
 #[test]
 fn scans_agree_with_the_oracle() {
-    let db = db();
+    let f = fixture();
     let queries = [
         "SELECT COUNT(*) FROM fact WHERE fact.fk >= 39000 AND fact.val < 7",
         "SELECT COUNT(*) FROM fact, dim WHERE fact.fk = dim.id AND dim.flag = 1",
@@ -211,12 +212,12 @@ fn scans_agree_with_the_oracle() {
         "SELECT dim.name, dim.id FROM dim WHERE dim.id < 10010",
     ];
     for sql in queries {
-        let expected = oracle::answer(&db, sql);
+        let expected = f.answer(sql);
         for mode in [Mode::Baseline, Mode::RobustPredicateTransfer] {
             for pc in [1usize, 8] {
-                let on = db
-                    .query(sql, &QueryOptions::new(mode).with_partition_count(pc))
-                    .unwrap();
+                let on =
+                    f.db.query(sql, &QueryOptions::new(mode).with_partition_count(pc))
+                        .unwrap();
                 expected.check(&on.rows, &format!("{mode:?} pc={pc}: {sql}"));
             }
         }
@@ -231,8 +232,8 @@ fn scans_agree_with_the_oracle() {
 /// the old single-key gate threw away.
 #[test]
 fn multi_column_bloom_key_ranges_prune_fact_blocks() {
-    let mut db = Database::new();
-    db.register_table(table(
+    let mut f = Fixture::new(Vec::new());
+    f.register(table(
         "fact2",
         vec![
             (
@@ -243,7 +244,7 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
         ],
     ));
     // dim2 matches fact2 rows 10_000..10_050 on (a, b) jointly.
-    db.register_table(table(
+    f.register(table(
         "dim2",
         vec![
             (
@@ -256,9 +257,9 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
     ));
     let sql = "SELECT COUNT(*) FROM fact2, dim2 \
                WHERE fact2.a = dim2.x AND fact2.b = dim2.y AND dim2.flag = 1";
-    let rpt = db
-        .query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
-        .unwrap();
+    let rpt =
+        f.db.query(sql, &QueryOptions::new(Mode::RobustPredicateTransfer))
+            .unwrap();
     assert_eq!(rpt.scalar_i64(), Some(50));
     let total_blocks = (FACT_ROWS as u64).div_ceil(VECTOR_SIZE as u64);
     assert!(
@@ -268,8 +269,8 @@ fn multi_column_bloom_key_ranges_prune_fact_blocks() {
         rpt.metrics
     );
     // The oracle and the baseline agree on the result.
-    oracle::answer(&db, sql).check(&rpt.rows, sql);
-    let base = db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
+    f.answer(sql).check(&rpt.rows, sql);
+    let base = f.db.query(sql, &QueryOptions::new(Mode::Baseline)).unwrap();
     assert_eq!(base.scalar_i64(), Some(50));
     assert_eq!(base.metrics.blocks_pruned, 0);
 }
