@@ -35,7 +35,6 @@ pub fn bind(stmt: &SelectStmt, catalog: &Catalog) -> Result<JoinQuery> {
         rels.push(BoundRelation {
             binding,
             table: entry.table.clone(),
-            stats: entry.stats.clone(),
             filter: None,
             attr_cols: BTreeMap::new(),
             needed_cols: vec![],

@@ -1,16 +1,15 @@
-//! Table catalog with per-table statistics.
+//! Table catalog: name → registered, block-encoded table.
 
 use rpt_common::{Error, Result};
-use rpt_storage::{StoredTable, Table, TableStats};
+use rpt_storage::{StoredTable, Table};
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A registered table, block-encoded, plus its statistics (both computed
-/// once at registration, like `ANALYZE`).
+/// A registered table: block-encoded, with the statistics read off its
+/// blocks (both once at registration, like `ANALYZE`).
 #[derive(Clone)]
 pub struct CatalogEntry {
     pub table: Arc<StoredTable>,
-    pub stats: Arc<TableStats>,
 }
 
 /// Name → table mapping.
@@ -24,13 +23,13 @@ impl Catalog {
         Catalog::default()
     }
 
-    /// Register (or replace) a table: compute its statistics and its block
-    /// encoding from the raw columns, then drop them.
+    /// Register (or replace) a table: encode its raw columns into blocks
+    /// in one pass, which also reads its statistics off them (see
+    /// [`StoredTable::new`]), then drop the raw columns.
     pub fn register(&mut self, table: Table) {
-        let stats = Arc::new(TableStats::compute(&table));
         let table = Arc::new(StoredTable::new(table));
         self.tables
-            .insert(table.name.clone(), CatalogEntry { table, stats });
+            .insert(table.name.clone(), CatalogEntry { table });
     }
 
     pub fn get(&self, name: &str) -> Result<&CatalogEntry> {
@@ -61,7 +60,7 @@ impl Catalog {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rpt_common::{DataType, Field, Schema, Vector, VECTOR_SIZE};
+    use rpt_common::{DataType, Field, ScalarValue, Schema, Vector, VECTOR_SIZE};
     use rpt_storage::BlockTable;
 
     fn t(name: &str) -> Table {
@@ -81,8 +80,10 @@ mod tests {
         assert!(!c.contains("nope"));
         let e = c.get("orders").unwrap();
         assert_eq!(e.table.num_rows(), 3);
-        assert_eq!(e.stats.num_rows, 3);
-        // Registration is where the encoding happens.
+        assert_eq!(e.table.stats().num_rows, 3);
+        assert_eq!(e.table.stats().column(0).max, ScalarValue::Int64(3));
+        // Registration is where the encoding and the statistics happen.
+        assert_eq!(*e.table, StoredTable::new(t("orders")));
         assert_eq!(
             *e.table.encoded(),
             BlockTable::build(&t("orders"), VECTOR_SIZE)
@@ -103,10 +104,13 @@ mod tests {
         let blocks = BlockTable::build(&bigger, VECTOR_SIZE);
         c.register(bigger);
         let e = c.get("x").unwrap();
-        assert_eq!(e.stats.num_rows, 5);
+        let stats = e.table.stats();
+        assert_eq!(stats.num_rows, 5);
+        assert_eq!(stats.column(0).max, ScalarValue::Int64(5));
+        assert_eq!(stats.column(0).distinct, 5);
         // The blocks follow the stats to the replacement.
         assert_eq!(*e.table.encoded(), blocks);
-        assert_eq!(e.table.num_rows() as u64, e.stats.num_rows);
+        assert_eq!(e.table.num_rows() as u64, stats.num_rows);
         assert_eq!(c.len(), 1);
     }
 

@@ -494,8 +494,9 @@ impl Database {
         ctx
     }
 
-    /// Run a compiled [`PhysicalPlan`] on a fresh executor; returns the
-    /// executor holding the published resources and the scheduler's stats.
+    /// Run a compiled [`PhysicalPlan`](crate::planner::PhysicalPlan) on a
+    /// fresh executor; returns the executor holding the published
+    /// resources and the scheduler's stats.
     /// The plan's recorded `partition_count` is authoritative for the
     /// executor's per-partition resource slots.
     fn run_plan(

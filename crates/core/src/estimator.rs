@@ -49,7 +49,7 @@ impl<'q> Estimator<'q> {
     /// Estimated rows of a relation after its pushed-down filter.
     pub fn base_card(&self, rel: usize) -> f64 {
         let r = &self.q.relations[rel];
-        let rows = r.stats.num_rows as f64;
+        let rows = r.table.stats().num_rows as f64;
         let sel = r.filter.as_ref().map_or(1.0, |f| self.selectivity(rel, f));
         (rows * sel).max(1.0) * self.noise_factor(rel as u64)
     }
@@ -57,7 +57,7 @@ impl<'q> Estimator<'q> {
     /// Heuristic filter selectivity.
     fn selectivity(&self, rel: usize, e: &RExpr) -> f64 {
         let r = &self.q.relations[rel];
-        let distinct = |col: usize| -> f64 { (r.stats.column(col).distinct.max(1)) as f64 };
+        let distinct = |col: usize| -> f64 { (r.table.stats().column(col).distinct.max(1)) as f64 };
         match e {
             RExpr::Cmp { op, left, right } => {
                 // column-vs-literal fast paths
@@ -112,7 +112,7 @@ impl<'q> Estimator<'q> {
         let r = &self.q.relations[rel];
         r.attr_cols
             .get(&attr)
-            .map(|&c| r.stats.column(c).distinct.max(1) as f64)
+            .map(|&c| r.table.stats().column(c).distinct.max(1) as f64)
             .unwrap_or(1.0)
     }
 

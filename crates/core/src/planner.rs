@@ -322,11 +322,12 @@ impl<'q> Planner<'q> {
     /// positions) to the `target`'s, both CreateBF sites' size rule
     /// ([`FilterShape::choose`]): a key bitmap needs one key attribute,
     /// `Int64` key columns on both sides, and a source column whose
-    /// catalog `[min, max]` is a dense range with the Bloom filter's bits
-    /// as budget (`rpt_common::DenseRange`; at least 65 536 values, so a
-    /// source of a few keys always gets one). That range is exact for the
-    /// stream too: predicates, semi-joins and joins only remove rows,
-    /// never create values.
+    /// `[min, max]` in its table's stats (the folded zone maps) is a dense
+    /// range with the Bloom filter's bits as budget
+    /// (`rpt_common::DenseRange`; at least 65 536 values, so a source of a
+    /// few keys always gets one). That range is exact for the stream too:
+    /// predicates, semi-joins and joins only remove rows, never create
+    /// values.
     fn filter_shape(
         &self,
         expected_keys: usize,
@@ -336,7 +337,8 @@ impl<'q> Planner<'q> {
         let int64 = |stream: &Stream, pos: usize| {
             let (rel, col) = stream.layout[pos];
             let r = &self.q.relations[rel];
-            (r.table.schema.field(col).data_type == DataType::Int64).then(|| r.stats.column(col))
+            (r.table.schema.field(col).data_type == DataType::Int64)
+                .then(|| r.table.stats().column(col))
         };
         let range = match (src_keys, tgt_keys) {
             ([s], [t]) if int64(target, *t).is_some() => {

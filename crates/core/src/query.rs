@@ -4,7 +4,7 @@
 use rpt_common::{Error, Result, ScalarValue};
 use rpt_exec::{AggFunc, ArithOp, CmpOp, Expr};
 use rpt_graph::{AttrId, QueryGraph, Relation};
-use rpt_storage::{StoredTable, TableStats};
+use rpt_storage::StoredTable;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
@@ -141,8 +141,8 @@ impl RExpr {
 pub struct BoundRelation {
     /// Alias the query refers to this relation by.
     pub binding: String,
+    /// The registered table; its `stats()` feed the estimates.
     pub table: Arc<StoredTable>,
-    pub stats: Arc<TableStats>,
     /// Conjunction of single-relation predicates (column indices refer to
     /// the *base table*).
     pub filter: Option<RExpr>,
@@ -231,7 +231,7 @@ impl JoinQuery {
                     Relation::new(
                         r.binding.clone(),
                         r.attr_cols.keys().copied().collect(),
-                        r.stats.num_rows,
+                        r.table.stats().num_rows,
                     )
                 })
                 .collect(),
@@ -272,8 +272,9 @@ impl JoinQuery {
         let Some(&col) = r.attr_cols.get(&attrs[0]) else {
             return false;
         };
-        let stats = r.stats.column(col);
-        stats.distinct == r.stats.num_rows && stats.null_count == 0
+        let stats = r.table.stats();
+        let key = stats.column(col);
+        key.distinct == stats.num_rows && key.null_count == 0
     }
 }
 
@@ -292,11 +293,9 @@ mod tests {
             vec![Vector::from_i64(rows.clone()), Vector::from_i64(rows)],
         )
         .unwrap();
-        let stats = Arc::new(TableStats::compute(&table));
         BoundRelation {
             binding: binding.into(),
             table: Arc::new(StoredTable::new(table)),
-            stats,
             filter: None,
             attr_cols: attrs.iter().copied().collect(),
             needed_cols: vec![0, 1],

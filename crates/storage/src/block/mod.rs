@@ -13,6 +13,7 @@ pub mod zone;
 pub use zone::ZoneMap;
 
 use crate::encode::{dict_encode_utf8, encode_i64, for_unpack, for_values, rle_runs, EncodedBlock};
+use crate::stats::{ColumnStats, TableStats};
 use crate::table::Table;
 use rpt_common::chunk::{chunk_ranges, VECTOR_SIZE};
 use rpt_common::hash::{fold_key_column, hash_bool, hash_bytes, hash_f64, hash_i64};
@@ -194,8 +195,11 @@ pub struct BlockColumn {
 }
 
 impl BlockColumn {
-    fn build(v: &Vector, block_rows: usize) -> BlockColumn {
-        let dict = dict_encode_utf8(v);
+    /// Encode `v` in `block_rows`-row blocks. Also returns the distinct
+    /// count the dictionary sort of a `Utf8` column took (0 for other
+    /// types), which its statistics read.
+    fn build(v: &Vector, block_rows: usize) -> (BlockColumn, u64) {
+        let (utf8_distinct, dict) = dict_encode_utf8(v);
         let blocks = chunk_ranges(v.len(), block_rows)
             .map(|(start, len)| {
                 let zone = ZoneMap::compute(v, start, len);
@@ -229,11 +233,12 @@ impl BlockColumn {
                 }
             })
             .collect();
-        BlockColumn {
+        let column = BlockColumn {
             data_type: v.data_type(),
             dict: dict.map(|(d, _)| d),
             blocks,
-        }
+        };
+        (column, utf8_distinct)
     }
 
     /// Decode block `b` back to a column vector. Dictionary blocks come
@@ -268,7 +273,7 @@ impl BlockTable {
             columns: table
                 .columns
                 .iter()
-                .map(|v| BlockColumn::build(v, block_rows))
+                .map(|v| BlockColumn::build(v, block_rows).0)
                 .collect(),
         }
     }
@@ -300,31 +305,54 @@ impl BlockTable {
     }
 }
 
-/// A table as the engine holds it once registered: its name, its schema
-/// and its block-encoded columns, which every scan reads. The raw
-/// [`Table`] it is built from is not kept.
+/// A table as the engine holds it once registered: its name, its schema,
+/// its block-encoded columns, which every scan reads, and the statistics
+/// read off them. The raw [`Table`] it is built from is not kept.
 #[derive(Debug, Clone, PartialEq)]
 pub struct StoredTable {
     pub name: String,
     pub schema: Schema,
     blocks: BlockTable,
+    stats: TableStats,
 }
 
 impl StoredTable {
     /// Encode `table` in [`VECTOR_SIZE`]-row blocks, so one block is one
-    /// scan chunk, and drop its raw columns.
+    /// scan chunk, read its statistics off the blocks (see
+    /// [`crate::stats`]) and drop its raw columns.
     pub fn new(table: Table) -> StoredTable {
-        let blocks = BlockTable::build(&table, VECTOR_SIZE);
+        let mut blocks = BlockTable {
+            block_rows: VECTOR_SIZE,
+            num_rows: table.num_rows(),
+            columns: Vec::new(),
+        };
+        let mut stats = TableStats {
+            num_rows: table.num_rows() as u64,
+            columns: Vec::new(),
+        };
+        for v in &table.columns {
+            let (column, utf8_distinct) = BlockColumn::build(v, VECTOR_SIZE);
+            stats
+                .columns
+                .push(ColumnStats::read(v, &column, utf8_distinct));
+            blocks.columns.push(column);
+        }
         StoredTable {
             name: table.name,
             schema: table.schema,
             blocks,
+            stats,
         }
     }
 
     /// The block-encoded columns.
     pub fn encoded(&self) -> &BlockTable {
         &self.blocks
+    }
+
+    /// The per-column statistics, read off the blocks at registration.
+    pub fn stats(&self) -> &TableStats {
+        &self.stats
     }
 
     pub fn num_rows(&self) -> usize {
@@ -438,7 +466,7 @@ mod tests {
             ("for-width-0", nullable(vec![9; 5], |_| false)),
         ];
         for (codec, v) in cases {
-            let block = &BlockColumn::build(&v, 128).blocks[0];
+            let block = &BlockColumn::build(&v, 128).0.blocks[0];
             let got = match &block.data {
                 EncodedBlock::RawI64(_) => "raw",
                 EncodedBlock::RleI64 { .. } => "rle",
@@ -459,7 +487,7 @@ mod tests {
             let want: Vec<i64> = sel.iter().map(|&r| decoded[r as usize]).collect();
             assert_eq!(some, want, "{codec} through a selection");
         }
-        let utf8 = BlockColumn::build(&Vector::from_utf8(vec!["a".into()]), 128);
+        let (utf8, _) = BlockColumn::build(&Vector::from_utf8(vec!["a".into()]), 128);
         assert!(utf8.blocks[0].i64_sel_into(None, &mut Vec::new()).is_err());
     }
 

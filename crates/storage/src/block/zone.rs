@@ -2,10 +2,10 @@
 
 use rpt_common::{ColumnData, ScalarValue, Vector};
 
-/// Min/max/null-count over one block of one column, generalizing the
-/// table-level `ColumnStats` to block granularity. `min`/`max` range over
-/// the block's *valid* rows only; a block with no valid rows stores
-/// `ScalarValue::Null` bounds.
+/// Min/max/null-count over one block of one column. `min`/`max` range
+/// over the block's *valid* rows only; a block with no valid rows stores
+/// `ScalarValue::Null` bounds. A column's zone maps fold into the min, max
+/// and NULL count of its table-level [`ColumnStats`](crate::ColumnStats).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZoneMap {
     pub min: ScalarValue,

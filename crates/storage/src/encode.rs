@@ -362,13 +362,17 @@ pub(crate) fn rle_runs<'a>(
     })
 }
 
-/// Dictionary-encode a `Utf8` column: its shared sorted dictionary and the
-/// code of every row (0 under NULL), or `None` when the column holds no
-/// valid value or more than [`DICT_MAX_DISTINCT`] distinct ones. One sort
-/// of the valid rows assigns the codes, so every value finds its code.
-pub fn dict_encode_utf8(v: &Vector) -> Option<(Arc<Utf8Dict>, Vec<u32>)> {
+/// A `Utf8` column's shared sorted dictionary and the code of every row.
+pub type DictCodes = (Arc<Utf8Dict>, Vec<u32>);
+
+/// Dictionary-encode a `Utf8` column: how many distinct valid values the
+/// one sort of its valid rows counted, and the shared sorted dictionary
+/// with every row's code (0 under NULL), or `None` for no valid value,
+/// more than [`DICT_MAX_DISTINCT`] distinct ones, or a column of another
+/// type (which counts 0).
+pub fn dict_encode_utf8(v: &Vector) -> (u64, Option<DictCodes>) {
     let ColumnData::Utf8(vals) = &v.data else {
-        return None;
+        return (0, None);
     };
     let mut order: Vec<usize> = (0..vals.len()).filter(|&i| v.is_valid(i)).collect();
     order.sort_unstable_by(|&a, &b| vals[a].cmp(&vals[b]));
@@ -380,11 +384,12 @@ pub fn dict_encode_utf8(v: &Vector) -> Option<(Arc<Utf8Dict>, Vec<u32>)> {
         }
         codes[i] = (distinct.len() - 1) as u32;
     }
+    let count = distinct.len() as u64;
     if distinct.is_empty() || distinct.len() > DICT_MAX_DISTINCT {
-        return None;
+        return (count, None);
     }
     let dict = Utf8Dict::from_sorted(distinct.into_iter().map(String::from).collect());
-    Some((dict, codes))
+    (count, Some((dict, codes)))
 }
 
 #[cfg(test)]
@@ -482,12 +487,17 @@ mod tests {
     #[test]
     fn dict_respects_distinct_cap() {
         let v = Vector::from_utf8((0..10).map(|i| format!("v{}", i % 3)).collect());
-        let (d, codes) = dict_encode_utf8(&v).unwrap();
-        assert_eq!(d.len(), 3);
+        let (count, Some((d, codes))) = dict_encode_utf8(&v) else {
+            panic!("three values get a dictionary");
+        };
+        assert_eq!((count, d.len()), (3, 3));
         assert_eq!(d.value(0), "v0");
         assert_eq!(codes, vec![0, 1, 2, 0, 1, 2, 0, 1, 2, 0]);
         let wide = Vector::from_utf8((0..=DICT_MAX_DISTINCT).map(|i| i.to_string()).collect());
-        assert!(dict_encode_utf8(&wide).is_none());
+        let (count, dict) = dict_encode_utf8(&wide);
+        assert!(dict.is_none());
+        // Declining the dictionary still counts the values.
+        assert_eq!(count, DICT_MAX_DISTINCT as u64 + 1);
     }
 
     /// An all-NULL column has no value to code: it stays raw, so no
@@ -497,6 +507,6 @@ mod tests {
     fn all_null_utf8_column_gets_no_dict() {
         let mut v = Vector::from_utf8(vec![String::new(); 4]);
         v.validity = Some(vec![false; 4]);
-        assert!(dict_encode_utf8(&v).is_none());
+        assert_eq!(dict_encode_utf8(&v), (0, None));
     }
 }

@@ -3,14 +3,17 @@
 //! Columnar table storage for the RPT engine:
 //!
 //! * [`table::Table`] — raw in-memory columnar tables: what the generators
-//!   produce and what statistics and the block encoding are computed from;
-//! * [`stats::TableStats`] — per-column min/max/distinct statistics feeding
-//!   the baseline optimizer's cardinality estimates;
+//!   produce and what the block encoding is computed from;
 //! * [`block`] — the block-based columnar layout: per-column sequences of
 //!   `VECTOR_SIZE`-row encoded blocks, each carrying a zone map
 //!   (min/max/null-count) consulted by scans for block skipping, and
 //!   [`block::StoredTable`], a registered table as the engine holds it
-//!   (name, schema and blocks; the paper's main-memory setting, §5);
+//!   (name, schema, blocks and statistics; the paper's main-memory
+//!   setting, §5);
+//! * [`stats::TableStats`] — per-column min/max/NULL/distinct statistics
+//!   feeding the baseline optimizer's cardinality estimates, read off the
+//!   blocks when a table is encoded: the zone maps fold into min, max and
+//!   NULL count, and the encoding's sort gives the distinct count;
 //! * [`encode`] — block codecs: RLE / frame-of-reference bit-packed
 //!   `Int64`, dictionary-coded `Utf8`, raw fallbacks;
 //! * [`spill`] — a memory-capped chunk buffer that spills to disk in the

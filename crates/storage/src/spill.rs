@@ -42,13 +42,14 @@
 //! handed (a partitioned sink scatters each one eight ways), the run it
 //! stores never holds two adjacent resident chunks one vector could hold.
 //!
-//! In the engine a buffer spills only when the query's [`MemoryGovernor`]
-//! says so: sinks build every buffer with `mem_limit_bytes = usize::MAX`
-//! and attach a governor handle, and the governor may flag the buffer as
-//! the spill victim after any push, which evicts *all* resident chunks to
-//! the spill file (order preserved). A finite `mem_limit_bytes` spills
-//! each chunk that would take the buffer past it; only the spill kernel
-//! benchmark and tests set one.
+//! In the engine a buffer spills only when the query's
+//! [`MemoryGovernor`](crate::govern::MemoryGovernor) says so: sinks build
+//! every buffer with `mem_limit_bytes = usize::MAX` and attach a governor
+//! handle, and the governor may flag the buffer as the spill victim after
+//! any push, which evicts *all* resident chunks to the spill file (order
+//! preserved). A finite `mem_limit_bytes` spills each chunk that would
+//! take the buffer past it; only the spill kernel benchmark and tests set
+//! one.
 
 use crate::encode::{encode_i64, EncodedBlock};
 use crate::govern::GovernedHandle;

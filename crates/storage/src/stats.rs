@@ -1,12 +1,19 @@
 //! Per-column statistics feeding the baseline optimizer's cardinality
 //! estimates (uniformity + independence + inclusion assumptions, §2.1).
+//!
+//! They are a reading of the stored form, taken once when
+//! [`StoredTable::new`](crate::block::StoredTable::new) encodes a table:
+//! min, max and NULL counts fold the block zone maps, and the exact
+//! distinct count comes from a sort — the one the `Utf8` dictionary
+//! encoding already does, one sorted copy of the valid values for
+//! `Int64` / `Float64`, none for `Bool`, whose folded bounds tell it.
 
-use crate::table::Table;
+use crate::block::BlockColumn;
 use rpt_common::{ColumnData, ScalarValue, Vector};
-use std::collections::HashSet;
+use std::cmp::Ordering;
 
 /// Statistics for one column.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnStats {
     pub min: ScalarValue,
     pub max: ScalarValue,
@@ -17,129 +24,55 @@ pub struct ColumnStats {
 }
 
 impl ColumnStats {
-    pub fn compute(v: &Vector) -> ColumnStats {
-        // Single pass per variant: NULLs are counted in the same loop that
-        // folds min/max/distinct over the valid values.
-        let mut null_count = 0u64;
-        let valid = |i: usize| v.is_valid(i);
-        let (min, max, distinct) = match &v.data {
+    /// The statistics of column `v`, encoded as `column`: the zone maps
+    /// fold into min, max and NULL count; `utf8_distinct` is what the
+    /// dictionary sort of a `Utf8` column counted (unread for other types).
+    pub(crate) fn read(v: &Vector, column: &BlockColumn, utf8_distinct: u64) -> ColumnStats {
+        let zones = column.blocks.iter().map(|b| &b.zone);
+        let bounded = zones.clone().filter(|z| !z.all_null());
+        let order =
+            |a: &&ScalarValue, b: &&ScalarValue| a.partial_cmp_sql(b).unwrap_or(Ordering::Equal);
+        let min = bounded.clone().map(|z| &z.min).min_by(order);
+        let max = bounded.map(|z| &z.max).max_by(order);
+        let valid = |i: &usize| v.is_valid(*i);
+        let distinct = match &v.data {
+            ColumnData::Utf8(_) => utf8_distinct,
             ColumnData::Int64(vals) => {
-                let mut set = HashSet::new();
-                let mut mn = i64::MAX;
-                let mut mx = i64::MIN;
-                for (i, &x) in vals.iter().enumerate() {
-                    if valid(i) {
-                        set.insert(x);
-                        mn = mn.min(x);
-                        mx = mx.max(x);
-                    } else {
-                        null_count += 1;
-                    }
-                }
-                if set.is_empty() {
-                    (ScalarValue::Null, ScalarValue::Null, 0)
-                } else {
-                    (
-                        ScalarValue::Int64(mn),
-                        ScalarValue::Int64(mx),
-                        set.len() as u64,
-                    )
-                }
+                sorted_distinct((0..vals.len()).filter(valid).map(|i| vals[i]).collect())
             }
-            ColumnData::Float64(vals) => {
-                let mut set = HashSet::new();
-                let mut mn = f64::INFINITY;
-                let mut mx = f64::NEG_INFINITY;
-                for (i, &x) in vals.iter().enumerate() {
-                    if valid(i) {
-                        set.insert(x.to_bits());
-                        mn = mn.min(x);
-                        mx = mx.max(x);
-                    } else {
-                        null_count += 1;
-                    }
-                }
-                if set.is_empty() {
-                    (ScalarValue::Null, ScalarValue::Null, 0)
-                } else {
-                    (
-                        ScalarValue::Float64(mn),
-                        ScalarValue::Float64(mx),
-                        set.len() as u64,
-                    )
-                }
-            }
-            ColumnData::Utf8(vals) => {
-                let mut set: HashSet<&str> = HashSet::new();
-                let mut mn: Option<&str> = None;
-                let mut mx: Option<&str> = None;
-                for (i, x) in vals.iter().enumerate() {
-                    if valid(i) {
-                        set.insert(x.as_str());
-                        if mn.is_none_or(|m| x.as_str() < m) {
-                            mn = Some(x);
-                        }
-                        if mx.is_none_or(|m| x.as_str() > m) {
-                            mx = Some(x);
-                        }
-                    } else {
-                        null_count += 1;
-                    }
-                }
-                match (mn, mx) {
-                    (Some(a), Some(b)) => (
-                        ScalarValue::Utf8(a.to_string()),
-                        ScalarValue::Utf8(b.to_string()),
-                        set.len() as u64,
-                    ),
-                    _ => (ScalarValue::Null, ScalarValue::Null, 0),
-                }
-            }
-            ColumnData::Bool(vals) => {
-                let mut set = HashSet::new();
-                for (i, &x) in vals.iter().enumerate() {
-                    if valid(i) {
-                        set.insert(x);
-                    } else {
-                        null_count += 1;
-                    }
-                }
-                let distinct = set.len() as u64;
-                if distinct == 0 {
-                    (ScalarValue::Null, ScalarValue::Null, 0)
-                } else {
-                    (
-                        ScalarValue::Bool(!set.contains(&false)),
-                        ScalarValue::Bool(set.contains(&true)),
-                        distinct,
-                    )
-                }
-            }
+            ColumnData::Float64(vals) => sorted_distinct(
+                (0..vals.len())
+                    .filter(valid)
+                    .map(|i| vals[i].to_bits())
+                    .collect(),
+            ),
+            // No valid value, one, or both: the bounds tell which.
+            ColumnData::Bool(_) => u64::from(min.is_some()) + u64::from(min != max),
         };
         ColumnStats {
-            min,
-            max,
+            min: min.cloned().unwrap_or(ScalarValue::Null),
+            max: max.cloned().unwrap_or(ScalarValue::Null),
             distinct,
-            null_count,
+            null_count: zones.map(|z| z.null_count).sum(),
         }
     }
 }
 
+/// How many distinct values `vals` holds, by sorting it.
+fn sorted_distinct<T: Ord>(mut vals: Vec<T>) -> u64 {
+    vals.sort_unstable();
+    vals.dedup();
+    vals.len() as u64
+}
+
 /// Statistics for a whole table.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TableStats {
     pub num_rows: u64,
     pub columns: Vec<ColumnStats>,
 }
 
 impl TableStats {
-    pub fn compute(table: &Table) -> TableStats {
-        TableStats {
-            num_rows: table.num_rows() as u64,
-            columns: table.columns.iter().map(ColumnStats::compute).collect(),
-        }
-    }
-
     pub fn column(&self, idx: usize) -> &ColumnStats {
         &self.columns[idx]
     }
@@ -148,11 +81,19 @@ impl TableStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{StoredTable, Table};
     use rpt_common::{DataType, Field, Schema};
+
+    /// The statistics registration keeps for a one-column table of `v`.
+    fn stats(v: Vector) -> ColumnStats {
+        let schema = Schema::new(vec![Field::new("c", v.data_type())]);
+        let t = Table::new("t", schema, vec![v]).unwrap();
+        StoredTable::new(t).stats().column(0).clone()
+    }
 
     #[test]
     fn int_stats() {
-        let s = ColumnStats::compute(&Vector::from_i64(vec![5, 1, 5, 9]));
+        let s = stats(Vector::from_i64(vec![5, 1, 5, 9]));
         assert_eq!(s.min, ScalarValue::Int64(1));
         assert_eq!(s.max, ScalarValue::Int64(9));
         assert_eq!(s.distinct, 3);
@@ -164,7 +105,7 @@ mod tests {
         let mut v = Vector::new_empty(DataType::Int64);
         v.push(&ScalarValue::Int64(2)).unwrap();
         v.push(&ScalarValue::Null).unwrap();
-        let s = ColumnStats::compute(&v);
+        let s = stats(v);
         assert_eq!(s.null_count, 1);
         assert_eq!(s.distinct, 1);
         assert_eq!(s.min, ScalarValue::Int64(2));
@@ -172,7 +113,7 @@ mod tests {
 
     #[test]
     fn utf8_stats() {
-        let s = ColumnStats::compute(&Vector::from_utf8(vec![
+        let s = stats(Vector::from_utf8(vec![
             "banana".into(),
             "apple".into(),
             "apple".into(),
@@ -184,7 +125,7 @@ mod tests {
 
     #[test]
     fn empty_column() {
-        let s = ColumnStats::compute(&Vector::from_f64(vec![]));
+        let s = stats(Vector::from_f64(vec![]));
         assert_eq!(s.distinct, 0);
         assert!(s.min.is_null());
     }
@@ -203,7 +144,8 @@ mod tests {
             ],
         )
         .unwrap();
-        let ts = TableStats::compute(&t);
+        let t = StoredTable::new(t);
+        let ts = t.stats();
         assert_eq!(ts.num_rows, 3);
         assert_eq!(ts.column(0).distinct, 2);
         assert_eq!(ts.column(1).distinct, 2);

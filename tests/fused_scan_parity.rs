@@ -25,7 +25,7 @@ use rpt_exec::{
     BloomSink, CmpOp, ExecContext, Executor, Expr, FilterShape, MetricsSummary, OpSpec,
     PipelinePlan, ScanProbe, SinkSpec, Source, SourceSpec,
 };
-use rpt_storage::{ColumnStats, StoredTable, Table};
+use rpt_storage::{StoredTable, Table};
 use rpt_workloads::{dsb, job, tpcds, tpch, Workload};
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -377,12 +377,21 @@ struct Transfer {
 }
 
 impl Transfer {
+    /// A key bitmap spans the key column's own valid values, read row by
+    /// row from the raw table.
     fn shape(&self) -> FilterShape {
-        let stats = ColumnStats::compute(self.keys.column(0));
-        match (&stats.min, &stats.max) {
-            (ScalarValue::Int64(min), ScalarValue::Int64(max)) if self.exact => {
+        let col = self.keys.column(0);
+        let keys = (0..col.len()).filter_map(|i| match col.get(i) {
+            ScalarValue::Int64(k) => Some(k),
+            _ => None,
+        });
+        let range = keys.fold(None, |r: Option<(i64, i64)>, k| {
+            Some(r.map_or((k, k), |(lo, hi)| (lo.min(k), hi.max(k))))
+        });
+        match range {
+            Some((min, max)) if self.exact => {
                 assert_eq!(self.keys.num_columns(), 1, "a key bitmap takes one key");
-                FilterShape::Bitmap(DenseRange::new(*min, *max, u64::MAX).unwrap())
+                FilterShape::Bitmap(DenseRange::new(min, max, u64::MAX).unwrap())
             }
             _ => FilterShape::Bloom {
                 expected_keys: self.keys.num_rows().max(1),

@@ -97,9 +97,10 @@ const TPCH_QUERIES: &[CorpusQuery] = &[
     },
 ];
 
-/// Over the TPC-H tables with NULLs in every column (`with_nulls`): NULL
-/// filter operands under `NOT`, `<>` and `IN`, NULL single and composite
-/// join keys, a NULL group, and NULL aggregate inputs.
+/// Over the TPC-H tables with NULLs in every column
+/// (`oracle::with_nulls`): NULL filter operands under `NOT`, `<>` and
+/// `IN`, NULL single and composite join keys, a NULL group, and NULL
+/// aggregate inputs.
 const TPCH_NULL_QUERIES: &[CorpusQuery] = &[
     CorpusQuery {
         id: "n_priority_aggregates",
@@ -138,28 +139,6 @@ const TPCH_NULL_QUERIES: &[CorpusQuery] = &[
         suffix: "ORDER BY 1",
     },
 ];
-
-/// `w`'s tables with NULLs: in column `c`, row `i` is NULL when `i` is a
-/// multiple of `7 + c`, so every filter column, join key, group key and
-/// aggregate input holds some, at rows that differ between columns.
-fn with_nulls(w: &Workload) -> Vec<Table> {
-    w.tables
-        .iter()
-        .map(|t| {
-            let columns = t
-                .columns
-                .iter()
-                .enumerate()
-                .map(|(c, v)| {
-                    let mut v = v.clone();
-                    v.validity = Some((0..v.len()).map(|i| i % (7 + c) != 0).collect());
-                    v
-                })
-                .collect();
-            Table::new(t.name.clone(), t.schema.clone(), columns).unwrap()
-        })
-        .collect()
-}
 
 const TPCDS_QUERIES: &[CorpusQuery] = &[
     CorpusQuery {
@@ -327,7 +306,7 @@ fn tpch_corpus_all_legs() {
 #[test]
 fn tpch_corpus_with_nulls_all_legs() {
     check_queries(
-        &with_nulls(&tpch(0.05, 42)),
+        &oracle::with_nulls(&tpch(0.05, 42).tables),
         "TPC-H+NULLs",
         TPCH_NULL_QUERIES,
     );

@@ -92,6 +92,28 @@ impl Fixture {
     }
 }
 
+/// `tables` with NULLs: in column `c`, row `i` is NULL when `i` is a
+/// multiple of `7 + c`, so every filter column, join key, group key and
+/// aggregate input holds some, at rows that differ between columns.
+pub fn with_nulls(tables: &[Table]) -> Vec<Table> {
+    tables
+        .iter()
+        .map(|t| {
+            let columns = t
+                .columns
+                .iter()
+                .enumerate()
+                .map(|(c, v)| {
+                    let mut v = v.clone();
+                    v.validity = Some((0..v.len()).map(|i| i % (7 + c) != 0).collect());
+                    v
+                })
+                .collect();
+            Table::new(t.name.clone(), t.schema.clone(), columns).unwrap()
+        })
+        .collect()
+}
+
 /// Bind `sql` against `db` and evaluate it over `tables`, the raw tables
 /// registered in `db`.
 pub fn answer(db: &Database, tables: &[Table], sql: &str) -> Answer {
@@ -171,11 +193,11 @@ fn raw_table<'t>(tables: &'t [Table], rel: &BoundRelation) -> Result<&'t Table> 
         .iter()
         .find(|t| &t.name == name)
         .ok_or_else(|| Error::Bind(format!("oracle: no raw input for table `{name}`")))?;
-    if table.num_rows() as u64 != rel.stats.num_rows {
+    if table.num_rows() != rel.table.num_rows() {
         return Err(Error::Bind(format!(
             "oracle: raw `{name}` has {} rows, the registered one {}",
             table.num_rows(),
-            rel.stats.num_rows
+            rel.table.num_rows()
         )));
     }
     Ok(table)
